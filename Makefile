@@ -5,7 +5,7 @@
 # committed baseline.
 GO ?= go
 
-RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/loadgen/... ./cmd/vizserver/...
+RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/loadgen/... ./cmd/vizserver/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
 BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/...
@@ -17,9 +17,9 @@ FUZZ_PKGS := ./internal/blocksvc/...
 # and the two-replica network-chaos end-to-end run.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestKeepalive|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
 
-.PHONY: check vet build test race chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke bench bench-all bench-smoke bench-check
+.PHONY: check vet build unused-pkgs test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke bench bench-all bench-smoke bench-check
 
-check: vet build test race chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke bench-smoke bench-check
+check: vet build unused-pkgs test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -27,11 +27,26 @@ vet:
 build:
 	$(GO) build ./...
 
+# unused-pkgs fails when a repro/internal/* package is imported by nothing
+# outside itself (test imports count), so a package cannot sit dead in the
+# tree unnoticed.
+unused-pkgs:
+	@used=$$($(GO) list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./... \
+		| awk '{for (i = 2; i <= NF; i++) if ($$i != $$1) print $$i}' | sort -u); \
+	dead=$$($(GO) list ./internal/... | grep -vxF "$$used"); \
+	if [ -n "$$dead" ]; then echo "internal packages nothing imports:"; echo "$$dead"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# hist-pin repeats the histogram's concurrent Observe/Snapshot test enough
+# times to catch a count published before min/max (it failed 1 run in 21
+# before Observe was reordered).
+hist-pin:
+	$(GO) test -race -count=200 -run TestHistogramConcurrent ./internal/obs/
 
 # chaos runs the failure-model suite under the race detector, repeated to
 # shake out interleavings: replica kill/restart, graceful drain, dead-peer
@@ -52,17 +67,18 @@ chaos-smoke:
 spill-smoke:
 	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker' ./internal/tier/
 
-# pipe-smoke runs the protocol-v4 wire-path suite under the race detector:
-# v3 interop, the compression codec round-trip, pipelined batches
-# multiplexed over one conn, the mid-response stall failover scope, and the
-# lying-compressed-header allocation bound.
+# pipe-smoke runs the wire-path suite under the race detector: the
+# other-version hello refusal, the compression codec round-trip, pipelined
+# batches multiplexed over one conn, the mid-response stall failover scope,
+# and the lying-compressed-header allocation bound.
 pipe-smoke:
-	$(GO) test -race -count=1 -run='TestProtocolV3Interop|TestCompressionRoundTrip|TestPipelined|TestStallMidResponse|TestLyingFlateHeader' ./internal/blocksvc/
+	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestCompressionRoundTrip|TestPipelined|TestStallMidResponse|TestLyingFlateHeader' ./internal/blocksvc/
 
 # cluster-smoke runs the sharded-cluster suite under the race detector: a
 # 3-node in-process cluster with client-side consistent-hash routing, one
 # node killed mid-orbit and the map rebalanced by a live topology push —
-# every frame must stay error-free, plus the redirect/drain/v3 wire pins.
+# every frame must stay error-free, plus the redirect/drain/plain-client
+# wire pins.
 cluster-smoke:
 	$(GO) test -race -count=1 -run='TestCluster' ./internal/blocksvc/
 	$(GO) test -race -count=1 ./internal/shard/
@@ -84,8 +100,8 @@ bench-smoke:
 # bench-check is the perf gate: rerun the frame hot paths — local and remote
 # — and fail if ns/op regressed more than 25% past the committed baseline.
 # Re-record with `make bench` (and commit the JSON) when a deliberate change
-# moves them. The remote gate proves protocol-v3 liveness costs nothing on
-# the steady-state demand path.
+# moves them. The remote gate proves liveness costs nothing on the
+# steady-state demand path.
 bench-check:
 	$(GO) test -bench='^BenchmarkFrame$$' -benchmem -run='^$$' ./internal/ooc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
 	$(GO) test -bench='^BenchmarkRemoteFrame$$' -benchmem -run='^$$' ./internal/blocksvc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25

@@ -3,9 +3,11 @@ package blocksvc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -567,36 +569,41 @@ func TestInjectorWrapsRemoteReader(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchRefused speaks the raw protocol with a wrong version:
-// the server must answer msgError, and a full client Dial against it must
-// fail permanently (retrying the same hello cannot help).
+// TestVersionMismatchRefused speaks the raw protocol with a hello of another
+// version — the older 3 (version only, no capability word) and a future one:
+// the server must answer one msgError naming the offered version and the
+// one it speaks, then close the session without a welcome.
 func TestVersionMismatchRefused(t *testing.T) {
 	f := startService(t, svcOpts{})
-	ctx := context.Background()
-	conn, err := f.lis.Dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var e enc
-	e.u32(protoMagic)
-	e.u16(ProtoVersion + 99)
-	errc := make(chan error, 1)
-	go func() {
-		if err := writeFrame(conn, msgHello, e.b); err != nil {
-			errc <- err
+	for _, ver := range []uint16{3, ProtoVersion + 99} {
+		conn, err := f.lis.Dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		close(errc)
-	}()
-	typ, payload, err := readFrame(conn)
-	if err != nil {
-		t.Fatalf("no refusal frame: %v", err)
+		var e enc
+		e.u32(protoMagic)
+		e.u16(ver)
+		errc := make(chan error, 1)
+		go func() { errc <- writeFrame(conn, msgHello, e.b) }()
+		typ, payload, err := readFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("version %d: no refusal frame: %v", ver, err)
+		}
+		want := fmt.Sprintf("version %d unsupported (server speaks %d)", ver, ProtoVersion)
+		if typ != msgError || !strings.Contains(string(payload), want) {
+			t.Errorf("version %d: refusal = type %d %q, want msgError containing %q",
+				ver, typ, payload, want)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := readFrame(conn, nil); err == nil {
+			t.Errorf("version %d: session stayed open after the refusal", ver)
+		}
+		conn.Close()
 	}
-	if typ != msgError || len(payload) == 0 {
-		t.Errorf("refusal = type %d %q, want msgError", typ, payload)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	if st := f.srv.Snapshot(); st.Sessions != 0 {
+		t.Errorf("refused hellos counted as sessions: %+v", st)
 	}
 }
 
@@ -611,7 +618,7 @@ func TestBadMagicRefused(t *testing.T) {
 	e.u32(0xdeadbeef)
 	e.u16(ProtoVersion)
 	go writeFrame(conn, msgHello, e.b)
-	typ, _, err := readFrame(conn)
+	typ, _, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("no refusal frame: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -34,18 +35,6 @@ type Endpoint struct {
 	// Dial, when non-nil, replaces the default TCP dialer for this
 	// endpoint (in-process transports, custom networks).
 	Dial func(ctx context.Context) (net.Conn, error)
-}
-
-// dialFunc resolves the endpoint's dialer.
-func (ep Endpoint) dialFunc() func(ctx context.Context) (net.Conn, error) {
-	if ep.Dial != nil {
-		return ep.Dial
-	}
-	addr := ep.Addr
-	return func(ctx context.Context) (net.Conn, error) {
-		d := net.Dialer{}
-		return d.DialContext(ctx, "tcp", addr)
-	}
 }
 
 // ClientConfig configures a RemoteReader.
@@ -81,8 +70,6 @@ type ClientConfig struct {
 	// flight per connection, within the server's advertised limit
 	// (default 4).
 	PipelineDepth int
-	// DialTimeout bounds one connect-plus-handshake (default 5s).
-	DialTimeout time.Duration
 	// Retry is the reconnect policy: how many times, and with what
 	// backoff, a failed dial is retried before a request gives up on that
 	// endpoint. Nil gets 4 attempts from 10ms doubling to 500ms.
@@ -96,10 +83,9 @@ type ClientConfig struct {
 	// BreakerThreshold is how many consecutive transport failures open an
 	// endpoint's circuit breaker (default 3). While open, the endpoint is
 	// skipped; after BreakerBackoff one probe per window is let through,
-	// and backoff doubles up to BreakerMaxBackoff until a probe succeeds.
-	BreakerThreshold  int
-	BreakerBackoff    time.Duration // default 250ms
-	BreakerMaxBackoff time.Duration // default 8s
+	// and backoff doubles up to 8s until a probe succeeds.
+	BreakerThreshold int
+	BreakerBackoff   time.Duration // default 250ms
 	// FailoverAttempts caps how many connections one batch may try within
 	// a shard before failing its remaining blocks (default one more than
 	// the shard's replica count).
@@ -107,9 +93,17 @@ type ClientConfig struct {
 
 	// Metrics, when non-nil, exposes the client's counters, request
 	// latency histogram, and per-endpoint health (names under "client.",
-	// documented in DESIGN.md §9). Nil disables the export.
+	// documented in DESIGN.md §9). Nil disables the export; the ClientStats
+	// snapshot is unaffected either way.
 	Metrics *obs.Registry
 }
+
+const (
+	// dialTimeout bounds one connect-plus-handshake.
+	dialTimeout = 5 * time.Second
+	// breakerMaxBackoff caps an open endpoint breaker's doubling backoff.
+	breakerMaxBackoff = 8 * time.Second
+)
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if len(c.Endpoints) == 0 {
@@ -120,9 +114,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.Retry == nil {
 		c.Retry = &faultio.Retrier{
@@ -137,16 +128,14 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.BreakerBackoff <= 0 {
 		c.BreakerBackoff = 250 * time.Millisecond
 	}
-	if c.BreakerMaxBackoff <= 0 {
-		c.BreakerMaxBackoff = 8 * time.Second
-	}
 	if c.FailoverAttempts <= 0 {
 		c.FailoverAttempts = len(c.Endpoints) + 1
 	}
 	return c
 }
 
-// ClientStats counts client activity, snapshotted under one lock.
+// ClientStats is a point-in-time read of the client's counters (see
+// RemoteReader.Snapshot).
 type ClientStats struct {
 	Dials              int64 // successful connects (incl. reconnects)
 	DialRetries        int64 // extra dial attempts beyond each first
@@ -224,11 +213,7 @@ type RemoteReader struct {
 	closed atomic.Bool
 	mu     sync.Mutex
 
-	bufMu sync.Mutex
-	free  [][]float32 // recycled decode buffers (fed via RecycleBlockBuf)
-
-	statsMu sync.Mutex
-	stats   ClientStats
+	bufs store.BufPool // recycled decode buffers (fed via RecycleBlockBuf)
 }
 
 var (
@@ -331,12 +316,14 @@ func (r *RemoteReader) dialFuncFor(e Endpoint) func(ctx context.Context) (net.Co
 	if e.Dial != nil {
 		return e.Dial
 	}
-	if r.cfg.DialAddr != nil && e.Addr != "" {
-		addr := e.Addr
-		dial := r.cfg.DialAddr
+	addr := e.Addr
+	if dial := r.cfg.DialAddr; dial != nil && addr != "" {
 		return func(ctx context.Context) (net.Conn, error) { return dial(ctx, addr) }
 	}
-	return e.dialFunc()
+	return func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
 }
 
 // newGroup builds a connection group for one shard's replica endpoints.
@@ -358,7 +345,7 @@ func (r *RemoteReader) newGroup(shardID string, eps []Endpoint) *shardGroup {
 			name:  name,
 			shard: shardID,
 			dial:  r.dialFuncFor(e),
-			br:    newBreaker(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, r.cfg.BreakerMaxBackoff),
+			br:    breaker.New(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, breakerMaxBackoff),
 		})
 	}
 	g.key = groupKey(shardID, addrs)
@@ -380,7 +367,7 @@ type endpoint struct {
 	name     string
 	shard    string // owning group's shard ID (metric naming)
 	dial     func(ctx context.Context) (net.Conn, error)
-	br       *breaker
+	br       *breaker.Breaker
 	draining atomic.Bool // set by GOAWAY, cleared by a fresh successful handshake
 
 	dials    atomic.Int64 // successful connects to this endpoint
@@ -424,7 +411,6 @@ type rconn struct {
 	bw  *bufio.Writer
 	ep  *endpoint
 
-	session    uint64
 	hb         time.Duration // server-advertised heartbeat interval
 	hbEff      time.Duration // resolved liveness cadence for this conn
 	maxReqs    int           // server-granted concurrent requests
@@ -500,7 +486,7 @@ func Dial(cfg ClientConfig) (*RemoteReader, error) {
 		topo.groups = append(topo.groups, r.newGroup("0", cfg.Endpoints))
 	}
 	r.topo.Store(topo)
-	r.m = newClientMetrics(r, cfg.Metrics)
+	r.m = newClientMetrics(cfg.Metrics)
 	for _, g := range topo.groups {
 		r.m.registerGroup(g)
 	}
@@ -509,7 +495,7 @@ func Dial(cfg ClientConfig) (*RemoteReader, error) {
 		neps += len(g.eps)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(),
-		time.Duration(neps)*cfg.DialTimeout)
+		time.Duration(neps)*dialTimeout)
 	defer cancel()
 	var conn *rconn
 	var err error
@@ -564,48 +550,18 @@ func (r *RemoteReader) connHB(rc *rconn) time.Duration {
 }
 
 // getBuf returns a decode buffer of exactly n floats, reusing a recycled
-// one when available. Only the most recent few are scanned: with uniform
-// block geometry every free buffer matches, and mixed sizes stay cheap.
+// one when available.
 func (r *RemoteReader) getBuf(n int) []float32 {
-	r.bufMu.Lock()
-	lo := len(r.free) - 8
-	if lo < 0 {
-		lo = 0
-	}
-	for i := len(r.free) - 1; i >= lo; i-- {
-		if len(r.free[i]) == n {
-			b := r.free[i]
-			last := len(r.free) - 1
-			r.free[i] = r.free[last]
-			r.free[last] = nil
-			r.free = r.free[:last]
-			r.bufMu.Unlock()
-			return b
-		}
-	}
-	r.bufMu.Unlock()
-	return make([]float32, n)
+	buf, _ := r.bufs.Get(n)
+	return buf
 }
-
-// maxClientFreeBufs bounds the recycled-buffer list; beyond it, returned
-// buffers are dropped for the GC.
-const maxClientFreeBufs = 64
 
 // RecycleBlockBuf hands a block buffer back for reuse by a later response
 // decode. It implements store.BlockBufRecycler: a MemCache with recycling
 // enabled feeds evicted blocks here, closing the loop so a steady miss
 // stream decodes into evicted memory instead of allocating. The caller
 // must no longer read the buffer.
-func (r *RemoteReader) RecycleBlockBuf(vals []float32) {
-	if len(vals) == 0 {
-		return
-	}
-	r.bufMu.Lock()
-	if len(r.free) < maxClientFreeBufs {
-		r.free = append(r.free, vals)
-	}
-	r.bufMu.Unlock()
-}
+func (r *RemoteReader) RecycleBlockBuf(vals []float32) { r.bufs.Put(vals) }
 
 // connect dials and handshakes one connection to ep, retrying with backoff
 // under the configured Retrier. Success clears the endpoint's draining
@@ -616,7 +572,7 @@ func (r *RemoteReader) RecycleBlockBuf(vals []float32) {
 func (r *RemoteReader) connect(ctx context.Context, g *shardGroup, ep *endpoint) (*rconn, error) {
 	var conn *rconn
 	attempts, err := r.cfg.Retry.Do(ctx, func(c context.Context) error {
-		tctx, cancel := context.WithTimeout(c, r.cfg.DialTimeout)
+		tctx, cancel := context.WithTimeout(c, dialTimeout)
 		defer cancel()
 		raw, err := ep.dial(tctx)
 		if err != nil {
@@ -630,7 +586,7 @@ func (r *RemoteReader) connect(ctx context.Context, g *shardGroup, ep *endpoint)
 		conn = rc
 		return nil
 	})
-	r.count(func(s *ClientStats) { s.DialRetries += int64(attempts - 1) })
+	r.m.dialRetries.Add(int64(attempts - 1))
 	if err != nil {
 		if ctx.Err() == nil && faultio.Retryable(err) {
 			r.noteFailure(ep)
@@ -640,7 +596,7 @@ func (r *RemoteReader) connect(ctx context.Context, g *shardGroup, ep *endpoint)
 	ep.dials.Add(1)
 	ep.draining.Store(false)
 	r.noteSuccess(ep)
-	r.count(func(s *ClientStats) { s.Dials++ })
+	r.m.dials.Inc()
 	conn.grp = g
 	conn.hbEff = r.connHB(conn)
 	g.mu.Lock()
@@ -689,8 +645,8 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 	if err := rc.bw.Flush(); err != nil {
 		return nil, faultio.Transient(err)
 	}
-	raw.SetReadDeadline(time.Now().Add(r.cfg.DialTimeout))
-	typ, payload, err := readFrame(rc.br)
+	raw.SetReadDeadline(time.Now().Add(dialTimeout))
+	typ, payload, err := readFrame(rc.br, nil)
 	raw.SetReadDeadline(time.Time{})
 	if err != nil {
 		return nil, faultio.Transient(err)
@@ -706,7 +662,6 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 		return nil, fmt.Errorf("blocksvc: bad welcome: %w", faultio.ErrPermanent)
 	}
 	hdr := welcome.Header
-	rc.session = welcome.Session
 	rc.hb = time.Duration(welcome.HeartbeatMillis) * time.Millisecond
 	rc.maxReqs = int(welcome.MaxRequests)
 	rc.welcomeMap = welcome.ShardMap
@@ -785,7 +740,7 @@ func (r *RemoteReader) adoptMap(m *shard.Map) bool {
 	}
 	r.topo.Store(nt)
 	r.mu.Unlock()
-	r.count(func(s *ClientStats) { s.TopologyUpdates++ })
+	r.m.topologyUpdates.Inc()
 	for _, g := range retired {
 		// Closing the sockets errors each read loop, whose teardown fails
 		// the pending tags transiently — their batches re-route.
@@ -808,7 +763,7 @@ func (r *RemoteReader) adoptMap(m *shard.Map) bool {
 func (r *RemoteReader) pickEndpoint(g *shardGroup, avoid *endpoint) *endpoint {
 	now := time.Now()
 	for _, ep := range g.eps {
-		if ep != avoid && !ep.draining.Load() && ep.br.current() == brClosed {
+		if ep != avoid && !ep.draining.Load() && ep.br.State() == breaker.Closed {
 			return ep
 		}
 	}
@@ -816,17 +771,17 @@ func (r *RemoteReader) pickEndpoint(g *shardGroup, avoid *endpoint) *endpoint {
 		if ep == avoid || ep.draining.Load() {
 			continue
 		}
-		if ok, probe := ep.br.allow(now); ok {
+		if ok, probe := ep.br.Allow(now); ok {
 			if probe {
-				r.count(func(s *ClientStats) { s.BreakerProbes++ })
+				r.m.breakerProbes.Inc()
 			}
 			return ep
 		}
 	}
 	for _, ep := range g.eps {
-		if ok, probe := ep.br.allow(now); ok {
+		if ok, probe := ep.br.Allow(now); ok {
 			if probe {
-				r.count(func(s *ClientStats) { s.BreakerProbes++ })
+				r.m.breakerProbes.Inc()
 			}
 			return ep
 		}
@@ -936,16 +891,16 @@ func (r *RemoteReader) acquire(ctx context.Context, g *shardGroup, avoid *endpoi
 
 // noteSuccess feeds a healthy round trip to the endpoint's breaker.
 func (r *RemoteReader) noteSuccess(ep *endpoint) {
-	if ep.br.success() {
-		r.count(func(s *ClientStats) { s.BreakerCloses++ })
+	if ep.br.Success() {
+		r.m.breakerCloses.Inc()
 	}
 }
 
 // noteFailure attributes a transport failure to the endpoint.
 func (r *RemoteReader) noteFailure(ep *endpoint) {
 	ep.failures.Add(1)
-	if ep.br.failure(time.Now()) {
-		r.count(func(s *ClientStats) { s.BreakerOpens++ })
+	if ep.br.Failure(time.Now()) {
+		r.m.breakerOpens.Inc()
 	}
 }
 
@@ -976,18 +931,9 @@ func (r *RemoteReader) Close() error {
 	return nil
 }
 
-// Snapshot returns a consistent copy of the client counters under one lock.
-func (r *RemoteReader) Snapshot() ClientStats {
-	r.statsMu.Lock()
-	defer r.statsMu.Unlock()
-	return r.stats
-}
-
-func (r *RemoteReader) count(f func(*ClientStats)) {
-	r.statsMu.Lock()
-	f(&r.stats)
-	r.statsMu.Unlock()
-}
+// Snapshot reads the client's counters. Each field is read atomically; the
+// fields are not a consistent cut across each other.
+func (r *RemoteReader) Snapshot() ClientStats { return r.m.snapshot() }
 
 // keepaliveLoop pings idle pooled connections at the liveness cadence, so
 // a quiet client still notices a dead or draining server within
@@ -1049,7 +995,7 @@ func (rc *rconn) ping() {
 	}
 	rc.writeMu.Unlock()
 	putEnc(e)
-	rc.r.count(func(s *ClientStats) { s.PingsSent++ })
+	rc.r.m.pingsSent.Inc()
 	if err != nil {
 		rc.teardown(err)
 	}
@@ -1093,7 +1039,7 @@ func (rc *rconn) teardown(cause error) {
 		return
 	}
 	if len(pend) == 0 && errors.Is(cause, os.ErrDeadlineExceeded) {
-		r.count(func(s *ClientStats) { s.DeadPeers++ })
+		r.m.deadPeers.Inc()
 	}
 	r.noteFailure(rc.ep)
 }
@@ -1117,7 +1063,7 @@ func (rc *rconn) readLoop() {
 				lastArm = now
 			}
 		}
-		typ, payload, err := readFrameBuf(rc.br, buf)
+		typ, payload, err := readFrame(rc.br, buf)
 		if err != nil {
 			rc.teardown(err)
 			return
@@ -1182,7 +1128,7 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 		}
 		p.mu.Unlock()
 		rc.unreserve(1)
-		r.count(func(s *ClientStats) { s.ShedRequests++ })
+		r.m.shedRequests.Inc()
 		// Shed is proof of life: the endpoint answered, it is just over
 		// capacity.
 		r.noteSuccess(rc.ep)
@@ -1207,7 +1153,7 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 		if _, ok := decodeToken(payload); !ok {
 			return fmt.Errorf("bad pong")
 		}
-		r.count(func(s *ClientStats) { s.PongsReceived++ })
+		r.m.pongsReceived.Inc()
 		r.noteSuccess(rc.ep)
 		return nil
 	case msgGoaway:
@@ -1219,7 +1165,7 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 		// the endpoint.
 		rc.goaway.Store(true)
 		rc.ep.draining.Store(true)
-		r.count(func(s *ClientStats) { s.GoawaysReceived++ })
+		r.m.goawaysReceived.Inc()
 		return nil
 	case msgTopology:
 		m, ok := decodeTopology(payload)
@@ -1255,7 +1201,7 @@ func (rc *rconn) takePending(req uint64) *pendingReq {
 // allocation — a lying length cannot over-allocate.
 func (rc *rconn) handleBlocks(payload []byte) error {
 	r := rc.r
-	it, ok := blocksHeader(payload, true)
+	it, ok := blocksHeader(payload)
 	if !ok {
 		return fmt.Errorf("bad blocks frame")
 	}
@@ -1336,15 +1282,13 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 	if bad {
 		return fmt.Errorf("bad blocks frame")
 	}
-	r.count(func(s *ClientStats) {
-		s.BlocksServed += served
-		s.RemoteFaults += faults
-		s.Redirects += redirects
-		s.ChecksumErrors += cksum
-		s.BytesReceived += wireBytes
-		s.DecompressedBlocks += zblocks
-		s.DecompressedBytes += zbytes
-	})
+	r.m.blocksServed.Add(served)
+	r.m.remoteFaults.Add(faults)
+	r.m.redirects.Add(redirects)
+	r.m.checksumErrors.Add(cksum)
+	r.m.bytesReceived.Add(wireBytes)
+	r.m.decompressedBlocks.Add(zblocks)
+	r.m.decompressedBytes.Add(zbytes)
 	return nil
 }
 
@@ -1445,7 +1389,8 @@ func (r *RemoteReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]
 		}
 		return vals, errs
 	}
-	r.count(func(s *ClientStats) { s.Requests++; s.BlocksRequested += int64(len(ids)) })
+	r.m.requests.Inc()
+	r.m.blocksRequested.Add(int64(len(ids)))
 	// End-to-end batch latency: acquire through last done frame, every
 	// outcome (served, shed, torn, failed over, re-routed) included.
 	reqStart := time.Now()
@@ -1507,7 +1452,7 @@ func (r *RemoteReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]
 			errs[i] = nil
 		}
 		pending = retry
-		r.count(func(s *ClientStats) { s.Reroutes += int64(len(retry)) })
+		r.m.reroutes.Add(int64(len(retry)))
 	}
 }
 
@@ -1545,7 +1490,7 @@ func (r *RemoteReader) readGroup(ctx context.Context, g *shardGroup, ids []grid.
 			continue
 		}
 		if attempt > 1 && rc.ep != avoid {
-			r.count(func(s *ClientStats) { s.Failovers++ })
+			r.m.failovers.Inc()
 		}
 		var done bool
 		done, lastErr = r.exchange(ctx, rc, granted, ids, vals, errs, pending)
@@ -1684,7 +1629,7 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 		}
 	}
 	if torn {
-		r.count(func(s *ClientStats) { s.TransportErrors++ })
+		r.m.transportErrors.Inc()
 	}
 	done := true
 	for _, i := range pending {
@@ -1750,7 +1695,7 @@ func (r *RemoteReader) SendView(ctx context.Context, pos vec.V3) error {
 		if err := rc.sendView(pos); err != nil {
 			return err
 		}
-		r.count(func(s *ClientStats) { s.ViewUpdates++ })
+		r.m.viewUpdates.Inc()
 		return nil
 	}
 	sent := 0
@@ -1778,7 +1723,7 @@ func (r *RemoteReader) SendView(ctx context.Context, pos vec.V3) error {
 			return err
 		}
 	}
-	r.count(func(s *ClientStats) { s.ViewUpdates++ })
+	r.m.viewUpdates.Inc()
 	return nil
 }
 

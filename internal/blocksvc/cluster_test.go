@@ -225,7 +225,7 @@ func TestClusterRoutingValuesMatchLocal(t *testing.T) {
 	}
 }
 
-// TestClusterRedirectWire pins the redirect answer on the wire: a raw v4
+// TestClusterRedirectWire pins the redirect answer on the wire: a raw
 // capShard client asking one node for the whole dataset gets statusOK for
 // the node's owned blocks and a statusRedirect entry carrying the current
 // epoch for everything else — and the welcome itself carries the map.
@@ -248,7 +248,7 @@ func TestClusterRedirectWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil || typ != msgWelcome {
 		t.Fatalf("welcome: typ=%d err=%v", typ, err)
 	}
@@ -276,7 +276,7 @@ func TestClusterRedirectWire(t *testing.T) {
 	}
 	var okBlocks, redirBlocks int
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestClusterRedirectWire(t *testing.T) {
 		if typ != msgBlocks {
 			t.Fatalf("unexpected frame type %d", typ)
 		}
-		it, ok := blocksHeader(payload, true)
+		it, ok := blocksHeader(payload)
 		if !ok || it.Req != 7 {
 			t.Fatalf("bad blocks prelude (req %d)", it.Req)
 		}
@@ -331,10 +331,10 @@ func TestClusterRedirectWire(t *testing.T) {
 	}
 }
 
-// TestClusterV3AgainstClusterNode: a v3 client cannot decode redirects, so
-// a cluster node answers its non-owned blocks with a plain retryable
-// status in the v3 framing — and its welcome stays byte-compatible v3.
-func TestClusterV3AgainstClusterNode(t *testing.T) {
+// TestClusterPlainClientAgainstClusterNode: a client that does not advertise
+// capShard cannot decode redirects, so a cluster node answers its non-owned
+// blocks with a plain retryable status — and its welcome carries no map.
+func TestClusterPlainClientAgainstClusterNode(t *testing.T) {
 	f := startCluster(t, []string{"a", "b"}, func(c *Config) {
 		c.HeartbeatInterval = -1
 	})
@@ -347,12 +347,13 @@ func TestClusterV3AgainstClusterNode(t *testing.T) {
 
 	var hello enc
 	hello.u32(protoMagic)
-	hello.u16(3)
+	hello.u16(ProtoVersion)
+	hello.u32(capCompress) // everything this client could advertise but capShard
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil || typ != msgWelcome {
 		t.Fatalf("welcome: typ=%d err=%v", typ, err)
 	}
@@ -360,8 +361,8 @@ func TestClusterV3AgainstClusterNode(t *testing.T) {
 	if !ok {
 		t.Fatal("welcome did not decode")
 	}
-	if w.Version != 3 || w.Caps != 0 || w.MaxRequests != 1 || w.ShardMap != nil {
-		t.Fatalf("v3 welcome against a cluster node changed shape: %+v", w)
+	if w.Caps&capShard != 0 || w.ShardMap != nil {
+		t.Fatalf("welcome to a client without capShard carries topology: %+v", w)
 	}
 
 	ids := f.g.All()
@@ -377,14 +378,14 @@ func TestClusterV3AgainstClusterNode(t *testing.T) {
 	}
 	var okBlocks, transient int
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if typ == msgDone {
 			break
 		}
-		it, ok := blocksHeader(payload, false) // v3 framing
+		it, ok := blocksHeader(payload)
 		if !ok {
 			t.Fatal("bad blocks prelude")
 		}
@@ -403,11 +404,11 @@ func TestClusterV3AgainstClusterNode(t *testing.T) {
 				}
 				transient++
 			default:
-				t.Fatalf("block %d status %d (v3 must never see a redirect)", id, it.Status)
+				t.Fatalf("block %d status %d (a plain client must never see a redirect)", id, it.Status)
 			}
 		}
 		if !it.done() {
-			t.Fatal("blocks frame did not parse cleanly as v3")
+			t.Fatal("blocks frame did not parse cleanly")
 		}
 	}
 	if okBlocks == 0 || transient == 0 || okBlocks+transient != len(ids) {
@@ -477,7 +478,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	if typ, _, err := readFrame(br); err != nil || typ != msgWelcome {
+	if typ, _, err := readFrame(br, nil); err != nil || typ != msgWelcome {
 		t.Fatalf("welcome: typ=%d err=%v", typ, err)
 	}
 	// A ping/pong round-trip proves the server's session loop is running —
@@ -487,7 +488,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 	if err := writeFrame(conn, msgPing, ping.b); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err := readFrame(br); err != nil || typ != msgPong {
+	if typ, _, err := readFrame(br, nil); err != nil || typ != msgPong {
 		t.Fatalf("pong: typ=%d err=%v", typ, err)
 	}
 
@@ -498,7 +499,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 		drained <- n.srv.Drain(ctx)
 	}()
 
-	typ, payload, err := readFrame(br)
+	typ, payload, err := readFrame(br, nil)
 	if err != nil || typ != msgTopology {
 		t.Fatalf("first drain frame: typ=%d err=%v, want topology before goaway", typ, err)
 	}
@@ -509,7 +510,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 	if m.Epoch != 2 || len(m.Shards) != 1 || m.Shards[0].ID != "b" {
 		t.Fatalf("handoff map = %+v, want epoch-2 map without shard a", m)
 	}
-	typ, _, err = readFrame(br)
+	typ, _, err = readFrame(br, nil)
 	if err != nil || typ != msgGoaway {
 		t.Fatalf("second drain frame: typ=%d err=%v, want goaway", typ, err)
 	}
@@ -655,7 +656,7 @@ func TestClusterEndToEndRebalance(t *testing.T) {
 	}
 }
 
-// TestClusterFlatClientStaysFlat pins the non-cluster v4 path: a flat
+// TestClusterFlatClientStaysFlat pins the non-cluster path: a flat
 // client against a non-cluster server negotiates no shard capability and
 // carries no topology — single-shard deployments are byte-for-byte
 // unaffected by the cluster machinery.

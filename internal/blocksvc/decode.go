@@ -16,40 +16,47 @@ import (
 // short, oversized, or trailing-garbage payload and never panics or
 // allocates proportionally to an unvalidated declared count.
 
-// helloMsg is the decoded client hello. Caps is present only when the
-// client speaks v4 or later; a v3 hello with trailing bytes is malformed.
+// helloMsg is the decoded client hello.
 type helloMsg struct {
 	Magic   uint32
 	Version uint16
 	Caps    uint32
 }
 
+// decodeHello decodes a hello. A hello announcing another protocol version
+// has that version's shape, not this one's, so only magic and version are
+// read from it — enough for the server to refuse it by name instead of as
+// garbage.
 func decodeHello(payload []byte) (helloMsg, bool) {
 	d := dec{b: payload}
 	m := helloMsg{Magic: d.u32(), Version: d.u16()}
-	if !d.bad && m.Version >= 4 {
-		m.Caps = d.u32()
+	if d.bad {
+		return helloMsg{}, false
 	}
+	if m.Version != ProtoVersion {
+		return m, true
+	}
+	m.Caps = d.u32()
 	if !d.ok() {
 		return helloMsg{}, false
 	}
 	return m, true
 }
 
-// welcomeMsg is the decoded server welcome. Caps and MaxRequests are the
-// v4 extension; the client tolerates their absence even from a
-// version-4-tagged welcome (older test doubles and tooling hand-build the
-// v3 shape), defaulting to no capabilities and one request in flight.
+// welcomeMsg is the decoded server welcome.
 type welcomeMsg struct {
 	Version         uint16
 	Session         uint64
 	Header          store.Header
 	HeartbeatMillis uint32     // server's liveness cadence; 0 = disabled
-	Caps            uint32     // negotiated capability bits (v4+; 0 otherwise)
+	Caps            uint32     // negotiated capability bits
 	MaxRequests     uint32     // pipelined requests the server allows per conn
 	ShardMap        *shard.Map // cluster topology (capShard sessions only)
 }
 
+// decodeWelcome decodes a welcome strictly: every field through
+// maxRequests is required, so a welcome cut short of its capability words
+// is malformed rather than "no capabilities, one request in flight".
 func decodeWelcome(payload []byte) (welcomeMsg, bool) {
 	d := dec{b: payload}
 	m := welcomeMsg{Version: d.u16(), Session: d.u64()}
@@ -61,29 +68,22 @@ func decodeWelcome(payload []byte) (welcomeMsg, bool) {
 		Version:  int32(d.u32()),
 	}
 	m.HeartbeatMillis = d.u32()
-	m.MaxRequests = 1
-	if m.Version >= 4 && !d.bad && len(d.b) > 0 {
-		m.Caps = d.u32()
-		m.MaxRequests = d.u32()
-		if m.MaxRequests == 0 {
-			m.MaxRequests = 1
+	m.Caps = d.u32()
+	m.MaxRequests = d.u32()
+	// capShard welcomes append the cluster topology, length-prefixed. The
+	// declared length is validated against the remaining payload before
+	// the map decoder sees it; the map decoder then validates its own
+	// counts before allocating.
+	if m.Caps&capShard != 0 {
+		raw := d.take(int(d.u32()))
+		if raw == nil {
+			return welcomeMsg{}, false
 		}
-		// capShard welcomes append the cluster topology, length-prefixed.
-		// The declared length is validated against the remaining payload
-		// before the map decoder sees it; the map decoder then validates
-		// its own counts before allocating.
-		if m.Caps&capShard != 0 && !d.bad {
-			n := int(d.u32())
-			raw := d.take(n)
-			if raw == nil {
-				return welcomeMsg{}, false
-			}
-			sm, err := shard.DecodeBinary(raw)
-			if err != nil {
-				return welcomeMsg{}, false
-			}
-			m.ShardMap = sm
+		sm, err := shard.DecodeBinary(raw)
+		if err != nil {
+			return welcomeMsg{}, false
 		}
+		m.ShardMap = sm
 	}
 	if !d.ok() {
 		return welcomeMsg{}, false

@@ -26,20 +26,24 @@ func frameBytes(t testing.TB, typ byte, payload []byte) []byte {
 // message, so the fuzzer starts from the interesting corners of the format
 // instead of rediscovering the header layout.
 func seedFrames(t testing.TB) [][]byte {
-	var hello3 enc
-	hello3.u32(protoMagic)
-	hello3.u16(ProtoVersionMin) // v3 hello: no capability word
+	// A hello of another version: magic and version only. Decodes, so the
+	// server can refuse it by name.
+	var helloOther enc
+	helloOther.u32(protoMagic)
+	helloOther.u16(ProtoVersion - 1)
 
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
 	hello.u32(clientCaps)
 
-	var welcome3 enc
-	welcome3.u16(ProtoVersionMin)
-	welcome3.u64(7)
+	// A welcome cut short of caps/maxRequests: malformed under the strict
+	// decoder, not "no capabilities".
+	var welcomeShort enc
+	welcomeShort.u16(ProtoVersion)
+	welcomeShort.u64(7)
 	for _, v := range []uint32{16, 16, 16, 4, 4, 4, 1, 64, 3, 5000} {
-		welcome3.u32(v)
+		welcomeShort.u32(v)
 	}
 
 	var welcome enc
@@ -51,34 +55,35 @@ func seedFrames(t testing.TB) [][]byte {
 	welcome.u32(capCompress) // negotiated caps
 	welcome.u32(4)           // pipelining allowance
 
-	// v4 blocks frame: one raw and one DEFLATE entry, checksummed like the
+	// Blocks frame: one raw and one DEFLATE entry, checksummed like the
 	// server writes them — plus a liar that declares a huge decoded size.
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	var blocks4 enc
-	blocks4.u64(9)
-	blocks4.u32(0)
-	blocks4.u16(2)
-	blocks4.u8(byte(statusOK))
-	blocks4.u8(codecRaw)
-	blocks4.u32(uint32(len(raw)))
-	blocks4.raw(raw)
-	blocks4.u32(crc32.Checksum(raw, castagnoli))
-	blocks4.u8(byte(statusOK))
-	blocks4.u8(codecFlate)
-	blocks4.u32(1 << 30) // lying rawBytes: decode layers must bound, not trust
-	blocks4.u32(uint32(len(raw)))
-	blocks4.raw(raw)
-	blocks4.u32(crc32.Checksum(raw, castagnoli))
+	var blocks enc
+	blocks.u64(9)
+	blocks.u32(0)
+	blocks.u16(2)
+	blocks.u8(byte(statusOK))
+	blocks.u8(codecRaw)
+	blocks.u32(uint32(len(raw)))
+	blocks.raw(raw)
+	blocks.u32(crc32.Checksum(raw, castagnoli))
+	blocks.u8(byte(statusOK))
+	blocks.u8(codecFlate)
+	blocks.u32(1 << 30) // lying rawBytes: decode layers must bound, not trust
+	blocks.u32(uint32(len(raw)))
+	blocks.raw(raw)
+	blocks.u32(crc32.Checksum(raw, castagnoli))
 
-	// v3 blocks frame: status + nbytes + payload + crc, no codec byte.
-	var blocks3 enc
-	blocks3.u64(9)
-	blocks3.u32(0)
-	blocks3.u16(1)
-	blocks3.u8(byte(statusOK))
-	blocks3.u32(uint32(len(raw)))
-	blocks3.raw(raw)
-	blocks3.u32(crc32.Checksum(raw, castagnoli))
+	// An OK entry missing its codec byte: the length's low byte lands where
+	// the codec belongs, and 8 is no codec.
+	var blocksNoCodec enc
+	blocksNoCodec.u64(9)
+	blocksNoCodec.u32(0)
+	blocksNoCodec.u16(1)
+	blocksNoCodec.u8(byte(statusOK))
+	blocksNoCodec.u32(uint32(len(raw)))
+	blocksNoCodec.raw(raw)
+	blocksNoCodec.u32(crc32.Checksum(raw, castagnoli))
 
 	// capShard welcome: negotiated caps include the shard bit, so the
 	// topology map rides length-prefixed behind the pipelining allowance.
@@ -148,16 +153,16 @@ func seedFrames(t testing.TB) [][]byte {
 	view.u64(math.Float64bits(8))
 
 	return [][]byte{
-		frameBytes(t, msgHello, hello3.b),
+		frameBytes(t, msgHello, helloOther.b),
 		frameBytes(t, msgHello, hello.b),
-		frameBytes(t, msgWelcome, welcome3.b),
+		frameBytes(t, msgWelcome, welcomeShort.b),
 		frameBytes(t, msgWelcome, welcome.b),
 		frameBytes(t, msgWelcome, welcomeShard.b),
 		frameBytes(t, msgTopology, topo),
 		frameBytes(t, msgTopology, topoHostile.b),
 		frameBytes(t, msgBlocks, blocksRedir.b),
-		frameBytes(t, msgBlocks, blocks4.b),
-		frameBytes(t, msgBlocks, blocks3.b),
+		frameBytes(t, msgBlocks, blocks.b),
+		frameBytes(t, msgBlocks, blocksNoCodec.b),
 		frameBytes(t, msgRead, read.b),
 		frameBytes(t, msgView, view.b),
 		frameBytes(t, msgPing, ping.b),
@@ -177,7 +182,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := readFrame(bytes.NewReader(data))
+		typ, payload, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}
@@ -216,25 +221,23 @@ func FuzzWireDecode(f *testing.F) {
 		case msgGoaway:
 			decodeGoaway(payload)
 		case msgBlocks:
-			// The demux loop's parser, in both framings. Wire must always
-			// be a view into the payload — the iterator never allocates,
-			// so a lying size header cannot drive allocation here.
-			for _, v4 := range []bool{false, true} {
-				it, ok := blocksHeader(payload, v4)
-				if !ok {
-					continue
+			// The demux loop's parser. Wire must always be a view into the
+			// payload — the iterator never allocates, so a lying size
+			// header cannot drive allocation here.
+			it, ok := blocksHeader(payload)
+			if !ok {
+				return
+			}
+			for it.next() {
+				if len(it.Wire) > len(payload) {
+					t.Fatalf("entry %d claims %d wire bytes from a %d-byte frame",
+						it.k, len(it.Wire), len(payload))
 				}
-				for it.next() {
-					if len(it.Wire) > len(payload) {
-						t.Fatalf("entry %d claims %d wire bytes from a %d-byte frame",
-							it.k, len(it.Wire), len(payload))
-					}
-				}
-				// Prelude is 14 bytes and every entry carries ≥1 byte.
-				if it.done() && it.N > len(payload)-14 {
-					t.Fatalf("%d entries parsed cleanly from %d payload bytes",
-						it.N, len(payload))
-				}
+			}
+			// Prelude is 14 bytes and every entry carries ≥1 byte.
+			if it.done() && it.N > len(payload)-14 {
+				t.Fatalf("%d entries parsed cleanly from %d payload bytes",
+					it.N, len(payload))
 			}
 		}
 	})
@@ -252,7 +255,7 @@ func TestReadFrameTruncatedAllocation(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		if _, _, err := readFrame(bytes.NewReader(data)); err == nil {
+		if _, _, err := readFrame(bytes.NewReader(data), nil); err == nil {
 			t.Fatal("truncated frame decoded successfully")
 		}
 	}
@@ -276,7 +279,7 @@ func TestReadFrameLargePayloadRoundTrip(t *testing.T) {
 	if err := writeFrame(&b, msgBlocks, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&b)
+	typ, got, err := readFrame(&b, nil)
 	if err != nil || typ != msgBlocks {
 		t.Fatalf("readFrame: typ=%d err=%v", typ, err)
 	}
@@ -289,7 +292,7 @@ func TestReadFrameLargePayloadRoundTrip(t *testing.T) {
 // and must surface as ErrUnexpectedEOF, as the single-read path does.
 func TestReadFrameMidPayloadEOF(t *testing.T) {
 	full := frameBytes(t, msgBlocks, make([]byte, readChunk*2))
-	_, _, err := readFrame(bytes.NewReader(full[:frameHeaderSize+readChunk]))
+	_, _, err := readFrame(bytes.NewReader(full[:frameHeaderSize+readChunk]), nil)
 	if err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}

@@ -18,9 +18,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// This file covers the protocol-v3 lifecycle paths: heartbeats and dead-peer
-// detection on both sides, graceful drain, the handshake write deadline, the
-// circuit breaker, endpoint failover, and the Close/acquire race. The
+// This file covers the lifecycle paths: heartbeats and dead-peer
+// detection on both sides, graceful drain, the handshake write deadline,
+// endpoint circuit breaking and failover, and the Close/acquire race. The
 // two-replica chaos end-to-end test lives in chaos_test.go.
 
 // waitFor polls cond until it returns true or the deadline passes.
@@ -34,63 +34,6 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-// TestBreakerTransitions drives the breaker through its full state machine
-// with an explicit clock: closed → open at threshold, refusing before the
-// backoff elapses, half-open probe admission, reopen with doubled backoff
-// on probe failure, and full reset on probe success.
-func TestBreakerTransitions(t *testing.T) {
-	b := newBreaker(3, 100*time.Millisecond, 1*time.Second)
-	now := time.Unix(1000, 0)
-
-	if ok, probe := b.allow(now); !ok || probe {
-		t.Fatalf("fresh breaker: allow = %v, %v; want true, false", ok, probe)
-	}
-	b.failure(now)
-	b.failure(now)
-	if b.current() != brClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", b.current())
-	}
-	if opened := b.failure(now); !opened {
-		t.Fatal("third failure did not open the breaker")
-	}
-	if ok, _ := b.allow(now.Add(50 * time.Millisecond)); ok {
-		t.Fatal("breaker admitted a request before the backoff elapsed")
-	}
-	ok, probe := b.allow(now.Add(150 * time.Millisecond))
-	if !ok || !probe {
-		t.Fatalf("after backoff: allow = %v, %v; want a probe", ok, probe)
-	}
-	if ok, _ := b.allow(now.Add(150 * time.Millisecond)); ok {
-		t.Fatal("second caller admitted while a probe is in flight")
-	}
-
-	// Probe fails: reopen with doubled backoff (200ms from the failure).
-	if opened := b.failure(now.Add(150 * time.Millisecond)); !opened {
-		t.Fatal("failed probe did not reopen the breaker")
-	}
-	if ok, _ := b.allow(now.Add(300 * time.Millisecond)); ok {
-		t.Fatal("reopened breaker did not double its backoff")
-	}
-	ok, probe = b.allow(now.Add(400 * time.Millisecond))
-	if !ok || !probe {
-		t.Fatalf("after doubled backoff: allow = %v, %v; want a probe", ok, probe)
-	}
-
-	// Probe succeeds: recovered, and the backoff resets to base.
-	if recovered := b.success(); !recovered {
-		t.Fatal("closing probe not reported as a recovery")
-	}
-	if b.current() != brClosed {
-		t.Fatalf("state after recovery = %v, want closed", b.current())
-	}
-	for i := 0; i < 3; i++ {
-		b.failure(now)
-	}
-	if ok, _ := b.allow(now.Add(150 * time.Millisecond)); !ok {
-		t.Fatal("backoff did not reset to base after a recovery")
-	}
 }
 
 // TestHandshakeWriteDeadline pins the slow-loris fix: a peer that sends a
@@ -130,7 +73,7 @@ func TestHandshakeWriteDeadline(t *testing.T) {
 	})
 	// Teardown closed the conn; our (never-started) read side sees it too.
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, err := readFrame(conn); err == nil {
+	if _, _, err := readFrame(conn, nil); err == nil {
 		t.Fatal("read a frame from a session that should have been torn down")
 	}
 }
@@ -157,7 +100,7 @@ func TestServerDetectsDeadPeer(t *testing.T) {
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(bufio.NewReader(conn))
+	typ, payload, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil || typ != msgWelcome {
 		t.Fatalf("welcome: typ=%d err=%v", typ, err)
 	}
@@ -197,7 +140,7 @@ func startMuteServer(t *testing.T, hbMillis uint32) *PipeListener {
 			go func(c net.Conn) {
 				defer c.Close()
 				br := bufio.NewReader(c)
-				if typ, _, err := readFrame(br); err != nil || typ != msgHello {
+				if typ, _, err := readFrame(br, nil); err != nil || typ != msgHello {
 					return
 				}
 				var e enc
@@ -207,11 +150,13 @@ func startMuteServer(t *testing.T, hbMillis uint32) *PipeListener {
 					e.u32(v)
 				}
 				e.u32(hbMillis)
+				e.u32(0) // caps
+				e.u32(1) // maxRequests
 				if err := writeFrame(c, msgWelcome, e.b); err != nil {
 					return
 				}
 				for {
-					if _, _, err := readFrame(br); err != nil {
+					if _, _, err := readFrame(br, nil); err != nil {
 						return
 					}
 				}

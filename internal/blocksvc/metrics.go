@@ -6,57 +6,121 @@ import (
 	"repro/internal/obs"
 )
 
-// serverMetrics is the server's observability surface (names under "svc.",
-// documented in DESIGN.md §9). The ServerStats counters are exported as
-// pull-style func metrics — they already exist under statsMu, so the hot
-// path pays nothing new — while admission-wait latencies are push-style
-// histograms observed around the semaphore. A nil registry leaves every
-// handle nil; obs handles are nil-safe, so callers never branch.
+// serverMetrics is the server's counters — the one place they live (names
+// under "svc.", documented in DESIGN.md §9). Handles are resolved once at
+// construction, so the request path commits straight to atomics: no lock,
+// no registry map lookup. Server.Snapshot reads the same handles back, so
+// the ServerStats view and a /debug/metrics scrape cannot disagree.
 type serverMetrics struct {
-	reg       *obs.Registry
+	reg *obs.Registry // the caller's registry (nil = none)
+
+	sessions         *obs.Counter
+	activeSessions   *obs.Gauge
+	requests         *obs.Counter
+	shedRequests     *obs.Counter
+	blocks           *obs.Counter
+	blocksOK         *obs.Counter
+	blocksFailed     *obs.Counter
+	bytesSent        *obs.Counter
+	viewUpdates      *obs.Counter
+	prefetchIssued   *obs.Counter
+	prefetchExecuted *obs.Counter
+	prefetchFailed   *obs.Counter
+	prefetchDropped  *obs.Counter
+	prefetchHits     *obs.Counter
+	predictDwell     *obs.Counter
+	predictLinear    *obs.Counter
+	predictAngular   *obs.Counter
+	predictLast      *obs.Counter
+	heartbeatsSent   *obs.Counter
+	deadPeers        *obs.Counter
+	goawaysSent      *obs.Counter
+	compressedBlocks *obs.Counter
+	compressSkipped  *obs.Counter
+	compressBytesIn  *obs.Counter
+	compressBytesOut *obs.Counter
+	redirects        *obs.Counter
+	topologyPushes   *obs.Counter
+
 	queueWait *obs.Histogram // admission wait of requests that were admitted
 	shedWait  *obs.Histogram // admission wait of requests that were shed
 }
 
+// newServerMetrics registers the server's counters on reg, or on a private
+// registry when reg is nil, so Snapshot works whether or not a caller wired
+// metrics up. What only a scrape can read — histograms, the semaphore gauge
+// — goes to the caller's registry alone (nil handles are no-ops). Servers
+// handed the same registry share its counters, as ooc runtimes do.
 func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{reg: reg}
-	if reg == nil {
-		return m
-	}
 	m.queueWait = reg.Histogram("svc.queue_wait_ns", obs.DurationBuckets())
 	m.shedWait = reg.Histogram("svc.shed_wait_ns", obs.DurationBuckets())
-	counter := func(name string, get func(*ServerStats) int64) {
-		reg.CounterFunc(name, func() int64 { st := s.Snapshot(); return get(&st) })
-	}
-	counter("svc.sessions", func(st *ServerStats) int64 { return st.Sessions })
-	counter("svc.requests", func(st *ServerStats) int64 { return st.Requests })
-	counter("svc.shed_requests", func(st *ServerStats) int64 { return st.ShedRequests })
-	counter("svc.blocks", func(st *ServerStats) int64 { return st.Blocks })
-	counter("svc.blocks_ok", func(st *ServerStats) int64 { return st.BlocksOK })
-	counter("svc.blocks_failed", func(st *ServerStats) int64 { return st.BlocksFailed })
-	counter("svc.bytes_sent", func(st *ServerStats) int64 { return st.BytesSent })
-	counter("svc.compress.blocks", func(st *ServerStats) int64 { return st.CompressedBlocks })
-	counter("svc.compress.skipped", func(st *ServerStats) int64 { return st.CompressSkipped })
-	counter("svc.compress.bytes_in", func(st *ServerStats) int64 { return st.CompressBytesIn })
-	counter("svc.compress.bytes_out", func(st *ServerStats) int64 { return st.CompressBytesOut })
-	counter("svc.view_updates", func(st *ServerStats) int64 { return st.ViewUpdates })
-	counter("svc.prefetch_issued", func(st *ServerStats) int64 { return st.PrefetchIssued })
-	counter("svc.prefetch_executed", func(st *ServerStats) int64 { return st.PrefetchExecuted })
-	counter("svc.prefetch_failed", func(st *ServerStats) int64 { return st.PrefetchFailed })
-	counter("svc.prefetch_dropped", func(st *ServerStats) int64 { return st.PrefetchDropped })
-	counter("svc.prefetch_hits", func(st *ServerStats) int64 { return st.PrefetchHits })
-	counter("svc.predict.dwell", func(st *ServerStats) int64 { return st.PredictDwell })
-	counter("svc.predict.linear", func(st *ServerStats) int64 { return st.PredictLinear })
-	counter("svc.predict.angular", func(st *ServerStats) int64 { return st.PredictAngular })
-	counter("svc.predict.last", func(st *ServerStats) int64 { return st.PredictLast })
-	counter("svc.heartbeats_sent", func(st *ServerStats) int64 { return st.HeartbeatsSent })
-	counter("svc.dead_peers", func(st *ServerStats) int64 { return st.DeadPeers })
-	counter("svc.goaways_sent", func(st *ServerStats) int64 { return st.GoawaysSent })
-	counter("svc.redirects", func(st *ServerStats) int64 { return st.Redirects })
-	counter("svc.topology_pushes", func(st *ServerStats) int64 { return st.TopologyPushes })
-	reg.GaugeFunc("svc.active_sessions", func() int64 { return s.Snapshot().ActiveSessions })
 	reg.GaugeFunc("svc.inflight_bytes", s.sem.InUse)
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	m.sessions = reg.Counter("svc.sessions")
+	m.activeSessions = reg.Gauge("svc.active_sessions")
+	m.requests = reg.Counter("svc.requests")
+	m.shedRequests = reg.Counter("svc.shed_requests")
+	m.blocks = reg.Counter("svc.blocks")
+	m.blocksOK = reg.Counter("svc.blocks_ok")
+	m.blocksFailed = reg.Counter("svc.blocks_failed")
+	m.bytesSent = reg.Counter("svc.bytes_sent")
+	m.viewUpdates = reg.Counter("svc.view_updates")
+	m.prefetchIssued = reg.Counter("svc.prefetch_issued")
+	m.prefetchExecuted = reg.Counter("svc.prefetch_executed")
+	m.prefetchFailed = reg.Counter("svc.prefetch_failed")
+	m.prefetchDropped = reg.Counter("svc.prefetch_dropped")
+	m.prefetchHits = reg.Counter("svc.prefetch_hits")
+	m.predictDwell = reg.Counter("svc.predict.dwell")
+	m.predictLinear = reg.Counter("svc.predict.linear")
+	m.predictAngular = reg.Counter("svc.predict.angular")
+	m.predictLast = reg.Counter("svc.predict.last")
+	m.heartbeatsSent = reg.Counter("svc.heartbeats_sent")
+	m.deadPeers = reg.Counter("svc.dead_peers")
+	m.goawaysSent = reg.Counter("svc.goaways_sent")
+	m.compressedBlocks = reg.Counter("svc.compress.blocks")
+	m.compressSkipped = reg.Counter("svc.compress.skipped")
+	m.compressBytesIn = reg.Counter("svc.compress.bytes_in")
+	m.compressBytesOut = reg.Counter("svc.compress.bytes_out")
+	m.redirects = reg.Counter("svc.redirects")
+	m.topologyPushes = reg.Counter("svc.topology_pushes")
 	return m
+}
+
+// snapshot reads the handles back into a ServerStats value. Each field is
+// one atomic load; the set is not a cross-field consistent cut.
+func (m *serverMetrics) snapshot() ServerStats {
+	return ServerStats{
+		Sessions:         m.sessions.Value(),
+		ActiveSessions:   m.activeSessions.Value(),
+		Requests:         m.requests.Value(),
+		ShedRequests:     m.shedRequests.Value(),
+		Blocks:           m.blocks.Value(),
+		BlocksOK:         m.blocksOK.Value(),
+		BlocksFailed:     m.blocksFailed.Value(),
+		BytesSent:        m.bytesSent.Value(),
+		ViewUpdates:      m.viewUpdates.Value(),
+		PrefetchIssued:   m.prefetchIssued.Value(),
+		PrefetchExecuted: m.prefetchExecuted.Value(),
+		PrefetchFailed:   m.prefetchFailed.Value(),
+		PrefetchDropped:  m.prefetchDropped.Value(),
+		PrefetchHits:     m.prefetchHits.Value(),
+		PredictDwell:     m.predictDwell.Value(),
+		PredictLinear:    m.predictLinear.Value(),
+		PredictAngular:   m.predictAngular.Value(),
+		PredictLast:      m.predictLast.Value(),
+		HeartbeatsSent:   m.heartbeatsSent.Value(),
+		DeadPeers:        m.deadPeers.Value(),
+		GoawaysSent:      m.goawaysSent.Value(),
+		CompressedBlocks: m.compressedBlocks.Value(),
+		CompressSkipped:  m.compressSkipped.Value(),
+		CompressBytesIn:  m.compressBytesIn.Value(),
+		CompressBytesOut: m.compressBytesOut.Value(),
+		Redirects:        m.redirects.Value(),
+		TopologyPushes:   m.topologyPushes.Value(),
+	}
 }
 
 // registerSession exposes one session's in-flight served bytes — and, when
@@ -98,51 +162,109 @@ func sessionPredictName(id uint64, suffix string) string {
 	return fmt.Sprintf("svc.predict.session.%d.%s", id, suffix)
 }
 
-// clientMetrics is the RemoteReader's observability surface (names under
-// "client.", documented in DESIGN.md §9): ClientStats as pull-style func
-// metrics plus an end-to-end request-latency histogram. Per-endpoint
+// clientMetrics is the RemoteReader's counters — the one place they live
+// (names under "client.", documented in DESIGN.md §9) — resolved once like
+// serverMetrics, plus an end-to-end request-latency histogram. Per-endpoint
 // health lives under "client.shard.<shard>.endpoint.<i>." — registered as
 // shard groups come into the topology and unregistered as they leave, so
 // /debug/metrics never shows a departed node.
 type clientMetrics struct {
-	reg       *obs.Registry
+	reg *obs.Registry // the caller's registry (nil = none)
+
+	dials              *obs.Counter
+	dialRetries        *obs.Counter
+	requests           *obs.Counter
+	blocksRequested    *obs.Counter
+	blocksServed       *obs.Counter
+	remoteFaults       *obs.Counter
+	shedRequests       *obs.Counter
+	checksumErrors     *obs.Counter
+	transportErrors    *obs.Counter
+	bytesReceived      *obs.Counter
+	decompressedBlocks *obs.Counter
+	decompressedBytes  *obs.Counter
+	viewUpdates        *obs.Counter
+	failovers          *obs.Counter
+	goawaysReceived    *obs.Counter
+	pingsSent          *obs.Counter
+	pongsReceived      *obs.Counter
+	deadPeers          *obs.Counter
+	breakerOpens       *obs.Counter
+	breakerProbes      *obs.Counter
+	breakerCloses      *obs.Counter
+	redirects          *obs.Counter
+	reroutes           *obs.Counter
+	topologyUpdates    *obs.Counter
+
 	requestNs *obs.Histogram
 }
 
-func newClientMetrics(r *RemoteReader, reg *obs.Registry) *clientMetrics {
+// newClientMetrics registers the client's counters on reg, or on a private
+// registry when reg is nil, so Snapshot works either way; the latency
+// histogram goes to the caller's registry alone. Readers handed the same
+// registry share its counters.
+func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	m := &clientMetrics{reg: reg}
-	if reg == nil {
-		return m
-	}
 	m.requestNs = reg.Histogram("client.request_ns", obs.DurationBuckets())
-	counter := func(name string, get func(*ClientStats) int64) {
-		reg.CounterFunc(name, func() int64 { st := r.Snapshot(); return get(&st) })
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
-	counter("client.dials", func(st *ClientStats) int64 { return st.Dials })
-	counter("client.dial_retries", func(st *ClientStats) int64 { return st.DialRetries })
-	counter("client.requests", func(st *ClientStats) int64 { return st.Requests })
-	counter("client.blocks_requested", func(st *ClientStats) int64 { return st.BlocksRequested })
-	counter("client.blocks_served", func(st *ClientStats) int64 { return st.BlocksServed })
-	counter("client.remote_faults", func(st *ClientStats) int64 { return st.RemoteFaults })
-	counter("client.shed_requests", func(st *ClientStats) int64 { return st.ShedRequests })
-	counter("client.checksum_errors", func(st *ClientStats) int64 { return st.ChecksumErrors })
-	counter("client.transport_errors", func(st *ClientStats) int64 { return st.TransportErrors })
-	counter("client.bytes_received", func(st *ClientStats) int64 { return st.BytesReceived })
-	counter("client.decompress.blocks", func(st *ClientStats) int64 { return st.DecompressedBlocks })
-	counter("client.decompress.bytes", func(st *ClientStats) int64 { return st.DecompressedBytes })
-	counter("client.view_updates", func(st *ClientStats) int64 { return st.ViewUpdates })
-	counter("client.failovers", func(st *ClientStats) int64 { return st.Failovers })
-	counter("client.goaways_received", func(st *ClientStats) int64 { return st.GoawaysReceived })
-	counter("client.pings_sent", func(st *ClientStats) int64 { return st.PingsSent })
-	counter("client.pongs_received", func(st *ClientStats) int64 { return st.PongsReceived })
-	counter("client.dead_peers", func(st *ClientStats) int64 { return st.DeadPeers })
-	counter("client.breaker_opens", func(st *ClientStats) int64 { return st.BreakerOpens })
-	counter("client.breaker_probes", func(st *ClientStats) int64 { return st.BreakerProbes })
-	counter("client.breaker_closes", func(st *ClientStats) int64 { return st.BreakerCloses })
-	counter("client.redirects", func(st *ClientStats) int64 { return st.Redirects })
-	counter("client.reroutes", func(st *ClientStats) int64 { return st.Reroutes })
-	counter("client.topology_updates", func(st *ClientStats) int64 { return st.TopologyUpdates })
+	m.dials = reg.Counter("client.dials")
+	m.dialRetries = reg.Counter("client.dial_retries")
+	m.requests = reg.Counter("client.requests")
+	m.blocksRequested = reg.Counter("client.blocks_requested")
+	m.blocksServed = reg.Counter("client.blocks_served")
+	m.remoteFaults = reg.Counter("client.remote_faults")
+	m.shedRequests = reg.Counter("client.shed_requests")
+	m.checksumErrors = reg.Counter("client.checksum_errors")
+	m.transportErrors = reg.Counter("client.transport_errors")
+	m.bytesReceived = reg.Counter("client.bytes_received")
+	m.decompressedBlocks = reg.Counter("client.decompress.blocks")
+	m.decompressedBytes = reg.Counter("client.decompress.bytes")
+	m.viewUpdates = reg.Counter("client.view_updates")
+	m.failovers = reg.Counter("client.failovers")
+	m.goawaysReceived = reg.Counter("client.goaways_received")
+	m.pingsSent = reg.Counter("client.pings_sent")
+	m.pongsReceived = reg.Counter("client.pongs_received")
+	m.deadPeers = reg.Counter("client.dead_peers")
+	m.breakerOpens = reg.Counter("client.breaker_opens")
+	m.breakerProbes = reg.Counter("client.breaker_probes")
+	m.breakerCloses = reg.Counter("client.breaker_closes")
+	m.redirects = reg.Counter("client.redirects")
+	m.reroutes = reg.Counter("client.reroutes")
+	m.topologyUpdates = reg.Counter("client.topology_updates")
 	return m
+}
+
+// snapshot reads the handles back into a ClientStats value, one atomic load
+// per field.
+func (m *clientMetrics) snapshot() ClientStats {
+	return ClientStats{
+		Dials:              m.dials.Value(),
+		DialRetries:        m.dialRetries.Value(),
+		Requests:           m.requests.Value(),
+		BlocksRequested:    m.blocksRequested.Value(),
+		BlocksServed:       m.blocksServed.Value(),
+		RemoteFaults:       m.remoteFaults.Value(),
+		ShedRequests:       m.shedRequests.Value(),
+		ChecksumErrors:     m.checksumErrors.Value(),
+		TransportErrors:    m.transportErrors.Value(),
+		BytesReceived:      m.bytesReceived.Value(),
+		DecompressedBlocks: m.decompressedBlocks.Value(),
+		DecompressedBytes:  m.decompressedBytes.Value(),
+		ViewUpdates:        m.viewUpdates.Value(),
+		Failovers:          m.failovers.Value(),
+		GoawaysReceived:    m.goawaysReceived.Value(),
+		PingsSent:          m.pingsSent.Value(),
+		PongsReceived:      m.pongsReceived.Value(),
+		DeadPeers:          m.deadPeers.Value(),
+		BreakerOpens:       m.breakerOpens.Value(),
+		BreakerProbes:      m.breakerProbes.Value(),
+		BreakerCloses:      m.breakerCloses.Value(),
+		Redirects:          m.redirects.Value(),
+		Reroutes:           m.reroutes.Value(),
+		TopologyUpdates:    m.topologyUpdates.Value(),
+	}
 }
 
 // endpointMetricPrefix names one endpoint's health metrics. Keyed by shard
@@ -166,8 +288,8 @@ func (m *clientMetrics) registerGroup(g *shardGroup) {
 		prefix := endpointMetricPrefix(g.name, ep.idx)
 		m.reg.CounterFunc(prefix+"dials", ep.dials.Load)
 		m.reg.CounterFunc(prefix+"failures", ep.failures.Load)
-		// 0=closed, 1=open, 2=half-open (breakerState values).
-		m.reg.GaugeFunc(prefix+"breaker_state", func() int64 { return int64(ep.br.current()) })
+		// 0=closed, 1=open, 2=half-open (breaker.State values).
+		m.reg.GaugeFunc(prefix+"breaker_state", func() int64 { return int64(ep.br.State()) })
 		m.reg.GaugeFunc(prefix+"draining", func() int64 {
 			if ep.draining.Load() {
 				return 1

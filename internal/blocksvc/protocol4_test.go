@@ -18,115 +18,12 @@ import (
 	"repro/internal/testutil"
 )
 
-// This file covers protocol v4: the capability handshake against a raw v3
-// client, the per-block compression codec, tagged request pipelining over a
-// shared conn, failover scope after a mid-response tear, and the
+// This file covers the wire protocol's negotiated features: the per-block
+// compression codec, tagged request pipelining
+// over a shared conn, failover scope after a mid-response tear, and the
 // hostile-input bound on the compressed-block decode path.
 
-// TestProtocolV3Interop speaks raw protocol v3 on the wire against a v4
-// server with compression enabled: the hello carries no capability word,
-// the welcome must come back v3-shaped (no extension fields), and every
-// block must arrive in the v3 framing — no codec byte, raw payloads —
-// byte-identical to direct file reads.
-func TestProtocolV3Interop(t *testing.T) {
-	f := startService(t, svcOpts{prefetch: true, mutate: func(c *Config) {
-		c.HeartbeatInterval = -1
-		c.Compression = CompressAll // v3 peers must still get raw payloads
-	}})
-	conn, err := f.lis.Dial(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	var hello enc
-	hello.u32(protoMagic)
-	hello.u16(3) // v3 hello: version only, no caps word
-	if err := writeFrame(conn, msgHello, hello.b); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	typ, payload, err := readFrame(br)
-	if err != nil || typ != msgWelcome {
-		t.Fatalf("welcome: typ=%d err=%v", typ, err)
-	}
-	w, ok := decodeWelcome(payload)
-	if !ok {
-		t.Fatal("welcome did not decode")
-	}
-	if w.Version != 3 {
-		t.Fatalf("welcome version = %d, want the client's 3", w.Version)
-	}
-	if w.Caps != 0 || w.MaxRequests != 1 {
-		t.Fatalf("v3 welcome carries v4 fields: caps=%d maxReqs=%d", w.Caps, w.MaxRequests)
-	}
-	if w.Header != f.bf.Header() {
-		t.Fatalf("welcome header = %+v, want %+v", w.Header, f.bf.Header())
-	}
-
-	ids := f.g.All()
-	var req enc
-	req.u64(42)
-	req.u32(0) // no deadline
-	req.u32(uint32(len(ids)))
-	for _, id := range ids {
-		req.u32(uint32(id))
-	}
-	if err := writeFrame(conn, msgRead, req.b); err != nil {
-		t.Fatal(err)
-	}
-
-	got := make([][]float32, len(ids))
-	for {
-		typ, payload, err := readFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ == msgDone {
-			if token, ok := decodeToken(payload); !ok || token != 42 {
-				t.Fatalf("done token = %d, want 42", token)
-			}
-			break
-		}
-		if typ != msgBlocks {
-			t.Fatalf("unexpected frame type %d", typ)
-		}
-		it, ok := blocksHeader(payload, false) // v3 framing: no codec byte
-		if !ok || it.Req != 42 {
-			t.Fatalf("bad blocks prelude (req %d)", it.Req)
-		}
-		for it.next() {
-			if it.Status != statusOK {
-				t.Fatalf("block status %d", it.Status)
-			}
-			if crc32.Checksum(it.Wire, castagnoli) != it.Sum {
-				t.Fatal("wire checksum mismatch")
-			}
-			vals := make([]float32, len(it.Wire)/4)
-			copyF32LE(vals, it.Wire)
-			got[it.First+it.k-1] = vals
-		}
-		if !it.done() {
-			t.Fatal("blocks frame did not parse cleanly as v3")
-		}
-	}
-	for i, id := range ids {
-		want, err := f.bf.ReadBlock(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] == nil {
-			t.Fatalf("block %d never arrived", id)
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("block %d voxel %d = %v, want %v", id, j, got[i][j], want[j])
-			}
-		}
-	}
-}
-
-// TestCompressionRoundTrip reads every block through the negotiated v4
+// TestCompressionRoundTrip reads every block through the negotiated
 // compressed wire in both policy modes and compares voxel-for-voxel with
 // direct file reads; the server and client codec counters must agree.
 func TestCompressionRoundTrip(t *testing.T) {
@@ -256,7 +153,7 @@ func TestPipelinedConcurrentBatches(t *testing.T) {
 	}
 }
 
-// startLyingServer completes a v4 handshake and then answers every read
+// startLyingServer completes a handshake and then answers every read
 // with a single compressed block entry whose declared decompressed size is
 // a lie (1 GiB). The client must reject the frame by comparing the claim
 // against the block's known geometry BEFORE allocating a decode buffer.
@@ -273,7 +170,7 @@ func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
 			go func(c net.Conn) {
 				defer c.Close()
 				br := bufio.NewReader(c)
-				if typ, _, err := readFrame(br); err != nil || typ != msgHello {
+				if typ, _, err := readFrame(br, nil); err != nil || typ != msgHello {
 					return
 				}
 				var e enc
@@ -289,7 +186,7 @@ func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
 					return
 				}
 				for {
-					typ, payload, err := readFrame(br)
+					typ, payload, err := readFrame(br, nil)
 					if err != nil {
 						return
 					}
@@ -325,7 +222,7 @@ func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
 }
 
 // TestLyingFlateHeaderCannotOverAllocate pins the hostile-input bound on
-// the v4 compressed path (the chunked-growth contract's codec analog): a
+// the compressed path (the chunked-growth contract's codec analog): a
 // frame whose rawBytes header claims 1 GiB for a 2 KiB block must fail the
 // batch as a transport fault without the client ever allocating the
 // claimed size.

@@ -25,11 +25,11 @@ import (
 )
 
 // CompressionMode selects which blocks the server offers to DEFLATE on the
-// wire when a v4 client negotiates capCompress.
+// wire when a client negotiates capCompress.
 type CompressionMode int
 
 const (
-	// CompressOff never compresses (the v3 wire behavior).
+	// CompressOff never compresses.
 	CompressOff CompressionMode = iota
 	// CompressLowEntropy compresses only blocks whose T_important entropy
 	// score is below the threshold — the paper's ambient blocks, which
@@ -74,15 +74,13 @@ type Config struct {
 	Imp   *entropy.Table
 	Sigma float64
 
-	// Predict tunes the per-session trajectory predictor that extrapolates
-	// recent view updates and feeds the *predicted* camera position into
-	// T_visible, so prefetch warms the blocks of the position the camera
-	// is about to occupy. The zero value selects the defaults documented
-	// on camera.PredictorOptions.
-	Predict camera.PredictorOptions
-	// PredictOff disables trajectory extrapolation: prefetch then looks up
-	// the last-seen camera position — the nearest-sample baseline — which
-	// is exactly the behavior of a one-sample predictor history.
+	// PredictOff disables the per-session trajectory predictor, which
+	// otherwise extrapolates recent view updates (camera.PredictorOptions
+	// defaults) and feeds the *predicted* camera position into T_visible, so
+	// prefetch warms the blocks of the position the camera is about to
+	// occupy. Off, prefetch looks up the last-seen camera position — the
+	// nearest-sample baseline — which is exactly the behavior of a
+	// one-sample predictor history.
 	PredictOff bool
 
 	// MaxInflightBytes caps the bytes of block data being served across all
@@ -97,9 +95,6 @@ type Config struct {
 	// MaxQueueWait bounds how long a request may wait for admission before
 	// being shed. The client's deadline, when sooner, wins (default 100ms).
 	MaxQueueWait time.Duration
-	// MaxBlocksPerRequest bounds one read request (default 65536); larger
-	// requests are a protocol error.
-	MaxBlocksPerRequest int
 	// PrefetchQueue bounds each session's pending-prefetch queue; full
 	// queues drop predictions rather than block (default 128).
 	PrefetchQueue int
@@ -112,14 +107,10 @@ type Config struct {
 	// writing the welcome to a peer that never drains its receive buffer
 	// (default 10s).
 	HandshakeTimeout time.Duration
-	// Compression selects the wire codec policy for v4 clients that
-	// negotiate capCompress; v3 clients always get raw payloads. The
-	// default is CompressOff.
+	// Compression selects the wire codec policy for clients that negotiate
+	// capCompress (default CompressOff). CompressLowEntropy compresses the
+	// blocks scoring below the median of Imp's score distribution.
 	Compression CompressionMode
-	// CompressThreshold is the entropy score below which
-	// CompressLowEntropy compresses a block; 0 means the median of Imp's
-	// score distribution (resolved once at NewServer).
-	CompressThreshold float64
 	// ShardMap, when non-nil, runs the server in cluster mode: this node is
 	// one shard of a consistent-hash cluster, admits only the blocks it
 	// owns (answering others with a redirect carrying the current epoch,
@@ -147,6 +138,10 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+// maxBlocksPerRequest bounds one read request; a larger one is a protocol
+// error.
+const maxBlocksPerRequest = 65536
+
 func (c Config) withDefaults() Config {
 	if c.MaxInflightBytes <= 0 {
 		c.MaxInflightBytes = 256 << 20
@@ -156,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 100 * time.Millisecond
-	}
-	if c.MaxBlocksPerRequest <= 0 {
-		c.MaxBlocksPerRequest = 65536
 	}
 	if c.PrefetchQueue <= 0 {
 		c.PrefetchQueue = 128
@@ -183,8 +175,8 @@ func (c Config) heartbeat() time.Duration {
 	return c.HeartbeatInterval
 }
 
-// ServerStats counts server activity. Taken as one consistent snapshot
-// under a single lock by Server.Snapshot.
+// ServerStats is a point-in-time read of the server's counters (see
+// Server.Snapshot).
 type ServerStats struct {
 	Sessions         int64 // connections that completed the handshake
 	ActiveSessions   int64 // currently connected
@@ -251,11 +243,9 @@ type Server struct {
 	// at admission so its byte accounting and ownership answers agree.
 	topo atomic.Pointer[serverTopology]
 
-	// zthr is the resolved CompressThreshold (CompressLowEntropy only).
+	// zthr is the entropy score below which CompressLowEntropy compresses a
+	// block: the median of Imp's score distribution.
 	zthr float64
-
-	statsMu sync.Mutex
-	stats   ServerStats
 }
 
 // NewServer validates the config and returns a server ready to Serve.
@@ -273,8 +263,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Compression == CompressLowEntropy && cfg.Imp == nil {
 		return nil, fmt.Errorf("blocksvc: entropy-aware compression needs an importance table")
 	}
-	zthr := cfg.CompressThreshold
-	if cfg.Compression == CompressLowEntropy && zthr == 0 {
+	var zthr float64
+	if cfg.Compression == CompressLowEntropy {
 		zthr = cfg.Imp.ThresholdForQuantile(0.5)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -364,8 +354,7 @@ func (s *Server) UpdateShardMap(m *shard.Map) error {
 		sessions = append(sessions, ss)
 	}
 	s.mu.Unlock()
-	sent := broadcastTopology(sessions, m)
-	s.count(func(st *ServerStats) { st.TopologyPushes += sent })
+	s.m.topologyPushes.Add(broadcastTopology(sessions, m))
 	s.cfg.Cache.EvictWhere(func(id grid.BlockID) bool { return !nt.owns(id) })
 	return nil
 }
@@ -448,7 +437,7 @@ func (s *Server) StartSession(conn net.Conn) bool {
 		ss.prefetchCh = make(chan grid.BlockID, s.cfg.PrefetchQueue)
 		ss.prefetched = make(map[grid.BlockID]struct{})
 		if !s.cfg.PredictOff {
-			ss.pred = camera.NewPredictor(s.cfg.Predict)
+			ss.pred = camera.NewPredictor(camera.PredictorOptions{})
 		}
 	}
 	s.sessions[ss] = struct{}{}
@@ -498,8 +487,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	if t := s.topo.Load(); t != nil {
 		handoff := t.m.WithoutShard(s.cfg.ShardID)
 		if len(handoff.Shards) > 0 {
-			sent := broadcastTopology(sessions, handoff)
-			s.count(func(st *ServerStats) { st.TopologyPushes += sent })
+			s.m.topologyPushes.Add(broadcastTopology(sessions, handoff))
 		}
 	}
 	var drainMillis uint32
@@ -516,7 +504,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			sent++
 		}
 	}
-	s.count(func(st *ServerStats) { st.GoawaysSent += sent })
+	s.m.goawaysSent.Add(sent)
 
 	var err error
 	tick := time.NewTicker(2 * time.Millisecond)
@@ -555,18 +543,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// Snapshot returns a consistent copy of the server counters under one lock.
-func (s *Server) Snapshot() ServerStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats
-}
-
-func (s *Server) count(f func(*ServerStats)) {
-	s.statsMu.Lock()
-	f(&s.stats)
-	s.statsMu.Unlock()
-}
+// Snapshot reads the server's counters. Each field is read atomically; the
+// fields are not a consistent cut across each other.
+func (s *Server) Snapshot() ServerStats { return s.m.snapshot() }
 
 // blockBytes returns the payload size of a block, 0 for invalid ids (they
 // are answered with a permanent status, not read).
@@ -591,12 +570,10 @@ type session struct {
 	writeMu sync.Mutex // serializes frames of concurrent responses
 	bw      *bufio.Writer
 
-	// Negotiated at handshake: the client's protocol version and the
-	// capability bits both sides advertised. wireCaps mirrors caps for
-	// readers outside the session's own goroutines (topology broadcasts);
-	// it is published only after the welcome is on the wire, so a pushed
-	// frame can never precede it.
-	ver      uint16
+	// Negotiated at handshake: the capability bits both sides advertised.
+	// wireCaps mirrors caps for readers outside the session's own
+	// goroutines (topology broadcasts); it is published only after the
+	// welcome is on the wire, so a pushed frame can never precede it.
 	caps     uint32
 	wireCaps atomic.Uint32
 	// tcp is non-nil when the transport supports vectored writes; zeroCopy
@@ -649,15 +626,15 @@ func (ss *session) run() {
 		delete(ss.s.sessions, ss)
 		ss.s.mu.Unlock()
 		ss.s.m.unregisterSession(ss)
-		ss.s.count(func(st *ServerStats) { st.ActiveSessions-- })
+		ss.s.m.activeSessions.Add(-1)
 	}()
-	// The deferred ActiveSessions-- must balance even when the handshake
-	// fails, so count the connection up front.
-	ss.s.count(func(st *ServerStats) { st.ActiveSessions++ })
+	// The deferred decrement must balance even when the handshake fails,
+	// so count the connection up front.
+	ss.s.m.activeSessions.Add(1)
 	if err := ss.handshake(); err != nil {
 		return
 	}
-	ss.s.count(func(st *ServerStats) { st.Sessions++ })
+	ss.s.m.sessions.Inc()
 	if ss.prefetchCh != nil {
 		ss.reqWG.Add(1)
 		go ss.prefetchLoop()
@@ -680,10 +657,10 @@ func (ss *session) run() {
 				lastArm = now
 			}
 		}
-		typ, payload, err := readFrame(ss.br)
+		typ, payload, err := readFrame(ss.br, nil)
 		if err != nil {
 			if hb > 0 && errors.Is(err, os.ErrDeadlineExceeded) && ss.ctx.Err() == nil {
-				ss.s.count(func(st *ServerStats) { st.DeadPeers++ })
+				ss.s.m.deadPeers.Inc()
 			}
 			return // disconnect, torn frame, or dead peer: tear the session down
 		}
@@ -737,7 +714,7 @@ func (ss *session) heartbeatLoop(interval time.Duration) {
 			if ss.send(msgPing, e.b) != nil {
 				return
 			}
-			ss.s.count(func(st *ServerStats) { st.HeartbeatsSent++ })
+			ss.s.m.heartbeatsSent.Inc()
 		}
 	}
 }
@@ -752,7 +729,7 @@ func (ss *session) handshake() error {
 	deadline := time.Now().Add(ss.s.cfg.HandshakeTimeout)
 	ss.conn.SetReadDeadline(deadline)
 	ss.conn.SetWriteDeadline(deadline)
-	typ, payload, err := readFrame(ss.br)
+	typ, payload, err := readFrame(ss.br, nil)
 	if err != nil {
 		return err
 	}
@@ -761,15 +738,11 @@ func (ss *session) handshake() error {
 		ss.fail("bad hello")
 		return fmt.Errorf("blocksvc: bad hello")
 	}
-	if hello.Version < ProtoVersionMin || hello.Version > ProtoVersion {
-		ss.fail(fmt.Sprintf("protocol version %d unsupported (server speaks %d-%d)",
-			hello.Version, ProtoVersionMin, ProtoVersion))
+	if hello.Version != ProtoVersion {
+		ss.fail(fmt.Sprintf("protocol version %d unsupported (server speaks %d)",
+			hello.Version, ProtoVersion))
 		return fmt.Errorf("blocksvc: version mismatch")
 	}
-	// Answer in the client's version: a v3 client gets the exact v3 welcome
-	// and wire framing it has always seen; a v4 client additionally gets the
-	// intersected capability bits and its pipelining allowance.
-	ss.ver = hello.Version
 	serverCaps := uint32(0)
 	if ss.s.cfg.Compression != CompressOff {
 		serverCaps |= capCompress
@@ -783,7 +756,7 @@ func (ss *session) handshake() error {
 	ss.zeroCopy = ss.tcp != nil && hostLittleEndian && !ss.s.cfg.Cache.RecyclingEnabled()
 	h := ss.s.cfg.Header
 	var e enc
-	e.u16(ss.ver)
+	e.u16(ProtoVersion)
 	e.u64(ss.id)
 	e.u32(uint32(h.Res.X))
 	e.u32(uint32(h.Res.Y))
@@ -795,17 +768,14 @@ func (ss *session) handshake() error {
 	e.u32(uint32(h.Blocks))
 	e.u32(uint32(h.Version))
 	e.u32(uint32(ss.s.cfg.heartbeat() / time.Millisecond))
-	if ss.ver >= 4 {
-		e.u32(ss.caps)
-		e.u32(uint32(ss.s.cfg.MaxSessionRequests))
-		if ss.caps&capShard != 0 {
-			// Advertise the cluster topology, length-prefixed, so the
-			// client becomes a router before its first read. Plain-v4 and
-			// v3 welcomes stay byte-identical to what they always were.
-			raw := topo.m.AppendBinary(nil)
-			e.u32(uint32(len(raw)))
-			e.raw(raw)
-		}
+	e.u32(ss.caps)
+	e.u32(uint32(ss.s.cfg.MaxSessionRequests))
+	if ss.caps&capShard != 0 {
+		// Advertise the cluster topology, length-prefixed, so the client
+		// becomes a router before its first read.
+		raw := topo.m.AppendBinary(nil)
+		e.u32(uint32(len(raw)))
+		e.raw(raw)
 	}
 	if err := ss.send(msgWelcome, e.b); err != nil {
 		return err
@@ -836,7 +806,7 @@ func (ss *session) fail(msg string) {
 // (requests pipeline; responses interleave at frame granularity, keyed by
 // request id). Returns false on a protocol error.
 func (ss *session) handleRead(payload []byte) bool {
-	msg, ok := decodeRead(payload, ss.s.cfg.MaxBlocksPerRequest)
+	msg, ok := decodeRead(payload, maxBlocksPerRequest)
 	if !ok {
 		ss.fail("bad read request")
 		return false
@@ -882,7 +852,7 @@ func (ss *session) handleRead(payload []byte) bool {
 
 // shed refuses one request with a retryable status.
 func (ss *session) shed(req uint64) {
-	ss.s.count(func(st *ServerStats) { st.ShedRequests++ })
+	ss.s.m.shedRequests.Inc()
 	var e enc
 	e.u64(req)
 	ss.send(msgShed, e.b)
@@ -929,7 +899,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 		ss.inflightBytes.Add(-bytes)
 		ss.s.sem.Release(bytes)
 	}()
-	ss.s.count(func(st *ServerStats) { st.Requests++ })
+	ss.s.m.requests.Inc()
 
 	// Serve and stream in runs of roughly ResponseRunBytes: results reach
 	// the client as they are produced and one request never stages the
@@ -974,10 +944,10 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	ss.send(msgDone, e.b)
 }
 
-// errNotOwnedPlain answers a non-capShard (v3 or plain-v4) client asking a
-// cluster node for a block it does not own. Those clients cannot decode the
-// redirect's epoch payload, so they get an ordinary retryable status and
-// their existing failover machinery finds another node.
+// errNotOwnedPlain answers a client without capShard asking a cluster node
+// for a block it does not own. Those clients cannot decode the redirect's
+// epoch payload, so they get an ordinary retryable status and their
+// existing failover machinery finds another node.
 var errNotOwnedPlain = fmt.Errorf("blocksvc: block not owned by this shard: %w", faultio.ErrTransient)
 
 // serveRunSharded answers one run on a cluster node: only owned blocks go
@@ -1038,7 +1008,7 @@ func (ss *session) notePrefetchHits(run []grid.BlockID, hit []bool, errs []error
 	ss.queuedMu.Unlock()
 	if hits > 0 {
 		ss.predHits.Add(hits)
-		ss.s.count(func(st *ServerStats) { st.PrefetchHits += hits })
+		ss.s.m.prefetchHits.Add(hits)
 	}
 }
 
@@ -1120,14 +1090,14 @@ func (rs *runScratch) flateInto(vals []float32) (int, bool) {
 	return wire, true
 }
 
-// sendRun encodes one run of results as a blocks frame and ships it. v4
-// sessions get a per-block codec byte and, when negotiated, DEFLATE
-// payloads for the blocks the policy selects; on a TCP transport with
-// cache recycling off, an uncompressed run skips payload staging entirely
-// and goes out as one vectored write (sendRunVec).
+// sendRun encodes one run of results as a blocks frame and ships it: each
+// OK entry carries a codec byte and, when negotiated, a DEFLATE payload for
+// the blocks the policy selects; on a TCP transport with cache recycling
+// off, an uncompressed run skips payload staging entirely and goes out as
+// one vectored write (sendRunVec).
 func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
 	vals [][]float32, errs []error) bool {
-	compress := ss.ver >= 4 && ss.caps&capCompress != 0 && ss.s.cfg.Compression != CompressOff
+	compress := ss.caps&capCompress != 0 && ss.s.cfg.Compression != CompressOff
 	if ss.zeroCopy && !compress {
 		return ss.sendRunVec(rs, req, firstIdx, ids, vals, errs)
 	}
@@ -1163,27 +1133,32 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 			}
 			zSkipped++
 		}
-		if ss.ver >= 4 {
-			e.u8(codecRaw)
-		}
+		e.u8(codecRaw)
 		off := len(e.b)
 		e.u32(uint32(raw))
 		e.b = appendF32LE(e.b, vals[i])
 		e.u32(crc32.Checksum(e.b[off+4:], castagnoli))
 		sent += int64(raw)
 	}
-	ss.s.count(func(st *ServerStats) {
-		st.Blocks += int64(len(ids))
-		st.BlocksOK += okCount
-		st.BlocksFailed += failCount
-		st.Redirects += redirects
-		st.BytesSent += sent
-		st.CompressedBlocks += zBlocks
-		st.CompressSkipped += zSkipped
-		st.CompressBytesIn += zIn
-		st.CompressBytesOut += zOut
-	})
+	ss.countRun(len(ids), okCount, failCount, redirects, sent)
+	if compress {
+		m := ss.s.m
+		m.compressedBlocks.Add(zBlocks)
+		m.compressSkipped.Add(zSkipped)
+		m.compressBytesIn.Add(zIn)
+		m.compressBytesOut.Add(zOut)
+	}
 	return ss.send(msgBlocks, e.b) == nil
+}
+
+// countRun books one encoded run's per-block outcomes.
+func (ss *session) countRun(blocks int, ok, failed, redirects, bytesSent int64) {
+	m := ss.s.m
+	m.blocks.Add(int64(blocks))
+	m.blocksOK.Add(ok)
+	m.blocksFailed.Add(failed)
+	m.redirects.Add(redirects)
+	m.bytesSent.Add(bytesSent)
 }
 
 // sendRunVec ships one run as a single vectored write: staging holds only
@@ -1198,10 +1173,7 @@ func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []gr
 	for i := range ids {
 		total++ // status byte
 		if errs[i] == nil {
-			if ss.ver >= 4 {
-				total++ // codec byte
-			}
-			total += 4 + len(vals[i])*4 + 4
+			total += 1 + 4 + len(vals[i])*4 + 4 // codec, length, payload, crc
 		} else if _, ok := errs[i].(*notOwnedError); ok {
 			total += 8 // redirect epoch
 		}
@@ -1234,9 +1206,7 @@ func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []gr
 		}
 		okCount++
 		e.u8(byte(statusOK))
-		if ss.ver >= 4 {
-			e.u8(codecRaw)
-		}
+		e.u8(codecRaw)
 		pay := f32leBytes(vals[i])
 		e.u32(uint32(len(pay)))
 		cuts = append(cuts, len(e.b))
@@ -1254,13 +1224,7 @@ func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []gr
 		bufs = append(bufs, e.b[prev:])
 	}
 	rs.cuts, rs.pays = cuts, pays
-	ss.s.count(func(st *ServerStats) {
-		st.Blocks += int64(len(ids))
-		st.BlocksOK += okCount
-		st.BlocksFailed += failCount
-		st.Redirects += redirects
-		st.BytesSent += sent
-	})
+	ss.countRun(len(ids), okCount, failCount, redirects, sent)
 	ss.writeMu.Lock()
 	defer ss.writeMu.Unlock()
 	if err := ss.bw.Flush(); err != nil {
@@ -1287,7 +1251,9 @@ func (ss *session) handleView(payload []byte) bool {
 		ss.fail("bad view update")
 		return false
 	}
-	ss.s.count(func(st *ServerStats) { st.ViewUpdates++ })
+	// Counted on the way out, after the prefetch counters: a Snapshot that
+	// sees this view also sees everything it issued.
+	defer ss.s.m.viewUpdates.Inc()
 	if ss.prefetchCh == nil {
 		return true
 	}
@@ -1297,18 +1263,16 @@ func (ss *session) handleView(payload []byte) bool {
 		var kind camera.PredictKind
 		target, kind = ss.pred.Predict()
 		ss.predViews.Add(1)
-		ss.s.count(func(st *ServerStats) {
-			switch kind {
-			case camera.PredictDwell:
-				st.PredictDwell++
-			case camera.PredictLinear:
-				st.PredictLinear++
-			case camera.PredictAngular:
-				st.PredictAngular++
-			default:
-				st.PredictLast++
-			}
-		})
+		switch kind {
+		case camera.PredictDwell:
+			ss.s.m.predictDwell.Inc()
+		case camera.PredictLinear:
+			ss.s.m.predictLinear.Inc()
+		case camera.PredictAngular:
+			ss.s.m.predictAngular.Inc()
+		default:
+			ss.s.m.predictLast.Inc()
+		}
 	}
 	var issued, dropped int64
 	topo := ss.s.topo.Load()
@@ -1342,12 +1306,8 @@ func (ss *session) handleView(payload []byte) bool {
 			dropped++
 		}
 	}
-	if issued > 0 || dropped > 0 {
-		ss.s.count(func(st *ServerStats) {
-			st.PrefetchIssued += issued
-			st.PrefetchDropped += dropped
-		})
-	}
+	ss.s.m.prefetchIssued.Add(issued)
+	ss.s.m.prefetchDropped.Add(dropped)
 	return true
 }
 
@@ -1365,13 +1325,11 @@ func (ss *session) prefetchLoop() {
 			ss.queuedMu.Lock()
 			delete(ss.queued, id)
 			ss.queuedMu.Unlock()
-			ss.s.count(func(st *ServerStats) {
-				if err == nil {
-					st.PrefetchExecuted++
-				} else {
-					st.PrefetchFailed++
-				}
-			})
+			if err == nil {
+				ss.s.m.prefetchExecuted.Inc()
+			} else {
+				ss.s.m.prefetchFailed.Inc()
+			}
 		}
 	}
 }

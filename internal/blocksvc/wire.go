@@ -9,23 +9,24 @@
 //
 // Every message is one frame: a 4-byte little-endian payload length, a
 // 1-byte message type, then the payload. A connection opens with
-// hello/welcome (magic + protocol version negotiation; the welcome carries
-// the served volume's geometry and a server-assigned session id), after
-// which the client sends read requests and view updates:
+// hello/welcome (magic + protocol version + capability negotiation; the
+// welcome carries the served volume's geometry and a server-assigned
+// session id), after which the client sends read requests and view updates:
 //
-//	hello   c→s  magic u32, version u16 [, caps u32 when version ≥ 4]
+//	hello   c→s  magic u32, version u16, caps u32
 //	welcome s→c  version u16, session u64, res 3×u32, block 3×u32,
 //	             variable u32, blocks u32, storeVersion u32,
-//	             heartbeatMillis u32 (0 = liveness disabled)
-//	             [, caps u32, maxRequests u32 when version ≥ 4]
+//	             heartbeatMillis u32 (0 = liveness disabled),
+//	             caps u32, maxRequests u32
+//	             [, mapBytes u32, shard.Map when caps has capShard]
 //	read    c→s  req u64, deadlineMillis u32, n u32, n×u32 block ids
 //	view    c→s  camera position 3×f64 (no response; drives server prefetch)
 //	blocks  s→c  req u64, firstIdx u32, n u16, then per block:
-//	             v3: status u8 [+ nbytes u32, payload, crc32c u32 when OK]
-//	             v4: status u8 [+ codec u8, then
+//	             status u8 [+ codec u8, then
 //	                 raw:   nbytes u32, payload, crc32c u32
 //	                 flate: rawBytes u32, wireBytes u32, compressed payload,
 //	                        crc32c u32 (over the compressed bytes)  when OK]
+//	                       [+ epoch u64 when redirect]
 //	done    s→c  req u64 (every requested index has been answered)
 //	shed    s→c  req u64 (request refused by admission control; retryable)
 //	error   s→c  message string (fatal protocol error; connection closes)
@@ -37,35 +38,36 @@
 //	             epoch-bumped cluster topology; clients adopt strictly
 //	             higher epochs and re-route pending work
 //
+// There is one framing. Both sides speak exactly ProtoVersion: the server
+// refuses any other hello with an error frame naming the version it speaks,
+// and the client refuses any other welcome.
+//
 // Responses stream: the server answers a read with a sequence of blocks
 // frames — one per merged run of consecutive results — and a final done.
-// Block payloads are raw little-endian float32 voxels guarded by a CRC32C
-// so in-transit corruption is detected at the client and classified as a
+// Block payloads are little-endian float32 voxels guarded by a CRC32C so
+// in-transit corruption is detected at the client and classified as a
 // retryable checksum fault.
 //
-// # Protocol v4: pipelining and entropy-aware compression
+// # Pipelining and entropy-aware compression
 //
-// The req field has always tagged responses back to their request; v4 makes
-// that tagging load-bearing: a client may keep several tagged read requests
-// in flight on one connection (up to the welcome's maxRequests) and the
-// server's responses interleave at frame granularity, demuxed client-side
-// by req. v4 also negotiates an optional wire codec via the hello/welcome
-// caps bits (capCompress): when both sides advertise it, the server may
-// DEFLATE-compress individual block payloads — choosing blocks by entropy,
-// since the paper's T_important already knows which blocks are low-entropy
-// ambient data that compresses extremely well — and says so in a per-block
-// codec byte. A compressed block carries its decoded size first, which the
-// client validates against the block geometry before allocating, so a lying
-// size header cannot over-allocate. A v3 peer negotiates the old framing
-// exactly as before; both sides stay bidirectionally compatible.
+// The req field tags responses back to their request: a client may keep
+// several tagged read requests in flight on one connection (up to the
+// welcome's maxRequests) and the server's responses interleave at frame
+// granularity, demuxed client-side by req. The hello/welcome caps bits
+// negotiate an optional wire codec (capCompress): when both sides advertise
+// it, the server may DEFLATE-compress individual block payloads — choosing
+// blocks by entropy, since the paper's T_important already knows which
+// blocks are low-entropy ambient data that compresses extremely well — and
+// says so in the per-block codec byte. A compressed block carries its
+// decoded size first, which the client validates against the block
+// geometry before allocating, so a lying size header cannot over-allocate.
 //
 // # Liveness and lifecycle
 //
-// Protocol v3 adds heartbeats and graceful drain. The welcome advertises
-// the server's heartbeat interval; from then on each side sends a ping at
-// that cadence whenever its end is otherwise quiet and arms a read
-// deadline of twice the interval, so a dead or wedged peer — one that
-// stops producing any frames, not just pongs — is detected within
+// The welcome advertises the server's heartbeat interval; from then on each
+// side sends a ping at that cadence whenever its end is otherwise quiet and
+// arms a read deadline of twice the interval, so a dead or wedged peer —
+// one that stops producing any frames, not just pongs — is detected within
 // 2×interval and its session torn down instead of leaking. GOAWAY is the
 // server's drain announcement: requests already on the wire are served,
 // after which the connection will close; a failover-aware client shifts
@@ -73,7 +75,7 @@
 //
 // # Sharded clusters
 //
-// capShard (v4) turns a set of servers into a consistent-hash cluster.
+// capShard turns a set of servers into a consistent-hash cluster.
 // A cluster-mode server appends its shard.Map (length-prefixed) to the
 // welcome when both sides advertise capShard; the client routes each block
 // to its ring owner from then on. Topology changes travel as topology
@@ -110,19 +112,15 @@ import (
 	"repro/internal/grid"
 )
 
-// Protocol identity. The version is negotiated at hello/welcome: the server
-// answers in the client's version when it speaks it (ProtoVersionMin through
-// ProtoVersion) and refuses anything else with msgError. Version 3 added
-// liveness (ping/pong + welcome heartbeat field) and drain (goaway); there
-// was no released version 2. Version 4 added capability negotiation,
-// pipelined tagged requests, and the per-block wire codec.
+// Protocol identity. ProtoVersion is the only version either side speaks:
+// the server refuses any other hello with msgError, the client any other
+// welcome. No earlier version was ever released.
 const (
-	protoMagic      uint32 = 0x62737663 // "bsvc"
-	ProtoVersion    uint16 = 4
-	ProtoVersionMin uint16 = 3
+	protoMagic   uint32 = 0x62737663 // "bsvc"
+	ProtoVersion uint16 = 4
 )
 
-// Capability bits exchanged in the v4 hello/welcome. A capability is in
+// Capability bits exchanged in the hello/welcome. A capability is in
 // effect only when both sides advertise it.
 const (
 	capCompress uint32 = 1 << 0 // per-block DEFLATE wire codec
@@ -132,9 +130,9 @@ const (
 // clientCaps is what this client implementation advertises.
 const clientCaps = capCompress | capShard
 
-// Per-block payload codecs (v4 blocks frames).
+// Per-block payload codecs.
 const (
-	codecRaw   byte = 0 // little-endian float32 voxels, as in v3
+	codecRaw   byte = 0 // little-endian float32 voxels
 	codecFlate byte = 1 // DEFLATE-compressed little-endian float32 voxels
 )
 
@@ -271,23 +269,6 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, rejecting oversized length prefixes.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > maxFrameBytes {
-		return 0, nil, fmt.Errorf("blocksvc: frame length %d exceeds limit", n)
-	}
-	payload, err := readPayload(r, int(n))
-	if err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], payload, nil
-}
-
 // readChunk is the largest buffer readPayload commits to before any payload
 // bytes have actually arrived.
 const readChunk = 1 << 20
@@ -400,13 +381,14 @@ var encPool = sync.Pool{New: func() any { return new(enc) }}
 func getEnc() *enc  { e := encPool.Get().(*enc); e.reset(); return e }
 func putEnc(e *enc) { encPool.Put(e) }
 
-// readFrameBuf reads one frame like readFrame but decodes into buf when its
-// capacity suffices, so a long-lived reader loop amortizes its receive
-// buffer across frames. Declared lengths beyond cap(buf) fall back to
-// readPayload, preserving the chunked-growth bound against hostile length
-// prefixes. The returned payload aliases buf (or the freshly grown buffer);
-// the caller passes it back in as the next call's buf once done with it.
-func readFrameBuf(r io.Reader, buf []byte) (byte, []byte, error) {
+// readFrame reads one frame, rejecting oversized length prefixes. It
+// decodes into buf when its capacity suffices, so a long-lived reader loop
+// amortizes its receive buffer across frames; one-shot readers pass nil.
+// Declared lengths beyond cap(buf) fall back to readPayload, preserving the
+// chunked-growth bound against hostile length prefixes. The returned
+// payload aliases buf (or the freshly grown buffer); the caller passes it
+// back in as the next call's buf once done with it.
+func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -435,7 +417,6 @@ func readFrameBuf(r io.Reader, buf []byte) (byte, []byte, error) {
 // view into the frame payload and is only valid until the next call.
 type blocksIter struct {
 	d     dec
-	v4    bool
 	Req   uint64
 	First int
 	N     int
@@ -450,8 +431,8 @@ type blocksIter struct {
 }
 
 // blocksHeader parses a blocks frame's prelude; ok=false on a short payload.
-func blocksHeader(payload []byte, v4 bool) (blocksIter, bool) {
-	it := blocksIter{d: dec{b: payload}, v4: v4}
+func blocksHeader(payload []byte) (blocksIter, bool) {
+	it := blocksIter{d: dec{b: payload}}
 	it.Req = it.d.u64()
 	it.First = int(it.d.u32())
 	it.N = int(it.d.u16())
@@ -477,9 +458,7 @@ func (it *blocksIter) next() bool {
 	if it.Status != statusOK {
 		return !it.d.bad
 	}
-	if it.v4 {
-		it.Codec = it.d.u8()
-	}
+	it.Codec = it.d.u8()
 	switch it.Codec {
 	case codecRaw:
 		n := int(it.d.u32())

@@ -17,7 +17,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeFrame(&buf, msgRead, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf)
+	typ, got, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 	if err := writeFrame(&buf, msgDone, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf)
+	typ, got, err := readFrame(&buf, nil)
 	if err != nil || typ != msgDone || len(got) != 0 {
 		t.Errorf("empty frame: type %d payload %v err %v", typ, got, err)
 	}
@@ -40,7 +40,7 @@ func TestFrameEmptyPayload(t *testing.T) {
 func TestFrameRejectsOversizedLength(t *testing.T) {
 	// A corrupt length prefix must not trigger a giant allocation.
 	buf := bytes.NewBuffer([]byte{0xff, 0xff, 0xff, 0xff, msgRead})
-	if _, _, err := readFrame(buf); err == nil {
+	if _, _, err := readFrame(buf, nil); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
@@ -61,6 +61,49 @@ func TestDecTrailingGarbage(t *testing.T) {
 	_ = d.u32()
 	if d.ok() {
 		t.Error("trailing garbage reported ok")
+	}
+}
+
+// TestDecodeWelcomeStrict: caps and maxRequests are required. A welcome cut
+// short of them — the shape hand-built doubles used to emit — is malformed,
+// not "no capabilities, one request in flight"; the client then refuses
+// the connection permanently rather than running unpipelined.
+func TestDecodeWelcomeStrict(t *testing.T) {
+	var e enc
+	e.u16(ProtoVersion)
+	e.u64(7)
+	for _, v := range []uint32{16, 16, 16, 4, 4, 4, 1, 64, 2, 5000} {
+		e.u32(v)
+	}
+	if _, ok := decodeWelcome(e.b); ok {
+		t.Fatal("welcome without caps/maxRequests decoded")
+	}
+	e.u32(capCompress)
+	if _, ok := decodeWelcome(e.b); ok {
+		t.Fatal("welcome without maxRequests decoded")
+	}
+	e.u32(4)
+	w, ok := decodeWelcome(e.b)
+	if !ok || w.Caps != capCompress || w.MaxRequests != 4 || w.HeartbeatMillis != 5000 {
+		t.Fatalf("full welcome = %+v, ok=%v", w, ok)
+	}
+
+	lis := NewPipeListener()
+	defer lis.Close()
+	go func() {
+		for {
+			c, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			readFrame(c, nil) // the hello
+			writeFrame(c, msgWelcome, e.b[:len(e.b)-8])
+			c.Close()
+		}
+	}()
+	_, err := Dial(ClientConfig{Dial: lis.Dial, Retry: fastRetry(3)})
+	if err == nil || faultio.Retryable(err) {
+		t.Fatalf("Dial against a short welcome = %v, want a permanent refusal", err)
 	}
 }
 

@@ -48,7 +48,7 @@ type InjectorStats struct {
 	Permanent     int64 // injected permanent failures (incl. FailBlocks)
 	Corrupted     int64 // payloads bit-flipped
 	CorruptCaught int64 // corruptions detected via stored checksums
-	CorruptSilent int64 // corruptions passed through undetected (v1 files)
+	CorruptSilent int64 // corruptions passed through undetected (reader without checksums)
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -68,9 +68,9 @@ func (h *Histogram) Observe(v int64) {
 			hi = mid
 		}
 	}
-	h.counts[lo].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	// Publish min/max before the bucket count: a reader that copies the
+	// buckets first and loads min/max after can then never see an
+	// observation counted while the MaxInt64/MinInt64 sentinels still stand.
 	for {
 		cur := h.min.Load()
 		if v >= cur || h.min.CompareAndSwap(cur, v) {
@@ -83,6 +83,20 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
+	h.counts[lo].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+}
+
+// copyCounts copies the bucket counts and returns them with their total.
+// Readers load min/max only after this returns (see Observe's ordering).
+func (h *Histogram) copyCounts() (counts []int64, total int64) {
+	counts = make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return counts, total
 }
 
 // HistogramSnapshot summarizes a histogram at one instant.
@@ -103,12 +117,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
+	counts, total := h.copyCounts()
 	s := HistogramSnapshot{Count: total, Sum: h.sum.Load()}
 	if total == 0 {
 		return s
@@ -126,12 +135,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
+	counts, total := h.copyCounts()
 	if total == 0 {
 		return 0
 	}

@@ -7,7 +7,7 @@
 // paths hold pre-resolved *Counter/*Gauge/*Histogram handles and update
 // them with single atomic operations — no map lookups, no locks, no
 // allocation. Components that already keep their own counters under a lock
-// (the cache, the server) register pull-style func metrics instead, which
+// (the cache, the spill tier) register pull-style func metrics instead, which
 // cost nothing until someone asks for a Snapshot. Every handle method is
 // nil-receiver-safe, so un-instrumented code paths pay one predictable
 // branch.

@@ -9,13 +9,13 @@
 // out-of-core runtime (package ooc) can operate on genuine files written by
 // cmd/datagen or Write.
 //
-// Format versions: v1 files are header + raw block data. v2 (written by
-// Write) inserts a per-block CRC32C table between header and data;
-// ReadBlock verifies the checksum on every read and rejects corrupted
-// blocks with a faultio.ErrChecksum fault. v1 files remain readable,
-// checksum-less. Write is crash-safe: it writes to a temp file in the
-// target directory and renames into place, so an interrupted write never
-// leaves a truncated file at the destination path.
+// Format: a header, a per-block CRC32C table, then block data (version 2,
+// the only version Write produces and Open accepts). ReadBlock verifies the
+// checksum on every read and rejects corrupted blocks with a
+// faultio.ErrChecksum fault; there is no checksum-less read path. Write is
+// crash-safe: it writes to a temp file in the target directory and renames
+// into place, so an interrupted write never leaves a truncated file at the
+// destination path.
 package store
 
 import (
@@ -43,8 +43,8 @@ const (
 	version = 2
 )
 
-// headerSize is the fixed byte size of the file header. In v2 files it is
-// followed by Blocks uint32 checksums, then block data.
+// headerSize is the fixed byte size of the file header. It is followed by
+// Blocks uint32 checksums, then block data.
 const headerSize = 4 * 10
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -55,7 +55,7 @@ type Header struct {
 	Block    grid.Dims // nominal block extent in voxels
 	Variable int32     // which dataset variable the file holds
 	Blocks   int32     // total block count (redundant, for validation)
-	Version  int32     // on-disk format version (1 or 2)
+	Version  int32     // on-disk format version
 }
 
 // BlockReader is the read side of a block store: BlockFile implements it
@@ -94,21 +94,16 @@ type BlockBufRecycler interface {
 // huge contiguous miss batch stays within a bounded staging buffer.
 const maxMergedRunBytes = 8 << 20
 
-// maxFreeBufs bounds the decode-buffer free list (per BlockFile).
-const maxFreeBufs = 64
-
 // BlockFile reads blocks from a block-layout file.
 type BlockFile struct {
 	f       *os.File
 	hdr     Header
 	g       *grid.Grid
 	offsets []int64  // byte offset of each block's data
-	crcs    []uint32 // per-block CRC32C (nil for v1 files)
+	crcs    []uint32 // per-block CRC32C
 
 	staging sync.Pool // *[]byte raw staging buffers, reused across reads
-
-	freeMu sync.Mutex
-	free   [][]float32 // recycled decode buffers (fed via RecycleBlockBuf)
+	bufs    BufPool   // recycled decode buffers (fed via RecycleBlockBuf)
 
 	reads       atomic.Int64 // blocks served (single + batched)
 	batches     atomic.Int64 // ReadBlocks calls
@@ -234,7 +229,7 @@ func writeHeader(w io.Writer, h Header) error {
 	return nil
 }
 
-// Open opens a block file (v1 or v2) for random-access block reads.
+// Open opens a block file for random-access block reads.
 func Open(path string) (*BlockFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -252,9 +247,11 @@ func Open(path string) (*BlockFile, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s is not a block file", path)
 	}
-	if v := get(1); v != 1 && v != version {
+	if v := get(1); v != version {
 		f.Close()
-		return nil, fmt.Errorf("store: unsupported version %d", v)
+		// Older files carry no checksums and would read unverified.
+		return nil, fmt.Errorf("store: %s is format version %d, want %d; re-write with store.Write: %w",
+			path, v, version, faultio.ErrPermanent)
 	}
 	hdr := Header{
 		Res:      grid.Dims{X: int(get(2)), Y: int(get(3)), Z: int(get(4))},
@@ -274,19 +271,16 @@ func Open(path string) (*BlockFile, error) {
 			hdr.Blocks, g.NumBlocks())
 	}
 	bf := &BlockFile{f: f, hdr: hdr, g: g}
-	off := int64(headerSize)
-	if hdr.Version >= 2 {
-		table := make([]byte, 4*g.NumBlocks())
-		if _, err := io.ReadFull(f, table); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: short checksum table: %v", err)
-		}
-		bf.crcs = make([]uint32, g.NumBlocks())
-		for i := range bf.crcs {
-			bf.crcs[i] = binary.LittleEndian.Uint32(table[4*i:])
-		}
-		off += int64(len(table))
+	table := make([]byte, 4*g.NumBlocks())
+	if _, err := io.ReadFull(f, table); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: short checksum table: %v", err)
 	}
+	bf.crcs = make([]uint32, g.NumBlocks())
+	for i := range bf.crcs {
+		bf.crcs[i] = binary.LittleEndian.Uint32(table[4*i:])
+	}
+	off := int64(headerSize + len(table))
 	bf.offsets = make([]int64, g.NumBlocks()+1)
 	for _, id := range g.All() {
 		bf.offsets[id] = off
@@ -317,10 +311,10 @@ func (bf *BlockFile) BlockBytes(id grid.BlockID) int64 {
 	return bf.offsets[int(id)+1] - bf.offsets[id]
 }
 
-// BlockChecksum returns the stored CRC32C of a block, and whether the file
-// carries checksums (v2). It implements faultio.Checksummer.
+// BlockChecksum returns the stored CRC32C of a block; ok is false for an id
+// outside the file. It implements faultio.Checksummer.
 func (bf *BlockFile) BlockChecksum(id grid.BlockID) (uint32, bool) {
-	if bf.crcs == nil || int(id) < 0 || int(id) >= len(bf.crcs) {
+	if int(id) < 0 || int(id) >= len(bf.crcs) {
 		return 0, false
 	}
 	return bf.crcs[id], true
@@ -342,46 +336,27 @@ func (bf *BlockFile) putStaging(b []byte) {
 }
 
 // getBuf returns a decode buffer of exactly n float32s, reusing a recycled
-// buffer when one is large enough (size-checked: a too-small candidate is
-// left for smaller blocks).
+// one when it can.
 func (bf *BlockFile) getBuf(n int) []float32 {
 	bf.bufGets.Add(1)
-	bf.freeMu.Lock()
-	for i := len(bf.free) - 1; i >= 0 && i >= len(bf.free)-8; i-- {
-		if cap(bf.free[i]) >= n {
-			buf := bf.free[i]
-			bf.free = append(bf.free[:i], bf.free[i+1:]...)
-			bf.freeMu.Unlock()
-			bf.bufReuses.Add(1)
-			return buf[:n]
-		}
+	buf, reused := bf.bufs.Get(n)
+	if reused {
+		bf.bufReuses.Add(1)
 	}
-	bf.freeMu.Unlock()
-	return make([]float32, n)
+	return buf
 }
 
 // RecycleBlockBuf hands a decoded block buffer back for reuse by a later
 // read. The caller must guarantee no live reference to the slice remains:
 // its contents will be overwritten. It implements BlockBufRecycler.
-func (bf *BlockFile) RecycleBlockBuf(vals []float32) {
-	if cap(vals) == 0 {
-		return
-	}
-	bf.freeMu.Lock()
-	if len(bf.free) < maxFreeBufs {
-		bf.free = append(bf.free, vals)
-	}
-	bf.freeMu.Unlock()
-}
+func (bf *BlockFile) RecycleBlockBuf(vals []float32) { bf.bufs.Put(vals) }
 
-// decode verifies the block's checksum over its raw bytes (v2 files) and
-// decodes them into a pooled float32 buffer.
+// decode verifies the block's checksum over its raw bytes and decodes them
+// into a pooled float32 buffer.
 func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
-	if bf.crcs != nil {
-		if got := crc32.Checksum(raw, castagnoli); got != bf.crcs[id] {
-			return nil, fmt.Errorf("store: block %d: crc 0x%08x, want 0x%08x: %w",
-				id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
-		}
+	if got := crc32.Checksum(raw, castagnoli); got != bf.crcs[id] {
+		return nil, fmt.Errorf("store: block %d: crc 0x%08x, want 0x%08x: %w",
+			id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
 	}
 	vals := bf.getBuf(len(raw) / 4)
 	for i := range vals {
@@ -390,7 +365,7 @@ func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
 	return vals, nil
 }
 
-// ReadBlock reads one block's voxels, verifying its checksum on v2 files. A
+// ReadBlock reads one block's voxels, verifying its checksum. A
 // mismatch is reported as a permanent faultio.ErrChecksum fault: the bytes
 // on disk are rotten and rereading cannot help. The returned slice is owned
 // by the caller (until the caller itself recycles it). Safe for concurrent

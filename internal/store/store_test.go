@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,63 +123,32 @@ func TestWriteAtomic(t *testing.T) {
 	}
 }
 
-// writeV1File lays out a version-1 file (no checksum table) byte by byte,
-// the way the pre-v2 Write did, to prove backward compatibility.
-func writeV1File(t *testing.T, path string, ds *volume.Dataset, g *grid.Grid) {
-	t.Helper()
-	f, err := os.Create(path)
+// TestOpenRefusesV1Files: a well-formed version-1 file (header + raw block
+// data, no checksum table) must not open — its blocks would be served
+// unverified — and the error must be permanent and tell the operator how
+// to get a readable file.
+func TestOpenRefusesV1Files(t *testing.T) {
+	path, _, g := writeTestFile(t)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	hdr := Header{
-		Res: g.Res(), Block: g.BlockSize(),
-		Variable: 0, Blocks: int32(g.NumBlocks()), Version: 1,
-	}
-	if err := writeHeader(f, hdr); err != nil {
+	v1 := append([]byte(nil), raw[:headerSize]...)
+	binary.LittleEndian.PutUint32(v1[4:], 1)
+	v1 = append(v1, raw[headerSize+4*g.NumBlocks():]...)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 4)
-	for _, id := range g.All() {
-		for _, v := range ds.BlockSamples(g, id, 0, 0) {
-			binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-			if _, err := f.Write(buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-func TestOpenReadsV1Files(t *testing.T) {
-	ds := volume.Ball().Scale(1.0 / 32)
-	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.bvol")
-	writeV1File(t, path, ds, g)
 	bf, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		bf.Close()
+		t.Fatal("v1 file opened")
 	}
-	defer bf.Close()
-	if bf.Header().Version != 1 {
-		t.Fatalf("version = %d, want 1", bf.Header().Version)
+	if faultio.Retryable(err) {
+		t.Errorf("v1 refusal is retryable: %v", err)
 	}
-	if _, ok := bf.BlockChecksum(0); ok {
-		t.Error("v1 file claims checksums")
-	}
-	for _, id := range g.All() {
-		got, err := bf.ReadBlock(id)
-		if err != nil {
-			t.Fatalf("block %d: %v", id, err)
-		}
-		want := ds.BlockSamples(g, id, 0, 0)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("block %d differs at %d", id, i)
-			}
-		}
+	if !strings.Contains(err.Error(), "re-write with store.Write") {
+		t.Errorf("v1 refusal %q does not say how to recover", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/store"
@@ -34,10 +35,7 @@ func NewReader(inner store.BlockReader, t *Tier) *Reader {
 
 // ReadBlock implements store.BlockReader.
 func (r *Reader) ReadBlock(id grid.BlockID) ([]float32, error) {
-	if vals, ok := r.tier.Get(id); ok {
-		return vals, nil
-	}
-	return r.inner.ReadBlock(id)
+	return r.ReadBlockContext(context.Background(), id)
 }
 
 // ReadBlockContext implements store.ContextBlockReader.
@@ -62,25 +60,23 @@ func (r *Reader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float3
 	vals := make([][]float32, len(ids))
 	errs := make([]error, len(ids))
 	hit := make([]bool, len(ids))
-	if par := min(batchReadParallelism, runtime.GOMAXPROCS(0)); par > 1 && len(ids) > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for i, id := range ids {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, id grid.BlockID) {
-				defer func() { <-sem; wg.Done() }()
-				vals[i], hit[i] = r.tier.Get(id)
-			}(i, id)
-		}
-		wg.Wait()
-	} else {
-		// A single-P runtime gains nothing from fanning out page-cache
-		// reads; skip the scheduling overhead.
-		for i, id := range ids {
-			vals[i], hit[i] = r.tier.Get(id)
+	// The caller reads too, beside helpers drawing from one counter (never
+	// more readers than Ps): a lone block or a single-P runtime spawns
+	// nothing, and with no core free for a helper the caller gets through
+	// the batch at serial speed instead of waiting on the scheduler.
+	var next atomic.Int64
+	get := func() {
+		for i := next.Add(1) - 1; i < int64(len(ids)); i = next.Add(1) - 1 {
+			vals[i], hit[i] = r.tier.Get(ids[i])
 		}
 	}
+	var wg sync.WaitGroup
+	for h := min(batchReadParallelism, runtime.GOMAXPROCS(0), len(ids)) - 1; h > 0; h-- {
+		wg.Add(1)
+		go func() { defer wg.Done(); get() }()
+	}
+	get()
+	wg.Wait()
 	var missPos []int
 	var missIDs []grid.BlockID
 	for i, id := range ids {
@@ -105,10 +101,14 @@ func (r *Reader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float3
 	return vals, errs
 }
 
-// RecycleBlockBuf implements store.BlockBufRecycler by forwarding to the
-// inner reader when it recycles; tier-served buffers are freshly decoded
-// and pool-compatible, so they feed the same pool.
+// RecycleBlockBuf implements store.BlockBufRecycler: the tier's own decode
+// pool takes the buffer while it has room — tier hits are the common read
+// under a warm tier — and the overflow goes to the inner reader when it
+// recycles. Buffers from either source are interchangeable.
 func (r *Reader) RecycleBlockBuf(vals []float32) {
+	if r.tier.bufs.Put(vals) {
+		return
+	}
 	if rec, ok := r.inner.(store.BlockBufRecycler); ok {
 		rec.RecycleBlockBuf(vals)
 	}

@@ -72,35 +72,38 @@ func encodeSpill(id grid.BlockID, vals []float32) []byte {
 	return buf
 }
 
-// decodeSpill verifies and deserializes a spill file read as raw, checking
-// it really holds block want. Every failure mode a torn or rotten file can
+// checkSpill verifies a spill file read as raw really holds block want and
+// returns its voxel count. Every failure mode a torn or rotten file can
 // present — truncation, wrong magic/version, id mismatch, length mismatch,
 // checksum mismatch — comes back as an error.
-func decodeSpill(want grid.BlockID, raw []byte) ([]float32, error) {
+func checkSpill(want grid.BlockID, raw []byte) (int, error) {
 	if len(raw) < spillHeaderSize {
-		return nil, fmt.Errorf("tier: spill file truncated: %d bytes", len(raw))
+		return 0, fmt.Errorf("tier: spill file truncated: %d bytes", len(raw))
 	}
 	if [4]byte(raw[0:4]) != spillMagic {
-		return nil, fmt.Errorf("tier: bad spill magic %q", raw[0:4])
+		return 0, fmt.Errorf("tier: bad spill magic %q", raw[0:4])
 	}
 	if v := binary.LittleEndian.Uint32(raw[4:8]); v != spillVersion {
-		return nil, fmt.Errorf("tier: unsupported spill version %d", v)
+		return 0, fmt.Errorf("tier: unsupported spill version %d", v)
 	}
 	if id := grid.BlockID(binary.LittleEndian.Uint32(raw[8:12])); id != want {
-		return nil, fmt.Errorf("tier: spill holds block %d, want %d", id, want)
+		return 0, fmt.Errorf("tier: spill holds block %d, want %d", id, want)
 	}
 	n := int(binary.LittleEndian.Uint32(raw[12:16]))
 	if len(raw) != spillHeaderSize+4*n {
-		return nil, fmt.Errorf("tier: spill payload %d bytes, header says %d",
+		return 0, fmt.Errorf("tier: spill payload %d bytes, header says %d",
 			len(raw)-spillHeaderSize, 4*n)
 	}
 	if got := crc32.Checksum(raw[spillHeaderSize:], castagnoli); got != binary.LittleEndian.Uint32(raw[16:20]) {
-		return nil, fmt.Errorf("tier: spill checksum mismatch for block %d", want)
+		return 0, fmt.Errorf("tier: spill checksum mismatch for block %d", want)
 	}
-	vals := make([]float32, n)
+	return n, nil
+}
+
+// decodeSpill deserializes a checked spill file's payload into vals.
+func decodeSpill(raw []byte, vals []float32) {
 	for i := range vals {
 		vals[i] = math.Float32frombits(
 			binary.LittleEndian.Uint32(raw[spillHeaderSize+4*i:]))
 	}
-	return vals, nil
 }

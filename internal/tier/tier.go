@@ -36,10 +36,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/cache"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Defaults for Config zero values.
@@ -101,7 +103,7 @@ type Tier struct {
 	dir  string
 	cap  int64
 	fsys faultio.FS
-	br   *breaker
+	br   *breaker.Breaker
 	sync bool
 
 	onEvict func(id grid.BlockID)
@@ -114,6 +116,12 @@ type Tier struct {
 	queue  chan spillReq
 
 	wg sync.WaitGroup
+
+	// The read path's buffers, reused so a steady stream of spill hits
+	// allocates nothing: staging holds raw file images (*[]byte), bufs the
+	// decoded slices the DRAM cache hands back (Reader.RecycleBlockBuf).
+	staging sync.Pool
+	bufs    store.BufPool
 
 	spillWrites   atomic.Int64
 	spillHits     atomic.Int64
@@ -183,7 +191,7 @@ func Open(cfg Config) (*Tier, error) {
 		dir:     cfg.Dir,
 		cap:     cfg.Capacity,
 		fsys:    cfg.FS,
-		br:      newBreaker(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax),
+		br:      breaker.New(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax),
 		sync:    cfg.Synchronous,
 		onEvict: cfg.OnEvict,
 		pol:     cfg.Policy,
@@ -223,17 +231,17 @@ func (t *Tier) rescan() error {
 		if !ok {
 			continue // foreign file: not ours to touch
 		}
-		raw, err := t.readFile(name)
+		info, err := e.Info()
 		if err == nil {
-			_, err = decodeSpill(id, raw)
+			_, err = t.load(name, id, info.Size(), false)
 		}
 		if err != nil {
 			// Torn mid-crash or rotten on disk — either way not servable.
 			t.quarantine(name)
 			continue
 		}
-		t.index[id] = int64(len(raw))
-		t.used += int64(len(raw))
+		t.index[id] = info.Size()
+		t.used += info.Size()
 		t.pol.Insert(id)
 	}
 	// A reopen with a smaller budget must shed the excess immediately.
@@ -244,36 +252,35 @@ func (t *Tier) rescan() error {
 	return nil
 }
 
-// readFile reads one spill file fully through the tier's FS.
-func (t *Tier) readFile(name string) ([]byte, error) {
+// load reads the spill file name, whose size the caller knows, into a pooled
+// staging buffer — in the common case one read syscall — and checks that it
+// holds block id; with decode set it returns the voxels in a recycled
+// buffer. A file shorter than size fails the length check; a longer one is
+// judged by its prefix, which is safe because the prefix must still pass
+// the checksum to be served.
+func (t *Tier) load(name string, id grid.BlockID, size int64, decode bool) ([]float32, error) {
 	f, err := t.fsys.Open(filepath.Join(t.dir, name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
-}
-
-// readFileN reads a spill file whose size the index already knows, in one
-// allocation and (in the common case) one read syscall — the hot Get path.
-// A file shorter than expected comes back truncated, which the decode
-// length check rejects; a longer file serves its prefix, which is safe
-// because the prefix must still pass the checksum to be served.
-func (t *Tier) readFileN(name string, size int64) ([]byte, error) {
-	f, err := t.fsys.Open(filepath.Join(t.dir, name))
-	if err != nil {
+	raw, _ := t.staging.Get().(*[]byte)
+	if raw == nil || int64(cap(*raw)) < size {
+		raw = new([]byte)
+		*raw = make([]byte, size)
+	}
+	defer t.staging.Put(raw)
+	n, err := io.ReadFull(f, (*raw)[:size])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, err
 	}
-	defer f.Close()
-	buf := make([]byte, size)
-	n, err := io.ReadFull(f, buf)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return buf[:n], nil // short file: let decode report the tear
-	}
-	if err != nil {
+	voxels, err := checkSpill(id, (*raw)[:n])
+	if err != nil || !decode {
 		return nil, err
 	}
-	return buf, nil
+	vals, _ := t.bufs.Get(voxels)
+	decodeSpill(*raw, vals)
+	return vals, nil
 }
 
 // quarantine moves a damaged spill file into the quarantine subdirectory
@@ -301,17 +308,14 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		t.spillMisses.Add(1)
 		return nil, false
 	}
-	allowed, _ := t.br.allow(time.Now())
+	allowed, _ := t.br.Allow(time.Now())
 	if !allowed {
 		t.readBypassed.Add(1)
 		t.spillMisses.Add(1)
 		return nil, false
 	}
 	name := spillName(id)
-	raw, err := t.readFileN(name, size)
-	if err == nil {
-		vals, err = decodeSpill(id, raw)
-	}
+	vals, err := t.load(name, id, size, true)
 	if err != nil {
 		t.mu.Lock()
 		sz, still := t.index[id]
@@ -325,13 +329,18 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		if !still && errors.Is(err, fs.ErrNotExist) {
 			// Benign race: the entry was evicted between the index check and
 			// the read. The device itself answered fine.
-			if t.br.success() {
+			if t.br.Success() {
 				t.brRecoveries.Add(1)
 			}
 			return nil, false
 		}
+		// Read corruption counts against the device, where blocksvc treats a
+		// checksum fault as proof its endpoint answers: a disk returning
+		// rotten bytes block after block is the one to stop trusting. One
+		// corrupt file cannot trip the breaker alone — it is quarantined on
+		// this first read and never retried.
 		t.diskFaults.Add(1)
-		if t.br.failure(time.Now()) {
+		if t.br.Failure(time.Now()) {
 			t.brOpens.Add(1)
 		}
 		if still {
@@ -339,7 +348,7 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		}
 		return nil, false
 	}
-	if t.br.success() {
+	if t.br.Success() {
 		t.brRecoveries.Add(1)
 	}
 	t.mu.Lock()
@@ -404,7 +413,7 @@ func (t *Tier) worker() {
 // temp file, full write, fsync, atomic rename. Any fault feeds the breaker
 // and drops the block — spilling is best-effort by design.
 func (t *Tier) spill(req spillReq) {
-	allowed, _ := t.br.allow(time.Now())
+	allowed, _ := t.br.Allow(time.Now())
 	if !allowed {
 		t.writeBypassed.Add(1)
 		return
@@ -424,12 +433,12 @@ func (t *Tier) spill(req spillReq) {
 
 	if err := t.writeSpill(req); err != nil {
 		t.diskFaults.Add(1)
-		if t.br.failure(time.Now()) {
+		if t.br.Failure(time.Now()) {
 			t.brOpens.Add(1)
 		}
 		return
 	}
-	if t.br.success() {
+	if t.br.Success() {
 		t.brRecoveries.Add(1)
 	}
 	t.mu.Lock()
@@ -516,7 +525,7 @@ func (t *Tier) Used() int64 {
 }
 
 // BreakerState returns the disk breaker's state name for diagnostics.
-func (t *Tier) BreakerState() string { return t.br.current().String() }
+func (t *Tier) BreakerState() string { return t.br.State().String() }
 
 // Counters returns a snapshot of tier activity.
 func (t *Tier) Counters() Counters {
@@ -557,7 +566,7 @@ func (t *Tier) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("tier.breaker_recoveries", func() int64 { return t.brRecoveries.Load() })
 	reg.GaugeFunc("tier.blocks", func() int64 { return int64(t.Len()) })
 	reg.GaugeFunc("tier.occupancy_bytes", func() int64 { return t.Used() })
-	reg.GaugeFunc("tier.breaker_state", func() int64 { return int64(t.br.current()) })
+	reg.GaugeFunc("tier.breaker_state", func() int64 { return int64(t.br.State()) })
 }
 
 // Drain blocks until every spill queued so far has been processed. Tests

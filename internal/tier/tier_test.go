@@ -377,8 +377,13 @@ func TestConcurrentAccess(t *testing.T) {
 				id := grid.BlockID((w*31 + i) % 40)
 				if i%3 == 0 {
 					tr.Put(id, block(id, 32))
-				} else {
-					tr.Get(id)
+				} else if vals, ok := tr.Get(id); ok {
+					// Check, then recycle as the DRAM cache's eviction would:
+					// concurrent hits must never share a pooled buffer.
+					if want := block(id, 32); vals[0] != want[0] || vals[31] != want[31] {
+						t.Errorf("block %d: got [%v..%v], want [%v..%v]", id, vals[0], vals[31], want[0], want[31])
+					}
+					tr.bufs.Put(vals)
 				}
 			}
 		}(w)
@@ -416,5 +421,57 @@ func TestReopenWithSmallerBudgetSheds(t *testing.T) {
 	tr2 := openTier(t, dir, 2, 16, nil)
 	if tr2.Len() != 2 || tr2.Used() > tr2.cap {
 		t.Fatalf("Len=%d Used=%d after shrink", tr2.Len(), tr2.Used())
+	}
+}
+
+// recycleSink is an inner reader that only records what is recycled to it.
+type recycleSink struct{ got [][]float32 }
+
+func (s *recycleSink) ReadBlock(grid.BlockID) ([]float32, error) { return nil, os.ErrNotExist }
+func (s *recycleSink) RecycleBlockBuf(v []float32)               { s.got = append(s.got, v) }
+
+// A spill hit decodes into the buffer the DRAM cache recycled instead of
+// allocating, the staging buffer is reused too, and once the tier's pool is
+// full the overflow still reaches the inner reader.
+func TestGetReusesRecycledBuffers(t *testing.T) {
+	tr := openTier(t, t.TempDir(), 4, 64, nil)
+	tr.Put(1, block(1, 64))
+	tr.Put(2, block(2, 64))
+	sink := &recycleSink{}
+	r := NewReader(sink, tr)
+
+	first, err := r.ReadBlock(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RecycleBlockBuf(first)
+	second, err := r.ReadBlock(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &second[0] != &first[0] {
+		t.Fatal("spill hit did not decode into the recycled buffer")
+	}
+	for i, want := range block(2, 64) {
+		if second[i] != want {
+			t.Fatalf("value %d = %v, want %v: stale contents in a reused buffer", i, second[i], want)
+		}
+	}
+	r.RecycleBlockBuf(second)
+	if allocs := testing.AllocsPerRun(20, func() {
+		v, ok := tr.Get(1)
+		if !ok {
+			t.Fatal("spilled block not served")
+		}
+		r.RecycleBlockBuf(v)
+	}); allocs > 8 { // path join, open and close; neither of the two 256-byte buffers
+		t.Fatalf("%v allocations per warm Get", allocs)
+	}
+
+	for i := 0; len(sink.got) == 0 && i < 1000; i++ {
+		r.RecycleBlockBuf(make([]float32, 64))
+	}
+	if len(sink.got) != 1 {
+		t.Fatal("a full tier pool never overflowed to the inner reader")
 	}
 }
