@@ -17,9 +17,9 @@ FUZZ_PKGS := ./internal/blocksvc/...
 # and the two-replica network-chaos end-to-end run.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestKeepalive|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
 
-.PHONY: check vet build unused-pkgs test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke bench bench-all bench-smoke bench-check
+.PHONY: check vet build unused-pkgs test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
 
-check: vet build unused-pkgs test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke bench-smoke bench-check
+check: vet build unused-pkgs test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -82,6 +82,19 @@ pipe-smoke:
 cluster-smoke:
 	$(GO) test -race -count=1 -run='TestCluster' ./internal/blocksvc/
 	$(GO) test -race -count=1 ./internal/shard/
+
+# repro-check regenerates every paper artefact at the recorded scale and
+# compares it byte for byte with results/: the 15 CSVs, and the text report
+# minus its wall-clock "completed in" lines. The figures come out of the same
+# cache.Level that serves traffic, so a replacement decision that moves — in
+# a policy or in the level — shows here (~2.5 min).
+repro-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/repro -exp all -scale 0.125 -steps 200 -csv "$$tmp" | grep -v 'completed in' > "$$tmp/stdout" && \
+	grep -v 'completed in' results/repro_output.txt | cmp - "$$tmp/stdout" && \
+	for f in results/*.csv; do cmp "$$f" "$$tmp/$$(basename $$f)" || exit 1; done && \
+	test "$$(ls "$$tmp"/*.csv | wc -l)" -eq "$$(ls results/*.csv | wc -l)" && \
+	echo "repro-check: results/ regenerates byte-identically"
 
 # bench records the tracked hot-path numbers to results/BENCH_ooc.json (and
 # echoes the raw output). Commit the JSON when the numbers move.

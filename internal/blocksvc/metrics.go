@@ -132,7 +132,7 @@ func (m *serverMetrics) registerSession(ss *session) {
 		return
 	}
 	m.reg.GaugeFunc(sessionGaugeName(ss.id), ss.inflightBytes.Load)
-	if ss.prefetchCh != nil {
+	if ss.prefetch != nil {
 		m.reg.CounterFunc(sessionPredictName(ss.id, "views"), ss.predViews.Load)
 		m.reg.CounterFunc(sessionPredictName(ss.id, "hits"), ss.predHits.Load)
 	}
@@ -143,7 +143,7 @@ func (m *serverMetrics) unregisterSession(ss *session) {
 		return
 	}
 	m.reg.Unregister(sessionGaugeName(ss.id))
-	if ss.prefetchCh != nil {
+	if ss.prefetch != nil {
 		for _, suffix := range sessionPredictSuffixes {
 			m.reg.Unregister(sessionPredictName(ss.id, suffix))
 		}

@@ -425,16 +425,25 @@ func (s *Server) StartSession(conn net.Conn) bool {
 	}
 	s.nextID++
 	ss := &session{
-		s:      s,
-		id:     s.nextID,
-		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 64<<10),
-		bw:     bufio.NewWriterSize(conn, 256<<10),
-		queued: make(map[grid.BlockID]struct{}),
+		s:    s,
+		id:   s.nextID,
+		conn: conn,
+		br:   bufio.NewReaderSize(conn, 64<<10),
+		bw:   bufio.NewWriterSize(conn, 256<<10),
 	}
 	ss.ctx, ss.cancel = context.WithCancel(s.ctx)
 	if s.cfg.Vis != nil {
-		ss.prefetchCh = make(chan grid.BlockID, s.cfg.PrefetchQueue)
+		// One loop per session, stopped by the session's context.
+		// Prefetches coalesce with demand reads (the cache's singleflight),
+		// so a session prefetching a block another session is demanding
+		// costs nothing extra.
+		ss.prefetch = store.NewPrefetcher(ss.ctx, s.cfg.Cache, 1, s.cfg.PrefetchQueue, func(err error) {
+			if err == nil {
+				s.m.prefetchExecuted.Inc()
+			} else {
+				s.m.prefetchFailed.Inc()
+			}
+		})
 		ss.prefetched = make(map[grid.BlockID]struct{})
 		if !s.cfg.PredictOff {
 			ss.pred = camera.NewPredictor(camera.PredictorOptions{})
@@ -592,14 +601,15 @@ type session struct {
 	// being served; exported as a per-session gauge while the session lives.
 	inflightBytes atomic.Int64
 
-	prefetchCh chan grid.BlockID // nil when prefetch is disabled
-	queuedMu   sync.Mutex
-	queued     map[grid.BlockID]struct{}
+	// prefetch is the session's bounded prefetch queue into the shared
+	// cache; nil when prefetch is disabled.
+	prefetch *store.Prefetcher
 	// prefetched tracks blocks this session queued for prefetch whose first
 	// demand has not arrived yet; serveRead resolves each entry once — a
 	// cache hit credits PrefetchHits, a miss just clears the entry (the
-	// prefetch was too late or already evicted). Guarded by queuedMu.
-	prefetched map[grid.BlockID]struct{}
+	// prefetch was too late or already evicted). Guarded by prefetchedMu.
+	prefetchedMu sync.Mutex
+	prefetched   map[grid.BlockID]struct{}
 
 	// pred extrapolates this session's camera trajectory for prefetch; nil
 	// when prefetch is disabled or Config.PredictOff is set. Touched only
@@ -622,6 +632,9 @@ func (ss *session) run() {
 		ss.cancel()
 		ss.conn.Close()
 		ss.reqWG.Wait()
+		if ss.prefetch != nil {
+			ss.prefetch.Close() // ctx is canceled: returns once the read in flight does
+		}
 		ss.s.mu.Lock()
 		delete(ss.s.sessions, ss)
 		ss.s.mu.Unlock()
@@ -635,10 +648,6 @@ func (ss *session) run() {
 		return
 	}
 	ss.s.m.sessions.Inc()
-	if ss.prefetchCh != nil {
-		ss.reqWG.Add(1)
-		go ss.prefetchLoop()
-	}
 	hb := ss.s.cfg.heartbeat()
 	if hb > 0 {
 		ss.reqWG.Add(1)
@@ -991,11 +1000,11 @@ func (ss *session) serveRunSharded(ctx context.Context, run []grid.BlockID, topo
 // way the entry is cleared, so revisits of a warm block can't inflate the
 // hit ratio.
 func (ss *session) notePrefetchHits(run []grid.BlockID, hit []bool, errs []error) {
-	if ss.prefetched == nil {
+	if ss.prefetch == nil {
 		return
 	}
 	var hits int64
-	ss.queuedMu.Lock()
+	ss.prefetchedMu.Lock()
 	for i, id := range run {
 		if _, ok := ss.prefetched[id]; !ok {
 			continue
@@ -1005,7 +1014,7 @@ func (ss *session) notePrefetchHits(run []grid.BlockID, hit []bool, errs []error
 			hits++
 		}
 	}
-	ss.queuedMu.Unlock()
+	ss.prefetchedMu.Unlock()
 	if hits > 0 {
 		ss.predHits.Add(hits)
 		ss.s.m.prefetchHits.Add(hits)
@@ -1254,7 +1263,7 @@ func (ss *session) handleView(payload []byte) bool {
 	// Counted on the way out, after the prefetch counters: a Snapshot that
 	// sees this view also sees everything it issued.
 	defer ss.s.m.viewUpdates.Inc()
-	if ss.prefetchCh == nil {
+	if ss.prefetch == nil {
 		return true
 	}
 	target := pos
@@ -1286,52 +1295,19 @@ func (ss *session) handleView(payload []byte) bool {
 		if ss.s.cfg.Imp.Score(id) <= ss.s.cfg.Sigma || ss.s.cfg.Cache.Contains(id) {
 			continue
 		}
-		ss.queuedMu.Lock()
-		if _, dup := ss.queued[id]; dup {
-			ss.queuedMu.Unlock()
-			continue
-		}
-		ss.queued[id] = struct{}{}
-		ss.queuedMu.Unlock()
-		select {
-		case ss.prefetchCh <- id:
+		switch ss.prefetch.Offer(id) {
+		case store.Issued:
 			issued++
-			ss.queuedMu.Lock()
+			ss.prefetchedMu.Lock()
 			ss.prefetched[id] = struct{}{}
-			ss.queuedMu.Unlock()
-		default:
-			ss.queuedMu.Lock()
-			delete(ss.queued, id)
-			ss.queuedMu.Unlock()
+			ss.prefetchedMu.Unlock()
+		case store.Dropped:
 			dropped++
 		}
 	}
 	ss.s.m.prefetchIssued.Add(issued)
 	ss.s.m.prefetchDropped.Add(dropped)
 	return true
-}
-
-// prefetchLoop pulls predicted blocks into the shared cache. Prefetches
-// coalesce with demand reads (the cache's singleflight), so a session
-// prefetching a block another session is demanding costs nothing extra.
-func (ss *session) prefetchLoop() {
-	defer ss.reqWG.Done()
-	for {
-		select {
-		case <-ss.ctx.Done():
-			return
-		case id := <-ss.prefetchCh:
-			err := ss.s.cfg.Cache.Prefetch(ss.ctx, id)
-			ss.queuedMu.Lock()
-			delete(ss.queued, id)
-			ss.queuedMu.Unlock()
-			if err == nil {
-				ss.s.m.prefetchExecuted.Inc()
-			} else {
-				ss.s.m.prefetchFailed.Inc()
-			}
-		}
-	}
 }
 
 // byteSem is a context-aware weighted semaphore with FIFO admission: the

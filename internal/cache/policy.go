@@ -1,7 +1,11 @@
-// Package cache implements block replacement policies: the paper's FIFO and
-// LRU baselines plus CLOCK, LFU, ARC, and Belady's offline OPT for
-// ablations. Policies track membership and eviction order only; residency
-// bytes and device costs live in package memhier.
+// Package cache implements block replacement policies — the paper's FIFO and
+// LRU baselines plus CLOCK, LFU, ARC, and Belady's offline OPT for ablations
+// — and Level, the capacity-bounded cache level that uses them. A Policy
+// tracks membership and eviction order only; a Level adds the byte budget,
+// the resident entries and the admit-and-evict loop, once for every host:
+// the simulator (memhier, which adds device costs), the DRAM cache
+// (store.MemCache, which adds the bytes and the I/O), the spill tier's index
+// (tier) and trace.Replay.
 package cache
 
 import "repro/internal/grid"

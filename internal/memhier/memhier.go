@@ -35,40 +35,18 @@ type Config struct {
 	Backing storage.Device
 }
 
-// Level is one cache level at runtime.
+// Level is one cache level at runtime: the shared residency and
+// replacement bookkeeping (cache.Level: Capacity, Policy, Evictions,
+// Contains, Used, Len) plus the device cost model and the hit/miss
+// accounting the simulator adds.
 type Level struct {
-	Device   storage.Device
-	Capacity int64
-	Policy   cache.Policy
+	*cache.Level
+	Device storage.Device
 
-	resident map[grid.BlockID]int64 // id -> bytes
-	used     int64
-
-	// evictFilter, when non-nil, restricts which blocks may be evicted.
-	// When no allowed victim exists the level falls back to the policy's
-	// unrestricted victim so demand progress is always possible — unless
-	// strictFilter is set, in which case the install is skipped instead
-	// (speculative prefetches must never displace protected blocks).
-	evictFilter  func(grid.BlockID) bool
-	strictFilter bool
-
-	Hits      int64
-	Misses    int64
-	Demand    storage.Counter // demand reads served *from* this level
-	Evictions int64
+	Hits   int64
+	Misses int64
+	Demand storage.Counter // demand reads served *from* this level
 }
-
-// Contains reports whether the block is resident at this level.
-func (l *Level) Contains(id grid.BlockID) bool {
-	_, ok := l.resident[id]
-	return ok
-}
-
-// Used returns the bytes currently resident.
-func (l *Level) Used() int64 { return l.used }
-
-// Len returns the number of resident blocks.
-func (l *Level) Len() int { return len(l.resident) }
 
 // MissRate returns misses / (hits + misses), or 0 before any access.
 func (l *Level) MissRate() float64 {
@@ -138,12 +116,13 @@ func New(cfg Config, sizeOf func(grid.BlockID) int64) (*Hierarchy, error) {
 		if lc.Policy == nil {
 			return nil, fmt.Errorf("memhier: level %d has nil policy", i)
 		}
-		h.levels = append(h.levels, &Level{
-			Device:   lc.Device,
-			Capacity: lc.Capacity,
-			Policy:   lc.Policy,
-			resident: make(map[grid.BlockID]int64),
-		})
+		l := &Level{Level: cache.NewLevel(lc.Capacity, lc.Policy), Device: lc.Device}
+		l.OnEvict = func(id grid.BlockID, _ cache.Entry) {
+			if h.onEvict != nil {
+				h.onEvict(i, id)
+			}
+		}
+		h.levels = append(h.levels, l)
 	}
 	return h, nil
 }
@@ -165,8 +144,7 @@ func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 // block is skipped entirely instead of falling back to an unrestricted
 // victim; demand fetches should leave strict unset so they always progress.
 func (h *Hierarchy) SetEvictFilter(level int, allowed func(grid.BlockID) bool) {
-	h.levels[level].evictFilter = allowed
-	h.levels[level].strictFilter = false
+	h.levels[level].SetEvictFilter(allowed, false)
 }
 
 // SetEvictObserver registers fn to be called for every eviction with the
@@ -179,8 +157,7 @@ func (h *Hierarchy) SetEvictObserver(fn func(level int, id grid.BlockID)) {
 // SetStrictEvictFilter is SetEvictFilter without the fallback: installs that
 // cannot find an allowed victim are skipped.
 func (h *Hierarchy) SetStrictEvictFilter(level int, allowed func(grid.BlockID) bool) {
-	h.levels[level].evictFilter = allowed
-	h.levels[level].strictFilter = allowed != nil
+	h.levels[level].SetEvictFilter(allowed, true)
 }
 
 // Get simulates a demand request for the block: probes levels fastest-first,
@@ -207,11 +184,10 @@ func (h *Hierarchy) Prefetch(id grid.BlockID) AccessResult {
 func (h *Hierarchy) access(id grid.BlockID, demand bool) AccessResult {
 	found := len(h.levels) // backing store by default
 	for i, l := range h.levels {
-		if l.Contains(id) {
+		if l.Touch(id) {
 			if demand {
 				l.Hits++
 			}
-			l.Policy.Touch(id)
 			found = i
 			break
 		}
@@ -239,62 +215,12 @@ func (h *Hierarchy) access(id grid.BlockID, demand bool) AccessResult {
 	} else {
 		t = src.TransferTimeBatched(size, h.PrefetchBatch)
 	}
-	// Install into every level above the hit.
+	// Install into every level above the hit. A block larger than a level
+	// is not kept there: the request already paid the transfer.
 	for i := found - 1; i >= 0; i-- {
-		h.install(i, id, size)
+		h.levels[i].Admit(id, cache.Entry{Size: size})
 	}
 	return AccessResult{FoundLevel: found, Time: t}
-}
-
-// install makes the block resident at the level, evicting as needed. Blocks
-// larger than the level capacity are not cached (the request already paid
-// the transfer; there is simply nothing to keep).
-func (h *Hierarchy) install(level int, id grid.BlockID, size int64) {
-	l := h.levels[level]
-	if l.Contains(id) {
-		l.Policy.Touch(id)
-		return
-	}
-	if size > l.Capacity {
-		return
-	}
-	for l.used+size > l.Capacity {
-		victim, ok := grid.BlockID(0), false
-		if l.evictFilter != nil {
-			victim, ok = l.Policy.VictimWhere(l.evictFilter)
-		}
-		if !ok {
-			if l.strictFilter {
-				return // skip install rather than displace protected blocks
-			}
-			victim, ok = l.Policy.Victim()
-		}
-		if !ok {
-			// Nothing evictable (should not happen once resident blocks
-			// exist); refuse to install rather than loop forever.
-			return
-		}
-		h.evict(level, victim)
-	}
-	l.resident[id] = size
-	l.used += size
-	l.Policy.Insert(id)
-}
-
-// evict removes the block from the level.
-func (h *Hierarchy) evict(level int, id grid.BlockID) {
-	l := h.levels[level]
-	size, ok := l.resident[id]
-	if !ok {
-		return
-	}
-	delete(l.resident, id)
-	l.used -= size
-	l.Policy.Remove(id)
-	l.Evictions++
-	if h.onEvict != nil {
-		h.onEvict(level, id)
-	}
 }
 
 // Preload installs a block at the given level and every level below it
@@ -304,7 +230,7 @@ func (h *Hierarchy) evict(level int, id grid.BlockID) {
 func (h *Hierarchy) Preload(level int, id grid.BlockID) {
 	size := h.sizeOf(id)
 	for i := level; i < len(h.levels); i++ {
-		h.install(i, id, size)
+		h.levels[i].Admit(id, cache.Entry{Size: size})
 	}
 }
 
@@ -317,10 +243,7 @@ func (h *Hierarchy) Contains(level int, id grid.BlockID) bool {
 // evicting anything (already-resident blocks trivially fit).
 func (h *Hierarchy) Fits(level int, id grid.BlockID) bool {
 	l := h.levels[level]
-	if l.Contains(id) {
-		return true
-	}
-	return l.used+h.sizeOf(id) <= l.Capacity
+	return l.Contains(id) || l.Fits(h.sizeOf(id))
 }
 
 // SizeOf returns the byte size of a block per the hierarchy's size model.

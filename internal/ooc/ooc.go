@@ -45,13 +45,10 @@ import (
 // Options configures the runtime.
 type Options struct {
 	// DemandWorkers sizes the persistent demand pool: the maximum number of
-	// concurrent miss batches/retries per runtime (default GOMAXPROCS).
+	// concurrent miss batches/retries per runtime, and so the number of
+	// contiguous batches a frame's miss set is split into (default
+	// GOMAXPROCS).
 	DemandWorkers int
-	// DemandChunks caps how many contiguous batches a frame's miss set is
-	// split into (default DemandWorkers). Lower it below DemandWorkers when
-	// the backing reader multiplexes requests itself (a pipelining
-	// RemoteReader) and per-batch overhead outweighs extra read parallelism.
-	DemandChunks int
 	// PrefetchWorkers bounds background prefetch goroutines (default 2).
 	PrefetchWorkers int
 	// QueueDepth bounds the pending-prefetch queue; when full, further
@@ -82,9 +79,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.DemandWorkers <= 0 {
 		o.DemandWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.DemandChunks <= 0 || o.DemandChunks > o.DemandWorkers {
-		o.DemandChunks = o.DemandWorkers
 	}
 	if o.PrefetchWorkers <= 0 {
 		o.PrefetchWorkers = 2
@@ -170,18 +164,16 @@ type Runtime struct {
 	// opts.Retry minus the attempt the batch already spent.
 	retryAfter *faultio.Retrier
 
-	// mu serializes demand/prefetch enqueues against Close so a late Frame
-	// never sends on a closed channel.
-	mu         sync.RWMutex
-	demandCh   chan *demandJob
-	prefetchCh chan grid.BlockID
-	wg         sync.WaitGroup
-	closed     atomic.Bool
+	// mu serializes demand enqueues against Close so a late Frame never
+	// sends on a closed channel.
+	mu       sync.RWMutex
+	demandCh chan *demandJob
+	wg       sync.WaitGroup
+	closed   atomic.Bool
 
-	// queued tracks blocks sitting in prefetchCh or being prefetched right
-	// now, so consecutive frames don't enqueue the same prediction twice.
-	queuedMu sync.Mutex
-	queued   map[grid.BlockID]struct{}
+	// prefetch is the bounded queue the frame's predictions go through, so
+	// consecutive frames don't enqueue the same prediction twice.
+	prefetch *store.Prefetcher
 
 	// m holds the registry-backed counters the runtime's Stats live in.
 	// Hot paths accumulate into frame-local deltas and commit them under
@@ -199,14 +191,12 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 	}
 	opts = opts.withDefaults()
 	r := &Runtime{
-		cache:      cache,
-		vis:        vis,
-		imp:        imp,
-		opts:       opts,
-		demandCh:   make(chan *demandJob, opts.DemandWorkers),
-		prefetchCh: make(chan grid.BlockID, opts.QueueDepth),
-		queued:     make(map[grid.BlockID]struct{}),
-		m:          newRuntimeMetrics(opts.Metrics),
+		cache:    cache,
+		vis:      vis,
+		imp:      imp,
+		opts:     opts,
+		demandCh: make(chan *demandJob, opts.DemandWorkers),
+		m:        newRuntimeMetrics(opts.Metrics),
 	}
 	if n := opts.Retry.MaxAttempts - 1; n > 0 {
 		r.retryAfter = &faultio.Retrier{
@@ -227,28 +217,16 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 			}
 		}()
 	}
-	for w := 0; w < opts.PrefetchWorkers; w++ {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			for id := range r.prefetchCh {
-				// Best-effort, single attempt: a failed prefetch only
-				// means the block will be demand-read (with retries)
-				// later. The cache coalesces this with any concurrent
-				// demand read of the same block.
-				var d Stats
-				if err := r.cache.Prefetch(context.Background(), id); err == nil {
-					d.PrefetchExecuted = 1
-				} else {
-					d.PrefetchFailed = 1
-				}
-				r.addStats(&d)
-				r.queuedMu.Lock()
-				delete(r.queued, id)
-				r.queuedMu.Unlock()
+	r.prefetch = store.NewPrefetcher(context.Background(), cache, opts.PrefetchWorkers, opts.QueueDepth,
+		func(err error) {
+			var d Stats
+			if err == nil {
+				d.PrefetchExecuted = 1
+			} else {
+				d.PrefetchFailed = 1
 			}
-		}()
-	}
+			r.addStats(&d)
+		})
 	return r, nil
 }
 
@@ -415,7 +393,7 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 			return int(visible[a]) - int(visible[b])
 		})
 		fs := &frameState{ctx: ctx, r: r, out: out, rep: &rep}
-		chunks := r.opts.DemandChunks
+		chunks := r.opts.DemandWorkers
 		if chunks > len(missIdx) {
 			chunks = len(missIdx)
 		}
@@ -450,37 +428,23 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 		local.DegradedFrames = 1
 	}
 
-	// Schedule prediction-driven prefetch; never block the frame. The read
-	// lock fences against Close closing the channel mid-enqueue; the
-	// queued-set keeps a block predicted by consecutive frames from sitting
-	// in the queue more than once.
+	// Schedule prediction-driven prefetch; never block the frame.
 	issueSpan := r.m.phases.Begin(obs.PhasePrefetchIssue)
-	r.mu.RLock()
 	if !r.closed.Load() {
 		for _, id := range r.vis.Predict(pos) {
 			if r.imp.Score(id) <= r.opts.Sigma || r.cache.Contains(id) {
 				continue
 			}
-			r.queuedMu.Lock()
-			if _, dup := r.queued[id]; dup {
-				r.queuedMu.Unlock()
-				local.PrefetchDeduped++
-				continue
-			}
-			r.queued[id] = struct{}{}
-			r.queuedMu.Unlock()
-			select {
-			case r.prefetchCh <- id:
+			switch r.prefetch.Offer(id) {
+			case store.Issued:
 				local.PrefetchIssued++
-			default:
-				r.queuedMu.Lock()
-				delete(r.queued, id)
-				r.queuedMu.Unlock()
+			case store.Duplicate:
+				local.PrefetchDeduped++
+			case store.Dropped:
 				local.PrefetchDropped++
 			}
 		}
 	}
-	r.mu.RUnlock()
 	issueSpan.End()
 	r.m.frameNs.Observe(time.Since(frameStart).Nanoseconds())
 	r.addStats(&local)
@@ -524,7 +488,7 @@ func (r *Runtime) Close() {
 	}
 	r.mu.Lock()
 	close(r.demandCh)
-	close(r.prefetchCh)
 	r.mu.Unlock()
+	r.prefetch.Close()
 	r.wg.Wait()
 }

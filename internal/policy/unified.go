@@ -2,14 +2,14 @@ package policy
 
 // Policy unification: one replacement-policy interface drives both the
 // discrete-event simulator (memhier levels) and the production tiers
-// (store.MemCache in DRAM, tier.Tier on SSD). The interface itself is
-// cache.Policy — re-exported here as Replacement so callers wire tiers
-// against the policy layer, not the baseline zoo — and the paper's
-// application-aware replacement is available as a Replacement
+// (store.MemCache in DRAM, tier.Tier on SSD), each through a cache.Level.
+// The interface itself is cache.Policy — re-exported here as Replacement so
+// callers wire tiers against the policy layer, not the baseline zoo — and
+// the paper's application-aware replacement is available as a Replacement
 // implementation (ImportanceLRU), so an ablation validated in the simulator
 // runs unchanged against live traffic, and vice versa. The parity test in
-// internal/tier pins that the same trace produces identical per-tier
-// hit/evict decisions through both stacks.
+// internal/tier pins that the same trace produces identical hit/evict
+// decisions through every host of the level.
 
 import (
 	"repro/internal/cache"
@@ -36,39 +36,8 @@ type Factory = cache.Factory
 type ImportanceLRU struct {
 	score func(grid.BlockID) float64
 	sigma float64
-	cold  *lruList // score <= sigma: first to go
-	hot   *lruList // score > sigma: protected until no cold block remains
-}
-
-// lruList is an insertion/touch-ordered id list with O(1) membership.
-type lruList struct {
-	order *list
-	nodes map[grid.BlockID]*node
-}
-
-func newLRUList() *lruList {
-	return &lruList{order: newList(), nodes: make(map[grid.BlockID]*node)}
-}
-
-func (l *lruList) touchOrInsert(id grid.BlockID) {
-	if n, ok := l.nodes[id]; ok {
-		l.order.remove(n)
-		l.order.pushBack(n)
-		return
-	}
-	n := &node{id: id}
-	l.nodes[id] = n
-	l.order.pushBack(n)
-}
-
-func (l *lruList) remove(id grid.BlockID) bool {
-	n, ok := l.nodes[id]
-	if !ok {
-		return false
-	}
-	l.order.remove(n)
-	delete(l.nodes, id)
-	return true
+	cold  *cache.LRU // score <= sigma: first to go
+	hot   *cache.LRU // score > sigma: protected until no cold block remains
 }
 
 // NewImportanceLRU builds the policy from a score function (typically
@@ -78,13 +47,13 @@ func NewImportanceLRU(score func(grid.BlockID) float64, sigma float64) *Importan
 	return &ImportanceLRU{
 		score: score,
 		sigma: sigma,
-		cold:  newLRUList(),
-		hot:   newLRUList(),
+		cold:  cache.NewLRU(),
+		hot:   cache.NewLRU(),
 	}
 }
 
 // class returns the list the block belongs to.
-func (p *ImportanceLRU) class(id grid.BlockID) *lruList {
+func (p *ImportanceLRU) class(id grid.BlockID) *cache.LRU {
 	if p.score(id) > p.sigma {
 		return p.hot
 	}
@@ -95,102 +64,39 @@ func (p *ImportanceLRU) class(id grid.BlockID) *lruList {
 func (*ImportanceLRU) Name() string { return "ImportanceLRU" }
 
 // Insert implements Replacement.
-func (p *ImportanceLRU) Insert(id grid.BlockID) { p.class(id).touchOrInsert(id) }
+func (p *ImportanceLRU) Insert(id grid.BlockID) { p.class(id).Insert(id) }
 
 // Touch implements Replacement.
-func (p *ImportanceLRU) Touch(id grid.BlockID) {
-	c := p.class(id)
-	if _, ok := c.nodes[id]; ok {
-		c.touchOrInsert(id)
-	}
-}
+func (p *ImportanceLRU) Touch(id grid.BlockID) { p.class(id).Touch(id) }
 
 // Remove implements Replacement.
 func (p *ImportanceLRU) Remove(id grid.BlockID) {
-	if !p.cold.remove(id) {
-		p.hot.remove(id)
-	}
+	p.cold.Remove(id)
+	p.hot.Remove(id)
 }
 
 // Victim implements Replacement: least-recently-used cold block first; only
 // when no cold block remains is a hot block sacrificed.
 func (p *ImportanceLRU) Victim() (grid.BlockID, bool) {
-	if n := p.cold.order.front(); n != nil {
-		return n.id, true
+	if id, ok := p.cold.Victim(); ok {
+		return id, true
 	}
-	if n := p.hot.order.front(); n != nil {
-		return n.id, true
-	}
-	return 0, false
+	return p.hot.Victim()
 }
 
 // VictimWhere implements Replacement, scanning cold then hot in eviction
 // order.
 func (p *ImportanceLRU) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
-	if id, ok := p.cold.order.scan(allowed); ok {
+	if id, ok := p.cold.VictimWhere(allowed); ok {
 		return id, true
 	}
-	return p.hot.order.scan(allowed)
+	return p.hot.VictimWhere(allowed)
 }
 
 // Contains implements Replacement.
 func (p *ImportanceLRU) Contains(id grid.BlockID) bool {
-	if _, ok := p.cold.nodes[id]; ok {
-		return true
-	}
-	_, ok := p.hot.nodes[id]
-	return ok
+	return p.cold.Contains(id) || p.hot.Contains(id)
 }
 
 // Len implements Replacement.
-func (p *ImportanceLRU) Len() int { return p.cold.order.size + p.hot.order.size }
-
-// node/list are package cache's intrusive structures; policy re-implements
-// the two tiny types rather than exporting cache internals.
-type node struct {
-	id         grid.BlockID
-	prev, next *node
-}
-
-type list struct {
-	head, tail *node
-	size       int
-}
-
-func newList() *list {
-	l := &list{head: &node{}, tail: &node{}}
-	l.head.next = l.tail
-	l.tail.prev = l.head
-	return l
-}
-
-func (l *list) pushBack(n *node) {
-	n.prev = l.tail.prev
-	n.next = l.tail
-	l.tail.prev.next = n
-	l.tail.prev = n
-	l.size++
-}
-
-func (l *list) remove(n *node) {
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
-	l.size--
-}
-
-func (l *list) front() *node {
-	if l.size == 0 {
-		return nil
-	}
-	return l.head.next
-}
-
-func (l *list) scan(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
-	for n := l.head.next; n != l.tail; n = n.next {
-		if allowed(n.id) {
-			return n.id, true
-		}
-	}
-	return 0, false
-}
+func (p *ImportanceLRU) Len() int { return p.cold.Len() + p.hot.Len() }

@@ -46,19 +46,14 @@ type MemCache struct {
 	batch    BatchBlockReader // non-nil when r supports batched reads
 	recycler BlockBufRecycler // non-nil when r can reuse decode buffers
 
-	capacity int64
-
 	mu       sync.Mutex
-	policy   cache.Policy
-	data     map[grid.BlockID][]float32
+	lvl      *cache.Level // resident voxels, byte budget, replacement
 	inflight map[grid.BlockID]inflightRef
-	used     int64
 	recycle  bool
 	onEvict  func(id grid.BlockID, vals []float32)
 
 	hits, misses  int64
 	coalesced     int64 // requests served by waiting on another's read
-	evictions     int64 // blocks pushed out by the replacement policy
 	recycled      int64 // evicted slices handed back for reuse
 	recycledBytes int64 // bytes of those slices
 }
@@ -88,10 +83,20 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 	}
 	c := &MemCache{
 		r:        r,
-		capacity: capacity,
-		policy:   p,
-		data:     make(map[grid.BlockID][]float32),
+		lvl:      cache.NewLevel(capacity, p),
 		inflight: make(map[grid.BlockID]inflightRef),
+	}
+	// Runs under c.mu, like every call into the level. The spill feed sees
+	// the victim's voxels before the recycler may overwrite them.
+	c.lvl.OnEvict = func(id grid.BlockID, e cache.Entry) {
+		if c.onEvict != nil {
+			c.onEvict(id, e.Vals)
+		}
+		if c.recycle {
+			c.recycled++
+			c.recycledBytes += e.Size
+			c.recycler.RecycleBlockBuf(e.Vals)
+		}
 	}
 	if br, ok := r.(BatchBlockReader); ok {
 		c.batch = br
@@ -178,13 +183,14 @@ func (c *MemCache) finish(ids []grid.BlockID, cl *call, rvals [][]float32, rerrs
 		if rerrs[k] != nil {
 			continue
 		}
-		if existing, ok := c.data[id]; ok {
+		if existing, ok := c.lvl.Peek(id); ok {
 			// Unreachable through the coalesced paths (only one reader per
 			// block is in flight), but kept for safety: adopt the installed
 			// copy rather than aliasing two.
-			rvals[k] = existing
+			rvals[k] = existing.Vals
 		} else {
-			c.install(id, rvals[k])
+			// A block larger than the whole cache is served uncached.
+			c.lvl.Admit(id, cache.Entry{Size: int64(len(rvals[k])) * 4, Vals: rvals[k]})
 		}
 	}
 	cl.vals, cl.errs = rvals, rerrs
@@ -200,12 +206,11 @@ func (c *MemCache) finish(ids []grid.BlockID, cl *call, rvals [][]float32, rerrs
 func (c *MemCache) GetCached(id grid.BlockID) ([]float32, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	vals, ok := c.data[id]
+	e, ok := c.lvl.Get(id)
 	if ok {
 		c.hits++
-		c.policy.Touch(id)
 	}
-	return vals, ok
+	return e.Vals, ok
 }
 
 // Get returns the block's voxels, reading from the backing store on a miss;
@@ -218,11 +223,10 @@ func (c *MemCache) Get(ctx context.Context, id grid.BlockID) (vals []float32, hi
 		return nil, false, err
 	}
 	c.mu.Lock()
-	if vals, ok := c.data[id]; ok {
+	if e, ok := c.lvl.Get(id); ok {
 		c.hits++
-		c.policy.Touch(id)
 		c.mu.Unlock()
-		return vals, true, nil
+		return e.Vals, true, nil
 	}
 	if ref, ok := c.inflight[id]; ok {
 		c.mu.Unlock()
@@ -293,10 +297,9 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 			}
 			seen[id] = i
 		}
-		if v, ok := c.data[id]; ok {
+		if e, ok := c.lvl.Get(id); ok {
 			c.hits++
-			c.policy.Touch(id)
-			vals[i], hit[i] = v, true
+			vals[i], hit[i] = e.Vals, true
 			continue
 		}
 		if ref, ok := c.inflight[id]; ok {
@@ -368,8 +371,7 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 func (c *MemCache) Contains(id grid.BlockID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.data[id]
-	return ok
+	return c.lvl.Contains(id)
 }
 
 // Prefetch ensures the block is cached, reading it if needed; unlike Get it
@@ -381,7 +383,7 @@ func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 		return err
 	}
 	c.mu.Lock()
-	if _, ok := c.data[id]; ok {
+	if c.lvl.Contains(id) {
 		c.mu.Unlock()
 		return nil
 	}
@@ -402,44 +404,6 @@ func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 	return err
 }
 
-// install must be called with the lock held.
-func (c *MemCache) install(id grid.BlockID, vals []float32) {
-	size := int64(len(vals)) * 4
-	if size > c.capacity {
-		return // larger than the whole cache: serve uncached
-	}
-	for c.used+size > c.capacity {
-		victim, ok := c.policy.Victim()
-		if !ok {
-			return
-		}
-		c.evict(victim)
-	}
-	c.data[id] = vals
-	c.used += size
-	c.policy.Insert(id)
-}
-
-func (c *MemCache) evict(id grid.BlockID) {
-	vals, ok := c.data[id]
-	if !ok {
-		c.policy.Remove(id)
-		return
-	}
-	delete(c.data, id)
-	c.used -= int64(len(vals)) * 4
-	c.policy.Remove(id)
-	c.evictions++
-	if c.onEvict != nil {
-		c.onEvict(id, vals)
-	}
-	if c.recycle {
-		c.recycled++
-		c.recycledBytes += int64(len(vals)) * 4
-		c.recycler.RecycleBlockBuf(vals)
-	}
-}
-
 // EvictWhere evicts every resident block the predicate selects, returning
 // how many were evicted. Used when block ownership moves away from this
 // node (a cluster topology change): the departed blocks' memory goes back
@@ -449,16 +413,7 @@ func (c *MemCache) evict(id grid.BlockID) {
 func (c *MemCache) EvictWhere(pred func(grid.BlockID) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var victims []grid.BlockID
-	for id := range c.data {
-		if pred(id) {
-			victims = append(victims, id)
-		}
-	}
-	for _, id := range victims {
-		c.evict(id)
-	}
-	return len(victims)
+	return c.lvl.EvictWhere(pred)
 }
 
 // Stats returns hit and miss counts so far.
@@ -477,7 +432,7 @@ func (c *MemCache) Counters() CacheCounters {
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Coalesced:     c.coalesced,
-		Evictions:     c.evictions,
+		Evictions:     c.lvl.Evictions,
 		Recycled:      c.recycled,
 		RecycledBytes: c.recycledBytes,
 	}
@@ -502,12 +457,12 @@ func (c *MemCache) Instrument(reg *obs.Registry) {
 func (c *MemCache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.used
+	return c.lvl.Used()
 }
 
 // Len returns the number of cached blocks.
 func (c *MemCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.data)
+	return c.lvl.Len()
 }

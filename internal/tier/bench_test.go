@@ -22,9 +22,8 @@ import (
 func BenchmarkTieredFrame(b *testing.B) {
 	f := startRemote(b)
 	tr, err := Open(Config{
-		Dir:         b.TempDir(),
-		Capacity:    int64(f.g.NumBlocks()) * int64(spillHeaderSize+f.bf.BlockBytes(0)),
-		Synchronous: true,
+		Dir:      b.TempDir(),
+		Capacity: int64(f.g.NumBlocks()) * int64(spillHeaderSize+f.bf.BlockBytes(0)),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -37,7 +36,7 @@ func BenchmarkTieredFrame(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr.Put(id, vals)
+		put(tr, id, vals) // one at a time: a full spill queue drops
 	}
 
 	r := f.dial(b)

@@ -1,13 +1,15 @@
 package tier
 
-// Policy parity: the point of unifying replacement behind one interface
-// (policy.Replacement = cache.Policy) is that a policy validated in the
-// discrete-event simulator behaves identically in the production tiers.
-// These tests pin that: the same access trace driven through a single
-// simulated memhier level, through the production DRAM cache
-// (store.MemCache), and through the persistent spill tier produces the
-// same per-access hit/miss sequence and the same eviction sequence, for
-// both the LRU baseline and the paper's application-aware ImportanceLRU.
+// Policy parity: a policy validated in the discrete-event simulator behaves
+// identically in the production tiers, because every host admits and evicts
+// through one cache.Level. These tests pin that type as seen through its
+// hosts: the same access trace driven through a single simulated memhier
+// level, through the production DRAM cache (store.MemCache), through the
+// persistent spill tier and through trace.Replay produces the same
+// per-access hit/miss sequence and the same eviction sequence, for both the
+// LRU baseline and the paper's application-aware ImportanceLRU. A host that
+// goes back to ordering its own victims, or that touches, adds or removes at
+// a different point of its read path, fails here.
 
 import (
 	"context"
@@ -20,6 +22,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/storage"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/volume"
 )
 
@@ -133,10 +136,9 @@ func runTier(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 	const n = 16
 	var out outcome
 	tr, err := Open(Config{
-		Dir:         t.TempDir(),
-		Capacity:    capBlocks * int64(spillHeaderSize+4*n),
-		Policy:      pol,
-		Synchronous: true,
+		Dir:      t.TempDir(),
+		Capacity: capBlocks * int64(spillHeaderSize+4*n),
+		Policy:   pol,
 		OnEvict: func(id grid.BlockID) {
 			out.evicts = append(out.evicts, id)
 		},
@@ -149,8 +151,44 @@ func runTier(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 		_, ok := tr.Get(id)
 		out.hits = append(out.hits, ok)
 		if !ok {
-			tr.Put(id, block(id, n))
+			put(tr, id, block(id, n))
 		}
+	}
+	return out
+}
+
+// recorded is a policy that writes down what its level tells it: a Touch is
+// a hit, an Insert a miss that was admitted, a Remove an eviction.
+// trace.Replay reports totals only; this recovers the sequences.
+type recorded struct {
+	cache.Policy
+	out *outcome
+}
+
+func (r recorded) Touch(id grid.BlockID) {
+	r.out.hits = append(r.out.hits, true)
+	r.Policy.Touch(id)
+}
+
+func (r recorded) Insert(id grid.BlockID) {
+	r.out.hits = append(r.out.hits, false)
+	r.Policy.Insert(id)
+}
+
+func (r recorded) Remove(id grid.BlockID) {
+	r.out.evicts = append(r.out.evicts, id)
+	r.Policy.Remove(id)
+}
+
+// runReplay drives the trace through trace.Replay's unit-block cache.
+func runReplay(t *testing.T, pol cache.Policy, capBlocks int) outcome {
+	t.Helper()
+	var out outcome
+	tr := &trace.Trace{Requests: [][]grid.BlockID{parityTrace}}
+	res := trace.Replay(tr, recorded{pol, &out}, capBlocks)
+	if res.Hits+res.Misses != len(parityTrace) || res.Hits+res.Misses != len(out.hits) {
+		t.Fatalf("replay counted %d hits + %d misses over %d accesses, policy saw %d",
+			res.Hits, res.Misses, len(parityTrace), len(out.hits))
 	}
 	return out
 }
@@ -176,6 +214,7 @@ func TestPolicyParityAcrossTiers(t *testing.T) {
 			}
 			diffOutcome(t, "MemCache vs simulator", mem, sim)
 			diffOutcome(t, "Tier vs simulator", ssd, sim)
+			diffOutcome(t, "trace.Replay vs simulator", runReplay(t, tc.factory(), capBlocks), sim)
 		})
 	}
 }

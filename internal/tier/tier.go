@@ -19,11 +19,12 @@
 //     faults a circuit breaker trips and the tier gets out of the way —
 //     the client keeps rendering from DRAM + remote with zero errors.
 //
-// Replacement is policy-driven through the same interface as every other
-// tier (policy.Replacement = cache.Policy): the simulator's memhier levels,
-// the DRAM MemCache, and this SSD tier all evict through one contract, so
-// the paper's application-aware policy and the LRU baseline run unchanged
-// in either stack. The parity test in this package pins that equivalence.
+// Replacement is the same code as in every other tier: the index of resident
+// spill files is a cache.Level, like the simulator's memhier levels and the
+// DRAM MemCache, so the paper's application-aware policy and the LRU baseline
+// run unchanged in either stack. The tier adds what is specific to files —
+// it makes room, writes the file with the lock released, then adds the entry
+// — and the parity test in this package pins the equivalence.
 package tier
 
 import (
@@ -80,10 +81,6 @@ type Config struct {
 	// DefaultQueueDepth. Puts arriving on a full queue are dropped (and
 	// counted) rather than blocking the DRAM cache's eviction path.
 	QueueDepth int
-	// Synchronous makes Put spill inline instead of through the worker.
-	// For tests (deterministic fault injection, policy parity) only: in
-	// production Put runs under the DRAM cache's lock and must not do I/O.
-	Synchronous bool
 	// OnEvict, when non-nil, observes every block the tier's own policy
 	// pushes out — the same feed MemCache.OnEvict and
 	// memhier.SetEvictObserver expose, used by the parity test.
@@ -101,19 +98,20 @@ type spillReq struct {
 // Tier is the persistent spill tier. Safe for concurrent use.
 type Tier struct {
 	dir  string
-	cap  int64
 	fsys faultio.FS
 	br   *breaker.Breaker
-	sync bool
 
 	onEvict func(id grid.BlockID)
 
 	mu     sync.Mutex
-	pol    cache.Policy
-	index  map[grid.BlockID]int64 // resident block -> spill file size
-	used   int64
+	lvl    *cache.Level // resident block -> spill file size, byte budget, replacement
 	closed bool
 	queue  chan spillReq
+
+	// victims collects the blocks lvl evicts (its OnEvict, under mu) until
+	// dropVictims removes their files outside the lock. Only rescan and the
+	// one spill worker make room, so it needs no lock of its own.
+	victims []grid.BlockID
 
 	wg sync.WaitGroup
 
@@ -131,7 +129,6 @@ type Tier struct {
 	diskFaults    atomic.Int64
 	quarantined   atomic.Int64
 	tmpReclaimed  atomic.Int64
-	evictions     atomic.Int64
 	dropped       atomic.Int64
 	brOpens       atomic.Int64
 	brRecoveries  atomic.Int64
@@ -189,22 +186,18 @@ func Open(cfg Config) (*Tier, error) {
 	}
 	t := &Tier{
 		dir:     cfg.Dir,
-		cap:     cfg.Capacity,
 		fsys:    cfg.FS,
 		br:      breaker.New(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax),
-		sync:    cfg.Synchronous,
 		onEvict: cfg.OnEvict,
-		pol:     cfg.Policy,
-		index:   make(map[grid.BlockID]int64),
+		lvl:     cache.NewLevel(cfg.Capacity, cfg.Policy),
 		queue:   make(chan spillReq, cfg.QueueDepth),
 	}
+	t.lvl.OnEvict = func(id grid.BlockID, _ cache.Entry) { t.victims = append(t.victims, id) }
 	if err := t.rescan(); err != nil {
 		return nil, err
 	}
-	if !t.sync {
-		t.wg.Add(1)
-		go t.worker()
-	}
+	t.wg.Add(1)
+	go t.worker()
 	return t, nil
 }
 
@@ -240,15 +233,11 @@ func (t *Tier) rescan() error {
 			t.quarantine(name)
 			continue
 		}
-		t.index[id] = info.Size()
-		t.used += info.Size()
-		t.pol.Insert(id)
+		t.lvl.Add(id, cache.Entry{Size: info.Size()})
 	}
 	// A reopen with a smaller budget must shed the excess immediately.
-	t.mu.Lock()
-	victims := t.makeRoomLocked(0)
-	t.mu.Unlock()
-	t.dropVictims(victims)
+	t.lvl.MakeRoom(0)
+	t.dropVictims()
 	return nil
 }
 
@@ -302,7 +291,7 @@ func (t *Tier) quarantine(name string) {
 // unreadable — the caller falls through to the next tier; Get never errors.
 func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 	t.mu.Lock()
-	size, resident := t.index[id]
+	e, resident := t.lvl.Peek(id)
 	t.mu.Unlock()
 	if !resident {
 		t.spillMisses.Add(1)
@@ -315,15 +304,11 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		return nil, false
 	}
 	name := spillName(id)
-	vals, err := t.load(name, id, size, true)
+	vals, err := t.load(name, id, e.Size, true)
 	if err != nil {
+		// Not an eviction: the policy did not choose this entry to leave.
 		t.mu.Lock()
-		sz, still := t.index[id]
-		if still {
-			delete(t.index, id)
-			t.used -= sz
-			t.pol.Remove(id)
-		}
+		_, still := t.lvl.Remove(id)
 		t.mu.Unlock()
 		t.spillMisses.Add(1)
 		if !still && errors.Is(err, fs.ErrNotExist) {
@@ -352,9 +337,7 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		t.brRecoveries.Add(1)
 	}
 	t.mu.Lock()
-	if _, still := t.index[id]; still {
-		t.pol.Touch(id)
-	}
+	t.lvl.Touch(id) // if it is still resident
 	t.mu.Unlock()
 	t.spillHits.Add(1)
 	return vals, true
@@ -375,16 +358,12 @@ func (t *Tier) Put(id grid.BlockID, vals []float32) {
 		t.mu.Unlock()
 		return
 	}
-	if _, ok := t.index[id]; ok {
+	if t.lvl.Contains(id) {
 		t.mu.Unlock()
 		return // already spilled; the on-disk copy is still valid
 	}
 	t.mu.Unlock()
 	req := spillReq{id: id, data: encodeSpill(id, vals)}
-	if t.sync {
-		t.spill(req)
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -420,16 +399,16 @@ func (t *Tier) spill(req spillReq) {
 	}
 	size := int64(len(req.data))
 	t.mu.Lock()
-	if _, ok := t.index[req.id]; ok || size > t.cap {
+	if t.lvl.Contains(req.id) || size > t.lvl.Capacity {
 		t.mu.Unlock()
-		if size > t.cap {
+		if size > t.lvl.Capacity {
 			t.dropped.Add(1)
 		}
 		return
 	}
-	victims := t.makeRoomLocked(size)
+	t.lvl.MakeRoom(size)
 	t.mu.Unlock()
-	t.dropVictims(victims)
+	t.dropVictims()
 
 	if err := t.writeSpill(req); err != nil {
 		t.diskFaults.Add(1)
@@ -442,9 +421,7 @@ func (t *Tier) spill(req spillReq) {
 		t.brRecoveries.Add(1)
 	}
 	t.mu.Lock()
-	t.index[req.id] = size
-	t.used += size
-	t.pol.Insert(req.id)
+	t.lvl.Add(req.id, cache.Entry{Size: size})
 	t.mu.Unlock()
 	t.spillWrites.Add(1)
 }
@@ -473,55 +450,38 @@ func (t *Tier) writeSpill(req spillReq) error {
 	return nil
 }
 
-// makeRoomLocked evicts (index-side only) until size fits, returning the
-// victims whose files the caller must remove outside the lock. Caller
-// holds t.mu.
-func (t *Tier) makeRoomLocked(size int64) []grid.BlockID {
-	var victims []grid.BlockID
-	for t.used+size > t.cap {
-		id, ok := t.pol.Victim()
-		if !ok {
-			break
-		}
-		t.pol.Remove(id)
-		t.used -= t.index[id]
-		delete(t.index, id)
-		victims = append(victims, id)
-	}
-	return victims
-}
-
-// dropVictims removes evicted blocks' files and notifies the observer.
-func (t *Tier) dropVictims(victims []grid.BlockID) {
-	for _, id := range victims {
+// dropVictims removes the files of the blocks the level just evicted and
+// notifies the observer. Called without t.mu held, by the goroutine that made
+// the room.
+func (t *Tier) dropVictims() {
+	for _, id := range t.victims {
 		t.fsys.Remove(filepath.Join(t.dir, spillName(id)))
-		t.evictions.Add(1)
 		if t.onEvict != nil {
 			t.onEvict(id)
 		}
 	}
+	t.victims = t.victims[:0]
 }
 
 // Contains reports whether a block is resident (indexed) in the tier.
 func (t *Tier) Contains(id grid.BlockID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	_, ok := t.index[id]
-	return ok
+	return t.lvl.Contains(id)
 }
 
 // Len returns the number of resident spill entries.
 func (t *Tier) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.index)
+	return t.lvl.Len()
 }
 
 // Used returns the bytes of resident spill files.
 func (t *Tier) Used() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.used
+	return t.lvl.Used()
 }
 
 // BreakerState returns the disk breaker's state name for diagnostics.
@@ -530,7 +490,7 @@ func (t *Tier) BreakerState() string { return t.br.State().String() }
 // Counters returns a snapshot of tier activity.
 func (t *Tier) Counters() Counters {
 	t.mu.Lock()
-	blocks, used := int64(len(t.index)), t.used
+	blocks, used, evictions := int64(t.lvl.Len()), t.lvl.Used(), t.lvl.Evictions
 	t.mu.Unlock()
 	return Counters{
 		SpillWrites:    t.spillWrites.Load(),
@@ -541,7 +501,7 @@ func (t *Tier) Counters() Counters {
 		DiskFaults:     t.diskFaults.Load(),
 		Quarantined:    t.quarantined.Load(),
 		TmpReclaimed:   t.tmpReclaimed.Load(),
-		Evictions:      t.evictions.Load(),
+		Evictions:      evictions,
 		Dropped:        t.dropped.Load(),
 		BreakerOpens:   t.brOpens.Load(),
 		BreakerRecov:   t.brRecoveries.Load(),
@@ -560,7 +520,7 @@ func (t *Tier) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("tier.disk_faults", func() int64 { return t.diskFaults.Load() })
 	reg.CounterFunc("tier.quarantined", func() int64 { return t.quarantined.Load() })
 	reg.CounterFunc("tier.tmp_reclaimed", func() int64 { return t.tmpReclaimed.Load() })
-	reg.CounterFunc("tier.evictions", func() int64 { return t.evictions.Load() })
+	reg.CounterFunc("tier.evictions", func() int64 { return t.Counters().Evictions })
 	reg.CounterFunc("tier.dropped", func() int64 { return t.dropped.Load() })
 	reg.CounterFunc("tier.breaker_opens", func() int64 { return t.brOpens.Load() })
 	reg.CounterFunc("tier.breaker_recoveries", func() int64 { return t.brRecoveries.Load() })
@@ -573,9 +533,6 @@ func (t *Tier) Instrument(reg *obs.Registry) {
 // and benchmarks use it to make write-behind effects observable; frames
 // never wait on it.
 func (t *Tier) Drain() {
-	if t.sync {
-		return
-	}
 	done := make(chan struct{})
 	for {
 		t.mu.Lock()
@@ -608,9 +565,7 @@ func (t *Tier) Close() error {
 	}
 	t.closed = true
 	t.mu.Unlock()
-	if !t.sync {
-		close(t.queue)
-		t.wg.Wait()
-	}
+	close(t.queue)
+	t.wg.Wait()
 	return nil
 }

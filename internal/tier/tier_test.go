@@ -23,13 +23,12 @@ func block(id grid.BlockID, n int) []float32 {
 }
 
 // openTier opens a tier over dir with room for roughly blocks payloads of
-// n floats each, in synchronous mode unless async is set.
+// n floats each.
 func openTier(t *testing.T, dir string, blocks, n int, mut func(*Config)) *Tier {
 	t.Helper()
 	cfg := Config{
-		Dir:         dir,
-		Capacity:    int64(blocks) * int64(spillHeaderSize+4*n),
-		Synchronous: true,
+		Dir:      dir,
+		Capacity: int64(blocks) * int64(spillHeaderSize+4*n),
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -42,10 +41,18 @@ func openTier(t *testing.T, dir string, blocks, n int, mut func(*Config)) *Tier 
 	return tr
 }
 
+// put spills one block and waits for the worker to have processed it, so a
+// test sees each Put's effect — file, index, faults, breaker — before its
+// next step: one worker draining a FIFO is deterministic.
+func put(tr *Tier, id grid.BlockID, vals []float32) {
+	tr.Put(id, vals)
+	tr.Drain()
+}
+
 func TestSpillRoundTrip(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 4, 64, nil)
 	want := block(7, 64)
-	tr.Put(7, want)
+	put(tr, 7, want)
 	got, ok := tr.Get(7)
 	if !ok {
 		t.Fatal("spilled block not served")
@@ -68,7 +75,7 @@ func TestSpillRoundTrip(t *testing.T) {
 }
 
 func TestAsyncSpillAndDrain(t *testing.T) {
-	tr := openTier(t, t.TempDir(), 8, 32, func(c *Config) { c.Synchronous = false })
+	tr := openTier(t, t.TempDir(), 8, 32, nil)
 	for id := grid.BlockID(0); id < 5; id++ {
 		tr.Put(id, block(id, 32))
 	}
@@ -84,8 +91,8 @@ func TestAsyncSpillAndDrain(t *testing.T) {
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	tr := openTier(t, dir, 4, 16, nil)
-	tr.Put(3, block(3, 16))
-	tr.Put(9, block(9, 16))
+	put(tr, 3, block(3, 16))
+	put(tr, 9, block(9, 16))
 	tr.Close()
 
 	tr2 := openTier(t, dir, 4, 16, nil)
@@ -114,7 +121,7 @@ func TestRescanQuarantinesDamage(t *testing.T) {
 	dir := t.TempDir()
 	tr := openTier(t, dir, 8, 32, nil)
 	for id := grid.BlockID(0); id < 4; id++ {
-		tr.Put(id, block(id, 32))
+		put(tr, id, block(id, 32))
 	}
 	tr.Close()
 
@@ -186,7 +193,7 @@ func TestEvictionRespectsCapacityAndPolicy(t *testing.T) {
 		c.OnEvict = func(id grid.BlockID) { evicted = append(evicted, id) }
 	})
 	for id := grid.BlockID(0); id < 5; id++ {
-		tr.Put(id, block(id, 16))
+		put(tr, id, block(id, 16))
 	}
 	// LRU: 0, 1, 2 evicted in order; 3, 4 resident.
 	want := []grid.BlockID{0, 1, 2}
@@ -198,8 +205,8 @@ func TestEvictionRespectsCapacityAndPolicy(t *testing.T) {
 			t.Fatalf("evicted %v, want %v", evicted, want)
 		}
 	}
-	if tr.Len() != 2 || tr.Used() > tr.cap {
-		t.Fatalf("Len=%d Used=%d cap=%d", tr.Len(), tr.Used(), tr.cap)
+	if tr.Len() != 2 || tr.Used() > tr.lvl.Capacity {
+		t.Fatalf("Len=%d Used=%d cap=%d", tr.Len(), tr.Used(), tr.lvl.Capacity)
 	}
 	for _, id := range want {
 		if _, err := os.Stat(filepath.Join(tr.dir, spillName(id))); !os.IsNotExist(err) {
@@ -213,8 +220,8 @@ func TestEvictionRespectsCapacityAndPolicy(t *testing.T) {
 
 func TestOversizedBlockDropped(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 1, 8, nil)
-	tr.Put(1, block(1, 8))
-	tr.Put(2, block(2, 4096)) // larger than the whole tier
+	put(tr, 1, block(1, 8))
+	put(tr, 2, block(2, 4096)) // larger than the whole tier
 	if _, ok := tr.Get(2); ok {
 		t.Fatal("oversized block spilled")
 	}
@@ -238,7 +245,7 @@ func TestBreakerTripsOnWriteFaults(t *testing.T) {
 		c.BreakerBase = 10 * time.Millisecond
 	})
 	for id := grid.BlockID(0); id < 3; id++ {
-		tr.Put(id, block(id, 16))
+		put(tr, id, block(id, 16))
 	}
 	if st := tr.BreakerState(); st != "open" {
 		t.Fatalf("breaker = %s after 3 faults, want open", st)
@@ -248,14 +255,14 @@ func TestBreakerTripsOnWriteFaults(t *testing.T) {
 		t.Fatalf("counters = %+v", c)
 	}
 	// While open, writes and reads are bypassed without touching the disk.
-	tr.Put(9, block(9, 16))
+	put(tr, 9, block(9, 16))
 	if c := tr.Counters(); c.WriteBypassed == 0 {
 		t.Fatalf("counters = %+v, want write bypassed", c)
 	}
 	// Heal the disk; once the backoff window expires a probe closes it.
 	ffs.SetConfig(faultio.FileFaultConfig{Seed: 11})
 	time.Sleep(15 * time.Millisecond)
-	tr.Put(10, block(10, 16))
+	put(tr, 10, block(10, 16))
 	if st := tr.BreakerState(); st != "closed" {
 		t.Fatalf("breaker = %s after heal+probe, want closed", st)
 	}
@@ -275,9 +282,9 @@ func TestENOSPCTripsBreaker(t *testing.T) {
 		c.FS = ffs
 		c.BreakerThreshold = 2
 	})
-	tr.Put(1, block(1, 16))
-	tr.Put(2, block(2, 16))
-	tr.Put(3, block(3, 16))
+	put(tr, 1, block(1, 16))
+	put(tr, 2, block(2, 16))
+	put(tr, 3, block(3, 16))
 	if st := tr.BreakerState(); st != "open" {
 		t.Fatalf("breaker = %s on full disk, want open", st)
 	}
@@ -292,7 +299,7 @@ func TestENOSPCTripsBreaker(t *testing.T) {
 func TestRuntimeCorruptionQuarantines(t *testing.T) {
 	dir := t.TempDir()
 	tr := openTier(t, dir, 4, 32, nil)
-	tr.Put(5, block(5, 32))
+	put(tr, 5, block(5, 32))
 	path := filepath.Join(dir, spillName(5))
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -320,7 +327,7 @@ func TestRuntimeCorruptionQuarantines(t *testing.T) {
 func TestShortWriteCaughtOnRead(t *testing.T) {
 	ffs := faultio.NewFaultFS(nil, faultio.FileFaultConfig{Seed: 6, ShortWriteRate: 1})
 	tr := openTier(t, t.TempDir(), 4, 64, func(c *Config) { c.FS = ffs })
-	tr.Put(1, block(1, 64)) // lies: reports success, persists half
+	put(tr, 1, block(1, 64)) // lies: reports success, persists half
 	if c := tr.Counters(); c.SpillWrites != 1 {
 		t.Fatalf("short write must look successful at spill time: %+v", c)
 	}
@@ -334,7 +341,7 @@ func TestShortWriteCaughtOnRead(t *testing.T) {
 
 func TestInstrumentRegistersTierMetrics(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 4, 16, nil)
-	tr.Put(1, block(1, 16))
+	put(tr, 1, block(1, 16))
 	tr.Get(1)
 	reg := obs.NewRegistry()
 	tr.Instrument(reg)
@@ -367,7 +374,7 @@ func TestInstrumentRegistersTierMetrics(t *testing.T) {
 // TestConcurrentAccess churns Get/Put from many goroutines under the race
 // detector: no panics, no lost index/occupancy consistency.
 func TestConcurrentAccess(t *testing.T) {
-	tr := openTier(t, t.TempDir(), 16, 32, func(c *Config) { c.Synchronous = false })
+	tr := openTier(t, t.TempDir(), 16, 32, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -390,7 +397,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	tr.Drain()
-	if used, n := tr.Used(), tr.Len(); used > tr.cap || n > 16 {
+	if used, n := tr.Used(), tr.Len(); used > tr.lvl.Capacity || n > 16 {
 		t.Fatalf("over budget: %d bytes, %d blocks", used, n)
 	}
 	tr.Close()
@@ -398,7 +405,7 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 func TestCloseIsIdempotentAndStopsPuts(t *testing.T) {
-	tr := openTier(t, t.TempDir(), 4, 16, func(c *Config) { c.Synchronous = false })
+	tr := openTier(t, t.TempDir(), 4, 16, nil)
 	tr.Put(1, block(1, 16))
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -415,11 +422,11 @@ func TestReopenWithSmallerBudgetSheds(t *testing.T) {
 	dir := t.TempDir()
 	tr := openTier(t, dir, 4, 16, nil)
 	for id := grid.BlockID(0); id < 4; id++ {
-		tr.Put(id, block(id, 16))
+		put(tr, id, block(id, 16))
 	}
 	tr.Close()
 	tr2 := openTier(t, dir, 2, 16, nil)
-	if tr2.Len() != 2 || tr2.Used() > tr2.cap {
+	if tr2.Len() != 2 || tr2.Used() > tr2.lvl.Capacity {
 		t.Fatalf("Len=%d Used=%d after shrink", tr2.Len(), tr2.Used())
 	}
 }
@@ -435,8 +442,8 @@ func (s *recycleSink) RecycleBlockBuf(v []float32)               { s.got = appen
 // full the overflow still reaches the inner reader.
 func TestGetReusesRecycledBuffers(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 4, 64, nil)
-	tr.Put(1, block(1, 64))
-	tr.Put(2, block(2, 64))
+	put(tr, 1, block(1, 64))
+	put(tr, 2, block(2, 64))
 	sink := &recycleSink{}
 	r := NewReader(sink, tr)
 

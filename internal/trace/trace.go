@@ -131,37 +131,29 @@ func (r ReplayResult) MissRate() float64 {
 }
 
 // Replay runs the trace against a single cache of the given capacity (in
-// blocks) under the policy. Belady-style policies get SetStep calls with the
-// flattened request index. The policy must be empty.
+// blocks) under the policy: a cache.Level of unit-sized blocks. Belady-style
+// policies get SetStep calls with the flattened request index. The policy
+// must be empty.
 func Replay(t *Trace, p cache.Policy, capacity int) ReplayResult {
 	res := ReplayResult{Policy: p.Name(), Capacity: capacity}
 	if capacity < 1 {
 		return res
 	}
-	resident := make(map[grid.BlockID]struct{})
+	lvl := cache.NewLevel(int64(capacity), p)
+	sa, stepAware := p.(cache.StepAware)
 	pos := 0
 	for _, group := range t.Requests {
 		for _, id := range group {
-			if sa, ok := p.(cache.StepAware); ok {
+			if stepAware {
 				sa.SetStep(pos)
 			}
 			pos++
-			if _, ok := resident[id]; ok {
+			if lvl.Touch(id) {
 				res.Hits++
-				p.Touch(id)
 				continue
 			}
 			res.Misses++
-			if len(resident) >= capacity {
-				victim, ok := p.Victim()
-				if !ok {
-					break
-				}
-				p.Remove(victim)
-				delete(resident, victim)
-			}
-			p.Insert(id)
-			resident[id] = struct{}{}
+			lvl.Admit(id, cache.Entry{Size: 1})
 		}
 	}
 	return res
