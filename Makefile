@@ -1,11 +1,12 @@
 # Pre-PR checks. `make check` is the gate: vet, build, full tests, the race
 # detector over the concurrent real-I/O packages, the fuzz seed corpus, a
 # chaos smoke over the failure-model paths, a one-iteration bench smoke so
-# benchmark code can't rot, and the frame-path perf gates against the
-# committed baseline.
+# benchmark code can't rot, and the B/op and allocs/op of every tracked
+# benchmark against the committed baseline. Timing is not gated here: it
+# belongs to the repo's benchmark, `go run ./bench` (see bench/README.md).
 GO ?= go
 
-RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/loadgen/... ./cmd/vizserver/...
+RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
 BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/...
@@ -17,9 +18,9 @@ FUZZ_PKGS := ./internal/blocksvc/...
 # and the two-replica network-chaos end-to-end run.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestKeepalive|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
 
-.PHONY: check vet build unused-pkgs test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke load load-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build unused-pkgs test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
 
-check: vet build unused-pkgs test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke load-smoke fuzz-smoke repro-check bench-smoke bench-check
+check: vet build unused-pkgs test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -110,30 +111,17 @@ bench-all:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' $(BENCH_PKGS) >/dev/null
 
-# bench-check is the perf gate: rerun the frame hot paths — local and remote
-# — and fail if ns/op regressed more than 25% past the committed baseline.
-# Re-record with `make bench` (and commit the JSON) when a deliberate change
-# moves them. The remote gate proves liveness costs nothing on the
-# steady-state demand path.
+# bench-check is `bench` with -check: rerun every tracked benchmark and fail
+# if B/op or allocs/op grew more than 5% past results/BENCH_ooc.json — the
+# two dimensions a rerun reproduces (allocs/op exactly, so a baseline of up
+# to 20 fails on +1, and a recorded 0 on any allocation). ns/op is in the
+# JSON for reading only; compare timing with `go run ./bench -compare` on
+# interleaved parent/change runs. The two flate sub-benchmarks are left out:
+# their B/op follows when the GC empties the compressor pool (5.2% and 5.7%
+# apart over five unchanged runs). Re-record with `make bench` (and commit
+# the JSON) when a deliberate change or a new toolchain moves the numbers.
 bench-check:
-	$(GO) test -bench='^BenchmarkFrame$$' -benchmem -run='^$$' ./internal/ooc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
-	$(GO) test -bench='^BenchmarkRemoteFrame$$' -benchmem -run='^$$' ./internal/blocksvc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
-	$(GO) test -bench='^BenchmarkShardedRemoteFrame$$' -benchmem -run='^$$' ./internal/blocksvc/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
-	$(GO) test -bench='^BenchmarkTieredFrame$$' -benchmem -run='^$$' ./internal/tier/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
-	$(GO) test -bench='^BenchmarkPredict$$' -benchmem -run='^$$' ./internal/camera/ | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json -max-regress 25
-
-# load records the multi-user capacity curve — p50/p95/p99 frame latency,
-# shed rate, prefetch-hit ratio vs session count — to results/LOADGEN.json.
-# Deterministic in the seed; commit the JSON when the curve moves.
-load:
-	$(GO) run ./cmd/loadgen -seed 1 -sessions 4,16,64 -frames 48 -out results/LOADGEN.json
-
-# load-smoke is the check-gate version: the predictive-prefetch and harness
-# suites under the race detector, then a small real fleet through the CLI —
-# zero frame errors and a well-formed report or the gate fails.
-load-smoke:
-	$(GO) test -race -count=1 ./internal/loadgen/ ./internal/camera/
-	$(GO) run ./cmd/loadgen -sessions 2,8 -frames 8 -smoke
+	$(GO) test -bench=. -benchmem -run='^$$' -skip='^BenchmarkRemoteFrameCompress$$/^(low-entropy|all)$$' $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json
 
 # fuzz-smoke replays each fuzz target's seed corpus as ordinary tests, so a
 # decoder change that panics on a known-interesting input fails the gate.

@@ -1,10 +1,9 @@
 package vizcache
 
-// The benchmark harness regenerates every paper table/figure (one benchmark
-// per artifact; see DESIGN.md §4) at a reduced scale per iteration, plus
-// microbenchmarks for the load-bearing components. Key result quantities
-// are attached via b.ReportMetric so `go test -bench` output captures the
-// reproduced series; cmd/repro prints the full tables.
+// Microbenchmarks for the load-bearing components of the simulated stack.
+// The paper's tables and figures are regenerated and compared byte for byte
+// by `make repro-check`, not benchmarked; the tracked real-I/O hot paths
+// live beside their packages (Makefile BENCH_PKGS).
 
 import (
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/entropy"
-	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/radius"
 	"repro/internal/render"
@@ -21,157 +19,6 @@ import (
 	"repro/internal/visibility"
 	"repro/internal/volume"
 )
-
-// benchOpts keeps per-iteration cost low while preserving every
-// experiment's structure.
-func benchOpts() experiments.Options {
-	return experiments.Options{Scale: 0.0625, Steps: 20, ClimateVars: 4}
-}
-
-func reportSeries(b *testing.B, res *experiments.Result, key, metric string) {
-	s := res.Series[key]
-	if len(s) == 0 {
-		b.Fatalf("missing series %q", key)
-	}
-	b.ReportMetric(s[len(s)-1], metric)
-}
-
-// BenchmarkTable1Datasets regenerates Table I (dataset inventory).
-func BenchmarkTable1Datasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Table.Rows) != 4 {
-			b.Fatal("wrong dataset count")
-		}
-	}
-}
-
-// BenchmarkFig7Sampling regenerates Fig. 7: miss rate and I/O time vs
-// sampling-position count. Reported metric: the 3d_ball I/O time (ms) at
-// the densest lattice relative to the sparsest (>1 demonstrates the
-// lookup-overhead effect).
-func BenchmarkFig7Sampling(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		io := res.Series["3d_ball/iotime_ms"]
-		ratio = io[len(io)-1] / io[0]
-	}
-	b.ReportMetric(ratio, "dense/sparse-io-ratio")
-}
-
-// BenchmarkFig9BlockSize regenerates Fig. 9: miss rate vs block division
-// across 15 camera-path panels under FIFO/LRU/OPT.
-func BenchmarkFig9BlockSize(b *testing.B) {
-	var optOverLRU float64
-	for i := 0; i < b.N; i++ {
-		o := benchOpts()
-		o.Steps = 10
-		res, err := experiments.Fig9(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opt := res.Series["spherical-10deg/OPT"]
-		lru := res.Series["spherical-10deg/LRU"]
-		optOverLRU = opt[2] / lru[2]
-	}
-	b.ReportMetric(optOverLRU, "opt/lru-missrate")
-}
-
-// BenchmarkFig11Radius regenerates Fig. 11: I/O+prefetch time per vicinal
-// radius strategy on lifted_rr.
-func BenchmarkFig11Radius(b *testing.B) {
-	var dynamicOverBest float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Series["io_prefetch_ms"]
-		best := s[0]
-		for _, v := range s {
-			if v < best {
-				best = v
-			}
-		}
-		dynamicOverBest = s[0] / best
-	}
-	b.ReportMetric(dynamicOverBest, "eq6/best-ratio")
-}
-
-// BenchmarkFig12CameraPaths regenerates Fig. 12: miss rate across spherical
-// and random paths for FIFO/LRU/OPT on 3d_ball (2048 blocks).
-func BenchmarkFig12CameraPaths(b *testing.B) {
-	var optOverLRU float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		optOverLRU = res.Series["random/OPT"][2] / res.Series["random/LRU"][2]
-	}
-	b.ReportMetric(optOverLRU, "opt/lru-missrate@10-15deg")
-}
-
-// BenchmarkFig13Latency regenerates Fig. 13: total time under cache ratios
-// 0.5 and 0.7. Reported metric: OPT's speedup over LRU at 0-5° / ratio 0.7.
-func BenchmarkFig13Latency(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig13(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		lru := res.Series["r0.7/LRU"][0]
-		opt := res.Series["r0.7/OPT"][0]
-		speedup = (lru - opt) / lru
-	}
-	b.ReportMetric(speedup, "opt-speedup@0.7")
-}
-
-// BenchmarkAblationComponents toggles Algorithm 1's mechanisms.
-func BenchmarkAblationComponents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationComponents(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSigma sweeps the entropy threshold σ.
-func BenchmarkAblationSigma(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSigma(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPolicies runs the policy zoo + Belady bound.
-func BenchmarkAblationPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPolicies(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPrefetchWindow compares unbounded vs windowed prefetch.
-func BenchmarkAblationPrefetchWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPrefetchWindow(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Component microbenchmarks ---
 
 func benchGrid(b *testing.B) (*volume.Dataset, *grid.Grid) {
 	b.Helper()

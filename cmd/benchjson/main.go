@@ -9,11 +9,10 @@
 //
 // With -out, parsed results are recorded. With -check, they are compared
 // against the named baseline instead: any benchmark present in both whose
-// ns/op — or, when the baseline carries -benchmem data, B/op or allocs/op —
-// regressed by more than -max-regress percent fails the run — the
-// repo's perf gate. Benchmark names are matched with their -GOMAXPROCS
-// suffix stripped, so a baseline recorded as "BenchmarkFrame" gates a run
-// reported as "BenchmarkFrame-8".
+// B/op or allocs/op grew by more than maxRegress percent fails the run.
+// ns/op is recorded for reading only; timing verdicts come from `go run
+// ./bench -compare`. Names are matched with their -GOMAXPROCS suffix
+// stripped, so a baseline "BenchmarkFrame" gates a run's "BenchmarkFrame-8".
 //
 // Non-benchmark lines (package headers, PASS/ok, warmup noise) are ignored,
 // so the raw `go test` stream can be piped straight through. The input is
@@ -28,9 +27,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 )
+
+// maxRegress is the percent B/op or allocs/op may grow; reruns stay within 2.
+const maxRegress = 5
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -40,9 +43,10 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`  // -benchmem
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"` // -benchmem
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`    // b.SetBytes
+	benchmem    bool    // the line carried the -benchmem columns
 }
 
-// File is the on-disk document.
+// File is the on-disk document; GoVersion is the toolchain `go run` ran this with.
 type File struct {
 	GoVersion string   `json:"go_version,omitempty"`
 	Results   []Result `json:"results"`
@@ -51,8 +55,6 @@ type File struct {
 func main() {
 	out := flag.String("out", "", "output JSON path (record mode)")
 	check := flag.String("check", "", "baseline JSON path (compare mode)")
-	maxRegress := flag.Float64("max-regress", 25,
-		"with -check: fail if ns/op regresses more than this percent")
 	flag.Parse()
 	if (*out == "") == (*check == "") {
 		fmt.Fprintln(os.Stderr, "benchjson: exactly one of -out or -check is required")
@@ -76,7 +78,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: parsing %s: %v\n", *check, err)
 			os.Exit(1)
 		}
-		compared, regressions := compare(baseline, doc, *maxRegress)
+		compared, regressions := compare(baseline, doc)
 		if compared == 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: no benchmark on stdin matches the baseline %s\n", *check)
 			os.Exit(1)
@@ -87,16 +89,13 @@ func main() {
 		if len(regressions) > 0 {
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %.0f%% of %s\n",
-			compared, *maxRegress, *check)
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) within %d%% B/op and allocs/op of %s\n", compared, maxRegress, *check)
 		return
 	}
 
-	if dir := filepath.Dir(*out); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
+	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -113,7 +112,7 @@ func main() {
 
 // parseStream parses benchmark lines from r, echoing every line to echo.
 func parseStream(r io.Reader, echo io.Writer) (File, error) {
-	doc := File{}
+	doc := File{GoVersion: runtime.Version()}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -121,8 +120,6 @@ func parseStream(r io.Reader, echo io.Writer) (File, error) {
 		fmt.Fprintln(echo, line)
 		if res, ok := parseLine(line); ok {
 			doc.Results = append(doc.Results, res)
-		} else if v, ok := strings.CutPrefix(line, "goversion: "); ok {
-			doc.GoVersion = v
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -148,15 +145,14 @@ func normalizeName(name string) string {
 }
 
 // compare gates current against baseline: for every benchmark present in
-// both (by normalized name), ns/op may grow by at most maxRegress percent,
-// and — when the baseline recorded them (-benchmem) — so may B/op and
-// allocs/op, which catch allocation regressions long before they cost
-// enough wall time to trip the ns/op gate. A zero baseline dimension is
-// skipped: an older record without -benchmem data must not gate it.
-// Returns the number of benchmarks compared and a message per regression.
-// Benchmarks only in one document are ignored — adding or retiring a
-// benchmark must not break the gate.
-func compare(baseline, current File, maxRegress float64) (int, []string) {
+// both (by normalized name), B/op and allocs/op may each grow by at most
+// maxRegress percent. `make bench` records with -benchmem, so a baseline of
+// 0 is a real 0 and any rise off it regresses, as does a current line
+// without those columns. allocs/op moves between Go versions, so when they
+// differ a last message says to re-record. Returns the number of benchmarks
+// compared and a message per regression. Benchmarks only in one document
+// are ignored — adding or retiring a benchmark must not break the gate.
+func compare(baseline, current File) (int, []string) {
 	base := make(map[string]Result, len(baseline.Results))
 	for _, r := range baseline.Results {
 		base[normalizeName(r.Name)] = r
@@ -164,25 +160,28 @@ func compare(baseline, current File, maxRegress float64) (int, []string) {
 	compared := 0
 	var regressions []string
 	for _, cur := range current.Results {
-		b, ok := base[normalizeName(cur.Name)]
-		if !ok || b.NsPerOp <= 0 {
+		name := normalizeName(cur.Name)
+		b, ok := base[name]
+		if !ok {
 			continue
 		}
 		compared++
-		gate := func(unit string, curV, baseV float64) {
-			if baseV <= 0 {
-				return
-			}
-			if limit := baseV * (1 + maxRegress/100); curV > limit {
-				regressions = append(regressions, fmt.Sprintf(
-					"%s: %.0f %s vs baseline %.0f %s (+%.1f%%, limit +%.0f%%)",
-					normalizeName(cur.Name), curV, unit, baseV, unit,
-					100*(curV/baseV-1), maxRegress))
+		if !cur.benchmem {
+			regressions = append(regressions, name+": no B/op and allocs/op columns; run with -benchmem")
+			continue
+		}
+		gate := func(unit string, curV, baseV int64) {
+			if float64(curV) > float64(baseV)*(1+maxRegress/100.0) {
+				regressions = append(regressions, fmt.Sprintf("%s: %d %s vs baseline %d %s (limit +%d%%)",
+					name, curV, unit, baseV, unit, maxRegress))
 			}
 		}
-		gate("ns/op", cur.NsPerOp, b.NsPerOp)
-		gate("B/op", float64(cur.BytesPerOp), float64(b.BytesPerOp))
-		gate("allocs/op", float64(cur.AllocsPerOp), float64(b.AllocsPerOp))
+		gate("B/op", cur.BytesPerOp, b.BytesPerOp)
+		gate("allocs/op", cur.AllocsPerOp, b.AllocsPerOp)
+	}
+	if len(regressions) > 0 && baseline.GoVersion != current.GoVersion {
+		regressions = append(regressions, fmt.Sprintf("baseline is %q, this run is %q: re-record with `make bench` before hunting",
+			baseline.GoVersion, current.GoVersion))
 	}
 	return compared, regressions
 }
@@ -210,8 +209,9 @@ func parseLine(line string) (Result, bool) {
 			seen = err == nil
 		case "B/op":
 			r.BytesPerOp, _ = strconv.ParseInt(val, 10, 64)
-		case "allocs/op":
-			r.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
+		case "allocs/op": // -benchmem prints B/op and allocs/op together
+			r.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
+			r.benchmem = err == nil
 		case "MB/s":
 			r.MBPerSec, _ = strconv.ParseFloat(val, 64)
 		}

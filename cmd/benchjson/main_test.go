@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestParseLine(t *testing.T) {
 	if !ok {
 		t.Fatal("full -benchmem line rejected")
 	}
-	want := Result{Name: "BenchmarkFrame-8", Iterations: 21964, NsPerOp: 54675, BytesPerOp: 11212, AllocsPerOp: 149}
+	want := Result{Name: "BenchmarkFrame-8", Iterations: 21964, NsPerOp: 54675, BytesPerOp: 11212, AllocsPerOp: 149, benchmem: true}
 	if r != want {
 		t.Errorf("got %+v, want %+v", r, want)
 	}
@@ -19,7 +20,7 @@ func TestParseLine(t *testing.T) {
 	if !ok {
 		t.Fatal("MB/s line rejected")
 	}
-	if r.MBPerSec != 3348.92 || r.NsPerOp != 4892 {
+	if r.MBPerSec != 3348.92 || r.NsPerOp != 4892 || r.benchmem {
 		t.Errorf("got %+v", r)
 	}
 
@@ -51,74 +52,83 @@ func TestNormalizeName(t *testing.T) {
 	}
 }
 
-// TestCompare pins the -check gate: a regression past the threshold fails,
-// growth inside it passes, and benchmarks missing from either side are
-// ignored rather than failing the gate.
+// TestCompare pins the -check gate: only B/op and allocs/op are held, to
+// maxRegress percent, a zero baseline is a real zero, and benchmarks missing
+// from either side are ignored rather than failing the gate.
 func TestCompare(t *testing.T) {
-	baseline := File{Results: []Result{
-		{Name: "BenchmarkFrame", NsPerOp: 10000},
-		{Name: "BenchmarkGet", NsPerOp: 200},
+	baseline := File{GoVersion: "go1.24.0", Results: []Result{
+		{Name: "BenchmarkFrame", NsPerOp: 10000, BytesPerOp: 1840, AllocsPerOp: 2},
+		{Name: "BenchmarkHit", NsPerOp: 25},
 		{Name: "BenchmarkRetired", NsPerOp: 50},
 	}}
-	current := File{Results: []Result{
-		{Name: "BenchmarkFrame-8", NsPerOp: 12000}, // +20%: inside a 25% limit
-		{Name: "BenchmarkGet-8", NsPerOp: 300},     // +50%: regression
-		{Name: "BenchmarkNew-8", NsPerOp: 1},       // no baseline: ignored
-	}}
-	compared, regs := compare(baseline, current, 25)
-	if compared != 2 {
-		t.Errorf("compared %d benchmarks, want 2", compared)
+	mem := func(name string, ns float64, bytes, allocs int64) Result {
+		return Result{Name: name, NsPerOp: ns, BytesPerOp: bytes, AllocsPerOp: allocs, benchmem: true}
 	}
-	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkGet") {
-		t.Errorf("regressions = %q, want exactly BenchmarkGet", regs)
+	for _, tc := range []struct {
+		name      string
+		goVersion string
+		cur       Result
+		compared  int
+		want      []string // a substring per expected regression, in order
+	}{
+		{"ns/op x4, memory equal", "go1.24.0", mem("BenchmarkFrame-8", 40000, 1840, 2), 1, nil},
+		{"allocs/op 2 to 3", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840, 3), 1, []string{"3 allocs/op vs baseline 2"}},
+		{"allocs/op 0 to 1", "go1.24.0", mem("BenchmarkHit-8", 25, 0, 1), 1, []string{"1 allocs/op vs baseline 0"}},
+		{"B/op inside the bound", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840*(100+maxRegress)/100, 2), 1, nil},
+		{"B/op outside the bound", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840*(100+maxRegress)/100+1, 2), 1, []string{"B/op vs baseline 1840"}},
+		{"memory improved", "go1.24.0", mem("BenchmarkFrame-8", 10000, 900, 1), 1, nil},
+		{"no -benchmem columns", "go1.24.0", Result{Name: "BenchmarkHit-8", NsPerOp: 25}, 1, []string{"-benchmem"}},
+		{"only in current", "go1.24.0", mem("BenchmarkNew-8", 1, 1<<30, 1<<20), 0, nil},
+		{"version mismatch, regression", "go1.22.0", mem("BenchmarkFrame-8", 10000, 1840, 3), 1, []string{"3 allocs/op vs baseline 2", `baseline is "go1.24.0", this run is "go1.22.0"`}},
+		{"version mismatch, no regression", "go1.22.0", mem("BenchmarkFrame-8", 10000, 1840, 2), 1, nil},
+	} {
+		compared, regs := compare(baseline, File{GoVersion: tc.goVersion, Results: []Result{tc.cur}})
+		if compared != tc.compared {
+			t.Errorf("%s: compared %d benchmarks, want %d", tc.name, compared, tc.compared)
+		}
+		if len(regs) != len(tc.want) {
+			t.Errorf("%s: regressions = %q, want %d", tc.name, regs, len(tc.want))
+			continue
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(regs[i], w) {
+				t.Errorf("%s: regression %q lacks %q", tc.name, regs[i], w)
+			}
+		}
 	}
-	if _, regs := compare(baseline, current, 60); len(regs) != 0 {
-		t.Errorf("60%% limit still flags: %q", regs)
-	}
-	if compared, _ := compare(File{}, current, 25); compared != 0 {
+	if compared, _ := compare(File{}, baseline); compared != 0 {
 		t.Errorf("empty baseline compared %d benchmarks", compared)
 	}
 }
 
-// TestCompareMemoryGates pins the -benchmem gates: B/op and allocs/op
-// regressions fail even when ns/op is flat, and a baseline recorded without
-// -benchmem data (zero dimensions) never gates them.
+// TestCompareMemoryGates pins that one benchmark can fail on both
+// dimensions at once, B/op first, and that a baseline recorded at 0 B/op,
+// 0 allocs/op gates both rather than being skipped.
 func TestCompareMemoryGates(t *testing.T) {
 	baseline := File{Results: []Result{
 		{Name: "BenchmarkFrame", NsPerOp: 10000, BytesPerOp: 1000, AllocsPerOp: 40},
-		{Name: "BenchmarkOld", NsPerOp: 10000}, // pre-benchmem record: ns/op only
+		{Name: "BenchmarkZero", NsPerOp: 10000},
 	}}
 	current := File{Results: []Result{
-		{Name: "BenchmarkFrame-8", NsPerOp: 10000, BytesPerOp: 2000, AllocsPerOp: 80},
-		{Name: "BenchmarkOld-8", NsPerOp: 10000, BytesPerOp: 1 << 30, AllocsPerOp: 1 << 20},
+		{Name: "BenchmarkFrame-8", NsPerOp: 10000, BytesPerOp: 2000, AllocsPerOp: 80, benchmem: true},
+		{Name: "BenchmarkZero-8", NsPerOp: 10000, BytesPerOp: 1 << 30, AllocsPerOp: 1 << 20, benchmem: true},
 	}}
-	compared, regs := compare(baseline, current, 25)
+	compared, regs := compare(baseline, current)
 	if compared != 2 {
 		t.Errorf("compared %d benchmarks, want 2", compared)
 	}
-	if len(regs) != 2 {
-		t.Fatalf("regressions = %q, want B/op and allocs/op for BenchmarkFrame", regs)
+	if len(regs) != 4 {
+		t.Fatalf("regressions = %q, want B/op and allocs/op for each benchmark", regs)
 	}
-	if !strings.Contains(regs[0], "B/op") || !strings.Contains(regs[1], "allocs/op") {
-		t.Errorf("regressions = %q, want one B/op and one allocs/op", regs)
-	}
-	for _, r := range regs {
-		if strings.Contains(r, "BenchmarkOld") {
-			t.Errorf("zero-dimension baseline gated: %q", r)
+	for i, want := range []string{"BenchmarkFrame: 2000 B/op", "BenchmarkFrame: 80 allocs/op", "BenchmarkZero: 1073741824 B/op", "BenchmarkZero: 1048576 allocs/op"} {
+		if !strings.Contains(regs[i], want) {
+			t.Errorf("regression %d = %q, want %q", i, regs[i], want)
 		}
-	}
-	// Inside the limit: +20% on every dimension passes.
-	ok := File{Results: []Result{
-		{Name: "BenchmarkFrame-8", NsPerOp: 12000, BytesPerOp: 1200, AllocsPerOp: 48},
-	}}
-	if _, regs := compare(baseline, ok, 25); len(regs) != 0 {
-		t.Errorf("within-limit run flagged: %q", regs)
 	}
 }
 
 func TestParseStream(t *testing.T) {
 	in := strings.NewReader(`goos: linux
-goversion: go1.24.0
 BenchmarkFrame-8   21964   54675 ns/op   11212 B/op   149 allocs/op
 PASS
 ok  	repro/internal/ooc	2.463s
@@ -131,7 +141,7 @@ ok  	repro/internal/ooc	2.463s
 	if len(doc.Results) != 1 || doc.Results[0].Name != "BenchmarkFrame-8" {
 		t.Errorf("results = %+v", doc.Results)
 	}
-	if doc.GoVersion != "go1.24.0" {
+	if doc.GoVersion != runtime.Version() {
 		t.Errorf("go version = %q", doc.GoVersion)
 	}
 	if !strings.Contains(echo.String(), "PASS") {

@@ -402,6 +402,9 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 	elapsed := time.Since(wall)
 	_ = touched
 
+	// Drain the prefetch queue before reading the counters, so "executed"
+	// covers every block this run queued.
+	rt.Close()
 	st := rt.Snapshot()
 	hits, misses := rt.CacheStats()
 	fmt.Printf("frames             %d in %v wall clock\n", st.Frames, elapsed.Round(time.Millisecond))
