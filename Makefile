@@ -6,7 +6,7 @@
 # belongs to the repo's benchmark, `go run ./bench` (see bench/README.md).
 GO ?= go
 
-RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/...
+RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/... ./cmd/vizsim/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
 BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/...
@@ -69,17 +69,18 @@ spill-smoke:
 	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker' ./internal/tier/
 
 # pipe-smoke runs the wire-path suite under the race detector: the
-# other-version hello refusal, the compression codec round-trip, pipelined
-# batches multiplexed over one conn, the mid-response stall failover scope,
-# and the lying-compressed-header allocation bound.
+# other-version hello refusal; the transport table — whole-block round trip,
+# a run of mixed statuses, pipelined batches multiplexed over one conn and
+# the payload-CRC reject, each over the pipe and over loopback TCP; the
+# mid-response stall failover scope; and the payload length checked against
+# the geometry.
 pipe-smoke:
-	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestCompressionRoundTrip|TestPipelined|TestStallMidResponse|TestLyingFlateHeader' ./internal/blocksvc/
+	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestWireCRCReject|TestStallMidResponse|TestLyingLengthRejected' ./internal/blocksvc/
 
 # cluster-smoke runs the sharded-cluster suite under the race detector: a
 # 3-node in-process cluster with client-side consistent-hash routing, one
 # node killed mid-orbit and the map rebalanced by a live topology push —
-# every frame must stay error-free, plus the redirect/drain/plain-client
-# wire pins.
+# every frame must stay error-free, plus the redirect/drain wire pins.
 cluster-smoke:
 	$(GO) test -race -count=1 -run='TestCluster' ./internal/blocksvc/
 	$(GO) test -race -count=1 ./internal/shard/
@@ -116,12 +117,10 @@ bench-smoke:
 # two dimensions a rerun reproduces (allocs/op exactly, so a baseline of up
 # to 20 fails on +1, and a recorded 0 on any allocation). ns/op is in the
 # JSON for reading only; compare timing with `go run ./bench -compare` on
-# interleaved parent/change runs. The two flate sub-benchmarks are left out:
-# their B/op follows when the GC empties the compressor pool (5.2% and 5.7%
-# apart over five unchanged runs). Re-record with `make bench` (and commit
+# interleaved parent/change runs. Re-record with `make bench` (and commit
 # the JSON) when a deliberate change or a new toolchain moves the numbers.
 bench-check:
-	$(GO) test -bench=. -benchmem -run='^$$' -skip='^BenchmarkRemoteFrameCompress$$/^(low-entropy|all)$$' $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json
+	$(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS) | $(GO) run ./cmd/benchjson -check results/BENCH_ooc.json
 
 # fuzz-smoke replays each fuzz target's seed corpus as ordinary tests, so a
 # decoder change that panics on a known-interesting input fails the gate.

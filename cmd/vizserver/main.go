@@ -10,7 +10,6 @@
 //	vizserver -addr 127.0.0.1:9123 -dataset 3d_ball -scale 0.25 -blocks 2048
 //	          [-cache-frac 0.5] [-sigma-quantile 0.75] [-no-prefetch]
 //	          [-max-inflight-mb 256] [-max-session-reqs 8] [-queue-wait 100ms]
-//	          [-wire-compress off|low-entropy|all]
 //	          [-heartbeat 5s] [-drain-timeout 5s]
 //	          [-shard-id a -shard-map cluster.json]
 //	          [-debug-addr 127.0.0.1:9124]
@@ -65,9 +64,6 @@ func main() {
 		maxMB   = flag.Int64("max-inflight-mb", 256, "admission: in-flight payload budget, MiB")
 		maxReqs = flag.Int("max-session-reqs", 8, "admission: concurrent requests per session")
 		maxWait = flag.Duration("queue-wait", 100*time.Millisecond, "admission: longest wait before a request is shed")
-
-		wireComp = flag.String("wire-compress", "low-entropy",
-			"block payload compression on the wire: off, low-entropy, or all")
 
 		heartbeat = flag.Duration("heartbeat", 0, "liveness ping interval advertised to clients (0 = 5s default, negative disables)")
 		drainT    = flag.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT: how long to let in-flight requests finish")
@@ -147,11 +143,6 @@ func main() {
 		HeartbeatInterval:  *heartbeat,
 		Metrics:            reg,
 	}
-	mode, err := blocksvc.ParseCompressionMode(*wireComp)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Compression = mode
 	if (*shardID == "") != (*shardMap == "") {
 		fatal(fmt.Errorf("cluster mode needs both -shard-id and -shard-map"))
 	}
@@ -163,13 +154,8 @@ func main() {
 		cfg.ShardMap = m
 		cfg.ShardID = *shardID
 	}
-	if !*noPre || mode == blocksvc.CompressLowEntropy {
-		// The importance table drives both prefetch prediction and the
-		// low-entropy compression policy; build it if either needs it.
-		cfg.Imp = entropy.Build(ds, g, entropy.Options{})
-	}
 	if !*noPre {
-		imp := cfg.Imp
+		imp := entropy.Build(ds, g, entropy.Options{})
 		nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
 		vis, err := visibility.NewTable(g, visibility.Options{
 			NAzimuth: nAz, NElevation: nEl, NDistance: nDist,
@@ -181,7 +167,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Vis = vis
+		cfg.Vis, cfg.Imp = vis, imp
 		cfg.Sigma = imp.ThresholdForQuantile(*quantile)
 	}
 	srv, err := blocksvc.NewServer(cfg)
@@ -237,10 +223,6 @@ func main() {
 		st.Requests, st.ShedRequests)
 	fmt.Printf("blocks             %d answered (%d with data, %d faulted), %d MiB sent\n",
 		st.Blocks, st.BlocksOK, st.BlocksFailed, st.BytesSent>>20)
-	if st.CompressedBlocks+st.CompressSkipped > 0 {
-		fmt.Printf("compression        %d blocks compressed (%d KiB -> %d KiB), %d not smaller\n",
-			st.CompressedBlocks, st.CompressBytesIn>>10, st.CompressBytesOut>>10, st.CompressSkipped)
-	}
 	fmt.Printf("view updates       %d received\n", st.ViewUpdates)
 	fmt.Printf("liveness           %d heartbeats sent, %d dead peers dropped, %d goaways announced\n",
 		st.HeartbeatsSent, st.DeadPeers, st.GoawaysSent)

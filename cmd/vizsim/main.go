@@ -325,9 +325,6 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 	if spill != nil {
 		mc.OnEvict(func(id grid.BlockID, vals []float32) { spill.Put(id, vals) })
 	}
-	// The simulation drops frame data as soon as counters are tallied, so
-	// evicted decode buffers can be recycled safely.
-	mc.EnableRecycling()
 	mc.Instrument(reg)
 	nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
 	vis, err := visibility.NewTable(g, visibility.Options{
@@ -389,7 +386,7 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 			return err
 		}
 		// The stand-in for rendering: touch every visible block's payload
-		// once, then drop it so the cache can recycle the buffers.
+		// once.
 		renderSpan := rt.Phases().Begin(obs.PhaseRender)
 		for _, vals := range data {
 			if len(vals) > 0 {
@@ -413,8 +410,7 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 	fmt.Printf("demand             %d store reads, %d memory hits, %d miss batches\n",
 		st.DemandReads, st.DemandHits, st.DemandBatches)
 	cc := mc.Counters()
-	fmt.Printf("coalesced          %d duplicate in-flight requests merged, %d buffers recycled\n",
-		cc.Coalesced, cc.Recycled)
+	fmt.Printf("coalesced          %d duplicate in-flight requests merged\n", cc.Coalesced)
 	if bf != nil {
 		ios := bf.IOStats()
 		fmt.Printf("block file         %d blocks served, %d batches (%d batched blocks in %d merged runs), %d/%d decode bufs reused\n",
@@ -426,10 +422,6 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 			rs.Requests, rs.BlocksRequested, rs.Dials, rs.BytesReceived>>20, rs.ViewUpdates)
 		fmt.Printf("remote faults      %d server-side, %d shed, %d wire checksum rejects, %d torn connections\n",
 			rs.RemoteFaults, rs.ShedRequests, rs.ChecksumErrors, rs.TransportErrors)
-		if rs.DecompressedBlocks > 0 {
-			fmt.Printf("remote codec       %d compressed blocks inflated to %d MiB\n",
-				rs.DecompressedBlocks, rs.DecompressedBytes>>20)
-		}
 		fmt.Printf("remote liveness    %d pings sent (%d pongs), %d dead conns dropped, %d goaways seen\n",
 			rs.PingsSent, rs.PongsReceived, rs.DeadPeers, rs.GoawaysReceived)
 		fmt.Printf("remote failover    %d batches re-routed; breaker %d opens / %d probes / %d closes\n",

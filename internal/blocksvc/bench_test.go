@@ -22,11 +22,11 @@ func BenchmarkRemoteFrame(b *testing.B) {
 	f := startService(b, svcOpts{})
 	ctx := context.Background()
 	// Warm the server cache so the benchmark measures the wire, not the disk.
-	if _, errs := dialPipe(b, f, 1).ReadBlocks(ctx, f.g.All()); errs[0] != nil {
+	if _, errs := dialService(b, f, 1).ReadBlocks(ctx, f.g.All()); errs[0] != nil {
 		b.Fatal(errs[0])
 	}
 
-	r := dialPipe(b, f, 4)
+	r := dialService(b, f, 4)
 	mc, err := store.NewMemCache(r, 4, cache.NewLRU()) // passthrough: never caches
 	if err != nil {
 		b.Fatal(err)
@@ -61,72 +61,6 @@ func BenchmarkRemoteFrame(b *testing.B) {
 		for _, v := range out {
 			r.RecycleBlockBuf(v)
 		}
-	}
-}
-
-// BenchmarkRemoteFrameCompress runs a full-volume demand sweep — every block
-// crosses the wire each op, surface and uniform alike — under each
-// wire-compression policy. Alongside ns/op, the wireB/op metric reports
-// payload bytes that actually crossed the wire, so the bytes-saved /
-// cpu-spent trade of each policy is visible in one run: "all" pays DEFLATE
-// on every block, "low-entropy" only where the entropy table says the
-// payload is nearly uniform and cheap to squeeze. (The camera-visible set of
-// BenchmarkRemoteFrame is all surface blocks, which no sane policy
-// compresses — the sweep is where the policies separate.)
-func BenchmarkRemoteFrameCompress(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mode CompressionMode
-	}{
-		{"off", CompressOff},
-		{"low-entropy", CompressLowEntropy},
-		{"all", CompressAll},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			f := startService(b, svcOpts{prefetch: true, mutate: func(c *Config) {
-				c.Compression = tc.mode
-			}})
-			ctx := context.Background()
-			if _, errs := dialPipe(b, f, 1).ReadBlocks(ctx, f.g.All()); errs[0] != nil {
-				b.Fatal(errs[0])
-			}
-			r := dialPipe(b, f, 4)
-			mc, err := store.NewMemCache(r, 4, cache.NewLRU())
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt, err := ooc.New(mc, f.vis, f.imp, ooc.Options{
-				Sigma: f.imp.MaxScore() + 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Close()
-			cam := camera.Camera{Pos: vec.New(0, 0, 3), ViewAngle: vec.Radians(20)}
-			visible := f.g.All()
-			if _, _, err := rt.Frame(ctx, cam.Pos, visible); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(visible)) * f.bf.BlockBytes(0))
-			b.ReportAllocs()
-			before := r.Snapshot().BytesReceived
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, rep, err := rt.Frame(ctx, cam.Pos, visible)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Degraded {
-					b.Fatalf("degraded benchmark frame: %+v", rep)
-				}
-				for _, v := range out {
-					r.RecycleBlockBuf(v)
-				}
-			}
-			b.StopTimer()
-			wire := r.Snapshot().BytesReceived - before
-			b.ReportMetric(float64(wire)/float64(b.N), "wireB/op")
-		})
 	}
 }
 

@@ -1,9 +1,14 @@
 package blocksvc
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -19,6 +24,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ooc"
 	"repro/internal/radius"
+	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/vec"
@@ -89,6 +95,9 @@ type svcOpts struct {
 	// visRadius overrides the visibility table's fixed vicinal radius
 	// (default 0.3).
 	visRadius float64
+	// transport is what the server listens on: "pipe" (the default) or
+	// "tcp".
+	transport string
 }
 
 type svcFixture struct {
@@ -100,12 +109,41 @@ type svcFixture struct {
 	imp   *entropy.Table
 	vis   *visibility.Table
 	srv   *Server
-	lis   *PipeListener
+	lis   *PipeListener // nil on the tcp transport
+	dial  func(ctx context.Context) (net.Conn, error)
+}
+
+// transports are the two ways sendRun's segments leave the server: through
+// the session's buffered writer (the in-process pipe, like any conn that is
+// not a *net.TCPConn) and as one vectored write (loopback TCP). The
+// wire-path tests run on both.
+var transports = []string{"pipe", "tcp"}
+
+// listen serves srv on a fresh listener of the given transport, closed with
+// the test, and returns it with the way to dial it.
+func listen(t testing.TB, srv *Server, transport string) (net.Listener, func(ctx context.Context) (net.Conn, error)) {
+	t.Helper()
+	if transport == "tcp" {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback listen unavailable: %v", err)
+		}
+		go srv.Serve(l)
+		t.Cleanup(func() { l.Close() })
+		return l, func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", l.Addr().String())
+		}
+	}
+	lis := NewPipeListener()
+	go srv.Serve(lis)
+	t.Cleanup(func() { lis.Close() })
+	return lis, lis.Dial
 }
 
 // startService builds the full server stack — ball dataset on disk, optional
-// fault injection, shared cache, server on an in-process listener — and
-// tears it down with the test.
+// fault injection, shared cache, server on a listener of the chosen
+// transport — and tears it down with the test.
 func startService(t testing.TB, o svcOpts) *svcFixture {
 	t.Helper()
 	scale := o.scale
@@ -173,12 +211,10 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.lis = NewPipeListener()
-	go f.srv.Serve(f.lis)
-	t.Cleanup(func() {
-		f.lis.Close()
-		f.srv.Close()
-	})
+	t.Cleanup(f.srv.Close) // runs after the listener's own cleanup, registered next
+	var l net.Listener
+	l, f.dial = listen(t, f.srv, o.transport)
+	f.lis, _ = l.(*PipeListener)
 	return f
 }
 
@@ -215,10 +251,10 @@ func fastRetry(attempts int) *faultio.Retrier {
 	}
 }
 
-// dialPipe connects a RemoteReader to the fixture's in-process listener.
-func dialPipe(t testing.TB, f *svcFixture, conns int) *RemoteReader {
+// dialService connects a RemoteReader to the fixture over its transport.
+func dialService(t testing.TB, f *svcFixture, conns int) *RemoteReader {
 	t.Helper()
-	r, err := Dial(ClientConfig{Dial: f.lis.Dial, Conns: conns, Retry: fastRetry(3)})
+	r, err := Dial(ClientConfig{Dial: f.dial, Conns: conns, Retry: fastRetry(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +264,7 @@ func dialPipe(t testing.TB, f *svcFixture, conns int) *RemoteReader {
 
 func TestDialLearnsGeometry(t *testing.T) {
 	f := startService(t, svcOpts{})
-	r := dialPipe(t, f, 2)
+	r := dialService(t, f, 2)
 	if r.Header() != f.bf.Header() {
 		t.Errorf("remote header = %+v, want %+v", r.Header(), f.bf.Header())
 	}
@@ -237,41 +273,333 @@ func TestDialLearnsGeometry(t *testing.T) {
 	}
 }
 
-// TestRemoteValuesMatchLocal reads every block through the full wire stack
-// and compares voxel-for-voxel with direct file reads: framing, run
-// splitting, and CRC verification must be transparent.
-func TestRemoteValuesMatchLocal(t *testing.T) {
-	f := startService(t, svcOpts{mutate: func(c *Config) {
-		c.ResponseRunBytes = 4096 // force multi-frame responses
-	}})
-	r := dialPipe(t, f, 2)
+// blockCRC is the CRC32C of vals' little-endian bytes — what the block file
+// stores per block — by a loop that shares nothing with the wire codec
+// under test.
+func blockCRC(vals []float32) uint32 {
+	var le [4]byte
+	crc := uint32(0)
+	for _, v := range vals {
+		binary.LittleEndian.PutUint32(le[:], math.Float32bits(v))
+		crc = crc32.Update(crc, castagnoli, le[:])
+	}
+	return crc
+}
+
+// blockMatchesFile reports whether a delivered block is the fixture's ground
+// truth, every voxel of it: the geometry's count and the block file's
+// checksum.
+func blockMatchesFile(f *svcFixture, id grid.BlockID, vals []float32) bool {
+	want, _ := f.bf.BlockChecksum(id)
+	return int64(len(vals)) == f.g.VoxelCount(id) && blockCRC(vals) == want
+}
+
+func assertBlock(t testing.TB, f *svcFixture, id grid.BlockID, vals []float32) {
+	t.Helper()
+	if !blockMatchesFile(f, id, vals) {
+		t.Fatalf("block %d: the %d voxels delivered (crc32c 0x%08x) are not the block file's",
+			id, len(vals), blockCRC(vals))
+	}
+}
+
+// readAllMatchesFile reads every block through r in one batch and checks
+// each against the fixture's file.
+func readAllMatchesFile(t *testing.T, f *svcFixture, r *RemoteReader) {
+	t.Helper()
 	ids := f.g.All()
 	vals, errs := r.ReadBlocks(context.Background(), ids)
 	for i, id := range ids {
 		if errs[i] != nil {
 			t.Fatalf("block %d: %v", id, errs[i])
 		}
-		want, err := f.bf.ReadBlock(id)
+		assertBlock(t, f, id, vals[i])
+	}
+}
+
+// TestRemoteValuesMatchLocal reads every block through the full wire stack,
+// on each transport, and compares it whole with the block file: framing,
+// run splitting, and CRC verification must be transparent.
+func TestRemoteValuesMatchLocal(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			f := startService(t, svcOpts{transport: tr, mutate: func(c *Config) {
+				c.ResponseRunBytes = 4096 // force multi-frame responses
+			}})
+			r := dialService(t, f, 2)
+			readAllMatchesFile(t, f, r)
+			// Single-block path too.
+			id := grid.BlockID(f.g.NumBlocks() / 2)
+			got, err := r.ReadBlock(id)
+			if err != nil {
+				t.Fatalf("ReadBlock: %v", err)
+			}
+			assertBlock(t, f, id, got)
+			st := r.Snapshot()
+			if st.BlocksServed == 0 || st.BytesReceived == 0 || st.ChecksumErrors != 0 {
+				t.Errorf("client stats = %+v", st)
+			}
+		})
+	}
+}
+
+// TestBigEndianHostRoundTrip flips hostLittleEndian off, so the server
+// stages converted payload bytes instead of views of cache memory and both
+// sides run the portable per-value loops — the code a big-endian host
+// executes, which on the little-endian machines tests run on nothing else
+// reaches.
+func TestBigEndianHostRoundTrip(t *testing.T) {
+	// Restored last (cleanups run LIFO), once no session or read loop that
+	// reads the flag is left.
+	was := hostLittleEndian
+	t.Cleanup(func() { hostLittleEndian = was })
+	hostLittleEndian = false
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			f := startService(t, svcOpts{transport: tr})
+			readAllMatchesFile(t, f, dialService(t, f, 1))
+		})
+	}
+}
+
+// scriptedReader fails chosen blocks with chosen errors and reads the rest
+// from the file.
+type scriptedReader struct {
+	bf   *store.BlockFile
+	errs map[grid.BlockID]error
+}
+
+func (s scriptedReader) ReadBlock(id grid.BlockID) ([]float32, error) {
+	if err := s.errs[id]; err != nil {
+		return nil, err
+	}
+	return s.bf.ReadBlock(id)
+}
+
+// TestMixedStatusRun pins the encoder's segment assembly where it is
+// easiest to get wrong: one blocks frame carrying payload entries
+// interleaved with every kind of entry that has none — a transient fault, a
+// permanent one, disk rot, and a cluster redirect with its epoch. A raw
+// client walks the frame, on each transport: every status in request order,
+// every payload matching the block file's CRC, nothing trailing.
+func TestMixedStatusRun(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			f := startService(t, svcOpts{})
+			m := &shard.Map{Epoch: 5, Seed: 42, VNodes: shard.DefaultVNodes, Shards: []shard.Shard{
+				{ID: "a", Addrs: []string{"node:a"}}, {ID: "b", Addrs: []string{"node:b"}}}}
+			ring := m.Ring()
+			// Shard a's first five blocks get one status each (OK twice, so
+			// a payload follows a fault as well as precedes one); shard b's
+			// first block is asked of a too, for the redirect.
+			var own []grid.BlockID
+			other := grid.BlockID(-1)
+			for _, id := range f.g.All() {
+				if ring.OwnerBlock(id) == 0 && len(own) < 5 {
+					own = append(own, id)
+				} else if ring.OwnerBlock(id) == 1 && other < 0 {
+					other = id
+				}
+			}
+			ids := []grid.BlockID{own[0], own[1], other, own[2], own[3], own[4]}
+			want := []blockStatus{statusOK, statusTransient, statusRedirect, statusPermanent, statusChecksum, statusOK}
+			mc, err := store.NewMemCache(scriptedReader{bf: f.bf, errs: map[grid.BlockID]error{
+				own[1]: faultio.ErrTransient,
+				own[2]: faultio.ErrPermanent,
+				own[3]: faultio.Permanent(faultio.ErrChecksum),
+			}}, 1<<20, cache.NewLRU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := NewServer(Config{Cache: mc, Grid: f.g, Header: f.bf.Header(),
+				ShardMap: m, ShardID: "a", HeartbeatInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			_, dial := listen(t, srv, tr)
+			conn, err := dial(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+
+			var hello enc
+			hello.u32(protoMagic)
+			hello.u16(ProtoVersion)
+			if err := writeFrame(conn, msgHello, hello.b); err != nil {
+				t.Fatal(err)
+			}
+			br := bufio.NewReader(conn)
+			if typ, _, err := readFrame(br, nil); err != nil || typ != msgWelcome {
+				t.Fatalf("welcome: typ=%d err=%v", typ, err)
+			}
+			var req enc
+			req.u64(3)
+			req.u32(0)
+			req.u32(uint32(len(ids)))
+			for _, id := range ids {
+				req.u32(uint32(id))
+			}
+			if err := writeFrame(conn, msgRead, req.b); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := readFrame(br, nil)
+			if err != nil || typ != msgBlocks {
+				t.Fatalf("blocks: typ=%d err=%v", typ, err)
+			}
+			it, ok := blocksHeader(payload)
+			if !ok || it.Req != 3 || it.First != 0 || it.N != len(ids) {
+				t.Fatalf("prelude = req %d first %d n %d, want one run of all %d", it.Req, it.First, it.N, len(ids))
+			}
+			for k := 0; it.next(); k++ {
+				if it.Status != want[k] {
+					t.Fatalf("entry %d (block %d): status %d, want %d", k, ids[k], it.Status, want[k])
+				}
+				switch it.Status {
+				case statusOK:
+					sum, _ := f.bf.BlockChecksum(ids[k])
+					if it.Sum != sum || crc32.Checksum(it.Wire, castagnoli) != sum {
+						t.Fatalf("entry %d (block %d): payload does not match the block file's crc", k, ids[k])
+					}
+				case statusRedirect:
+					if it.Epoch != m.Epoch {
+						t.Fatalf("redirect epoch = %d, want %d", it.Epoch, m.Epoch)
+					}
+				}
+			}
+			if !it.done() {
+				t.Fatal("blocks frame did not parse cleanly")
+			}
+			if typ, _, err := readFrame(br, nil); err != nil || typ != msgDone {
+				t.Fatalf("done: typ=%d err=%v", typ, err)
+			}
+		})
+	}
+}
+
+// flipPayloadBit is a frame-aware man in the middle on the server→client
+// half of a connection: it re-frames what the server sends and flips one bit
+// in the first payload byte of every blocks frame's first entry, leaving
+// lengths and checksums as sent — in-transit corruption that lands where
+// only the payload CRC can see it, whatever the transport underneath.
+func flipPayloadBit(dial func(ctx context.Context) (net.Conn, error)) func(ctx context.Context) (net.Conn, error) {
+	return func(ctx context.Context) (net.Conn, error) {
+		up, err := dial(ctx)
+		if err != nil {
+			return nil, err
+		}
+		client, mid := net.Pipe()
+		go func() { // client→server, untouched; ends when either side closes
+			io.Copy(up, mid)
+			up.Close()
+		}()
+		go func() {
+			defer mid.Close()
+			br := bufio.NewReader(up)
+			for {
+				typ, payload, err := readFrame(br, nil)
+				if err != nil {
+					return
+				}
+				if typ == msgBlocks {
+					payload[runPreludeBytes+1+4] ^= 0x10
+				}
+				if writeFrame(mid, typ, payload) != nil {
+					return
+				}
+			}
+		}()
+		return client, nil
+	}
+}
+
+// TestWireCRCReject: a payload bit flipped between server and client must
+// come back as a retryable checksum fault for that block alone — the rest
+// of the run is delivered intact, the connection stays up, and a re-read of
+// the failed block over the same conn is answered (corrupted again here,
+// since the wire is). Run on each transport.
+func TestWireCRCReject(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			f := startService(t, svcOpts{transport: tr, mutate: func(c *Config) {
+				c.HeartbeatInterval = -1
+			}})
+			r, err := Dial(ClientConfig{Dial: flipPayloadBit(f.dial), Conns: 1, Retry: fastRetry(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			ids := f.g.All()
+			vals, errs := r.ReadBlocks(context.Background(), ids)
+			if vals[0] != nil || !errors.Is(errs[0], faultio.ErrChecksum) || !faultio.Retryable(errs[0]) {
+				t.Fatalf("flipped block: vals=%v err=%v, want a retryable checksum fault", vals[0] != nil, errs[0])
+			}
+			for i, id := range ids[1:] {
+				if errs[i+1] != nil {
+					t.Fatalf("block %d behind the corrupted one: %v", id, errs[i+1])
+				}
+				assertBlock(t, f, id, vals[i+1])
+			}
+			if _, err := r.ReadBlock(ids[0]); !errors.Is(err, faultio.ErrChecksum) {
+				t.Fatalf("re-read over the same wire = %v, want the checksum fault again", err)
+			}
+			st := r.Snapshot()
+			if st.ChecksumErrors != 2 || st.TransportErrors != 0 || st.Dials != 1 {
+				t.Errorf("checksum rejects must not tear the conn: %+v", st)
+			}
+		})
+	}
+}
+
+// TestNewServerRefusesRecyclingCache: a response is written from
+// cache-owned slices after the cache lock is gone, so a cache that reuses
+// evicted buffers could rewrite one mid-write; NewServer must say so
+// instead of serving.
+func TestNewServerRefusesRecyclingCache(t *testing.T) {
+	f := startService(t, svcOpts{})
+	mc, err := store.NewMemCache(f.bf, 1<<20, cache.NewLRU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc.EnableRecycling()
+	if !mc.RecyclingEnabled() {
+		t.Fatal("BlockFile stopped being a recycler; this test needs one")
+	}
+	_, err = NewServer(Config{Cache: mc, Grid: f.g, Header: f.bf.Header()})
+	if err == nil || !strings.Contains(err.Error(), "recycles") {
+		t.Fatalf("NewServer over a recycling cache = %v, want a refusal naming recycling", err)
+	}
+}
+
+// TestNewServerRefusesOverFrameBlock: run splitting never goes below one
+// block, so a block whose entry cannot fit maxFrameBytes could never be
+// answered — every read of it used to wait out the client's deadline.
+// 256³ voxels is exactly 64 MiB of payload: refused; one slab thinner fits.
+func TestNewServerRefusesOverFrameBlock(t *testing.T) {
+	f := startService(t, svcOpts{})
+	for _, tc := range []struct {
+		block grid.Dims
+		ok    bool
+	}{
+		{grid.Dims{X: 256, Y: 256, Z: 256}, false},
+		{grid.Dims{X: 256, Y: 256, Z: 255}, true},
+	} {
+		g, err := grid.New(tc.block, tc.block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(vals[i]) != len(want) {
-			t.Fatalf("block %d: %d values, want %d", id, len(vals[i]), len(want))
+		srv, err := NewServer(Config{Cache: f.cache, Grid: g, Header: f.bf.Header()})
+		if err == nil {
+			srv.Close()
 		}
-		for j := range want {
-			if vals[i][j] != want[j] {
-				t.Fatalf("block %d voxel %d: %v != %v", id, j, vals[i][j], want[j])
-			}
+		if tc.ok && err != nil {
+			t.Errorf("%v blocks fit one frame but were refused: %v", tc.block, err)
 		}
-	}
-	// Single-block path too.
-	got, err := r.ReadBlock(ids[len(ids)/2])
-	if err != nil || got == nil {
-		t.Fatalf("ReadBlock: %v", err)
-	}
-	st := r.Snapshot()
-	if st.BlocksServed == 0 || st.BytesReceived == 0 || st.ChecksumErrors != 0 {
-		t.Errorf("client stats = %+v", st)
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "frame")) {
+			t.Errorf("%v blocks: NewServer = %v, want a refusal naming the frame limit", tc.block, err)
+		}
 	}
 }
 
@@ -288,7 +616,7 @@ func TestEndToEndTwoSessionsSharedCache(t *testing.T) {
 	readers := make([]*RemoteReader, sessions)
 	runtimes := make([]*ooc.Runtime, sessions)
 	for s := 0; s < sessions; s++ {
-		readers[s] = dialPipe(t, f, 2)
+		readers[s] = dialService(t, f, 2)
 		mc, err := store.NewMemCache(readers[s],
 			int64(f.g.NumBlocks())*f.bf.BlockBytes(0), cache.NewLRU())
 		if err != nil {
@@ -371,7 +699,7 @@ func TestRemoteTransientFaultsDegradeFrames(t *testing.T) {
 		inject:     &faultio.InjectorConfig{Seed: 7, FailRate: 0.6},
 		cacheBytes: 4, // nothing caches server-side: every read hits the injector
 	})
-	r := dialPipe(t, f, 2)
+	r := dialService(t, f, 2)
 	mc, err := store.NewMemCache(r, 4, cache.NewLRU()) // client side uncached too
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +758,7 @@ func TestLoadShedDegradesFrames(t *testing.T) {
 		c.MaxInflightBytes = 4 // below one block: every request is shed
 		c.MaxQueueWait = time.Millisecond
 	}})
-	r := dialPipe(t, f, 2)
+	r := dialService(t, f, 2)
 	mc, err := store.NewMemCache(r, 4, cache.NewLRU())
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +814,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 			inject:     &faultio.InjectorConfig{Seed: 3, FailRate: 1},
 			cacheBytes: 4,
 		})
-		r := dialPipe(t, f, 1)
+		r := dialService(t, f, 1)
 		_, err := r.ReadBlockContext(ctx, 0)
 		if err == nil {
 			t.Fatal("injected fault not surfaced")
@@ -500,7 +828,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 			inject:     &faultio.InjectorConfig{FailBlocks: []grid.BlockID{3}},
 			cacheBytes: 4,
 		})
-		r := dialPipe(t, f, 1)
+		r := dialService(t, f, 1)
 		_, err := r.ReadBlockContext(ctx, 3)
 		if err == nil {
 			t.Fatal("lost block not surfaced")
@@ -515,7 +843,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 	t.Run("checksum", func(t *testing.T) {
 		bad := grid.BlockID(5)
 		f := startService(t, svcOpts{corrupt: &bad, cacheBytes: 4})
-		r := dialPipe(t, f, 1)
+		r := dialService(t, f, 1)
 		_, err := r.ReadBlockContext(ctx, bad)
 		if err == nil {
 			t.Fatal("corrupted block not surfaced")
@@ -537,7 +865,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 // faults keep their classes and batch reads keep per-block isolation.
 func TestInjectorWrapsRemoteReader(t *testing.T) {
 	f := startService(t, svcOpts{})
-	r := dialPipe(t, f, 1)
+	r := dialService(t, f, 1)
 	inj := faultio.NewInjector(r, faultio.InjectorConfig{FailBlocks: []grid.BlockID{2}})
 
 	if _, err := inj.ReadBlock(2); err == nil {
@@ -657,7 +985,7 @@ func TestConcurrentSessionsRace(t *testing.T) {
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for c := 0; c < 3; c++ {
-		r := dialPipe(t, f, 2)
+		r := dialService(t, f, 2)
 		wg.Add(1)
 		go func(c int, r *RemoteReader) {
 			defer wg.Done()
@@ -685,38 +1013,11 @@ func TestConcurrentSessionsRace(t *testing.T) {
 	f.srv.Close()
 }
 
-// TestServeTCP exercises the default TCP transport end to end on loopback.
-func TestServeTCP(t *testing.T) {
-	testutil.VerifyNoLeaks(t)
-	f := startService(t, svcOpts{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	go f.srv.Serve(l)
-	defer l.Close()
-	r, err := Dial(ClientConfig{Addr: l.Addr().String(), Retry: fastRetry(3)})
-	if err != nil {
-		t.Fatalf("tcp dial: %v", err)
-	}
-	defer r.Close()
-	vals, errs := r.ReadBlocks(context.Background(), []grid.BlockID{0, 1, 2, 3})
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
-		}
-		want, _ := f.bf.ReadBlock(grid.BlockID(i))
-		if len(vals[i]) != len(want) || vals[i][0] != want[0] {
-			t.Errorf("block %d mismatch over tcp", i)
-		}
-	}
-}
-
 // TestReadBlocksHonorsContext: a canceled context fails the batch without
 // poisoning the connection pool for later requests.
 func TestReadBlocksHonorsContext(t *testing.T) {
 	f := startService(t, svcOpts{})
-	r := dialPipe(t, f, 1)
+	r := dialService(t, f, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, errs := r.ReadBlocks(ctx, []grid.BlockID{0, 1})

@@ -2,13 +2,10 @@ package blocksvc
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -137,30 +134,28 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // ClientStats is a point-in-time read of the client's counters (see
 // RemoteReader.Snapshot).
 type ClientStats struct {
-	Dials              int64 // successful connects (incl. reconnects)
-	DialRetries        int64 // extra dial attempts beyond each first
-	Requests           int64 // read batches issued (failover re-issues not re-counted)
-	BlocksRequested    int64
-	BlocksServed       int64 // blocks answered with payloads
-	RemoteFaults       int64 // blocks answered with fault statuses
-	ShedRequests       int64 // requests refused by server admission control
-	ChecksumErrors     int64 // payloads rejected by wire CRC verification
-	TransportErrors    int64 // torn connections (request failed mid-flight)
-	BytesReceived      int64 // payload bytes received (as sent on the wire)
-	DecompressedBlocks int64 // blocks that arrived flate-compressed
-	DecompressedBytes  int64 // decoded bytes recovered from compressed blocks
-	ViewUpdates        int64 // view messages sent
-	Failovers          int64 // batches re-issued to a different endpoint
-	GoawaysReceived    int64 // drain announcements seen
-	PingsSent          int64 // keepalive probes sent on idle connections
-	PongsReceived      int64
-	DeadPeers          int64 // idle connections torn down by a liveness timeout
-	BreakerOpens       int64 // circuits opened (threshold hit or probe failed)
-	BreakerProbes      int64 // half-open probes admitted
-	BreakerCloses      int64 // circuits closed again by a healthy round trip
-	Redirects          int64 // blocks answered "not owned here" by a cluster node
-	Reroutes           int64 // blocks re-issued to a different shard after a redirect or topology change
-	TopologyUpdates    int64 // shard maps adopted (welcome or topology push)
+	Dials           int64 // successful connects (incl. reconnects)
+	DialRetries     int64 // extra dial attempts beyond each first
+	Requests        int64 // read batches issued (failover re-issues not re-counted)
+	BlocksRequested int64
+	BlocksServed    int64 // blocks answered with payloads
+	RemoteFaults    int64 // blocks answered with fault statuses
+	ShedRequests    int64 // requests refused by server admission control
+	ChecksumErrors  int64 // payloads rejected by wire CRC verification
+	TransportErrors int64 // torn connections (request failed mid-flight)
+	BytesReceived   int64 // payload bytes received
+	ViewUpdates     int64 // view messages sent
+	Failovers       int64 // batches re-issued to a different endpoint
+	GoawaysReceived int64 // drain announcements seen
+	PingsSent       int64 // keepalive probes sent on idle connections
+	PongsReceived   int64
+	DeadPeers       int64 // idle connections torn down by a liveness timeout
+	BreakerOpens    int64 // circuits opened (threshold hit or probe failed)
+	BreakerProbes   int64 // half-open probes admitted
+	BreakerCloses   int64 // circuits closed again by a healthy round trip
+	Redirects       int64 // blocks answered "not owned here" by a cluster node
+	Reroutes        int64 // blocks re-issued to a different shard after a redirect or topology change
+	TopologyUpdates int64 // shard maps adopted (welcome or topology push)
 }
 
 // RemoteReader reads blocks from a block service: one server, a replica
@@ -426,10 +421,6 @@ type rconn struct {
 	mu      sync.Mutex
 	nextReq uint64
 	pending map[uint64]*pendingReq
-
-	// flate state is owned by the read loop (one goroutine per conn).
-	zsrc bytes.Reader
-	zr   io.ReadCloser
 }
 
 // tryReserve grabs up to want request slots, returning how many it got
@@ -623,8 +614,8 @@ func (r *RemoteReader) connect(ctx context.Context, g *shardGroup, ep *endpoint)
 	return conn, nil
 }
 
-// handshake exchanges hello/welcome, learns the negotiated capabilities
-// and request window, and validates the geometry against the first
+// handshake exchanges hello/welcome, learns the request window and any
+// cluster topology, and validates the geometry against the first
 // connection's — replicas must serve the same volume.
 func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 	rc := &rconn{
@@ -638,7 +629,6 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 	var e enc
 	e.u32(protoMagic)
 	e.u16(ProtoVersion)
-	e.u32(clientCaps)
 	if err := writeFrame(rc.bw, msgHello, e.b); err != nil {
 		return nil, faultio.Transient(err)
 	}
@@ -1194,11 +1184,11 @@ func (rc *rconn) takePending(req uint64) *pendingReq {
 }
 
 // handleBlocks decodes one response run into its tag's result arrays:
-// verifying each payload's CRC as it lies on the wire, then either bulk
-// byte-copying raw little-endian floats or inflating compressed blocks
-// into recycled buffers. A declared decode size that disagrees with the
-// block's geometry is a protocol violation detected before any
-// allocation — a lying length cannot over-allocate.
+// verifying each payload's CRC as it lies on the wire, then bulk
+// byte-copying the little-endian floats into a recycled buffer. An OK
+// payload whose length disagrees with the block's geometry is a protocol
+// violation that tears the connection, decided before any allocation — a
+// lying length can neither over-allocate nor deliver a short block.
 func (rc *rconn) handleBlocks(payload []byte) error {
 	r := rc.r
 	it, ok := blocksHeader(payload)
@@ -1214,7 +1204,7 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 	if it.First < 0 || it.N < 0 || it.First+it.N > len(p.ids) {
 		return fmt.Errorf("blocks frame out of range")
 	}
-	var served, faults, redirects, cksum, wireBytes, zblocks, zbytes int64
+	var served, faults, redirects, cksum, wireBytes int64
 	p.mu.Lock()
 	if p.outcome != 0 {
 		p.mu.Unlock()
@@ -1242,6 +1232,11 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 			p.answered++
 			continue
 		}
+		// An id outside the grid has no size an OK answer could match.
+		if int(id) < 0 || int(id) >= r.g.NumBlocks() || int64(len(it.Wire)) != r.g.VoxelCount(id)*4 {
+			p.mu.Unlock()
+			return fmt.Errorf("block %d answered with %d payload bytes, geometry disagrees", id, len(it.Wire))
+		}
 		if crc32.Checksum(it.Wire, castagnoli) != it.Sum {
 			cksum++
 			p.errs[k] = fmt.Errorf("blocksvc: block %d corrupted in transit: %w",
@@ -1250,30 +1245,9 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 			continue
 		}
 		wireBytes += int64(len(it.Wire))
-		if it.Codec == codecRaw {
-			out := r.getBuf(len(it.Wire) / 4)
-			copyF32LE(out, it.Wire)
-			p.vals[k] = out
-		} else {
-			want := r.g.VoxelCount(id) * 4
-			if int64(it.RawLen) != want {
-				p.mu.Unlock()
-				return fmt.Errorf("block %d declares %d decoded bytes, geometry says %d",
-					id, it.RawLen, want)
-			}
-			out := r.getBuf(it.RawLen / 4)
-			if err := rc.inflateInto(out, it.Wire); err != nil {
-				r.RecycleBlockBuf(out)
-				cksum++
-				p.errs[k] = fmt.Errorf("blocksvc: block %d corrupted in transit: %v: %w",
-					id, err, faultio.Transient(faultio.ErrChecksum))
-				p.answered++
-				continue
-			}
-			zblocks++
-			zbytes += int64(it.RawLen)
-			p.vals[k] = out
-		}
+		out := r.getBuf(len(it.Wire) / 4)
+		copyF32LE(out, it.Wire)
+		p.vals[k] = out
 		p.answered++
 		served++
 	}
@@ -1287,35 +1261,6 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 	r.m.redirects.Add(redirects)
 	r.m.checksumErrors.Add(cksum)
 	r.m.bytesReceived.Add(wireBytes)
-	r.m.decompressedBlocks.Add(zblocks)
-	r.m.decompressedBytes.Add(zbytes)
-	return nil
-}
-
-// inflateInto decompresses one flate-coded block payload into dst, which
-// must be sized exactly to the declared decode length (already validated
-// against the geometry). On little-endian hosts the inflate writes
-// straight into dst's memory; elsewhere a scratch buffer converts. A
-// stream that ends short or carries trailing data is an error.
-func (rc *rconn) inflateInto(dst []float32, wire []byte) error {
-	rc.zsrc.Reset(wire)
-	if rc.zr == nil {
-		rc.zr = flate.NewReader(&rc.zsrc)
-	} else if err := rc.zr.(flate.Resetter).Reset(&rc.zsrc, nil); err != nil {
-		return err
-	}
-	raw := f32leBytes(dst)
-	if raw == nil && len(dst) > 0 {
-		raw = make([]byte, len(dst)*4)
-		defer copyF32LE(dst, raw)
-	}
-	if _, err := io.ReadFull(rc.zr, raw); err != nil {
-		return err
-	}
-	var tail [1]byte
-	if n, _ := rc.zr.Read(tail[:]); n != 0 {
-		return fmt.Errorf("flate stream longer than declared")
-	}
 	return nil
 }
 

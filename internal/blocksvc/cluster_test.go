@@ -226,7 +226,7 @@ func TestClusterRoutingValuesMatchLocal(t *testing.T) {
 }
 
 // TestClusterRedirectWire pins the redirect answer on the wire: a raw
-// capShard client asking one node for the whole dataset gets statusOK for
+// client asking one node for the whole dataset gets statusOK for
 // the node's owned blocks and a statusRedirect entry carrying the current
 // epoch for everything else — and the welcome itself carries the map.
 func TestClusterRedirectWire(t *testing.T) {
@@ -243,7 +243,6 @@ func TestClusterRedirectWire(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	hello.u32(clientCaps)
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +254,6 @@ func TestClusterRedirectWire(t *testing.T) {
 	w, ok := decodeWelcome(payload)
 	if !ok {
 		t.Fatal("welcome did not decode")
-	}
-	if w.Caps&capShard == 0 {
-		t.Fatalf("welcome caps = %#x, capShard not negotiated", w.Caps)
 	}
 	if w.ShardMap == nil || w.ShardMap.Epoch != 1 || len(w.ShardMap.Shards) != 3 {
 		t.Fatalf("welcome shard map = %+v, want the 3-shard epoch-1 map", w.ShardMap)
@@ -331,91 +327,6 @@ func TestClusterRedirectWire(t *testing.T) {
 	}
 }
 
-// TestClusterPlainClientAgainstClusterNode: a client that does not advertise
-// capShard cannot decode redirects, so a cluster node answers its non-owned
-// blocks with a plain retryable status — and its welcome carries no map.
-func TestClusterPlainClientAgainstClusterNode(t *testing.T) {
-	f := startCluster(t, []string{"a", "b"}, func(c *Config) {
-		c.HeartbeatInterval = -1
-	})
-	n := f.order[0]
-	conn, err := n.lis.Dial(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	var hello enc
-	hello.u32(protoMagic)
-	hello.u16(ProtoVersion)
-	hello.u32(capCompress) // everything this client could advertise but capShard
-	if err := writeFrame(conn, msgHello, hello.b); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	typ, payload, err := readFrame(br, nil)
-	if err != nil || typ != msgWelcome {
-		t.Fatalf("welcome: typ=%d err=%v", typ, err)
-	}
-	w, ok := decodeWelcome(payload)
-	if !ok {
-		t.Fatal("welcome did not decode")
-	}
-	if w.Caps&capShard != 0 || w.ShardMap != nil {
-		t.Fatalf("welcome to a client without capShard carries topology: %+v", w)
-	}
-
-	ids := f.g.All()
-	var req enc
-	req.u64(5)
-	req.u32(0)
-	req.u32(uint32(len(ids)))
-	for _, id := range ids {
-		req.u32(uint32(id))
-	}
-	if err := writeFrame(conn, msgRead, req.b); err != nil {
-		t.Fatal(err)
-	}
-	var okBlocks, transient int
-	for {
-		typ, payload, err := readFrame(br, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ == msgDone {
-			break
-		}
-		it, ok := blocksHeader(payload)
-		if !ok {
-			t.Fatal("bad blocks prelude")
-		}
-		for it.next() {
-			id := ids[it.First+it.k-1]
-			owned := f.ring.OwnerBlock(id) == 0
-			switch it.Status {
-			case statusOK:
-				if !owned {
-					t.Fatalf("block %d served by a non-owner", id)
-				}
-				okBlocks++
-			case statusTransient:
-				if owned {
-					t.Fatalf("owned block %d answered transient", id)
-				}
-				transient++
-			default:
-				t.Fatalf("block %d status %d (a plain client must never see a redirect)", id, it.Status)
-			}
-		}
-		if !it.done() {
-			t.Fatal("blocks frame did not parse cleanly")
-		}
-	}
-	if okBlocks == 0 || transient == 0 || okBlocks+transient != len(ids) {
-		t.Fatalf("ok=%d transient=%d of %d", okBlocks, transient, len(ids))
-	}
-}
-
 // TestClusterStaleClientConvergesViaWelcome: a client dialed with an
 // out-of-date map (older epoch, wrong ownership) must adopt the cluster's
 // current map from the welcome and route correctly from then on.
@@ -473,7 +384,6 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	hello.u32(clientCaps)
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
@@ -657,12 +567,11 @@ func TestClusterEndToEndRebalance(t *testing.T) {
 }
 
 // TestClusterFlatClientStaysFlat pins the non-cluster path: a flat
-// client against a non-cluster server negotiates no shard capability and
-// carries no topology — single-shard deployments are byte-for-byte
-// unaffected by the cluster machinery.
+// client against a non-cluster server is sent no topology and stays one
+// shard — single-shard deployments never touch the cluster machinery.
 func TestClusterFlatClientStaysFlat(t *testing.T) {
 	f := startService(t, svcOpts{})
-	r := dialPipe(t, f, 2)
+	r := dialService(t, f, 2)
 	if m := r.Topology(); m != nil {
 		t.Fatalf("flat client has a topology: %+v", m)
 	}

@@ -20,7 +20,6 @@ import (
 type helloMsg struct {
 	Magic   uint32
 	Version uint16
-	Caps    uint32
 }
 
 // decodeHello decodes a hello. A hello announcing another protocol version
@@ -30,14 +29,8 @@ type helloMsg struct {
 func decodeHello(payload []byte) (helloMsg, bool) {
 	d := dec{b: payload}
 	m := helloMsg{Magic: d.u32(), Version: d.u16()}
-	if d.bad {
-		return helloMsg{}, false
-	}
-	if m.Version != ProtoVersion {
-		return m, true
-	}
-	m.Caps = d.u32()
-	if !d.ok() {
+	// This version's hello ends there: anything trailing is malformed.
+	if d.bad || (m.Version == ProtoVersion && !d.ok()) {
 		return helloMsg{}, false
 	}
 	return m, true
@@ -49,14 +42,13 @@ type welcomeMsg struct {
 	Session         uint64
 	Header          store.Header
 	HeartbeatMillis uint32     // server's liveness cadence; 0 = disabled
-	Caps            uint32     // negotiated capability bits
 	MaxRequests     uint32     // pipelined requests the server allows per conn
-	ShardMap        *shard.Map // cluster topology (capShard sessions only)
+	ShardMap        *shard.Map // cluster topology; nil from a flat server
 }
 
-// decodeWelcome decodes a welcome strictly: every field through
-// maxRequests is required, so a welcome cut short of its capability words
-// is malformed rather than "no capabilities, one request in flight".
+// decodeWelcome decodes a welcome strictly: every field through mapBytes is
+// required, so a welcome cut short of its request window is malformed
+// rather than "one request in flight, no cluster".
 func decodeWelcome(payload []byte) (welcomeMsg, bool) {
 	d := dec{b: payload}
 	m := welcomeMsg{Version: d.u16(), Session: d.u64()}
@@ -68,14 +60,13 @@ func decodeWelcome(payload []byte) (welcomeMsg, bool) {
 		Version:  int32(d.u32()),
 	}
 	m.HeartbeatMillis = d.u32()
-	m.Caps = d.u32()
 	m.MaxRequests = d.u32()
-	// capShard welcomes append the cluster topology, length-prefixed. The
-	// declared length is validated against the remaining payload before
-	// the map decoder sees it; the map decoder then validates its own
-	// counts before allocating.
-	if m.Caps&capShard != 0 {
-		raw := d.take(int(d.u32()))
+	// A cluster node appends its topology, length-prefixed; a flat server
+	// declares 0 bytes. The declared length is validated against the
+	// remaining payload before the map decoder sees it; the map decoder
+	// then validates its own counts before allocating.
+	if mapBytes := int(d.u32()); mapBytes > 0 {
+		raw := d.take(mapBytes)
 		if raw == nil {
 			return welcomeMsg{}, false
 		}

@@ -35,10 +35,15 @@ func seedFrames(t testing.TB) [][]byte {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	hello.u32(clientCaps)
 
-	// A welcome cut short of caps/maxRequests: malformed under the strict
-	// decoder, not "no capabilities".
+	// This version's hello with a word behind it — where a capability mask
+	// once rode. Trailing bytes are malformed.
+	var helloTrailing enc
+	helloTrailing.raw(hello.b)
+	helloTrailing.u32(3)
+
+	// A welcome cut short of maxRequests/mapBytes: malformed under the
+	// strict decoder, not "one request in flight, no cluster".
 	var welcomeShort enc
 	welcomeShort.u16(ProtoVersion)
 	welcomeShort.u64(7)
@@ -46,47 +51,41 @@ func seedFrames(t testing.TB) [][]byte {
 		welcomeShort.u32(v)
 	}
 
+	// A flat server's welcome: pipelining allowance, then mapBytes 0.
 	var welcome enc
-	welcome.u16(ProtoVersion)
-	welcome.u64(7)
-	for _, v := range []uint32{16, 16, 16, 4, 4, 4, 1, 64, 3, 5000} {
-		welcome.u32(v)
-	}
-	welcome.u32(capCompress) // negotiated caps
-	welcome.u32(4)           // pipelining allowance
+	welcome.raw(welcomeShort.b)
+	welcome.u32(4)
+	welcome.u32(0)
 
-	// Blocks frame: one raw and one DEFLATE entry, checksummed like the
-	// server writes them — plus a liar that declares a huge decoded size.
+	// Blocks frame: two OK entries, checksummed like the server writes them.
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	var blocks enc
 	blocks.u64(9)
 	blocks.u32(0)
 	blocks.u16(2)
-	blocks.u8(byte(statusOK))
-	blocks.u8(codecRaw)
-	blocks.u32(uint32(len(raw)))
-	blocks.raw(raw)
-	blocks.u32(crc32.Checksum(raw, castagnoli))
-	blocks.u8(byte(statusOK))
-	blocks.u8(codecFlate)
-	blocks.u32(1 << 30) // lying rawBytes: decode layers must bound, not trust
-	blocks.u32(uint32(len(raw)))
-	blocks.raw(raw)
-	blocks.u32(crc32.Checksum(raw, castagnoli))
+	for range 2 {
+		blocks.u8(byte(statusOK))
+		blocks.u32(uint32(len(raw)))
+		blocks.raw(raw)
+		blocks.u32(crc32.Checksum(raw, castagnoli))
+	}
 
-	// An OK entry missing its codec byte: the length's low byte lands where
-	// the codec belongs, and 8 is no codec.
-	var blocksNoCodec enc
-	blocksNoCodec.u64(9)
-	blocksNoCodec.u32(0)
-	blocksNoCodec.u16(1)
-	blocksNoCodec.u8(byte(statusOK))
-	blocksNoCodec.u32(uint32(len(raw)))
-	blocksNoCodec.raw(raw)
-	blocksNoCodec.u32(crc32.Checksum(raw, castagnoli))
+	// The same frame one byte short — the last CRC cut — and one byte long:
+	// an entry with a byte between status and length, where a codec byte
+	// once rode, which shifts the length into nonsense.
+	blocksShort := blocks.b[:len(blocks.b)-1]
+	var blocksLong enc
+	blocksLong.u64(9)
+	blocksLong.u32(0)
+	blocksLong.u16(1)
+	blocksLong.u8(byte(statusOK))
+	blocksLong.u8(0)
+	blocksLong.u32(uint32(len(raw)))
+	blocksLong.raw(raw)
+	blocksLong.u32(crc32.Checksum(raw, castagnoli))
 
-	// capShard welcome: negotiated caps include the shard bit, so the
-	// topology map rides length-prefixed behind the pipelining allowance.
+	// A cluster node's welcome: the topology map rides length-prefixed
+	// behind the pipelining allowance.
 	seedMap := shard.Map{
 		Epoch:  3,
 		Seed:   11,
@@ -98,12 +97,7 @@ func seedFrames(t testing.TB) [][]byte {
 	}
 	mapRaw := seedMap.AppendBinary(nil)
 	var welcomeShard enc
-	welcomeShard.u16(ProtoVersion)
-	welcomeShard.u64(7)
-	for _, v := range []uint32{16, 16, 16, 4, 4, 4, 1, 64, 3, 5000} {
-		welcomeShard.u32(v)
-	}
-	welcomeShard.u32(capCompress | capShard)
+	welcomeShard.raw(welcomeShort.b)
 	welcomeShard.u32(4)
 	welcomeShard.u32(uint32(len(mapRaw)))
 	welcomeShard.raw(mapRaw)
@@ -128,7 +122,6 @@ func seedFrames(t testing.TB) [][]byte {
 	blocksRedir.u8(byte(statusRedirect))
 	blocksRedir.u64(4) // current epoch at the answering shard
 	blocksRedir.u8(byte(statusOK))
-	blocksRedir.u8(codecRaw)
 	blocksRedir.u32(uint32(len(raw)))
 	blocksRedir.raw(raw)
 	blocksRedir.u32(crc32.Checksum(raw, castagnoli))
@@ -155,6 +148,7 @@ func seedFrames(t testing.TB) [][]byte {
 	return [][]byte{
 		frameBytes(t, msgHello, helloOther.b),
 		frameBytes(t, msgHello, hello.b),
+		frameBytes(t, msgHello, helloTrailing.b),
 		frameBytes(t, msgWelcome, welcomeShort.b),
 		frameBytes(t, msgWelcome, welcome.b),
 		frameBytes(t, msgWelcome, welcomeShard.b),
@@ -162,7 +156,8 @@ func seedFrames(t testing.TB) [][]byte {
 		frameBytes(t, msgTopology, topoHostile.b),
 		frameBytes(t, msgBlocks, blocksRedir.b),
 		frameBytes(t, msgBlocks, blocks.b),
-		frameBytes(t, msgBlocks, blocksNoCodec.b),
+		frameBytes(t, msgBlocks, blocksShort),
+		frameBytes(t, msgBlocks, blocksLong.b),
 		frameBytes(t, msgRead, read.b),
 		frameBytes(t, msgView, view.b),
 		frameBytes(t, msgPing, ping.b),

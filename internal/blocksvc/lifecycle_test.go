@@ -60,7 +60,6 @@ func TestHandshakeWriteDeadline(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	hello.u32(clientCaps)
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,6 @@ func TestServerDetectsDeadPeer(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	hello.u32(clientCaps)
 	if err := writeFrame(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +148,8 @@ func startMuteServer(t *testing.T, hbMillis uint32) *PipeListener {
 					e.u32(v)
 				}
 				e.u32(hbMillis)
-				e.u32(0) // caps
 				e.u32(1) // maxRequests
+				e.u32(0) // mapBytes: a flat server
 				if err := writeFrame(c, msgWelcome, e.b); err != nil {
 					return
 				}
@@ -223,7 +221,7 @@ func TestDrainFinishesInflight(t *testing.T) {
 		cacheBytes: 4, // nothing caches: every block pays the injector latency
 		mutate:     func(c *Config) { c.HeartbeatInterval = -1 },
 	})
-	r := dialPipe(t, f, 2)
+	r := dialService(t, f, 2)
 
 	ids := f.g.All()
 	type result struct {

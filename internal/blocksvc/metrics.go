@@ -35,10 +35,6 @@ type serverMetrics struct {
 	heartbeatsSent   *obs.Counter
 	deadPeers        *obs.Counter
 	goawaysSent      *obs.Counter
-	compressedBlocks *obs.Counter
-	compressSkipped  *obs.Counter
-	compressBytesIn  *obs.Counter
-	compressBytesOut *obs.Counter
 	redirects        *obs.Counter
 	topologyPushes   *obs.Counter
 
@@ -80,10 +76,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	m.heartbeatsSent = reg.Counter("svc.heartbeats_sent")
 	m.deadPeers = reg.Counter("svc.dead_peers")
 	m.goawaysSent = reg.Counter("svc.goaways_sent")
-	m.compressedBlocks = reg.Counter("svc.compress.blocks")
-	m.compressSkipped = reg.Counter("svc.compress.skipped")
-	m.compressBytesIn = reg.Counter("svc.compress.bytes_in")
-	m.compressBytesOut = reg.Counter("svc.compress.bytes_out")
 	m.redirects = reg.Counter("svc.redirects")
 	m.topologyPushes = reg.Counter("svc.topology_pushes")
 	return m
@@ -114,10 +106,6 @@ func (m *serverMetrics) snapshot() ServerStats {
 		HeartbeatsSent:   m.heartbeatsSent.Value(),
 		DeadPeers:        m.deadPeers.Value(),
 		GoawaysSent:      m.goawaysSent.Value(),
-		CompressedBlocks: m.compressedBlocks.Value(),
-		CompressSkipped:  m.compressSkipped.Value(),
-		CompressBytesIn:  m.compressBytesIn.Value(),
-		CompressBytesOut: m.compressBytesOut.Value(),
 		Redirects:        m.redirects.Value(),
 		TopologyPushes:   m.topologyPushes.Value(),
 	}
@@ -171,30 +159,28 @@ func sessionPredictName(id uint64, suffix string) string {
 type clientMetrics struct {
 	reg *obs.Registry // the caller's registry (nil = none)
 
-	dials              *obs.Counter
-	dialRetries        *obs.Counter
-	requests           *obs.Counter
-	blocksRequested    *obs.Counter
-	blocksServed       *obs.Counter
-	remoteFaults       *obs.Counter
-	shedRequests       *obs.Counter
-	checksumErrors     *obs.Counter
-	transportErrors    *obs.Counter
-	bytesReceived      *obs.Counter
-	decompressedBlocks *obs.Counter
-	decompressedBytes  *obs.Counter
-	viewUpdates        *obs.Counter
-	failovers          *obs.Counter
-	goawaysReceived    *obs.Counter
-	pingsSent          *obs.Counter
-	pongsReceived      *obs.Counter
-	deadPeers          *obs.Counter
-	breakerOpens       *obs.Counter
-	breakerProbes      *obs.Counter
-	breakerCloses      *obs.Counter
-	redirects          *obs.Counter
-	reroutes           *obs.Counter
-	topologyUpdates    *obs.Counter
+	dials           *obs.Counter
+	dialRetries     *obs.Counter
+	requests        *obs.Counter
+	blocksRequested *obs.Counter
+	blocksServed    *obs.Counter
+	remoteFaults    *obs.Counter
+	shedRequests    *obs.Counter
+	checksumErrors  *obs.Counter
+	transportErrors *obs.Counter
+	bytesReceived   *obs.Counter
+	viewUpdates     *obs.Counter
+	failovers       *obs.Counter
+	goawaysReceived *obs.Counter
+	pingsSent       *obs.Counter
+	pongsReceived   *obs.Counter
+	deadPeers       *obs.Counter
+	breakerOpens    *obs.Counter
+	breakerProbes   *obs.Counter
+	breakerCloses   *obs.Counter
+	redirects       *obs.Counter
+	reroutes        *obs.Counter
+	topologyUpdates *obs.Counter
 
 	requestNs *obs.Histogram
 }
@@ -219,8 +205,6 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	m.checksumErrors = reg.Counter("client.checksum_errors")
 	m.transportErrors = reg.Counter("client.transport_errors")
 	m.bytesReceived = reg.Counter("client.bytes_received")
-	m.decompressedBlocks = reg.Counter("client.decompress.blocks")
-	m.decompressedBytes = reg.Counter("client.decompress.bytes")
 	m.viewUpdates = reg.Counter("client.view_updates")
 	m.failovers = reg.Counter("client.failovers")
 	m.goawaysReceived = reg.Counter("client.goaways_received")
@@ -240,30 +224,28 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 // per field.
 func (m *clientMetrics) snapshot() ClientStats {
 	return ClientStats{
-		Dials:              m.dials.Value(),
-		DialRetries:        m.dialRetries.Value(),
-		Requests:           m.requests.Value(),
-		BlocksRequested:    m.blocksRequested.Value(),
-		BlocksServed:       m.blocksServed.Value(),
-		RemoteFaults:       m.remoteFaults.Value(),
-		ShedRequests:       m.shedRequests.Value(),
-		ChecksumErrors:     m.checksumErrors.Value(),
-		TransportErrors:    m.transportErrors.Value(),
-		BytesReceived:      m.bytesReceived.Value(),
-		DecompressedBlocks: m.decompressedBlocks.Value(),
-		DecompressedBytes:  m.decompressedBytes.Value(),
-		ViewUpdates:        m.viewUpdates.Value(),
-		Failovers:          m.failovers.Value(),
-		GoawaysReceived:    m.goawaysReceived.Value(),
-		PingsSent:          m.pingsSent.Value(),
-		PongsReceived:      m.pongsReceived.Value(),
-		DeadPeers:          m.deadPeers.Value(),
-		BreakerOpens:       m.breakerOpens.Value(),
-		BreakerProbes:      m.breakerProbes.Value(),
-		BreakerCloses:      m.breakerCloses.Value(),
-		Redirects:          m.redirects.Value(),
-		Reroutes:           m.reroutes.Value(),
-		TopologyUpdates:    m.topologyUpdates.Value(),
+		Dials:           m.dials.Value(),
+		DialRetries:     m.dialRetries.Value(),
+		Requests:        m.requests.Value(),
+		BlocksRequested: m.blocksRequested.Value(),
+		BlocksServed:    m.blocksServed.Value(),
+		RemoteFaults:    m.remoteFaults.Value(),
+		ShedRequests:    m.shedRequests.Value(),
+		ChecksumErrors:  m.checksumErrors.Value(),
+		TransportErrors: m.transportErrors.Value(),
+		BytesReceived:   m.bytesReceived.Value(),
+		ViewUpdates:     m.viewUpdates.Value(),
+		Failovers:       m.failovers.Value(),
+		GoawaysReceived: m.goawaysReceived.Value(),
+		PingsSent:       m.pingsSent.Value(),
+		PongsReceived:   m.pongsReceived.Value(),
+		DeadPeers:       m.deadPeers.Value(),
+		BreakerOpens:    m.breakerOpens.Value(),
+		BreakerProbes:   m.breakerProbes.Value(),
+		BreakerCloses:   m.breakerCloses.Value(),
+		Redirects:       m.redirects.Value(),
+		Reroutes:        m.reroutes.Value(),
+		TopologyUpdates: m.topologyUpdates.Value(),
 	}
 }
 

@@ -60,7 +60,7 @@ func orbitPrefetchStats(t *testing.T, predictOff bool) ServerStats {
 		mutate: func(c *Config) {
 			c.PredictOff = predictOff
 		}})
-	r := dialPipe(t, f, 1)
+	r := dialService(t, f, 1)
 	driveOrbit(t, f, r, camera.Orbit(3, 8))
 	return f.srv.Snapshot()
 }
@@ -101,7 +101,7 @@ func TestPredictSingleViewMatchesBaseline(t *testing.T) {
 		f := startService(t, svcOpts{prefetch: true, mutate: func(c *Config) {
 			c.PredictOff = predictOff
 		}})
-		r := dialPipe(t, f, 1)
+		r := dialService(t, f, 1)
 		pos := vec.New(3, 0, 0)
 		if err := r.SendView(context.Background(), pos); err != nil {
 			t.Fatal(err)
@@ -220,7 +220,7 @@ func TestPredictSessionMetricsUnregistered(t *testing.T) {
 	f := startService(t, svcOpts{prefetch: true, mutate: func(c *Config) {
 		c.Metrics = reg
 	}})
-	r := dialPipe(t, f, 1)
+	r := dialService(t, f, 1)
 	if err := r.SendView(context.Background(), vec.New(3, 0, 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,9 @@ package blocksvc
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"context"
 	"hash/crc32"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,77 +15,30 @@ import (
 	"repro/internal/testutil"
 )
 
-// This file covers the wire protocol's negotiated features: the per-block
-// compression codec, tagged request pipelining
-// over a shared conn, failover scope after a mid-response tear, and the
-// hostile-input bound on the compressed-block decode path.
-
-// TestCompressionRoundTrip reads every block through the negotiated
-// compressed wire in both policy modes and compares voxel-for-voxel with
-// direct file reads; the server and client codec counters must agree.
-func TestCompressionRoundTrip(t *testing.T) {
-	for name, mode := range map[string]CompressionMode{
-		"low-entropy": CompressLowEntropy,
-		"all":         CompressAll,
-	} {
-		t.Run(name, func(t *testing.T) {
-			f := startService(t, svcOpts{prefetch: true, mutate: func(c *Config) {
-				c.HeartbeatInterval = -1
-				c.Compression = mode
-			}})
-			r := dialPipe(t, f, 1)
-			ids := f.g.All()
-			vals, errs := r.ReadBlocks(context.Background(), ids)
-			for i, id := range ids {
-				if errs[i] != nil {
-					t.Fatalf("block %d: %v", id, errs[i])
-				}
-				want, err := f.bf.ReadBlock(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := range want {
-					if vals[i][j] != want[j] {
-						t.Fatalf("block %d voxel %d = %v, want %v", id, j, vals[i][j], want[j])
-					}
-				}
-			}
-			st := f.srv.Snapshot()
-			if st.CompressedBlocks == 0 {
-				t.Fatalf("mode %s compressed no blocks: %+v", name, st)
-			}
-			if st.CompressBytesOut >= st.CompressBytesIn {
-				t.Errorf("compression grew the payload: %d -> %d bytes",
-					st.CompressBytesIn, st.CompressBytesOut)
-			}
-			cs := r.Snapshot()
-			if cs.DecompressedBlocks != st.CompressedBlocks {
-				t.Errorf("client inflated %d blocks, server compressed %d",
-					cs.DecompressedBlocks, st.CompressedBlocks)
-			}
-			raw := int64(0)
-			for _, id := range ids {
-				raw += f.g.VoxelCount(id) * 4
-			}
-			if cs.BytesReceived >= raw {
-				t.Errorf("BytesReceived = %d, want under the %d raw bytes", cs.BytesReceived, raw)
-			}
-		})
-	}
-}
+// This file covers the wire path's concurrency and hostile-input pins:
+// tagged request pipelining over a shared conn, failover scope after a
+// mid-response tear, and the payload-length check against the geometry.
 
 // TestPipelinedConcurrentBatches is the pipelining race test: several
 // goroutines issue overlapping demand batches through ONE pooled
 // connection. Tagged demultiplexing must route every response to its
 // issuer — run with -race this is the ownership proof for the shared
-// read loop, buffer recycling, and the per-tag pending state.
+// read loop, buffer recycling, and the per-tag pending state, and on the
+// server for concurrent sendRuns sharing one session's writer, on each
+// transport.
 func TestPipelinedConcurrentBatches(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) { pipelinedConcurrentBatches(t, tr) })
+	}
+}
+
+func pipelinedConcurrentBatches(t *testing.T, transport string) {
 	testutil.VerifyNoLeaks(t)
-	f := startService(t, svcOpts{mutate: func(c *Config) {
+	f := startService(t, svcOpts{transport: transport, mutate: func(c *Config) {
 		c.HeartbeatInterval = -1
 		c.ResponseRunBytes = 4096 // multi-frame responses interleave across tags
 	}})
-	r, err := Dial(ClientConfig{Dial: f.lis.Dial, Conns: 1, PipelineDepth: 4,
+	r, err := Dial(ClientConfig{Dial: f.dial, Conns: 1, PipelineDepth: 4,
 		Retry: fastRetry(3)})
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +46,6 @@ func TestPipelinedConcurrentBatches(t *testing.T) {
 	defer r.Close()
 
 	all := f.g.All()
-	want := make(map[grid.BlockID][]float32, len(all))
-	for _, id := range all {
-		w, err := f.bf.ReadBlock(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[id] = w
-	}
-
 	const sessions = 3
 	var wg sync.WaitGroup
 	errc := make(chan error, sessions)
@@ -122,18 +63,9 @@ func TestPipelinedConcurrentBatches(t *testing.T) {
 						errc <- errs[i]
 						return
 					}
-					w := want[id]
-					if len(vals[i]) != len(w) {
-						t.Errorf("session %d block %d: %d values, want %d",
-							s, id, len(vals[i]), len(w))
+					if !blockMatchesFile(f, id, vals[i]) {
+						t.Errorf("session %d block %d does not match the block file", s, id)
 						return
-					}
-					for j := range w {
-						if vals[i][j] != w[j] {
-							t.Errorf("session %d block %d voxel %d = %v, want %v",
-								s, id, j, vals[i][j], w[j])
-							return
-						}
 					}
 				}
 			}
@@ -153,11 +85,11 @@ func TestPipelinedConcurrentBatches(t *testing.T) {
 	}
 }
 
-// startLyingServer completes a handshake and then answers every read
-// with a single compressed block entry whose declared decompressed size is
-// a lie (1 GiB). The client must reject the frame by comparing the claim
-// against the block's known geometry BEFORE allocating a decode buffer.
-func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
+// startLyingServer completes a handshake for a 32³ volume in 8³ blocks
+// (2 048-byte payloads) and then answers every read with one OK entry for
+// the request's first block whose payload is payloadBytes long — correctly
+// framed, correctly checksummed, and the wrong size for the block.
+func startLyingServer(t *testing.T, payloadBytes int) *PipeListener {
 	t.Helper()
 	lis := NewPipeListener()
 	t.Cleanup(func() { lis.Close() })
@@ -179,9 +111,9 @@ func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
 				for _, v := range []uint32{32, 32, 32, 8, 8, 8, 1, 64, 0} {
 					e.u32(v)
 				}
-				e.u32(0)           // no heartbeat
-				e.u32(capCompress) // caps
-				e.u32(4)           // maxRequests
+				e.u32(0) // no heartbeat
+				e.u32(4) // maxRequests
+				e.u32(0) // mapBytes: a flat server
 				if err := writeFrame(c, msgWelcome, e.b); err != nil {
 					return
 				}
@@ -197,20 +129,15 @@ func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
 					if !ok || len(msg.IDs) == 0 {
 						return
 					}
-					var z bytes.Buffer
-					zw, _ := flate.NewWriter(&z, flate.BestSpeed)
-					zw.Write(make([]byte, 64))
-					zw.Close()
+					lie := make([]byte, payloadBytes)
 					var b enc
 					b.u64(msg.Req)
 					b.u32(0) // first
 					b.u16(1) // one entry
 					b.u8(byte(statusOK))
-					b.u8(codecFlate)
-					b.u32(rawLenLie) // the lie: claims ~1 GiB decoded
-					b.u32(uint32(z.Len()))
-					b.raw(z.Bytes())
-					b.u32(crc32.Checksum(z.Bytes(), castagnoli))
+					b.u32(uint32(len(lie)))
+					b.raw(lie)
+					b.u32(crc32.Checksum(lie, castagnoli))
 					if err := writeFrame(c, msgBlocks, b.b); err != nil {
 						return
 					}
@@ -221,38 +148,49 @@ func startLyingServer(t *testing.T, rawLenLie uint32) *PipeListener {
 	return lis
 }
 
-// TestLyingFlateHeaderCannotOverAllocate pins the hostile-input bound on
-// the compressed path (the chunked-growth contract's codec analog): a
-// frame whose rawBytes header claims 1 GiB for a 2 KiB block must fail the
-// batch as a transport fault without the client ever allocating the
-// claimed size.
-func TestLyingFlateHeaderCannotOverAllocate(t *testing.T) {
-	const lie = 1 << 30
-	lis := startLyingServer(t, lie)
-	r, err := Dial(ClientConfig{Dial: lis.Dial, Conns: 1, Retry: fastRetry(1),
-		FailoverAttempts: 1, HeartbeatInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, errs := r.ReadBlocks(context.Background(), []grid.BlockID{0, 1})
-	runtime.ReadMemStats(&after)
-	for i, err := range errs {
-		if err == nil || !faultio.Retryable(err) {
-			t.Fatalf("errs[%d] = %v, want retryable transport fault", i, err)
-		}
-	}
-	// The whole exchange — dial, handshake, reject — must not commit
-	// anything near the lie. 32 MiB of headroom is ~1/32 of the claim.
-	if delta := after.TotalAlloc - before.TotalAlloc; delta > 32<<20 {
-		t.Errorf("lying header drove %d bytes of allocation (claim %d)", delta, lie)
-	}
-	if st := r.Snapshot(); st.TransportErrors == 0 {
-		t.Errorf("lying frame not counted as a transport error: %+v", st)
+// TestLyingLengthRejected pins the payload-length check: an OK entry whose
+// length is not the geometry's for that block — short, long but inside the
+// frame, not even whole floats, or right for a block but answering an id
+// the grid does not have — is a protocol violation. Each must fail the
+// batch as a transport fault and deliver nothing; before the check a valid
+// CRC over 7 bytes delivered a one-float "block".
+func TestLyingLengthRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		payloadBytes int
+		first        grid.BlockID
+	}{
+		{"short", 2044, 0},
+		{"long within the frame", 4096, 0},
+		{"not a multiple of 4", 7, 0},
+		{"id outside the grid", 2048, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis := startLyingServer(t, tc.payloadBytes)
+			r, err := Dial(ClientConfig{Dial: lis.Dial, Conns: 1, Retry: fastRetry(1),
+				FailoverAttempts: 1, HeartbeatInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			// The deadline only matters when the check is missing: the lie is
+			// then taken for an answer and the other block waits forever.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			vals, errs := r.ReadBlocks(ctx, []grid.BlockID{tc.first, 1})
+			for i := range errs {
+				if vals[i] != nil {
+					t.Fatalf("vals[%d]: a %d-byte payload was delivered as a block of %d floats",
+						i, tc.payloadBytes, len(vals[i]))
+				}
+				if errs[i] == nil || !faultio.Retryable(errs[i]) {
+					t.Fatalf("errs[%d] = %v, want retryable transport fault", i, errs[i])
+				}
+			}
+			if st := r.Snapshot(); st.TransportErrors == 0 || st.BlocksServed != 0 {
+				t.Errorf("lying frame must count as a transport error and serve nothing: %+v", st)
+			}
+		})
 	}
 }
 

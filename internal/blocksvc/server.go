@@ -3,7 +3,6 @@ package blocksvc
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -24,41 +23,16 @@ import (
 	"repro/internal/visibility"
 )
 
-// CompressionMode selects which blocks the server offers to DEFLATE on the
-// wire when a client negotiates capCompress.
-type CompressionMode int
-
-const (
-	// CompressOff never compresses.
-	CompressOff CompressionMode = iota
-	// CompressLowEntropy compresses only blocks whose T_important entropy
-	// score is below the threshold — the paper's ambient blocks, which
-	// DEFLATE collapses at almost no CPU cost — and skips the high-entropy
-	// blocks that would burn cycles for nothing. Requires Config.Imp.
-	CompressLowEntropy
-	// CompressAll compresses every OK block regardless of entropy (kept for
-	// the ablation; the low-entropy policy beats it on mixed fields).
-	CompressAll
-)
-
-// ParseCompressionMode maps the -wire-compress flag values.
-func ParseCompressionMode(s string) (CompressionMode, error) {
-	switch s {
-	case "off":
-		return CompressOff, nil
-	case "low-entropy":
-		return CompressLowEntropy, nil
-	case "all":
-		return CompressAll, nil
-	}
-	return CompressOff, fmt.Errorf("blocksvc: unknown compression mode %q (off, low-entropy, all)", s)
-}
-
 // Config describes what a Server serves and how hard it may be pushed.
 type Config struct {
 	// Cache is the shared block cache every session reads through. Its
 	// singleflight miss path is what makes the server multi-session: N
 	// sessions demanding one cold block cost exactly one backing read.
+	// It must not recycle evicted buffers (MemCache.EnableRecycling): a
+	// response is checksummed and written from the cache's own slices after
+	// the cache lock is released, and with recycling on another session's
+	// miss could evict one of them and have the next backing read decode
+	// into it mid-write. NewServer refuses such a cache.
 	Cache *store.MemCache
 	// Grid is the served volume's block geometry (request validation and
 	// per-request byte accounting).
@@ -107,17 +81,12 @@ type Config struct {
 	// writing the welcome to a peer that never drains its receive buffer
 	// (default 10s).
 	HandshakeTimeout time.Duration
-	// Compression selects the wire codec policy for clients that negotiate
-	// capCompress (default CompressOff). CompressLowEntropy compresses the
-	// blocks scoring below the median of Imp's score distribution.
-	Compression CompressionMode
 	// ShardMap, when non-nil, runs the server in cluster mode: this node is
 	// one shard of a consistent-hash cluster, admits only the blocks it
-	// owns (answering others with a redirect carrying the current epoch,
-	// or a transient fault for peers that did not negotiate capShard), and
-	// advertises the topology in every capShard welcome. ShardID names
-	// this node's shard in the map. Topology changes arrive through
-	// UpdateShardMap and are pushed to connected capShard clients.
+	// owns (answering others with a redirect carrying the current epoch),
+	// and advertises the topology in every welcome. ShardID names this
+	// node's shard in the map. Topology changes arrive through
+	// UpdateShardMap and are pushed to connected clients.
 	ShardMap *shard.Map
 	// ShardID is this node's shard identity within ShardMap. Required in
 	// cluster mode.
@@ -208,13 +177,8 @@ type ServerStats struct {
 	DeadPeers      int64 // sessions torn down by an expired idle deadline
 	GoawaysSent    int64 // drain announcements delivered
 
-	CompressedBlocks int64 // blocks shipped DEFLATE-compressed
-	CompressSkipped  int64 // candidates sent raw (didn't shrink, or high entropy)
-	CompressBytesIn  int64 // raw payload bytes of compressed blocks
-	CompressBytesOut int64 // wire bytes of compressed blocks
-
 	Redirects      int64 // blocks answered "not owned by this shard" (cluster mode)
-	TopologyPushes int64 // topology frames delivered to capShard sessions
+	TopologyPushes int64 // topology frames delivered to connected sessions
 }
 
 // Server serves block reads to many concurrent sessions from one shared
@@ -242,10 +206,6 @@ type Server struct {
 	// Swapped whole by UpdateShardMap; each request captures one snapshot
 	// at admission so its byte accounting and ownership answers agree.
 	topo atomic.Pointer[serverTopology]
-
-	// zthr is the entropy score below which CompressLowEntropy compresses a
-	// block: the median of Imp's score distribution.
-	zthr float64
 }
 
 // NewServer validates the config and returns a server ready to Serve.
@@ -260,12 +220,17 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Vis != nil && cfg.Imp == nil {
 		return nil, fmt.Errorf("blocksvc: prefetch needs an importance table")
 	}
-	if cfg.Compression == CompressLowEntropy && cfg.Imp == nil {
-		return nil, fmt.Errorf("blocksvc: entropy-aware compression needs an importance table")
+	if cfg.Cache.RecyclingEnabled() {
+		return nil, fmt.Errorf("blocksvc: the served cache recycles evicted buffers; " +
+			"responses are written from cache-owned slices, which must stay immutable")
 	}
-	var zthr float64
-	if cfg.Compression == CompressLowEntropy {
-		zthr = cfg.Imp.ThresholdForQuantile(0.5)
+	// Run splitting never goes below one block, so a block that cannot fit
+	// one frame could never be answered: refuse it here rather than leave
+	// every request for it waiting out its deadline.
+	bs := cfg.Grid.BlockSize()
+	if frame := runPreludeBytes + okEntryBytes + bs.Count()*4; frame > maxFrameBytes {
+		return nil, fmt.Errorf("blocksvc: a %v-voxel block needs a %d-byte frame, over the %d-byte limit",
+			bs, frame, maxFrameBytes)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -275,7 +240,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cancel:    cancel,
 		listeners: make(map[net.Listener]struct{}),
 		sessions:  make(map[*session]struct{}),
-		zthr:      zthr,
 	}
 	if cfg.ShardMap != nil {
 		if err := cfg.ShardMap.Validate(); err != nil {
@@ -316,7 +280,7 @@ func (t *serverTopology) owns(id grid.BlockID) bool {
 }
 
 // notOwnedError marks a block the addressed shard does not own under the
-// given epoch; sendRun encodes it as a redirect entry for capShard peers.
+// given epoch; sendRun encodes it as a redirect entry.
 type notOwnedError struct{ epoch uint64 }
 
 func (e *notOwnedError) Error() string {
@@ -328,11 +292,11 @@ func (e *notOwnedError) Unwrap() error { return faultio.ErrTransient }
 
 // UpdateShardMap adopts a newer cluster topology: the map is validated,
 // must carry a higher epoch than the current one, and takes effect for
-// every request admitted afterwards. Connected capShard sessions get the
-// map pushed as a topology frame so their routers re-route live traffic,
-// and cache entries this node no longer owns are evicted immediately —
-// their memory goes back to the recycler instead of aging out. A node
-// absent from the new map keeps serving redirects until its clients leave.
+// every request admitted afterwards. Connected sessions get the map pushed
+// as a topology frame so their routers re-route live traffic,
+// and cache entries this node no longer owns are evicted immediately
+// instead of aging out. A node absent from the new map keeps serving
+// redirects until its clients leave.
 func (s *Server) UpdateShardMap(m *shard.Map) error {
 	if s.topo.Load() == nil {
 		return fmt.Errorf("blocksvc: not in cluster mode")
@@ -359,13 +323,13 @@ func (s *Server) UpdateShardMap(m *shard.Map) error {
 	return nil
 }
 
-// broadcastTopology pushes a topology frame to every session that
-// negotiated capShard, returning how many deliveries succeeded.
+// broadcastTopology pushes a topology frame to every session whose welcome
+// is on the wire, returning how many deliveries succeeded.
 func broadcastTopology(sessions []*session, m *shard.Map) int64 {
 	raw := m.AppendBinary(nil)
 	var sent int64
 	for _, ss := range sessions {
-		if ss.wireCaps.Load()&capShard == 0 {
+		if !ss.welcomed.Load() {
 			continue
 		}
 		if ss.send(msgTopology, raw) == nil {
@@ -489,7 +453,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		l.Close()
 	}
 	// Cluster mode: announce the ownership handoff before GOAWAY, so this
-	// node's capShard clients adopt the survivor topology and re-route new
+	// node's clients adopt the survivor topology and re-route new
 	// work to the blocks' next owners instead of redialing a dying node.
 	// (The operator's control plane distributes the same map to the
 	// surviving servers; this push covers our own clients.)
@@ -579,18 +543,12 @@ type session struct {
 	writeMu sync.Mutex // serializes frames of concurrent responses
 	bw      *bufio.Writer
 
-	// Negotiated at handshake: the capability bits both sides advertised.
-	// wireCaps mirrors caps for readers outside the session's own
-	// goroutines (topology broadcasts); it is published only after the
-	// welcome is on the wire, so a pushed frame can never precede it.
-	caps     uint32
-	wireCaps atomic.Uint32
-	// tcp is non-nil when the transport supports vectored writes; zeroCopy
-	// additionally requires that cache buffers are immutable once handed
-	// out (recycling off), so payload views on a net.Buffers can't be
-	// rewritten mid-writev.
-	tcp      *net.TCPConn
-	zeroCopy bool
+	// welcomed is set once the welcome is on the wire; topology broadcasts
+	// skip the session until then, so a pushed frame can never precede it.
+	welcomed atomic.Bool
+	// tcp is non-nil when the transport takes vectored writes: sendRun then
+	// ships a run as one writev instead of through bw.
+	tcp *net.TCPConn
 
 	reqWG sync.WaitGroup
 
@@ -752,17 +710,7 @@ func (ss *session) handshake() error {
 			hello.Version, ProtoVersion))
 		return fmt.Errorf("blocksvc: version mismatch")
 	}
-	serverCaps := uint32(0)
-	if ss.s.cfg.Compression != CompressOff {
-		serverCaps |= capCompress
-	}
-	topo := ss.s.topo.Load()
-	if topo != nil {
-		serverCaps |= capShard
-	}
-	ss.caps = hello.Caps & serverCaps
 	ss.tcp, _ = ss.conn.(*net.TCPConn)
-	ss.zeroCopy = ss.tcp != nil && hostLittleEndian && !ss.s.cfg.Cache.RecyclingEnabled()
 	h := ss.s.cfg.Header
 	var e enc
 	e.u16(ProtoVersion)
@@ -777,19 +725,19 @@ func (ss *session) handshake() error {
 	e.u32(uint32(h.Blocks))
 	e.u32(uint32(h.Version))
 	e.u32(uint32(ss.s.cfg.heartbeat() / time.Millisecond))
-	e.u32(ss.caps)
 	e.u32(uint32(ss.s.cfg.MaxSessionRequests))
-	if ss.caps&capShard != 0 {
-		// Advertise the cluster topology, length-prefixed, so the client
-		// becomes a router before its first read.
-		raw := topo.m.AppendBinary(nil)
-		e.u32(uint32(len(raw)))
-		e.raw(raw)
+	// A cluster node advertises its topology, length-prefixed, so the client
+	// becomes a router before its first read; a flat server declares 0 bytes.
+	var raw []byte
+	if topo := ss.s.topo.Load(); topo != nil {
+		raw = topo.m.AppendBinary(nil)
 	}
+	e.u32(uint32(len(raw)))
+	e.raw(raw)
 	if err := ss.send(msgWelcome, e.b); err != nil {
 		return err
 	}
-	ss.wireCaps.Store(ss.caps)
+	ss.welcomed.Store(true)
 	ss.conn.SetReadDeadline(time.Time{})
 	ss.conn.SetWriteDeadline(time.Time{})
 	return nil
@@ -953,12 +901,6 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	ss.send(msgDone, e.b)
 }
 
-// errNotOwnedPlain answers a client without capShard asking a cluster node
-// for a block it does not own. Those clients cannot decode the redirect's
-// epoch payload, so they get an ordinary retryable status and their
-// existing failover machinery finds another node.
-var errNotOwnedPlain = fmt.Errorf("blocksvc: block not owned by this shard: %w", faultio.ErrTransient)
-
 // serveRunSharded answers one run on a cluster node: only owned blocks go
 // through the shared cache (preserving the per-shard singleflight
 // invariant — a non-owned request never triggers a backing read here), and
@@ -976,11 +918,7 @@ func (ss *session) serveRunSharded(ctx context.Context, run []grid.BlockID, topo
 			pos = append(pos, i)
 			continue
 		}
-		if ss.caps&capShard != 0 {
-			errs[i] = &notOwnedError{epoch: topo.m.Epoch}
-		} else {
-			errs[i] = errNotOwnedPlain
-		}
+		errs[i] = &notOwnedError{epoch: topo.m.Epoch}
 	}
 	if len(owned) > 0 {
 		ov, oh, oe := ss.s.cfg.Cache.GetBatch(ctx, owned)
@@ -1021,36 +959,15 @@ func (ss *session) notePrefetchHits(run []grid.BlockID, hit []bool, errs []error
 	}
 }
 
-// compressBlock reports whether the compression policy selects this block.
-func (ss *session) compressBlock(id grid.BlockID) bool {
-	switch ss.s.cfg.Compression {
-	case CompressAll:
-		return true
-	case CompressLowEntropy:
-		return ss.s.cfg.Imp.Score(id) < ss.s.zthr
-	}
-	return false
-}
-
-// sliceWriter adapts a reusable byte slice to io.Writer for the pooled
-// flate encoder.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
 // runScratch is everything one in-flight request needs to encode its
-// response runs: frame staging, flate output, and the writev assembly.
-// Pooled per request — a session serves up to MaxSessionRequests
-// concurrently, so this state cannot live on the session.
+// response runs: frame staging and the segment list of the write. Pooled
+// per request — a session serves up to MaxSessionRequests concurrently, so
+// this state cannot live on the session.
 type runScratch struct {
 	e    enc
-	z    sliceWriter // flate output staging
-	cuts []int       // sendRunVec: staging offsets where payloads insert
-	pays [][]byte    // sendRunVec: payload views, parallel to cuts
-	bufs net.Buffers // sendRunVec: assembled iovec
+	cuts []int       // staging offsets where payloads insert
+	pays [][]byte    // payload views, parallel to cuts
+	bufs net.Buffers // the frame's segments: staging pieces and payloads interleaved
 }
 
 var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -1063,128 +980,33 @@ func getRunScratch() *runScratch {
 
 func putRunScratch(rs *runScratch) { runScratchPool.Put(rs) }
 
-// flateInto compresses vals and appends a codecFlate entry to e when the
-// compressed form is actually smaller, returning the wire byte count; a
-// block that refuses to shrink leaves e untouched and falls back to raw.
-func (rs *runScratch) flateInto(vals []float32) (int, bool) {
-	rs.z.b = rs.z.b[:0]
-	fw := getFlateWriter(&rs.z)
-	var err error
-	if src := f32leBytes(vals); src != nil {
-		_, err = fw.Write(src)
-	} else {
-		var tmp [4]byte
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(tmp[:], math.Float32bits(v))
-			if _, err = fw.Write(tmp[:]); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = fw.Close()
-	}
-	putFlateWriter(fw)
-	raw := len(vals) * 4
-	wire := len(rs.z.b)
-	if err != nil || wire >= raw {
-		return 0, false
-	}
-	e := &rs.e
-	e.u8(codecFlate)
-	e.u32(uint32(raw))
-	e.u32(uint32(wire))
-	e.raw(rs.z.b)
-	e.u32(crc32.Checksum(rs.z.b, castagnoli))
-	return wire, true
-}
+// Encoded sizes of a blocks frame's parts: the prelude (req, firstIdx, n),
+// and what an OK entry carries around its payload (status, length, crc).
+const (
+	runPreludeBytes = 8 + 4 + 2
+	okEntryBytes    = 1 + 4 + 4
+)
 
-// sendRun encodes one run of results as a blocks frame and ships it: each
-// OK entry carries a codec byte and, when negotiated, a DEFLATE payload for
-// the blocks the policy selects; on a TCP transport with cache recycling
-// off, an uncompressed run skips payload staging entirely and goes out as
-// one vectored write (sendRunVec).
+// sendRun encodes one run of results as a blocks frame and ships it — the
+// one encoder, on every transport. Staging holds only the frame header and
+// per-block metadata; every OK payload segment is a view straight into the
+// cache-owned float32 slice (immutable while it is out: NewServer refuses a
+// recycling cache), so no payload byte is copied here. A TCP transport
+// takes the segments as one vectored write; any other goes through the
+// session's buffered writer. Returns false when the frame was not written.
 func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
 	vals [][]float32, errs []error) bool {
-	compress := ss.caps&capCompress != 0 && ss.s.cfg.Compression != CompressOff
-	if ss.zeroCopy && !compress {
-		return ss.sendRunVec(rs, req, firstIdx, ids, vals, errs)
-	}
-	var okCount, failCount, redirects, sent int64
-	var zBlocks, zSkipped, zIn, zOut int64
-	e := &rs.e
-	e.reset()
-	e.u64(req)
-	e.u32(uint32(firstIdx))
-	e.u16(uint16(len(ids)))
-	for i := range ids {
-		if errs[i] != nil {
-			if no, ok := errs[i].(*notOwnedError); ok {
-				redirects++
-				e.u8(byte(statusRedirect))
-				e.u64(no.epoch)
-				continue
-			}
-			failCount++
-			e.u8(byte(statusOf(errs[i])))
-			continue
-		}
-		okCount++
-		e.u8(byte(statusOK))
-		raw := len(vals[i]) * 4
-		if compress && ss.compressBlock(ids[i]) {
-			if wire, ok := rs.flateInto(vals[i]); ok {
-				zBlocks++
-				zIn += int64(raw)
-				zOut += int64(wire)
-				sent += int64(wire)
-				continue
-			}
-			zSkipped++
-		}
-		e.u8(codecRaw)
-		off := len(e.b)
-		e.u32(uint32(raw))
-		e.b = appendF32LE(e.b, vals[i])
-		e.u32(crc32.Checksum(e.b[off+4:], castagnoli))
-		sent += int64(raw)
-	}
-	ss.countRun(len(ids), okCount, failCount, redirects, sent)
-	if compress {
-		m := ss.s.m
-		m.compressedBlocks.Add(zBlocks)
-		m.compressSkipped.Add(zSkipped)
-		m.compressBytesIn.Add(zIn)
-		m.compressBytesOut.Add(zOut)
-	}
-	return ss.send(msgBlocks, e.b) == nil
-}
-
-// countRun books one encoded run's per-block outcomes.
-func (ss *session) countRun(blocks int, ok, failed, redirects, bytesSent int64) {
-	m := ss.s.m
-	m.blocks.Add(int64(blocks))
-	m.blocksOK.Add(ok)
-	m.blocksFailed.Add(failed)
-	m.redirects.Add(redirects)
-	m.bytesSent.Add(bytesSent)
-}
-
-// sendRunVec ships one run as a single vectored write: staging holds only
-// the frame header and per-block metadata, while every OK payload segment
-// is a view straight into the cache-owned float32 slice (immutable here —
-// zeroCopy requires recycling off). One writev, zero payload copies.
-func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
-	vals [][]float32, errs []error) bool {
 	e := &rs.e
 	var okCount, failCount, redirects, sent int64
-	total := 8 + 4 + 2
+	total := runPreludeBytes
 	for i := range ids {
-		total++ // status byte
-		if errs[i] == nil {
-			total += 1 + 4 + len(vals[i])*4 + 4 // codec, length, payload, crc
-		} else if _, ok := errs[i].(*notOwnedError); ok {
-			total += 8 // redirect epoch
+		switch errs[i].(type) {
+		case nil:
+			total += okEntryBytes + len(vals[i])*4
+		case *notOwnedError:
+			total += 1 + 8 // status, redirect epoch
+		default:
+			total++ // status
 		}
 	}
 	if total > maxFrameBytes {
@@ -1215,13 +1037,19 @@ func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []gr
 		}
 		okCount++
 		e.u8(byte(statusOK))
-		e.u8(codecRaw)
-		pay := f32leBytes(vals[i])
-		e.u32(uint32(len(pay)))
-		cuts = append(cuts, len(e.b))
-		pays = append(pays, pay)
-		e.u32(crc32.Checksum(pay, castagnoli))
-		sent += int64(len(pay))
+		e.u32(uint32(len(vals[i]) * 4))
+		sent += int64(len(vals[i]) * 4)
+		if pay := f32leBytes(vals[i]); pay != nil {
+			cuts = append(cuts, len(e.b))
+			pays = append(pays, pay)
+			e.u32(crc32.Checksum(pay, castagnoli))
+			continue
+		}
+		// Big-endian host: memory is not the wire encoding, so the converted
+		// bytes are staged in place of a view.
+		off := len(e.b)
+		e.b = appendF32LE(e.b, vals[i])
+		e.u32(crc32.Checksum(e.b[off:], castagnoli))
 	}
 	bufs := rs.bufs[:0]
 	prev := 0
@@ -1233,17 +1061,30 @@ func (ss *session) sendRunVec(rs *runScratch, req uint64, firstIdx int, ids []gr
 		bufs = append(bufs, e.b[prev:])
 	}
 	rs.cuts, rs.pays = cuts, pays
-	ss.countRun(len(ids), okCount, failCount, redirects, sent)
-	ss.writeMu.Lock()
-	defer ss.writeMu.Unlock()
-	if err := ss.bw.Flush(); err != nil {
-		return false
-	}
 	// Keep the assembled array for the next run before WriteTo consumes the
 	// local header.
 	rs.bufs = bufs[:0]
-	_, err := bufs.WriteTo(ss.tcp)
-	return err == nil
+	m := ss.s.m
+	m.blocks.Add(int64(len(ids)))
+	m.blocksOK.Add(okCount)
+	m.blocksFailed.Add(failCount)
+	m.redirects.Add(redirects)
+	m.bytesSent.Add(sent)
+	ss.writeMu.Lock()
+	defer ss.writeMu.Unlock()
+	if ss.tcp != nil {
+		if err := ss.bw.Flush(); err != nil {
+			return false
+		}
+		_, err := bufs.WriteTo(ss.tcp)
+		return err == nil
+	}
+	for _, seg := range bufs {
+		if _, err := ss.bw.Write(seg); err != nil {
+			return false
+		}
+	}
+	return ss.bw.Flush() == nil
 }
 
 // handleView updates the session's predicted working set: the client's

@@ -9,24 +9,21 @@
 //
 // Every message is one frame: a 4-byte little-endian payload length, a
 // 1-byte message type, then the payload. A connection opens with
-// hello/welcome (magic + protocol version + capability negotiation; the
-// welcome carries the served volume's geometry and a server-assigned
-// session id), after which the client sends read requests and view updates:
+// hello/welcome (magic + protocol version; the welcome carries the served
+// volume's geometry, a server-assigned session id and, from a cluster node,
+// the topology), after which the client sends read requests and view updates:
 //
-//	hello   c→s  magic u32, version u16, caps u32
+//	hello   c→s  magic u32, version u16
 //	welcome s→c  version u16, session u64, res 3×u32, block 3×u32,
 //	             variable u32, blocks u32, storeVersion u32,
 //	             heartbeatMillis u32 (0 = liveness disabled),
-//	             caps u32, maxRequests u32
-//	             [, mapBytes u32, shard.Map when caps has capShard]
+//	             maxRequests u32, mapBytes u32 (0 from a flat server)
+//	             [, shard.Map of mapBytes bytes]
 //	read    c→s  req u64, deadlineMillis u32, n u32, n×u32 block ids
 //	view    c→s  camera position 3×f64 (no response; drives server prefetch)
 //	blocks  s→c  req u64, firstIdx u32, n u16, then per block:
-//	             status u8 [+ codec u8, then
-//	                 raw:   nbytes u32, payload, crc32c u32
-//	                 flate: rawBytes u32, wireBytes u32, compressed payload,
-//	                        crc32c u32 (over the compressed bytes)  when OK]
-//	                       [+ epoch u64 when redirect]
+//	             status u8 [+ nbytes u32, payload, crc32c u32  when OK]
+//	                       [+ epoch u64                        when redirect]
 //	done    s→c  req u64 (every requested index has been answered)
 //	shed    s→c  req u64 (request refused by admission control; retryable)
 //	error   s→c  message string (fatal protocol error; connection closes)
@@ -34,33 +31,30 @@
 //	pong    ↔    token u64 (echo of a received ping's token)
 //	goaway  s→c  drainMillis u32 (server is draining: finish what is on the
 //	             wire, then take new work elsewhere)
-//	topology s→c shard.Map binary encoding (capShard sessions only): an
+//	topology s→c shard.Map binary encoding (cluster nodes only): an
 //	             epoch-bumped cluster topology; clients adopt strictly
 //	             higher epochs and re-route pending work
 //
-// There is one framing. Both sides speak exactly ProtoVersion: the server
-// refuses any other hello with an error frame naming the version it speaks,
-// and the client refuses any other welcome.
+// There is one framing and nothing to negotiate. Both sides speak exactly
+// ProtoVersion: the server refuses any other hello with an error frame
+// naming the version it speaks, and the client refuses any other welcome.
+// The version is the protocol's one extension point: a released peer that
+// needs another layout announces another ProtoVersion.
 //
 // Responses stream: the server answers a read with a sequence of blocks
 // frames — one per merged run of consecutive results — and a final done.
 // Block payloads are little-endian float32 voxels guarded by a CRC32C so
 // in-transit corruption is detected at the client and classified as a
-// retryable checksum fault.
+// retryable checksum fault. An OK payload whose length disagrees with the
+// block's geometry is a protocol violation: the client tears the connection
+// down before allocating anything for it.
 //
-// # Pipelining and entropy-aware compression
+// # Pipelining
 //
 // The req field tags responses back to their request: a client may keep
 // several tagged read requests in flight on one connection (up to the
 // welcome's maxRequests) and the server's responses interleave at frame
-// granularity, demuxed client-side by req. The hello/welcome caps bits
-// negotiate an optional wire codec (capCompress): when both sides advertise
-// it, the server may DEFLATE-compress individual block payloads — choosing
-// blocks by entropy, since the paper's T_important already knows which
-// blocks are low-entropy ambient data that compresses extremely well — and
-// says so in the per-block codec byte. A compressed block carries its
-// decoded size first, which the client validates against the block
-// geometry before allocating, so a lying size header cannot over-allocate.
+// granularity, demuxed client-side by req.
 //
 // # Liveness and lifecycle
 //
@@ -75,16 +69,15 @@
 //
 // # Sharded clusters
 //
-// capShard turns a set of servers into a consistent-hash cluster.
-// A cluster-mode server appends its shard.Map (length-prefixed) to the
-// welcome when both sides advertise capShard; the client routes each block
-// to its ring owner from then on. Topology changes travel as topology
-// frames carrying the full epoch-bumped map. A block requested from a
-// node that does not own it is answered with statusRedirect plus the
-// node's epoch — never served — so cross-node cache duplication cannot
-// happen silently; peers without capShard get statusTransient instead,
-// which their ordinary retry path handles. Non-cluster servers send no
-// map, and the client behaves exactly as before: one shard, N replicas.
+// A shard.Map turns a set of servers into a consistent-hash cluster.
+// A cluster-mode server appends its map (length-prefixed) to every
+// welcome; the client routes each block to its ring owner from then on.
+// Topology changes travel as topology frames carrying the full
+// epoch-bumped map. A block requested from a node that does not own it is
+// answered with statusRedirect plus the node's epoch — never served — so
+// cross-node cache duplication cannot happen silently. Non-cluster servers
+// send no map (mapBytes 0), and the client stays flat: one shard, N
+// replicas.
 //
 // # Fault classes over the wire
 //
@@ -97,7 +90,6 @@
 package blocksvc
 
 import (
-	"compress/flate"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -114,26 +106,12 @@ import (
 
 // Protocol identity. ProtoVersion is the only version either side speaks:
 // the server refuses any other hello with msgError, the client any other
-// welcome. No earlier version was ever released.
+// welcome. No version was ever released — nothing outside this tree speaks
+// the protocol — so the layouts above have been cut down under the same
+// number rather than kept readable for peers that do not exist.
 const (
 	protoMagic   uint32 = 0x62737663 // "bsvc"
 	ProtoVersion uint16 = 4
-)
-
-// Capability bits exchanged in the hello/welcome. A capability is in
-// effect only when both sides advertise it.
-const (
-	capCompress uint32 = 1 << 0 // per-block DEFLATE wire codec
-	capShard    uint32 = 1 << 1 // sharded topology: welcome map, topology pushes, redirects
-)
-
-// clientCaps is what this client implementation advertises.
-const clientCaps = capCompress | capShard
-
-// Per-block payload codecs.
-const (
-	codecRaw   byte = 0 // little-endian float32 voxels
-	codecFlate byte = 1 // DEFLATE-compressed little-endian float32 voxels
 )
 
 // Message types.
@@ -149,7 +127,7 @@ const (
 	msgPing    byte = 9
 	msgPong    byte = 10
 	msgGoaway  byte = 11
-	// msgTopology (s→c, capShard sessions only) pushes an epoch-bumped
+	// msgTopology (s→c, cluster nodes only) pushes an epoch-bumped
 	// shard map: payload is one shard.Map in its binary encoding. Clients
 	// adopt strictly higher epochs and re-route pending work.
 	msgTopology byte = 12
@@ -183,8 +161,7 @@ const (
 	statusCanceled      blockStatus = 6 // request context ended server-side
 	// statusRedirect answers a block this node does not own under its
 	// current shard map. The entry carries the node's topology epoch (u64)
-	// so a stale client knows to refresh before re-routing. Only sent to
-	// capShard sessions; other peers get statusTransient instead.
+	// so a stale client knows to refresh before re-routing.
 	statusRedirect blockStatus = 7
 )
 
@@ -212,7 +189,7 @@ func statusOf(err error) blockStatus {
 // redirectError is the client-side form of statusRedirect: the addressed
 // node does not own the block under its topology (whose epoch rides
 // along). The router consumes these internally and re-routes; one that
-// escapes to a caller (a non-sharded client against a cluster node) is a
+// escapes to a caller (nodes still disagreed after maxRoutePasses) is a
 // transient fault — retrying after the topology converges is correct.
 type redirectError struct {
 	id    grid.BlockID
@@ -423,8 +400,6 @@ type blocksIter struct {
 	k     int
 
 	Status blockStatus
-	Codec  byte
-	RawLen int    // declared decoded byte count (== len(Wire) for codecRaw)
 	Wire   []byte // payload bytes as they appear on the wire
 	Sum    uint32 // CRC32C over Wire
 	Epoch  uint64 // topology epoch riding a statusRedirect entry
@@ -450,27 +425,14 @@ func (it *blocksIter) next() bool {
 	}
 	it.k++
 	it.Status = blockStatus(it.d.u8())
-	it.Codec, it.Wire, it.Sum, it.RawLen, it.Epoch = codecRaw, nil, 0, 0, 0
-	if it.Status == statusRedirect {
+	it.Wire, it.Sum, it.Epoch = nil, 0, 0
+	switch it.Status {
+	case statusRedirect:
 		it.Epoch = it.d.u64()
-		return !it.d.bad
-	}
-	if it.Status != statusOK {
-		return !it.d.bad
-	}
-	it.Codec = it.d.u8()
-	switch it.Codec {
-	case codecRaw:
-		n := int(it.d.u32())
-		it.RawLen = n
-		it.Wire = it.d.take(n)
-	case codecFlate:
-		it.RawLen = int(it.d.u32())
+	case statusOK:
 		it.Wire = it.d.take(int(it.d.u32()))
-	default:
-		it.d.bad = true
+		it.Sum = it.d.u32()
 	}
-	it.Sum = it.d.u32()
 	return !it.d.bad
 }
 
@@ -521,21 +483,3 @@ func copyF32LE(dst []float32, src []byte) {
 		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
 	}
 }
-
-// flateLevel is the wire codec's compression setting: BestSpeed, because
-// the codec is only applied to low-entropy blocks where even the fastest
-// setting compresses extremely well.
-const flateLevel = flate.BestSpeed
-
-var flateWriterPool = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flateLevel)
-	return w
-}}
-
-func getFlateWriter(w io.Writer) *flate.Writer {
-	fw := flateWriterPool.Get().(*flate.Writer)
-	fw.Reset(w)
-	return fw
-}
-
-func putFlateWriter(fw *flate.Writer) { flateWriterPool.Put(fw) }

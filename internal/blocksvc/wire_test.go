@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/faultio"
 	"repro/internal/grid"
+	"repro/internal/shard"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -64,28 +66,87 @@ func TestDecTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestDecodeWelcomeStrict: caps and maxRequests are required. A welcome cut
-// short of them — the shape hand-built doubles used to emit — is malformed,
-// not "no capabilities, one request in flight"; the client then refuses
-// the connection permanently rather than running unpipelined.
-func TestDecodeWelcomeStrict(t *testing.T) {
+// TestDecodeHelloStrict: this version's hello is magic and version and
+// nothing else; another version's hello decodes whatever follows, so the
+// server can refuse it by name.
+func TestDecodeHelloStrict(t *testing.T) {
 	var e enc
+	e.u32(protoMagic)
 	e.u16(ProtoVersion)
-	e.u64(7)
+	if h, ok := decodeHello(e.b); !ok || h.Magic != protoMagic || h.Version != ProtoVersion {
+		t.Fatalf("hello = %+v, ok=%v", h, ok)
+	}
+	if _, ok := decodeHello(e.b[:5]); ok {
+		t.Error("hello cut inside the version decoded")
+	}
+	e.u32(3) // where a capability mask once rode
+	if _, ok := decodeHello(e.b); ok {
+		t.Error("hello with a trailing word decoded")
+	}
+	e.b[4]++ // another version: its shape is its own
+	if h, ok := decodeHello(e.b); !ok || h.Version != ProtoVersion+1 {
+		t.Errorf("other-version hello = %+v, ok=%v; it must decode to be refused by name", h, ok)
+	}
+}
+
+// TestDecodeWelcomeStrict: every field through mapBytes is required, the
+// map must lie wholly inside the payload, and nothing may trail it. A
+// welcome cut short of maxRequests/mapBytes — the shape hand-built doubles
+// used to emit — is malformed, not "one request in flight, no cluster"; the
+// client then refuses the connection permanently rather than running
+// unpipelined.
+func TestDecodeWelcomeStrict(t *testing.T) {
+	var fixed enc
+	fixed.u16(ProtoVersion)
+	fixed.u64(7)
 	for _, v := range []uint32{16, 16, 16, 4, 4, 4, 1, 64, 2, 5000} {
-		e.u32(v)
+		fixed.u32(v)
 	}
-	if _, ok := decodeWelcome(e.b); ok {
-		t.Fatal("welcome without caps/maxRequests decoded")
+	m := shard.Map{Epoch: 3, Seed: 11, VNodes: 8, Shards: []shard.Shard{
+		{ID: "a", Addrs: []string{"127.0.0.1:7001"}}, {ID: "b", Addrs: []string{"127.0.0.1:7002"}}}}
+	mapRaw := m.AppendBinary(nil)
+	// welcome appends maxRequests 4, the declared mapBytes, and tail.
+	welcome := func(mapBytes int, tail []byte) []byte {
+		e := enc{b: append([]byte(nil), fixed.b...)}
+		e.u32(4)
+		e.u32(uint32(mapBytes))
+		e.raw(tail)
+		return e.b
 	}
-	e.u32(capCompress)
-	if _, ok := decodeWelcome(e.b); ok {
-		t.Fatal("welcome without maxRequests decoded")
-	}
-	e.u32(4)
-	w, ok := decodeWelcome(e.b)
-	if !ok || w.Caps != capCompress || w.MaxRequests != 4 || w.HeartbeatMillis != 5000 {
-		t.Fatalf("full welcome = %+v, ok=%v", w, ok)
+	flat := welcome(0, nil)
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		ok      bool
+		shards  int
+	}{
+		{"flat", flat, true, 0},
+		{"cluster", welcome(len(mapRaw), mapRaw), true, 2},
+		{"without maxRequests", flat[:len(flat)-8], false, 0},
+		{"without mapBytes", flat[:len(flat)-4], false, 0},
+		{"mapBytes past the payload", welcome(len(mapRaw)+1, mapRaw), false, 0},
+		{"map cut short", welcome(len(mapRaw)-1, mapRaw[:len(mapRaw)-1]), false, 0},
+		{"trailing byte behind a flat welcome", welcome(0, []byte{0}), false, 0},
+		{"trailing byte behind the map", welcome(len(mapRaw), append(mapRaw[:len(mapRaw):len(mapRaw)], 0)), false, 0},
+	} {
+		w, ok := decodeWelcome(tc.payload)
+		if ok != tc.ok {
+			t.Errorf("%s: ok=%v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if w.MaxRequests != 4 || w.HeartbeatMillis != 5000 || w.Session != 7 {
+			t.Errorf("%s: welcome = %+v", tc.name, w)
+		}
+		shards := 0
+		if w.ShardMap != nil {
+			shards = len(w.ShardMap.Shards)
+		}
+		if shards != tc.shards {
+			t.Errorf("%s: shard map = %+v, want %d shards", tc.name, w.ShardMap, tc.shards)
+		}
 	}
 
 	lis := NewPipeListener()
@@ -97,13 +158,58 @@ func TestDecodeWelcomeStrict(t *testing.T) {
 				return
 			}
 			readFrame(c, nil) // the hello
-			writeFrame(c, msgWelcome, e.b[:len(e.b)-8])
+			writeFrame(c, msgWelcome, flat[:len(flat)-8])
 			c.Close()
 		}
 	}()
 	_, err := Dial(ClientConfig{Dial: lis.Dial, Retry: fastRetry(3)})
 	if err == nil || faultio.Retryable(err) {
 		t.Fatalf("Dial against a short welcome = %v, want a permanent refusal", err)
+	}
+}
+
+// TestBlocksEntryShapes: an OK entry is status, length, payload, crc —
+// exactly. The same frame one byte short, or with one byte between status
+// and length (where a codec byte once rode), must not parse cleanly.
+func TestBlocksEntryShapes(t *testing.T) {
+	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	frame := func(extra bool) []byte {
+		var e enc
+		e.u64(9)
+		e.u32(0)
+		e.u16(1)
+		e.u8(byte(statusOK))
+		if extra {
+			e.u8(0)
+		}
+		e.u32(uint32(len(raw)))
+		e.raw(raw)
+		e.u32(crc32.Checksum(raw, castagnoli))
+		return e.b
+	}
+	clean := func(payload []byte) bool {
+		it, ok := blocksHeader(payload)
+		if !ok {
+			return false
+		}
+		for it.next() {
+		}
+		return it.done()
+	}
+	good := frame(false)
+	it, _ := blocksHeader(good)
+	if !it.next() || it.Status != statusOK || !bytes.Equal(it.Wire, raw) ||
+		it.Sum != crc32.Checksum(raw, castagnoli) || !clean(good) {
+		t.Fatalf("well-formed entry did not parse: %+v", it)
+	}
+	if clean(good[:len(good)-1]) {
+		t.Error("entry one byte short parsed cleanly")
+	}
+	if clean(append(good[:len(good):len(good)], 0)) {
+		t.Error("frame with a trailing byte parsed cleanly")
+	}
+	if clean(frame(true)) {
+		t.Error("entry with a byte between status and length parsed cleanly")
 	}
 }
 

@@ -109,10 +109,14 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 
 // EnableRecycling turns on reuse of evicted block buffers: eviction hands
 // the victim's slice back to the reader (BlockBufRecycler) so a later read
-// decodes into it instead of allocating. Only enable it when cached slices
-// are known to be short-lived outside the cache — a caller still holding a
-// Get/Frame result past the block's eviction would see its contents
-// overwritten. Off by default; no-op if the reader cannot recycle.
+// decodes into it instead of allocating. The rule it imposes: nothing may
+// admit into the cache — no Get, GetBatch or Prefetch from any goroutine —
+// while a caller still reads a slice it was handed, because any admission
+// can evict that slice's block and the next backing read then decodes into
+// the memory being read. A single caller that is done with one frame's
+// slices before asking for the next, with no prefetch workers behind it,
+// qualifies; a cache shared by sessions or fed by a Prefetcher does not.
+// Off by default; no-op if the reader cannot recycle.
 func (c *MemCache) EnableRecycling() {
 	c.mu.Lock()
 	c.recycle = c.recycler != nil
@@ -121,8 +125,8 @@ func (c *MemCache) EnableRecycling() {
 
 // RecyclingEnabled reports whether evicted buffers are being reused. When
 // false, a slice handed out by Get/GetBatch is immutable for its lifetime —
-// the property zero-copy consumers (vectored writes of cache-owned memory)
-// rely on.
+// the property blocksvc.NewServer requires of the cache it serves, whose
+// slices go to the socket as they lie.
 func (c *MemCache) RecyclingEnabled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
