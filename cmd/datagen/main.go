@@ -7,18 +7,17 @@
 //	datagen -dataset lifted_rr -scale 0.125 -out lifted_rr.raw [-variable 0]
 //
 // The file holds Res.X×Res.Y×Res.Z float32 values of one variable. Writing
-// streams slice by slice, so paper-size volumes (4 GB+) need only a few MB
-// of memory.
+// streams row by row, so paper-size volumes (4 GB+) need only a few MB of
+// memory.
 package main
 
 import (
 	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
+	"repro/internal/f32le"
 	"repro/internal/volume"
 )
 
@@ -51,18 +50,19 @@ func main() {
 	}
 	w := bufio.NewWriterSize(f, 1<<20)
 	res := ds.Res
-	buf := make([]byte, 4)
+	row := make([]float32, res.X)
+	var raw []byte
 	for z := 0; z < res.Z; z++ {
 		zc := (float64(z) + 0.5) / float64(res.Z)
 		for y := 0; y < res.Y; y++ {
 			yc := (float64(y) + 0.5) / float64(res.Y)
-			for x := 0; x < res.X; x++ {
+			for x := range row {
 				xc := (float64(x) + 0.5) / float64(res.X)
-				v := float32(ds.Field.Sample(*variable, xc, yc, zc))
-				binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-				if _, err := w.Write(buf); err != nil {
-					fatal(err)
-				}
+				row[x] = float32(ds.Field.Sample(*variable, xc, yc, zc))
+			}
+			raw = f32le.Append(raw[:0], row)
+			if _, err := w.Write(raw); err != nil {
+				fatal(err)
 			}
 		}
 	}

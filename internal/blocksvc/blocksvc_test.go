@@ -20,6 +20,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/entropy"
+	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/ooc"
@@ -273,6 +274,10 @@ func TestDialLearnsGeometry(t *testing.T) {
 	}
 }
 
+// castagnoli is the tests' own table: with blockCRC, the reference that
+// shares nothing with the codec (internal/f32le) under test.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // blockCRC is the CRC32C of vals' little-endian bytes — what the block file
 // stores per block — by a loop that shares nothing with the wire codec
 // under test.
@@ -343,17 +348,16 @@ func TestRemoteValuesMatchLocal(t *testing.T) {
 	}
 }
 
-// TestBigEndianHostRoundTrip flips hostLittleEndian off, so the server
-// stages converted payload bytes instead of views of cache memory and both
-// sides run the portable per-value loops — the code a big-endian host
+// TestBigEndianHostRoundTrip takes the payload view away, as f32le.Bytes
+// does on a big-endian host, so the server stages encoded payload bytes
+// instead of views of cache memory — the branch of sendRun a big-endian host
 // executes, which on the little-endian machines tests run on nothing else
-// reaches.
+// reaches. (The per-value loops themselves are pinned in internal/f32le.)
 func TestBigEndianHostRoundTrip(t *testing.T) {
-	// Restored last (cleanups run LIFO), once no session or read loop that
-	// reads the flag is left.
-	was := hostLittleEndian
-	t.Cleanup(func() { hostLittleEndian = was })
-	hostLittleEndian = false
+	// Restored last (cleanups run LIFO), once no session that calls it is
+	// left.
+	t.Cleanup(func() { payloadView = f32le.Bytes })
+	payloadView = func([]float32) []byte { return nil }
 	for _, tr := range transports {
 		t.Run(tr, func(t *testing.T) {
 			f := startService(t, svcOpts{transport: tr})

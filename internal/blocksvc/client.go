@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"net"
 	"os"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -1237,7 +1237,7 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 			p.mu.Unlock()
 			return fmt.Errorf("block %d answered with %d payload bytes, geometry disagrees", id, len(it.Wire))
 		}
-		if crc32.Checksum(it.Wire, castagnoli) != it.Sum {
+		if f32le.Checksum(it.Wire) != it.Sum {
 			cksum++
 			p.errs[k] = fmt.Errorf("blocksvc: block %d corrupted in transit: %w",
 				id, faultio.Transient(faultio.ErrChecksum))
@@ -1246,7 +1246,7 @@ func (rc *rconn) handleBlocks(payload []byte) error {
 		}
 		wireBytes += int64(len(it.Wire))
 		out := r.getBuf(len(it.Wire) / 4)
-		copyF32LE(out, it.Wire)
+		f32le.Decode(out, it.Wire)
 		p.vals[k] = out
 		p.answered++
 		served++

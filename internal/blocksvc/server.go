@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"net"
 	"os"
@@ -15,6 +14,7 @@ import (
 
 	"repro/internal/camera"
 	"repro/internal/entropy"
+	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -987,6 +987,10 @@ const (
 	okEntryBytes    = 1 + 4 + 4
 )
 
+// payloadView is f32le.Bytes; a variable only so TestBigEndianHostRoundTrip can
+// take the view away, as a big-endian host does, and drive the staged branch.
+var payloadView = f32le.Bytes
+
 // sendRun encodes one run of results as a blocks frame and ships it — the
 // one encoder, on every transport. Staging holds only the frame header and
 // per-block metadata; every OK payload segment is a view straight into the
@@ -1039,17 +1043,17 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		e.u8(byte(statusOK))
 		e.u32(uint32(len(vals[i]) * 4))
 		sent += int64(len(vals[i]) * 4)
-		if pay := f32leBytes(vals[i]); pay != nil {
+		if pay := payloadView(vals[i]); pay != nil {
 			cuts = append(cuts, len(e.b))
 			pays = append(pays, pay)
-			e.u32(crc32.Checksum(pay, castagnoli))
+			e.u32(f32le.Checksum(pay))
 			continue
 		}
 		// Big-endian host: memory is not the wire encoding, so the converted
 		// bytes are staged in place of a view.
 		off := len(e.b)
-		e.b = appendF32LE(e.b, vals[i])
-		e.u32(crc32.Checksum(e.b[off:], castagnoli))
+		e.b = f32le.Append(e.b, vals[i])
+		e.u32(f32le.Checksum(e.b[off:]))
 	}
 	bufs := rs.bufs[:0]
 	prev := 0

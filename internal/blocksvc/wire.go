@@ -94,11 +94,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sync"
-	"unsafe"
 
 	"repro/internal/faultio"
 	"repro/internal/grid"
@@ -139,8 +136,6 @@ const maxFrameBytes = 64 << 20
 
 // frameHeaderSize is the fixed prefix of every frame: length + type.
 const frameHeaderSize = 5
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrShed marks a request refused by the server's admission control. It is
 // always delivered wrapped as a transient fault: the server is alive but
@@ -439,47 +434,3 @@ func (it *blocksIter) next() bool {
 // done reports whether the frame parsed cleanly: every declared entry
 // consumed and nothing trailing.
 func (it *blocksIter) done() bool { return it.k == it.N && it.d.ok() }
-
-// hostLittleEndian gates the zero-copy float32↔byte fast paths: on a
-// little-endian host the wire encoding is the in-memory encoding.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// f32leBytes returns vals' wire bytes as a view of the same memory on
-// little-endian hosts, and nil elsewhere (callers fall back to a
-// conversion loop). The view must not outlive the slice's next write.
-func f32leBytes(vals []float32) []byte {
-	if !hostLittleEndian || len(vals) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*4)
-}
-
-// appendF32LE appends vals' wire encoding to b: one bulk copy on
-// little-endian hosts, a per-value conversion elsewhere.
-func appendF32LE(b []byte, vals []float32) []byte {
-	if raw := f32leBytes(vals); raw != nil {
-		return append(b, raw...)
-	}
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
-}
-
-// copyF32LE decodes wire bytes into dst (len(src) must be 4*len(dst)):
-// one bulk copy on little-endian hosts, a per-value conversion elsewhere.
-func copyF32LE(dst []float32, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	if hostLittleEndian {
-		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(dst)*4), src)
-		return
-	}
-	for j := range dst {
-		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
-	}
-}

@@ -1,0 +1,138 @@
+package f32le
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refEncode is the tests' own encoder: a loop that shares nothing with the
+// code under test.
+func refEncode(vals []float32) []byte {
+	out := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
+	}
+	return out
+}
+
+func testVectors() map[string][]float32 {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]float32, 4099)
+	for i := range random {
+		random[i] = math.Float32frombits(rng.Uint32()) // every bit pattern, NaNs included
+	}
+	return map[string][]float32{
+		"empty":  {},
+		"nil":    nil,
+		"random": random,
+		"nan payloads": {
+			math.Float32frombits(0x7fc00000), math.Float32frombits(0x7fc00001),
+			math.Float32frombits(0xffc12345), math.Float32frombits(0x7f800001), // signalling
+		},
+		"signed zeros": {0, math.Float32frombits(0x80000000)},
+		"subnormals": {
+			math.Float32frombits(1), math.Float32frombits(0x007fffff),
+			math.Float32frombits(0x80000001), math.SmallestNonzeroFloat32,
+		},
+		"ordinary": {1, -2.5, math.MaxFloat32, float32(math.Inf(-1))},
+	}
+}
+
+// eachPath runs f on the host's path and on the portable loops a big-endian
+// host takes (on a little-endian test machine those are two different paths).
+func eachPath(t *testing.T, f func(t *testing.T)) {
+	was := hostLE
+	defer func() { hostLE = was }()
+	for _, le := range []bool{was, false} {
+		hostLE = le
+		name := "portable"
+		if le {
+			name = "bulk"
+		}
+		t.Run(name, f)
+	}
+}
+
+// TestPathsAgree: the bulk path and the per-value loops produce the reference
+// bytes and decode them back to the same bit patterns, into a dirty buffer.
+func TestPathsAgree(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		for name, vals := range testVectors() {
+			want := refEncode(vals)
+			got := Append([]byte{0xaa}, vals)
+			if got[0] != 0xaa || !bytes.Equal(got[1:], want) {
+				t.Errorf("%s: Append differs from the reference encoding", name)
+			}
+			if view := Bytes(vals); view != nil && !bytes.Equal(view, want) {
+				t.Errorf("%s: Bytes differs from the reference encoding", name)
+			}
+			// A recycled buffer arrives holding another block's voxels, and
+			// src may run on past the block (a staging buffer's tail).
+			dst := make([]float32, len(vals))
+			for i := range dst {
+				dst[i] = float32(math.NaN())
+			}
+			Decode(dst, append(want, 0xde, 0xad, 0xbe, 0xef))
+			for i := range vals {
+				if math.Float32bits(dst[i]) != math.Float32bits(vals[i]) {
+					t.Fatalf("%s: value %d decoded to bits %08x, want %08x",
+						name, i, math.Float32bits(dst[i]), math.Float32bits(vals[i]))
+				}
+			}
+		}
+	})
+}
+
+func TestDecodeRefusesShortSource(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Decode of 2 values from 7 bytes did not panic")
+			}
+		}()
+		Decode(make([]float32, 2), make([]byte, 7))
+	})
+}
+
+// TestBytesAliases: the view is the slice's own memory, and there is none of
+// an empty slice or on a big-endian host.
+func TestBytesAliases(t *testing.T) {
+	if Bytes(nil) != nil || Bytes([]float32{}) != nil {
+		t.Error("Bytes of an empty slice is not nil")
+	}
+	vals := []float32{1, 2, 3}
+	if hostLE {
+		view := Bytes(vals)
+		if len(view) != 12 {
+			t.Fatalf("view is %d bytes, want 12", len(view))
+		}
+		binary.LittleEndian.PutUint32(view[4:], math.Float32bits(-7))
+		if vals[1] != -7 {
+			t.Errorf("a write through the view left vals[1] = %g", vals[1])
+		}
+	}
+	was := hostLE
+	defer func() { hostLE = was }()
+	hostLE = false
+	if Bytes(vals) != nil {
+		t.Error("Bytes returned a view on a big-endian host")
+	}
+}
+
+func TestChecksumIsCRC32C(t *testing.T) {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	for name, vals := range testVectors() {
+		raw := refEncode(vals)
+		if got, want := Checksum(raw), crc32.Checksum(raw, table); got != want {
+			t.Errorf("%s: Checksum = %08x, want %08x", name, got, want)
+		}
+	}
+	// The standard check value of CRC-32C.
+	if got := Checksum([]byte("123456789")); got != 0xe3069283 {
+		t.Errorf("Checksum(\"123456789\") = %08x, want e3069283", got)
+	}
+}

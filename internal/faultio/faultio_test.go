@@ -319,6 +319,47 @@ func TestInjectorLatencyRespectsDeadline(t *testing.T) {
 	}
 }
 
+// stuckReader is a context-aware reader (as blocksvc.RemoteReader is) whose
+// reads end only when their context does, or at release.
+type stuckReader struct{ release chan struct{} }
+
+func (s stuckReader) ReadBlock(id grid.BlockID) ([]float32, error) {
+	return s.ReadBlockContext(context.Background(), id)
+}
+
+func (s stuckReader) ReadBlockContext(ctx context.Context, _ grid.BlockID) ([]float32, error) {
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-s.release:
+		return nil, errors.New("released")
+	}
+}
+
+// TestInjectorPassesContextDown: the caller's deadline must bound the inner
+// read as well as the injected latency — with an injector in the stack a
+// per-attempt deadline used to bound nothing once the inner read began.
+func TestInjectorPassesContextDown(t *testing.T) {
+	inner := stuckReader{release: make(chan struct{})}
+	defer close(inner.release)
+	in := NewInjector(inner, InjectorConfig{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := in.ReadBlockContext(ctx, 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("read under an expired deadline returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the inner read ignored the caller's deadline")
+	}
+}
+
 func TestInjectorCorruptionDoesNotAliasCache(t *testing.T) {
 	// The corrupted slice must be a copy: later clean reads of the same
 	// underlying data must see the original values.

@@ -2,13 +2,12 @@ package faultio
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sync"
 	"time"
 
+	"repro/internal/f32le"
 	"repro/internal/grid"
 )
 
@@ -51,8 +50,6 @@ type InjectorStats struct {
 	CorruptSilent int64 // corruptions passed through undetected (reader without checksums)
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Injector wraps a BlockReader with deterministic, seed-driven fault
 // injection. It satisfies both BlockReader and the context-aware read
 // interface the MemCache prefers, so injected latency can be cut short by
@@ -63,6 +60,7 @@ type Injector struct {
 	ck    Checksummer // non-nil when r stores checksums
 	fail  map[grid.BlockID]bool
 	batch batchBlockReader // non-nil when r supports batched reads
+	ctxr  ctxBlockReader   // non-nil when r's single reads take a context
 	inert bool             // config injects nothing: batches may pass through
 
 	mu    sync.Mutex
@@ -75,12 +73,9 @@ type Injector struct {
 // permanently and be enabled by configuration.
 func NewInjector(r BlockReader, cfg InjectorConfig) *Injector {
 	in := &Injector{r: r, cfg: cfg, seq: make(map[grid.BlockID]uint64)}
-	if ck, ok := r.(Checksummer); ok {
-		in.ck = ck
-	}
-	if br, ok := r.(batchBlockReader); ok {
-		in.batch = br
-	}
+	in.ck, _ = r.(Checksummer)
+	in.batch, _ = r.(batchBlockReader)
+	in.ctxr, _ = r.(ctxBlockReader)
 	in.inert = cfg.FailRate == 0 && cfg.CorruptRate == 0 &&
 		cfg.Latency == 0 && cfg.LatencyJitter == 0 && len(cfg.FailBlocks) == 0
 	if len(cfg.FailBlocks) > 0 {
@@ -97,10 +92,15 @@ func (in *Injector) ReadBlock(id grid.BlockID) ([]float32, error) {
 	return in.ReadBlockContext(context.Background(), id)
 }
 
-// batchBlockReader mirrors the store package's BatchBlockReader without
-// importing it (store already imports faultio).
+// batchBlockReader and ctxBlockReader mirror the store package's
+// BatchBlockReader and ContextBlockReader without importing it (store already
+// imports faultio).
 type batchBlockReader interface {
 	ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error)
+}
+
+type ctxBlockReader interface {
+	ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error)
 }
 
 // ReadBlocks serves a batch with per-block results. With any fault
@@ -134,8 +134,10 @@ func (in *Injector) RecycleBlockBuf(vals []float32) {
 	}
 }
 
-// ReadBlockContext reads the block, applying the configured fault mix. The
-// injected latency is interruptible by ctx.
+// ReadBlockContext reads the block, applying the configured fault mix. ctx
+// cuts short the injected latency and, when the inner reader takes a context
+// (a RemoteReader does), the read under it — so a per-attempt deadline bounds
+// the whole attempt with an injector in the stack.
 func (in *Injector) ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error) {
 	r := in.draw(id)
 	if d := in.cfg.Latency + time.Duration(r.float()*float64(in.cfg.LatencyJitter)); d > 0 {
@@ -157,7 +159,13 @@ func (in *Injector) ReadBlockContext(ctx context.Context, id grid.BlockID) ([]fl
 		in.count(func(s *InjectorStats) { s.Transient++ })
 		return nil, fmt.Errorf("faultio: injected transient failure on block %d: %w", id, ErrTransient)
 	}
-	vals, err := in.r.ReadBlock(id)
+	var vals []float32
+	var err error
+	if in.ctxr != nil {
+		vals, err = in.ctxr.ReadBlockContext(ctx, id)
+	} else {
+		vals, err = in.r.ReadBlock(id)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +185,8 @@ func (in *Injector) corrupt(r rng, id grid.BlockID, vals []float32) ([]float32, 
 	i := int(r.next() % uint64(len(bad)))
 	bit := uint32(1) << (r.next() % 32)
 	bad[i] = math.Float32frombits(math.Float32bits(bad[i]) ^ bit)
-	if want, ok := in.checksum(id); ok {
-		raw := make([]byte, 4*len(bad))
-		for j, v := range bad {
-			binary.LittleEndian.PutUint32(raw[4*j:], math.Float32bits(v))
-		}
-		if crc32.Checksum(raw, castagnoli) != want {
+	if in.ck != nil {
+		if want, ok := in.ck.BlockChecksum(id); ok && f32le.Checksum(f32le.Append(nil, bad)) != want {
 			in.count(func(s *InjectorStats) { s.Corrupted++; s.CorruptCaught++ })
 			return nil, fmt.Errorf("faultio: injected corruption on block %d detected: %w",
 				id, Transient(ErrChecksum))
@@ -190,13 +194,6 @@ func (in *Injector) corrupt(r rng, id grid.BlockID, vals []float32) ([]float32, 
 	}
 	in.count(func(s *InjectorStats) { s.Corrupted++; s.CorruptSilent++ })
 	return bad, nil
-}
-
-func (in *Injector) checksum(id grid.BlockID) (uint32, bool) {
-	if in.ck == nil {
-		return 0, false
-	}
-	return in.ck.BlockChecksum(id)
 }
 
 // draw returns a generator whose sequence depends only on the seed, the

@@ -23,7 +23,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -32,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/volume"
@@ -46,8 +46,6 @@ const (
 // headerSize is the fixed byte size of the file header. It is followed by
 // Blocks uint32 checksums, then block data.
 const headerSize = 4 * 10
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Header describes a block file.
 type Header struct {
@@ -186,18 +184,13 @@ func Write(path string, ds *volume.Dataset, g *grid.Grid, variable int) (err err
 	if _, err = w.Write(crcs); err != nil {
 		return err
 	}
-	buf := make([]byte, 4)
+	var raw []byte
 	for _, id := range g.All() {
-		vals := ds.BlockSamples(g, id, variable, 0)
-		crc := uint32(0)
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(buf, math.Float32bits(v))
-			crc = crc32.Update(crc, castagnoli, buf)
-			if _, err = w.Write(buf); err != nil {
-				return err
-			}
+		raw = f32le.Append(raw[:0], ds.BlockSamples(g, id, variable, 0))
+		binary.LittleEndian.PutUint32(crcs[4*id:], f32le.Checksum(raw))
+		if _, err = w.Write(raw); err != nil {
+			return err
 		}
-		binary.LittleEndian.PutUint32(crcs[4*id:], crc)
 	}
 	if err = w.Flush(); err != nil {
 		return err
@@ -270,6 +263,23 @@ func Open(path string) (*BlockFile, error) {
 		return nil, fmt.Errorf("store: header claims %d blocks, geometry gives %d",
 			hdr.Blocks, g.NumBlocks())
 	}
+	// A file holds the header, one checksum per block and one float32 per
+	// voxel. Its length is checked against that before anything is sized from
+	// the header: 40 bytes off the disk can claim a checksum table of
+	// gigabytes. The extents are positive int32s (grid.New checked), so only
+	// the product with Res.Z can overflow, and then no file is long enough.
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	fixed := int64(headerSize) + 4*int64(hdr.Blocks)
+	plane, depth := int64(hdr.Res.X)*int64(hdr.Res.Y), int64(hdr.Res.Z)
+	if plane > (math.MaxInt64-fixed)/4/depth || st.Size() < fixed+4*plane*depth {
+		f.Close()
+		return nil, fmt.Errorf("store: file truncated: %d bytes, too few for %v voxels in %d blocks",
+			st.Size(), hdr.Res, hdr.Blocks)
+	}
 	bf := &BlockFile{f: f, hdr: hdr, g: g}
 	table := make([]byte, 4*g.NumBlocks())
 	if _, err := io.ReadFull(f, table); err != nil {
@@ -287,16 +297,6 @@ func Open(path string) (*BlockFile, error) {
 		off += g.VoxelCount(id) * 4
 	}
 	bf.offsets[g.NumBlocks()] = off
-	// Validate the file is at least as large as the layout requires.
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if st.Size() < off {
-		f.Close()
-		return nil, fmt.Errorf("store: file truncated: %d bytes, need %d", st.Size(), off)
-	}
 	return bf, nil
 }
 
@@ -354,14 +354,12 @@ func (bf *BlockFile) RecycleBlockBuf(vals []float32) { bf.bufs.Put(vals) }
 // decode verifies the block's checksum over its raw bytes and decodes them
 // into a pooled float32 buffer.
 func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
-	if got := crc32.Checksum(raw, castagnoli); got != bf.crcs[id] {
+	if got := f32le.Checksum(raw); got != bf.crcs[id] {
 		return nil, fmt.Errorf("store: block %d: crc 0x%08x, want 0x%08x: %w",
 			id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
 	}
 	vals := bf.getBuf(len(raw) / 4)
-	for i := range vals {
-		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
+	f32le.Decode(vals, raw)
 	return vals, nil
 }
 

@@ -7,8 +7,8 @@ package tier
 //	4       4     version (currently 1)
 //	8       4     block id (int32)
 //	12      4     n — number of float32 samples
-//	16      4     CRC-32C (Castagnoli) over the payload bytes
-//	20      n*4   payload — samples as IEEE-754 float32
+//	16      4     CRC-32C (Castagnoli) over the payload bytes (f32le.Checksum)
+//	20      n*4   payload — samples as IEEE-754 float32 (f32le.Append)
 //
 // The committed name is b<id>.sp; writers stage under a *.tmp name and
 // publish with fsync + rename, so after a crash every *.sp file is either a
@@ -20,11 +20,10 @@ package tier
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"strconv"
 	"strings"
 
+	"repro/internal/f32le"
 	"repro/internal/grid"
 )
 
@@ -35,10 +34,7 @@ const (
 	tempPattern     = "spill-*.tmp"
 )
 
-var (
-	spillMagic = [4]byte{'t', 's', 'p', 'l'}
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
-)
+var spillMagic = [4]byte{'t', 's', 'p', 'l'}
 
 // spillName returns the committed filename for a block.
 func spillName(id grid.BlockID) string {
@@ -59,16 +55,13 @@ func parseSpillName(name string) (grid.BlockID, bool) {
 
 // encodeSpill serializes a block into the on-disk format.
 func encodeSpill(id grid.BlockID, vals []float32) []byte {
-	buf := make([]byte, spillHeaderSize+4*len(vals))
+	buf := make([]byte, spillHeaderSize, spillHeaderSize+4*len(vals))
 	copy(buf[0:4], spillMagic[:])
 	binary.LittleEndian.PutUint32(buf[4:8], spillVersion)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(id))
 	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(vals)))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[spillHeaderSize+4*i:], math.Float32bits(v))
-	}
-	binary.LittleEndian.PutUint32(buf[16:20],
-		crc32.Checksum(buf[spillHeaderSize:], castagnoli))
+	buf = f32le.Append(buf, vals)
+	binary.LittleEndian.PutUint32(buf[16:20], f32le.Checksum(buf[spillHeaderSize:]))
 	return buf
 }
 
@@ -94,16 +87,8 @@ func checkSpill(want grid.BlockID, raw []byte) (int, error) {
 		return 0, fmt.Errorf("tier: spill payload %d bytes, header says %d",
 			len(raw)-spillHeaderSize, 4*n)
 	}
-	if got := crc32.Checksum(raw[spillHeaderSize:], castagnoli); got != binary.LittleEndian.Uint32(raw[16:20]) {
+	if got := f32le.Checksum(raw[spillHeaderSize:]); got != binary.LittleEndian.Uint32(raw[16:20]) {
 		return 0, fmt.Errorf("tier: spill checksum mismatch for block %d", want)
 	}
 	return n, nil
-}
-
-// decodeSpill deserializes a checked spill file's payload into vals.
-func decodeSpill(raw []byte, vals []float32) {
-	for i := range vals {
-		vals[i] = math.Float32frombits(
-			binary.LittleEndian.Uint32(raw[spillHeaderSize+4*i:]))
-	}
 }

@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/cache"
+	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -225,10 +226,12 @@ func (t *Tier) rescan() error {
 			continue // foreign file: not ours to touch
 		}
 		info, err := e.Info()
-		if err == nil {
+		// A file over the whole budget can never have been resident (spill
+		// drops a block that size): it is set aside unread, not staged.
+		if err == nil && info.Size() <= t.lvl.Capacity {
 			_, err = t.load(name, id, info.Size(), false)
 		}
-		if err != nil {
+		if err != nil || info.Size() > t.lvl.Capacity {
 			// Torn mid-crash or rotten on disk — either way not servable.
 			t.quarantine(name)
 			continue
@@ -268,7 +271,7 @@ func (t *Tier) load(name string, id grid.BlockID, size int64, decode bool) ([]fl
 		return nil, err
 	}
 	vals, _ := t.bufs.Get(voxels)
-	decodeSpill(*raw, vals)
+	f32le.Decode(vals, (*raw)[spillHeaderSize:n])
 	return vals, nil
 }
 
