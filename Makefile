@@ -9,10 +9,10 @@ GO ?= go
 RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/... ./cmd/vizsim/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
-BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/...
+BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/...
 
 # Packages with fuzz targets; fuzz-smoke replays their seed corpora.
-FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/...
+FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/...
 
 # The lifecycle/failure-model suite: failover, drain, heartbeats, breaker,
 # and the two-replica network-chaos end-to-end run.

@@ -12,13 +12,14 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/camera"
 	"repro/internal/grid"
 	"repro/internal/memhier"
-	"repro/internal/octree"
 	"repro/internal/render"
 	"repro/internal/report"
 	"repro/internal/summary"
 	"repro/internal/vec"
+	"repro/internal/visibility"
 )
 
 // ExtQuery compares unconstrained vs query-constrained exploration under
@@ -44,7 +45,6 @@ func ExtQuery(o Options) (*Result, error) {
 	path := randomPath(o, 10, 15)
 	theta := vec.Radians(o.ViewAngleDeg)
 	model := render.DefaultCostModel()
-	tree := octree.Build(g, 8)
 
 	tb := report.NewTable(
 		"Extension: query-based visualization under caching (lifted_rr, flame-sheet query)",
@@ -78,7 +78,7 @@ func ExtQuery(o Options) (*Result, error) {
 			var io time.Duration
 			var blockSum int
 			for _, pos := range path.Steps {
-				visible := tree.VisibleSet(pos, theta)
+				visible := visibility.VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta})
 				if md.query != nil {
 					visible, err = sums.Filter(visible, md.query)
 					if err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/entropy"
 	"repro/internal/grid"
 	"repro/internal/memhier"
-	"repro/internal/octree"
 	"repro/internal/policy"
 	"repro/internal/radius"
 	"repro/internal/render"
@@ -23,12 +22,6 @@ import (
 	"repro/internal/visibility"
 	"repro/internal/volume"
 )
-
-// octreeLeafBlocks is the leaf granularity of the per-run visibility
-// octree; 8 blocks per leaf balances tree depth against per-leaf exact
-// tests. The octree result is bit-identical to the linear scan (property-
-// tested in package octree), so this is purely a wall-clock optimization.
-const octreeLeafBlocks = 8
 
 // Config describes one simulation run.
 type Config struct {
@@ -121,10 +114,9 @@ func RunBaseline(cfg Config, factory cache.Factory, name string) (Metrics, error
 	}
 	model := cfg.renderModel()
 	m := Metrics{Policy: name, Steps: cfg.Path.Len(), Trace: &trace.Trace{}}
-	tree := octree.Build(cfg.Grid, octreeLeafBlocks)
 	var visibleSum int
 	for _, pos := range cfg.Path.Steps {
-		visible := tree.VisibleSet(pos, cfg.ViewAngle)
+		visible := visibility.VisibleSet(cfg.Grid, camera.Camera{Pos: pos, ViewAngle: cfg.ViewAngle})
 		m.Trace.Append(visible)
 		visibleSum += len(visible)
 		before := h.DemandTime
@@ -276,10 +268,9 @@ func RunAppAware(cfg Config, ac AppAwareConfig) (Metrics, error) {
 
 	model := cfg.renderModel()
 	m := Metrics{Policy: ctrl.Name(), Steps: cfg.Path.Len(), Trace: &trace.Trace{}}
-	tree := octree.Build(cfg.Grid, octreeLeafBlocks)
 	var visibleSum int
 	for i, pos := range cfg.Path.Steps {
-		visible := tree.VisibleSet(pos, cfg.ViewAngle)
+		visible := visibility.VisibleSet(cfg.Grid, camera.Camera{Pos: pos, ViewAngle: cfg.ViewAngle})
 		m.Trace.Append(visible)
 		visibleSum += len(visible)
 		renderT := model.FrameTime(len(visible))

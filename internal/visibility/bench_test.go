@@ -1,6 +1,7 @@
 package visibility
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/camera"
@@ -9,109 +10,133 @@ import (
 	"repro/internal/vec"
 )
 
+// The benchmarks run on bench/'s geometry: a 256³ volume cut into 32³-,
+// 16³- or 8³-voxel blocks (512, 4 096 or 32 768 of them), a 10° frustum,
+// and the 5° spherical orbit at distance 3 — one camera per iteration, so a
+// number is the mean over the views a session meets, not one fixed view.
+const benchViewDeg = 10
+
+var benchOrbit = camera.Spherical(3, 5, 360).Steps
+
 func benchGrid(b *testing.B, blocks int) *grid.Grid {
 	b.Helper()
-	g, err := grid.New(grid.Dims{X: 256, Y: 256, Z: 256}, grid.DivisionsFor(grid.Dims{X: 256, Y: 256, Z: 256}, blocks))
+	edge := map[int]int{512: 32, 4096: 16, 32768: 8}[blocks]
+	g, err := grid.New(grid.Dims{X: 256, Y: 256, Z: 256}, grid.Dims{X: edge, Y: edge, Z: edge})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return g
 }
 
+// benchTableOpts is bench/'s T_visible: 32 × 16 × 3 = 1 536 keys, r = 0.3.
+func benchTableOpts() Options {
+	return Options{
+		NAzimuth: 32, NElevation: 16, NDistance: 3,
+		RMin: 2.5, RMax: 3.5,
+		ViewAngle: vec.Radians(benchViewDeg),
+		Radius:    radius.Fixed(0.3),
+	}
+}
+
+var benchSink []grid.BlockID
+
 func BenchmarkBlockVisible(b *testing.B) {
-	g := benchGrid(b, 2048)
-	pos := vec.New(0.5, 0.5, 3)
-	theta := vec.Radians(10)
+	g := benchGrid(b, 4096)
+	theta := vec.Radians(benchViewDeg)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BlockVisible(pos, theta, g, grid.BlockID(i%g.NumBlocks()))
+		BlockVisible(benchOrbit[0], theta, g, grid.BlockID(i%g.NumBlocks()))
 	}
 }
 
-func BenchmarkVisibleSet2048(b *testing.B) {
-	g := benchGrid(b, 2048)
-	cam := camera.Camera{Pos: vec.New(0.5, 0.5, 3), ViewAngle: vec.Radians(10)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		VisibleSet(g, cam)
-	}
-}
-
-func BenchmarkVisibleSet16384(b *testing.B) {
-	g := benchGrid(b, 16384)
-	cam := camera.Camera{Pos: vec.New(0.5, 0.5, 3), ViewAngle: vec.Radians(10)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		VisibleSet(g, cam)
+func BenchmarkVisibleSet(b *testing.B) {
+	for _, blocks := range []int{512, 4096, 32768} {
+		b.Run(fmt.Sprint(blocks), func(b *testing.B) {
+			g := benchGrid(b, blocks)
+			theta := vec.Radians(benchViewDeg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = VisibleSet(g, camera.Camera{Pos: benchOrbit[i%len(benchOrbit)], ViewAngle: theta})
+			}
+		})
 	}
 }
 
 func BenchmarkDilatedVisibleSet(b *testing.B) {
-	g := benchGrid(b, 2048)
-	pos := vec.New(0.5, 0.5, 3)
-	theta := vec.Radians(10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DilatedVisibleSet(g, pos, theta, 0.3)
+	for _, blocks := range []int{512, 32768} {
+		b.Run(fmt.Sprint(blocks), func(b *testing.B) {
+			g := benchGrid(b, blocks)
+			theta := vec.Radians(benchViewDeg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = DilatedVisibleSet(g, benchOrbit[i%len(benchOrbit)], theta, 0.3)
+			}
+		})
 	}
 }
 
 func BenchmarkVicinalUnionJitter(b *testing.B) {
-	g := benchGrid(b, 2048)
-	pos := vec.New(0.5, 0.5, 3)
-	theta := vec.Radians(10)
+	g := benchGrid(b, 512)
+	theta := vec.Radians(benchViewDeg)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		VicinalUnion(g, pos, theta, 0.3, 8)
+		benchSink = VicinalUnion(g, benchOrbit[i%len(benchOrbit)], theta, 0.3, 8)
 	}
 }
 
-// BenchmarkPredictParallel measures contention on memoized lookups: many
-// goroutines hitting already-materialized keys, the steady state of
-// concurrent interactive frames sharing one table.
-func BenchmarkPredictParallel(b *testing.B) {
-	g := benchGrid(b, 2048)
-	tab, err := NewTable(g, Options{
-		NAzimuth: 72, NElevation: 36, NDistance: 10,
-		RMin: 2.5, RMax: 3.5,
-		ViewAngle: vec.Radians(10),
-		Radius:    radius.Fixed(0.2),
-		Lazy:      true,
-	})
+// BenchmarkTableBuild is the eager T_visible build every bench/ fixture and
+// every vizserver start pays: all 1 536 keys, on every core.
+func BenchmarkTableBuild(b *testing.B) {
+	g := benchGrid(b, 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTable(g, benchTableOpts()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func lazyBenchTable(b *testing.B) *Table {
+	b.Helper()
+	opts := benchTableOpts()
+	opts.Lazy = true
+	tab, err := NewTable(benchGrid(b, 4096), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	positions := make([]vec.V3, 64)
-	for i := range positions {
-		positions[i] = vec.RotateAbout(vec.New(1.2, -0.4, 2.7), vec.New(0, 1, 0), vec.Radians(float64(i)))
-		tab.Predict(positions[i]) // materialize
+	return tab
+}
+
+// BenchmarkTablePredictParallel measures contention on memoized lookups: many
+// goroutines hitting already-materialized keys, the steady state of
+// concurrent interactive frames sharing one table.
+func BenchmarkTablePredictParallel(b *testing.B) {
+	tab := lazyBenchTable(b)
+	for _, pos := range benchOrbit {
+		tab.Predict(pos) // materialize
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			tab.Predict(positions[i%len(positions)])
+			tab.Predict(benchOrbit[i%len(benchOrbit)])
 			i++
 		}
 	})
 }
 
-func BenchmarkPredict(b *testing.B) {
-	g := benchGrid(b, 2048)
-	tab, err := NewTable(g, Options{
-		NAzimuth: 72, NElevation: 36, NDistance: 10,
-		RMin: 2.5, RMax: 3.5,
-		ViewAngle: vec.Radians(10),
-		Radius:    radius.Fixed(0.2),
-		Lazy:      true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pos := vec.New(1.2, -0.4, 2.7)
-	tab.Predict(pos) // materialize once
+func BenchmarkTablePredict(b *testing.B) {
+	tab := lazyBenchTable(b)
+	tab.Predict(benchOrbit[0]) // materialize once
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.Predict(pos)
+		tab.Predict(benchOrbit[0])
 	}
 }

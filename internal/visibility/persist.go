@@ -13,6 +13,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/grid"
@@ -65,69 +68,86 @@ type frozenRadius struct{}
 func (frozenRadius) Radius(_, _ float64) float64 { return 0 }
 func (frozenRadius) Name() string                { return "frozen(loaded-table)" }
 
+// persistHeaderSize counts the magic, the version and the three lattice
+// dimensions (uint32 each), RMin, RMax and ViewAngle (float64 bits) and the
+// query cost per key (int64 nanoseconds).
+const persistHeaderSize = 5*4 + 3*8 + 8
+
 // Load reads a table written by Save. The grid must match the one the table
-// was built over (validated against its block count).
+// was built over (validated against its block count). The input is not
+// trusted: the header's key count sizes nothing until the stream has
+// delivered that many keys, and a key's length nothing beyond the grid.
 func Load(r io.Reader, g *grid.Grid) (*Table, error) {
 	br := bufio.NewReader(r)
-	var head [5]uint32
-	for i := range head {
-		if err := binary.Read(br, binary.LittleEndian, &head[i]); err != nil {
-			return nil, fmt.Errorf("visibility: short header: %v", err)
-		}
-	}
-	if head[0] != persistMagic {
-		return nil, fmt.Errorf("visibility: not a T_visible file")
-	}
-	if head[1] != persistVersion {
-		return nil, fmt.Errorf("visibility: unsupported version %d", head[1])
-	}
-	opts := Options{
-		NAzimuth:   int(head[2]),
-		NElevation: int(head[3]),
-		NDistance:  int(head[4]),
-		Radius:     frozenRadius{},
-		Lazy:       true,
-	}
-	var floats [3]float64
-	for i := range floats {
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("visibility: short header: %v", err)
-		}
-		floats[i] = math.Float64frombits(bits)
-	}
-	opts.RMin, opts.RMax, opts.ViewAngle = floats[0], floats[1], floats[2]
-	var qc int64
-	if err := binary.Read(br, binary.LittleEndian, &qc); err != nil {
+	le := binary.LittleEndian
+	var head [persistHeaderSize]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("visibility: short header: %v", err)
 	}
-	opts.QueryCostPerKey = time.Duration(qc)
-
-	t, err := NewTable(g, opts)
+	if le.Uint32(head[0:]) != persistMagic {
+		return nil, fmt.Errorf("visibility: not a T_visible file")
+	}
+	if v := le.Uint32(head[4:]); v != persistVersion {
+		return nil, fmt.Errorf("visibility: unsupported version %d", v)
+	}
+	opts := Options{
+		NAzimuth:        int(le.Uint32(head[8:])),
+		NElevation:      int(le.Uint32(head[12:])),
+		NDistance:       int(le.Uint32(head[16:])),
+		RMin:            math.Float64frombits(le.Uint64(head[20:])),
+		RMax:            math.Float64frombits(le.Uint64(head[28:])),
+		ViewAngle:       math.Float64frombits(le.Uint64(head[36:])),
+		QueryCostPerKey: time.Duration(le.Uint64(head[44:])),
+		Radius:          frozenRadius{},
+		Lazy:            true,
+	}
+	numKeys, err := opts.validate()
 	if err != nil {
 		return nil, err
 	}
+	if opts.QueryCostPerKey <= 0 { // Save writes the default in place of 0
+		return nil, fmt.Errorf("visibility: query cost %v per key", opts.QueryCostPerKey)
+	}
+
 	nBlocks := g.NumBlocks()
-	for i := range t.sets {
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+	var sets [][]grid.BlockID // grows with the stream, not to numKeys at once
+	var raw []byte
+	for i := 0; i < numKeys; i++ {
+		var word [4]byte
+		if _, err := io.ReadFull(br, word[:]); err != nil {
 			return nil, fmt.Errorf("visibility: truncated at key %d: %v", i, err)
 		}
-		if int(n) > nBlocks {
+		n := int(le.Uint32(word[:]))
+		if n > nBlocks {
 			return nil, fmt.Errorf("visibility: key %d claims %d blocks, grid has %d", i, n, nBlocks)
+		}
+		raw = slices.Grow(raw[:0], 4*n)[:4*n]
+		if _, err := io.ReadFull(br, raw); err != nil {
+			return nil, fmt.Errorf("visibility: truncated at key %d: %v", i, err)
 		}
 		set := make([]grid.BlockID, n)
 		for j := range set {
-			var id int32
-			if err := binary.Read(br, binary.LittleEndian, &id); err != nil {
-				return nil, fmt.Errorf("visibility: truncated at key %d: %v", i, err)
-			}
+			id := int32(le.Uint32(raw[4*j:]))
 			if id < 0 || int(id) >= nBlocks {
 				return nil, fmt.Errorf("visibility: key %d: block %d out of range", i, id)
 			}
+			if j > 0 && grid.BlockID(id) <= set[j-1] {
+				return nil, fmt.Errorf("visibility: key %d: block %d after %d, want ascending", i, id, set[j-1])
+			}
 			set[j] = grid.BlockID(id)
 		}
-		t.setPrecomputed(i, set)
+		sets = append(sets, set)
+	}
+	t := &Table{
+		g:    g,
+		opts: opts,
+		sets: sets,
+		once: make([]sync.Once, numKeys),
+		done: make([]atomic.Bool, numKeys),
+	}
+	for i := range sets {
+		t.once[i].Do(func() {}) // materialized: PredictedSet must not compute
+		t.done[i].Store(true)
 	}
 	return t, nil
 }

@@ -1,10 +1,11 @@
 package visibility
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,6 +63,29 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// validate checks the options and returns the number of keys they define.
+// The comparisons are written so that NaN fails them.
+func (o Options) validate() (numKeys int, err error) {
+	numKeys = 1
+	for _, d := range []int{o.NAzimuth, o.NElevation, o.NDistance} {
+		if d < 1 || numKeys > math.MaxInt/d {
+			return 0, fmt.Errorf("visibility: lattice %dx%dx%d must be positive and its product fit an int",
+				o.NAzimuth, o.NElevation, o.NDistance)
+		}
+		numKeys *= d
+	}
+	if !(o.RMin > 0 && o.RMax >= o.RMin) || math.IsInf(o.RMax, 1) {
+		return 0, fmt.Errorf("visibility: bad distance range [%g, %g]", o.RMin, o.RMax)
+	}
+	if !(o.ViewAngle > 0 && o.ViewAngle < math.Pi) {
+		return 0, fmt.Errorf("visibility: view angle %g out of (0, π)", o.ViewAngle)
+	}
+	if o.Radius == nil {
+		return 0, fmt.Errorf("visibility: nil radius strategy")
+	}
+	return numKeys, nil
+}
+
 // Table is the paper's T_visible: sampling camera positions in Ω keyed by
 // <view direction l, distance d>, each mapped to the set of blocks visible
 // from its vicinal area φ. Lookup finds the nearest sampled position.
@@ -83,20 +107,10 @@ type Table struct {
 // Lazy unset, every key's visible set is materialized in parallel now.
 func NewTable(g *grid.Grid, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
-	if opts.NAzimuth < 1 || opts.NElevation < 1 || opts.NDistance < 1 {
-		return nil, fmt.Errorf("visibility: lattice %dx%dx%d must be positive",
-			opts.NAzimuth, opts.NElevation, opts.NDistance)
+	n, err := opts.validate()
+	if err != nil {
+		return nil, err
 	}
-	if opts.RMin <= 0 || opts.RMax < opts.RMin {
-		return nil, fmt.Errorf("visibility: bad distance range [%g, %g]", opts.RMin, opts.RMax)
-	}
-	if opts.ViewAngle <= 0 || opts.ViewAngle >= math.Pi {
-		return nil, fmt.Errorf("visibility: view angle %g out of (0, π)", opts.ViewAngle)
-	}
-	if opts.Radius == nil {
-		return nil, fmt.Errorf("visibility: nil radius strategy")
-	}
-	n := opts.NAzimuth * opts.NElevation * opts.NDistance
 	t := &Table{
 		g:    g,
 		opts: opts,
@@ -193,15 +207,6 @@ func (t *Table) PredictedSet(i int) []grid.BlockID {
 	return t.sets[i]
 }
 
-// setPrecomputed installs an externally computed set for key i (used by
-// Load); it is a no-op if the key was already materialized.
-func (t *Table) setPrecomputed(i int, set []grid.BlockID) {
-	t.once[i].Do(func() {
-		t.sets[i] = set
-		t.done[i].Store(true)
-	})
-}
-
 // Predict returns the predicted visible set for an arbitrary camera
 // position: the set of its nearest sampling position.
 func (t *Table) Predict(pos vec.V3) []grid.BlockID {
@@ -220,40 +225,31 @@ func (t *Table) computeSet(i int) []grid.BlockID {
 		set = DilatedVisibleSet(t.g, pos, t.opts.ViewAngle, r)
 	}
 	if c := t.opts.Clamp; c != nil && c.MaxBlocks > 0 && len(set) > c.MaxBlocks {
-		byImportance := append([]grid.BlockID(nil), set...)
-		sort.SliceStable(byImportance, func(a, b int) bool {
-			sa, sb := c.Importance.Score(byImportance[a]), c.Importance.Score(byImportance[b])
-			if sa != sb {
-				return sa > sb
+		slices.SortStableFunc(set, func(a, b grid.BlockID) int {
+			if o := cmp.Compare(c.Importance.Score(b), c.Importance.Score(a)); o != 0 {
+				return o
 			}
-			return byImportance[a] < byImportance[b]
+			return cmp.Compare(a, b)
 		})
-		byImportance = byImportance[:c.MaxBlocks]
-		sort.Slice(byImportance, func(a, b int) bool { return byImportance[a] < byImportance[b] })
-		set = byImportance
+		set = set[:c.MaxBlocks]
+		slices.Sort(set)
 	}
 	return set
 }
 
 // MaterializeAll computes every key's set in parallel. It is idempotent.
 func (t *Table) MaterializeAll() {
-	n := len(t.sets)
-	workers := runtime.GOMAXPROCS(0)
+	var next atomic.Int64 // the next key nobody has claimed
 	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				t.PredictedSet(i)
+			for i := next.Add(1) - 1; i < int64(len(t.sets)); i = next.Add(1) - 1 {
+				t.PredictedSet(int(i))
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
 	wg.Wait()
 }
 

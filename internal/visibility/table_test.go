@@ -24,7 +24,7 @@ func tableOpts() Options {
 	}
 }
 
-func newTestTable(t *testing.T, opts Options) (*grid.Grid, *Table) {
+func newTestTable(t testing.TB, opts Options) (*grid.Grid, *Table) {
 	t.Helper()
 	g, err := grid.New(grid.Dims{X: 64, Y: 64, Z: 64}, grid.Dims{X: 16, Y: 16, Z: 16})
 	if err != nil {

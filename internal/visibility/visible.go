@@ -7,7 +7,7 @@ package visibility
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/camera"
 	"repro/internal/grid"
@@ -42,18 +42,11 @@ func BlockVisible(pos vec.V3, theta float64, g *grid.Grid, id grid.BlockID) bool
 	return false
 }
 
-// VisibleSet returns the sorted IDs of every block visible from the camera.
-// This is the exact per-frame ground truth the simulator renders from.
+// VisibleSet returns the sorted IDs of every block visible from the camera:
+// BlockVisible over the grid. This is the exact per-frame ground truth the
+// simulator renders from.
 func VisibleSet(g *grid.Grid, cam camera.Camera) []grid.BlockID {
-	out := make([]grid.BlockID, 0, g.NumBlocks()/4)
-	n := g.NumBlocks()
-	for i := 0; i < n; i++ {
-		id := grid.BlockID(i)
-		if BlockVisible(cam.Pos, cam.ViewAngle, g, id) {
-			out = append(out, id)
-		}
-	}
-	return out
+	return visibleSet(g, cone{pos: cam.Pos, theta: cam.ViewAngle})
 }
 
 // DilatedVisible reports whether a block is visible from *some* point within
@@ -70,31 +63,29 @@ func DilatedVisible(pos vec.V3, theta, r float64, g *grid.Grid, id grid.BlockID)
 	}
 	corners := g.Corners(id)
 	for i := range corners {
-		dist := corners[i].Dist(pos)
-		widen := math.Pi
-		if dist > r {
-			widen = math.Asin(r / dist)
-		}
-		toCorner := corners[i].Sub(pos)
-		if vec.AngleBetween(toCorner, pos.Neg()) < theta/2+widen {
+		if dilatedCornerVisible(pos, corners[i], theta, r) {
 			return true
 		}
 	}
 	return false
 }
 
-// DilatedVisibleSet returns the sorted IDs of blocks visible from anywhere
-// within radius r of pos (analytic union approximation).
-func DilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockID {
-	out := make([]grid.BlockID, 0, g.NumBlocks()/4)
-	n := g.NumBlocks()
-	for i := 0; i < n; i++ {
-		id := grid.BlockID(i)
-		if DilatedVisible(pos, theta, r, g, id) {
-			out = append(out, id)
-		}
+// dilatedCornerVisible is Eq. (1) with the half angle widened by
+// asin(r/‖corner−pos‖): the per-corner test of DilatedVisible.
+func dilatedCornerVisible(pos, corner vec.V3, theta, r float64) bool {
+	dist := corner.Dist(pos)
+	widen := math.Pi
+	if dist > r {
+		widen = math.Asin(r / dist)
 	}
-	return out
+	return vec.AngleBetween(corner.Sub(pos), pos.Neg()) < theta/2+widen
+}
+
+// DilatedVisibleSet returns the sorted IDs of blocks visible from anywhere
+// within radius r of pos (analytic union approximation): DilatedVisible over
+// the grid.
+func DilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockID {
+	return visibleSet(g, cone{pos: pos, theta: theta, r: r, dilated: true})
 }
 
 // VicinalUnion returns the union of exact visible sets over sample points
@@ -102,29 +93,13 @@ func DilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockI
 // itself), the construction of §IV-B. samples is the number of jitter points
 // v'; they are placed deterministically on Fibonacci shells.
 func VicinalUnion(g *grid.Grid, pos vec.V3, theta, r float64, samples int) []grid.BlockID {
-	seen := make(map[grid.BlockID]struct{})
-	add := func(p vec.V3) {
-		n := g.NumBlocks()
-		for i := 0; i < n; i++ {
-			id := grid.BlockID(i)
-			if _, ok := seen[id]; ok {
-				continue
-			}
-			if BlockVisible(p, theta, g, id) {
-				seen[id] = struct{}{}
-			}
-		}
+	pts := fibonacciBall(pos, r, samples)
+	cones := make([]cone, 0, 1+len(pts))
+	cones = append(cones, cone{pos: pos, theta: theta})
+	for _, p := range pts {
+		cones = append(cones, cone{pos: p, theta: theta})
 	}
-	add(pos)
-	for _, p := range fibonacciBall(pos, r, samples) {
-		add(p)
-	}
-	out := make([]grid.BlockID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	return visibleSet(g, cones...)
 }
 
 // fibonacciBall returns n deterministic points filling the ball of radius r
@@ -151,18 +126,9 @@ func fibonacciBall(c vec.V3, r float64, n int) []vec.V3 {
 
 // Union merges sorted block-ID slices into one sorted, deduplicated slice.
 func Union(sets ...[]grid.BlockID) []grid.BlockID {
-	seen := make(map[grid.BlockID]struct{})
-	for _, s := range sets {
-		for _, id := range s {
-			seen[id] = struct{}{}
-		}
-	}
-	out := make([]grid.BlockID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	out := slices.Concat(sets...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Intersect returns the sorted intersection of two sorted ID slices.
