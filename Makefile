@@ -77,18 +77,21 @@ chaos-smoke:
 # spill-smoke runs the persistent-tier crash-recovery and disk-fault
 # degradation end-to-ends (plus the cross-stack policy parity pin) under
 # the race detector: kill-mid-spill recovery, quarantine, breaker trip and
-# heal must all survive every commit.
+# heal must all survive every commit — and the read path's verdicts on a
+# damaged file, each with the block buffer handed back.
 spill-smoke:
-	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker' ./internal/tier/
+	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker|TestDamagedSpill|TestSpillLengthCheckedIn64Bits' ./internal/tier/
 
 # pipe-smoke runs the wire-path suite under the race detector: the
 # other-version hello refusal; the transport table — whole-block round trip,
 # a run of mixed statuses, pipelined batches multiplexed over one conn and
-# the payload-CRC reject, each over the pipe and over loopback TCP; the
-# mid-response stall failover scope; and the payload length checked against
-# the geometry.
+# the payload-CRC reject and the server's remembered CRC, each over the pipe
+# and over loopback TCP; the mid-response stall failover scope; the payload
+# length checked against the geometry; the streaming parser's entry shapes;
+# and the run no frame can carry, answered or refused but never dropped in
+# silence.
 pipe-smoke:
-	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestWireCRCReject|TestStallMidResponse|TestLyingLengthRejected' ./internal/blocksvc/
+	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestWireCRCReject|TestServerChecksumIsRemembered|TestStallMidResponse|TestLyingLengthRejected|TestBlocksEntryShapes|TestOversizeRunNeverSilent' ./internal/blocksvc/
 
 # cluster-smoke runs the sharded-cluster suite under the race detector: a
 # 3-node in-process cluster with client-side consistent-hash routing, one

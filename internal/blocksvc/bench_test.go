@@ -18,8 +18,17 @@ import (
 // transport each frame — framing, CRC verification, and decode included.
 // Compare with ooc.BenchmarkFrame (the same frame against local memory) for
 // the protocol's per-frame cost.
-func BenchmarkRemoteFrame(b *testing.B) {
-	f := startService(b, svcOpts{})
+func BenchmarkRemoteFrame(b *testing.B) { benchRemoteFrame(b, svcOpts{}) }
+
+// BenchmarkRemoteFrame128k is the same frame over the same 4×4×4 block grid
+// with the blocks the repository's benchmark moves: 32³ voxels, 128 KiB a
+// payload, where a copy or a checksum of the payload is what a frame costs.
+func BenchmarkRemoteFrame128k(b *testing.B) {
+	benchRemoteFrame(b, svcOpts{scale: 1.0 / 8, block: 32})
+}
+
+func benchRemoteFrame(b *testing.B, o svcOpts) {
+	f := startService(b, o)
 	ctx := context.Background()
 	// Warm the server cache so the benchmark measures the wire, not the disk.
 	if _, errs := dialService(b, f, 1).ReadBlocks(ctx, f.g.All()); errs[0] != nil {
@@ -40,8 +49,15 @@ func BenchmarkRemoteFrame(b *testing.B) {
 	defer rt.Close()
 	cam := camera.Camera{Pos: vec.New(0, 0, 3), ViewAngle: vec.Radians(20)}
 	visible := visibility.VisibleSet(f.g, cam)
-	if _, _, err := rt.Frame(ctx, cam.Pos, visible); err != nil {
+	// The warm-up frame's buffers stock the pool: were they dropped, the
+	// first timed frame would allocate the visible set afresh, and at 128 KiB
+	// a block B/op would follow the iteration count.
+	warm, _, err := rt.Frame(ctx, cam.Pos, visible)
+	if err != nil {
 		b.Fatal(err)
+	}
+	for _, v := range warm {
+		r.RecycleBlockBuf(v)
 	}
 	b.SetBytes(int64(len(visible)) * f.bf.BlockBytes(0))
 	b.ReportAllocs()

@@ -93,6 +93,8 @@ type svcOpts struct {
 	mutate func(*Config)
 	// scale overrides the dataset downscale (default 1/32 → 32³ voxels).
 	scale float64
+	// block overrides the cubic block's edge in voxels (default 8 → 2 KiB).
+	block int
 	// visRadius overrides the visibility table's fixed vicinal radius
 	// (default 0.3).
 	visRadius float64
@@ -151,8 +153,12 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	if scale == 0 {
 		scale = 1.0 / 32 // 32³
 	}
+	edge := o.block
+	if edge == 0 {
+		edge = 8
+	}
 	ds := volume.Ball().Scale(scale)
-	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
+	g, err := ds.Grid(grid.Dims{X: edge, Y: edge, Z: edge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +372,54 @@ func TestBigEndianHostRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerChecksumIsRemembered: the server takes a block's CRC once, the
+// first time it sends the block, and sends that sum ever after — the served
+// volume is immutable, so the sum belongs to the block id. Two reads of one
+// block therefore cost one server-side CRC, and a cached copy that rots
+// between them goes out under the sum of the bytes it should hold: the
+// client's check catches it. A sum taken afresh at every send blesses the
+// rot, and the wrong voxels are delivered as the block.
+func TestServerChecksumIsRemembered(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			f := startService(t, svcOpts{transport: tr})
+			r := dialService(t, f, 1)
+			const id, neighbour = grid.BlockID(7), grid.BlockID(8)
+			for range 2 {
+				got, err := r.ReadBlock(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBlock(t, f, id, got)
+			}
+			if n := f.srv.sumsTaken.Load(); n != 1 {
+				t.Fatalf("two sends of one block took %d checksums at the server, want 1", n)
+			}
+			// No send is in flight: both reads have returned.
+			cached, ok := f.cache.GetCached(id)
+			if !ok {
+				t.Fatal("the block is not in the server's cache")
+			}
+			cached[3] = math.Float32frombits(math.Float32bits(cached[3]) ^ 0x400)
+			got, err := r.ReadBlock(id)
+			if !errors.Is(err, faultio.ErrChecksum) {
+				t.Fatalf("a rotted server copy was delivered as %d voxels, err = %v; want a checksum fault", len(got), err)
+			}
+			if st := r.Snapshot(); st.ChecksumErrors == 0 || st.TransportErrors != 0 {
+				t.Errorf("client stats = %+v, want the rot counted as a checksum error on a live conn", st)
+			}
+			other, err := r.ReadBlock(neighbour)
+			if err != nil {
+				t.Fatalf("the block beside the rotted one: %v", err)
+			}
+			assertBlock(t, f, neighbour, other)
+			if n := f.srv.sumsTaken.Load(); n != 2 {
+				t.Errorf("%d checksums taken after a first send of a second block, want 2", n)
+			}
+		})
+	}
+}
+
 // scriptedReader fails chosen blocks with chosen errors and reads the rest
 // from the file.
 type scriptedReader struct {
@@ -452,28 +506,34 @@ func TestMixedStatusRun(t *testing.T) {
 			if err != nil || typ != msgBlocks {
 				t.Fatalf("blocks: typ=%d err=%v", typ, err)
 			}
-			it, ok := blocksHeader(payload)
-			if !ok || it.Req != 3 || it.First != 0 || it.N != len(ids) {
-				t.Fatalf("prelude = req %d first %d n %d, want one run of all %d", it.Req, it.First, it.N, len(ids))
+			// The frame goes through the client's own parser, which holds each
+			// payload against its trailing CRC; one tag for exactly these ids
+			// makes "one run of all of them" the only frame that answers it.
+			feed := newBlocksFeed(t, f.g, 3, ids)
+			if err := feed.read(t, frameBytes(t, msgBlocks, payload)); err != nil {
+				t.Fatalf("blocks frame did not parse cleanly: %v", err)
 			}
-			for k := 0; it.next(); k++ {
-				if it.Status != want[k] {
-					t.Fatalf("entry %d (block %d): status %d, want %d", k, ids[k], it.Status, want[k])
-				}
-				switch it.Status {
+			if feed.p.answered != len(ids) {
+				t.Fatalf("the frame answers %d of %d blocks, want one run of all", feed.p.answered, len(ids))
+			}
+			for k, st := range want {
+				vals, err := feed.p.vals[k], feed.p.errs[k]
+				switch st {
 				case statusOK:
 					sum, _ := f.bf.BlockChecksum(ids[k])
-					if it.Sum != sum || crc32.Checksum(it.Wire, castagnoli) != sum {
-						t.Fatalf("entry %d (block %d): payload does not match the block file's crc", k, ids[k])
+					if err != nil || crc32.Checksum(f32le.Append(nil, vals), castagnoli) != sum {
+						t.Fatalf("entry %d (block %d): %v; payload does not match the block file's crc", k, ids[k], err)
 					}
 				case statusRedirect:
-					if it.Epoch != m.Epoch {
-						t.Fatalf("redirect epoch = %d, want %d", it.Epoch, m.Epoch)
+					var re *redirectError
+					if !errors.As(err, &re) || re.epoch != m.Epoch {
+						t.Fatalf("entry %d (block %d) = %v, want a redirect at epoch %d", k, ids[k], err, m.Epoch)
+					}
+				default:
+					if err == nil || err.Error() != blockErr(st, ids[k]).Error() {
+						t.Fatalf("entry %d (block %d) = %v, want status %d", k, ids[k], err, st)
 					}
 				}
-			}
-			if !it.done() {
-				t.Fatal("blocks frame did not parse cleanly")
 			}
 			if typ, _, err := readFrame(br, nil); err != nil || typ != msgDone {
 				t.Fatalf("done: typ=%d err=%v", typ, err)

@@ -3,6 +3,7 @@ package blocksvc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -402,7 +403,7 @@ type rconn struct {
 	r   *RemoteReader
 	grp *shardGroup
 	c   net.Conn
-	br  *bufio.Reader
+	in  frameReader // the read side: c behind a bufio.Reader; owned by readLoop
 	bw  *bufio.Writer
 	ep  *endpoint
 
@@ -621,7 +622,7 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 	rc := &rconn{
 		r:       r,
 		c:       raw,
-		br:      bufio.NewReaderSize(raw, 256<<10),
+		in:      frameReader{br: bufio.NewReaderSize(raw, 256<<10), src: raw},
 		bw:      bufio.NewWriterSize(raw, 64<<10),
 		ep:      ep,
 		pending: make(map[uint64]*pendingReq),
@@ -636,7 +637,7 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 		return nil, faultio.Transient(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(dialTimeout))
-	typ, payload, err := readFrame(rc.br, nil)
+	typ, payload, err := readFrame(rc.in.br, nil)
 	raw.SetReadDeadline(time.Time{})
 	if err != nil {
 		return nil, faultio.Transient(err)
@@ -1034,11 +1035,9 @@ func (rc *rconn) teardown(cause error) {
 	r.noteFailure(rc.ep)
 }
 
-// readLoop is rc's dedicated receiver: it owns the conn's read side,
-// demultiplexes every inbound frame by tag, and reuses one receive buffer
-// across frames (growing it only when a frame exceeds it, under
-// readPayload's hostile-length bound). Any protocol violation or transport
-// error tears the connection down.
+// readLoop is rc's dedicated receiver: it owns the conn's read side and
+// demultiplexes every inbound frame by tag. Any protocol violation or
+// transport error tears the connection down.
 func (rc *rconn) readLoop() {
 	defer rc.r.connWG.Done()
 	buf := make([]byte, 0, 64<<10)
@@ -1053,17 +1052,37 @@ func (rc *rconn) readLoop() {
 				lastArm = now
 			}
 		}
-		typ, payload, err := readFrame(rc.br, buf)
-		if err != nil {
+		if err := rc.readOne(buf); err != nil {
 			rc.teardown(err)
 			return
 		}
-		if err := rc.handleFrame(typ, payload); err != nil {
-			rc.teardown(err)
-			return
-		}
-		buf = payload[:0] // adopt (possibly grown) buffer for the next frame
 	}
+}
+
+// readOne reads and dispatches one inbound frame. A blocks frame is never
+// materialised: readBlocks streams it, each payload landing in the block
+// buffer it is delivered in. Every other frame is small and goes through
+// readFrame into buf, the loop's one receive buffer (a frame that exceeds it
+// is read under readPayload's hostile-length bound and dropped afterwards).
+func (rc *rconn) readOne(buf []byte) error {
+	br := rc.in.br
+	hdr, err := br.Peek(frameHeaderSize)
+	if err != nil {
+		return err
+	}
+	if hdr[4] != msgBlocks {
+		typ, payload, err := readFrame(br, buf)
+		if err != nil {
+			return err
+		}
+		return rc.handleFrame(typ, payload)
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	br.Discard(frameHeaderSize)
+	if n > maxFrameBytes {
+		return fmt.Errorf("blocksvc: frame length %d exceeds limit", n)
+	}
+	return rc.readBlocks(int(n))
 }
 
 // handleFrame dispatches one inbound frame; a returned error tears the
@@ -1071,8 +1090,6 @@ func (rc *rconn) readLoop() {
 func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 	r := rc.r
 	switch typ {
-	case msgBlocks:
-		return rc.handleBlocks(payload)
 	case msgDone:
 		token, ok := decodeToken(payload)
 		if !ok {
@@ -1183,84 +1200,107 @@ func (rc *rconn) takePending(req uint64) *pendingReq {
 	return p
 }
 
-// handleBlocks decodes one response run into its tag's result arrays:
-// verifying each payload's CRC as it lies on the wire, then bulk
-// byte-copying the little-endian floats into a recycled buffer. An OK
-// payload whose length disagrees with the block's geometry is a protocol
-// violation that tears the connection, decided before any allocation — a
-// lying length can neither over-allocate nor deliver a short block.
-func (rc *rconn) handleBlocks(payload []byte) error {
+// readBlocks streams one blocks frame of n payload bytes into its tag's
+// result arrays. Per OK entry: the declared length is held against the
+// block's geometry and against what is left of the frame before a buffer is
+// taken — a lying length can neither over-allocate nor deliver a short block
+// — then the payload is read into a recycled block buffer (f32le.Read: on a
+// little-endian host the bytes land in the slice's own memory) and the
+// trailing CRC is verified there. A buffer that is not delivered goes back
+// to the pool. The tag's lock is taken per entry, to record it, and never
+// held across a read. Entries landed before a failure stay landed: failover
+// re-issues only what is unanswered. A frame that ends early, or whose
+// entries end before it does, is a protocol violation like any other here:
+// the returned error tears the connection down.
+func (rc *rconn) readBlocks(n int) (err error) {
 	r := rc.r
-	it, ok := blocksHeader(payload)
-	if !ok {
-		return fmt.Errorf("bad blocks frame")
+	in := &rc.in
+	in.left, in.err = n, nil
+	req, first, count := in.uint(8), int(in.uint(4)), int(in.uint(2))
+	if in.err != nil {
+		return fmt.Errorf("bad blocks frame: %w", in.err)
 	}
 	rc.mu.Lock()
-	p := rc.pending[it.Req]
+	p := rc.pending[req]
 	rc.mu.Unlock()
 	if p == nil {
-		return fmt.Errorf("stray blocks frame (req %d)", it.Req)
+		return fmt.Errorf("stray blocks frame (req %d)", req)
 	}
-	if it.First < 0 || it.N < 0 || it.First+it.N > len(p.ids) {
+	if first < 0 || first+count > len(p.ids) {
 		return fmt.Errorf("blocks frame out of range")
 	}
 	var served, faults, redirects, cksum, wireBytes int64
-	p.mu.Lock()
-	if p.outcome != 0 {
-		p.mu.Unlock()
-		return fmt.Errorf("blocks frame for resolved request %d", it.Req)
-	}
-	pos := it.First
-	for it.next() {
-		k := pos
-		pos++
-		if p.vals[k] != nil || p.errs[k] != nil {
-			p.mu.Unlock()
-			return fmt.Errorf("duplicate answer for block %d", p.ids[k])
-		}
-		id := p.ids[k]
-		if it.Status != statusOK {
-			if it.Status == statusRedirect {
-				// "Not owned here": an answer, not a fault — the batch
-				// re-routes it to the owner under the current topology.
-				p.errs[k] = &redirectError{id: id, epoch: it.Epoch}
-				redirects++
-			} else {
-				p.errs[k] = blockErr(it.Status, id)
-				faults++
+	defer func() {
+		r.m.blocksServed.Add(served)
+		r.m.remoteFaults.Add(faults)
+		r.m.redirects.Add(redirects)
+		r.m.checksumErrors.Add(cksum)
+		r.m.bytesReceived.Add(wireBytes)
+	}()
+	for k := first; k < first+count; k++ {
+		id := p.ids[k] // ids is not written after the tag is registered
+		var vals []float32
+		var berr error
+		tally := &faults // the counter this entry bumps once it is recorded
+		switch st := blockStatus(in.uint(1)); st {
+		case statusOK:
+			nbytes := int64(in.uint(4))
+			if in.err != nil {
+				break
 			}
+			// An id outside the grid has no size an OK answer could match.
+			if int(id) < 0 || int(id) >= r.g.NumBlocks() || nbytes != r.g.VoxelCount(id)*4 {
+				return fmt.Errorf("block %d answered with %d payload bytes, geometry disagrees", id, nbytes)
+			}
+			if nbytes+4 > int64(in.left) {
+				return fmt.Errorf("block %d: %d payload bytes with %d bytes of the frame left", id, nbytes, in.left)
+			}
+			vals = r.getBuf(int(nbytes / 4))
+			got, rerr := f32le.Read(in, vals)
+			if rerr != nil {
+				r.bufs.Put(vals)
+				return fmt.Errorf("blocks frame: block %d payload: %w", id, rerr)
+			}
+			tally = &served
+			if sum := uint32(in.uint(4)); in.err != nil || got != sum {
+				r.bufs.Put(vals)
+				vals, tally = nil, &cksum
+				berr = fmt.Errorf("blocksvc: block %d corrupted in transit: %w",
+					id, faultio.Transient(faultio.ErrChecksum))
+			}
+		case statusRedirect:
+			// "Not owned here": an answer, not a fault — the batch re-routes
+			// it to the owner under the current topology.
+			berr, tally = &redirectError{id: id, epoch: in.uint(8)}, &redirects
+		default:
+			berr = blockErr(st, id)
+		}
+		if in.err != nil {
+			return fmt.Errorf("bad blocks frame: %w", in.err)
+		}
+		p.mu.Lock()
+		switch {
+		case p.outcome != 0:
+			err = fmt.Errorf("blocks frame for resolved request %d", req)
+		case p.vals[k] != nil || p.errs[k] != nil:
+			err = fmt.Errorf("duplicate answer for block %d", id)
+		default:
+			p.vals[k], p.errs[k] = vals, berr
 			p.answered++
-			continue
 		}
-		// An id outside the grid has no size an OK answer could match.
-		if int(id) < 0 || int(id) >= r.g.NumBlocks() || int64(len(it.Wire)) != r.g.VoxelCount(id)*4 {
-			p.mu.Unlock()
-			return fmt.Errorf("block %d answered with %d payload bytes, geometry disagrees", id, len(it.Wire))
+		p.mu.Unlock()
+		if err != nil {
+			if vals != nil {
+				r.bufs.Put(vals)
+			}
+			return err
 		}
-		if f32le.Checksum(it.Wire) != it.Sum {
-			cksum++
-			p.errs[k] = fmt.Errorf("blocksvc: block %d corrupted in transit: %w",
-				id, faultio.Transient(faultio.ErrChecksum))
-			p.answered++
-			continue
-		}
-		wireBytes += int64(len(it.Wire))
-		out := r.getBuf(len(it.Wire) / 4)
-		f32le.Decode(out, it.Wire)
-		p.vals[k] = out
-		p.answered++
-		served++
+		*tally++
+		wireBytes += 4 * int64(len(vals))
 	}
-	bad := !it.done()
-	p.mu.Unlock()
-	if bad {
-		return fmt.Errorf("bad blocks frame")
+	if in.left != 0 {
+		return fmt.Errorf("bad blocks frame: %d bytes trail the last entry", in.left)
 	}
-	r.m.blocksServed.Add(served)
-	r.m.remoteFaults.Add(faults)
-	r.m.redirects.Add(redirects)
-	r.m.checksumErrors.Add(cksum)
-	r.m.bytesReceived.Add(wireBytes)
 	return nil
 }
 

@@ -3,8 +3,8 @@ package blocksvc
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"path/filepath"
 	"sync"
@@ -270,7 +270,9 @@ func TestClusterRedirectWire(t *testing.T) {
 	if err := writeFrame(conn, msgRead, req.b); err != nil {
 		t.Fatal(err)
 	}
-	var okBlocks, redirBlocks int
+	// Every blocks frame goes through the client's own parser, which holds
+	// each payload against its trailing CRC.
+	feed := newBlocksFeed(t, f.g, 7, ids)
 	for {
 		typ, payload, err := readFrame(br, nil)
 		if err != nil {
@@ -282,36 +284,30 @@ func TestClusterRedirectWire(t *testing.T) {
 		if typ != msgBlocks {
 			t.Fatalf("unexpected frame type %d", typ)
 		}
-		it, ok := blocksHeader(payload)
-		if !ok || it.Req != 7 {
-			t.Fatalf("bad blocks prelude (req %d)", it.Req)
+		if err := feed.read(t, frameBytes(t, msgBlocks, payload)); err != nil {
+			t.Fatalf("blocks frame did not parse cleanly: %v", err)
 		}
-		for it.next() {
-			id := ids[it.First+it.k-1]
-			owned := f.ring.OwnerBlock(id) == 0
-			switch it.Status {
-			case statusOK:
-				if !owned {
-					t.Fatalf("block %d served by shard a, owner is %d", id, f.ring.OwnerBlock(id))
-				}
-				if crc32.Checksum(it.Wire, castagnoli) != it.Sum {
-					t.Fatalf("block %d wire checksum mismatch", id)
-				}
-				okBlocks++
-			case statusRedirect:
-				if owned {
-					t.Fatalf("block %d redirected by its own owner", id)
-				}
-				if it.Epoch != 1 {
-					t.Fatalf("block %d redirect epoch = %d, want 1", id, it.Epoch)
-				}
-				redirBlocks++
-			default:
-				t.Fatalf("block %d status %d", id, it.Status)
+	}
+	var okBlocks, redirBlocks int
+	for k, id := range ids {
+		owned := f.ring.OwnerBlock(id) == 0
+		var re *redirectError
+		switch err := feed.p.errs[k]; {
+		case feed.p.vals[k] != nil:
+			if !owned {
+				t.Fatalf("block %d served by shard a, owner is %d", id, f.ring.OwnerBlock(id))
 			}
-		}
-		if !it.done() {
-			t.Fatal("blocks frame did not parse cleanly")
+			okBlocks++
+		case errors.As(err, &re):
+			if owned {
+				t.Fatalf("block %d redirected by its own owner", id)
+			}
+			if re.epoch != 1 {
+				t.Fatalf("block %d redirect epoch = %d, want 1", id, re.epoch)
+			}
+			redirBlocks++
+		default:
+			t.Fatalf("block %d: %v", id, err)
 		}
 	}
 	if okBlocks == 0 || redirBlocks == 0 {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/shard"
 )
 
@@ -57,33 +58,6 @@ func seedFrames(t testing.TB) [][]byte {
 	welcome.u32(4)
 	welcome.u32(0)
 
-	// Blocks frame: two OK entries, checksummed like the server writes them.
-	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	var blocks enc
-	blocks.u64(9)
-	blocks.u32(0)
-	blocks.u16(2)
-	for range 2 {
-		blocks.u8(byte(statusOK))
-		blocks.u32(uint32(len(raw)))
-		blocks.raw(raw)
-		blocks.u32(crc32.Checksum(raw, castagnoli))
-	}
-
-	// The same frame one byte short — the last CRC cut — and one byte long:
-	// an entry with a byte between status and length, where a codec byte
-	// once rode, which shifts the length into nonsense.
-	blocksShort := blocks.b[:len(blocks.b)-1]
-	var blocksLong enc
-	blocksLong.u64(9)
-	blocksLong.u32(0)
-	blocksLong.u16(1)
-	blocksLong.u8(byte(statusOK))
-	blocksLong.u8(0)
-	blocksLong.u32(uint32(len(raw)))
-	blocksLong.raw(raw)
-	blocksLong.u32(crc32.Checksum(raw, castagnoli))
-
 	// A cluster node's welcome: the topology map rides length-prefixed
 	// behind the pipelining allowance.
 	seedMap := shard.Map{
@@ -113,19 +87,6 @@ func seedFrames(t testing.TB) [][]byte {
 	topoHostile.u32(8)          // vnodes
 	topoHostile.u32(0xFFFFFFFF) // declares 4G shards, provides none
 
-	// Blocks frame carrying a redirect entry: status byte + u64 epoch, no
-	// payload — the 9-byte "ask the new owner" answer from a cluster node.
-	var blocksRedir enc
-	blocksRedir.u64(9)
-	blocksRedir.u32(0)
-	blocksRedir.u16(2)
-	blocksRedir.u8(byte(statusRedirect))
-	blocksRedir.u64(4) // current epoch at the answering shard
-	blocksRedir.u8(byte(statusOK))
-	blocksRedir.u32(uint32(len(raw)))
-	blocksRedir.raw(raw)
-	blocksRedir.u32(crc32.Checksum(raw, castagnoli))
-
 	var ping enc
 	ping.u64(99)
 
@@ -145,7 +106,8 @@ func seedFrames(t testing.TB) [][]byte {
 	view.u64(math.Float64bits(-2.5))
 	view.u64(math.Float64bits(8))
 
-	return [][]byte{
+	valid, invalid := seedBlocksFrames(t)
+	return append(append(valid, invalid...),
 		frameBytes(t, msgHello, helloOther.b),
 		frameBytes(t, msgHello, hello.b),
 		frameBytes(t, msgHello, helloTrailing.b),
@@ -154,29 +116,133 @@ func seedFrames(t testing.TB) [][]byte {
 		frameBytes(t, msgWelcome, welcomeShard.b),
 		frameBytes(t, msgTopology, topo),
 		frameBytes(t, msgTopology, topoHostile.b),
-		frameBytes(t, msgBlocks, blocksRedir.b),
-		frameBytes(t, msgBlocks, blocks.b),
-		frameBytes(t, msgBlocks, blocksShort),
-		frameBytes(t, msgBlocks, blocksLong.b),
 		frameBytes(t, msgRead, read.b),
 		frameBytes(t, msgView, view.b),
 		frameBytes(t, msgPing, ping.b),
 		frameBytes(t, msgPong, ping.b),
 		frameBytes(t, msgGoaway, goaway.b),
-		frameBytes(t, msgRead, nil),       // short payload
-		{0xff, 0xff, 0xff, 0xff, msgRead}, // oversized length prefix
+		frameBytes(t, msgRead, nil),             // short payload
+		[]byte{0xff, 0xff, 0xff, 0xff, msgRead}, // oversized length prefix
+	)
+}
+
+// seedTag and seedIDs are the one tag the fuzz target's client has in flight
+// — two blocks of tinyGrid, 8 payload bytes each — which the blocks seeds
+// answer.
+const seedTag = 9
+
+var seedIDs = []grid.BlockID{5, 2}
+
+// seedBlocksFrames builds the blocks-frame seeds as streams, frame header
+// included: those the client's parser must take whole — two OK entries
+// first, then a redirect ahead of an OK entry — and those it must refuse
+// (TestBlocksEntryShapes holds it to both).
+func seedBlocksFrames(t testing.TB) (valid, invalid [][]byte) {
+	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	ok := func(e *enc) {
+		e.u8(byte(statusOK))
+		e.u32(uint32(len(raw)))
+		e.raw(raw)
+		e.u32(crc32.Checksum(raw, castagnoli))
 	}
+	prelude := func(req uint64, n uint16) *enc {
+		var e enc
+		e.u64(req)
+		e.u32(0)
+		e.u16(n)
+		return &e
+	}
+	// Two OK entries, checksummed like the server writes them.
+	blocks := prelude(seedTag, 2)
+	ok(blocks)
+	ok(blocks)
+
+	// A redirect entry — status byte + u64 epoch, no payload: the 9-byte "ask
+	// the new owner" answer from a cluster node — ahead of an OK one.
+	redir := prelude(seedTag, 2)
+	redir.u8(byte(statusRedirect))
+	redir.u64(4) // current epoch at the answering shard
+	ok(redir)
+
+	// One byte long: an entry with a byte between status and length, where a
+	// codec byte once rode, which shifts the length into nonsense.
+	long := prelude(seedTag, 1)
+	long.u8(byte(statusOK))
+	long.u8(0)
+	long.u32(uint32(len(raw)))
+	long.raw(raw)
+	long.u32(crc32.Checksum(raw, castagnoli))
+
+	// An entry whose declared length is the block's but runs past what the
+	// frame has left: the frame ends six bytes into the second payload.
+	past := blocks.b[:runPreludeBytes+okEntryBytes+len(raw)+5+6]
+
+	// Bytes behind the last entry, inside the frame.
+	trailing := append(blocks.b[:len(blocks.b):len(blocks.b)], 0xee, 0xee)
+
+	// A well-formed frame for a tag nobody has in flight.
+	stray := prelude(seedTag+1, 2)
+	ok(stray)
+	ok(stray)
+
+	// A payload checksummed and framed as written, but not the block's size.
+	fat := prelude(seedTag, 1)
+	fat.u8(byte(statusOK))
+	fat.u32(12)
+	fat.raw(append(raw, 9, 9, 9, 9))
+	fat.u32(crc32.Checksum(append(raw, 9, 9, 9, 9), castagnoli))
+
+	// One entry more than the tag has ids.
+	crowd := prelude(seedTag, uint16(len(seedIDs)+1))
+	ok(crowd)
+	ok(crowd)
+	ok(crowd)
+
+	whole := frameBytes(t, msgBlocks, blocks.b)
+	valid = [][]byte{whole, frameBytes(t, msgBlocks, redir.b)}
+	invalid = [][]byte{
+		frameBytes(t, msgBlocks, blocks.b[:len(blocks.b)-1]), // one byte short: the last CRC cut
+		frameBytes(t, msgBlocks, long.b),
+		frameBytes(t, msgBlocks, past),
+		whole[:len(whole)-4-3], // the stream ends mid-payload, the frame's declared length does not
+		frameBytes(t, msgBlocks, trailing),
+		frameBytes(t, msgBlocks, stray.b),
+		frameBytes(t, msgBlocks, fat.b),
+		frameBytes(t, msgBlocks, crowd.b),
+		{0x01, 0x00, 0x00, 0x04, msgBlocks}, // one byte over the frame limit
+	}
+	return valid, invalid
 }
 
 // FuzzWireDecode drives the exact code the server and client run against
 // untrusted bytes: frame extraction (length-prefix handling) followed by the
-// typed payload decoders. Any panic, hang, or count-driven over-allocation
-// is a finding; decoded results must also satisfy the decoders' contracts.
+// typed payload decoders, and for a blocks frame the client's streaming
+// parser over the raw stream — it never sees a frame whole. Any panic, hang,
+// or count-driven over-allocation is a finding; decoded results must also
+// satisfy the decoders' contracts.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range seedFrames(f) {
 		f.Add(seed)
 	}
+	g := tinyGrid(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= frameHeaderSize && data[4] == msgBlocks {
+			// blocksFeed.read holds the parser to its contract: a clean parse
+			// consumed exactly the declared length, and every block buffer
+			// taken was delivered or handed back — so none was taken for a
+			// length the geometry or the frame budget refutes.
+			feed := newBlocksFeed(t, g, seedTag, seedIDs)
+			err := feed.read(t, data)
+			for k, vals := range feed.p.vals {
+				if vals != nil && int64(len(vals)) != g.VoxelCount(seedIDs[k]) {
+					t.Fatalf("block %d delivered with %d voxels", seedIDs[k], len(vals))
+				}
+			}
+			if err == nil && feed.p.answered > len(data)-frameHeaderSize-runPreludeBytes {
+				t.Fatalf("%d entries parsed cleanly from %d bytes", feed.p.answered, len(data))
+			}
+			return
+		}
 		typ, payload, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			return
@@ -215,25 +281,6 @@ func FuzzWireDecode(f *testing.F) {
 			decodeToken(payload)
 		case msgGoaway:
 			decodeGoaway(payload)
-		case msgBlocks:
-			// The demux loop's parser. Wire must always be a view into the
-			// payload — the iterator never allocates, so a lying size
-			// header cannot drive allocation here.
-			it, ok := blocksHeader(payload)
-			if !ok {
-				return
-			}
-			for it.next() {
-				if len(it.Wire) > len(payload) {
-					t.Fatalf("entry %d claims %d wire bytes from a %d-byte frame",
-						it.k, len(it.Wire), len(payload))
-				}
-			}
-			// Prelude is 14 bytes and every entry carries ≥1 byte.
-			if it.done() && it.N > len(payload)-14 {
-				t.Fatalf("%d entries parsed cleanly from %d payload bytes",
-					it.N, len(payload))
-			}
 		}
 	})
 }

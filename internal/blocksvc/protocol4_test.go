@@ -3,7 +3,9 @@ package blocksvc
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -192,6 +194,112 @@ func TestLyingLengthRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOversizeRunNeverSilent: Config.ResponseRunBytes has no upper bound,
+// and a run it allows can be more than one frame may carry. Such a request
+// must be answered — the run split is bounded by the frame as well — and a
+// run that still cannot be framed (here a server whose Config.Grid
+// understates its blocks eightfold, so that its own split is wrong) must
+// fail the session out loud. Before, sendRun dropped the frame and
+// serveRead took that for a torn connection: no blocks, no done, no error,
+// and a client waiting out its deadline.
+func TestOversizeRunNeverSilent(t *testing.T) {
+	// 2 KiB blocks: this many of them are past 64 MiB. One id over and over
+	// keeps the server's side of it to one cached block.
+	const blocks = maxFrameBytes/2048 + 500
+	ask := func(t *testing.T, f *svcFixture, n int) (br *bufio.Reader) {
+		t.Helper()
+		conn, err := f.dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(20 * time.Second)) // silence fails the test, not the suite
+		var e enc
+		e.u32(protoMagic)
+		e.u16(ProtoVersion)
+		if err := writeFrame(conn, msgHello, e.b); err != nil {
+			t.Fatal(err)
+		}
+		br = bufio.NewReader(conn)
+		if typ, _, err := readFrame(br, nil); err != nil || typ != msgWelcome {
+			t.Fatalf("welcome: typ=%d err=%v", typ, err)
+		}
+		e.reset()
+		e.u64(1)
+		e.u32(0)
+		e.u32(uint32(n))
+		for range n {
+			e.u32(0)
+		}
+		go writeFrame(conn, msgRead, e.b) // the pipe transport blocks a write until it is read
+		return br
+	}
+	// next returns the coming frame's type and length, its payload discarded
+	// but for the entry count of a blocks frame.
+	next := func(t *testing.T, br *bufio.Reader) (typ byte, n, entries int) {
+		t.Helper()
+		var hdr [frameHeaderSize + runPreludeBytes]byte
+		if _, err := io.ReadFull(br, hdr[:frameHeaderSize]); err != nil {
+			t.Fatalf("the server went silent or away: %v", err)
+		}
+		n, typ = int(binary.LittleEndian.Uint32(hdr[:4])), hdr[4]
+		rest := n
+		if typ == msgBlocks {
+			if _, err := io.ReadFull(br, hdr[frameHeaderSize:]); err != nil {
+				t.Fatal(err)
+			}
+			entries = int(binary.LittleEndian.Uint16(hdr[frameHeaderSize+12:]))
+			rest -= runPreludeBytes
+		}
+		if _, err := io.CopyN(io.Discard, br, int64(rest)); err != nil {
+			t.Fatal(err)
+		}
+		return typ, n, entries
+	}
+
+	t.Run("answered in frames that fit", func(t *testing.T) {
+		f := startService(t, svcOpts{mutate: func(c *Config) {
+			c.HeartbeatInterval = -1
+			c.ResponseRunBytes = 1 << 30
+		}})
+		br := ask(t, f, blocks)
+		answered, frames := 0, 0
+		for {
+			typ, n, entries := next(t, br)
+			if typ == msgDone {
+				break
+			}
+			if typ != msgBlocks || n > maxFrameBytes {
+				t.Fatalf("frame type %d of %d bytes", typ, n)
+			}
+			answered += entries
+			frames++
+		}
+		if answered != blocks || frames < 2 {
+			t.Fatalf("%d of %d blocks answered in %d frames, want all of them in two or more", answered, blocks, frames)
+		}
+	})
+
+	t.Run("refused out loud", func(t *testing.T) {
+		f := startService(t, svcOpts{mutate: func(c *Config) {
+			c.HeartbeatInterval = -1
+			c.ResponseRunBytes = 1 << 30
+			lying, err := grid.New(c.Grid.Res(), grid.Dims{X: 4, Y: 4, Z: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Grid = lying // 256-byte blocks on paper, 2 KiB in the cache
+		}})
+		br := ask(t, f, blocks)
+		if typ, _, _ := next(t, br); typ != msgError {
+			t.Fatalf("frame type %d, want the session failed with an error frame", typ)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("after the error frame: %v, want the connection closed", err)
+		}
+	})
 }
 
 // stallSeed drives TestStallMidResponseFailsOverScoped's deterministic

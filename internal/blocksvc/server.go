@@ -29,10 +29,12 @@ type Config struct {
 	// singleflight miss path is what makes the server multi-session: N
 	// sessions demanding one cold block cost exactly one backing read.
 	// It must not recycle evicted buffers (MemCache.EnableRecycling): a
-	// response is checksummed and written from the cache's own slices after
-	// the cache lock is released, and with recycling on another session's
-	// miss could evict one of them and have the next backing read decode
-	// into it mid-write. NewServer refuses such a cache.
+	// response is written from the cache's own slices after the cache lock
+	// is released, and with recycling on another session's miss could evict
+	// one of them and have the next backing read decode into it mid-write.
+	// NewServer refuses such a cache. What the cache reads from must be
+	// immutable while the server lives: a block's CRC is computed the first
+	// time the block is sent and remembered for every later send.
 	Cache *store.MemCache
 	// Grid is the served volume's block geometry (request validation and
 	// per-request byte accounting).
@@ -206,6 +208,34 @@ type Server struct {
 	// Swapped whole by UpdateShardMap; each request captures one snapshot
 	// at admission so its byte accounting and ownership answers agree.
 	topo atomic.Pointer[serverTopology]
+
+	// sums remembers each block's payload CRC-32C from the first send on,
+	// as sumKnown|crc (0 = not sent yet): the served volume is immutable, so
+	// the sum is a fact about the block id, not about the copy in hand. A
+	// cached copy that has rotted since therefore goes out under the sum of
+	// the bytes it should hold and fails the client's check, where a sum
+	// taken afresh at every send would bless it. sumsTaken counts the sums
+	// computed, for tests; it is touched on a first send only.
+	sums      []atomic.Uint64
+	sumsTaken atomic.Int64
+}
+
+const sumKnown = 1 << 32
+
+// payloadSum returns the CRC-32C of block id's encoded payload: remembered
+// when the block has been sent before, else taken over raw — the payload
+// about to be sent — and remembered.
+func (s *Server) payloadSum(id grid.BlockID, raw []byte) uint32 {
+	if int(id) >= len(s.sums) { // the cache's grid is not Config.Grid
+		return f32le.Checksum(raw)
+	}
+	if v := s.sums[id].Load(); v != 0 {
+		return uint32(v)
+	}
+	sum := f32le.Checksum(raw)
+	s.sums[id].Store(sumKnown | uint64(sum))
+	s.sumsTaken.Add(1)
+	return sum
 }
 
 // NewServer validates the config and returns a server ready to Serve.
@@ -240,6 +270,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cancel:    cancel,
 		listeners: make(map[net.Listener]struct{}),
 		sessions:  make(map[*session]struct{}),
+		sums:      make([]atomic.Uint64, cfg.Grid.NumBlocks()),
 	}
 	if cfg.ShardMap != nil {
 		if err := cfg.ShardMap.Validate(); err != nil {
@@ -868,6 +899,10 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	e := &rs.e
 	idx := 0
 	for idx < len(ids) {
+		// A run ends at the ResponseRunBytes target or at what one frame can
+		// carry (every entry costs at most okEntryBytes around its payload),
+		// whichever comes first, and never below one block: NewServer has
+		// checked that any one block fits a frame.
 		runEnd := idx
 		var runBytes int64
 		for runEnd < len(ids) && runEnd-idx < 65535 {
@@ -875,7 +910,9 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 			if topo == nil || topo.owns(ids[runEnd]) {
 				b = ss.s.blockBytes(ids[runEnd])
 			}
-			if runEnd > idx && runBytes+b > ss.s.cfg.ResponseRunBytes {
+			entries := int64(runEnd-idx+1) * okEntryBytes
+			if runEnd > idx && (runBytes+b > ss.s.cfg.ResponseRunBytes ||
+				runPreludeBytes+entries+runBytes+b > maxFrameBytes) {
 				break
 			}
 			runBytes += b
@@ -892,7 +929,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 		}
 		ss.notePrefetchHits(run, hit, errs)
 		if !ss.sendRun(rs, req, idx, run, vals, errs) {
-			return // write failed: connection is torn, stop serving
+			return // the frame was not written: the session is torn or failed
 		}
 		idx = runEnd
 	}
@@ -995,9 +1032,12 @@ var payloadView = f32le.Bytes
 // one encoder, on every transport. Staging holds only the frame header and
 // per-block metadata; every OK payload segment is a view straight into the
 // cache-owned float32 slice (immutable while it is out: NewServer refuses a
-// recycling cache), so no payload byte is copied here. A TCP transport
+// recycling cache), so no payload byte is copied here, and none is read
+// either once the block's CRC is known (Server.payloadSum). A TCP transport
 // takes the segments as one vectored write; any other goes through the
-// session's buffered writer. Returns false when the frame was not written.
+// session's buffered writer. Returns false when the frame was not written:
+// a failed write, or a run no frame can carry, which fails the session out
+// loud — the client is never left waiting for a frame that will not come.
 func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
 	vals [][]float32, errs []error) bool {
 	e := &rs.e
@@ -1014,6 +1054,9 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		}
 	}
 	if total > maxFrameBytes {
+		ss.fail(fmt.Sprintf("a run of %d blocks needs a %d-byte frame, over the %d-byte limit",
+			len(ids), total, maxFrameBytes))
+		ss.conn.Close()
 		return false
 	}
 	// Staging layout: frame header, then meta runs split at each payload
@@ -1046,14 +1089,14 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		if pay := payloadView(vals[i]); pay != nil {
 			cuts = append(cuts, len(e.b))
 			pays = append(pays, pay)
-			e.u32(f32le.Checksum(pay))
+			e.u32(ss.s.payloadSum(ids[i], pay))
 			continue
 		}
 		// Big-endian host: memory is not the wire encoding, so the converted
 		// bytes are staged in place of a view.
 		off := len(e.b)
 		e.b = f32le.Append(e.b, vals[i])
-		e.u32(f32le.Checksum(e.b[off:]))
+		e.u32(ss.s.payloadSum(ids[i], e.b[off:]))
 	}
 	bufs := rs.bufs[:0]
 	prev := 0

@@ -90,6 +90,7 @@
 package blocksvc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -383,54 +384,54 @@ func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
-// blocksIter walks a blocks frame's per-block entries without allocating.
-// The client's demux loop and the fuzz target share it, so the parser that
-// faces untrusted network input is exactly the code under fuzz. Wire is a
-// view into the frame payload and is only valid until the next call.
-type blocksIter struct {
-	d     dec
-	Req   uint64
-	First int
-	N     int
-	k     int
-
-	Status blockStatus
-	Wire   []byte // payload bytes as they appear on the wire
-	Sum    uint32 // CRC32C over Wire
-	Epoch  uint64 // topology epoch riding a statusRedirect entry
+// frameReader reads a blocks frame's payload as a stream, the frame's
+// declared length a hard budget: a field that would run past it fails before
+// it is read. It is the decoder that faces the network — the client's read
+// loop and the fuzz target both drive it through rconn.readBlocks — so it
+// takes nothing for a length it has not checked and never panics. Failures
+// are sticky: uint returns 0 once err is set, and callers test err where
+// they are about to act on what they decoded.
+type frameReader struct {
+	br   *bufio.Reader
+	src  io.Reader // what br reads from
+	left int       // bytes of the frame not yet consumed
+	err  error
 }
 
-// blocksHeader parses a blocks frame's prelude; ok=false on a short payload.
-func blocksHeader(payload []byte) (blocksIter, bool) {
-	it := blocksIter{d: dec{b: payload}}
-	it.Req = it.d.u64()
-	it.First = int(it.d.u32())
-	it.N = int(it.d.u16())
-	if it.d.bad {
-		return blocksIter{}, false
+// uint consumes a little-endian unsigned field of n ≤ 8 bytes straight from
+// br's buffer.
+func (f *frameReader) uint(n int) uint64 {
+	if f.err != nil {
+		return 0
 	}
-	return it, true
+	if n > f.left {
+		f.err = fmt.Errorf("a %d-byte field with %d bytes of the frame left", n, f.left)
+		return 0
+	}
+	b, err := f.br.Peek(n)
+	if err != nil {
+		f.err = err
+		return 0
+	}
+	var v uint64
+	for i := n - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
+	}
+	f.br.Discard(n)
+	f.left -= n
+	return v
 }
 
-// next advances to the next entry, returning false at the end of the frame
-// or on a malformed entry — distinguish with done().
-func (it *blocksIter) next() bool {
-	if it.k >= it.N || it.d.bad {
-		return false
+// Read is the payload path, for f32le.Read to fill a block buffer through:
+// first what br already holds, then the connection itself, so payload bytes
+// land where they stay without a pass through br's buffer. The caller has
+// checked the payload against the budget.
+func (f *frameReader) Read(p []byte) (n int, err error) {
+	if f.br.Buffered() > 0 {
+		n, err = f.br.Read(p) // hands over buffered bytes only
+	} else {
+		n, err = f.src.Read(p)
 	}
-	it.k++
-	it.Status = blockStatus(it.d.u8())
-	it.Wire, it.Sum, it.Epoch = nil, 0, 0
-	switch it.Status {
-	case statusRedirect:
-		it.Epoch = it.d.u64()
-	case statusOK:
-		it.Wire = it.d.take(int(it.d.u32()))
-		it.Sum = it.d.u32()
-	}
-	return !it.d.bad
+	f.left -= n
+	return n, err
 }
-
-// done reports whether the frame parsed cleanly: every declared entry
-// consumed and nothing trailing.
-func (it *blocksIter) done() bool { return it.k == it.N && it.d.ok() }

@@ -1,13 +1,15 @@
 package blocksvc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"testing"
 
+	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/shard"
@@ -168,48 +170,145 @@ func TestDecodeWelcomeStrict(t *testing.T) {
 	}
 }
 
+// blocksFeed is a client with no transport: one registered tag on a
+// connection whose read side is a byte slice. It runs rconn.readOne — what
+// the read loop runs on every inbound frame — over frames built by hand, cut
+// short or captured off a real server, and keeps the books on block buffers
+// through the reader's own pool.
+type blocksFeed struct {
+	rc      *rconn
+	p       *pendingReq
+	stocked int // buffers put in the pool before the first frame is read
+}
+
+// newBlocksFeed registers one tag for ids and stocks the pool with a buffer
+// per id, each large enough for any block of g: no frame for the tag has
+// more OK entries than that, so every buffer the parser takes comes out of
+// the pool and can be counted back in.
+func newBlocksFeed(tb testing.TB, g *grid.Grid, req uint64, ids []grid.BlockID) *blocksFeed {
+	tb.Helper()
+	r := &RemoteReader{g: g, m: newClientMetrics(nil)}
+	bs := g.BlockSize()
+	for range ids {
+		if !r.bufs.Put(make([]float32, bs.Count())) {
+			tb.Fatalf("the pool holds no buffer per id for %d ids", len(ids))
+		}
+	}
+	p := &pendingReq{req: req, ids: ids, vals: make([][]float32, len(ids)),
+		errs: make([]error, len(ids)), done: make(chan struct{})}
+	rc := &rconn{r: r, pending: map[uint64]*pendingReq{req: p}}
+	return &blocksFeed{rc: rc, p: p, stocked: len(ids)}
+}
+
+// read runs the stream — whole frames, header included — through readOne
+// once and checks what must hold however the frame turned out: a frame that
+// parsed was consumed exactly to its declared end, and every buffer that
+// left the pool was either delivered or handed back.
+func (f *blocksFeed) read(tb testing.TB, stream []byte) error {
+	tb.Helper()
+	src := bytes.NewReader(stream)
+	br := bufio.NewReaderSize(src, 16) // small: payloads straddle br and src
+	f.rc.in = frameReader{br: br, src: src}
+	err := f.rc.readOne(nil)
+	if err == nil {
+		declared := frameHeaderSize + int(binary.LittleEndian.Uint32(stream))
+		if consumed := len(stream) - src.Len() - br.Buffered(); consumed != declared {
+			tb.Fatalf("frame declares %d bytes, parsed cleanly consuming %d", declared, consumed)
+		}
+	}
+	delivered := 0
+	for _, v := range f.p.vals {
+		if v != nil {
+			delivered++
+		}
+	}
+	var pooled [][]float32
+	for {
+		buf, reused := f.rc.r.bufs.Get(1)
+		if !reused {
+			break
+		}
+		pooled = append(pooled, buf)
+	}
+	if len(pooled)+delivered != f.stocked {
+		tb.Fatalf("%d buffers stocked, %d delivered and %d back in the pool (err: %v)",
+			f.stocked, delivered, len(pooled), err)
+	}
+	for _, buf := range pooled { // the count drained the pool: restock it
+		f.rc.r.bufs.Put(buf)
+	}
+	return err
+}
+
+// tinyGrid has eight blocks of two voxels: an 8-byte payload is a block.
+func tinyGrid(tb testing.TB) *grid.Grid {
+	tb.Helper()
+	g, err := grid.New(grid.Dims{X: 4, Y: 2, Z: 2}, grid.Dims{X: 2, Y: 1, Z: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 // TestBlocksEntryShapes: an OK entry is status, length, payload, crc —
-// exactly. The same frame one byte short, or with one byte between status
-// and length (where a codec byte once rode), must not parse cleanly.
+// exactly — and a frame is its prelude and its entries, exactly. The fuzz
+// corpus' blocks frames go through the client's streaming parser: the
+// well-formed ones deliver what they carry, as they did before the parser
+// streamed — the wire format has not moved; the first of them cut short at
+// any byte, and every malformed one (one byte short, a byte between status
+// and length where a codec byte once rode, an entry past the frame's end,
+// bytes trailing the last entry, a tag nobody registered, a length the
+// geometry refutes, more entries than ids, a frame over the limit), is an
+// error that delivers nothing more and leaks no buffer.
 func TestBlocksEntryShapes(t *testing.T) {
+	g := tinyGrid(t)
+	valid, invalid := seedBlocksFrames(t)
+	read := func(stream []byte) (*blocksFeed, error) {
+		f := newBlocksFeed(t, g, seedTag, seedIDs)
+		return f, f.read(t, stream)
+	}
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	frame := func(extra bool) []byte {
-		var e enc
-		e.u64(9)
-		e.u32(0)
-		e.u16(1)
-		e.u8(byte(statusOK))
-		if extra {
-			e.u8(0)
+
+	whole := valid[0]
+	f, err := read(whole)
+	if err != nil {
+		t.Fatalf("well-formed frame: %v", err)
+	}
+	for k, vals := range f.p.vals {
+		if !bytes.Equal(f32le.Append(nil, vals), raw) || f.p.errs[k] != nil {
+			t.Fatalf("entry %d delivered %v, %v; want the payload", k, vals, f.p.errs[k])
 		}
-		e.u32(uint32(len(raw)))
-		e.raw(raw)
-		e.u32(crc32.Checksum(raw, castagnoli))
-		return e.b
 	}
-	clean := func(payload []byte) bool {
-		it, ok := blocksHeader(payload)
-		if !ok {
-			return false
+	if st := f.rc.r.Snapshot(); f.p.answered != 2 || st.BlocksServed != 2 || st.BytesReceived != 16 {
+		t.Errorf("answered = %d, client stats = %+v; want 2 blocks of 8 bytes", f.p.answered, st)
+	}
+	var re *redirectError
+	f, err = read(valid[1])
+	if err != nil || !errors.As(f.p.errs[0], &re) || re.epoch != 4 || !bytes.Equal(f32le.Append(nil, f.p.vals[1]), raw) {
+		t.Errorf("redirect then OK: err=%v errs=%v vals=%v", err, f.p.errs, f.p.vals)
+	}
+
+	for cut := frameHeaderSize; cut < len(whole); cut++ {
+		f, err := read(whole[:cut])
+		if err == nil {
+			t.Fatalf("stream cut at byte %d of %d parsed cleanly", cut, len(whole))
 		}
-		for it.next() {
+		// Entry 0 ends 9+8 bytes behind the prelude: landed once whole.
+		if landed := cut >= frameHeaderSize+runPreludeBytes+okEntryBytes+8; (f.p.vals[0] != nil) != landed {
+			t.Errorf("cut at byte %d: first block delivered = %v, want %v", cut, f.p.vals[0] != nil, landed)
 		}
-		return it.done()
 	}
-	good := frame(false)
-	it, _ := blocksHeader(good)
-	if !it.next() || it.Status != statusOK || !bytes.Equal(it.Wire, raw) ||
-		it.Sum != crc32.Checksum(raw, castagnoli) || !clean(good) {
-		t.Fatalf("well-formed entry did not parse: %+v", it)
+	for i, stream := range invalid {
+		if _, err := read(stream); err == nil {
+			t.Errorf("malformed seed %d parsed cleanly", i)
+		}
 	}
-	if clean(good[:len(good)-1]) {
-		t.Error("entry one byte short parsed cleanly")
-	}
-	if clean(append(good[:len(good):len(good)], 0)) {
-		t.Error("frame with a trailing byte parsed cleanly")
-	}
-	if clean(frame(true)) {
-		t.Error("entry with a byte between status and length parsed cleanly")
+	// A payload that does not sum to its trailer is that block's fault alone.
+	bad := bytes.Clone(whole)
+	bad[frameHeaderSize+runPreludeBytes+5] ^= 0x10
+	f, err = read(bad)
+	if err != nil || f.p.vals[0] != nil || !errors.Is(f.p.errs[0], faultio.ErrChecksum) || f.p.vals[1] == nil {
+		t.Errorf("flipped payload bit: err=%v vals=%v errs=%v; want a checksum fault for entry 0 only", err, f.p.vals, f.p.errs)
 	}
 }
 

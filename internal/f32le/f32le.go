@@ -5,8 +5,9 @@
 // each keeps only its own framing around the payload.
 //
 // On a little-endian host the encoding is the in-memory representation, so
-// encoding and decoding are one bulk copy and Bytes is no copy at all; the
-// per-value loops are what a big-endian host runs. The package imports only
+// encoding and decoding are one bulk copy, Bytes is no copy at all and Read
+// and ReadAt land a block's bytes in the slice they fill; the per-value loops
+// are what a big-endian host runs. The package imports only
 // the standard library, so any package — faultio, which store imports,
 // included — can use it.
 package f32le
@@ -14,6 +15,7 @@ package f32le
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
 	"unsafe"
 )
@@ -64,3 +66,48 @@ func Decode(dst []float32, src []byte) {
 
 // Checksum returns the CRC-32C of raw, the encoded bytes of a block.
 func Checksum(raw []byte) uint32 { return crc32.Checksum(raw, castagnoli) }
+
+// Read fills dst with the next 4*len(dst) encoded bytes of r and returns
+// their CRC-32C, for the caller to hold against the sum its framing carries.
+// On a little-endian host the bytes land in dst's own memory and are summed
+// there: no staging buffer, no copy. A short read is an error (io.EOF when
+// not one byte arrived, io.ErrUnexpectedEOF otherwise) and leaves dst partly
+// overwritten.
+func Read(r io.Reader, dst []float32) (uint32, error) {
+	if raw := Bytes(dst); raw != nil || len(dst) == 0 {
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return 0, err
+		}
+		return Checksum(raw), nil
+	}
+	// Big-endian host: the bytes pass through a bounded chunk and are
+	// converted value by value, the sum taken over them as they arrive.
+	var chunk [4096]byte
+	var sum uint32
+	for done := 0; done < len(dst); {
+		part := chunk[:min(len(chunk), 4*(len(dst)-done))]
+		if _, err := io.ReadFull(r, part); err != nil {
+			if err == io.EOF && done > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		sum = crc32.Update(sum, castagnoli, part)
+		Decode(dst[done:done+len(part)/4], part)
+		done += len(part) / 4
+	}
+	return sum, nil
+}
+
+// ReadAt is Read of the 4*len(dst) bytes at offset off of r.
+func ReadAt(r io.ReaderAt, off int64, dst []float32) (uint32, error) {
+	if raw := Bytes(dst); raw != nil || len(dst) == 0 {
+		// A ReaderAt may report io.EOF beside a full read that ends at the
+		// end of its source.
+		if n, err := r.ReadAt(raw, off); n < len(raw) {
+			return 0, err
+		}
+		return Checksum(raw), nil
+	}
+	return Read(io.NewSectionReader(r, off, 4*int64(len(dst))), dst)
+}

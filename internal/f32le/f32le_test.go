@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 )
 
 // refEncode is the tests' own encoder: a loop that shares nothing with the
@@ -135,4 +137,78 @@ func TestChecksumIsCRC32C(t *testing.T) {
 	if got := Checksum([]byte("123456789")); got != 0xe3069283 {
 		t.Errorf("Checksum(\"123456789\") = %08x, want e3069283", got)
 	}
+}
+
+// TestReadEqualsDecode: Read and ReadAt leave in a dirty buffer exactly what
+// Decode makes of the same bytes and return the bytes' CRC-32C, whether the
+// source hands them over whole, a byte at a time or in halves; they consume
+// 4*len(dst) bytes and no more; and a source that ends early is an error —
+// io.EOF only when it gave nothing at all.
+func TestReadEqualsDecode(t *testing.T) {
+	sameBits := func(t *testing.T, name string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: value %d read as bits %08x, Decode gives %08x",
+					name, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+	dirty := func(n int) []float32 {
+		dst := make([]float32, n)
+		for i := range dst {
+			dst[i] = float32(math.NaN())
+		}
+		return dst
+	}
+	eachPath(t, func(t *testing.T) {
+		for name, vals := range testVectors() {
+			enc := refEncode(vals)
+			want := make([]float32, len(vals))
+			Decode(want, enc)
+			tail := []byte{0xde, 0xad, 0xbe, 0xef, 0x01}
+			src := append(append([]byte{0x55, 0x66, 0x77}, enc...), tail...)
+			for shape, wrap := range map[string]func(io.Reader) io.Reader{
+				"whole":    func(r io.Reader) io.Reader { return r },
+				"one byte": iotest.OneByteReader,
+				"halves":   iotest.HalfReader,
+			} {
+				r := bytes.NewReader(src[3:])
+				dst := dirty(len(vals))
+				sum, err := Read(wrap(r), dst)
+				if err != nil || sum != Checksum(enc) {
+					t.Fatalf("%s/%s: Read = %08x, %v; want %08x", name, shape, sum, err, Checksum(enc))
+				}
+				sameBits(t, name+"/"+shape, dst, want)
+				if rest, _ := io.ReadAll(r); !bytes.Equal(rest, tail) {
+					t.Errorf("%s/%s: Read left %x behind the block, want %x", name, shape, rest, tail)
+				}
+			}
+			dst := dirty(len(vals))
+			sum, err := ReadAt(bytes.NewReader(src), 3, dst)
+			if err != nil || sum != Checksum(enc) {
+				t.Fatalf("%s: ReadAt = %08x, %v; want %08x", name, sum, err, Checksum(enc))
+			}
+			sameBits(t, name+"/ReadAt", dst, want)
+			// The block ending where the source does is a full read.
+			if _, err := ReadAt(bytes.NewReader(src[:3+len(enc)]), 3, dirty(len(vals))); err != nil {
+				t.Errorf("%s: ReadAt of a block at the end of its source: %v", name, err)
+			}
+			if len(enc) == 0 {
+				continue
+			}
+			for _, cut := range []int{0, 1, len(enc) / 2, len(enc) - 1} {
+				wantErr := io.ErrUnexpectedEOF
+				if cut == 0 {
+					wantErr = io.EOF
+				}
+				if _, err := Read(bytes.NewReader(enc[:cut]), dirty(len(vals))); err != wantErr {
+					t.Errorf("%s: Read of %d of %d bytes = %v, want %v", name, cut, len(enc), err, wantErr)
+				}
+				if _, err := ReadAt(bytes.NewReader(src[:3+cut]), 3, dirty(len(vals))); err == nil {
+					t.Errorf("%s: ReadAt of %d of %d bytes succeeded", name, cut, len(enc))
+				}
+			}
+		}
+	})
 }

@@ -100,7 +100,7 @@ type BlockFile struct {
 	offsets []int64  // byte offset of each block's data
 	crcs    []uint32 // per-block CRC32C
 
-	staging sync.Pool // *[]byte raw staging buffers, reused across reads
+	staging sync.Pool // *[]byte staging of merged runs, reused across reads
 	bufs    BufPool   // recycled decode buffers (fed via RecycleBlockBuf)
 
 	reads       atomic.Int64 // blocks served (single + batched)
@@ -126,7 +126,7 @@ type IOStats struct {
 	Batches     int64 // ReadBlocks calls
 	MergedRuns  int64 // physical ReadAt calls those batches issued
 	BatchBlocks int64 // blocks served through ReadBlocks
-	StagingGets int64 // staging ([]byte) buffer requests
+	StagingGets int64 // staging ([]byte) buffer requests: one per merged run of 2+ blocks
 	StagingNews int64 // staging requests that allocated fresh memory
 	BufGets     int64 // decode ([]float32) buffer requests
 	BufReuses   int64 // decode requests served from recycled buffers
@@ -351,15 +351,38 @@ func (bf *BlockFile) getBuf(n int) []float32 {
 // its contents will be overwritten. It implements BlockBufRecycler.
 func (bf *BlockFile) RecycleBlockBuf(vals []float32) { bf.bufs.Put(vals) }
 
-// decode verifies the block's checksum over its raw bytes and decodes them
-// into a pooled float32 buffer.
+// crcError is the permanent checksum fault of a block whose bytes sum to got.
+func (bf *BlockFile) crcError(id grid.BlockID, got uint32) error {
+	return fmt.Errorf("store: block %d: crc 0x%08x, want 0x%08x: %w",
+		id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
+}
+
+// decode verifies the block's checksum over its raw bytes, a slice of a
+// merged run's staging, and decodes them into a pooled float32 buffer.
 func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
 	if got := f32le.Checksum(raw); got != bf.crcs[id] {
-		return nil, fmt.Errorf("store: block %d: crc 0x%08x, want 0x%08x: %w",
-			id, got, bf.crcs[id], faultio.Permanent(faultio.ErrChecksum))
+		return nil, bf.crcError(id, got)
 	}
 	vals := bf.getBuf(len(raw) / 4)
 	f32le.Decode(vals, raw)
+	return vals, nil
+}
+
+// readInPlace reads one block with one ReadAt straight into the pooled
+// buffer it returns and verifies the checksum there; a buffer that fails
+// goes back to the pool.
+func (bf *BlockFile) readInPlace(id grid.BlockID) ([]float32, error) {
+	vals := bf.getBuf(int(bf.BlockBytes(id) / 4))
+	got, err := f32le.ReadAt(bf.f, bf.offsets[id], vals)
+	if err != nil {
+		err = fmt.Errorf("store: block %d: %v", id, err)
+	} else if got != bf.crcs[id] {
+		err = bf.crcError(id, got)
+	}
+	if err != nil {
+		bf.bufs.Put(vals)
+		return nil, err
+	}
 	return vals, nil
 }
 
@@ -373,19 +396,15 @@ func (bf *BlockFile) ReadBlock(id grid.BlockID) ([]float32, error) {
 		return nil, fmt.Errorf("store: block %d out of range: %w", id, faultio.ErrPermanent)
 	}
 	bf.reads.Add(1)
-	n := bf.BlockBytes(id)
-	raw := bf.getStaging(n)
-	defer bf.putStaging(raw)
-	if _, err := bf.f.ReadAt(raw, bf.offsets[id]); err != nil {
-		return nil, fmt.Errorf("store: block %d: %v", id, err)
-	}
-	return bf.decode(id, raw)
+	return bf.readInPlace(id)
 }
 
 // ReadBlocks reads many blocks with per-block results, sorting them by file
 // offset and merging adjacent blocks into single sequential ReadAt calls
 // (capped at maxMergedRunBytes per run), so a miss batch costs near-
-// sequential I/O instead of len(ids) random reads. vals[i]/errs[i]
+// sequential I/O instead of len(ids) random reads. A run of one block is
+// read in place like ReadBlock; only a merged run is staged, because its
+// one ReadAt feeds several buffers. vals[i]/errs[i]
 // correspond to ids[i]; checksum verification stays per block, so one
 // rotten block fails alone. ctx is checked between runs. It implements
 // BatchBlockReader.
@@ -434,6 +453,12 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 			runEnd++
 		}
 		bf.mergedRuns.Add(1)
+		if runEnd == runStart+1 {
+			i := order[runStart]
+			vals[i], errs[i] = bf.readInPlace(ids[i])
+			runStart = runEnd
+			continue
+		}
 		raw := bf.getStaging(runBytes)
 		if _, err := bf.f.ReadAt(raw, bf.offsets[first]); err != nil {
 			for _, i := range order[runStart:runEnd] {

@@ -777,8 +777,11 @@ func TestRecyclingReusesEvictedBuffers(t *testing.T) {
 	}
 }
 
-// TestStagingPoolReuse pins the staging-buffer pool: repeated single reads
-// must stop allocating staging memory after the first.
+// TestStagingPoolReuse pins the staging-buffer pool where staging is left:
+// a merged run, whose one ReadAt feeds several block buffers. Repeated runs
+// must stop allocating staging memory after the first, and a block read
+// alone — ReadBlock, or a run of one in a batch — lands in the buffer it
+// returns and takes no staging at all.
 func TestStagingPoolReuse(t *testing.T) {
 	path, _, _ := writeTestFile(t)
 	bf, err := Open(path)
@@ -791,15 +794,27 @@ func TestStagingPoolReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Three runs of one: no two of these blocks are adjacent in the file.
+	if _, errs := bf.ReadBlocks(context.Background(), []grid.BlockID{9, 3, 6}); errs[0] != nil || errs[1] != nil || errs[2] != nil {
+		t.Fatal(errs)
+	}
+	if st := bf.IOStats(); st.StagingGets != 0 || st.MergedRuns != 3 {
+		t.Fatalf("blocks read alone took staging %d times over %d runs, want 0 over 3", st.StagingGets, st.MergedRuns)
+	}
+	for i := 0; i < 32; i++ {
+		if _, errs := bf.ReadBlocks(context.Background(), []grid.BlockID{4, 5, 6, 7}); errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+	}
 	st := bf.IOStats()
 	if st.StagingGets != 32 {
-		t.Fatalf("staging gets = %d", st.StagingGets)
+		t.Fatalf("staging gets = %d, want one per merged run", st.StagingGets)
 	}
 	// sync.Pool may shed buffers under GC pressure (and drops puts at
 	// random under the race detector), so only pin that reuse happens at
-	// all: 32 serial reads must not each allocate a fresh staging buffer.
+	// all: 32 serial runs must not each allocate a fresh staging buffer.
 	if st.StagingNews >= st.StagingGets {
-		t.Errorf("staging allocated %d times in %d serial reads; pool never reused",
+		t.Errorf("staging allocated %d times in %d serial runs; pool never reused",
 			st.StagingNews, st.StagingGets)
 	}
 }

@@ -19,8 +19,15 @@ import (
 // the wire. Comparing the two quantifies what the persistent tier buys a
 // reconnecting session: a spill-file read + checksum instead of a network
 // round trip.
-func BenchmarkTieredFrame(b *testing.B) {
-	f := startRemote(b)
+func BenchmarkTieredFrame(b *testing.B) { benchTieredFrame(b, 8) }
+
+// BenchmarkTieredFrame128k is the same frame over the same block grid with
+// the blocks the repository's benchmark moves: 32³ voxels, 128 KiB a spill
+// file, where a copy or a checksum of the payload is what a hit costs.
+func BenchmarkTieredFrame128k(b *testing.B) { benchTieredFrame(b, 32) }
+
+func benchTieredFrame(b *testing.B, edge int) {
+	f := startRemoteBlocks(b, edge)
 	tr, err := Open(Config{
 		Dir:      b.TempDir(),
 		Capacity: int64(f.g.NumBlocks()) * int64(spillHeaderSize+f.bf.BlockBytes(0)),

@@ -43,10 +43,14 @@ type remoteFixture struct {
 	lis *blocksvc.PipeListener
 }
 
-func startRemote(t testing.TB) *remoteFixture {
+func startRemote(t testing.TB) *remoteFixture { return startRemoteBlocks(t, 8) }
+
+// startRemoteBlocks is startRemote with cubic blocks of the given edge, the
+// volume scaled with them so the block grid stays 4×4×4.
+func startRemoteBlocks(t testing.TB, edge int) *remoteFixture {
 	t.Helper()
-	ds := volume.Ball().Scale(1.0 / 32) // 32³
-	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
+	ds := volume.Ball().Scale(float64(edge) / 256) // 4 blocks along each axis
+	g, err := ds.Grid(grid.Dims{X: edge, Y: edge, Z: edge})
 	if err != nil {
 		t.Fatal(err)
 	}

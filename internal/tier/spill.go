@@ -65,30 +65,47 @@ func encodeSpill(id grid.BlockID, vals []float32) []byte {
 	return buf
 }
 
-// checkSpill verifies a spill file read as raw really holds block want and
-// returns its voxel count. Every failure mode a torn or rotten file can
+// checkSpillHeader verifies that hdr, the first bytes of a spill file size
+// bytes long, is the whole header of a file holding block want, and returns
+// the voxel count and payload checksum it declares. The declared count comes
+// off the disk as a uint32: the length it implies is worked out in int64, so
+// that no count wraps a 32-bit int into a length the file happens to have.
+func checkSpillHeader(want grid.BlockID, hdr []byte, size int64) (n int, sum uint32, err error) {
+	if len(hdr) < spillHeaderSize {
+		return 0, 0, fmt.Errorf("tier: spill file truncated: %d bytes", len(hdr))
+	}
+	if [4]byte(hdr[0:4]) != spillMagic {
+		return 0, 0, fmt.Errorf("tier: bad spill magic %q", hdr[0:4])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != spillVersion {
+		return 0, 0, fmt.Errorf("tier: unsupported spill version %d", v)
+	}
+	if id := grid.BlockID(binary.LittleEndian.Uint32(hdr[8:12])); id != want {
+		return 0, 0, fmt.Errorf("tier: spill holds block %d, want %d", id, want)
+	}
+	declared := 4 * int64(binary.LittleEndian.Uint32(hdr[12:16]))
+	if size != spillHeaderSize+declared {
+		return 0, 0, fmt.Errorf("tier: spill payload %d bytes, header says %d",
+			size-spillHeaderSize, declared)
+	}
+	return int(declared / 4), binary.LittleEndian.Uint32(hdr[16:20]), nil
+}
+
+// checkSpill verifies a spill file read whole as raw really holds block want
+// and returns its voxel count. Every failure mode a torn or rotten file can
 // present — truncation, wrong magic/version, id mismatch, length mismatch,
 // checksum mismatch — comes back as an error.
 func checkSpill(want grid.BlockID, raw []byte) (int, error) {
-	if len(raw) < spillHeaderSize {
-		return 0, fmt.Errorf("tier: spill file truncated: %d bytes", len(raw))
+	n, sum, err := checkSpillHeader(want, raw[:min(len(raw), spillHeaderSize)], int64(len(raw)))
+	if err != nil {
+		return 0, err
 	}
-	if [4]byte(raw[0:4]) != spillMagic {
-		return 0, fmt.Errorf("tier: bad spill magic %q", raw[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(raw[4:8]); v != spillVersion {
-		return 0, fmt.Errorf("tier: unsupported spill version %d", v)
-	}
-	if id := grid.BlockID(binary.LittleEndian.Uint32(raw[8:12])); id != want {
-		return 0, fmt.Errorf("tier: spill holds block %d, want %d", id, want)
-	}
-	n := int(binary.LittleEndian.Uint32(raw[12:16]))
-	if len(raw) != spillHeaderSize+4*n {
-		return 0, fmt.Errorf("tier: spill payload %d bytes, header says %d",
-			len(raw)-spillHeaderSize, 4*n)
-	}
-	if got := f32le.Checksum(raw[spillHeaderSize:]); got != binary.LittleEndian.Uint32(raw[16:20]) {
-		return 0, fmt.Errorf("tier: spill checksum mismatch for block %d", want)
+	if f32le.Checksum(raw[spillHeaderSize:]) != sum {
+		return 0, errSpillChecksum(want)
 	}
 	return n, nil
+}
+
+func errSpillChecksum(id grid.BlockID) error {
+	return fmt.Errorf("tier: spill checksum mismatch for block %d", id)
 }

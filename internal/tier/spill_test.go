@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -103,17 +104,53 @@ func FuzzCheckSpill(f *testing.F) {
 	f.Add(int32(7), append(bytes.Clone(valid), 0)) // trailing byte
 	f.Add(int32(7), mutate(spillHeaderSize+5, 0x10))
 	f.Add(int32(0), encodeSpill(0, nil))
+	f.Add(int32(7), wrappingSpill())
 
 	f.Fuzz(func(t *testing.T, want int32, raw []byte) {
 		id := grid.BlockID(want)
 		n, err := checkSpill(id, raw)
+		// The read path proper streams the same image: same verdict, and a
+		// buffer out of the pool only for a file it serves.
+		var tr Tier
+		tr.bufs.Put(make([]float32, len(raw)/4+1))
+		vals, rerr := tr.readSpill(bytes.NewReader(raw), id, int64(len(raw)))
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("checkSpill says %v, the streaming read %v", err, rerr)
+		}
+		if _, pooled := tr.bufs.Get(1); pooled != (rerr != nil) {
+			t.Fatalf("pool buffer still pooled = %v after a read that returned %v", pooled, rerr)
+		}
 		if err != nil {
 			return
 		}
-		vals := make([]float32, n)
-		f32le.Decode(vals, raw[spillHeaderSize:])
+		if len(vals) != n {
+			t.Fatalf("checkSpill counts %d voxels, the streaming read returned %d", n, len(vals))
+		}
 		if again := encodeSpill(id, vals); !bytes.Equal(again, raw) {
 			t.Fatalf("accepted %q, which re-encodes to %q", raw, again)
 		}
 	})
+}
+
+// wrappingSpill is a 40-byte file whose header declares 0x40000005 voxels:
+// four times that is 20 more than 2³², so a length check done in a 32-bit
+// int sees the 20 payload bytes the file has.
+func wrappingSpill() []byte {
+	raw := make([]byte, spillHeaderSize+20)
+	copy(raw, goldenSpill[:spillHeaderSize])
+	binary.LittleEndian.PutUint32(raw[12:16], 0x40000005)
+	binary.LittleEndian.PutUint32(raw[16:20], f32le.Checksum(raw[spillHeaderSize:]))
+	return raw
+}
+
+// TestSpillLengthCheckedIn64Bits: the declared voxel count is a uint32 off
+// the disk, and the length it implies must not wrap on any host.
+func TestSpillLengthCheckedIn64Bits(t *testing.T) {
+	raw := wrappingSpill()
+	if n, err := checkSpill(7, raw); err == nil {
+		t.Fatalf("a 40-byte file declaring 0x40000005 voxels was accepted as %d", n)
+	}
+	if _, _, err := checkSpillHeader(7, raw[:spillHeaderSize], int64(len(raw))); err == nil {
+		t.Fatal("the header check alone accepted it")
+	}
 }

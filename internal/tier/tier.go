@@ -117,10 +117,13 @@ type Tier struct {
 	wg sync.WaitGroup
 
 	// The read path's buffers, reused so a steady stream of spill hits
-	// allocates nothing: staging holds raw file images (*[]byte), bufs the
-	// decoded slices the DRAM cache hands back (Reader.RecycleBlockBuf).
-	staging sync.Pool
-	bufs    store.BufPool
+	// allocates nothing: bufs holds the block slices the DRAM cache hands
+	// back (Reader.RecycleBlockBuf), which a spill file's payload is read
+	// straight into; hdrs the 20-byte scratch its header is read into
+	// (*[spillHeaderSize]byte — a local array would escape through the File
+	// interface and cost an allocation a hit).
+	bufs store.BufPool
+	hdrs sync.Pool
 
 	spillWrites   atomic.Int64
 	spillHits     atomic.Int64
@@ -208,6 +211,7 @@ func (t *Tier) rescan() error {
 	if err != nil {
 		return err
 	}
+	var image []byte
 	for _, e := range ents {
 		if e.IsDir() {
 			continue // the quarantine subdir
@@ -229,7 +233,7 @@ func (t *Tier) rescan() error {
 		// A file over the whole budget can never have been resident (spill
 		// drops a block that size): it is set aside unread, not staged.
 		if err == nil && info.Size() <= t.lvl.Capacity {
-			_, err = t.load(name, id, info.Size(), false)
+			err = t.verify(name, id, info.Size(), &image)
 		}
 		if err != nil || info.Size() > t.lvl.Capacity {
 			// Torn mid-crash or rotten on disk — either way not servable.
@@ -244,34 +248,68 @@ func (t *Tier) rescan() error {
 	return nil
 }
 
-// load reads the spill file name, whose size the caller knows, into a pooled
-// staging buffer — in the common case one read syscall — and checks that it
-// holds block id; with decode set it returns the voxels in a recycled
-// buffer. A file shorter than size fails the length check; a longer one is
-// judged by its prefix, which is safe because the prefix must still pass
-// the checksum to be served.
-func (t *Tier) load(name string, id grid.BlockID, size int64, decode bool) ([]float32, error) {
+// verify reads the spill file name whole — one read — and checks that it
+// holds block id, for rescan, which wants a verdict and no voxels. image is
+// rescan's one staging buffer, grown to the largest file it meets. A file
+// shorter than size fails the length check; a longer one is judged by its
+// prefix, which is safe because the prefix must still pass the checksum.
+func (t *Tier) verify(name string, id grid.BlockID, size int64, image *[]byte) error {
+	f, err := t.fsys.Open(filepath.Join(t.dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if int64(cap(*image)) < size {
+		*image = make([]byte, size)
+	}
+	n, err := io.ReadFull(f, (*image)[:size])
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return err
+	}
+	_, err = checkSpill(id, (*image)[:n])
+	return err
+}
+
+// load reads block id from the spill file name, whose size the index knows.
+func (t *Tier) load(name string, id grid.BlockID, size int64) ([]float32, error) {
 	f, err := t.fsys.Open(filepath.Join(t.dir, name))
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	raw, _ := t.staging.Get().(*[]byte)
-	if raw == nil || int64(cap(*raw)) < size {
-		raw = new([]byte)
-		*raw = make([]byte, size)
+	return t.readSpill(f, id, size)
+}
+
+// readSpill reads block id from f, a spill file size bytes long: the header
+// first, checked against id and size before a buffer is taken, then the
+// payload straight into a recycled block buffer, where its checksum is
+// verified — two reads and no copy. A buffer that fails goes back to the
+// pool. It accepts exactly the files checkSpill accepts (FuzzCheckSpill
+// holds the two together), short and long files judged as verify judges
+// them.
+func (t *Tier) readSpill(f io.Reader, id grid.BlockID, size int64) ([]float32, error) {
+	hdr, _ := t.hdrs.Get().(*[spillHeaderSize]byte)
+	if hdr == nil {
+		hdr = new([spillHeaderSize]byte)
 	}
-	defer t.staging.Put(raw)
-	n, err := io.ReadFull(f, (*raw)[:size])
+	defer t.hdrs.Put(hdr)
+	k, err := io.ReadFull(f, hdr[:])
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, err
 	}
-	voxels, err := checkSpill(id, (*raw)[:n])
-	if err != nil || !decode {
+	n, want, err := checkSpillHeader(id, hdr[:k], size)
+	if err != nil {
 		return nil, err
 	}
-	vals, _ := t.bufs.Get(voxels)
-	f32le.Decode(vals, (*raw)[spillHeaderSize:n])
+	vals, _ := t.bufs.Get(n)
+	got, err := f32le.Read(f, vals)
+	if err == nil && got != want {
+		err = errSpillChecksum(id)
+	}
+	if err != nil {
+		t.bufs.Put(vals)
+		return nil, err
+	}
 	return vals, nil
 }
 
@@ -307,7 +345,7 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		return nil, false
 	}
 	name := spillName(id)
-	vals, err := t.load(name, id, e.Size, true)
+	vals, err := t.load(name, id, e.Size)
 	if err != nil {
 		// Not an eviction: the policy did not choose this entry to leave.
 		t.mu.Lock()

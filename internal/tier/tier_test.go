@@ -324,6 +324,53 @@ func TestRuntimeCorruptionQuarantines(t *testing.T) {
 	}
 }
 
+// TestDamagedSpillHandsTheBufferBack: whatever is wrong with a resident
+// file — the payload cut short, the header torn, another block's id in it, a
+// voxel count that is not the file's, a rotten payload — Get misses, counts
+// one disk fault, quarantines the file and drops the entry, and the block
+// buffer it may have taken to read into is back in the pool.
+func TestDamagedSpillHandsTheBufferBack(t *testing.T) {
+	const n = 32
+	for name, damage := range map[string]func(raw []byte) []byte{
+		"truncated payload": func(raw []byte) []byte { return raw[:spillHeaderSize+2*n] },
+		"torn header":       func(raw []byte) []byte { return raw[:spillHeaderSize/2] },
+		"id mismatch":       func(raw []byte) []byte { raw[8]++; return raw },
+		"count mismatch":    func(raw []byte) []byte { raw[12]--; return raw },
+		"rotten payload":    func(raw []byte) []byte { raw[len(raw)-1] ^= 0x40; return raw },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			tr := openTier(t, dir, 4, n, nil)
+			put(tr, 5, block(5, n))
+			path := filepath.Join(dir, spillName(5))
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recycled := make([]float32, n)
+			tr.bufs.Put(recycled)
+			if _, ok := tr.Get(5); ok {
+				t.Fatal("damaged block served")
+			}
+			if c := tr.Counters(); c.DiskFaults != 1 || c.Quarantined != 1 || c.SpillHits != 0 {
+				t.Errorf("counters = %+v, want one fault, one quarantine", c)
+			}
+			if tr.Contains(5) {
+				t.Error("damaged entry still indexed")
+			}
+			if _, err := os.Stat(filepath.Join(dir, quarantineDir, spillName(5))); err != nil {
+				t.Errorf("damaged file not quarantined: %v", err)
+			}
+			if buf, pooled := tr.bufs.Get(n); !pooled || &buf[0] != &recycled[0] {
+				t.Error("the block buffer did not come back to the pool")
+			}
+		})
+	}
+}
+
 func TestShortWriteCaughtOnRead(t *testing.T) {
 	ffs := faultio.NewFaultFS(nil, faultio.FileFaultConfig{Seed: 6, ShortWriteRate: 1})
 	tr := openTier(t, t.TempDir(), 4, 64, func(c *Config) { c.FS = ffs })
@@ -437,8 +484,8 @@ type recycleSink struct{ got [][]float32 }
 func (s *recycleSink) ReadBlock(grid.BlockID) ([]float32, error) { return nil, os.ErrNotExist }
 func (s *recycleSink) RecycleBlockBuf(v []float32)               { s.got = append(s.got, v) }
 
-// A spill hit decodes into the buffer the DRAM cache recycled instead of
-// allocating, the staging buffer is reused too, and once the tier's pool is
+// A spill hit is read into the buffer the DRAM cache recycled instead of
+// allocating, the header scratch is reused too, and once the tier's pool is
 // full the overflow still reaches the inner reader.
 func TestGetReusesRecycledBuffers(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 4, 64, nil)
@@ -471,7 +518,7 @@ func TestGetReusesRecycledBuffers(t *testing.T) {
 			t.Fatal("spilled block not served")
 		}
 		r.RecycleBlockBuf(v)
-	}); allocs > 8 { // path join, open and close; neither of the two 256-byte buffers
+	}); allocs > 8 { // path join, open and close; neither the 256-byte buffer nor the header
 		t.Fatalf("%v allocations per warm Get", allocs)
 	}
 
