@@ -6,7 +6,7 @@
 # belongs to the repo's benchmark, `go run ./bench` (see bench/README.md).
 GO ?= go
 
-RACE_PKGS := ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/... ./cmd/vizsim/...
+RACE_PKGS := ./internal/policy/... ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/... ./cmd/vizsim/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
 BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/...
@@ -18,9 +18,9 @@ FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./
 # and the two-replica network-chaos end-to-end run.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestKeepalive|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
 
-.PHONY: check vet build unused-pkgs one-codec test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build unused-pkgs one-codec one-planner test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
 
-check: vet build unused-pkgs one-codec test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
+check: vet build unused-pkgs one-codec one-planner test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +49,20 @@ one-codec:
 		| grep -v '^internal/f32le/f32le\.go:' \
 		| grep -v '^internal/faultio/injector\.go:[0-9]*:.*) ^ bit)$$'); \
 	if [ -n "$$stray" ]; then echo "voxel encoding outside internal/f32le/f32le.go:"; echo "$$stray"; exit 1; fi
+
+# one-planner fails when Algorithm 1's prefetch-candidate test is spelled
+# anywhere but internal/policy/planner.go: a non-test file of the product,
+# outside internal/policy and internal/visibility, that reads a T_visible set
+# (PredictedSet(, or a table's Predict(pos)) or compares an entropy Score(
+# with σ. The test sat in ooc and blocksvc as a thinner twin of the
+# simulator's, unranked and unbudgeted, for twenty PRs. The two named
+# exceptions are internal/experiments' ext-query and ext-time, whose preloads
+# are the extensions' own experiment, not the policy.
+one-planner:
+	@stray=$$(grep -rnE 'PredictedSet\(|\.Predict\([^)]|Score\([^)]*\) *[<>]=? *[^ ]*[sS]igma|[sS]igma *[<>]=? *[^ ]*Score\(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
+		| grep -vE '^internal/(policy|visibility)/' \
+		| grep -vE '^internal/experiments/ext(query|time)\.go:[0-9]*:.*Score\(id\) <= sigma'); \
+	if [ -n "$$stray" ]; then echo "prefetch candidates chosen outside internal/policy/planner.go:"; echo "$$stray"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -156,14 +156,7 @@ func main() {
 	}
 	if !*noPre {
 		imp := entropy.Build(ds, g, entropy.Options{})
-		nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
-		vis, err := visibility.NewTable(g, visibility.Options{
-			NAzimuth: nAz, NElevation: nEl, NDistance: nDist,
-			RMin: 2.5, RMax: 3.5,
-			ViewAngle: vec.Radians(*angle),
-			Radius:    radius.Dynamic{Ratio: 0.25, Min: 0.15},
-			Lazy:      true,
-		})
+		vis, err := visibility.NewTable(g, tableOptions(vec.Radians(*angle), *cacheFrc))
 		if err != nil {
 			fatal(err)
 		}
@@ -242,6 +235,20 @@ func main() {
 	if is.Transient+is.Permanent+is.Corrupted > 0 {
 		fmt.Printf("injected faults    %d transient, %d permanent, %d corrupted over %d reads\n",
 			is.Transient, is.Permanent, is.Corrupted, is.Reads)
+	}
+}
+
+// tableOptions describes the T_visible the sessions' prefetch predicts from.
+// Its vicinal radius is Eq. (6)'s for ρ = cacheFrac: capacity over volume,
+// the fraction the shared cache is sized to.
+func tableOptions(theta, cacheFrac float64) visibility.Options {
+	nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
+	return visibility.Options{
+		NAzimuth: nAz, NElevation: nEl, NDistance: nDist,
+		RMin: 2.5, RMax: 3.5,
+		ViewAngle: theta,
+		Radius:    radius.Dynamic{Ratio: cacheFrac, Min: 0.15},
+		Lazy:      true,
 	}
 }
 

@@ -326,12 +326,13 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 		mc.OnEvict(func(id grid.BlockID, vals []float32) { spill.Put(id, vals) })
 	}
 	mc.Instrument(reg)
+	// Eq. (6)'s ρ is capacity over volume: the fraction mc was sized to.
 	nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
 	vis, err := visibility.NewTable(g, visibility.Options{
 		NAzimuth: nAz, NElevation: nEl, NDistance: nDist,
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: theta,
-		Radius:    radius.Dynamic{Ratio: 0.25, Min: 0.15},
+		Radius:    radius.Dynamic{Ratio: cacheFrac, Min: 0.15},
 		Lazy:      true,
 	})
 	if err != nil {

@@ -72,19 +72,21 @@ func main() {
 	})
 
 	// 3. Cache 25% of the data in memory, LRU-managed.
-	mc, err := store.NewMemCache(inj, ds.TotalBytes()/4, cache.NewLRU())
+	const cacheFrac = 0.25
+	mc, err := store.NewMemCache(inj, int64(cacheFrac*float64(ds.TotalBytes())), cache.NewLRU())
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 4. Prediction tables (Steps 1-2 of the paper's pipeline).
+	// 4. Prediction tables (Steps 1-2 of the paper's pipeline). The vicinal
+	// radius is Eq. (6)'s for the ρ the cache was just sized to.
 	imp := entropy.Build(ds, g, entropy.Options{})
 	nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
 	vis, err := visibility.NewTable(g, visibility.Options{
 		NAzimuth: nAz, NElevation: nEl, NDistance: nDist,
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(10),
-		Radius:    radius.Dynamic{Ratio: 0.25, Min: 0.15},
+		Radius:    radius.Dynamic{Ratio: cacheFrac, Min: 0.15},
 		Lazy:      true,
 	})
 	if err != nil {

@@ -2,15 +2,20 @@ package blocksvc
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/entropy"
+	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/radius"
+	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/vec"
 	"repro/internal/visibility"
@@ -121,6 +126,100 @@ func TestPredictSingleViewMatchesBaseline(t *testing.T) {
 	}
 	if st.PredictLast != 1 {
 		t.Errorf("single view classified as %+v, want one PredictLast", st)
+	}
+}
+
+// TestViewOffersPlannersOrder pins what handleView hands the session's
+// prefetch queue, predictor on: the planner's list for the predicted
+// position — nothing resident, nothing scoring ≤ σ — most likely block
+// first, so the queue's 128 slots hold the head of that order and the tail
+// is what gets dropped. Every backing read takes longer than the test, so
+// nothing drains and nothing lands while the view is handled.
+func TestViewOffersPlannersOrder(t *testing.T) {
+	// 16³ blocks of 4³ voxels: a 20° vicinity lists more than the queue holds.
+	f := startService(t, svcOpts{prefetch: true, scale: 1.0 / 16, block: 4,
+		inject: &faultio.InjectorConfig{Latency: time.Minute},
+		mutate: func(c *Config) { c.Sigma = c.Imp.ThresholdForQuantile(0.5) }})
+	r := dialService(t, f, 1)
+	pos := vec.New(3, 0, 0) // one view: the predictor's target is the position itself
+	if err := r.SendView(context.Background(), pos); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "view to be processed", func() bool {
+		return f.srv.Snapshot().ViewUpdates >= 1
+	})
+	st := f.srv.Snapshot()
+	if st.PredictLast != 1 {
+		t.Fatalf("the view did not go through the predictor: %+v", st)
+	}
+
+	plan, err := policy.NewPlanner(f.vis, f.imp, f.srv.cfg.Sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.Prefetch(nil, pos, nil, &shardMemory{s: f.srv}) // the cache is still empty
+	if len(want) <= prefetchQueue+1 {
+		t.Fatalf("planner lists %d blocks, no more than the queue takes; the pin has no teeth", len(want))
+	}
+	// The worker may or may not have taken its first block off the queue
+	// before it filled.
+	if st.PrefetchIssued != prefetchQueue && st.PrefetchIssued != prefetchQueue+1 {
+		t.Errorf("issued %d prefetches into a queue of %d", st.PrefetchIssued, prefetchQueue)
+	}
+	if got := st.PrefetchIssued + st.PrefetchDropped; got != int64(len(want)) {
+		t.Errorf("handleView offered %d blocks, the planner lists %d", got, len(want))
+	}
+	f.srv.mu.Lock()
+	var issued []grid.BlockID
+	for ss := range f.srv.sessions {
+		ss.prefetchedMu.Lock()
+		for id := range ss.prefetched {
+			issued = append(issued, id)
+		}
+		ss.prefetchedMu.Unlock()
+	}
+	f.srv.mu.Unlock()
+	head := slices.Clone(want[:st.PrefetchIssued])
+	slices.Sort(head)
+	slices.Sort(issued)
+	if !slices.Equal(issued, head) {
+		t.Errorf("queued %v,\nwant the first %d of the planner's order %v", issued, st.PrefetchIssued, head)
+	}
+}
+
+// TestClusterPlanSkipsNonOwned: seen from a shard, a block another shard
+// owns needs no prefetch and takes none of the budget — with room for k
+// blocks, the list is the first k this shard owns in the planner's order,
+// however many of the others rank between them.
+func TestClusterPlanSkipsNonOwned(t *testing.T) {
+	const room = 5
+	f := startCluster(t, []string{"a", "b", "c"}, nil)
+	plan, err := policy.NewPlanner(f.vis, f.imp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := vec.New(3, 0, 0)
+	srv := f.order[0].srv
+	whole := &shardMemory{s: srv} // no topology: the undivided cache
+	all := plan.Prefetch(nil, pos, nil, whole)
+	var want []grid.BlockID
+	for _, id := range all {
+		if f.ring.OwnerBlock(id) == 0 && len(want) < room {
+			want = append(want, id)
+		}
+	}
+	if len(want) < room || slices.Equal(want, all[:room]) {
+		t.Fatalf("shard a owns %v of the order %v: the pin has no teeth", want, all)
+	}
+	// The same shard behind a cache with room for five blocks.
+	small, err := store.NewMemCache(f.bf, room*f.bf.BlockBytes(0), cache.NewLRU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := &Server{cfg: Config{Cache: small, Grid: f.g}}
+	got := plan.Prefetch(nil, pos, nil, &shardMemory{s: tight, topo: srv.topo.Load()})
+	if !slices.Equal(got, want) {
+		t.Errorf("shard a plans %v, want its first %d owned blocks %v", got, room, want)
 	}
 }
 

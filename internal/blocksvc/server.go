@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/visibility"
@@ -71,9 +72,6 @@ type Config struct {
 	// MaxQueueWait bounds how long a request may wait for admission before
 	// being shed. The client's deadline, when sooner, wins (default 100ms).
 	MaxQueueWait time.Duration
-	// PrefetchQueue bounds each session's pending-prefetch queue; full
-	// queues drop predictions rather than block (default 128).
-	PrefetchQueue int
 	// ResponseRunBytes is the target payload size of one blocks frame; the
 	// response to a large read streams as a sequence of runs of roughly
 	// this size (default 2 MiB).
@@ -113,6 +111,10 @@ type Config struct {
 // error.
 const maxBlocksPerRequest = 65536
 
+// prefetchQueue bounds each session's pending-prefetch queue; a full queue
+// drops the tail of the planner's list rather than block the read loop.
+const prefetchQueue = 128
+
 func (c Config) withDefaults() Config {
 	if c.MaxInflightBytes <= 0 {
 		c.MaxInflightBytes = 256 << 20
@@ -122,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 100 * time.Millisecond
-	}
-	if c.PrefetchQueue <= 0 {
-		c.PrefetchQueue = 128
 	}
 	if c.ResponseRunBytes <= 0 {
 		c.ResponseRunBytes = 2 << 20
@@ -186,7 +185,10 @@ type ServerStats struct {
 // Server serves block reads to many concurrent sessions from one shared
 // cache. Start it with Serve (once per listener); stop it with Close.
 type Server struct {
-	cfg    Config
+	cfg Config
+	// plan decides what every session prefetches; nil when prefetch is
+	// disabled.
+	plan   *policy.Planner
 	sem    *byteSem
 	m      *serverMetrics
 	ctx    context.Context
@@ -247,9 +249,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Grid == nil {
 		return nil, fmt.Errorf("blocksvc: nil grid")
 	}
-	if cfg.Vis != nil && cfg.Imp == nil {
-		return nil, fmt.Errorf("blocksvc: prefetch needs an importance table")
-	}
 	if cfg.Cache.RecyclingEnabled() {
 		return nil, fmt.Errorf("blocksvc: the served cache recycles evicted buffers; " +
 			"responses are written from cache-owned slices, which must stay immutable")
@@ -262,9 +261,17 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("blocksvc: a %v-voxel block needs a %d-byte frame, over the %d-byte limit",
 			bs, frame, maxFrameBytes)
 	}
+	var plan *policy.Planner
+	if cfg.Vis != nil {
+		var err error
+		if plan, err = policy.NewPlanner(cfg.Vis, cfg.Imp, cfg.Sigma); err != nil {
+			return nil, fmt.Errorf("blocksvc: %w", err)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
+		plan:      plan,
 		sem:       newByteSem(cfg.MaxInflightBytes),
 		ctx:       ctx,
 		cancel:    cancel,
@@ -425,14 +432,15 @@ func (s *Server) StartSession(conn net.Conn) bool {
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
 		bw:   bufio.NewWriterSize(conn, 256<<10),
+		mem:  shardMemory{s: s},
 	}
 	ss.ctx, ss.cancel = context.WithCancel(s.ctx)
-	if s.cfg.Vis != nil {
+	if s.plan != nil {
 		// One loop per session, stopped by the session's context.
 		// Prefetches coalesce with demand reads (the cache's singleflight),
 		// so a session prefetching a block another session is demanding
 		// costs nothing extra.
-		ss.prefetch = store.NewPrefetcher(ss.ctx, s.cfg.Cache, 1, s.cfg.PrefetchQueue, func(err error) {
+		ss.prefetch = store.NewPrefetcher(ss.ctx, s.cfg.Cache, 1, prefetchQueue, func(err error) {
 			if err == nil {
 				s.m.prefetchExecuted.Inc()
 			} else {
@@ -601,9 +609,13 @@ type session struct {
 	prefetched   map[grid.BlockID]struct{}
 
 	// pred extrapolates this session's camera trajectory for prefetch; nil
-	// when prefetch is disabled or Config.PredictOff is set. Touched only
-	// by the session's read loop (handleView).
-	pred *camera.Predictor
+	// when prefetch is disabled or Config.PredictOff is set. mem is what the
+	// planner sees of the shared cache from this shard, planned the scratch
+	// its list is built in. All three are touched only by the session's read
+	// loop (handleView).
+	pred    *camera.Predictor
+	mem     shardMemory
+	planned []grid.BlockID
 
 	// predViews / predHits back the per-session svc.predict.session.*
 	// metrics registered while the session lives.
@@ -1134,14 +1146,30 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 	return ss.bw.Flush() == nil
 }
 
+// shardMemory is the planner's view of the shared cache from one session.
+// Cluster mode: a block this shard does not own under topo reads as needing
+// no prefetch — warming it would break per-shard read accounting and be
+// evicted on the next topology change anyway — and so takes none of the
+// budget.
+type shardMemory struct {
+	s    *Server
+	topo *serverTopology // snapshot taken for the view being handled; nil outside cluster mode
+}
+
+func (m *shardMemory) Contains(id grid.BlockID) bool {
+	return (m.topo != nil && !m.topo.owns(id)) || m.s.cfg.Cache.Contains(id)
+}
+func (m *shardMemory) SizeOf(id grid.BlockID) int64 { return m.s.blockBytes(id) }
+func (m *shardMemory) Capacity() int64              { return m.s.cfg.Cache.Capacity() }
+
 // handleView updates the session's predicted working set: the client's
 // camera position extends the session's trajectory history, the predictor
-// extrapolates where the camera is heading, and the *predicted* position is
-// run through T_visible and the entropy threshold — fresh high-entropy
-// predictions are queued for prefetch into the shared cache. With the
-// predictor off (or under one sample of history) the lookup position is the
-// last-seen one, the nearest-sample baseline. Returns false on a protocol
-// error.
+// extrapolates where the camera is heading, and the planner turns the
+// *predicted* position into the prefetch list — T_visible's set there,
+// above the entropy threshold, not yet in the shared cache, most likely
+// first — which is queued in that order. With the predictor off (or under
+// one sample of history) the lookup position is the last-seen one, the
+// nearest-sample baseline. Returns false on a protocol error.
 func (ss *session) handleView(payload []byte) bool {
 	pos, ok := decodeView(payload)
 	if !ok {
@@ -1172,17 +1200,9 @@ func (ss *session) handleView(payload []byte) bool {
 		}
 	}
 	var issued, dropped int64
-	topo := ss.s.topo.Load()
-	for _, id := range ss.s.cfg.Vis.Predict(target) {
-		// Cluster mode: prefetch only what this shard owns — warming a
-		// non-owned block would break per-shard read accounting and be
-		// evicted on the next topology change anyway.
-		if topo != nil && !topo.owns(id) {
-			continue
-		}
-		if ss.s.cfg.Imp.Score(id) <= ss.s.cfg.Sigma || ss.s.cfg.Cache.Contains(id) {
-			continue
-		}
+	ss.mem.topo = ss.s.topo.Load()
+	ss.planned = ss.s.plan.Prefetch(ss.planned[:0], target, nil, &ss.mem)
+	for _, id := range ss.planned {
 		switch ss.prefetch.Offer(id) {
 		case store.Issued:
 			issued++

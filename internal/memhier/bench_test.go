@@ -58,7 +58,7 @@ func BenchmarkPrefetch(b *testing.B) {
 
 func BenchmarkGetWithEvictFilter(b *testing.B) {
 	h := benchHierarchy(b, 256, 512)
-	h.SetEvictFilter(0, func(id grid.BlockID) bool { return id%2 == 0 })
+	h.SetEvictFilter(0, func(id grid.BlockID) bool { return id%2 == 0 }, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Get(grid.BlockID(i % 4096))

@@ -143,8 +143,8 @@ func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 // With strict set, an install that would require evicting a disallowed
 // block is skipped entirely instead of falling back to an unrestricted
 // victim; demand fetches should leave strict unset so they always progress.
-func (h *Hierarchy) SetEvictFilter(level int, allowed func(grid.BlockID) bool) {
-	h.levels[level].SetEvictFilter(allowed, false)
+func (h *Hierarchy) SetEvictFilter(level int, allowed func(grid.BlockID) bool, strict bool) {
+	h.levels[level].SetEvictFilter(allowed, strict)
 }
 
 // SetEvictObserver registers fn to be called for every eviction with the
@@ -152,12 +152,6 @@ func (h *Hierarchy) SetEvictFilter(level int, allowed func(grid.BlockID) bool) {
 // remain free in simulated time; the observer only watches.
 func (h *Hierarchy) SetEvictObserver(fn func(level int, id grid.BlockID)) {
 	h.onEvict = fn
-}
-
-// SetStrictEvictFilter is SetEvictFilter without the fallback: installs that
-// cannot find an allowed victim are skipped.
-func (h *Hierarchy) SetStrictEvictFilter(level int, allowed func(grid.BlockID) bool) {
-	h.levels[level].SetEvictFilter(allowed, true)
 }
 
 // Get simulates a demand request for the block: probes levels fastest-first,

@@ -156,7 +156,7 @@ func TestEvictFilterProtectsBlocks(t *testing.T) {
 	h.Get(1)
 	h.Get(2)
 	// Protect block 1 (as Algorithm 1 protects blocks used this frame).
-	h.SetEvictFilter(0, func(id grid.BlockID) bool { return id != 1 })
+	h.SetEvictFilter(0, func(id grid.BlockID) bool { return id != 1 }, false)
 	h.Get(3) // must evict 2 even though 1 is LRU... (1 is LRU here)
 	if !h.Contains(0, 1) {
 		t.Error("protected block evicted")
@@ -169,7 +169,7 @@ func TestEvictFilterProtectsBlocks(t *testing.T) {
 func TestEvictFilterFallsBackWhenNothingAllowed(t *testing.T) {
 	h, _ := New(testConfig(1, 8, 100), uniform(100))
 	h.Get(1)
-	h.SetEvictFilter(0, func(grid.BlockID) bool { return false })
+	h.SetEvictFilter(0, func(grid.BlockID) bool { return false }, false)
 	h.Get(2) // nothing allowed: falls back to unrestricted victim
 	if !h.Contains(0, 2) {
 		t.Error("install failed despite fallback")

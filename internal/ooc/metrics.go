@@ -2,24 +2,53 @@ package ooc
 
 import "repro/internal/obs"
 
+// counter is one runtime counter: its metric name (DESIGN.md §9) beside the
+// Stats field it lives in.
+type counter struct {
+	name string
+	v    *int64
+}
+
+// numCounters is the length of the list below; the compiler holds the two
+// together.
+const numCounters = 13
+
+// counters is the one place the runtime's counters are listed; Stats.add and
+// runtimeMetrics' registration, commit and snapshot all walk it, so a new
+// counter is a Stats field and a line here. A direct call that only hands
+// back pointers into s, so a frame-local Stats stays on the stack.
+func (s *Stats) counters() [numCounters]counter {
+	return [...]counter{
+		{"ooc.frames", &s.Frames},
+		{"ooc.demand_reads", &s.DemandReads},
+		{"ooc.demand_hits", &s.DemandHits},
+		{"ooc.demand_batches", &s.DemandBatches},
+		{"ooc.degraded_frames", &s.DegradedFrames},
+		{"ooc.failed_reads", &s.FailedReads},
+		{"ooc.retries", &s.Retries},
+		{"ooc.checksum_errors", &s.ChecksumErrors},
+		{"ooc.prefetch_issued", &s.PrefetchIssued},
+		{"ooc.prefetch_deduped", &s.PrefetchDeduped},
+		{"ooc.prefetch_dropped", &s.PrefetchDropped},
+		{"ooc.prefetch_executed", &s.PrefetchExecuted},
+		{"ooc.prefetch_failed", &s.PrefetchFailed},
+	}
+}
+
+// add accumulates d into s.
+func (s *Stats) add(d *Stats) {
+	from := d.counters()
+	for k, c := range s.counters() {
+		*c.v += *from[k].v
+	}
+}
+
 // runtimeMetrics is the registry-backed store for the runtime's Stats plus
 // its frame-latency histograms. Handles are resolved once at construction,
 // so the hot path commits straight to atomics and never touches the
-// registry's map. Metric names are documented in DESIGN.md §9.
+// registry's map.
 type runtimeMetrics struct {
-	frames         *obs.Counter
-	demandReads    *obs.Counter
-	demandHits     *obs.Counter
-	demandBatches  *obs.Counter
-	degradedFrames *obs.Counter
-	failedReads    *obs.Counter
-	retries        *obs.Counter
-	checksumErrors *obs.Counter
-	prefIssued     *obs.Counter
-	prefDeduped    *obs.Counter
-	prefDropped    *obs.Counter
-	prefExecuted   *obs.Counter
-	prefFailed     *obs.Counter
+	counters [numCounters]*obs.Counter // in Stats.counters order
 
 	frameNs *obs.Histogram
 	phases  *obs.PhaseTimer
@@ -32,86 +61,33 @@ func newRuntimeMetrics(reg *obs.Registry) *runtimeMetrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &runtimeMetrics{
-		frames:         reg.Counter("ooc.frames"),
-		demandReads:    reg.Counter("ooc.demand_reads"),
-		demandHits:     reg.Counter("ooc.demand_hits"),
-		demandBatches:  reg.Counter("ooc.demand_batches"),
-		degradedFrames: reg.Counter("ooc.degraded_frames"),
-		failedReads:    reg.Counter("ooc.failed_reads"),
-		retries:        reg.Counter("ooc.retries"),
-		checksumErrors: reg.Counter("ooc.checksum_errors"),
-		prefIssued:     reg.Counter("ooc.prefetch_issued"),
-		prefDeduped:    reg.Counter("ooc.prefetch_deduped"),
-		prefDropped:    reg.Counter("ooc.prefetch_dropped"),
-		prefExecuted:   reg.Counter("ooc.prefetch_executed"),
-		prefFailed:     reg.Counter("ooc.prefetch_failed"),
-		frameNs:        reg.Histogram("ooc.frame_ns", obs.DurationBuckets()),
-		phases:         obs.NewPhaseTimer(reg, "ooc.phase"),
+	m := &runtimeMetrics{
+		frameNs: reg.Histogram("ooc.frame_ns", obs.DurationBuckets()),
+		phases:  obs.NewPhaseTimer(reg, "ooc.phase"),
 	}
+	for k, c := range new(Stats).counters() {
+		m.counters[k] = reg.Counter(c.name)
+	}
+	return m
 }
 
 // commit adds a frame-local delta to the registry counters. Callers hold
 // statsMu, so commits and Snapshot reads stay mutually exclusive within one
-// runtime. The zero checks keep the common frame (a handful of live fields)
+// runtime. The zero check keeps the common frame (a handful of live fields)
 // from paying thirteen atomic adds.
 func (m *runtimeMetrics) commit(d *Stats) {
-	if d.Frames != 0 {
-		m.frames.Add(d.Frames)
-	}
-	if d.DemandReads != 0 {
-		m.demandReads.Add(d.DemandReads)
-	}
-	if d.DemandHits != 0 {
-		m.demandHits.Add(d.DemandHits)
-	}
-	if d.DemandBatches != 0 {
-		m.demandBatches.Add(d.DemandBatches)
-	}
-	if d.DegradedFrames != 0 {
-		m.degradedFrames.Add(d.DegradedFrames)
-	}
-	if d.FailedReads != 0 {
-		m.failedReads.Add(d.FailedReads)
-	}
-	if d.Retries != 0 {
-		m.retries.Add(d.Retries)
-	}
-	if d.ChecksumErrors != 0 {
-		m.checksumErrors.Add(d.ChecksumErrors)
-	}
-	if d.PrefetchIssued != 0 {
-		m.prefIssued.Add(d.PrefetchIssued)
-	}
-	if d.PrefetchDeduped != 0 {
-		m.prefDeduped.Add(d.PrefetchDeduped)
-	}
-	if d.PrefetchDropped != 0 {
-		m.prefDropped.Add(d.PrefetchDropped)
-	}
-	if d.PrefetchExecuted != 0 {
-		m.prefExecuted.Add(d.PrefetchExecuted)
-	}
-	if d.PrefetchFailed != 0 {
-		m.prefFailed.Add(d.PrefetchFailed)
+	for k, c := range d.counters() {
+		if *c.v != 0 {
+			m.counters[k].Add(*c.v)
+		}
 	}
 }
 
 // snapshot reads the counters back into a Stats value; called under statsMu.
 func (m *runtimeMetrics) snapshot() Stats {
-	return Stats{
-		Frames:           m.frames.Value(),
-		DemandReads:      m.demandReads.Value(),
-		DemandHits:       m.demandHits.Value(),
-		DemandBatches:    m.demandBatches.Value(),
-		DegradedFrames:   m.degradedFrames.Value(),
-		FailedReads:      m.failedReads.Value(),
-		Retries:          m.retries.Value(),
-		ChecksumErrors:   m.checksumErrors.Value(),
-		PrefetchIssued:   m.prefIssued.Value(),
-		PrefetchDeduped:  m.prefDeduped.Value(),
-		PrefetchDropped:  m.prefDropped.Value(),
-		PrefetchExecuted: m.prefExecuted.Value(),
-		PrefetchFailed:   m.prefFailed.Value(),
+	var s Stats
+	for k, c := range s.counters() {
+		*c.v = m.counters[k].Value()
 	}
+	return s
 }

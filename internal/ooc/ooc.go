@@ -2,8 +2,8 @@
 // stated future work (§VI): parallel data fetching overlapped with
 // rendering. It combines the file-backed block store (package store) with
 // the prediction tables (packages visibility and entropy): each frame's
-// visible blocks are fetched by a persistent worker pool, and the
-// vicinity's predicted high-entropy blocks are prefetched asynchronously by
+// visible blocks are fetched by a persistent worker pool, and the blocks
+// policy.Planner lists for the vicinity are prefetched asynchronously by
 // background workers while the caller renders.
 //
 // The demand hot path is built to do exactly one backing-store read per
@@ -37,6 +37,7 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/store"
 	"repro/internal/vec"
 	"repro/internal/visibility"
@@ -118,23 +119,6 @@ type Stats struct {
 	PrefetchFailed   int64
 }
 
-// add accumulates d into s.
-func (s *Stats) add(d *Stats) {
-	s.Frames += d.Frames
-	s.DemandReads += d.DemandReads
-	s.DemandHits += d.DemandHits
-	s.DemandBatches += d.DemandBatches
-	s.DegradedFrames += d.DegradedFrames
-	s.FailedReads += d.FailedReads
-	s.Retries += d.Retries
-	s.ChecksumErrors += d.ChecksumErrors
-	s.PrefetchIssued += d.PrefetchIssued
-	s.PrefetchDeduped += d.PrefetchDeduped
-	s.PrefetchDropped += d.PrefetchDropped
-	s.PrefetchExecuted += d.PrefetchExecuted
-	s.PrefetchFailed += d.PrefetchFailed
-}
-
 // FrameReport describes how completely a frame was served. A degraded
 // frame is still renderable: every block the storage could produce is
 // present, and Missing names the holes so the renderer can substitute
@@ -156,9 +140,7 @@ type FrameReport struct {
 // asynchronous predictive prefetching. Safe for use by one interactive
 // loop; Close must be called to stop the worker pools.
 type Runtime struct {
-	cache *store.MemCache
-	vis   *visibility.Table
-	imp   *entropy.Table
+	cache *cacheMemory
 	opts  Options
 	// retryAfter re-reads a block whose batch attempt failed; it is
 	// opts.Retry minus the attempt the batch already spent.
@@ -172,8 +154,13 @@ type Runtime struct {
 	closed   atomic.Bool
 
 	// prefetch is the bounded queue the frame's predictions go through, so
-	// consecutive frames don't enqueue the same prediction twice.
+	// consecutive frames don't enqueue the same prediction twice. plan
+	// decides what is offered to it and in what order; planned is the
+	// scratch its list is built in, under planMu (frames may overlap).
 	prefetch *store.Prefetcher
+	plan     *policy.Planner
+	planMu   sync.Mutex
+	planned  []grid.BlockID
 
 	// m holds the registry-backed counters the runtime's Stats live in.
 	// Hot paths accumulate into frame-local deltas and commit them under
@@ -184,16 +171,28 @@ type Runtime struct {
 	m       *runtimeMetrics
 }
 
+// cacheMemory is a MemCache over g's blocks, one float32 a voxel, as the
+// planner sees it.
+type cacheMemory struct {
+	*store.MemCache
+	g *grid.Grid
+}
+
+func (m *cacheMemory) SizeOf(id grid.BlockID) int64 { return m.g.VoxelCount(id) * 4 }
+
 // New starts the runtime's demand and prefetch workers.
 func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts Options) (*Runtime, error) {
-	if cache == nil || vis == nil || imp == nil {
+	if cache == nil {
 		return nil, fmt.Errorf("ooc: nil component")
+	}
+	plan, err := policy.NewPlanner(vis, imp, opts.Sigma)
+	if err != nil {
+		return nil, fmt.Errorf("ooc: %w", err)
 	}
 	opts = opts.withDefaults()
 	r := &Runtime{
-		cache:    cache,
-		vis:      vis,
-		imp:      imp,
+		cache:    &cacheMemory{cache, vis.Grid()},
+		plan:     plan,
 		opts:     opts,
 		demandCh: make(chan *demandJob, opts.DemandWorkers),
 		m:        newRuntimeMetrics(opts.Metrics),
@@ -351,8 +350,8 @@ func (r *Runtime) dispatch(job *demandJob) {
 // entries and named in the FrameReport — the frame degrades rather than
 // fails. The error return is reserved for frame-level conditions: a closed
 // runtime or a done ctx. Before returning, Frame enqueues asynchronous
-// prefetches for the camera vicinity's predicted high-entropy blocks, which
-// proceed while the caller renders the returned data.
+// prefetches of the planner's list for the camera's vicinity (Algorithm 1
+// lines 20–22), which proceed while the caller renders the returned data.
 func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID) ([][]float32, FrameReport, error) {
 	var rep FrameReport
 	if r.closed.Load() {
@@ -428,13 +427,13 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 		local.DegradedFrames = 1
 	}
 
-	// Schedule prediction-driven prefetch; never block the frame.
+	// Schedule the planner's prefetch list, most likely block first, so a
+	// full queue drops the least likely; never block the frame.
 	issueSpan := r.m.phases.Begin(obs.PhasePrefetchIssue)
 	if !r.closed.Load() {
-		for _, id := range r.vis.Predict(pos) {
-			if r.imp.Score(id) <= r.opts.Sigma || r.cache.Contains(id) {
-				continue
-			}
+		r.planMu.Lock()
+		r.planned = r.plan.Prefetch(r.planned[:0], pos, visible, r.cache)
+		for _, id := range r.planned {
 			switch r.prefetch.Offer(id) {
 			case store.Issued:
 				local.PrefetchIssued++
@@ -444,6 +443,7 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 				local.PrefetchDropped++
 			}
 		}
+		r.planMu.Unlock()
 	}
 	issueSpan.End()
 	r.m.frameNs.Observe(time.Since(frameStart).Nanoseconds())

@@ -3,8 +3,10 @@ package ooc
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"repro/internal/entropy"
 	"repro/internal/faultio"
 	"repro/internal/grid"
+	"repro/internal/policy"
 	"repro/internal/radius"
 	"repro/internal/store"
 	"repro/internal/testutil"
@@ -283,6 +286,92 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Frame blocked on full prefetch queue")
+	}
+}
+
+// heldReader is a block reader the test can stop: while hold is set, reads
+// wait for release.
+type heldReader struct {
+	store.BlockReader
+	hold    atomic.Bool
+	release chan struct{}
+}
+
+func (h *heldReader) ReadBlock(id grid.BlockID) ([]float32, error) {
+	if h.hold.Load() {
+		<-h.release
+	}
+	return h.BlockReader.ReadBlock(id)
+}
+
+// TestFrameOffersPlannersOrder pins what Frame hands the prefetch queue:
+// the planner's list and nothing else — no resident block, none scoring
+// ≤ σ — most likely block first, so that a queue shorter than the list
+// drops its tail rather than whatever sorts last by id. The prefetch worker
+// is held inside its first read, so nothing drains while Frame offers.
+func TestFrameOffersPlannersOrder(t *testing.T) {
+	f := newFixture(t, 128)
+	held := &heldReader{BlockReader: f.bf, release: make(chan struct{})}
+	capacity := 128 * f.bf.BlockBytes(0)
+	mc, err := store.NewMemCache(held, capacity, cache.NewLRU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The frame sees the ball's core, the vicinity adds its rim; σ at the
+	// corner blocks' score, the volume's lowest, cuts them alone.
+	sigma := f.imp.Score(0)
+	const depth = 3
+	r, err := New(mc, f.vis, f.imp, Options{Sigma: sigma, QueueDepth: depth, PrefetchWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam := camera.Camera{Pos: vec.New(0, 0, 3), ViewAngle: vec.Radians(20)}
+	visible := visibility.VisibleSet(f.g, cam)
+	ctx := context.Background()
+	if _, _, errs := mc.GetBatch(ctx, visible); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
+		t.Fatal(errs)
+	}
+
+	// What the planner lists for a memory holding exactly the frame.
+	plan, err := policy.NewPlanner(f.vis, f.imp, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := plan.Prefetch(nil, cam.Pos, visible, &cacheMemory{mc, f.g})
+	if rim := len(f.vis.Predict(cam.Pos)) - len(visible); len(want) <= depth+1 || len(want) >= rim {
+		t.Fatalf("planner lists %d of the %d predicted blocks outside the frame for a queue of %d; the pin has no teeth",
+			len(want), rim, depth)
+	}
+	for _, id := range want {
+		if f.imp.Score(id) <= sigma || slices.Contains(visible, id) {
+			t.Fatalf("planner listed block %d: score %g (σ %g), visible %v",
+				id, f.imp.Score(id), sigma, slices.Contains(visible, id))
+		}
+	}
+
+	held.hold.Store(true)
+	if _, _, err := r.Frame(ctx, cam.Pos, visible); err != nil {
+		t.Fatal(err)
+	}
+	close(held.release)
+	r.Close() // drains the queue: every issued block is resident afterwards
+	st := r.Snapshot()
+	// The worker may or may not have taken its first block off the queue
+	// before it filled.
+	if st.PrefetchIssued != depth && st.PrefetchIssued != depth+1 {
+		t.Errorf("issued %d prefetches into a queue of %d", st.PrefetchIssued, depth)
+	}
+	if got := st.PrefetchIssued + st.PrefetchDropped + st.PrefetchDeduped; got != int64(len(want)) {
+		t.Errorf("Frame offered %d blocks, the planner lists %d", got, len(want))
+	}
+	for k, id := range want {
+		if issued := int64(k) < st.PrefetchIssued; mc.Contains(id) != issued {
+			t.Errorf("block %d, number %d in the planner's order: resident %v with %d issued",
+				id, k, !issued, st.PrefetchIssued)
+		}
+	}
+	if extra := int64(mc.Len()) - int64(len(visible)) - st.PrefetchIssued; extra != 0 {
+		t.Errorf("%d blocks resident that are neither the frame's nor the planner's", extra)
 	}
 }
 

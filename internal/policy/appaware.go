@@ -1,22 +1,27 @@
 // Package policy implements the paper's primary contribution: the
 // application-aware I/O optimization of Algorithm 1. It combines the
 // T_visible camera-sampling table (package visibility) and the T_important
-// entropy ranking (package entropy) to drive a memory hierarchy (package
-// memhier):
+// entropy ranking (package entropy), and it separates deciding from doing.
 //
-//  1. Initialization pre-loads blocks whose entropy exceeds the threshold σ
-//     into fast memory (lines 1–7).
-//  2. For each view point, visible blocks are fetched on demand; the victim
-//     is the least-recently-used block whose last use predates the current
-//     view point, protecting the working set of the frame (lines 8–19).
-//  3. During rendering, the nearest sampling position is looked up in
-//     T_visible and its high-entropy predicted blocks are prefetched,
-//     overlapped with rendering (lines 20–22).
+// Planner (planner.go, which knows no memory hierarchy) decides every line:
+//
+//  1. Lines 1–7, Preload: the blocks whose entropy exceeds the threshold σ,
+//     most important first, to fill fast memory before the first view point.
+//  2. Lines 8–19, BeginFrame: time[] and the replacement rules — a visible
+//     block fetched on demand may displace only a block whose last use
+//     predates the current view point, protecting the frame's working set.
+//  3. Lines 20–22, Prefetch: during rendering, the nearest sampling
+//     position's high-entropy predicted blocks, most likely to be used next
+//     first, as many as fit beside the frame's visible set (§IV-B, §IV-C).
+//
+// Executors carry the decisions out. AppAware runs all three on a simulated
+// hierarchy (package memhier) and charges the virtual clock; ooc.Runtime and
+// a blocksvc session run the third on a store.MemCache, offering the list to
+// their prefetch queue in the planner's order.
 package policy
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/entropy"
@@ -71,18 +76,18 @@ type StepResult struct {
 	Prefetches int
 }
 
-// AppAware drives a memory hierarchy with the paper's application-aware
-// replacement and prefetching. It is not safe for concurrent use.
+// AppAware executes the Planner's decisions on a simulated memory hierarchy
+// and charges their cost to its virtual clock. It is not safe for concurrent
+// use.
 type AppAware struct {
 	h    *memhier.Hierarchy
-	vis  *visibility.Table
-	imp  *entropy.Table
+	plan *Planner
 	opts Options
 
-	// lastUse is Algorithm 1's time[num_block]: the view-point index at
-	// which each block was last part of the rendered visible set; -1 when
-	// never used.
-	lastUse []int
+	// queryCost is the modelled price of one T_visible lookup.
+	queryCost time.Duration
+	// prefetch is the scratch the planner's list is built in each step.
+	prefetch []grid.BlockID
 
 	// Prefetch utility accounting: pending marks blocks prefetched but not
 	// yet referenced by a frame; issued/used feed PrefetchUtility.
@@ -91,26 +96,36 @@ type AppAware struct {
 	prefetchsUsed   int64
 }
 
+// fastLevel is the planner's view of the hierarchy: level 0.
+type fastLevel struct{ h *memhier.Hierarchy }
+
+func (m fastLevel) Contains(id grid.BlockID) bool { return m.h.Contains(0, id) }
+func (m fastLevel) SizeOf(id grid.BlockID) int64  { return m.h.SizeOf(id) }
+func (m fastLevel) Capacity() int64               { return m.h.LevelCapacity(0) }
+
 // New wires the controller. The hierarchy, T_visible, and T_important must
 // all refer to the same block grid.
 func New(h *memhier.Hierarchy, vis *visibility.Table, imp *entropy.Table, opts Options) (*AppAware, error) {
-	if h == nil || vis == nil || imp == nil {
+	if h == nil {
 		return nil, fmt.Errorf("policy: nil component")
 	}
-	n := vis.Grid().NumBlocks()
-	if imp.Len() != n {
-		return nil, fmt.Errorf("policy: importance table covers %d blocks, grid has %d", imp.Len(), n)
+	plan, err := NewPlanner(vis, imp, opts.Sigma)
+	if err != nil {
+		return nil, err
 	}
 	a := &AppAware{
-		h: h, vis: vis, imp: imp, opts: opts,
-		lastUse: make([]int, n),
-		pending: make(map[grid.BlockID]struct{}),
-	}
-	for i := range a.lastUse {
-		a.lastUse[i] = -1
+		h: h, plan: plan, opts: opts,
+		queryCost: vis.QueryCost(),
+		pending:   make(map[grid.BlockID]struct{}),
 	}
 	if opts.Preload {
-		a.preload()
+		// Line 7, stopping once fast memory is full.
+		for _, id := range plan.Preload() {
+			if !h.Fits(0, id) {
+				break
+			}
+			h.Preload(0, id)
+		}
 	}
 	return a, nil
 }
@@ -118,23 +133,8 @@ func New(h *memhier.Hierarchy, vis *visibility.Table, imp *entropy.Table, opts O
 // Name identifies the policy in experiment output; the paper labels it OPT.
 func (a *AppAware) Name() string { return "OPT(app-aware)" }
 
-// preload implements line 7: load the block IDs whose entropy exceeds σ
-// into fast memory, most important first, stopping once fast memory is full
-// so the highest-entropy blocks are the ones that stay resident.
-func (a *AppAware) preload() {
-	for _, id := range a.imp.Ranked() {
-		if a.imp.Score(id) <= a.opts.Sigma {
-			break // ranked is descending; nothing further qualifies
-		}
-		if !a.h.Fits(0, id) {
-			break
-		}
-		a.h.Preload(0, id)
-	}
-}
-
 // LastUse returns Algorithm 1's time[] entry for a block (-1 = never used).
-func (a *AppAware) LastUse(id grid.BlockID) int { return a.lastUse[id] }
+func (a *AppAware) LastUse(id grid.BlockID) int { return a.plan.LastUse(id) }
 
 // Step processes view point i at camera position pos whose exact visible
 // set is visible (computed by the renderer). It fetches misses, then
@@ -150,13 +150,9 @@ func (a *AppAware) Step(i int, pos vec.V3, visible []grid.BlockID, prefetchWindo
 	// Lines 14–19: fetch missing visible blocks. Replacement may only claim
 	// blocks whose last use predates this view point, so blocks already
 	// fetched for frame i are protected from each other's installs.
+	demand, speculative := a.plan.BeginFrame(i, visible)
 	if a.opts.StaleOnlyEviction {
-		a.setStaleFilter(i)
-	}
-	// Mark the frame's working set up front so concurrent installs cannot
-	// evict blocks fetched earlier in the same frame.
-	for _, id := range visible {
-		a.lastUse[id] = i
+		a.restrictVictims(demand, false)
 	}
 	demandBefore := a.h.DemandTime
 	for _, id := range visible {
@@ -176,80 +172,19 @@ func (a *AppAware) Step(i int, pos vec.V3, visible []grid.BlockID, prefetchWindo
 	}
 	res.IOTime = a.h.DemandTime - demandBefore
 
-	// Lines 20–22: during rendering, look up the nearest sampling position
-	// and prefetch its high-entropy predicted blocks, still under the
-	// stale-only replacement constraint. The prefetch volume is clamped to
-	// the fast-memory budget left after the current frame's visible set —
-	// §IV-B's "ideal case is that the total size of the predicted and
-	// current visible blocks is equal to the cache size" — taking the most
-	// important predicted blocks first when over-predicted (§IV-C).
+	// Lines 20–22: during rendering, issue the planner's list in its order,
+	// under the strict replacement constraint.
 	if a.opts.PrefetchEnabled {
-		res.QueryCost = a.vis.QueryCost()
-		key := a.vis.NearestKey(pos)
-		keyPos := a.vis.KeyPos(key)
-		predicted := a.vis.PredictedSet(key)
-		budget := a.h.LevelCapacity(0)
-		for _, id := range visible {
-			budget -= a.h.SizeOf(id)
-		}
-		// Speculative installs must not displace blocks used in the last
-		// few frames: interactive wobble revisits them with high
-		// probability, and a prefetch is never worth a near-certain
-		// demand miss. Strict mode skips the install instead of falling
-		// back (the block still lands in the slower levels, where the
-		// next demand fetch finds it cheaply).
+		res.QueryCost = a.queryCost
 		if a.opts.StaleOnlyEviction {
-			const horizon = 2
-			allowed := func(id grid.BlockID) bool { return a.lastUse[id] < i-horizon }
-			for l := 0; l < a.h.NumLevels(); l++ {
-				a.h.SetStrictEvictFilter(l, allowed)
-			}
+			a.restrictVictims(speculative, true)
 		}
-		candidates := make([]grid.BlockID, 0, len(predicted))
-		for _, id := range predicted {
-			if a.imp.Score(id) <= a.opts.Sigma || a.h.Contains(0, id) {
-				continue
-			}
-			candidates = append(candidates, id)
-		}
-		// Within the σ-qualified candidates, prefetch the blocks nearest
-		// the *sampled key's* view axis first: the next view point is an
-		// angular perturbation of this vicinity, so corridor-central
-		// blocks have the highest probability of being in its visible set
-		// (§IV-C's "blocks with a higher possibility to be used for the
-		// next view point"). The ranking deliberately uses only T_visible
-		// information — the key position, not the live camera — so
-		// prediction quality degrades honestly when the sampling lattice
-		// is sparse (Fig. 7). Ties break by entropy, then ID.
-		axis := keyPos.Neg().Unit()
-		angleTo := func(id grid.BlockID) float64 {
-			return vec.AngleBetween(a.vis.Grid().Center(id).Sub(keyPos), axis)
-		}
-		angles := make(map[grid.BlockID]float64, len(candidates))
-		for _, id := range candidates {
-			angles[id] = angleTo(id)
-		}
-		sort.SliceStable(candidates, func(x, y int) bool {
-			ax, ay := angles[candidates[x]], angles[candidates[y]]
-			if ax != ay {
-				return ax < ay
-			}
-			sx, sy := a.imp.Score(candidates[x]), a.imp.Score(candidates[y])
-			if sx != sy {
-				return sx > sy
-			}
-			return candidates[x] < candidates[y]
-		})
+		a.prefetch = a.plan.Prefetch(a.prefetch[:0], pos, visible, fastLevel{a.h})
 		prefetchBefore := a.h.PrefetchTime
-		for _, id := range candidates {
+		for _, id := range a.prefetch {
 			if prefetchWindow > 0 && a.h.PrefetchTime-prefetchBefore >= prefetchWindow {
 				break // the frame finished rendering; stop speculating
 			}
-			size := a.h.SizeOf(id)
-			if size > budget {
-				continue
-			}
-			budget -= size
 			a.h.Prefetch(id)
 			res.Prefetches++
 			if _, ok := a.pending[id]; !ok {
@@ -260,7 +195,7 @@ func (a *AppAware) Step(i int, pos vec.V3, visible []grid.BlockID, prefetchWindo
 		res.PrefetchTime = a.h.PrefetchTime - prefetchBefore
 	}
 	if a.opts.StaleOnlyEviction {
-		a.clearFilter()
+		a.restrictVictims(nil, false)
 	}
 	return res
 }
@@ -274,17 +209,11 @@ func (a *AppAware) PrefetchUtility() (issued, used int64) {
 	return a.prefetchsIssued, a.prefetchsUsed
 }
 
-// setStaleFilter restricts eviction at every cache level to blocks last used
-// before view point i.
-func (a *AppAware) setStaleFilter(i int) {
-	allowed := func(id grid.BlockID) bool { return a.lastUse[id] < i }
+// restrictVictims applies one of the planner's replacement rules at every
+// cache level (nil lifts it); strict installs are skipped rather than allowed
+// a disallowed victim.
+func (a *AppAware) restrictVictims(allowed func(grid.BlockID) bool, strict bool) {
 	for l := 0; l < a.h.NumLevels(); l++ {
-		a.h.SetEvictFilter(l, allowed)
-	}
-}
-
-func (a *AppAware) clearFilter() {
-	for l := 0; l < a.h.NumLevels(); l++ {
-		a.h.SetEvictFilter(l, nil)
+		a.h.SetEvictFilter(l, allowed, strict)
 	}
 }

@@ -457,6 +457,9 @@ func (c *MemCache) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("cache.blocks", func() int64 { return int64(c.Len()) })
 }
 
+// Capacity returns the cache's byte budget.
+func (c *MemCache) Capacity() int64 { return c.lvl.Capacity }
+
 // Used returns the bytes currently cached.
 func (c *MemCache) Used() int64 {
 	c.mu.Lock()
