@@ -417,6 +417,8 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 		fmt.Printf("block file         %d blocks served, %d batches (%d batched blocks in %d merged runs), %d/%d decode bufs reused\n",
 			ios.Reads, ios.Batches, ios.BatchBlocks, ios.MergedRuns, ios.BufReuses, ios.BufGets)
 	}
+	fmt.Printf("recycled           %d evicted bufs handed back for reuse, %d left to the GC past the retire cap\n",
+		cc.Recycled, cc.RetireDropped)
 	if rr != nil {
 		rs := rr.Snapshot()
 		fmt.Printf("remote             %d requests (%d blocks) over %d dials, %d MiB received, %d views sent\n",

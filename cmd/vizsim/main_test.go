@@ -12,9 +12,10 @@ import (
 // TestRealIORaceFree runs the -realio path the way the binary does — four
 // prefetch workers admitting into the cache while the frame loop reads the
 // slices it was handed — on a cache small enough that nearly every
-// admission evicts. Under -race (make race) it is the regression for the
-// buffer-recycling race: with MemCache.EnableRecycling on, a prefetch read
-// decoded into a slice the render loop was still touching.
+// admission evicts, so evicted buffers are recycled at every Frame. Under
+// -race (make race) it guards the buffer-recycling race: a prefetch read
+// decoding into a slice the render loop is still touching. The voxel-exact
+// check of the same contract is ooc's TestFrameSlicesIntactUntilNextFrame.
 func TestRealIORaceFree(t *testing.T) {
 	ds := volume.Ball().Scale(0.125)
 	g, err := ds.GridWithBlockCount(512)

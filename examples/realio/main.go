@@ -118,8 +118,10 @@ func main() {
 			log.Fatal(err)
 		}
 		if rep.Degraded {
-			// A production renderer would substitute the previous frame's
-			// data or a lower LOD for rep.Missing; here we just count it.
+			// A production renderer would substitute a lower LOD, or a copy
+			// it kept of the previous frame's data, for rep.Missing (the
+			// slices Frame returns last only until the next Frame); here we
+			// just count it.
 			degraded++
 		}
 		for _, vals := range data {

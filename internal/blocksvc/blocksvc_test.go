@@ -620,20 +620,35 @@ func TestWireCRCReject(t *testing.T) {
 // TestNewServerRefusesRecyclingCache: a response is written from
 // cache-owned slices after the cache lock is gone, so a cache that reuses
 // evicted buffers could rewrite one mid-write; NewServer must say so
-// instead of serving.
+// instead of serving — whether the reuse was enabled by hand or comes from
+// an ooc.Runtime driving the cache.
 func TestNewServerRefusesRecyclingCache(t *testing.T) {
 	f := startService(t, svcOpts{})
-	mc, err := store.NewMemCache(f.bf, 1<<20, cache.NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc.EnableRecycling()
-	if !mc.RecyclingEnabled() {
-		t.Fatal("BlockFile stopped being a recycler; this test needs one")
-	}
-	_, err = NewServer(Config{Cache: mc, Grid: f.g, Header: f.bf.Header()})
-	if err == nil || !strings.Contains(err.Error(), "recycles") {
-		t.Fatalf("NewServer over a recycling cache = %v, want a refusal naming recycling", err)
+	for _, tc := range []struct {
+		name    string
+		recycle func(*store.MemCache)
+	}{
+		{"EnableRecycling", (*store.MemCache).EnableRecycling},
+		{"ooc.Runtime", func(mc *store.MemCache) {
+			rt, err := ooc.New(mc, f.vis, f.imp, ooc.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Close()
+		}},
+	} {
+		mc, err := store.NewMemCache(f.bf, 1<<20, cache.NewLRU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.recycle(mc)
+		if !mc.RecyclingEnabled() {
+			t.Fatalf("%s: BlockFile stopped being a recycler; this test needs one", tc.name)
+		}
+		_, err = NewServer(Config{Cache: mc, Grid: f.g, Header: f.bf.Header()})
+		if err == nil || !strings.Contains(err.Error(), "recycles") {
+			t.Fatalf("%s: NewServer over a recycling cache = %v, want a refusal naming recycling", tc.name, err)
+		}
 	}
 }
 

@@ -29,11 +29,12 @@ type Config struct {
 	// Cache is the shared block cache every session reads through. Its
 	// singleflight miss path is what makes the server multi-session: N
 	// sessions demanding one cold block cost exactly one backing read.
-	// It must not recycle evicted buffers (MemCache.EnableRecycling): a
-	// response is written from the cache's own slices after the cache lock
-	// is released, and with recycling on another session's miss could evict
-	// one of them and have the next backing read decode into it mid-write.
-	// NewServer refuses such a cache. What the cache reads from must be
+	// It must not recycle evicted buffers (MemCache.RecyclingEnabled: by
+	// EnableRecycling, or because an ooc.Runtime drives it): a response is
+	// written from the cache's own slices after the cache lock is released,
+	// and with recycling on another session's miss could evict one of them
+	// and have a later backing read decode into it mid-write. NewServer
+	// refuses such a cache. What the cache reads from must be
 	// immutable while the server lives: a block's CRC is computed the first
 	// time the block is sent and remembered for every later send.
 	Cache *store.MemCache

@@ -16,9 +16,10 @@ import (
 	"repro/internal/volume"
 )
 
-// BenchmarkFrame measures one warm out-of-core frame (parallel cache reads
-// plus prefetch scheduling) on a 512-block file.
-func BenchmarkFrame(b *testing.B) {
+// benchFixture writes a 512-block file and returns a cache of cacheFrac of
+// its volume over it, with the tables a runtime needs.
+func benchFixture(b *testing.B, cacheFrac float64) (*store.MemCache, *grid.Grid, *visibility.Table, *entropy.Table) {
+	b.Helper()
 	ds := volume.Ball().Scale(1.0 / 16)
 	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
 	if err != nil {
@@ -32,8 +33,8 @@ func BenchmarkFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer bf.Close()
-	mc, err := store.NewMemCache(bf, ds.TotalBytes(), cache.NewLRU())
+	b.Cleanup(func() { bf.Close() })
+	mc, err := store.NewMemCache(bf, int64(cacheFrac*float64(ds.TotalBytes())), cache.NewLRU())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,6 +49,13 @@ func BenchmarkFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return mc, g, vis, imp
+}
+
+// BenchmarkFrame measures one warm out-of-core frame (parallel cache reads
+// plus prefetch scheduling) on a 512-block file.
+func BenchmarkFrame(b *testing.B) {
+	mc, g, vis, imp := benchFixture(b, 1)
 	rt, err := New(mc, vis, imp, Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -65,4 +73,41 @@ func BenchmarkFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFrameChurn measures frames that evict on every step: an orbit of
+// the 512-block file through a cache of a quarter of the volume, with σ above
+// every score so nothing is prefetched and one demand worker, so the churn is
+// the same on every run. Its B/op is the buffer-reuse gate: a block evicted
+// during one Frame is read into again after the next, so a frame allocates
+// its bookkeeping, not the blocks it reads.
+func BenchmarkFrameChurn(b *testing.B) {
+	mc, g, vis, imp := benchFixture(b, 0.25)
+	rt, err := New(mc, vis, imp, Options{Sigma: imp.MaxScore() + 1, DemandWorkers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	steps := camera.Orbit(3, 32).Steps
+	visible := make([][]grid.BlockID, len(steps))
+	for i, pos := range steps {
+		visible[i] = visibility.VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: vec.Radians(10)})
+	}
+	ctx := context.Background()
+	frame := func(i int) {
+		k := i % len(steps)
+		if _, _, err := rt.Frame(ctx, steps[k], visible[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*len(steps); i++ {
+		frame(i) // fill the cache and the reader's free list
+	}
+	evictions := mc.Counters().Evictions
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(mc.Counters().Evictions-evictions)/float64(b.N), "evictions/op")
 }

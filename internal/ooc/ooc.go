@@ -122,7 +122,8 @@ type Stats struct {
 // FrameReport describes how completely a frame was served. A degraded
 // frame is still renderable: every block the storage could produce is
 // present, and Missing names the holes so the renderer can substitute
-// (previous frame's data, lower LOD, or empty space).
+// (a lower LOD, empty space, or a copy it kept of an earlier frame's data:
+// the earlier slices themselves are released by this Frame).
 type FrameReport struct {
 	// Degraded is true when at least one visible block could not be read.
 	Degraded bool
@@ -139,6 +140,14 @@ type FrameReport struct {
 // Runtime drives a block cache with parallel demand fetching and
 // asynchronous predictive prefetching. Safe for use by one interactive
 // loop; Close must be called to stop the worker pools.
+//
+// The runtime owns the cache's buffers: the slices a Frame returns are
+// valid until the next Frame, like bufio.Scanner.Bytes. Each Frame starts by
+// releasing the slices handed out before it (store.MemCache.Release), so the
+// blocks evicted since are decoded into again instead of allocating. Frames
+// from several goroutines at once are safe but give no longer guarantee:
+// any goroutine's next Frame ends every earlier Frame's slices. A caller
+// that must keep data past its next Frame copies it.
 type Runtime struct {
 	cache *cacheMemory
 	opts  Options
@@ -180,7 +189,10 @@ type cacheMemory struct {
 
 func (m *cacheMemory) SizeOf(id grid.BlockID) int64 { return m.g.VoxelCount(id) * 4 }
 
-// New starts the runtime's demand and prefetch workers.
+// New starts the runtime's demand and prefetch workers and takes ownership
+// of the cache's buffers: from here on, a block evicted from cache keeps its
+// buffer until the runtime's next Frame (see Runtime), and the cache counts
+// as one whose memory is rewritten (MemCache.RecyclingEnabled).
 func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts Options) (*Runtime, error) {
 	if cache == nil {
 		return nil, fmt.Errorf("ooc: nil component")
@@ -189,6 +201,7 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 	if err != nil {
 		return nil, fmt.Errorf("ooc: %w", err)
 	}
+	cache.Release()
 	opts = opts.withDefaults()
 	r := &Runtime{
 		cache:    &cacheMemory{cache, vis.Grid()},
@@ -352,6 +365,10 @@ func (r *Runtime) dispatch(job *demandJob) {
 // runtime or a done ctx. Before returning, Frame enqueues asynchronous
 // prefetches of the planner's list for the camera's vicinity (Algorithm 1
 // lines 20–22), which proceed while the caller renders the returned data.
+//
+// The returned slices are shared with the cache and must not be modified.
+// They stay valid until the next Frame: a Frame begins by releasing every
+// slice an earlier one returned, whose memory later reads may then reuse.
 func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID) ([][]float32, FrameReport, error) {
 	var rep FrameReport
 	if r.closed.Load() {
@@ -360,6 +377,9 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 	if err := ctx.Err(); err != nil {
 		return nil, rep, err
 	}
+	// Before anything is admitted: the buffers evicted since the last Frame
+	// may be read into from here on.
+	r.cache.Release()
 	var local Stats
 	local.Frames = 1
 	out := make([][]float32, len(visible))

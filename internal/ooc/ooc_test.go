@@ -654,3 +654,131 @@ func TestPrefetchEnqueueDedup(t *testing.T) {
 		t.Errorf("prefetch accounting inconsistent: %+v", st)
 	}
 }
+
+// blockTruth reads every block of the fixture's file into buffers of its own,
+// which no cache ever holds or recycles.
+func blockTruth(t *testing.T, f *fixture) [][]float32 {
+	t.Helper()
+	truth := make([][]float32, f.g.NumBlocks())
+	for _, id := range f.g.All() {
+		vals, err := f.bf.ReadBlock(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth[id] = vals
+	}
+	return truth
+}
+
+// TestFrameSlicesIntactUntilNextFrame is the runtime's buffer contract, the
+// way vizsim -realio drives it: four prefetch workers admit into a cache of
+// four blocks, so nearly every admission evicts, and an evicted buffer is
+// read into again once the next Frame has released it. While the workers
+// run, every voxel of every block a Frame returned must still be the file's
+// — under -race (make race), with no race reported between the caller's
+// reads and the workers' decodes.
+func TestFrameSlicesIntactUntilNextFrame(t *testing.T) {
+	f := newFixture(t, 4)
+	truth := blockTruth(t, f)
+	r, err := New(f.cache, f.vis, f.imp, Options{Sigma: 0, PrefetchWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	theta := vec.Radians(20)
+	for i, pos := range camera.Orbit(3, 40).Steps {
+		visible := visibility.VisibleSet(f.g, camera.Camera{Pos: pos, ViewAngle: theta})
+		data, rep, err := r.Frame(ctx, pos, visible)
+		if err != nil || rep.Degraded {
+			t.Fatalf("frame %d: %v %+v", i, err, rep)
+		}
+		for j, id := range visible {
+			if !slices.Equal(data[j], truth[id]) {
+				t.Fatalf("frame %d: block %d was rewritten before the next Frame", i, id)
+			}
+		}
+	}
+	if cc := f.cache.Counters(); cc.Recycled == 0 {
+		t.Errorf("no evicted buffer recycled in 40 frames of churn: %+v", cc)
+	}
+}
+
+// joinReader holds the read of block held until the read of block joiner
+// starts: a demand batch of both reaches joiner only after it has become a
+// waiter on held's in-flight read.
+type joinReader struct {
+	bf             *store.BlockFile
+	held, joiner   grid.BlockID
+	entered, start chan struct{}
+}
+
+func (r *joinReader) ReadBlock(id grid.BlockID) ([]float32, error) {
+	switch id {
+	case r.held:
+		close(r.entered)
+		<-r.start
+	case r.joiner:
+		close(r.start)
+	}
+	return r.bf.ReadBlock(id)
+}
+
+func (r *joinReader) RecycleBlockBuf(vals []float32) { r.bf.RecycleBlockBuf(vals) }
+
+// TestCoalescedSliceIntactUntilNextFrame: a demand read that joins a
+// prefetch's in-flight read is handed the prefetch's buffer, which the
+// admissions after it evict; it must stay intact through later reads until
+// the next Frame, and be recycled from then on.
+func TestCoalescedSliceIntactUntilNextFrame(t *testing.T) {
+	f := newFixture(t, 2)
+	truth := blockTruth(t, f)
+	jr := &joinReader{bf: f.bf, held: 9, joiner: 10, entered: make(chan struct{}), start: make(chan struct{})}
+	mc, err := store.NewMemCache(jr, 2*f.bf.BlockBytes(0), cache.NewLRU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No planned prefetch, and one demand batch per frame.
+	r, err := New(mc, f.vis, f.imp, Options{Sigma: f.imp.MaxScore() + 1, DemandWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	prefetched := make(chan error, 1)
+	go func() { prefetched <- mc.Prefetch(ctx, jr.held) }()
+	<-jr.entered
+
+	pos := vec.New(0, 0, 3)
+	ids := []grid.BlockID{jr.held, jr.joiner}
+	data, rep, err := r.Frame(ctx, pos, ids)
+	if err != nil || rep.Degraded {
+		t.Fatalf("frame: %v %+v", err, rep)
+	}
+	if err := <-prefetched; err != nil {
+		t.Fatal(err)
+	}
+	if cc := mc.Counters(); cc.Coalesced != 1 {
+		t.Fatalf("demand read of block %d coalesced %d times, want once onto the prefetch", jr.held, cc.Coalesced)
+	}
+	// Churn a cache of two: both blocks are evicted, and four reads follow.
+	for id := grid.BlockID(20); id < 24; id++ {
+		if err := mc.Prefetch(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, id := range ids {
+		if !slices.Equal(data[k], truth[id]) {
+			t.Fatalf("block %d was rewritten before the next Frame", id)
+		}
+	}
+	if cc := mc.Counters(); cc.Recycled != 0 {
+		t.Fatalf("%d buffers recycled before the next Frame", cc.Recycled)
+	}
+	if _, _, err := r.Frame(ctx, pos, []grid.BlockID{20}); err != nil {
+		t.Fatal(err)
+	}
+	if cc := mc.Counters(); cc.Recycled == 0 {
+		t.Errorf("the next Frame recycled nothing: %+v", cc)
+	}
+}

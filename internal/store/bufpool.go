@@ -2,8 +2,8 @@ package store
 
 import "sync"
 
-// maxFreeBufs bounds a BufPool; beyond it, returned buffers are dropped for
-// the GC.
+// maxFreeBufs bounds a BufPool and a MemCache's retired list; beyond it,
+// returned buffers are dropped for the GC.
 const maxFreeBufs = 64
 
 // BufPool is a bounded free list of decoded-block buffers — the one

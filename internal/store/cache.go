@@ -49,13 +49,18 @@ type MemCache struct {
 	mu       sync.Mutex
 	lvl      *cache.Level // resident voxels, byte budget, replacement
 	inflight map[grid.BlockID]inflightRef
-	recycle  bool
 	onEvict  func(id grid.BlockID, vals []float32)
+	// retire keeps evicted buffers in retired for the recycler (Release or
+	// EnableRecycling seen, and a recycler to feed); recycle releases each
+	// at once (EnableRecycling).
+	retire, recycle bool
+	retired         [][]float32 // evicted since the last release, at most maxFreeBufs
 
 	hits, misses  int64
 	coalesced     int64 // requests served by waiting on another's read
 	recycled      int64 // evicted slices handed back for reuse
 	recycledBytes int64 // bytes of those slices
+	retireDropped int64 // evicted slices left to the GC past the retire cap
 }
 
 // CacheCounters is a snapshot of MemCache activity beyond plain hit/miss.
@@ -66,6 +71,7 @@ type CacheCounters struct {
 	Evictions     int64 // blocks pushed out by the replacement policy
 	Recycled      int64 // evicted block buffers handed back for reuse
 	RecycledBytes int64 // bytes of evicted buffers handed back for reuse
+	RetireDropped int64 // evicted block buffers left to the GC: the retired list was full
 }
 
 // NewMemCache wraps the block reader with a cache of the given byte
@@ -92,10 +98,16 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 		if c.onEvict != nil {
 			c.onEvict(id, e.Vals)
 		}
+		if !c.retire {
+			return
+		}
+		if len(c.retired) < maxFreeBufs {
+			c.retired = append(c.retired, e.Vals)
+		} else {
+			c.retireDropped++
+		}
 		if c.recycle {
-			c.recycled++
-			c.recycledBytes += e.Size
-			c.recycler.RecycleBlockBuf(e.Vals)
+			c.releaseLocked()
 		}
 	}
 	if br, ok := r.(BatchBlockReader); ok {
@@ -107,30 +119,62 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 	return c, nil
 }
 
-// EnableRecycling turns on reuse of evicted block buffers: eviction hands
-// the victim's slice back to the reader (BlockBufRecycler) so a later read
-// decodes into it instead of allocating. The rule it imposes: nothing may
-// admit into the cache — no Get, GetBatch or Prefetch from any goroutine —
-// while a caller still reads a slice it was handed, because any admission
-// can evict that slice's block and the next backing read then decodes into
-// the memory being read. A single caller that is done with one frame's
-// slices before asking for the next, with no prefetch workers behind it,
-// qualifies; a cache shared by sessions or fed by a Prefetcher does not.
-// Off by default; no-op if the reader cannot recycle.
-func (c *MemCache) EnableRecycling() {
+// Release declares that no slice this cache has handed out so far is read
+// any longer, by anyone: the buffers of the blocks evicted up to now go to
+// the reader's BlockBufRecycler, so later reads decode into them instead of
+// allocating. From the first call on, an evicted block's buffer is retired —
+// kept, untouched, until the next Release — where before it was left to the
+// GC. At most 64 wait, BufPool's bound; past that an eviction leaves its
+// buffer to the GC (counted as RetireDropped).
+//
+// Release is for the cache's one consumer that knows when every slice it
+// was handed is done with: ooc.Runtime calls it at New and at the start of
+// every Frame. A no-op if the reader cannot recycle.
+func (c *MemCache) Release() {
 	c.mu.Lock()
-	c.recycle = c.recycler != nil
+	c.retire = c.recycler != nil
+	c.releaseLocked()
 	c.mu.Unlock()
 }
 
-// RecyclingEnabled reports whether evicted buffers are being reused. When
-// false, a slice handed out by Get/GetBatch is immutable for its lifetime —
-// the property blocksvc.NewServer requires of the cache it serves, whose
-// slices go to the socket as they lie.
+// releaseLocked hands every retired buffer to the recycler. Called with c.mu
+// held.
+func (c *MemCache) releaseLocked() {
+	for _, v := range c.retired {
+		c.recycled++
+		c.recycledBytes += int64(len(v)) * 4
+		c.recycler.RecycleBlockBuf(v)
+	}
+	clear(c.retired)
+	c.retired = c.retired[:0]
+}
+
+// EnableRecycling makes every eviction Release at once: the victim's slice
+// goes straight back to the reader (BlockBufRecycler). The rule it imposes:
+// nothing may admit into the cache — no Get, GetBatch or Prefetch from any
+// goroutine — while a caller still reads a slice it was handed, because any
+// admission can evict that slice's block and the next backing read then
+// decodes into the memory being read. A single caller that is done with one
+// frame's slices before asking for the next, with no prefetch workers behind
+// it, qualifies; a cache shared by sessions or fed by a Prefetcher does not
+// — a cache an ooc.Runtime drives reuses its buffers without it, at each
+// Frame (see Release). No-op if the reader cannot recycle.
+func (c *MemCache) EnableRecycling() {
+	c.mu.Lock()
+	c.recycle = c.recycler != nil
+	c.retire = c.recycle
+	c.mu.Unlock()
+}
+
+// RecyclingEnabled reports whether evicted buffers are being reused, at
+// eviction (EnableRecycling) or at the next Release. When false, a slice
+// handed out by Get/GetBatch is immutable for its lifetime — the property
+// blocksvc.NewServer requires of the cache it serves, whose slices go to
+// the socket as they lie.
 func (c *MemCache) RecyclingEnabled() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.recycle
+	return c.retire
 }
 
 // OnEvict registers a callback invoked for every block the replacement
@@ -410,10 +454,10 @@ func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 
 // EvictWhere evicts every resident block the predicate selects, returning
 // how many were evicted. Used when block ownership moves away from this
-// node (a cluster topology change): the departed blocks' memory goes back
-// to the recycler immediately instead of aging out. Reads in flight are
-// unaffected — the singleflight map is not touched, so a concurrent miss
-// still completes and may re-install.
+// node (a cluster topology change): the departed blocks' memory is let go
+// now instead of aging out. Reads in flight are unaffected — the
+// singleflight map is not touched, so a concurrent miss still completes and
+// may re-install.
 func (c *MemCache) EvictWhere(pred func(grid.BlockID) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -439,6 +483,7 @@ func (c *MemCache) Counters() CacheCounters {
 		Evictions:     c.lvl.Evictions,
 		Recycled:      c.recycled,
 		RecycledBytes: c.recycledBytes,
+		RetireDropped: c.retireDropped,
 	}
 }
 
@@ -453,6 +498,7 @@ func (c *MemCache) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("cache.evictions", func() int64 { return c.Counters().Evictions })
 	reg.CounterFunc("cache.recycled", func() int64 { return c.Counters().Recycled })
 	reg.CounterFunc("cache.recycled_bytes", func() int64 { return c.Counters().RecycledBytes })
+	reg.CounterFunc("cache.retire_dropped", func() int64 { return c.Counters().RetireDropped })
 	reg.GaugeFunc("cache.used_bytes", c.Used)
 	reg.GaugeFunc("cache.blocks", func() int64 { return int64(c.Len()) })
 }

@@ -82,8 +82,9 @@ type BatchBlockReader interface {
 // BlockBufRecycler is optionally implemented by readers that can reuse
 // previously decoded block buffers for future reads. Callers must hand back
 // only slices no longer referenced anywhere — a recycled buffer's contents
-// are overwritten by a later read. MemCache feeds evicted slices to it when
-// recycling is explicitly enabled (see MemCache.EnableRecycling).
+// are overwritten by a later read. MemCache feeds it the slices of evicted
+// blocks once their owner has released them: at each MemCache.Release (every
+// ooc.Runtime Frame), or at eviction under MemCache.EnableRecycling.
 type BlockBufRecycler interface {
 	RecycleBlockBuf([]float32)
 }

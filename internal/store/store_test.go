@@ -934,3 +934,66 @@ func TestMemCacheEvictionCallback(t *testing.T) {
 		t.Fatalf("callback fired after unregistering: %v", evicted)
 	}
 }
+
+// recyclingReader serves fresh 4-voxel blocks and records every buffer
+// handed back to it.
+type recyclingReader struct{ got [][]float32 }
+
+func (r *recyclingReader) ReadBlock(grid.BlockID) ([]float32, error) { return make([]float32, 4), nil }
+func (r *recyclingReader) RecycleBlockBuf(v []float32)               { r.got = append(r.got, v) }
+
+// TestReleaseRetiresEvictedBuffers pins the owner's release: a buffer
+// evicted while its slice is handed out reaches the reader's pool only at
+// the next Release, never before; past the cap the overflow is dropped and
+// counted, never recycled; and a cache nobody releases recycles nothing.
+func TestReleaseRetiresEvictedBuffers(t *testing.T) {
+	rr := &recyclingReader{}
+	c, err := NewMemCache(rr, 16, cache.NewLRU()) // room for one block
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	get := func(id grid.BlockID) []float32 {
+		t.Helper()
+		vals, _, err := c.Get(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals
+	}
+	get(0)
+	get(1) // evicts 0 from a cache nobody releases: left to the GC
+	if c.RecyclingEnabled() || len(rr.got) != 0 {
+		t.Fatalf("unreleased cache: recycling %v, %d buffers recycled", c.RecyclingEnabled(), len(rr.got))
+	}
+
+	c.Release()
+	if !c.RecyclingEnabled() || len(rr.got) != 0 {
+		t.Fatalf("first Release: recycling %v, %d buffers recycled; want true, 0 (block 0 went before it)",
+			c.RecyclingEnabled(), len(rr.got))
+	}
+	held := get(2) // evicts 1
+	get(3)         // evicts 2 while held is handed out
+	if len(rr.got) != 0 {
+		t.Fatalf("%d buffers reached the pool before the release", len(rr.got))
+	}
+	c.Release()
+	if len(rr.got) != 2 || &rr.got[1][0] != &held[0] {
+		t.Fatalf("Release recycled %d buffers, want blocks 1 and 2, the held one last", len(rr.got))
+	}
+
+	rr.got = nil
+	for id := grid.BlockID(4); id < 4+2*maxFreeBufs; id++ {
+		get(id) // 2·maxFreeBufs evictions, blocks 3 onwards
+	}
+	cc := c.Counters()
+	if len(rr.got) != 0 || cc.RetireDropped != maxFreeBufs {
+		t.Fatalf("past the cap: %d recycled early, %d dropped; want 0, %d", len(rr.got), cc.RetireDropped, maxFreeBufs)
+	}
+	c.Release()
+	cc = c.Counters()
+	if len(rr.got) != maxFreeBufs || cc.Recycled != 2+maxFreeBufs || cc.RecycledBytes != 16*cc.Recycled {
+		t.Fatalf("Release past the cap recycled %d (counted %d, %d bytes), want %d",
+			len(rr.got), cc.Recycled, cc.RecycledBytes, maxFreeBufs)
+	}
+}
