@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/policy/... ./internal/store/... ./internal/ooc/... ./int
 BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/...
 
 # Packages with fuzz targets; fuzz-smoke replays their seed corpora.
-FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/...
+FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/...
 
 # The lifecycle/failure-model suite: failover, drain, heartbeats, breaker,
 # and the two-replica network-chaos end-to-end run.

@@ -6,7 +6,7 @@
 //	vizsim -dataset 3d_ball -policy opt -path random -deg-lo 10 -deg-hi 15
 //	       [-blocks 2048] [-steps 400] [-scale 0.25] [-ratio 0.5]
 //
-// Policies: fifo, lru, clock, lfu, arc, opt (the paper's app-aware policy).
+// Policies: fifo, lru, arc, opt (the paper's app-aware policy).
 // Paths: spherical (uses -deg-lo as the per-step interval), random, orbit.
 //
 // With -realio the run moves actual bytes instead of simulating the
@@ -62,7 +62,7 @@ import (
 func main() {
 	var (
 		dataset  = flag.String("dataset", "3d_ball", "dataset name (3d_ball, lifted_mix_frac, lifted_rr, climate)")
-		policy   = flag.String("policy", "opt", "replacement policy: fifo, lru, clock, lfu, arc, opt")
+		policy   = flag.String("policy", "opt", "replacement policy: fifo, lru, arc, opt")
 		path     = flag.String("path", "random", "camera path: spherical, random, orbit")
 		degLo    = flag.Float64("deg-lo", 10, "per-step direction change lower bound (or spherical interval)")
 		degHi    = flag.Float64("deg-hi", 15, "per-step direction change upper bound (random path)")
@@ -185,12 +185,8 @@ func main() {
 		m, err = sim.RunBaseline(cfg, func() cache.Policy { return cache.NewFIFO() }, "FIFO")
 	case "lru":
 		m, err = sim.RunBaseline(cfg, func() cache.Policy { return cache.NewLRU() }, "LRU")
-	case "clock":
-		m, err = sim.RunBaseline(cfg, func() cache.Policy { return cache.NewClock() }, "CLOCK")
-	case "lfu":
-		m, err = sim.RunBaseline(cfg, func() cache.Policy { return cache.NewLFU() }, "LFU")
 	case "arc":
-		m, err = sim.RunBaseline(cfg, func() cache.Policy { return cache.NewARC(*blocks / 4) }, "ARC")
+		m, err = sim.RunBaseline(cfg, func() cache.Policy { return cache.NewARC() }, "ARC")
 	default:
 		fmt.Fprintf(os.Stderr, "vizsim: unknown policy %q\n", *policy)
 		os.Exit(2)

@@ -1,8 +1,8 @@
 // Oracle: how close does the application-aware policy get to the offline
 // optimum? The example records the block request stream of a random
-// exploration, replays it against the full online policy zoo (FIFO, LRU,
-// CLOCK, LFU, ARC) and Belady's clairvoyant OPT at equal capacity, and
-// reports where the paper's app-aware policy lands in between.
+// exploration, replays it against the online policies (FIFO, LRU, ARC) and
+// Belady's clairvoyant OPT at equal capacity, and reports where the paper's
+// app-aware policy lands in between.
 //
 // Run with:
 //
@@ -37,9 +37,7 @@ func main() {
 	}{
 		{"FIFO", func() vizcache.Policy { return vizcache.NewFIFO() }},
 		{"LRU", func() vizcache.Policy { return vizcache.NewLRU() }},
-		{"CLOCK", func() vizcache.Policy { return vizcache.NewClock() }},
-		{"LFU", func() vizcache.Policy { return vizcache.NewLFU() }},
-		{"ARC", func() vizcache.Policy { return vizcache.NewARC(512) }},
+		{"ARC", func() vizcache.Policy { return vizcache.NewARC() }},
 	} {
 		m, err := vizcache.RunBaseline(cfg, b.mk, b.name)
 		if err != nil {
@@ -67,7 +65,7 @@ func main() {
 	}{
 		{"FIFO", func() vizcache.Policy { return vizcache.NewFIFO() }},
 		{"LRU", func() vizcache.Policy { return vizcache.NewLRU() }},
-		{"ARC", func() vizcache.Policy { return vizcache.NewARC(dramBlocks) }},
+		{"ARC", func() vizcache.Policy { return vizcache.NewARC() }},
 		{"Belady", func() vizcache.Policy { return vizcache.NewBelady(recorded.Flatten()) }},
 	} {
 		r := vizcache.ReplayTrace(recorded, b.mk(), dramBlocks)

@@ -1,25 +1,36 @@
 package cache
 
-// ARC (Adaptive Replacement Cache, Megiddo & Modha, FAST'03) — cited in the
-// paper's related work — balances recency (T1) and frequency (T2) lists with
-// ghost lists (B1, B2) steering the adaptation target p.
+// ARC, the Adaptive Replacement Cache of Megiddo & Modha (FAST '03, Fig. 4),
+// cited in the paper's related work. Resident blocks sit in T1 (seen once)
+// or T2 (seen again), the ghosts of blocks evicted from them in B1 and B2,
+// and ghost hits move p, T1's target size.
 //
-// This implementation is adapted to the simulator's split of duties: the
-// hierarchy decides *when* to evict (bytes-based) and asks the policy for a
-// victim; the policy only orders blocks. Ghost bookkeeping happens in
-// Remove, adaptation in Insert.
+// The level decides when to evict and ARC which block, so Fig. 4's one step
+// per request is split over the calls a miss makes: Victim (once per block
+// the level must push out) and then Insert. Victim is handed the incoming
+// block because Fig. 4 decides on it: a ghost hit adapts p before REPLACE
+// picks, and a B2 hit takes T1's LRU block when |T1| = p exactly. For a new
+// block Victim does case IV's directory upkeep instead, and when T1 alone
+// fills the cache its LRU block leaves the directory rather than becoming a
+// ghost. c, the cache size, is the most entries the level has held, so ARC
+// takes no size of its own and is sized right on any level it is given to.
 
 import "repro/internal/grid"
 
-// ARC is an adaptive replacement policy over block IDs with an
-// entry-count-based adaptation target.
+// ARC is an adaptive replacement policy over block IDs.
 type ARC struct {
-	capacity int // c: adaptation scale, in entries
-	p        int // target size of T1
-
-	t1, t2 *list // resident: recency, frequency
-	b1, b2 *list // ghosts: evicted from t1 / t2
+	c, p   int   // cache size in entries (a high-water mark), T1's target
+	t1, t2 *list // resident: seen once, seen at least twice
+	b1, b2 *list // ghosts: evicted from t1, t2
 	where  map[grid.BlockID]*arcEntry
+
+	// incoming is the block a miss is being served for, once prepared (p
+	// adapted or the directory trimmed); victim is the last block Victim
+	// named, which Remove makes a ghost when ghost is set.
+	incoming grid.BlockID
+	prepared bool
+	victim   grid.BlockID
+	ghost    bool
 }
 
 type arcEntry struct {
@@ -27,56 +38,106 @@ type arcEntry struct {
 	list *list
 }
 
-// NewARC returns an ARC policy with the given capacity in entries (used
-// only to scale adaptation and bound ghost lists; actual eviction pressure
-// comes from the hierarchy). capacity must be >= 1.
-func NewARC(capacity int) *ARC {
-	if capacity < 1 {
-		capacity = 1
-	}
+// NewARC returns an empty ARC policy. It takes its cache size from the
+// level that drives it.
+func NewARC() *ARC {
 	return &ARC{
-		capacity: capacity,
-		t1:       newList(),
-		t2:       newList(),
-		b1:       newList(),
-		b2:       newList(),
-		where:    make(map[grid.BlockID]*arcEntry),
+		t1:    newList(),
+		t2:    newList(),
+		b1:    newList(),
+		b2:    newList(),
+		where: make(map[grid.BlockID]*arcEntry),
 	}
 }
 
 // Name implements Policy.
 func (*ARC) Name() string { return "ARC" }
 
-// Insert implements Policy: the block became resident after a miss (or a
-// ghost hit, which adapts p).
-func (a *ARC) Insert(id grid.BlockID) {
-	if e, ok := a.where[id]; ok {
-		switch e.list {
-		case a.t1, a.t2:
-			a.Touch(id)
-		case a.b1:
-			// Ghost hit in B1: favor recency.
-			a.p = minInt(a.capacity, a.p+maxInt(1, a.b2.size/maxInt(1, a.b1.size)))
-			a.moveTo(e, a.t2)
-		case a.b2:
-			// Ghost hit in B2: favor frequency.
-			a.p = maxInt(0, a.p-maxInt(1, a.b1.size/maxInt(1, a.b2.size)))
-			a.moveTo(e, a.t2)
-		}
+// prepare does the part of Fig. 4 that comes before REPLACE, once per
+// admission: a ghost hit adapts p (cases II and III); a new block trims the
+// directory (case IV).
+func (a *ARC) prepare(id grid.BlockID) {
+	if a.prepared && a.incoming == id {
 		return
 	}
-	n := &node{id: id}
-	a.where[id] = &arcEntry{n: n, list: a.t1}
-	a.t1.pushBack(n)
+	a.incoming, a.prepared = id, true
+	e := a.where[id]
+	switch {
+	case e == nil:
+		if l1 := a.t1.size + a.b1.size; l1 >= a.c {
+			if a.t1.size < a.c {
+				a.dropLRU(a.b1)
+			}
+		} else if l1+a.t2.size+a.b2.size >= 2*a.c {
+			a.dropLRU(a.b2)
+		}
+	case e.list == a.b1:
+		a.p = min(a.c, a.p+max(1, a.b2.size/a.b1.size))
+	case e.list == a.b2:
+		a.p = max(0, a.p-max(1, a.b1.size/a.b2.size))
+	}
 }
 
-// Touch implements Policy: a hit promotes the block to T2's MRU end.
+// Victim implements Policy: Fig. 4's REPLACE for the incoming block.
+func (a *ARC) Victim(incoming grid.BlockID, allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
+	a.prepare(incoming)
+	e := a.where[incoming]
+	if e == nil && a.t1.size >= a.c {
+		a.ghost = false
+		return a.t1.scan(allowed) // case IV(A): dropped, not ghosted
+	}
+	first, second := a.t2, a.t1
+	if a.t1.size > 0 && (a.t1.size > a.p || (e != nil && e.list == a.b2 && a.t1.size == a.p)) {
+		first, second = a.t1, a.t2
+	}
+	id, ok := first.scan(allowed)
+	if !ok {
+		id, ok = second.scan(allowed)
+	}
+	a.victim, a.ghost = id, ok
+	return id, ok
+}
+
+// Insert implements Policy: a new block enters T1; a ghost, or a resident
+// block, moves to T2's MRU end.
+func (a *ARC) Insert(id grid.BlockID) {
+	a.prepare(id) // a no-op after Victim; needed when the level had room
+	if e, ok := a.where[id]; ok {
+		a.moveTo(e, a.t2)
+	} else {
+		n := &node{id: id}
+		a.where[id] = &arcEntry{n: n, list: a.t1}
+		a.t1.pushBack(n)
+	}
+	a.prepared = false
+	a.c = max(a.c, a.t1.size+a.t2.size)
+}
+
+// Touch implements Policy: a hit moves the block to T2's MRU end.
 func (a *ARC) Touch(id grid.BlockID) {
+	if e, ok := a.where[id]; ok && (e.list == a.t1 || e.list == a.t2) {
+		a.moveTo(e, a.t2)
+	}
+}
+
+// Remove implements Policy. The block Victim named becomes a ghost; any
+// other block the level removes (invalidated, not replaced) leaves the
+// directory.
+func (a *ARC) Remove(id grid.BlockID) {
 	e, ok := a.where[id]
-	if !ok || (e.list != a.t1 && e.list != a.t2) {
+	if !ok || e.list == a.b1 || e.list == a.b2 {
 		return
 	}
-	a.moveTo(e, a.t2)
+	switch {
+	case !a.ghost || id != a.victim:
+		e.list.remove(e.n)
+		delete(a.where, id)
+	case e.list == a.t1:
+		a.moveTo(e, a.b1)
+	default:
+		a.moveTo(e, a.b2)
+	}
+	a.ghost = false
 }
 
 func (a *ARC) moveTo(e *arcEntry, dst *list) {
@@ -85,76 +146,12 @@ func (a *ARC) moveTo(e *arcEntry, dst *list) {
 	e.list = dst
 }
 
-// Remove implements Policy: the hierarchy evicted the block. It becomes a
-// ghost in B1/B2 so a future re-reference can adapt p.
-func (a *ARC) Remove(id grid.BlockID) {
-	e, ok := a.where[id]
-	if !ok {
+// dropLRU forgets the ghost at the LRU end of l, if any.
+func (a *ARC) dropLRU(l *list) {
+	if l.size == 0 {
 		return
 	}
-	switch e.list {
-	case a.t1:
-		a.moveTo(e, a.b1)
-		a.trimGhost(a.b1)
-	case a.t2:
-		a.moveTo(e, a.b2)
-		a.trimGhost(a.b2)
-	default:
-		// Removing a ghost drops it entirely.
-		e.list.remove(e.n)
-		delete(a.where, id)
-	}
-}
-
-// trimGhost bounds a ghost list to capacity entries.
-func (a *ARC) trimGhost(l *list) {
-	for l.size > a.capacity {
-		n := l.front()
-		l.remove(n)
-		delete(a.where, n.id)
-	}
-}
-
-// Victim implements Policy: ARC's REPLACE rule — evict from T1 when it
-// exceeds the target p, otherwise from T2.
-func (a *ARC) Victim() (grid.BlockID, bool) {
-	return a.VictimWhere(func(grid.BlockID) bool { return true })
-}
-
-// VictimWhere implements Policy.
-func (a *ARC) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
-	first, second := a.t1, a.t2
-	if a.t1.size == 0 || (a.t1.size < maxInt(1, a.p) && a.t2.size > 0) {
-		first, second = a.t2, a.t1
-	}
-	if id, ok := first.scan(allowed); ok {
-		return id, true
-	}
-	return second.scan(allowed)
-}
-
-// Contains implements Policy: only resident (T1/T2) blocks count.
-func (a *ARC) Contains(id grid.BlockID) bool {
-	e, ok := a.where[id]
-	return ok && (e.list == a.t1 || e.list == a.t2)
-}
-
-// Len implements Policy.
-func (a *ARC) Len() int { return a.t1.size + a.t2.size }
-
-// P exposes the adaptation target for tests.
-func (a *ARC) P() int { return a.p }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	n := l.head.next
+	l.remove(n)
+	delete(a.where, n.id)
 }

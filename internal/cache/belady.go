@@ -61,19 +61,15 @@ func (b *Belady) nextUse(id grid.BlockID) int {
 	return positions[i]
 }
 
-// Victim implements Policy: the resident block used farthest in the future
-// (never-used blocks first). Ties break by smallest ID for determinism.
-func (b *Belady) Victim() (grid.BlockID, bool) {
-	return b.VictimWhere(func(grid.BlockID) bool { return true })
-}
-
-// VictimWhere implements Policy.
-func (b *Belady) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
+// Victim implements Policy: the allowed resident block used farthest in the
+// future (never-used blocks first). Ties break by smallest ID for
+// determinism.
+func (b *Belady) Victim(_ grid.BlockID, allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
 	var best grid.BlockID
 	bestNext := -1
 	found := false
 	for id := range b.resident {
-		if !allowed(id) {
+		if allowed != nil && !allowed(id) {
 			continue
 		}
 		n := b.nextUse(id)
@@ -83,9 +79,3 @@ func (b *Belady) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, boo
 	}
 	return best, found
 }
-
-// Contains implements Policy.
-func (b *Belady) Contains(id grid.BlockID) bool { return b.resident[id] }
-
-// Len implements Policy.
-func (b *Belady) Len() int { return len(b.resident) }

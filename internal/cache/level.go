@@ -95,26 +95,22 @@ func (l *Level) SetEvictFilter(allowed func(grid.BlockID) bool, strict bool) {
 	l.strict = strict && allowed != nil
 }
 
-// MakeRoom evicts until size more bytes fit and reports whether they do. A
-// size above Capacity evicts nothing. When it stops early — a strict filter
-// with no allowed victim left, or a policy with nothing to offer — the
-// victims already taken stay evicted.
-func (l *Level) MakeRoom(size int64) bool {
+// MakeRoom evicts until size more bytes fit for the incoming block and
+// reports whether they do; every victim is the policy's choice for incoming.
+// A size above Capacity evicts nothing. When it stops early — a strict
+// filter with no allowed victim left, or a policy with nothing to offer —
+// the victims already taken stay evicted.
+func (l *Level) MakeRoom(incoming grid.BlockID, size int64) bool {
 	if size > l.Capacity {
 		return false
 	}
 	for !l.Fits(size) {
-		victim, ok := grid.BlockID(0), false
-		if l.filter != nil {
-			victim, ok = l.Policy.VictimWhere(l.filter)
+		victim, ok := l.Policy.Victim(incoming, l.filter)
+		if !ok && l.filter != nil && !l.strict {
+			victim, ok = l.Policy.Victim(incoming, nil)
 		}
 		if !ok {
-			if l.strict {
-				return false
-			}
-			if victim, ok = l.Policy.Victim(); !ok {
-				return false
-			}
+			return false
 		}
 		l.evict(victim)
 	}
@@ -137,7 +133,7 @@ func (l *Level) Admit(id grid.BlockID, e Entry) bool {
 	if l.Touch(id) {
 		return true
 	}
-	if !l.MakeRoom(e.Size) {
+	if !l.MakeRoom(id, e.Size) {
 		return false
 	}
 	l.Add(id, e)
@@ -171,9 +167,9 @@ func (l *Level) EvictWhere(pred func(grid.BlockID) bool) int {
 // the entry turned out to be unusable (a corrupt spill file), it was not
 // chosen to leave.
 func (l *Level) Remove(id grid.BlockID) (Entry, bool) {
-	l.Policy.Remove(id)
 	e, ok := l.resident[id]
 	if ok {
+		l.Policy.Remove(id)
 		delete(l.resident, id)
 		l.used -= e.Size
 	}

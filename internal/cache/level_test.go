@@ -79,13 +79,16 @@ func TestLevelAdmit(t *testing.T) {
 			var used int64
 			for id := grid.BlockID(0); id < 8; id++ {
 				e, ok := l.Peek(id)
-				if want := slices.Contains(tc.after, id); ok != want || l.Policy.Contains(id) != want {
-					t.Errorf("block %d: resident %v, in policy %v, want %v", id, ok, l.Policy.Contains(id), want)
+				if want := slices.Contains(tc.after, id); ok != want {
+					t.Errorf("block %d: resident %v, want %v", id, ok, want)
 				}
 				used += e.Size
 			}
 			if l.Len() != len(tc.after) || l.Used() != used || used > l.Capacity {
 				t.Errorf("Len %d, Used %d; want %d blocks, %d bytes within %d", l.Len(), l.Used(), len(tc.after), used, l.Capacity)
+			}
+			if held := sorted(drain(t, l.Policy)); !slices.Equal(held, sorted(tc.after)) {
+				t.Errorf("policy holds %v, level %v", held, tc.after)
 			}
 		})
 	}
@@ -114,8 +117,8 @@ func TestLevelHookSeesValue(t *testing.T) {
 // then adds the entry; a failed write simply never adds.
 func TestLevelMakeRoomThenAdd(t *testing.T) {
 	l, evicted := levelWith(30, 1, 2, 3)
-	if !l.MakeRoom(10) {
-		t.Fatal("MakeRoom(10) = false")
+	if !l.MakeRoom(4, 10) {
+		t.Fatal("MakeRoom(4, 10) = false")
 	}
 	if l.Used() != 20 || l.Contains(4) || !slices.Equal(*evicted, []grid.BlockID{1}) {
 		t.Fatalf("after MakeRoom: used %d, evicted %v", l.Used(), *evicted)
@@ -124,10 +127,9 @@ func TestLevelMakeRoomThenAdd(t *testing.T) {
 	if e, ok := l.Peek(4); !ok || e.Size != 10 || l.Used() != 30 {
 		t.Fatalf("after Add: entry %+v %v, used %d", e, ok, l.Used())
 	}
-	// MakeRoom(0) sheds an over-budget level down to its capacity (a tier
-	// reopened with a smaller budget).
+	// Making room for nothing sheds an over-budget level to its capacity.
 	l.Capacity = 15
-	if !l.MakeRoom(0) || l.Len() != 1 || !l.Contains(4) {
+	if !l.MakeRoom(5, 0) || l.Len() != 1 || !l.Contains(4) {
 		t.Fatalf("shed to %d blocks, block 4 resident %v", l.Len(), l.Contains(4))
 	}
 }
@@ -143,8 +145,8 @@ func TestLevelRemoveIsNotAnEviction(t *testing.T) {
 	if l.Evictions != 0 || len(*evicted) != 0 {
 		t.Fatalf("Remove counted %d evictions, hook saw %v", l.Evictions, *evicted)
 	}
-	if l.Used() != 10 || l.Policy.Contains(1) {
-		t.Fatalf("used %d, policy still holds block 1: %v", l.Used(), l.Policy.Contains(1))
+	if v, _ := l.Policy.Victim(incoming, nil); l.Used() != 10 || v != 2 {
+		t.Fatalf("used %d, policy's victim %d; want 10 bytes and block 2", l.Used(), v)
 	}
 	if n := l.EvictWhere(only(2, 7)); n != 1 || l.Evictions != 1 || !slices.Equal(*evicted, []grid.BlockID{2}) {
 		t.Fatalf("EvictWhere = %d, Evictions %d, hook saw %v", n, l.Evictions, *evicted)

@@ -1,9 +1,10 @@
-// Package cache implements block replacement policies — the paper's FIFO and
-// LRU baselines plus CLOCK, LFU, ARC, and Belady's offline OPT for ablations
-// — and Level, the capacity-bounded cache level that uses them. A Policy
-// tracks membership and eviction order only; a Level adds the byte budget,
-// the resident entries and the admit-and-evict loop, once for every host:
-// the simulator (memhier, which adds device costs), the DRAM cache
+// Package cache implements the block replacement policies the experiments
+// compare — the paper's FIFO and LRU baselines, ARC (Megiddo & Modha) and
+// Belady's offline OPT — and Level, the capacity-bounded cache level that
+// uses them. Each policy equals its textbook reference hit for hit
+// (oracle_test.go). A Policy orders victims only; a Level adds the byte
+// budget, the resident entries and the admit-and-evict loop, once for every
+// host: the simulator (memhier, which adds device costs), the DRAM cache
 // (store.MemCache, which adds the bytes and the I/O), the spill tier's index
 // (tier) and trace.Replay.
 package cache
@@ -11,7 +12,7 @@ package cache
 import "repro/internal/grid"
 
 // Policy is a replacement policy over block IDs. Implementations are not
-// safe for concurrent use; the simulator serializes accesses.
+// safe for concurrent use; the Level that owns one serializes its calls.
 type Policy interface {
 	// Name identifies the policy, e.g. "LRU".
 	Name() string
@@ -23,16 +24,12 @@ type Policy interface {
 	Touch(id grid.BlockID)
 	// Remove evicts id from the policy state; a no-op when not resident.
 	Remove(id grid.BlockID)
-	// Victim returns the block the policy would evict next, without
-	// removing it. ok is false when the policy tracks no blocks.
-	Victim() (id grid.BlockID, ok bool)
-	// VictimWhere returns the first block in eviction order satisfying
-	// allowed. ok is false when no resident block qualifies.
-	VictimWhere(allowed func(grid.BlockID) bool) (id grid.BlockID, ok bool)
-	// Contains reports whether id is resident.
-	Contains(id grid.BlockID) bool
-	// Len returns the number of resident blocks.
-	Len() int
+	// Victim names the resident block to evict so that incoming can come
+	// in, without removing it: the caller removes it next. Only blocks
+	// allowed accepts are candidates; a nil allowed accepts any. ok is false
+	// when no resident block qualifies. Of the policies here only ARC reads
+	// incoming: whether it is one of ARC's ghosts decides the victim.
+	Victim(incoming grid.BlockID, allowed func(grid.BlockID) bool) (id grid.BlockID, ok bool)
 }
 
 // Factory constructs a fresh policy instance; hierarchies need one policy
@@ -97,108 +94,86 @@ func (l *list) remove(n *node) {
 	l.size--
 }
 
-// front returns the least-recently-used end node, or nil when empty.
-func (l *list) front() *node {
-	if l.size == 0 {
-		return nil
-	}
-	return l.head.next
-}
-
 // scan iterates nodes from the eviction end and returns the first whose id
-// satisfies allowed.
+// allowed accepts (any, when allowed is nil).
 func (l *list) scan(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
 	for n := l.head.next; n != l.tail; n = n.next {
-		if allowed(n.id) {
+		if allowed == nil || allowed(n.id) {
 			return n.id, true
 		}
 	}
 	return 0, false
 }
 
-// FIFO evicts blocks in insertion order; hits do not change the order.
-type FIFO struct {
+// queue is what FIFO and LRU share: the resident blocks in eviction order.
+type queue struct {
 	order *list
 	nodes map[grid.BlockID]*node
 }
 
-// NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO {
-	return &FIFO{order: newList(), nodes: make(map[grid.BlockID]*node)}
+func newQueue() queue {
+	return queue{order: newList(), nodes: make(map[grid.BlockID]*node)}
 }
+
+// add appends a block that is not queued at the back.
+func (q *queue) add(id grid.BlockID) {
+	n := q.order.get(id)
+	q.nodes[id] = n
+	q.order.pushBack(n)
+}
+
+// Remove implements Policy.
+func (q *queue) Remove(id grid.BlockID) {
+	n, ok := q.nodes[id]
+	if !ok {
+		return
+	}
+	q.order.remove(n)
+	q.order.put(n)
+	delete(q.nodes, id)
+}
+
+// Victim implements Policy: the first allowed block from the front.
+func (q *queue) Victim(_ grid.BlockID, allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
+	return q.order.scan(allowed)
+}
+
+// FIFO evicts blocks in insertion order; hits do not change the order.
+type FIFO struct{ queue }
+
+// NewFIFO returns an empty FIFO policy.
+func NewFIFO() *FIFO { return &FIFO{newQueue()} }
 
 // Name implements Policy.
 func (*FIFO) Name() string { return "FIFO" }
 
 // Insert implements Policy.
 func (f *FIFO) Insert(id grid.BlockID) {
-	if _, ok := f.nodes[id]; ok {
-		return // FIFO position is fixed at first insertion
+	if _, ok := f.nodes[id]; !ok { // FIFO position is fixed at first insertion
+		f.add(id)
 	}
-	n := f.order.get(id)
-	f.nodes[id] = n
-	f.order.pushBack(n)
 }
 
 // Touch implements Policy; FIFO ignores hits.
-func (f *FIFO) Touch(grid.BlockID) {}
-
-// Remove implements Policy.
-func (f *FIFO) Remove(id grid.BlockID) {
-	n, ok := f.nodes[id]
-	if !ok {
-		return
-	}
-	f.order.remove(n)
-	f.order.put(n)
-	delete(f.nodes, id)
-}
-
-// Victim implements Policy.
-func (f *FIFO) Victim() (grid.BlockID, bool) {
-	n := f.order.front()
-	if n == nil {
-		return 0, false
-	}
-	return n.id, true
-}
-
-// VictimWhere implements Policy.
-func (f *FIFO) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
-	return f.order.scan(allowed)
-}
-
-// Contains implements Policy.
-func (f *FIFO) Contains(id grid.BlockID) bool { _, ok := f.nodes[id]; return ok }
-
-// Len implements Policy.
-func (f *FIFO) Len() int { return f.order.size }
+func (*FIFO) Touch(grid.BlockID) {}
 
 // LRU evicts the least recently used block; both Insert and Touch move a
 // block to the most-recently-used position.
-type LRU struct {
-	order *list
-	nodes map[grid.BlockID]*node
-}
+type LRU struct{ queue }
 
 // NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	return &LRU{order: newList(), nodes: make(map[grid.BlockID]*node)}
-}
+func NewLRU() *LRU { return &LRU{newQueue()} }
 
 // Name implements Policy.
 func (*LRU) Name() string { return "LRU" }
 
 // Insert implements Policy.
 func (l *LRU) Insert(id grid.BlockID) {
-	if n, ok := l.nodes[id]; ok {
-		l.order.remove(n)
-		l.order.pushBack(n)
+	if _, ok := l.nodes[id]; ok {
+		l.Touch(id)
 		return
 	}
-	n := l.order.get(id)
-	l.nodes[id] = n
-	l.order.pushBack(n)
+	l.add(id)
 }
 
 // Touch implements Policy.
@@ -208,34 +183,3 @@ func (l *LRU) Touch(id grid.BlockID) {
 		l.order.pushBack(n)
 	}
 }
-
-// Remove implements Policy.
-func (l *LRU) Remove(id grid.BlockID) {
-	n, ok := l.nodes[id]
-	if !ok {
-		return
-	}
-	l.order.remove(n)
-	l.order.put(n)
-	delete(l.nodes, id)
-}
-
-// Victim implements Policy.
-func (l *LRU) Victim() (grid.BlockID, bool) {
-	n := l.order.front()
-	if n == nil {
-		return 0, false
-	}
-	return n.id, true
-}
-
-// VictimWhere implements Policy.
-func (l *LRU) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
-	return l.order.scan(allowed)
-}
-
-// Contains implements Policy.
-func (l *LRU) Contains(id grid.BlockID) bool { _, ok := l.nodes[id]; return ok }
-
-// Len implements Policy.
-func (l *LRU) Len() int { return l.order.size }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,29 +10,51 @@ import (
 
 func id(i int) grid.BlockID { return grid.BlockID(i) }
 
+// incoming is the block the tests make room for: one no test inserts.
+const incoming grid.BlockID = 1 << 20
+
 // allPolicies returns a fresh instance of every policy for generic tests.
 // Belady gets a trace that never recurs so it behaves like "evict anything".
 func allPolicies() []Policy {
-	return []Policy{
-		NewFIFO(),
-		NewLRU(),
-		NewClock(),
-		NewLFU(),
-		NewARC(8),
-		NewBelady(nil),
+	return []Policy{NewFIFO(), NewLRU(), NewARC(), NewBelady(nil)}
+}
+
+// victim is the policy's unfiltered choice.
+func victim(p Policy) grid.BlockID {
+	v, _ := p.Victim(incoming, nil)
+	return v
+}
+
+// drain evicts every block the policy holds, in the order it names them.
+func drain(t *testing.T, p Policy) []grid.BlockID {
+	t.Helper()
+	var out []grid.BlockID
+	for {
+		v, ok := p.Victim(incoming, nil)
+		if !ok {
+			return out
+		}
+		if slices.Contains(out, v) {
+			t.Fatalf("%s named %d twice: %v", p.Name(), v, out)
+		}
+		out = append(out, v)
+		p.Remove(v)
 	}
+}
+
+func sorted(ids []grid.BlockID) []grid.BlockID {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
 }
 
 func TestGenericEmptyVictim(t *testing.T) {
 	for _, p := range allPolicies() {
-		if _, ok := p.Victim(); ok {
+		if _, ok := p.Victim(incoming, nil); ok {
 			t.Errorf("%s: Victim on empty policy returned ok", p.Name())
 		}
-		if _, ok := p.VictimWhere(func(grid.BlockID) bool { return true }); ok {
-			t.Errorf("%s: VictimWhere on empty policy returned ok", p.Name())
-		}
-		if p.Len() != 0 {
-			t.Errorf("%s: empty Len = %d", p.Name(), p.Len())
+		if _, ok := p.Victim(incoming, func(grid.BlockID) bool { return true }); ok {
+			t.Errorf("%s: filtered Victim on empty policy returned ok", p.Name())
 		}
 	}
 }
@@ -41,46 +64,26 @@ func TestGenericInsertRemoveContains(t *testing.T) {
 		p.Insert(id(1))
 		p.Insert(id(2))
 		p.Insert(id(3))
-		if p.Len() != 3 {
-			t.Errorf("%s: Len = %d, want 3", p.Name(), p.Len())
-		}
-		if !p.Contains(id(2)) {
-			t.Errorf("%s: Contains(2) false", p.Name())
-		}
 		p.Remove(id(2))
-		if p.Contains(id(2)) {
-			t.Errorf("%s: Contains(2) true after Remove", p.Name())
-		}
-		if p.Len() != 2 {
-			t.Errorf("%s: Len after Remove = %d", p.Name(), p.Len())
-		}
-		// Removing a non-resident block is a no-op.
+		// Removing or touching a non-resident block is a no-op.
 		p.Remove(id(99))
-		if p.Len() != 2 {
-			t.Errorf("%s: Remove(non-resident) changed Len to %d", p.Name(), p.Len())
-		}
-		// Touching a non-resident block is a no-op.
 		p.Touch(id(99))
-		if p.Contains(id(99)) {
-			t.Errorf("%s: Touch created residency", p.Name())
+		if got := sorted(drain(t, p)); !slices.Equal(got, []grid.BlockID{1, 3}) {
+			t.Errorf("%s: holds %v, want [1 3]", p.Name(), got)
 		}
 	}
 }
 
 func TestGenericVictimIsResident(t *testing.T) {
+	want := []grid.BlockID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for _, p := range allPolicies() {
-		for i := 0; i < 10; i++ {
-			p.Insert(id(i))
+		for _, b := range want {
+			p.Insert(b)
 		}
 		p.Touch(id(3))
 		p.Touch(id(7))
-		v, ok := p.Victim()
-		if !ok {
-			t.Errorf("%s: no victim", p.Name())
-			continue
-		}
-		if !p.Contains(v) {
-			t.Errorf("%s: victim %d not resident", p.Name(), v)
+		if got := sorted(drain(t, p)); !slices.Equal(got, want) {
+			t.Errorf("%s: victims %v, want each of %v once", p.Name(), got, want)
 		}
 	}
 }
@@ -90,18 +93,12 @@ func TestGenericVictimWhereRespectsFilter(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			p.Insert(id(i))
 		}
-		allowed := func(b grid.BlockID) bool { return b >= 5 }
-		v, ok := p.VictimWhere(allowed)
-		if !ok {
-			t.Errorf("%s: VictimWhere found nothing", p.Name())
-			continue
+		v, ok := p.Victim(incoming, func(b grid.BlockID) bool { return b >= 5 })
+		if !ok || v < 5 {
+			t.Errorf("%s: filtered Victim = %d, %v; want an allowed block", p.Name(), v, ok)
 		}
-		if v < 5 {
-			t.Errorf("%s: VictimWhere returned disallowed %d", p.Name(), v)
-		}
-		// Nothing allowed → no victim.
-		if _, ok := p.VictimWhere(func(grid.BlockID) bool { return false }); ok {
-			t.Errorf("%s: VictimWhere(false) returned ok", p.Name())
+		if _, ok := p.Victim(incoming, func(grid.BlockID) bool { return false }); ok {
+			t.Errorf("%s: Victim with nothing allowed returned ok", p.Name())
 		}
 	}
 }
@@ -114,16 +111,16 @@ func TestFIFOOrder(t *testing.T) {
 	// Hits must not affect FIFO order.
 	f.Touch(id(1))
 	f.Touch(id(1))
-	if v, _ := f.Victim(); v != id(1) {
+	if v := victim(f); v != id(1) {
 		t.Errorf("victim = %d, want 1", v)
 	}
 	// Re-inserting an existing block keeps its position.
 	f.Insert(id(1))
-	if v, _ := f.Victim(); v != id(1) {
+	if v := victim(f); v != id(1) {
 		t.Errorf("victim after reinsert = %d, want 1", v)
 	}
 	f.Remove(id(1))
-	if v, _ := f.Victim(); v != id(2) {
+	if v := victim(f); v != id(2) {
 		t.Errorf("next victim = %d, want 2", v)
 	}
 }
@@ -134,11 +131,11 @@ func TestLRUOrder(t *testing.T) {
 	l.Insert(id(2))
 	l.Insert(id(3))
 	l.Touch(id(1)) // order now: 2, 3, 1
-	if v, _ := l.Victim(); v != id(2) {
+	if v := victim(l); v != id(2) {
 		t.Errorf("victim = %d, want 2", v)
 	}
 	l.Insert(id(2)) // reinsert refreshes recency: 3, 1, 2
-	if v, _ := l.Victim(); v != id(3) {
+	if v := victim(l); v != id(3) {
 		t.Errorf("victim = %d, want 3", v)
 	}
 }
@@ -149,146 +146,92 @@ func TestLRUVictimWhereSkipsRecent(t *testing.T) {
 		l.Insert(id(i))
 	}
 	// Eviction order 1,2,3,4. Disallow 1 and 2 → victim must be 3.
-	v, ok := l.VictimWhere(func(b grid.BlockID) bool { return b >= 3 })
+	v, ok := l.Victim(incoming, func(b grid.BlockID) bool { return b >= 3 })
 	if !ok || v != id(3) {
-		t.Errorf("VictimWhere = %d,%v, want 3", v, ok)
+		t.Errorf("filtered Victim = %d,%v, want 3", v, ok)
 	}
 }
 
-func TestClockSecondChance(t *testing.T) {
-	c := NewClock()
-	c.Insert(id(1))
-	c.Insert(id(2))
-	c.Insert(id(3))
-	c.Touch(id(1)) // 1 gets a second chance
-	v, ok := c.Victim()
-	if !ok {
-		t.Fatal("no victim")
-	}
-	if v == id(1) {
-		t.Errorf("victim = 1 despite reference bit")
-	}
-	// After the sweep cleared 1's bit, a subsequent pass may evict it.
-	c.Remove(v)
-	v2, ok := c.Victim()
-	if !ok {
-		t.Fatal("no second victim")
-	}
-	if v2 == v {
-		t.Errorf("victim repeated after Remove")
-	}
-}
-
-func TestClockHandSurvivesRemove(t *testing.T) {
-	c := NewClock()
-	for i := 0; i < 5; i++ {
-		c.Insert(id(i))
-	}
-	v, _ := c.Victim()
-	c.Remove(v)
-	// Removing the node under the hand must not break subsequent sweeps.
-	for i := 0; i < 4; i++ {
-		v, ok := c.Victim()
-		if !ok {
-			t.Fatal("victim lost")
-		}
-		c.Remove(v)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d after draining", c.Len())
-	}
-}
-
-func TestLFUEvictsLeastFrequent(t *testing.T) {
-	l := NewLFU()
-	l.Insert(id(1))
-	l.Insert(id(2))
-	l.Insert(id(3))
-	l.Touch(id(1))
-	l.Touch(id(1))
-	l.Touch(id(3))
-	// Frequencies: 1→3, 2→1, 3→2.
-	if v, _ := l.Victim(); v != id(2) {
-		t.Errorf("victim = %d, want 2", v)
-	}
-	l.Remove(id(2))
-	if v, _ := l.Victim(); v != id(3) {
-		t.Errorf("victim = %d, want 3", v)
-	}
-}
-
-func TestLFUTieBreakByRecency(t *testing.T) {
-	l := NewLFU()
-	l.Insert(id(5))
-	l.Insert(id(9))
-	// Equal frequency 1: the older insert (5) is the victim.
-	if v, _ := l.Victim(); v != id(5) {
-		t.Errorf("victim = %d, want 5 (older)", v)
-	}
+// arcLevel is an ARC on a level of c unit-sized blocks, and the admission
+// of one block into it.
+func arcLevel(c int64) (*ARC, func(grid.BlockID)) {
+	a := NewARC()
+	l := NewLevel(c, a)
+	return a, func(b grid.BlockID) { l.Admit(b, Entry{Size: 1}) }
 }
 
 func TestARCPromotionToT2(t *testing.T) {
-	a := NewARC(4)
+	a := NewARC()
 	a.Insert(id(1))
 	a.Insert(id(2))
 	// A hit moves 1 into T2; T1's LRU is now 2.
 	a.Touch(id(1))
-	v, ok := a.Victim()
-	if !ok || v != id(2) {
+	if v, ok := a.Victim(id(3), nil); !ok || v != id(2) {
 		t.Errorf("victim = %d,%v, want 2 from T1", v, ok)
 	}
 }
 
 func TestARCGhostHitAdaptsP(t *testing.T) {
-	a := NewARC(4)
-	a.Insert(id(1))
-	a.Insert(id(2))
-	a.Remove(id(1)) // 1 becomes a B1 ghost
-	if a.Contains(id(1)) {
-		t.Error("ghost still Contains")
+	a, admit := arcLevel(2)
+	admit(1)
+	admit(2)
+	admit(2) // T1 = [1], T2 = [2]
+	admit(3) // REPLACE: T1 is over p = 0, so 1 becomes a B1 ghost
+	if e := a.where[1]; e == nil || e.list != a.b1 {
+		t.Fatal("the T1 victim is not a B1 ghost")
 	}
-	p0 := a.P()
-	a.Insert(id(1)) // ghost hit in B1 increases p
-	if a.P() <= p0 {
-		t.Errorf("p = %d, want > %d after B1 ghost hit", a.P(), p0)
+	p0 := a.p
+	admit(1) // ghost hit in B1 raises p, before REPLACE
+	if a.p <= p0 {
+		t.Errorf("p = %d, want > %d after a B1 ghost hit", a.p, p0)
 	}
-	if !a.Contains(id(1)) {
-		t.Error("re-inserted ghost not resident")
+	if e := a.where[1]; e == nil || e.list != a.t2 {
+		t.Error("re-admitted ghost is not in T2")
 	}
 }
 
 func TestARCB2GhostHitDecreasesP(t *testing.T) {
-	a := NewARC(4)
-	a.Insert(id(1))
-	a.Touch(id(1)) // 1 in T2
-	a.Insert(id(2))
-	a.Remove(id(1)) // B2 ghost
-	// Raise p first so the decrease is observable.
-	a.Insert(id(3))
-	a.Remove(id(3))
-	a.Insert(id(3)) // B1 ghost hit: p up
-	p0 := a.P()
-	a.Insert(id(1)) // B2 ghost hit: p down
-	if a.P() >= p0 {
-		t.Errorf("p = %d, want < %d after B2 ghost hit", a.P(), p0)
+	a, admit := arcLevel(2)
+	admit(1)
+	admit(1) // T2 = [1]
+	admit(2) // T1 = [2]
+	admit(3) // 2 → B1
+	admit(2) // B1 hit: p 0 → 1, and REPLACE sends 1 to B2
+	if e := a.where[1]; e == nil || e.list != a.b2 {
+		t.Fatal("the T2 victim is not a B2 ghost")
+	}
+	p0 := a.p
+	admit(1) // B2 ghost hit: p down
+	if a.p >= p0 {
+		t.Errorf("p = %d, want < %d after a B2 ghost hit", a.p, p0)
 	}
 }
 
+// TestARCGhostTrimming: the directory keeps Fig. 4's bounds, |T1|+|B1| ≤ c
+// and |T1|+|T2|+|B1|+|B2| ≤ 2c, through any run of admissions.
 func TestARCGhostTrimming(t *testing.T) {
-	a := NewARC(2)
-	for i := 0; i < 10; i++ {
-		a.Insert(id(i))
-		a.Remove(id(i))
-	}
-	// Ghost lists are bounded by capacity; stale ghosts were dropped.
-	ghosts := 0
-	for i := 0; i < 10; i++ {
-		if _, ok := a.where[id(i)]; ok {
-			ghosts++
+	for _, c := range []int64{1, 2, 5} {
+		a, admit := arcLevel(c)
+		for i, x := 0, uint32(7); i < 2000; i++ {
+			x = x*1664525 + 1013904223
+			admit(grid.BlockID(x>>16) % grid.BlockID(4*c+3))
+			l1 := a.t1.size + a.b1.size
+			if l1 > int(c) || l1+a.t2.size+a.b2.size > 2*int(c) || len(a.where) != l1+a.t2.size+a.b2.size {
+				t.Fatalf("c %d, access %d: |T1|+|B1| = %d, directory %d (map %d)",
+					c, i, l1, l1+a.t2.size+a.b2.size, len(a.where))
+			}
 		}
 	}
-	if ghosts > 2 {
-		t.Errorf("ghost entries = %d, want <= 2", ghosts)
+}
+
+// An invalidated block leaves ARC's directory; only a victim becomes a ghost.
+func TestARCRemoveOfANonVictimLeavesNoGhost(t *testing.T) {
+	a := NewARC()
+	a.Insert(id(1))
+	a.Insert(id(2))
+	a.Remove(id(1))
+	if _, ok := a.where[1]; ok {
+		t.Error("a removed block that was not the victim left a ghost")
 	}
 }
 
@@ -299,11 +242,11 @@ func TestBeladyEvictsFarthest(t *testing.T) {
 	b.Insert(id(2))
 	b.Insert(id(3))
 	b.SetStep(3) // about to process trace[3] = 1; next uses: 1→3, 2→4, 3→never
-	if v, _ := b.Victim(); v != id(3) {
+	if v := victim(b); v != id(3) {
 		t.Errorf("victim = %d, want 3 (never used again)", v)
 	}
 	b.Remove(id(3))
-	if v, _ := b.Victim(); v != id(2) {
+	if v := victim(b); v != id(2) {
 		t.Errorf("victim = %d, want 2 (used later than 1)", v)
 	}
 }
@@ -313,7 +256,7 @@ func TestBeladyTieBreakDeterministic(t *testing.T) {
 	b.Insert(id(7))
 	b.Insert(id(3))
 	// Neither recurs: smallest ID wins the tie.
-	if v, _ := b.Victim(); v != id(3) {
+	if v := victim(b); v != id(3) {
 		t.Errorf("victim = %d, want 3", v)
 	}
 }
@@ -323,27 +266,16 @@ func TestBeladyOptimalOnSmallTrace(t *testing.T) {
 	// with capacity 2. OPT misses less than LRU (which misses every time).
 	trace := []grid.BlockID{1, 2, 3, 1, 2, 3, 1, 2, 3}
 	missesFor := func(p Policy) int {
-		resident := map[grid.BlockID]bool{}
+		l := NewLevel(2, p)
 		misses := 0
 		for i, b := range trace {
 			if sa, ok := p.(StepAware); ok {
 				sa.SetStep(i)
 			}
-			if resident[b] {
-				p.Touch(b)
-				continue
+			if !l.Touch(b) {
+				misses++
+				l.Admit(b, Entry{Size: 1})
 			}
-			misses++
-			if len(resident) >= 2 {
-				v, ok := p.Victim()
-				if !ok {
-					t.Fatal("no victim")
-				}
-				p.Remove(v)
-				delete(resident, v)
-			}
-			p.Insert(b)
-			resident[b] = true
 		}
 		return misses
 	}
@@ -357,9 +289,9 @@ func TestBeladyOptimalOnSmallTrace(t *testing.T) {
 	}
 }
 
-// Property: for every policy, after any operation sequence Len equals the
-// number of distinct inserted-and-not-removed blocks, and victims are
-// always resident.
+// Property: for every policy, after any operation sequence the policy names
+// exactly the inserted-and-not-removed blocks as victims, and a victim is
+// always one of them.
 func TestPolicyStateConsistencyProperty(t *testing.T) {
 	type opcode struct {
 		Op uint8
@@ -368,12 +300,10 @@ func TestPolicyStateConsistencyProperty(t *testing.T) {
 	factories := []Factory{
 		func() Policy { return NewFIFO() },
 		func() Policy { return NewLRU() },
-		func() Policy { return NewClock() },
-		func() Policy { return NewLFU() },
-		func() Policy { return NewARC(8) },
+		func() Policy { return NewARC() },
+		func() Policy { return NewBelady(nil) },
 	}
 	for _, mk := range factories {
-		mk := mk
 		f := func(ops []opcode) bool {
 			p := mk()
 			ref := map[grid.BlockID]bool{}
@@ -389,27 +319,28 @@ func TestPolicyStateConsistencyProperty(t *testing.T) {
 					p.Remove(b)
 					delete(ref, b)
 				case 3:
-					if v, ok := p.Victim(); ok {
-						if !ref[v] {
-							return false
-						}
+					v, ok := p.Victim(b+16, nil)
+					if ok != (len(ref) > 0) || ok && !ref[v] {
+						return false
+					}
+					if ok {
 						p.Remove(v)
 						delete(ref, v)
 					}
 				}
-				if p.Len() != len(ref) {
+			}
+			got := drain(t, p)
+			if len(got) != len(ref) {
+				return false
+			}
+			for _, v := range got {
+				if !ref[v] {
 					return false
-				}
-				for b := range ref {
-					if !p.Contains(b) {
-						return false
-					}
 				}
 			}
 			return true
 		}
-		cfg := &quick.Config{MaxCount: 40}
-		if err := quick.Check(f, cfg); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("%s: %v", mk().Name(), err)
 		}
 	}

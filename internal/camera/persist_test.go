@@ -68,3 +68,40 @@ func TestSaveEmptyNameGetsDefault(t *testing.T) {
 		t.Errorf("default name = %q", back.Name)
 	}
 }
+
+// FuzzLoadPath: whatever the file holds, LoadPath returns (no panic), and a
+// path it accepts is one Save writes out and LoadPath reads back to the same
+// file: a fixed point after one round.
+func FuzzLoadPath(f *testing.F) {
+	var saved bytes.Buffer
+	if err := Random(2.5, 3.5, 5, 15, 5, 9).Save(&saved); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(saved.Bytes())
+	f.Add([]byte("# vizcache-path demo\n1 2 3\n\n# a comment\n4 5 6\n"))
+	f.Add([]byte("# vizcache-path \nNaN -Inf +0\n-0 1e308 0x1p-3\n"))
+	f.Add([]byte("# vizcache-path x\n1 2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadPath(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := p.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadPath(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("Save wrote a file LoadPath refuses: %v\n%q", err, once.Bytes())
+		}
+		if back.Len() != p.Len() {
+			t.Fatalf("%d steps saved, %d loaded back", p.Len(), back.Len())
+		}
+		if err := back.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("second round differs:\n%q\n%q", once.Bytes(), twice.Bytes())
+		}
+	})
+}

@@ -33,32 +33,29 @@ func (t *Table) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a table written by Save.
+// Load reads a table written by Save. The input is not trusted: the
+// header's block count sizes nothing; the table grows with the scores the
+// stream actually delivers.
 func Load(r io.Reader) (*Table, error) {
 	br := bufio.NewReader(r)
-	var hdr [3]uint32
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("entropy: short header: %v", err)
-		}
+	le := binary.LittleEndian
+	var head [12]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, fmt.Errorf("entropy: short header: %v", err)
 	}
-	if hdr[0] != persistMagic {
+	if le.Uint32(head[0:]) != persistMagic {
 		return nil, fmt.Errorf("entropy: not a T_important file")
 	}
-	if hdr[1] != persistVersion {
-		return nil, fmt.Errorf("entropy: unsupported version %d", hdr[1])
+	if v := le.Uint32(head[4:]); v != persistVersion {
+		return nil, fmt.Errorf("entropy: unsupported version %d", v)
 	}
-	n := int(hdr[2])
-	if n < 0 || n > 1<<28 {
-		return nil, fmt.Errorf("entropy: implausible block count %d", n)
-	}
-	scores := make([]float64, n)
-	for i := range scores {
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
+	var scores []float64
+	var word [8]byte
+	for i, n := uint32(0), le.Uint32(head[8:]); i < n; i++ {
+		if _, err := io.ReadFull(br, word[:]); err != nil {
 			return nil, fmt.Errorf("entropy: truncated at block %d: %v", i, err)
 		}
-		scores[i] = math.Float64frombits(bits)
+		scores = append(scores, math.Float64frombits(le.Uint64(word[:])))
 	}
 	return NewTable(scores), nil
 }

@@ -2,9 +2,9 @@ package experiments
 
 // Ablation studies for the design choices DESIGN.md §5 calls out. These go
 // beyond the paper's evaluation: they quantify each Algorithm 1 component,
-// sweep the entropy threshold σ, and compare against stronger
-// application-agnostic policies (CLOCK, LFU, ARC) plus Belady's offline
-// optimum as the lower bound.
+// sweep the entropy threshold σ, and compare against an adaptive
+// application-agnostic policy (ARC) plus Belady's offline optimum as the
+// lower bound.
 
 import (
 	"fmt"
@@ -105,10 +105,11 @@ func AblationSigma(o Options) (*Result, error) {
 	return res, nil
 }
 
-// AblationPolicies compares the app-aware policy against the full online
-// policy zoo and Belady's offline bound on the same trace: the DRAM-level
-// request stream is recorded once and replayed against a single cache of
-// equal block capacity. Series "missrate" per policy (XLabels).
+// AblationPolicies compares the app-aware policy against the online
+// baselines (FIFO, LRU, ARC) and Belady's offline bound on the same trace:
+// the DRAM-level request stream is recorded once and replayed against a
+// single cache of equal block capacity. Series "missrate" per policy
+// (XLabels).
 func AblationPolicies(o Options) (*Result, error) {
 	o = o.WithDefaults()
 	ds, err := scaledDataset("3d_ball", o)
@@ -142,9 +143,7 @@ func AblationPolicies(o Options) (*Result, error) {
 	for _, p := range []online{
 		{"FIFO", func() cache.Policy { return cache.NewFIFO() }},
 		{"LRU", func() cache.Policy { return cache.NewLRU() }},
-		{"CLOCK", func() cache.Policy { return cache.NewClock() }},
-		{"LFU", func() cache.Policy { return cache.NewLFU() }},
-		{"ARC", func() cache.Policy { return cache.NewARC(512) }},
+		{"ARC", func() cache.Policy { return cache.NewARC() }},
 	} {
 		m, err := sim.RunBaseline(cfg, p.mk, p.name)
 		if err != nil {

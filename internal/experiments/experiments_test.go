@@ -272,7 +272,7 @@ func TestAblationPoliciesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.XLabels) != 7 {
+	if len(res.XLabels) != 5 {
 		t.Fatalf("policies = %v", res.XLabels)
 	}
 	mr := res.Series["missrate"]
@@ -282,7 +282,7 @@ func TestAblationPoliciesShape(t *testing.T) {
 	}
 	// The app-aware policy beats every application-agnostic online policy.
 	opt := byName["OPT(app-aware)"]
-	for _, name := range []string{"FIFO", "LRU", "CLOCK", "LFU", "ARC"} {
+	for _, name := range []string{"FIFO", "LRU", "ARC"} {
 		if opt >= byName[name] {
 			t.Errorf("OPT %.3f >= %s %.3f", opt, name, byName[name])
 		}

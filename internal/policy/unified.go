@@ -1,12 +1,10 @@
 package policy
 
-// Policy unification: one replacement-policy interface drives both the
-// discrete-event simulator (memhier levels) and the production tiers
-// (store.MemCache in DRAM, tier.Tier on SSD), each through a cache.Level.
-// The interface itself is cache.Policy — re-exported here as Replacement so
-// callers wire tiers against the policy layer, not the baseline zoo — and
-// the paper's application-aware replacement is available as a Replacement
-// implementation (ImportanceLRU), so an ablation validated in the simulator
+// Policy unification: one replacement-policy interface, cache.Policy, drives
+// both the discrete-event simulator (memhier levels) and the production
+// tiers (store.MemCache in DRAM, tier.Tier on SSD), each through a
+// cache.Level, and the paper's application-aware replacement is one of its
+// implementations (ImportanceLRU), so an ablation validated in the simulator
 // runs unchanged against live traffic, and vice versa. The parity test in
 // internal/tier pins that the same trace produces identical hit/evict
 // decisions through every host of the level.
@@ -15,15 +13,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/grid"
 )
-
-// Replacement is the single replacement-policy interface every tier evicts
-// through: simulator levels (memhier.LevelConfig.Policy), the in-memory
-// production cache (store.NewMemCache), and the persistent spill tier
-// (tier.Config.Policy) all accept one.
-type Replacement = cache.Policy
-
-// Factory constructs a fresh Replacement; hierarchies need one per level.
-type Factory = cache.Factory
 
 // ImportanceLRU is the paper's T_important scoring as a standalone
 // replacement policy: blocks whose importance score is at or below σ are
@@ -60,43 +49,26 @@ func (p *ImportanceLRU) class(id grid.BlockID) *cache.LRU {
 	return p.cold
 }
 
-// Name implements Replacement.
+// Name implements cache.Policy.
 func (*ImportanceLRU) Name() string { return "ImportanceLRU" }
 
-// Insert implements Replacement.
+// Insert implements cache.Policy.
 func (p *ImportanceLRU) Insert(id grid.BlockID) { p.class(id).Insert(id) }
 
-// Touch implements Replacement.
+// Touch implements cache.Policy.
 func (p *ImportanceLRU) Touch(id grid.BlockID) { p.class(id).Touch(id) }
 
-// Remove implements Replacement.
+// Remove implements cache.Policy.
 func (p *ImportanceLRU) Remove(id grid.BlockID) {
 	p.cold.Remove(id)
 	p.hot.Remove(id)
 }
 
-// Victim implements Replacement: least-recently-used cold block first; only
-// when no cold block remains is a hot block sacrificed.
-func (p *ImportanceLRU) Victim() (grid.BlockID, bool) {
-	if id, ok := p.cold.Victim(); ok {
+// Victim implements cache.Policy: the least-recently-used allowed cold
+// block first; only when no cold block qualifies is a hot block sacrificed.
+func (p *ImportanceLRU) Victim(incoming grid.BlockID, allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
+	if id, ok := p.cold.Victim(incoming, allowed); ok {
 		return id, true
 	}
-	return p.hot.Victim()
+	return p.hot.Victim(incoming, allowed)
 }
-
-// VictimWhere implements Replacement, scanning cold then hot in eviction
-// order.
-func (p *ImportanceLRU) VictimWhere(allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
-	if id, ok := p.cold.VictimWhere(allowed); ok {
-		return id, true
-	}
-	return p.hot.VictimWhere(allowed)
-}
-
-// Contains implements Replacement.
-func (p *ImportanceLRU) Contains(id grid.BlockID) bool {
-	return p.cold.Contains(id) || p.hot.Contains(id)
-}
-
-// Len implements Replacement.
-func (p *ImportanceLRU) Len() int { return p.cold.Len() + p.hot.Len() }

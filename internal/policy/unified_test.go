@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -15,8 +16,17 @@ func evenHot(id grid.BlockID) float64 {
 	return 0
 }
 
+// victims evicts every block p holds, in the order it names them.
+func victims(p cache.Policy) []grid.BlockID {
+	var out []grid.BlockID
+	for v, ok := p.Victim(-1, nil); ok; v, ok = p.Victim(-1, nil) {
+		out = append(out, v)
+		p.Remove(v)
+	}
+	return out
+}
+
 func TestImportanceLRUIsAReplacement(t *testing.T) {
-	var _ Replacement = NewImportanceLRU(evenHot, 0.5)
 	var _ cache.Policy = NewImportanceLRU(evenHot, 0.5)
 }
 
@@ -25,21 +35,10 @@ func TestImportanceLRUEvictsColdFirst(t *testing.T) {
 	for id := grid.BlockID(0); id < 6; id++ {
 		p.Insert(id)
 	}
-	if p.Len() != 6 {
-		t.Fatalf("Len = %d", p.Len())
-	}
 	// Victims must come odd-first (cold class) in LRU order: 1, 3, 5, then
 	// the hot class 0, 2, 4.
-	want := []grid.BlockID{1, 3, 5, 0, 2, 4}
-	for i, w := range want {
-		v, ok := p.Victim()
-		if !ok || v != w {
-			t.Fatalf("victim %d = %d (ok=%v), want %d", i, v, ok, w)
-		}
-		p.Remove(v)
-	}
-	if _, ok := p.Victim(); ok {
-		t.Fatal("empty policy must have no victim")
+	if got, want := victims(p), []grid.BlockID{1, 3, 5, 0, 2, 4}; !slices.Equal(got, want) {
+		t.Fatalf("victims %v, want %v", got, want)
 	}
 }
 
@@ -48,13 +47,10 @@ func TestImportanceLRUTouchReordersWithinClass(t *testing.T) {
 	for _, id := range []grid.BlockID{1, 3, 5} {
 		p.Insert(id)
 	}
-	p.Touch(1) // 1 becomes most-recently-used cold
-	if v, _ := p.Victim(); v != 3 {
-		t.Fatalf("victim = %d, want 3 after touching 1", v)
-	}
+	p.Touch(1)  // 1 becomes most-recently-used cold
 	p.Touch(99) // non-resident: no-op
-	if p.Contains(99) {
-		t.Fatal("touching a non-resident id must not insert it")
+	if got, want := victims(p), []grid.BlockID{3, 5, 1}; !slices.Equal(got, want) {
+		t.Fatalf("victims %v, want %v after touching 1 and 99", got, want)
 	}
 }
 
@@ -65,11 +61,11 @@ func TestImportanceLRUVictimWhere(t *testing.T) {
 	}
 	// Only even (hot) blocks allowed: the scan must skip the whole cold
 	// class and land on the LRU hot block.
-	v, ok := p.VictimWhere(func(id grid.BlockID) bool { return id%2 == 0 })
+	v, ok := p.Victim(9, func(id grid.BlockID) bool { return id%2 == 0 })
 	if !ok || v != 0 {
-		t.Fatalf("VictimWhere = %d, %v; want 0", v, ok)
+		t.Fatalf("filtered Victim = %d, %v; want 0", v, ok)
 	}
-	if _, ok := p.VictimWhere(func(grid.BlockID) bool { return false }); ok {
+	if _, ok := p.Victim(9, func(grid.BlockID) bool { return false }); ok {
 		t.Fatal("no allowed victim must report ok=false")
 	}
 }
@@ -79,11 +75,8 @@ func TestImportanceLRUInsertResidentActsAsTouch(t *testing.T) {
 	p.Insert(1)
 	p.Insert(3)
 	p.Insert(1) // re-insert: must move 1 to MRU, not duplicate
-	if p.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", p.Len())
-	}
-	if v, _ := p.Victim(); v != 3 {
-		t.Fatalf("victim = %d, want 3", v)
+	if got, want := victims(p), []grid.BlockID{3, 1}; !slices.Equal(got, want) {
+		t.Fatalf("victims %v, want %v", got, want)
 	}
 }
 
@@ -98,16 +91,7 @@ func TestImportanceLRUMatchesPlainLRUWhenAllCold(t *testing.T) {
 		imp.Insert(id)
 		lru.Insert(id)
 	}
-	for lru.Len() > 0 {
-		a, _ := imp.Victim()
-		b, _ := lru.Victim()
-		if a != b {
-			t.Fatalf("victim order diverges: %d vs %d", a, b)
-		}
-		imp.Remove(a)
-		lru.Remove(b)
-	}
-	if imp.Len() != 0 {
-		t.Fatalf("Len = %d", imp.Len())
+	if a, b := victims(imp), victims(lru); !slices.Equal(a, b) || len(a) != 5 {
+		t.Fatalf("victim order diverges: %v vs %v", a, b)
 	}
 }

@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -258,4 +261,61 @@ func BenchmarkRingBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Ring()
 	}
+}
+
+// FuzzDecodeBinary: whatever the payload, DecodeBinary returns (no panic),
+// and a map it accepts is a valid topology that encodes back to exactly the
+// bytes it was decoded from.
+func FuzzDecodeBinary(f *testing.F) {
+	f.Add(testMap(3).AppendBinary(nil))
+	f.Add((&Map{Epoch: 9, Seed: 1, VNodes: 32, Shards: []Shard{
+		{ID: "alpha", Addrs: []string{"10.0.0.1:9000", "10.0.0.2:9000"}},
+	}}).AppendBinary(nil))
+	f.Add(append(make([]byte, 20), 0xFF, 0xFF, 0xFF, 0xFF, 1, 0, 'x', 1, 0, 1, 0, 'y'))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoded an invalid map: %v", err)
+		}
+		if out := m.AppendBinary(nil); !bytes.Equal(out, data) {
+			t.Fatalf("decoded %d bytes, re-encoded %d different ones", len(data), len(out))
+		}
+	})
+}
+
+// FuzzLoad: whatever the topology file holds, Load returns (no panic), and a
+// map it accepts survives both encodings: the binary one the wire carries
+// and its own JSON.
+func FuzzLoad(f *testing.F) {
+	f.Add([]byte(`{"epoch": 3, "seed": 7, "shards": [{"id": "s0", "addrs": ["127.0.0.1:9100"]}]}`))
+	f.Add([]byte(`{"epoch": 1, "vnodes": 8, "shards": [{"id": "a", "addrs": ["x", "y"]}, {"id": "b", "addrs": ["z"]}]}`))
+	f.Add([]byte(`{"shards": []}`))
+	f.Add([]byte(`{"vnodes": -1, "shards": [{"id": "a", "addrs": ["x"]}]}`))
+	path := filepath.Join(f.TempDir(), "topo.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := Load(path)
+		if err != nil {
+			return
+		}
+		wire, err := DecodeBinary(m.AppendBinary(nil))
+		if err != nil || !reflect.DeepEqual(wire, m) {
+			t.Fatalf("loaded %+v, over the wire %+v (%v)", m, wire, err)
+		}
+		js, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, js, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := Load(path); err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("loaded %+v, reloaded from its JSON %+v (%v)", m, again, err)
+		}
+	})
 }

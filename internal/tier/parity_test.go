@@ -6,10 +6,12 @@ package tier
 // hosts: the same access trace driven through a single simulated memhier
 // level, through the production DRAM cache (store.MemCache), through the
 // persistent spill tier and through trace.Replay produces the same
-// per-access hit/miss sequence and the same eviction sequence, for both the
-// LRU baseline and the paper's application-aware ImportanceLRU. A host that
-// goes back to ordering its own victims, or that touches, adds or removes at
-// a different point of its read path, fails here.
+// per-access hit/miss sequence and the same eviction sequence, for the FIFO
+// and LRU baselines, ARC and the paper's application-aware ImportanceLRU. A
+// host that goes back to ordering its own victims, that touches, adds or
+// removes at a different point of its read path, or that does not hand the
+// incoming block to the victim call — ARC's choice depends on it — fails
+// here.
 
 import (
 	"context"
@@ -158,8 +160,9 @@ func runTier(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 }
 
 // recorded is a policy that writes down what its level tells it: a Touch is
-// a hit, an Insert a miss that was admitted, a Remove an eviction.
-// trace.Replay reports totals only; this recovers the sequences.
+// a hit, an Insert a miss that was admitted, a Remove an eviction; Victim,
+// the incoming block with it, passes through. trace.Replay reports totals
+// only; this recovers the sequences.
 type recorded struct {
 	cache.Policy
 	out *outcome
@@ -200,6 +203,8 @@ func TestPolicyParityAcrossTiers(t *testing.T) {
 		factory func() cache.Policy
 	}{
 		{"LRU", func() cache.Policy { return cache.NewLRU() }},
+		{"FIFO", func() cache.Policy { return cache.NewFIFO() }},
+		{"ARC", func() cache.Policy { return cache.NewARC() }},
 		{"ImportanceLRU", func() cache.Policy {
 			return policy.NewImportanceLRU(hotEven, 0.5)
 		}},

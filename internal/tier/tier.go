@@ -240,10 +240,9 @@ func (t *Tier) rescan() error {
 			t.quarantine(name)
 			continue
 		}
-		t.lvl.Add(id, cache.Entry{Size: info.Size()})
+		// A reopen with a smaller budget sheds the excess as it goes.
+		t.lvl.Admit(id, cache.Entry{Size: info.Size()})
 	}
-	// A reopen with a smaller budget must shed the excess immediately.
-	t.lvl.MakeRoom(0)
 	t.dropVictims()
 	return nil
 }
@@ -447,7 +446,7 @@ func (t *Tier) spill(req spillReq) {
 		}
 		return
 	}
-	t.lvl.MakeRoom(size)
+	t.lvl.MakeRoom(req.id, size)
 	t.mu.Unlock()
 	t.dropVictims()
 

@@ -144,9 +144,7 @@ func TestReplayBeladyIsLowerBound(t *testing.T) {
 		for _, mk := range []cache.Factory{
 			func() cache.Policy { return cache.NewLRU() },
 			func() cache.Policy { return cache.NewFIFO() },
-			func() cache.Policy { return cache.NewClock() },
-			func() cache.Policy { return cache.NewLFU() },
-			func() cache.Policy { return cache.NewARC(cap) },
+			func() cache.Policy { return cache.NewARC() },
 		} {
 			online := Replay(tr, mk(), cap)
 			if opt.Misses > online.Misses {

@@ -115,12 +115,8 @@ var (
 	NewFIFO = cache.NewFIFO
 	// NewLRU returns a least-recently-used policy.
 	NewLRU = cache.NewLRU
-	// NewClock returns a second-chance (CLOCK) policy.
-	NewClock = cache.NewClock
-	// NewLFU returns a least-frequently-used policy.
-	NewLFU = cache.NewLFU
-	// NewARC returns an adaptive replacement cache with the given
-	// entry-count adaptation scale.
+	// NewARC returns an adaptive replacement cache (Megiddo & Modha), sized
+	// by the level it is installed in.
 	NewARC = cache.NewARC
 	// NewBelady returns the offline-optimal policy for a known trace.
 	NewBelady = cache.NewBelady

@@ -20,14 +20,14 @@ func TestDatasetCatalogFacade(t *testing.T) {
 }
 
 func TestPolicyConstructorsFacade(t *testing.T) {
-	policies := []Policy{NewFIFO(), NewLRU(), NewClock(), NewLFU(), NewARC(8), NewBelady(nil)}
+	policies := []Policy{NewFIFO(), NewLRU(), NewARC(), NewBelady(nil)}
 	for _, p := range policies {
 		if p.Name() == "" {
 			t.Error("unnamed policy")
 		}
 		p.Insert(BlockID(1))
-		if !p.Contains(1) {
-			t.Errorf("%s: Insert/Contains broken", p.Name())
+		if v, ok := p.Victim(2, nil); !ok || v != 1 {
+			t.Errorf("%s: Insert/Victim broken", p.Name())
 		}
 	}
 }
