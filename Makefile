@@ -9,7 +9,7 @@ GO ?= go
 RACE_PKGS := ./internal/policy/... ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/... ./cmd/vizsim/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
-BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/...
+BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/... ./internal/cache/... ./internal/memhier/...
 
 # Packages with fuzz targets; fuzz-smoke replays their seed corpora.
 FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/...
@@ -119,7 +119,7 @@ cluster-smoke:
 # compares it byte for byte with results/: the 15 CSVs, and the text report
 # minus its wall-clock "completed in" lines. The figures come out of the same
 # cache.Level that serves traffic, so a replacement decision that moves — in
-# a policy or in the level — shows here (~2.5 min).
+# a policy or in the level — shows here (~20 s).
 repro-check:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/repro -exp all -scale 0.125 -steps 200 -csv "$$tmp" | grep -v 'completed in' > "$$tmp/stdout" && \

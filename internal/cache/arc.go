@@ -19,10 +19,10 @@ import "repro/internal/grid"
 
 // ARC is an adaptive replacement policy over block IDs.
 type ARC struct {
-	c, p   int   // cache size in entries (a high-water mark), T1's target
-	t1, t2 *list // resident: seen once, seen at least twice
-	b1, b2 *list // ghosts: evicted from t1, t2
-	where  map[grid.BlockID]*arcEntry
+	c, p   int        // cache size in entries (a high-water mark), T1's target
+	t1, t2 *list      // resident: seen once, seen at least twice
+	b1, b2 *list      // ghosts: evicted from t1, t2
+	where  []arcEntry // by block ID; list nil when not in the directory
 
 	// incoming is the block a miss is being served for, once prepared (p
 	// adapted or the directory trimmed); victim is the last block Victim
@@ -42,16 +42,23 @@ type arcEntry struct {
 // level that drives it.
 func NewARC() *ARC {
 	return &ARC{
-		t1:    newList(),
-		t2:    newList(),
-		b1:    newList(),
-		b2:    newList(),
-		where: make(map[grid.BlockID]*arcEntry),
+		t1: newList(),
+		t2: newList(),
+		b1: newList(),
+		b2: newList(),
 	}
 }
 
 // Name implements Policy.
 func (*ARC) Name() string { return "ARC" }
+
+// entry returns the block's directory entry, nil when it has none.
+func (a *ARC) entry(id grid.BlockID) *arcEntry {
+	if uint(id) < uint(len(a.where)) && a.where[id].list != nil {
+		return &a.where[id]
+	}
+	return nil
+}
 
 // prepare does the part of Fig. 4 that comes before REPLACE, once per
 // admission: a ghost hit adapts p (cases II and III); a new block trims the
@@ -61,7 +68,7 @@ func (a *ARC) prepare(id grid.BlockID) {
 		return
 	}
 	a.incoming, a.prepared = id, true
-	e := a.where[id]
+	e := a.entry(id)
 	switch {
 	case e == nil:
 		if l1 := a.t1.size + a.b1.size; l1 >= a.c {
@@ -79,9 +86,9 @@ func (a *ARC) prepare(id grid.BlockID) {
 }
 
 // Victim implements Policy: Fig. 4's REPLACE for the incoming block.
-func (a *ARC) Victim(incoming grid.BlockID, allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
+func (a *ARC) Victim(incoming grid.BlockID, allowed Filter) (grid.BlockID, bool) {
 	a.prepare(incoming)
-	e := a.where[incoming]
+	e := a.entry(incoming)
 	if e == nil && a.t1.size >= a.c {
 		a.ghost = false
 		return a.t1.scan(allowed) // case IV(A): dropped, not ghosted
@@ -102,11 +109,12 @@ func (a *ARC) Victim(incoming grid.BlockID, allowed func(grid.BlockID) bool) (gr
 // block, moves to T2's MRU end.
 func (a *ARC) Insert(id grid.BlockID) {
 	a.prepare(id) // a no-op after Victim; needed when the level had room
-	if e, ok := a.where[id]; ok {
+	if e := a.entry(id); e != nil {
 		a.moveTo(e, a.t2)
 	} else {
 		n := &node{id: id}
-		a.where[id] = &arcEntry{n: n, list: a.t1}
+		a.where = grow(a.where, id)
+		a.where[id] = arcEntry{n: n, list: a.t1}
 		a.t1.pushBack(n)
 	}
 	a.prepared = false
@@ -115,7 +123,7 @@ func (a *ARC) Insert(id grid.BlockID) {
 
 // Touch implements Policy: a hit moves the block to T2's MRU end.
 func (a *ARC) Touch(id grid.BlockID) {
-	if e, ok := a.where[id]; ok && (e.list == a.t1 || e.list == a.t2) {
+	if e := a.entry(id); e != nil && (e.list == a.t1 || e.list == a.t2) {
 		a.moveTo(e, a.t2)
 	}
 }
@@ -124,14 +132,14 @@ func (a *ARC) Touch(id grid.BlockID) {
 // other block the level removes (invalidated, not replaced) leaves the
 // directory.
 func (a *ARC) Remove(id grid.BlockID) {
-	e, ok := a.where[id]
-	if !ok || e.list == a.b1 || e.list == a.b2 {
+	e := a.entry(id)
+	if e == nil || e.list == a.b1 || e.list == a.b2 {
 		return
 	}
 	switch {
 	case !a.ghost || id != a.victim:
 		e.list.remove(e.n)
-		delete(a.where, id)
+		*e = arcEntry{}
 	case e.list == a.t1:
 		a.moveTo(e, a.b1)
 	default:
@@ -153,5 +161,5 @@ func (a *ARC) dropLRU(l *list) {
 	}
 	n := l.head.next
 	l.remove(n)
-	delete(a.where, n.id)
+	a.where[n.id] = arcEntry{}
 }

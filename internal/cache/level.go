@@ -11,6 +11,12 @@ type Entry struct {
 	Vals []float32
 }
 
+// slot is a Level's per-block state: the entry, when ok.
+type slot struct {
+	Entry
+	ok bool
+}
+
 // Level is one capacity-bounded level of a storage hierarchy: which blocks
 // are resident, how many bytes they take, and — the decision the paper is
 // about — which of them leave when another must come in. It is the only code
@@ -20,7 +26,9 @@ type Entry struct {
 // is the same in all of them by construction.
 //
 // A Level moves no bytes and takes no locks; its host serializes calls and
-// does the I/O around them.
+// does the I/O around them. Like its Policy it keeps per-block state in a
+// slice indexed by block ID, grown only by Add: an ID past its end, or below
+// zero, is simply not resident.
 type Level struct {
 	// Capacity is the byte budget. Policy orders the victims; it must be
 	// empty when the level is built and is owned by the level afterwards.
@@ -33,39 +41,44 @@ type Level struct {
 	// entry's Vals are the host's to reuse only once the hook has returned.
 	OnEvict func(id grid.BlockID, e Entry)
 
-	resident map[grid.BlockID]Entry
+	resident []slot // by block ID
+	n        int    // resident blocks
 	used     int64
-	filter   func(grid.BlockID) bool
+	filter   Filter
+	filters  uint64 // filters installed so far; the last one's generation
 	strict   bool
 }
 
 // NewLevel returns an empty level.
 func NewLevel(capacity int64, p Policy) *Level {
-	return &Level{Capacity: capacity, Policy: p, resident: make(map[grid.BlockID]Entry)}
+	return &Level{Capacity: capacity, Policy: p}
 }
 
 // Used returns the bytes currently resident.
 func (l *Level) Used() int64 { return l.used }
 
 // Len returns the number of resident blocks.
-func (l *Level) Len() int { return len(l.resident) }
+func (l *Level) Len() int { return l.n }
 
 // Contains reports whether the block is resident, without touching it.
 func (l *Level) Contains(id grid.BlockID) bool {
-	_, ok := l.resident[id]
+	_, ok := l.Peek(id)
 	return ok
 }
 
 // Peek returns the block's entry without counting a use.
 func (l *Level) Peek(id grid.BlockID) (Entry, bool) {
-	e, ok := l.resident[id]
-	return e, ok
+	if uint(id) < uint(len(l.resident)) {
+		s := &l.resident[id]
+		return s.Entry, s.ok
+	}
+	return Entry{}, false
 }
 
 // Get returns the block's entry and, when it is resident, records the use
 // with the policy.
 func (l *Level) Get(id grid.BlockID) (Entry, bool) {
-	e, ok := l.resident[id]
+	e, ok := l.Peek(id)
 	if ok {
 		l.Policy.Touch(id)
 	}
@@ -75,10 +88,7 @@ func (l *Level) Get(id grid.BlockID) (Entry, bool) {
 // Touch is Get for a host that keeps no data in the level: it reports whether
 // the block is resident and, if so, records the use.
 func (l *Level) Touch(id grid.BlockID) bool {
-	_, ok := l.resident[id]
-	if ok {
-		l.Policy.Touch(id)
-	}
+	_, ok := l.Get(id)
 	return ok
 }
 
@@ -90,8 +100,18 @@ func (l *Level) Fits(size int64) bool { return l.used+size <= l.Capacity }
 // back to the policy's unrestricted victim so the admission always makes
 // progress; a strict level stops evicting and the admission fails —
 // speculative prefetches must never displace protected blocks.
+//
+// allowed's verdict on a block must not change while it is installed: the
+// policy skips the blocks it has refused once, for every victim until the
+// next SetEvictFilter. Algorithm 1's rules on time[] keep this, since a
+// block's last use moves only when a frame begins, before its filters are
+// set.
 func (l *Level) SetEvictFilter(allowed func(grid.BlockID) bool, strict bool) {
-	l.filter = allowed
+	l.filter = Filter{}
+	if allowed != nil {
+		l.filters++
+		l.filter = Filter{Allow: allowed, gen: l.filters}
+	}
 	l.strict = strict && allowed != nil
 }
 
@@ -106,8 +126,8 @@ func (l *Level) MakeRoom(incoming grid.BlockID, size int64) bool {
 	}
 	for !l.Fits(size) {
 		victim, ok := l.Policy.Victim(incoming, l.filter)
-		if !ok && l.filter != nil && !l.strict {
-			victim, ok = l.Policy.Victim(incoming, nil)
+		if !ok && l.filter.Allow != nil && !l.strict {
+			victim, ok = l.Policy.Victim(incoming, Filter{})
 		}
 		if !ok {
 			return false
@@ -120,7 +140,9 @@ func (l *Level) MakeRoom(incoming grid.BlockID, size int64) bool {
 // Add records the block as resident. The caller has made room and knows the
 // block is absent; the spill tier writes its file between the two steps.
 func (l *Level) Add(id grid.BlockID, e Entry) {
-	l.resident[id] = e
+	l.resident = grow(l.resident, id)
+	l.resident[id] = slot{e, true}
+	l.n++
 	l.used += e.Size
 	l.Policy.Insert(id)
 }
@@ -151,11 +173,12 @@ func (l *Level) evict(id grid.BlockID) {
 	}
 }
 
-// EvictWhere evicts every resident block pred selects and returns how many.
+// EvictWhere evicts every resident block pred selects, in ascending ID
+// order, and returns how many.
 func (l *Level) EvictWhere(pred func(grid.BlockID) bool) int {
 	n := 0
-	for id := range l.resident {
-		if pred(id) {
+	for i := range l.resident {
+		if id := grid.BlockID(i); l.resident[i].ok && pred(id) {
 			l.evict(id)
 			n++
 		}
@@ -167,10 +190,11 @@ func (l *Level) EvictWhere(pred func(grid.BlockID) bool) int {
 // the entry turned out to be unusable (a corrupt spill file), it was not
 // chosen to leave.
 func (l *Level) Remove(id grid.BlockID) (Entry, bool) {
-	e, ok := l.resident[id]
+	e, ok := l.Peek(id)
 	if ok {
 		l.Policy.Remove(id)
-		delete(l.resident, id)
+		l.resident[id] = slot{}
+		l.n--
 		l.used -= e.Size
 	}
 	return e, ok

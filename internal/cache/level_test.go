@@ -145,10 +145,42 @@ func TestLevelRemoveIsNotAnEviction(t *testing.T) {
 	if l.Evictions != 0 || len(*evicted) != 0 {
 		t.Fatalf("Remove counted %d evictions, hook saw %v", l.Evictions, *evicted)
 	}
-	if v, _ := l.Policy.Victim(incoming, nil); l.Used() != 10 || v != 2 {
+	if v, _ := l.Policy.Victim(incoming, Filter{}); l.Used() != 10 || v != 2 {
 		t.Fatalf("used %d, policy's victim %d; want 10 bytes and block 2", l.Used(), v)
 	}
 	if n := l.EvictWhere(only(2, 7)); n != 1 || l.Evictions != 1 || !slices.Equal(*evicted, []grid.BlockID{2}) {
 		t.Fatalf("EvictWhere = %d, Evictions %d, hook saw %v", n, l.Evictions, *evicted)
+	}
+}
+
+// EvictWhere visits the blocks in ascending ID order, whatever order they
+// came in: a shard map update evicts the same sequence on every run.
+func TestLevelEvictWhereAscending(t *testing.T) {
+	l, evicted := levelWith(100, 9, 4, 7, 1, 12, 3)
+	if n := l.EvictWhere(func(id grid.BlockID) bool { return id != 4 }); n != 5 {
+		t.Fatalf("EvictWhere = %d, want 5", n)
+	}
+	if want := []grid.BlockID{1, 3, 7, 9, 12}; !slices.Equal(*evicted, want) {
+		t.Fatalf("OnEvict saw %v, want %v", *evicted, want)
+	}
+	if l.Len() != 1 || !l.Contains(4) || l.Used() != 10 {
+		t.Fatalf("left %d blocks, %d bytes; want block 4 alone", l.Len(), l.Used())
+	}
+}
+
+// Block IDs outside the level's slice — past its end, or below zero — are
+// simply not resident.
+func TestLevelIDsOutsideTheSlice(t *testing.T) {
+	l, _ := levelWith(100, 2)
+	for _, id := range []grid.BlockID{-1, 3, 1 << 20} {
+		if l.Contains(id) || l.Touch(id) {
+			t.Errorf("block %d resident", id)
+		}
+		if _, ok := l.Remove(id); ok {
+			t.Errorf("Remove(%d) found it", id)
+		}
+	}
+	if l.Len() != 1 || l.Used() != 10 {
+		t.Fatalf("Len %d, Used %d after misses", l.Len(), l.Used())
 	}
 }

@@ -21,7 +21,7 @@ func allPolicies() []Policy {
 
 // victim is the policy's unfiltered choice.
 func victim(p Policy) grid.BlockID {
-	v, _ := p.Victim(incoming, nil)
+	v, _ := p.Victim(incoming, Filter{})
 	return v
 }
 
@@ -30,7 +30,7 @@ func drain(t *testing.T, p Policy) []grid.BlockID {
 	t.Helper()
 	var out []grid.BlockID
 	for {
-		v, ok := p.Victim(incoming, nil)
+		v, ok := p.Victim(incoming, Filter{})
 		if !ok {
 			return out
 		}
@@ -50,10 +50,10 @@ func sorted(ids []grid.BlockID) []grid.BlockID {
 
 func TestGenericEmptyVictim(t *testing.T) {
 	for _, p := range allPolicies() {
-		if _, ok := p.Victim(incoming, nil); ok {
+		if _, ok := p.Victim(incoming, Filter{}); ok {
 			t.Errorf("%s: Victim on empty policy returned ok", p.Name())
 		}
-		if _, ok := p.Victim(incoming, func(grid.BlockID) bool { return true }); ok {
+		if _, ok := p.Victim(incoming, Filter{Allow: func(grid.BlockID) bool { return true }}); ok {
 			t.Errorf("%s: filtered Victim on empty policy returned ok", p.Name())
 		}
 	}
@@ -93,11 +93,11 @@ func TestGenericVictimWhereRespectsFilter(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			p.Insert(id(i))
 		}
-		v, ok := p.Victim(incoming, func(b grid.BlockID) bool { return b >= 5 })
+		v, ok := p.Victim(incoming, Filter{Allow: func(b grid.BlockID) bool { return b >= 5 }})
 		if !ok || v < 5 {
 			t.Errorf("%s: filtered Victim = %d, %v; want an allowed block", p.Name(), v, ok)
 		}
-		if _, ok := p.Victim(incoming, func(grid.BlockID) bool { return false }); ok {
+		if _, ok := p.Victim(incoming, Filter{Allow: func(grid.BlockID) bool { return false }}); ok {
 			t.Errorf("%s: Victim with nothing allowed returned ok", p.Name())
 		}
 	}
@@ -146,7 +146,7 @@ func TestLRUVictimWhereSkipsRecent(t *testing.T) {
 		l.Insert(id(i))
 	}
 	// Eviction order 1,2,3,4. Disallow 1 and 2 → victim must be 3.
-	v, ok := l.Victim(incoming, func(b grid.BlockID) bool { return b >= 3 })
+	v, ok := l.Victim(incoming, Filter{Allow: func(b grid.BlockID) bool { return b >= 3 }})
 	if !ok || v != id(3) {
 		t.Errorf("filtered Victim = %d,%v, want 3", v, ok)
 	}
@@ -166,7 +166,7 @@ func TestARCPromotionToT2(t *testing.T) {
 	a.Insert(id(2))
 	// A hit moves 1 into T2; T1's LRU is now 2.
 	a.Touch(id(1))
-	if v, ok := a.Victim(id(3), nil); !ok || v != id(2) {
+	if v, ok := a.Victim(id(3), Filter{}); !ok || v != id(2) {
 		t.Errorf("victim = %d,%v, want 2 from T1", v, ok)
 	}
 }
@@ -177,7 +177,7 @@ func TestARCGhostHitAdaptsP(t *testing.T) {
 	admit(2)
 	admit(2) // T1 = [1], T2 = [2]
 	admit(3) // REPLACE: T1 is over p = 0, so 1 becomes a B1 ghost
-	if e := a.where[1]; e == nil || e.list != a.b1 {
+	if e := a.entry(1); e == nil || e.list != a.b1 {
 		t.Fatal("the T1 victim is not a B1 ghost")
 	}
 	p0 := a.p
@@ -185,7 +185,7 @@ func TestARCGhostHitAdaptsP(t *testing.T) {
 	if a.p <= p0 {
 		t.Errorf("p = %d, want > %d after a B1 ghost hit", a.p, p0)
 	}
-	if e := a.where[1]; e == nil || e.list != a.t2 {
+	if e := a.entry(1); e == nil || e.list != a.t2 {
 		t.Error("re-admitted ghost is not in T2")
 	}
 }
@@ -197,7 +197,7 @@ func TestARCB2GhostHitDecreasesP(t *testing.T) {
 	admit(2) // T1 = [2]
 	admit(3) // 2 → B1
 	admit(2) // B1 hit: p 0 → 1, and REPLACE sends 1 to B2
-	if e := a.where[1]; e == nil || e.list != a.b2 {
+	if e := a.entry(1); e == nil || e.list != a.b2 {
 		t.Fatal("the T2 victim is not a B2 ghost")
 	}
 	p0 := a.p
@@ -216,9 +216,15 @@ func TestARCGhostTrimming(t *testing.T) {
 			x = x*1664525 + 1013904223
 			admit(grid.BlockID(x>>16) % grid.BlockID(4*c+3))
 			l1 := a.t1.size + a.b1.size
-			if l1 > int(c) || l1+a.t2.size+a.b2.size > 2*int(c) || len(a.where) != l1+a.t2.size+a.b2.size {
-				t.Fatalf("c %d, access %d: |T1|+|B1| = %d, directory %d (map %d)",
-					c, i, l1, l1+a.t2.size+a.b2.size, len(a.where))
+			dir := 0
+			for b := range a.where {
+				if a.entry(grid.BlockID(b)) != nil {
+					dir++
+				}
+			}
+			if l1 > int(c) || l1+a.t2.size+a.b2.size > 2*int(c) || dir != l1+a.t2.size+a.b2.size {
+				t.Fatalf("c %d, access %d: |T1|+|B1| = %d, directory %d (entries %d)",
+					c, i, l1, l1+a.t2.size+a.b2.size, dir)
 			}
 		}
 	}
@@ -230,7 +236,7 @@ func TestARCRemoveOfANonVictimLeavesNoGhost(t *testing.T) {
 	a.Insert(id(1))
 	a.Insert(id(2))
 	a.Remove(id(1))
-	if _, ok := a.where[1]; ok {
+	if a.entry(1) != nil {
 		t.Error("a removed block that was not the victim left a ghost")
 	}
 }
@@ -319,7 +325,7 @@ func TestPolicyStateConsistencyProperty(t *testing.T) {
 					p.Remove(b)
 					delete(ref, b)
 				case 3:
-					v, ok := p.Victim(b+16, nil)
+					v, ok := p.Victim(b+16, Filter{})
 					if ok != (len(ref) > 0) || ok && !ref[v] {
 						return false
 					}
@@ -342,6 +348,32 @@ func TestPolicyStateConsistencyProperty(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("%s: %v", mk().Name(), err)
+		}
+	}
+}
+
+// TestVictimCursorFollowsTheFilter alternates two installed filters through
+// direct Victim calls. Each must name its own first allowed block every time:
+// a cursor the one filter left past blocks the other accepts is not resumed.
+func TestVictimCursorFollowsTheFilter(t *testing.T) {
+	late := Filter{Allow: func(b grid.BlockID) bool { return b >= 6 }, gen: 1}
+	early := Filter{Allow: func(b grid.BlockID) bool { return b < 2 || b >= 6 }, gen: 2}
+	for _, p := range []Policy{NewFIFO(), NewLRU(), NewARC()} {
+		for i := range 8 {
+			p.Insert(id(i))
+		}
+		for round := range 3 {
+			if v, ok := p.Victim(incoming, late); !ok || v != 6 {
+				t.Errorf("%s, round %d: late filter named %d, %v; want 6", p.Name(), round, v, ok)
+			}
+			if v, ok := p.Victim(incoming, early); !ok || v != 0 {
+				t.Errorf("%s, round %d: early filter named %d, %v; want 0", p.Name(), round, v, ok)
+			}
+		}
+		// The same filter again after a removal resumes where it stopped.
+		p.Remove(id(6))
+		if v, ok := p.Victim(incoming, late); !ok || v != 7 {
+			t.Errorf("%s: late filter after removing 6 named %d, %v; want 7", p.Name(), v, ok)
 		}
 	}
 }

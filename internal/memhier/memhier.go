@@ -71,6 +71,7 @@ type Hierarchy struct {
 	levels  []*Level
 	backing storage.Device
 	sizeOf  func(grid.BlockID) int64
+	sizes   []int64 // sizeOf's answers by block ID; 0: not asked yet
 	clock   *storage.Clock
 
 	// onEvict, when non-nil, observes every eviction (level, id). It lets
@@ -94,8 +95,8 @@ type Hierarchy struct {
 }
 
 // New builds a hierarchy. sizeOf must return the byte size of any block the
-// caller will request; it is called on every install and must be
-// deterministic.
+// caller will request, and must be deterministic: the hierarchy asks it once
+// per block and remembers the answer.
 func New(cfg Config, sizeOf func(grid.BlockID) int64) (*Hierarchy, error) {
 	if len(cfg.Levels) == 0 {
 		return nil, fmt.Errorf("memhier: no cache levels")
@@ -190,7 +191,7 @@ func (h *Hierarchy) access(id grid.BlockID, demand bool) AccessResult {
 		}
 	}
 
-	size := h.sizeOf(id)
+	size := h.SizeOf(id)
 	var t time.Duration
 	if found == 0 {
 		// Fast-memory hit: the data is already where the processing unit
@@ -222,7 +223,7 @@ func (h *Hierarchy) access(id grid.BlockID, demand bool) AccessResult {
 // importance-based pre-loading as a one-time preprocessing step before
 // interaction begins.
 func (h *Hierarchy) Preload(level int, id grid.BlockID) {
-	size := h.sizeOf(id)
+	size := h.SizeOf(id)
 	for i := level; i < len(h.levels); i++ {
 		h.levels[i].Admit(id, cache.Entry{Size: size})
 	}
@@ -237,11 +238,23 @@ func (h *Hierarchy) Contains(level int, id grid.BlockID) bool {
 // evicting anything (already-resident blocks trivially fit).
 func (h *Hierarchy) Fits(level int, id grid.BlockID) bool {
 	l := h.levels[level]
-	return l.Contains(id) || l.Fits(h.sizeOf(id))
+	return l.Contains(id) || l.Fits(h.SizeOf(id))
 }
 
 // SizeOf returns the byte size of a block per the hierarchy's size model.
-func (h *Hierarchy) SizeOf(id grid.BlockID) int64 { return h.sizeOf(id) }
+func (h *Hierarchy) SizeOf(id grid.BlockID) int64 {
+	if uint(id) < uint(len(h.sizes)) && h.sizes[id] != 0 {
+		return h.sizes[id]
+	}
+	size := h.sizeOf(id)
+	if id >= 0 {
+		if n := int(id) + 1; n > len(h.sizes) {
+			h.sizes = append(h.sizes, make([]int64, n-len(h.sizes))...)
+		}
+		h.sizes[id] = size
+	}
+	return size
+}
 
 // LevelCapacity returns the byte capacity of a cache level.
 func (h *Hierarchy) LevelCapacity(level int) int64 { return h.levels[level].Capacity }

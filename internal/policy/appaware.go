@@ -89,9 +89,10 @@ type AppAware struct {
 	// prefetch is the scratch the planner's list is built in each step.
 	prefetch []grid.BlockID
 
-	// Prefetch utility accounting: pending marks blocks prefetched but not
-	// yet referenced by a frame; issued/used feed PrefetchUtility.
-	pending         map[grid.BlockID]struct{}
+	// Prefetch utility accounting: pending marks, by block ID, the blocks
+	// prefetched but not yet referenced by a frame; issued/used feed
+	// PrefetchUtility.
+	pending         []bool
 	prefetchsIssued int64
 	prefetchsUsed   int64
 }
@@ -116,7 +117,7 @@ func New(h *memhier.Hierarchy, vis *visibility.Table, imp *entropy.Table, opts O
 	a := &AppAware{
 		h: h, plan: plan, opts: opts,
 		queryCost: vis.QueryCost(),
-		pending:   make(map[grid.BlockID]struct{}),
+		pending:   make([]bool, vis.Grid().NumBlocks()),
 	}
 	if opts.Preload {
 		// Line 7, stopping once fast memory is full.
@@ -160,14 +161,14 @@ func (a *AppAware) Step(i int, pos vec.V3, visible []grid.BlockID, prefetchWindo
 		if r.FoundLevel > 0 {
 			res.DemandFetches++
 		}
-		if _, ok := a.pending[id]; ok {
+		if a.pending[id] {
 			// A previously prefetched block was referenced by a frame: the
 			// speculation paid off if it was still resident above the
 			// backing store.
 			if r.FoundLevel < a.h.NumLevels() {
 				a.prefetchsUsed++
 			}
-			delete(a.pending, id)
+			a.pending[id] = false
 		}
 	}
 	res.IOTime = a.h.DemandTime - demandBefore
@@ -187,8 +188,8 @@ func (a *AppAware) Step(i int, pos vec.V3, visible []grid.BlockID, prefetchWindo
 			}
 			a.h.Prefetch(id)
 			res.Prefetches++
-			if _, ok := a.pending[id]; !ok {
-				a.pending[id] = struct{}{}
+			if !a.pending[id] {
+				a.pending[id] = true
 				a.prefetchsIssued++
 			}
 		}

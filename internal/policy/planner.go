@@ -43,10 +43,12 @@ type Planner struct {
 	scratch sync.Pool
 }
 
-// candidate is a block worth prefetching and its angle to the key's view axis.
+// candidate is a block worth prefetching, its angle to the key's view axis
+// and its entropy: everything the ranking compares.
 type candidate struct {
 	id    grid.BlockID
 	angle float64
+	score float64
 }
 
 // NewPlanner binds the decisions to T_visible, T_important and σ; the tables
@@ -119,19 +121,24 @@ func (p *Planner) Prefetch(dst []grid.BlockID, pos vec.V3, visible []grid.BlockI
 	scratch := p.scratch.Get().(*[]candidate)
 	cands := (*scratch)[:0]
 	for _, id := range p.vis.PredictedSet(key) {
-		if p.imp.Score(id) <= p.sigma || mem.Contains(id) {
+		score := p.imp.Score(id)
+		if score <= p.sigma || mem.Contains(id) {
 			continue
 		}
-		cands = append(cands, candidate{id, vec.AngleBetween(g.Center(id).Sub(keyPos), axis)})
+		cands = append(cands, candidate{id, vec.AngleBetween(g.Center(id).Sub(keyPos), axis), score})
 	}
 	if len(cands) == 0 { // the warm steady state: skip sizing the frame
 		p.scratch.Put(scratch)
 		return dst
 	}
 	slices.SortFunc(cands, func(x, y candidate) int {
-		return cmp.Or(cmp.Compare(x.angle, y.angle),
-			cmp.Compare(p.imp.Score(y.id), p.imp.Score(x.id)),
-			cmp.Compare(x.id, y.id))
+		if c := cmp.Compare(x.angle, y.angle); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(y.score, x.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.id, y.id)
 	})
 	budget := mem.Capacity()
 	for _, id := range visible {

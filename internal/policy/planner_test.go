@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/entropy"
 	"repro/internal/grid"
+	"repro/internal/radius"
 	"repro/internal/vec"
 	"repro/internal/visibility"
 )
@@ -133,6 +134,69 @@ func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 	}
 	if nonEmpty < 50 || skipped < 10 {
 		t.Errorf("only %d non-empty lists, %d with a budget skip: the property has no teeth", nonEmpty, skipped)
+	}
+}
+
+// TestPlannerPrefetchTieBreakMatchesOracle runs the same oracle on a key the
+// random positions above never land on: one on the grid's −X axis, in its
+// Y = 0 mid-plane (a one-azimuth, three-elevation lattice), so a block and its
+// mirror image in Y tie exactly on angle. Entropies drawn from four values
+// make many of those pairs differ in score and many tie there too, so both
+// the score and the ID step of the ranking decide places in the list.
+func TestPlannerPrefetchTieBreakMatchesOracle(t *testing.T) {
+	f := newFixture(t, 0.5)
+	vis, err := visibility.NewTable(f.g, visibility.Options{
+		NAzimuth: 1, NElevation: 3, NDistance: 1,
+		RMin: 2, RMax: 4,
+		ViewAngle: vec.Radians(10),
+		Radius:    radius.Fixed(0.5),
+		Lazy:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := vec.New(-3, 0, 0)
+	key := vis.NearestKey(pos)
+	keyPos := vis.KeyPos(key)
+	if keyPos.Y != 0 {
+		t.Fatalf("key %d at %v is off the mid-plane", key, keyPos)
+	}
+	axis := keyPos.Neg().Unit()
+	angle := func(id grid.BlockID) float64 { return vec.AngleBetween(f.g.Center(id).Sub(keyPos), axis) }
+	n := f.g.NumBlocks()
+	rng := rand.New(rand.NewSource(29))
+	var byScore, byID int
+	for trial := 0; trial < 20; trial++ {
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = float64(rng.Intn(4))
+		}
+		imp := entropy.NewTable(scores)
+		plan, err := NewPlanner(vis, imp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := &fakeMemory{resident: make(map[grid.BlockID]bool), sizes: make([]int64, n), capacity: math.MaxInt64}
+		for id := range mem.sizes {
+			mem.sizes[id] = 1
+			mem.resident[grid.BlockID(id)] = rng.Intn(4) == 0
+		}
+		want := oraclePrefetch(vis, imp, 0, pos, nil, mem)
+		if got := plan.Prefetch(nil, pos, nil, mem); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: planner %v, inline oracle %v", trial, got, want)
+		}
+		for i := 1; i < len(want); i++ {
+			if a, b := want[i-1], want[i]; angle(a) == angle(b) {
+				if imp.Score(a) != imp.Score(b) {
+					byScore++
+				} else {
+					byID++
+				}
+			}
+		}
+	}
+	if byScore < 20 || byID < 20 {
+		t.Errorf("%d neighbours ranked by score and %d by ID on an exact angle tie: the pin has no teeth", byScore, byID)
 	}
 }
 

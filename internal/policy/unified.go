@@ -66,7 +66,9 @@ func (p *ImportanceLRU) Remove(id grid.BlockID) {
 
 // Victim implements cache.Policy: the least-recently-used allowed cold
 // block first; only when no cold block qualifies is a hot block sacrificed.
-func (p *ImportanceLRU) Victim(incoming grid.BlockID, allowed func(grid.BlockID) bool) (grid.BlockID, bool) {
+// Both classes get the level's filter as it came, generation and all, so
+// each keeps its own cursor under it.
+func (p *ImportanceLRU) Victim(incoming grid.BlockID, allowed cache.Filter) (grid.BlockID, bool) {
 	if id, ok := p.cold.Victim(incoming, allowed); ok {
 		return id, true
 	}

@@ -19,7 +19,7 @@ func evenHot(id grid.BlockID) float64 {
 // victims evicts every block p holds, in the order it names them.
 func victims(p cache.Policy) []grid.BlockID {
 	var out []grid.BlockID
-	for v, ok := p.Victim(-1, nil); ok; v, ok = p.Victim(-1, nil) {
+	for v, ok := p.Victim(-1, cache.Filter{}); ok; v, ok = p.Victim(-1, cache.Filter{}) {
 		out = append(out, v)
 		p.Remove(v)
 	}
@@ -61,11 +61,11 @@ func TestImportanceLRUVictimWhere(t *testing.T) {
 	}
 	// Only even (hot) blocks allowed: the scan must skip the whole cold
 	// class and land on the LRU hot block.
-	v, ok := p.Victim(9, func(id grid.BlockID) bool { return id%2 == 0 })
+	v, ok := p.Victim(9, cache.Filter{Allow: func(id grid.BlockID) bool { return id%2 == 0 }})
 	if !ok || v != 0 {
 		t.Fatalf("filtered Victim = %d, %v; want 0", v, ok)
 	}
-	if _, ok := p.Victim(9, func(grid.BlockID) bool { return false }); ok {
+	if _, ok := p.Victim(9, cache.Filter{Allow: func(grid.BlockID) bool { return false }}); ok {
 		t.Fatal("no allowed victim must report ok=false")
 	}
 }

@@ -452,8 +452,8 @@ func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 	return err
 }
 
-// EvictWhere evicts every resident block the predicate selects, returning
-// how many were evicted. Used when block ownership moves away from this
+// EvictWhere evicts every resident block the predicate selects, in ascending
+// block order, returning how many were evicted. Used when block ownership moves away from this
 // node (a cluster topology change): the departed blocks' memory is let go
 // now instead of aging out. Reads in flight are unaffected — the
 // singleflight map is not touched, so a concurrent miss still completes and

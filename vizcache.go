@@ -89,6 +89,10 @@ type VisibilityOptions = visibility.Options
 // Policy is a replacement policy over blocks.
 type Policy = cache.Policy
 
+// VictimFilter restricts the blocks a Policy may name as victims; the zero
+// value accepts any.
+type VictimFilter = cache.Filter
+
 // TransferFunc maps normalized values to RGBA for rendering.
 type TransferFunc = render.TransferFunc
 

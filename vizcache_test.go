@@ -26,7 +26,7 @@ func TestPolicyConstructorsFacade(t *testing.T) {
 			t.Error("unnamed policy")
 		}
 		p.Insert(BlockID(1))
-		if v, ok := p.Victim(2, nil); !ok || v != 1 {
+		if v, ok := p.Victim(2, VictimFilter{}); !ok || v != 1 {
 			t.Errorf("%s: Insert/Victim broken", p.Name())
 		}
 	}
