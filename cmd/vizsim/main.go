@@ -400,13 +400,12 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 	// covers every block this run queued.
 	rt.Close()
 	st := rt.Snapshot()
-	hits, misses := rt.CacheStats()
+	cc := mc.Counters()
 	fmt.Printf("frames             %d in %v wall clock\n", st.Frames, elapsed.Round(time.Millisecond))
 	fmt.Printf("cache              %d hits / %d misses (hit rate %.4f)\n",
-		hits, misses, float64(hits)/float64(maxI64(hits+misses, 1)))
-	fmt.Printf("demand             %d store reads, %d memory hits, %d miss batches\n",
+		cc.Hits, cc.Misses, float64(cc.Hits)/float64(maxI64(cc.Hits+cc.Misses, 1)))
+	fmt.Printf("demand             %d store reads, %d memory hits, %d frames read their misses as one batch\n",
 		st.DemandReads, st.DemandHits, st.DemandBatches)
-	cc := mc.Counters()
 	fmt.Printf("coalesced          %d duplicate in-flight requests merged\n", cc.Coalesced)
 	if bf != nil {
 		ios := bf.IOStats()

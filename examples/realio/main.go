@@ -136,19 +136,19 @@ func main() {
 			}
 		}
 		if i%30 == 0 {
-			hits, misses := rt.CacheStats()
+			cc := mc.Counters()
 			fmt.Printf("frame %2d: %3d blocks, running hit rate %.2f (checksum %.1f)\n",
-				i, len(visible), float64(hits)/float64(max64(hits+misses, 1)), sum)
+				i, len(visible), float64(cc.Hits)/float64(max64(cc.Hits+cc.Misses, 1)), sum)
 		}
 	}
 	elapsed := time.Since(wall)
 
-	hits, misses := rt.CacheStats()
+	cc := mc.Counters()
 	st := rt.Snapshot()
 	fmt.Printf("\n%d frames in %v wall clock (%.1f MB touched)\n",
 		st.Frames, elapsed.Round(time.Millisecond), float64(frameBytes)/(1<<20))
 	fmt.Printf("cache: %d hits / %d misses (hit rate %.2f)\n",
-		hits, misses, float64(hits)/float64(max64(hits+misses, 1)))
+		cc.Hits, cc.Misses, float64(cc.Hits)/float64(max64(cc.Hits+cc.Misses, 1)))
 	fmt.Printf("prefetch: %d issued, %d executed, %d failed, %d dropped\n",
 		st.PrefetchIssued, st.PrefetchExecuted, st.PrefetchFailed, st.PrefetchDropped)
 	fmt.Printf("faults: %d retries absorbed, %d corruptions caught by CRC, %d reads lost, %d/%d frames degraded\n",

@@ -45,7 +45,6 @@ type Level struct {
 
 	Hits   int64
 	Misses int64
-	Demand storage.Counter // demand reads served *from* this level
 }
 
 // MissRate returns misses / (hits + misses), or 0 before any access.
@@ -72,7 +71,6 @@ type Hierarchy struct {
 	backing storage.Device
 	sizeOf  func(grid.BlockID) int64
 	sizes   []int64 // sizeOf's answers by block ID; 0: not asked yet
-	clock   *storage.Clock
 
 	// onEvict, when non-nil, observes every eviction (level, id). It lets
 	// callers mirror the simulator's replacement decisions — the policy
@@ -107,7 +105,6 @@ func New(cfg Config, sizeOf func(grid.BlockID) int64) (*Hierarchy, error) {
 	h := &Hierarchy{
 		backing:       cfg.Backing,
 		sizeOf:        sizeOf,
-		clock:         &storage.Clock{},
 		PrefetchBatch: 16,
 	}
 	for i, lc := range cfg.Levels {
@@ -132,9 +129,6 @@ func New(cfg Config, sizeOf func(grid.BlockID) int64) (*Hierarchy, error) {
 // must not mutate residency directly.
 func (h *Hierarchy) Levels() []*Level { return h.levels }
 
-// Clock returns the hierarchy's virtual clock.
-func (h *Hierarchy) Clock() *storage.Clock { return h.clock }
-
 // NumLevels returns the number of cache levels (excluding backing store).
 func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 
@@ -156,12 +150,11 @@ func (h *Hierarchy) SetEvictObserver(fn func(level int, id grid.BlockID)) {
 }
 
 // Get simulates a demand request for the block: probes levels fastest-first,
-// charges the transfer cost, installs the block into missed levels above the
-// hit, and advances the virtual clock.
+// charges the transfer cost to DemandTime, and installs the block into
+// missed levels above the hit.
 func (h *Hierarchy) Get(id grid.BlockID) AccessResult {
 	res := h.access(id, true)
 	h.DemandTime += res.Time
-	h.clock.Advance(res.Time)
 	return res
 }
 
@@ -172,7 +165,6 @@ func (h *Hierarchy) Get(id grid.BlockID) AccessResult {
 func (h *Hierarchy) Prefetch(id grid.BlockID) AccessResult {
 	res := h.access(id, false)
 	h.PrefetchTime += res.Time
-	h.clock.Advance(res.Time)
 	return res
 }
 
@@ -204,9 +196,6 @@ func (h *Hierarchy) access(id grid.BlockID, demand bool) AccessResult {
 	}
 	if demand {
 		t = src.TransferTime(size)
-		if found < len(h.levels) {
-			h.levels[found].Demand.Record(size, t)
-		}
 	} else {
 		t = src.TransferTimeBatched(size, h.PrefetchBatch)
 	}
@@ -278,11 +267,9 @@ func (h *Hierarchy) TotalMissRate() float64 {
 func (h *Hierarchy) ResetStats() {
 	for _, l := range h.levels {
 		l.Hits, l.Misses, l.Evictions = 0, 0, 0
-		l.Demand.Reset()
 	}
 	h.DemandTime = 0
 	h.PrefetchTime = 0
-	h.clock.Reset()
 }
 
 // StandardConfig returns the paper's experimental hierarchy for a dataset of

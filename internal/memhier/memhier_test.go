@@ -62,8 +62,8 @@ func TestColdMissGoesToBacking(t *testing.T) {
 	if !h.Contains(0, 1) || !h.Contains(1, 1) {
 		t.Error("block not installed in cache levels")
 	}
-	if h.Clock().Now() != want {
-		t.Errorf("clock = %v, want %v", h.Clock().Now(), want)
+	if h.DemandTime != want || h.PrefetchTime != 0 {
+		t.Errorf("DemandTime, PrefetchTime = %v, %v, want %v, 0", h.DemandTime, h.PrefetchTime, want)
 	}
 }
 
@@ -205,7 +205,7 @@ func TestPreload(t *testing.T) {
 	if !h.Contains(0, 7) || !h.Contains(1, 7) {
 		t.Error("Preload(0) should install at level 0 and below")
 	}
-	if h.DemandTime != 0 || h.PrefetchTime != 0 || h.Clock().Now() != 0 {
+	if h.DemandTime != 0 || h.PrefetchTime != 0 {
 		t.Error("Preload charged time")
 	}
 	h2, _ := New(testConfig(2, 4, 100), uniform(100))
@@ -250,9 +250,6 @@ func TestResetStats(t *testing.T) {
 	if h.TotalMissRate() != 0 {
 		t.Error("miss stats not reset")
 	}
-	if h.Clock().Now() != 0 {
-		t.Error("clock not reset")
-	}
 	// Residency survives reset.
 	if !h.Contains(0, 1) || !h.Contains(0, 2) {
 		t.Error("residency lost on ResetStats")
@@ -284,16 +281,19 @@ func TestStandardConfigRatios(t *testing.T) {
 	}
 }
 
+// TestDemandCounterRecordsSourceLevel: a demand read served from the SSD
+// counts as an SSD hit and charges DemandTime the SSD's transfer time.
 func TestDemandCounterRecordsSourceLevel(t *testing.T) {
 	h, _ := New(testConfig(1, 4, 100), uniform(100))
 	h.Get(1)
 	h.Get(2) // 1 falls out of DRAM
+	before := h.DemandTime
 	h.Get(1) // served from SSD
-	if h.Levels()[1].Demand.Ops != 1 {
-		t.Errorf("SSD demand ops = %d, want 1", h.Levels()[1].Demand.Ops)
+	if h.Levels()[1].Hits != 1 {
+		t.Errorf("SSD hits = %d, want 1", h.Levels()[1].Hits)
 	}
-	if h.Levels()[1].Demand.Bytes != 100 {
-		t.Errorf("SSD demand bytes = %d", h.Levels()[1].Demand.Bytes)
+	if got, want := h.DemandTime-before, storage.SSD().TransferTime(100); got != want {
+		t.Errorf("SSD demand read charged %v, want %v", got, want)
 	}
 }
 

@@ -13,7 +13,7 @@ const (
 	// side: the VisibleSet query before Frame is invoked).
 	PhaseVisibility Phase = iota
 	// PhaseDemandWait is the span from entering Frame until every visible
-	// block's data is in hand (inline hits plus the demand pool's misses).
+	// block's data is in hand (inline hits plus the frame's miss batch).
 	PhaseDemandWait
 	// PhaseRender is the caller consuming the frame's data.
 	PhaseRender

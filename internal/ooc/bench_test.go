@@ -52,8 +52,8 @@ func benchFixture(b *testing.B, cacheFrac float64) (*store.MemCache, *grid.Grid,
 	return mc, g, vis, imp
 }
 
-// BenchmarkFrame measures one warm out-of-core frame (parallel cache reads
-// plus prefetch scheduling) on a 512-block file.
+// BenchmarkFrame measures one warm out-of-core frame (inline cache hits plus
+// prefetch scheduling) on a 512-block file.
 func BenchmarkFrame(b *testing.B) {
 	mc, g, vis, imp := benchFixture(b, 1)
 	rt, err := New(mc, vis, imp, Options{})
@@ -77,13 +77,14 @@ func BenchmarkFrame(b *testing.B) {
 
 // BenchmarkFrameChurn measures frames that evict on every step: an orbit of
 // the 512-block file through a cache of a quarter of the volume, with σ above
-// every score so nothing is prefetched and one demand worker, so the churn is
-// the same on every run. Its B/op is the buffer-reuse gate: a block evicted
+// every score so nothing is prefetched. A frame reads its misses as one batch
+// on the calling goroutine, so the churn is the same on every run with no
+// setting to pin it. Its B/op is the buffer-reuse gate: a block evicted
 // during one Frame is read into again after the next, so a frame allocates
 // its bookkeeping, not the blocks it reads.
 func BenchmarkFrameChurn(b *testing.B) {
 	mc, g, vis, imp := benchFixture(b, 0.25)
-	rt, err := New(mc, vis, imp, Options{Sigma: imp.MaxScore() + 1, DemandWorkers: 1})
+	rt, err := New(mc, vis, imp, Options{Sigma: imp.MaxScore() + 1})
 	if err != nil {
 		b.Fatal(err)
 	}

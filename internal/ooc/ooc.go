@@ -2,19 +2,20 @@
 // stated future work (§VI): parallel data fetching overlapped with
 // rendering. It combines the file-backed block store (package store) with
 // the prediction tables (packages visibility and entropy): each frame's
-// visible blocks are fetched by a persistent worker pool, and the blocks
+// visible blocks are fetched on the caller's goroutine, and the blocks
 // policy.Planner lists for the vicinity are prefetched asynchronously by
 // background workers while the caller renders.
 //
 // The demand hot path is built to do exactly one backing-store read per
 // needed block with near-zero steady-state overhead: cache hits are served
-// inline without touching a worker, misses are partitioned into
-// offset-contiguous batches that the store merges into sequential I/O, and
-// concurrent demand/prefetch requests for the same block coalesce onto a
-// single read inside the cache.
+// inline, a frame's misses go to the cache as one id-sorted batch that the
+// reader merges into sequential I/O (and fans out across connections,
+// shards or spill files when its medium is parallel), and concurrent
+// demand/prefetch requests for the same block coalesce onto a single read
+// inside the cache.
 //
-// Unlike package sim — which measures a simulated hierarchy on a virtual
-// clock — this package moves actual bytes; it is the runtime an application
+// Unlike package sim — which charges a simulated hierarchy's device cost
+// models — this package moves actual bytes; it is the runtime an application
 // would embed. It is therefore built for storage that fails: demand reads
 // retry transient faults with backoff (package faultio), per-read deadlines
 // keep a slow block from stalling the frame, and a block that is
@@ -26,9 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,11 +44,6 @@ import (
 
 // Options configures the runtime.
 type Options struct {
-	// DemandWorkers sizes the persistent demand pool: the maximum number of
-	// concurrent miss batches/retries per runtime, and so the number of
-	// contiguous batches a frame's miss set is split into (default
-	// GOMAXPROCS).
-	DemandWorkers int
 	// PrefetchWorkers bounds background prefetch goroutines (default 2).
 	PrefetchWorkers int
 	// QueueDepth bounds the pending-prefetch queue; when full, further
@@ -78,9 +72,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DemandWorkers <= 0 {
-		o.DemandWorkers = runtime.GOMAXPROCS(0)
-	}
 	if o.PrefetchWorkers <= 0 {
 		o.PrefetchWorkers = 2
 	}
@@ -106,7 +97,7 @@ type Stats struct {
 	Frames         int64
 	DemandReads    int64 // demand misses that actually read the backing store
 	DemandHits     int64 // demand reads served from cache memory (incl. coalesced)
-	DemandBatches  int64 // miss batches dispatched to the demand pool
+	DemandBatches  int64 // frames whose misses went to the cache as a batch
 	DegradedFrames int64 // frames that completed with at least one block missing
 	FailedReads    int64 // demand reads lost after exhausting retries
 	Retries        int64 // extra demand-read attempts beyond the first
@@ -137,9 +128,9 @@ type FrameReport struct {
 	Retried int64
 }
 
-// Runtime drives a block cache with parallel demand fetching and
+// Runtime drives a block cache with batched demand fetching and
 // asynchronous predictive prefetching. Safe for use by one interactive
-// loop; Close must be called to stop the worker pools.
+// loop; Close must be called to stop the prefetch workers.
 //
 // The runtime owns the cache's buffers: the slices a Frame returns are
 // valid until the next Frame, like bufio.Scanner.Bytes. Each Frame starts by
@@ -150,17 +141,10 @@ type FrameReport struct {
 // that must keep data past its next Frame copies it.
 type Runtime struct {
 	cache *cacheMemory
-	opts  Options
 	// retryAfter re-reads a block whose batch attempt failed; it is
-	// opts.Retry minus the attempt the batch already spent.
+	// Options.Retry minus the attempt the batch already spent.
 	retryAfter *faultio.Retrier
-
-	// mu serializes demand enqueues against Close so a late Frame never
-	// sends on a closed channel.
-	mu       sync.RWMutex
-	demandCh chan *demandJob
-	wg       sync.WaitGroup
-	closed   atomic.Bool
+	closed     atomic.Bool
 
 	// prefetch is the bounded queue the frame's predictions go through, so
 	// consecutive frames don't enqueue the same prediction twice. plan
@@ -189,10 +173,10 @@ type cacheMemory struct {
 
 func (m *cacheMemory) SizeOf(id grid.BlockID) int64 { return m.g.VoxelCount(id) * 4 }
 
-// New starts the runtime's demand and prefetch workers and takes ownership
-// of the cache's buffers: from here on, a block evicted from cache keeps its
-// buffer until the runtime's next Frame (see Runtime), and the cache counts
-// as one whose memory is rewritten (MemCache.RecyclingEnabled).
+// New starts the runtime's prefetch workers and takes ownership of the
+// cache's buffers: from here on, a block evicted from cache keeps its buffer
+// until the runtime's next Frame (see Runtime), and the cache counts as one
+// whose memory is rewritten (MemCache.RecyclingEnabled).
 func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts Options) (*Runtime, error) {
 	if cache == nil {
 		return nil, fmt.Errorf("ooc: nil component")
@@ -204,11 +188,9 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 	cache.Release()
 	opts = opts.withDefaults()
 	r := &Runtime{
-		cache:    &cacheMemory{cache, vis.Grid()},
-		plan:     plan,
-		opts:     opts,
-		demandCh: make(chan *demandJob, opts.DemandWorkers),
-		m:        newRuntimeMetrics(opts.Metrics),
+		cache: &cacheMemory{cache, vis.Grid()},
+		plan:  plan,
+		m:     newRuntimeMetrics(opts.Metrics),
 	}
 	if n := opts.Retry.MaxAttempts - 1; n > 0 {
 		r.retryAfter = &faultio.Retrier{
@@ -218,16 +200,6 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 			PerTry:      opts.Retry.PerTry,
 			Seed:        opts.Retry.Seed,
 		}
-	}
-	for w := 0; w < opts.DemandWorkers; w++ {
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			for job := range r.demandCh {
-				job.run()
-				job.fs.wg.Done()
-			}
-		}()
 	}
 	r.prefetch = store.NewPrefetcher(context.Background(), cache, opts.PrefetchWorkers, opts.QueueDepth,
 		func(err error) {
@@ -242,124 +214,81 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 	return r, nil
 }
 
-// frameState is the shared context of one Frame's demand jobs.
-type frameState struct {
-	ctx context.Context
-	r   *Runtime
-	out [][]float32
-
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	rep   *FrameReport
-	stats Stats // per-job deltas, merged under mu; read after wg.Wait
-}
-
-// demandJob is one offset-contiguous chunk of a frame's miss set: a batch
-// read through the cache (which coalesces with concurrent readers and
-// merges adjacent blocks into sequential I/O), followed by per-block
-// retries for this chunk's retryable failures.
-type demandJob struct {
-	fs   *frameState
-	ids  []grid.BlockID
-	idxs []int // ids[k] fills fs.out[idxs[k]]
-}
-
-func (j *demandJob) run() {
-	fs, r := j.fs, j.fs.r
-	var d Stats
-	d.DemandBatches = 1
-	vals, hits, errs := r.cache.GetBatch(fs.ctx, j.ids)
-	for k := range j.ids {
-		switch {
-		case errs[k] == nil:
-			fs.out[j.idxs[k]] = vals[k]
+// demand reads a frame's misses, the entries of visible that missIdx
+// indexes, as one cache batch on the caller's goroutine. They are sorted by
+// block ID, which is file order: the store merges adjacent blocks into
+// sequential reads, a reader whose medium is parallel (a spill tier, a
+// remote server) fans the batch out itself, and blocks settle in ascending
+// order, so rep.Missing comes out sorted. The batch is each block's first
+// attempt; a retryable failure is then re-read alone under retryAfter.
+// Counter updates go to the frame-local d.
+func (r *Runtime) demand(ctx context.Context, visible []grid.BlockID, missIdx []int, out [][]float32, rep *FrameReport, d *Stats) {
+	slices.SortFunc(missIdx, func(a, b int) int {
+		return int(visible[a]) - int(visible[b])
+	})
+	ids := make([]grid.BlockID, len(missIdx))
+	for k, i := range missIdx {
+		ids[k] = visible[i]
+	}
+	d.DemandBatches++
+	vals, hits, errs := r.cache.GetBatch(ctx, ids)
+	for k, i := range missIdx {
+		err := errs[k]
+		if err == nil {
+			out[i] = vals[k]
 			if hits[k] {
 				d.DemandHits++
 			} else {
 				d.DemandReads++
 			}
-		default:
-			if errors.Is(errs[k], faultio.ErrChecksum) {
-				d.ChecksumErrors++
-			}
-			j.retryBlock(k, errs[k], &d)
+			continue
 		}
-	}
-	fs.mu.Lock()
-	fs.stats.add(&d)
-	fs.mu.Unlock()
-}
-
-// retryBlock re-reads one block whose batch attempt failed, under the
-// runtime's retry policy, and settles its final state (served, canceled, or
-// missing). Counter updates go to the job-local delta d.
-func (j *demandJob) retryBlock(k int, batchErr error, d *Stats) {
-	fs, r := j.fs, j.fs.r
-	id, idx := j.ids[k], j.idxs[k]
-	err := batchErr
-	attempts := 0
-	if r.retryAfter != nil && fs.ctx.Err() == nil && faultio.Retryable(batchErr) {
-		attempts, err = r.retryAfter.Do(fs.ctx, func(c context.Context) error {
-			vals, hit, e := r.cache.Get(c, id)
-			if e != nil {
-				if errors.Is(e, faultio.ErrChecksum) {
-					d.ChecksumErrors++
+		if errors.Is(err, faultio.ErrChecksum) {
+			d.ChecksumErrors++
+		}
+		if r.retryAfter != nil && ctx.Err() == nil && faultio.Retryable(err) {
+			var attempts int
+			attempts, err = r.retryAfter.Do(ctx, func(c context.Context) error {
+				vals, hit, e := r.cache.Get(c, ids[k])
+				if e != nil {
+					if errors.Is(e, faultio.ErrChecksum) {
+						d.ChecksumErrors++
+					}
+					return e
 				}
-				return e
-			}
-			fs.out[idx] = vals
-			if hit {
-				d.DemandHits++
-			} else {
-				d.DemandReads++
-			}
-			return nil
-		})
-		// Every attempt here is beyond the block's first (batch) attempt.
-		d.Retries += int64(attempts)
-	}
-	switch {
-	case err == nil:
-		fs.mu.Lock()
-		fs.rep.Retried++
-		fs.mu.Unlock()
-	case fs.ctx.Err() != nil:
-		// Frame-level cancellation, reported by Frame itself; not a
-		// storage loss.
-	default:
-		d.FailedReads++
-		fs.mu.Lock()
-		if fs.rep.Failures == nil {
-			fs.rep.Failures = make(map[grid.BlockID]error)
+				out[i] = vals
+				if hit {
+					d.DemandHits++
+				} else {
+					d.DemandReads++
+				}
+				return nil
+			})
+			// Every attempt here is beyond the block's first (batch) attempt.
+			d.Retries += int64(attempts)
 		}
-		fs.rep.Missing = append(fs.rep.Missing, id)
-		fs.rep.Failures[id] = err
-		fs.mu.Unlock()
+		switch {
+		case err == nil:
+			rep.Retried++
+		case ctx.Err() != nil:
+			// Frame-level cancellation, reported by Frame itself; not a
+			// storage loss.
+		default:
+			d.FailedReads++
+			if rep.Failures == nil {
+				rep.Failures = make(map[grid.BlockID]error)
+			}
+			rep.Missing = append(rep.Missing, ids[k])
+			rep.Failures[ids[k]] = err
+		}
 	}
-}
-
-// dispatch hands a job to the demand pool, or runs it inline when the
-// runtime is closing (frames already in flight still complete). The read
-// lock fences against Close closing the channel mid-send.
-func (r *Runtime) dispatch(job *demandJob) {
-	job.fs.wg.Add(1)
-	r.mu.RLock()
-	if r.closed.Load() {
-		r.mu.RUnlock()
-		job.run()
-		job.fs.wg.Done()
-		return
-	}
-	r.demandCh <- job
-	r.mu.RUnlock()
 }
 
 // Frame fetches every visible block and returns their voxel data indexed
 // like visible. Cache hits are served inline; misses are sorted by block ID
-// (file order), split into at most DemandWorkers contiguous batches, and
-// read by the persistent demand pool — the store merges each batch's
-// adjacent blocks into sequential reads, and transient faults are retried
-// per block. Blocks whose reads fail permanently are returned as nil
+// (file order) and read as one batch on the caller's goroutine — the store
+// merges adjacent blocks into sequential reads, and transient faults are
+// retried per block. Blocks whose reads fail permanently are returned as nil
 // entries and named in the FrameReport — the frame degrades rather than
 // fails. The error return is reserved for frame-level conditions: a closed
 // runtime or a done ctx. Before returning, Frame enqueues asynchronous
@@ -385,11 +314,11 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 	out := make([][]float32, len(visible))
 
 	// Demand-wait spans the whole blocking portion of the frame: the warm
-	// scan, batch dispatch, and the wait for the last miss to land.
+	// scan, the miss batch, and its retries.
 	frameStart := time.Now()
 	demandSpan := r.m.phases.Begin(obs.PhaseDemandWait)
 
-	// Inline fast path: serve every warm block without touching a worker.
+	// Inline fast path: serve every warm block without building a batch.
 	var missIdx []int
 	for i, id := range visible {
 		if vals, ok := r.cache.GetCached(id); ok {
@@ -406,34 +335,7 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 	}
 
 	if len(missIdx) > 0 {
-		// Misses in block-ID order are file order; contiguous chunks keep
-		// each batch mergeable into sequential I/O.
-		slices.SortFunc(missIdx, func(a, b int) int {
-			return int(visible[a]) - int(visible[b])
-		})
-		fs := &frameState{ctx: ctx, r: r, out: out, rep: &rep}
-		chunks := r.opts.DemandWorkers
-		if chunks > len(missIdx) {
-			chunks = len(missIdx)
-		}
-		per := (len(missIdx) + chunks - 1) / chunks
-		for lo := 0; lo < len(missIdx); lo += per {
-			hi := lo + per
-			if hi > len(missIdx) {
-				hi = len(missIdx)
-			}
-			job := &demandJob{
-				fs:   fs,
-				ids:  make([]grid.BlockID, hi-lo),
-				idxs: missIdx[lo:hi],
-			}
-			for k, i := range job.idxs {
-				job.ids[k] = visible[i]
-			}
-			r.dispatch(job)
-		}
-		fs.wg.Wait()
-		local.add(&fs.stats) // all jobs done: no further writers
+		r.demand(ctx, visible, missIdx, out, &rep, &local)
 	}
 	demandSpan.End()
 
@@ -442,7 +344,6 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 		return nil, FrameReport{}, err
 	}
 	if len(rep.Missing) > 0 {
-		sort.Slice(rep.Missing, func(a, b int) bool { return rep.Missing[a] < rep.Missing[b] })
 		rep.Degraded = true
 		local.DegradedFrames = 1
 	}
@@ -495,20 +396,13 @@ func (r *Runtime) Snapshot() Stats {
 // and PhasePrefetchIssue are recorded by Frame itself.
 func (r *Runtime) Phases() *obs.PhaseTimer { return r.m.phases }
 
-// CacheStats returns the underlying cache's hit/miss counts.
-func (r *Runtime) CacheStats() (hits, misses int64) { return r.cache.Stats() }
-
-// Close stops the demand and prefetch workers and waits for them to drain.
-// Frame must not be called afterwards (it fails cleanly if it is; frames
-// already in flight complete, running any unsubmitted work inline). Close
-// is idempotent and safe to call concurrently with Frame.
+// Close stops the prefetch workers and waits for them to drain. Frame must
+// not be called afterwards (it fails cleanly if it is; frames already in
+// flight complete, and their prefetch offers are dropped). Close is
+// idempotent and safe to call concurrently with Frame.
 func (r *Runtime) Close() {
 	if r.closed.Swap(true) {
 		return
 	}
-	r.mu.Lock()
-	close(r.demandCh)
-	r.mu.Unlock()
 	r.prefetch.Close()
-	r.wg.Wait()
 }

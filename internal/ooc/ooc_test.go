@@ -161,10 +161,9 @@ func TestDemandReadsCountOnlyStoreReads(t *testing.T) {
 	if st.DemandHits != n {
 		t.Errorf("DemandHits = %d, want %d", st.DemandHits, n)
 	}
-	hits, misses := r.CacheStats()
-	if st.DemandReads != misses || st.DemandHits != hits {
+	if cc := f.cache.Counters(); st.DemandReads != cc.Misses || st.DemandHits != cc.Hits {
 		t.Errorf("runtime (%d reads/%d hits) disagrees with cache (%d misses/%d hits)",
-			st.DemandReads, st.DemandHits, misses, hits)
+			st.DemandReads, st.DemandHits, cc.Misses, cc.Hits)
 	}
 }
 
@@ -215,14 +214,14 @@ func TestPrefetchImprovesSecondFrame(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	hitsBefore, missesBefore := r.CacheStats()
+	before := f.cache.Counters()
 	v2 := visibility.VisibleSet(f.g, camera.Camera{Pos: p2, ViewAngle: theta})
 	if _, _, err := r.Frame(ctx, p2, v2); err != nil {
 		t.Fatal(err)
 	}
-	hitsAfter, missesAfter := r.CacheStats()
-	newHits := hitsAfter - hitsBefore
-	newMisses := missesAfter - missesBefore
+	after := f.cache.Counters()
+	newHits := after.Hits - before.Hits
+	newMisses := after.Misses - before.Misses
 	// The 5°-rotated frame overlaps heavily and was prefetched: most of it
 	// must hit the cache.
 	if newHits <= newMisses {
@@ -448,18 +447,23 @@ func TestTransientFaultsAbsorbed(t *testing.T) {
 	}
 }
 
-// TestPermanentBlockDegradesFrame: a permanently lost block must not fail
-// the frame; it must come back as a degraded FrameReport naming the block.
+// TestPermanentBlockDegradesFrame: permanently lost blocks must not fail
+// the frame; they must come back as a degraded FrameReport naming each
+// block. The lost blocks are listed in descending order, both to the
+// injector and within visible, and Missing must still come back ascending:
+// Frame settles its misses in block order.
 func TestPermanentBlockDegradesFrame(t *testing.T) {
 	cam := camera.Camera{Pos: vec.New(0, 0, 3), ViewAngle: vec.Radians(20)}
 	probe := newFixture(t, 8)
 	visible := visibility.VisibleSet(probe.g, cam)
-	if len(visible) == 0 {
-		t.Fatal("no visible blocks")
+	if len(visible) < 3 {
+		t.Fatalf("%d visible blocks, want at least 3", len(visible))
 	}
-	lost := visible[len(visible)/2]
+	visible = slices.Clone(visible)
+	slices.Reverse(visible)
+	lost := []grid.BlockID{visible[0], visible[len(visible)/2], visible[len(visible)-1]}
 
-	f := newFaultFixture(t, 8, &faultio.InjectorConfig{FailBlocks: []grid.BlockID{lost}})
+	f := newFaultFixture(t, 8, &faultio.InjectorConfig{FailBlocks: lost})
 	r, err := New(f.cache, f.vis, f.imp, Options{Retry: fastRetry(3)})
 	if err != nil {
 		t.Fatal(err)
@@ -472,16 +476,23 @@ func TestPermanentBlockDegradesFrame(t *testing.T) {
 	if !rep.Degraded {
 		t.Fatal("report not degraded")
 	}
-	if len(rep.Missing) != 1 || rep.Missing[0] != lost {
-		t.Fatalf("Missing = %v, want [%d]", rep.Missing, lost)
+	want := slices.Clone(lost)
+	slices.Sort(want)
+	if !slices.Equal(rep.Missing, want) {
+		t.Fatalf("Missing = %v, want %v", rep.Missing, want)
 	}
-	if rep.Failures[lost] == nil {
-		t.Error("no failure cause recorded for the lost block")
+	if len(rep.Failures) != len(lost) {
+		t.Errorf("Failures holds %d blocks, want %d: %v", len(rep.Failures), len(lost), rep.Failures)
+	}
+	for _, id := range lost {
+		if rep.Failures[id] == nil {
+			t.Errorf("no failure cause recorded for lost block %d", id)
+		}
 	}
 	for i, id := range visible {
-		if id == lost {
+		if slices.Contains(lost, id) {
 			if data[i] != nil {
-				t.Error("lost block has data")
+				t.Errorf("lost block %d has data", id)
 			}
 			continue
 		}
@@ -490,7 +501,7 @@ func TestPermanentBlockDegradesFrame(t *testing.T) {
 		}
 	}
 	st := r.Snapshot()
-	if st.FailedReads == 0 || st.DegradedFrames != 1 {
+	if st.FailedReads != int64(len(lost)) || st.DegradedFrames != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -527,8 +538,9 @@ func TestCorruptionDetectedAndRetried(t *testing.T) {
 }
 
 // TestFrameConcurrentWithClose hammers Frame from several goroutines while
-// Close runs, with faults injected. Run under -race it proves the
-// send/close coordination; afterwards the prefetch workers must have
+// Close runs, with faults injected. Run under -race it proves frames in
+// flight and Close's prefetch shutdown coordinate; afterwards the prefetch
+// workers must have
 // drained (no goroutine leak) and Frame must fail cleanly.
 func TestFrameConcurrentWithClose(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -564,16 +576,57 @@ func TestFrameConcurrentWithClose(t *testing.T) {
 	if _, _, err := r.Frame(ctx, cam.Pos, visible); err == nil {
 		t.Error("Frame after Close succeeded")
 	}
-	// testutil.VerifyNoLeaks asserts the demand and prefetch workers drain.
+	// testutil.VerifyNoLeaks asserts the prefetch workers drain.
 }
 
-// TestDemandPoolStressTinyCache hammers the persistent demand pool with a
+// TestFrameMissesOneBatch pins the demand path's shape: a frame's misses,
+// consecutive blocks handed over out of order, reach the block file as one
+// ReadBlocks call that the file merges into one ReadAt, whatever
+// GOMAXPROCS is.
+func TestFrameMissesOneBatch(t *testing.T) {
+	f := newFixture(t, 64)
+	ctx := context.Background()
+	if _, _, err := f.cache.Get(ctx, 20); err != nil {
+		t.Fatal(err)
+	}
+	// σ above every score: nothing is prefetched, so the file sees the
+	// frame's reads alone.
+	r, err := New(f.cache, f.vis, f.imp, Options{Sigma: f.imp.MaxScore() + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	before := f.bf.IOStats()
+	visible := []grid.BlockID{13, 20, 11, 12, 10}
+	data, rep, err := r.Frame(ctx, vec.New(0, 0, 3), visible)
+	if err != nil || rep.Degraded {
+		t.Fatalf("frame: %v %+v", err, rep)
+	}
+	for i, id := range visible {
+		if int64(len(data[i])) != f.g.VoxelCount(id) {
+			t.Fatalf("block %d: %d values", id, len(data[i]))
+		}
+	}
+	after := f.bf.IOStats()
+	if n := after.Batches - before.Batches; n != 1 {
+		t.Errorf("the frame's 4 misses reached the file as %d ReadBlocks calls, want 1", n)
+	}
+	if n := after.MergedRuns - before.MergedRuns; n != 1 {
+		t.Errorf("blocks 10–13 took %d ReadAt calls, want 1 merged run", n)
+	}
+	if st := r.Snapshot(); st.DemandBatches != 1 || st.DemandReads != 4 || st.DemandHits != 1 {
+		t.Errorf("stats = %+v, want 1 batch of 4 reads and 1 hit", st)
+	}
+}
+
+// TestConcurrentFramesTinyCache runs Frame from four goroutines over a
 // cache that holds almost nothing, so every frame is miss-heavy and the
-// eviction/coalescing/batch paths all run concurrently. The runtime's
-// accounting must stay consistent with the cache's own counters.
-func TestDemandPoolStressTinyCache(t *testing.T) {
+// eviction/coalescing/batch paths of the frames all run concurrently. The
+// runtime's accounting must stay consistent with the cache's own counters,
+// and a frame sends its misses to the cache as at most one batch.
+func TestConcurrentFramesTinyCache(t *testing.T) {
 	f := newFixture(t, 2)
-	r, err := New(f.cache, f.vis, f.imp, Options{DemandWorkers: 4})
+	r, err := New(f.cache, f.vis, f.imp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,15 +662,18 @@ func TestDemandPoolStressTinyCache(t *testing.T) {
 	}
 	wg.Wait()
 	st := r.Snapshot()
-	hits, misses := r.CacheStats()
-	if st.DemandReads != misses {
-		t.Errorf("DemandReads = %d, cache misses = %d", st.DemandReads, misses)
+	cc := f.cache.Counters()
+	if st.DemandReads != cc.Misses {
+		t.Errorf("DemandReads = %d, cache misses = %d", st.DemandReads, cc.Misses)
 	}
-	if st.DemandHits > hits {
-		t.Errorf("DemandHits = %d exceeds cache hits = %d", st.DemandHits, hits)
+	if st.DemandHits > cc.Hits {
+		t.Errorf("DemandHits = %d exceeds cache hits = %d", st.DemandHits, cc.Hits)
 	}
 	if st.DemandBatches == 0 {
-		t.Error("no demand batches dispatched despite a 2-block cache")
+		t.Error("no demand batches despite a 2-block cache")
+	}
+	if st.DemandBatches > st.Frames {
+		t.Errorf("%d demand batches over %d frames: a frame's misses split", st.DemandBatches, st.Frames)
 	}
 }
 
@@ -738,8 +794,10 @@ func TestCoalescedSliceIntactUntilNextFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No planned prefetch, and one demand batch per frame.
-	r, err := New(mc, f.vis, f.imp, Options{Sigma: f.imp.MaxScore() + 1, DemandWorkers: 1})
+	// No planned prefetch. A frame's misses always go to the cache as one
+	// batch, so both blocks ride it and the joiner's read starts while the
+	// held block is a waiter.
+	r, err := New(mc, f.vis, f.imp, Options{Sigma: f.imp.MaxScore() + 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //     first, as many as fit beside the frame's visible set (§IV-B, §IV-C).
 //
 // Executors carry the decisions out. AppAware runs all three on a simulated
-// hierarchy (package memhier) and charges the virtual clock; ooc.Runtime and
+// hierarchy (package memhier) and charges its simulated time; ooc.Runtime and
 // a blocksvc session run the third on a store.MemCache, offering the list to
 // their prefetch queue in the planner's order.
 package policy
@@ -77,8 +77,8 @@ type StepResult struct {
 }
 
 // AppAware executes the Planner's decisions on a simulated memory hierarchy
-// and charges their cost to its virtual clock. It is not safe for concurrent
-// use.
+// and charges their cost to its demand and prefetch time. It is not safe for
+// concurrent use.
 type AppAware struct {
 	h    *memhier.Hierarchy
 	plan *Planner

@@ -1,35 +1,13 @@
 // Package storage models the memory/storage devices of the paper's testbed
-// (16 GB DRAM, 512 GB SSD, 3 TB HDD) as latency + bandwidth cost models over
-// a virtual clock. The experiments measure simulated time, so runs are
-// deterministic and independent of the host machine.
+// (16 GB DRAM, 512 GB SSD, 3 TB HDD) as latency + bandwidth cost models. The
+// experiments measure simulated time, so runs are deterministic and
+// independent of the host machine.
 package storage
 
 import (
 	"fmt"
 	"time"
 )
-
-// Clock is a virtual clock counting simulated elapsed time. The zero value
-// is a clock at time zero. Clock is not safe for concurrent use; the
-// simulator is single-threaded over simulated time by construction.
-type Clock struct {
-	now time.Duration
-}
-
-// Now returns the current simulated time.
-func (c *Clock) Now() time.Duration { return c.now }
-
-// Advance moves the clock forward by d. Negative advances panic: simulated
-// time is monotone.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("storage: negative clock advance %v", d))
-	}
-	c.now += d
-}
-
-// Reset rewinds the clock to zero for a fresh run.
-func (c *Clock) Reset() { c.now = 0 }
 
 // Device is a storage or memory device cost model: a fixed per-operation
 // latency plus size-proportional transfer time.
@@ -90,27 +68,3 @@ func SSD() Device {
 func HDD() Device {
 	return Device{Name: "HDD", Latency: 8 * time.Millisecond, Bandwidth: 150e6}
 }
-
-// Counter accumulates read statistics for one device or cache level.
-type Counter struct {
-	Ops   int64
-	Bytes int64
-	Time  time.Duration
-}
-
-// Record adds one read of n bytes taking t.
-func (c *Counter) Record(n int64, t time.Duration) {
-	c.Ops++
-	c.Bytes += n
-	c.Time += t
-}
-
-// Add merges another counter into c.
-func (c *Counter) Add(o Counter) {
-	c.Ops += o.Ops
-	c.Bytes += o.Bytes
-	c.Time += o.Time
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { *c = Counter{} }

@@ -6,32 +6,6 @@ import (
 	"time"
 )
 
-func TestClockAdvance(t *testing.T) {
-	var c Clock
-	if c.Now() != 0 {
-		t.Errorf("zero clock Now = %v", c.Now())
-	}
-	c.Advance(5 * time.Millisecond)
-	c.Advance(3 * time.Millisecond)
-	if c.Now() != 8*time.Millisecond {
-		t.Errorf("Now = %v, want 8ms", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("after Reset Now = %v", c.Now())
-	}
-}
-
-func TestClockPanicsOnNegative(t *testing.T) {
-	var c Clock
-	defer func() {
-		if recover() == nil {
-			t.Error("negative advance did not panic")
-		}
-	}()
-	c.Advance(-time.Nanosecond)
-}
-
 func TestTransferTime(t *testing.T) {
 	d := Device{Name: "x", Latency: time.Millisecond, Bandwidth: 1e6} // 1 MB/s
 	// 1 MB at 1 MB/s = 1 s, plus 1 ms latency.
@@ -73,25 +47,6 @@ func TestDeviceHierarchyOrdering(t *testing.T) {
 		if !(dram < ssd && ssd < hdd) {
 			t.Errorf("size %d: DRAM %v, SSD %v, HDD %v not strictly ordered", n, dram, ssd, hdd)
 		}
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Record(100, time.Millisecond)
-	c.Record(200, 2*time.Millisecond)
-	if c.Ops != 2 || c.Bytes != 300 || c.Time != 3*time.Millisecond {
-		t.Errorf("counter = %+v", c)
-	}
-	var d Counter
-	d.Record(50, time.Microsecond)
-	c.Add(d)
-	if c.Ops != 3 || c.Bytes != 350 {
-		t.Errorf("after Add = %+v", c)
-	}
-	c.Reset()
-	if c != (Counter{}) {
-		t.Errorf("after Reset = %+v", c)
 	}
 }
 

@@ -319,7 +319,7 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 		dups    map[grid.BlockID][]int // extra occurrences, resolved at the end
 		waiters map[int]inflightRef    // index -> concurrent read to join
 	)
-	// The hot callers (ooc demand chunks, blocksvc response runs) pass
+	// The hot callers (an ooc frame's misses, blocksvc response runs) pass
 	// sorted unique ids; one scan detects that and skips the dedup map —
 	// the only per-call allocation proportional to a fully-hit batch.
 	sorted := true
@@ -464,15 +464,8 @@ func (c *MemCache) EvictWhere(pred func(grid.BlockID) bool) int {
 	return c.lvl.EvictWhere(pred)
 }
 
-// Stats returns hit and miss counts so far.
-func (c *MemCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Counters returns the full activity snapshot, including coalesced requests
-// and recycled buffers.
+// Counters returns the cache's activity so far: hits and misses, coalesced
+// requests, evictions and recycled buffers.
 func (c *MemCache) Counters() CacheCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -315,9 +315,8 @@ func TestMemCacheHitMiss(t *testing.T) {
 	if _, hit, err := c.Get(ctx, 1); err != nil || !hit {
 		t.Fatalf("warm Get: hit=%v err=%v", hit, err)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("hits/misses = %d/%d", hits, misses)
+	if cc := c.Counters(); cc.Hits != 1 || cc.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d", cc.Hits, cc.Misses)
 	}
 	if !c.Contains(1) {
 		t.Error("block 1 not cached")
@@ -380,15 +379,14 @@ func TestMemCachePrefetch(t *testing.T) {
 	if !c.Contains(2) {
 		t.Error("prefetched block absent")
 	}
-	hits, misses := c.Stats()
-	if hits != 0 || misses != 0 {
+	if cc := c.Counters(); cc.Hits != 0 || cc.Misses != 0 {
 		t.Error("prefetch perturbed stats")
 	}
 	// Subsequent Get hits.
 	if _, hit, err := c.Get(ctx, 2); err != nil || !hit {
 		t.Fatalf("post-prefetch Get: hit=%v err=%v", hit, err)
 	}
-	if h, _ := c.Stats(); h != 1 {
+	if c.Counters().Hits != 1 {
 		t.Error("post-prefetch Get not a hit")
 	}
 }
