@@ -16,7 +16,7 @@ FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./
 
 # The lifecycle/failure-model suite: failover, drain, heartbeats, breaker,
 # and the two-replica network-chaos end-to-end run.
-CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestKeepalive|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
+CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestIdleConnToMuteServerDropped|TestIdleConnSurvivesHeartbeats|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads'
 
 .PHONY: check vet build unused-pkgs one-codec one-planner test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
 
@@ -100,12 +100,12 @@ spill-smoke:
 # other-version hello refusal; the transport table — whole-block round trip,
 # a run of mixed statuses, pipelined batches multiplexed over one conn and
 # the payload-CRC reject and the server's remembered CRC, each over the pipe
-# and over loopback TCP; the mid-response stall failover scope; the payload
-# length checked against the geometry; the streaming parser's entry shapes;
-# and the run no frame can carry, answered or refused but never dropped in
-# silence.
+# and over loopback TCP; a view hint sent beside full tags; the mid-response
+# stall failover scope; the payload length checked against the geometry; the
+# streaming parser's entry shapes; and the run no frame can carry, answered or
+# refused but never dropped in silence.
 pipe-smoke:
-	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestWireCRCReject|TestServerChecksumIsRemembered|TestStallMidResponse|TestLyingLengthRejected|TestBlocksEntryShapes|TestOversizeRunNeverSilent' ./internal/blocksvc/
+	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestSendViewNotBehindReads|TestWireCRCReject|TestServerChecksumIsRemembered|TestStallMidResponse|TestLyingLengthRejected|TestBlocksEntryShapes|TestOversizeRunNeverSilent' ./internal/blocksvc/
 
 # cluster-smoke runs the sharded-cluster suite under the race detector: a
 # 3-node in-process cluster with client-side consistent-hash routing, one

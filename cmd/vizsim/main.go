@@ -240,7 +240,7 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 			// whole dataset and the client fails over between them.
 			for _, addr := range strings.Split(remote, ",") {
 				if addr = strings.TrimSpace(addr); addr != "" {
-					ccfg.Endpoints = append(ccfg.Endpoints, blocksvc.Endpoint{Addr: addr})
+					ccfg.Endpoints = append(ccfg.Endpoints, addr)
 				}
 			}
 		}
@@ -420,8 +420,8 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 			rs.Requests, rs.BlocksRequested, rs.Dials, rs.BytesReceived>>20, rs.ViewUpdates)
 		fmt.Printf("remote faults      %d server-side, %d shed, %d wire checksum rejects, %d torn connections\n",
 			rs.RemoteFaults, rs.ShedRequests, rs.ChecksumErrors, rs.TransportErrors)
-		fmt.Printf("remote liveness    %d pings sent (%d pongs), %d dead conns dropped, %d goaways seen\n",
-			rs.PingsSent, rs.PongsReceived, rs.DeadPeers, rs.GoawaysReceived)
+		fmt.Printf("remote liveness    %d dead conns dropped (server heartbeats went quiet), %d goaways seen\n",
+			rs.DeadPeers, rs.GoawaysReceived)
 		fmt.Printf("remote failover    %d batches re-routed; breaker %d opens / %d probes / %d closes\n",
 			rs.Failovers, rs.BreakerOpens, rs.BreakerProbes, rs.BreakerCloses)
 		if rs.TopologyUpdates > 0 || rs.Redirects > 0 || rs.Reroutes > 0 {

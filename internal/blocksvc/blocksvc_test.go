@@ -113,8 +113,11 @@ type svcFixture struct {
 	vis   *visibility.Table
 	srv   *Server
 	lis   *PipeListener // nil on the tcp transport
-	dial  func(ctx context.Context) (net.Conn, error)
+	dial  dialFunc
 }
+
+// dialFunc is ClientConfig.Dial's shape.
+type dialFunc = func(ctx context.Context, addr string) (net.Conn, error)
 
 // transports are the two ways sendRun's segments leave the server: through
 // the session's buffered writer (the in-process pipe, like any conn that is
@@ -124,7 +127,7 @@ var transports = []string{"pipe", "tcp"}
 
 // listen serves srv on a fresh listener of the given transport, closed with
 // the test, and returns it with the way to dial it.
-func listen(t testing.TB, srv *Server, transport string) (net.Listener, func(ctx context.Context) (net.Conn, error)) {
+func listen(t testing.TB, srv *Server, transport string) (net.Listener, dialFunc) {
 	t.Helper()
 	if transport == "tcp" {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -133,7 +136,7 @@ func listen(t testing.TB, srv *Server, transport string) (net.Listener, func(ctx
 		}
 		go srv.Serve(l)
 		t.Cleanup(func() { l.Close() })
-		return l, func(ctx context.Context) (net.Conn, error) {
+		return l, func(ctx context.Context, _ string) (net.Conn, error) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", l.Addr().String())
 		}
@@ -476,7 +479,7 @@ func TestMixedStatusRun(t *testing.T) {
 			}
 			t.Cleanup(srv.Close)
 			_, dial := listen(t, srv, tr)
-			conn, err := dial(context.Background())
+			conn, err := dial(context.Background(), "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -547,9 +550,9 @@ func TestMixedStatusRun(t *testing.T) {
 // in the first payload byte of every blocks frame's first entry, leaving
 // lengths and checksums as sent — in-transit corruption that lands where
 // only the payload CRC can see it, whatever the transport underneath.
-func flipPayloadBit(dial func(ctx context.Context) (net.Conn, error)) func(ctx context.Context) (net.Conn, error) {
-	return func(ctx context.Context) (net.Conn, error) {
-		up, err := dial(ctx)
+func flipPayloadBit(dial dialFunc) dialFunc {
+	return func(ctx context.Context, addr string) (net.Conn, error) {
+		up, err := dial(ctx, addr)
 		if err != nil {
 			return nil, err
 		}
@@ -983,7 +986,7 @@ func TestInjectorWrapsRemoteReader(t *testing.T) {
 func TestVersionMismatchRefused(t *testing.T) {
 	f := startService(t, svcOpts{})
 	for _, ver := range []uint16{3, ProtoVersion + 99} {
-		conn, err := f.lis.Dial(context.Background())
+		conn, err := f.lis.Dial(context.Background(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1016,7 +1019,7 @@ func TestVersionMismatchRefused(t *testing.T) {
 
 func TestBadMagicRefused(t *testing.T) {
 	f := startService(t, svcOpts{})
-	conn, err := f.lis.Dial(context.Background())
+	conn, err := f.lis.Dial(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

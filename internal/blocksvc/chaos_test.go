@@ -45,16 +45,14 @@ func TestChaosReplicaFailoverAndDrain(t *testing.T) {
 		LatencyJitter: 200 * time.Microsecond,
 		ChunkBytes:    4096,
 	})
-	dialA := ch.Dialer(func(ctx context.Context) (net.Conn, error) {
-		return lisA.Load().Dial(ctx)
-	})
-	dialB := ch.Dialer(fb.lis.Dial)
-
 	r, err := Dial(ClientConfig{
-		Endpoints: []Endpoint{
-			{Addr: "replica-a", Dial: dialA},
-			{Addr: "replica-b", Dial: dialB},
-		},
+		Endpoints: []string{"replica-a", "replica-b"},
+		Dial: ch.Dialer(dialRoutes(map[string]dialFunc{
+			"replica-a": func(ctx context.Context, addr string) (net.Conn, error) {
+				return lisA.Load().Dial(ctx, addr)
+			},
+			"replica-b": fb.lis.Dial,
+		})),
 		Conns:            2,
 		Retry:            fastRetry(2),
 		BreakerThreshold: 2,

@@ -52,13 +52,13 @@ type clusterFixture struct {
 }
 
 // dialAddr routes topology addresses to the in-process listeners — the
-// ClientConfig.DialAddr hook for cluster clients.
+// ClientConfig.Dial hook for cluster clients.
 func (f *clusterFixture) dialAddr(ctx context.Context, addr string) (net.Conn, error) {
 	n, ok := f.nodes[addr]
 	if !ok {
 		return nil, fmt.Errorf("cluster_test: unknown address %q", addr)
 	}
-	return n.lis.Dial(ctx)
+	return n.lis.Dial(ctx, addr)
 }
 
 // kill simulates a node crash: the listener and server go down hard, every
@@ -145,7 +145,7 @@ func dialCluster(t testing.TB, f *clusterFixture, conns int) *RemoteReader {
 	t.Helper()
 	r, err := Dial(ClientConfig{
 		ShardMap: f.m,
-		DialAddr: f.dialAddr,
+		Dial:     f.dialAddr,
 		Conns:    conns,
 		Retry:    fastRetry(3),
 	})
@@ -234,7 +234,7 @@ func TestClusterRedirectWire(t *testing.T) {
 		c.HeartbeatInterval = -1
 	})
 	n := f.order[0]
-	conn, err := n.lis.Dial(context.Background())
+	conn, err := n.lis.Dial(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestClusterStaleClientConvergesViaWelcome(t *testing.T) {
 
 	r, err := Dial(ClientConfig{
 		ShardMap: stale,
-		DialAddr: f.dialAddr,
+		Dial:     f.dialAddr,
 		Conns:    1,
 		Retry:    fastRetry(3),
 	})
@@ -371,7 +371,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 		c.HeartbeatInterval = -1
 	})
 	n := f.order[0]
-	conn, err := n.lis.Dial(context.Background())
+	conn, err := n.lis.Dial(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,15 +387,18 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 	if typ, _, err := readFrame(br, nil); err != nil || typ != msgWelcome {
 		t.Fatalf("welcome: typ=%d err=%v", typ, err)
 	}
-	// A ping/pong round-trip proves the server's session loop is running —
-	// the session is fully registered for broadcasts before we drain.
-	var ping enc
-	ping.u64(123)
-	if err := writeFrame(conn, msgPing, ping.b); err != nil {
+	// An empty read answered by its done proves the server's session loop
+	// is running — the session is fully registered for broadcasts before
+	// we drain.
+	var read enc
+	read.u64(123)
+	read.u32(0) // no deadline
+	read.u32(0) // no ids
+	if err := writeFrame(conn, msgRead, read.b); err != nil {
 		t.Fatal(err)
 	}
-	if typ, _, err := readFrame(br, nil); err != nil || typ != msgPong {
-		t.Fatalf("pong: typ=%d err=%v", typ, err)
+	if typ, _, err := readFrame(br, nil); err != nil || typ != msgDone {
+		t.Fatalf("done: typ=%d err=%v", typ, err)
 	}
 
 	drained := make(chan error, 1)

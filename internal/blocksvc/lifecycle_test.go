@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -52,7 +53,7 @@ func TestHandshakeWriteDeadline(t *testing.T) {
 	t.Cleanup(func() { lis.Close() })
 	go f.srv.Serve(ch.Listener(lis))
 
-	conn, err := lis.Dial(context.Background())
+	conn, err := lis.Dial(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestServerDetectsDeadPeer(t *testing.T) {
 		c.HeartbeatInterval = 30 * time.Millisecond
 		c.Metrics = reg
 	}})
-	conn, err := f.lis.Dial(context.Background())
+	conn, err := f.lis.Dial(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +193,10 @@ func TestClientDetectsDeadServer(t *testing.T) {
 	}
 }
 
-// TestKeepaliveDropsDeadIdleConn: the client pings idle pooled connections;
-// when the pong never comes the conn must be counted dead and dropped.
-func TestKeepaliveDropsDeadIdleConn(t *testing.T) {
+// TestIdleConnToMuteServerDropped: a server that advertises a heartbeat and
+// then never sends one leaves the client's idle conn without inbound frames;
+// the read deadline alone must count it dead and drop it.
+func TestIdleConnToMuteServerDropped(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	lis := startMuteServer(t, 20)
 	r, err := Dial(ClientConfig{Dial: lis.Dial, Conns: 1, Retry: fastRetry(1)})
@@ -202,12 +204,68 @@ func TestKeepaliveDropsDeadIdleConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	// Dial leaves one idle conn; the keepalive loop pings it every 20ms and
-	// the mute server never answers.
-	waitFor(t, 3*time.Second, "keepalive to drop the dead conn", func() bool {
-		st := r.Snapshot()
-		return st.PingsSent >= 1 && st.DeadPeers >= 1
+	waitFor(t, 3*time.Second, "the read deadline to drop the idle conn", func() bool {
+		return r.Snapshot().DeadPeers >= 1
 	})
+}
+
+// TestIdleConnSurvivesHeartbeats: the server's pings and the client's pongs
+// are all the liveness an idle conn needs — after ten heartbeats it is still
+// the pool's one conn, with no dead peer on either side.
+func TestIdleConnSurvivesHeartbeats(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	f := startService(t, svcOpts{mutate: func(c *Config) {
+		c.HeartbeatInterval = 20 * time.Millisecond
+	}})
+	r, err := Dial(ClientConfig{Dial: f.dial, Conns: 1, Retry: fastRetry(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	waitFor(t, 3*time.Second, "ten heartbeats", func() bool {
+		return f.srv.Snapshot().HeartbeatsSent >= 10
+	})
+	if _, errs := r.ReadBlocks(context.Background(), []grid.BlockID{0, 1, 2}); anyErr(errs) != nil {
+		t.Fatalf("read after ten idle heartbeats: %v", anyErr(errs))
+	}
+	if st := r.Snapshot(); st.Dials != 1 || st.DeadPeers != 0 {
+		t.Errorf("client redialed or dropped its idle conn: %+v", st)
+	}
+	if st := f.srv.Snapshot(); st.DeadPeers != 0 {
+		t.Errorf("server dropped an idle client that answered every ping: %+v", st)
+	}
+}
+
+// TestClientPingRefused: ping is the server's alone. A client that sends one
+// has broken the protocol and gets an error frame and a closed session.
+func TestClientPingRefused(t *testing.T) {
+	f := startService(t, svcOpts{mutate: func(c *Config) { c.HeartbeatInterval = -1 }})
+	conn, err := f.lis.Dial(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var e enc
+	e.u32(protoMagic)
+	e.u16(ProtoVersion)
+	if err := writeFrame(conn, msgHello, e.b); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if typ, _, err := readFrame(br, nil); err != nil || typ != msgWelcome {
+		t.Fatalf("welcome: typ=%d err=%v", typ, err)
+	}
+	e.reset()
+	e.u64(1)
+	if err := writeFrame(conn, msgPing, e.b); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(br, nil); err != nil || typ != msgError {
+		t.Fatalf("answer to a client ping: typ=%d err=%v, want an error frame", typ, err)
+	}
+	if _, _, err := readFrame(br, nil); err == nil {
+		t.Fatal("session stayed open after refusing a client ping")
+	}
 }
 
 // TestDrainFinishesInflight: Drain must announce GOAWAY, let the in-flight
@@ -269,16 +327,26 @@ func TestDrainFinishesInflight(t *testing.T) {
 	}
 }
 
+// dialRoutes routes each replica address to its own in-process dialer, the
+// way cluster_test.go's dialAddr routes topology addresses.
+func dialRoutes(routes map[string]dialFunc) dialFunc {
+	return func(ctx context.Context, addr string) (net.Conn, error) {
+		dial, ok := routes[addr]
+		if !ok {
+			return nil, fmt.Errorf("unknown address %q", addr)
+		}
+		return dial(ctx, addr)
+	}
+}
+
 // twoReplicas builds two independent fixtures serving identical data and a
 // client configured with both as endpoints.
 func twoReplicas(t *testing.T, mutate func(*Config), cc ClientConfig) (fa, fb *svcFixture, r *RemoteReader) {
 	t.Helper()
 	fa = startService(t, svcOpts{mutate: mutate})
 	fb = startService(t, svcOpts{mutate: mutate})
-	cc.Endpoints = []Endpoint{
-		{Addr: "replica-a", Dial: fa.lis.Dial},
-		{Addr: "replica-b", Dial: fb.lis.Dial},
-	}
+	cc.Endpoints = []string{"replica-a", "replica-b"}
+	cc.Dial = dialRoutes(map[string]dialFunc{"replica-a": fa.lis.Dial, "replica-b": fb.lis.Dial})
 	r, err := Dial(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -340,10 +408,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	f := startService(t, svcOpts{mutate: func(c *Config) { c.HeartbeatInterval = -1 }})
 	var lis atomic.Pointer[PipeListener]
 	lis.Store(f.lis)
-	dial := func(ctx context.Context) (net.Conn, error) { return lis.Load().Dial(ctx) }
+	dial := func(ctx context.Context, addr string) (net.Conn, error) { return lis.Load().Dial(ctx, addr) }
 
 	r, err := Dial(ClientConfig{
-		Endpoints:        []Endpoint{{Addr: "solo", Dial: dial}},
+		Dial:             dial,
 		Conns:            1,
 		Retry:            fastRetry(1),
 		BreakerThreshold: 2,
@@ -432,10 +500,8 @@ func TestChecksumFaultsDontFailover(t *testing.T) {
 	go fa.srv.Serve(ch.Listener(lisA))
 
 	r, err := Dial(ClientConfig{
-		Endpoints: []Endpoint{
-			{Addr: "corrupt-a", Dial: lisA.Dial},
-			{Addr: "clean-b", Dial: fb.lis.Dial},
-		},
+		Endpoints:        []string{"corrupt-a", "clean-b"},
+		Dial:             dialRoutes(map[string]dialFunc{"corrupt-a": lisA.Dial, "clean-b": fb.lis.Dial}),
 		Conns:            1,
 		Retry:            fastRetry(1),
 		BreakerThreshold: 2,
@@ -494,16 +560,15 @@ func TestCloseConcurrentWithReads(t *testing.T) {
 
 	for round := 0; round < 15; round++ {
 		var opened, closed atomic.Int64
-		dial := func(ctx context.Context) (net.Conn, error) {
-			c, err := f.lis.Dial(ctx)
+		dial := func(ctx context.Context, addr string) (net.Conn, error) {
+			c, err := f.lis.Dial(ctx, addr)
 			if err != nil {
 				return nil, err
 			}
 			opened.Add(1)
 			return &countedConn{Conn: c, n: &closed}, nil
 		}
-		r, err := Dial(ClientConfig{Dial: dial, Conns: 4, Retry: fastRetry(1),
-			HeartbeatInterval: -1})
+		r, err := Dial(ClientConfig{Dial: dial, Conns: 4, Retry: fastRetry(1)})
 		if err != nil {
 			t.Fatal(err)
 		}

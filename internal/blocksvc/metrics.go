@@ -172,8 +172,6 @@ type clientMetrics struct {
 	viewUpdates     *obs.Counter
 	failovers       *obs.Counter
 	goawaysReceived *obs.Counter
-	pingsSent       *obs.Counter
-	pongsReceived   *obs.Counter
 	deadPeers       *obs.Counter
 	breakerOpens    *obs.Counter
 	breakerProbes   *obs.Counter
@@ -208,8 +206,6 @@ func newClientMetrics(reg *obs.Registry) *clientMetrics {
 	m.viewUpdates = reg.Counter("client.view_updates")
 	m.failovers = reg.Counter("client.failovers")
 	m.goawaysReceived = reg.Counter("client.goaways_received")
-	m.pingsSent = reg.Counter("client.pings_sent")
-	m.pongsReceived = reg.Counter("client.pongs_received")
 	m.deadPeers = reg.Counter("client.dead_peers")
 	m.breakerOpens = reg.Counter("client.breaker_opens")
 	m.breakerProbes = reg.Counter("client.breaker_probes")
@@ -237,8 +233,6 @@ func (m *clientMetrics) snapshot() ClientStats {
 		ViewUpdates:     m.viewUpdates.Value(),
 		Failovers:       m.failovers.Value(),
 		GoawaysReceived: m.goawaysReceived.Value(),
-		PingsSent:       m.pingsSent.Value(),
-		PongsReceived:   m.pongsReceived.Value(),
 		DeadPeers:       m.deadPeers.Value(),
 		BreakerOpens:    m.breakerOpens.Value(),
 		BreakerProbes:   m.breakerProbes.Value(),

@@ -3,6 +3,7 @@ package blocksvc
 import (
 	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -35,9 +36,7 @@ var clientStatNames = map[string]string{
 	"ShedRequests": "client.shed_requests", "ChecksumErrors": "client.checksum_errors",
 	"TransportErrors": "client.transport_errors", "BytesReceived": "client.bytes_received",
 	"ViewUpdates": "client.view_updates", "Failovers": "client.failovers",
-	"GoawaysReceived": "client.goaways_received",
-	"PingsSent":       "client.pings_sent", "PongsReceived": "client.pongs_received",
-	"DeadPeers":    "client.dead_peers",
+	"GoawaysReceived": "client.goaways_received", "DeadPeers": "client.dead_peers",
 	"BreakerOpens": "client.breaker_opens", "BreakerProbes": "client.breaker_probes",
 	"BreakerCloses": "client.breaker_closes",
 	"Redirects":     "client.redirects", "Reroutes": "client.reroutes",
@@ -64,6 +63,43 @@ func assertStatsMatchRegistry(t *testing.T, stats any, names map[string]string, 
 		} else if got != v.Field(i).Int() {
 			t.Errorf("%T.%s = %d, registry %q = %d", stats, field, v.Field(i).Int(), name, got)
 		}
+	}
+}
+
+// TestEndpointMetricsRetiredWithReader: a reader's per-endpoint health names
+// leave the registry with it — at Close, and when Dial itself fails — so a
+// later reader on the same registry shows its own breakers, not a dead one's.
+func TestEndpointMetricsRetiredWithReader(t *testing.T) {
+	endpointNames := func(reg *obs.Registry) (names []string) {
+		for _, name := range reg.Names() {
+			if strings.HasPrefix(name, "client.shard.") {
+				names = append(names, name)
+			}
+		}
+		return names
+	}
+	reg := obs.NewRegistry()
+	f := startService(t, svcOpts{})
+	r, err := Dial(ClientConfig{Dial: f.dial, Retry: fastRetry(1), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := endpointNames(reg); len(got) != len(endpointMetricSuffixes) {
+		t.Fatalf("live reader exports %v", got)
+	}
+	r.Close()
+	if got := endpointNames(reg); len(got) != 0 {
+		t.Errorf("left after Close: %v", got)
+	}
+
+	gone := NewPipeListener()
+	gone.Close()
+	if _, err := Dial(ClientConfig{Endpoints: []string{"a", "b"}, Dial: gone.Dial,
+		Retry: fastRetry(1), Metrics: reg}); err == nil {
+		t.Fatal("Dial against a closed listener succeeded")
+	}
+	if got := endpointNames(reg); len(got) != 0 {
+		t.Errorf("left after a failed Dial: %v", got)
 	}
 }
 

@@ -44,8 +44,9 @@ func (l *PipeListener) Close() error {
 func (l *PipeListener) Addr() net.Addr { return pipeAddr{} }
 
 // Dial connects a client to the listener: the returned conn's peer is
-// delivered to Accept.
-func (l *PipeListener) Dial(ctx context.Context) (net.Conn, error) {
+// delivered to Accept. It has ClientConfig.Dial's signature; a pipe has one
+// peer, so the address is ignored.
+func (l *PipeListener) Dial(ctx context.Context, _ string) (net.Conn, error) {
 	client, server := net.Pipe()
 	select {
 	case l.ch <- server:

@@ -15,11 +15,13 @@ import (
 	"repro/internal/grid"
 	"repro/internal/netchaos"
 	"repro/internal/testutil"
+	"repro/internal/vec"
 )
 
 // This file covers the wire path's concurrency and hostile-input pins:
-// tagged request pipelining over a shared conn, failover scope after a
-// mid-response tear, and the payload-length check against the geometry.
+// tagged request pipelining over a shared conn, a view hint beside full
+// tags, failover scope after a mid-response tear, and the payload-length
+// check against the geometry.
 
 // TestPipelinedConcurrentBatches is the pipelining race test: several
 // goroutines issue overlapping demand batches through ONE pooled
@@ -40,8 +42,7 @@ func pipelinedConcurrentBatches(t *testing.T, transport string) {
 		c.HeartbeatInterval = -1
 		c.ResponseRunBytes = 4096 // multi-frame responses interleave across tags
 	}})
-	r, err := Dial(ClientConfig{Dial: f.dial, Conns: 1, PipelineDepth: 4,
-		Retry: fastRetry(3)})
+	r, err := Dial(ClientConfig{Dial: f.dial, Conns: 1, Retry: fastRetry(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +86,50 @@ func pipelinedConcurrentBatches(t *testing.T, transport string) {
 	if st.TransportErrors != 0 || st.Failovers != 0 {
 		t.Errorf("clean pipelined run recorded faults: %+v", st)
 	}
+}
+
+// TestSendViewNotBehindReads: a view hint takes no request slot, so it goes
+// out on the live conn even while reads hold every tag — neither parked
+// until one completes nor sent on a conn dialed just for it.
+func TestSendViewNotBehindReads(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	f := startService(t, svcOpts{
+		inject: &faultio.InjectorConfig{Seed: 3, Latency: 80 * time.Millisecond},
+		mutate: func(c *Config) { c.HeartbeatInterval = -1 },
+	})
+	r := dialService(t, f, 1)
+
+	var wg sync.WaitGroup
+	errc := make(chan error, pipelineDepth)
+	for i := range pipelineDepth {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs := r.ReadBlocks(context.Background(), []grid.BlockID{grid.BlockID(i)})
+			errc <- errs[0]
+		}()
+	}
+	waitFor(t, 2*time.Second, "every tag to be in flight", func() bool {
+		return f.srv.Snapshot().Requests >= pipelineDepth
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := r.SendView(ctx, vec.New(3, 0, 0)); err != nil {
+		t.Fatalf("SendView with every tag taken: %v", err)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+	if st := r.Snapshot(); st.Dials != 1 || st.ViewUpdates != 1 {
+		t.Errorf("want the view on the one pooled conn: %+v", st)
+	}
+	waitFor(t, 2*time.Second, "the server to see the view", func() bool {
+		return f.srv.Snapshot().ViewUpdates == 1
+	})
 }
 
 // startLyingServer completes a handshake for a 32³ volume in 8³ blocks
@@ -169,8 +214,7 @@ func TestLyingLengthRejected(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis := startLyingServer(t, tc.payloadBytes)
-			r, err := Dial(ClientConfig{Dial: lis.Dial, Conns: 1, Retry: fastRetry(1),
-				FailoverAttempts: 1, HeartbeatInterval: -1})
+			r, err := Dial(ClientConfig{Dial: lis.Dial, Conns: 1, Retry: fastRetry(1)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +254,7 @@ func TestOversizeRunNeverSilent(t *testing.T) {
 	const blocks = maxFrameBytes/2048 + 500
 	ask := func(t *testing.T, f *svcFixture, n int) (br *bufio.Reader) {
 		t.Helper()
-		conn, err := f.dial(context.Background())
+		conn, err := f.dial(context.Background(), "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,12 +372,10 @@ func TestStallMidResponseFailsOverScoped(t *testing.T) {
 	go fa.srv.Serve(ch.Listener(lisA))
 
 	r, err := Dial(ClientConfig{
-		Endpoints: []Endpoint{
-			{Addr: "stall-a", Dial: lisA.Dial},
-			{Addr: "clean-b", Dial: fb.lis.Dial},
-		},
-		Conns: 1,
-		Retry: fastRetry(1),
+		Endpoints: []string{"stall-a", "clean-b"},
+		Dial:      dialRoutes(map[string]dialFunc{"stall-a": lisA.Dial, "clean-b": fb.lis.Dial}),
+		Conns:     1,
+		Retry:     fastRetry(1),
 	})
 	if err != nil {
 		t.Fatal(err)

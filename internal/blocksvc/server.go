@@ -684,15 +684,6 @@ func (ss *session) run() {
 			if !ss.handleView(payload) {
 				return
 			}
-		case msgPing:
-			token, ok := decodeToken(payload)
-			if !ok {
-				ss.fail("bad ping")
-				return
-			}
-			var e enc
-			e.u64(token)
-			ss.send(msgPong, e.b)
 		case msgPong:
 			if _, ok := decodeToken(payload); !ok {
 				ss.fail("bad pong")

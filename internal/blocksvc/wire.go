@@ -27,8 +27,8 @@
 //	done    s→c  req u64 (every requested index has been answered)
 //	shed    s→c  req u64 (request refused by admission control; retryable)
 //	error   s→c  message string (fatal protocol error; connection closes)
-//	ping    ↔    token u64 (liveness probe; either side may send)
-//	pong    ↔    token u64 (echo of a received ping's token)
+//	ping    s→c  token u64 (liveness probe at the advertised interval)
+//	pong    c→s  token u64 (echo of a received ping's token)
 //	goaway  s→c  drainMillis u32 (server is draining: finish what is on the
 //	             wire, then take new work elsewhere)
 //	topology s→c shard.Map binary encoding (cluster nodes only): an
@@ -58,14 +58,18 @@
 //
 // # Liveness and lifecycle
 //
-// The welcome advertises the server's heartbeat interval; from then on each
-// side sends a ping at that cadence whenever its end is otherwise quiet and
-// arms a read deadline of twice the interval, so a dead or wedged peer —
-// one that stops producing any frames, not just pongs — is detected within
-// 2×interval and its session torn down instead of leaking. GOAWAY is the
-// server's drain announcement: requests already on the wire are served,
-// after which the connection will close; a failover-aware client shifts
-// new work to a replica.
+// The welcome advertises the server's heartbeat interval. One side probes
+// and the other answers: the server pings every session at that cadence,
+// busy or idle, and the client pongs each ping. Both sides arm a read
+// deadline of twice the interval, which any inbound frame renews — the
+// client's by the pings, the server's by the pongs — so a dead or wedged
+// peer, one that stops producing any frames, is detected within 2×interval
+// and its session torn down instead of leaking. A ping from a client is a
+// protocol error, as is a pong from a server.
+//
+// GOAWAY is the server's drain announcement: requests already on the wire
+// are served, after which the connection will close; a failover-aware
+// client shifts new work to a replica.
 //
 // # Sharded clusters
 //

@@ -127,10 +127,11 @@ func (c *Chaos) Conn(nc net.Conn) net.Conn {
 // Listener wraps a listener so every accepted connection is chaos-wrapped.
 func (c *Chaos) Listener(l net.Listener) net.Listener { return &listener{Listener: l, ch: c} }
 
-// Dialer wraps a dial function so every dialed connection is chaos-wrapped.
-func (c *Chaos) Dialer(dial func(ctx context.Context) (net.Conn, error)) func(ctx context.Context) (net.Conn, error) {
-	return func(ctx context.Context) (net.Conn, error) {
-		nc, err := dial(ctx)
+// Dialer wraps an address-keyed dial function (blocksvc.ClientConfig.Dial's
+// shape) so every dialed connection is chaos-wrapped.
+func (c *Chaos) Dialer(dial func(ctx context.Context, addr string) (net.Conn, error)) func(ctx context.Context, addr string) (net.Conn, error) {
+	return func(ctx context.Context, addr string) (net.Conn, error) {
+		nc, err := dial(ctx, addr)
 		if err != nil {
 			return nil, err
 		}

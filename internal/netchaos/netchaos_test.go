@@ -249,11 +249,11 @@ func TestDialerAndListenerWrap(t *testing.T) {
 		buf, _ := io.ReadAll(c)
 		done <- buf
 	}()
-	dial := ch.Dialer(func(ctx context.Context) (net.Conn, error) {
+	dial := ch.Dialer(func(ctx context.Context, addr string) (net.Conn, error) {
 		var d net.Dialer
-		return d.DialContext(ctx, "tcp", lis.Addr().String())
+		return d.DialContext(ctx, "tcp", addr)
 	})
-	c, err := dial(context.Background())
+	c, err := dial(context.Background(), lis.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
