@@ -19,9 +19,12 @@
 // -dataset/-scale/-blocks so their geometry matches the served volume. The
 // fault-injection flags put a deterministic injector between the file and
 // the cache, so degraded-but-graceful behavior can be demonstrated across
-// the wire. SIGINT/SIGTERM drain the server — stop accepting, announce
-// GOAWAY, finish in-flight requests up to -drain-timeout — then print its
-// counters; clients with a second replica fail over seamlessly.
+// the wire. -heartbeat is the liveness ping interval, and with it how long
+// a connection may stay silent from its hello on: two intervals (10s for
+// the hello when liveness is off). SIGINT/SIGTERM drain the server — stop
+// accepting, announce GOAWAY, finish in-flight requests up to
+// -drain-timeout — then print its counters; clients with a second replica
+// fail over seamlessly.
 package main
 
 import (
@@ -65,7 +68,7 @@ func main() {
 		maxReqs = flag.Int("max-session-reqs", 8, "admission: concurrent requests per session")
 		maxWait = flag.Duration("queue-wait", 100*time.Millisecond, "admission: longest wait before a request is shed")
 
-		heartbeat = flag.Duration("heartbeat", 0, "liveness ping interval advertised to clients (0 = 5s default, negative disables)")
+		heartbeat = flag.Duration("heartbeat", 0, "liveness ping interval advertised to clients; a session, its hello included, may go two intervals silent (0 = 5s default, negative disables pings and holds the hello to 10s; at least 1ms)")
 		drainT    = flag.Duration("drain-timeout", 5*time.Second, "on SIGTERM/SIGINT: how long to let in-flight requests finish")
 
 		shardID  = flag.String("shard-id", "", "cluster mode: this node's shard id (must appear in -shard-map)")

@@ -195,21 +195,7 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.imp = entropy.Build(ds, g, entropy.Options{})
-	visRadius := o.visRadius
-	if visRadius == 0 {
-		visRadius = 0.3
-	}
-	f.vis, err = visibility.NewTable(g, visibility.Options{
-		NAzimuth: 16, NElevation: 8, NDistance: 2,
-		RMin: 2.5, RMax: 3.5,
-		ViewAngle: vec.Radians(20),
-		Radius:    radius.Fixed(visRadius),
-		Lazy:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f.imp, f.vis = prefetchTables(t, ds, g, o.visRadius)
 	cfg := Config{Cache: f.cache, Grid: g, Header: bf.Header()}
 	if o.prefetch {
 		cfg.Vis, cfg.Imp, cfg.Sigma = f.vis, f.imp, 0
@@ -226,6 +212,27 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	l, f.dial = listen(t, f.srv, o.transport)
 	f.lis, _ = l.(*PipeListener)
 	return f
+}
+
+// prefetchTables builds the entropy table and the lazy T_visible table
+// (20° view, fixed vicinal radius visRadius, 0.3 when 0) that the fixtures'
+// prefetch planners read.
+func prefetchTables(t testing.TB, ds *volume.Dataset, g *grid.Grid, visRadius float64) (*entropy.Table, *visibility.Table) {
+	t.Helper()
+	if visRadius == 0 {
+		visRadius = 0.3
+	}
+	vis, err := visibility.NewTable(g, visibility.Options{
+		NAzimuth: 16, NElevation: 8, NDistance: 2,
+		RMin: 2.5, RMax: 3.5,
+		ViewAngle: vec.Radians(20),
+		Radius:    radius.Fixed(visRadius),
+		Lazy:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entropy.Build(ds, g, entropy.Options{}), vis
 }
 
 // corruptBlock flips one byte inside the block's on-disk payload, leaving
@@ -685,6 +692,35 @@ func TestNewServerRefusesOverFrameBlock(t *testing.T) {
 	}
 }
 
+// TestNewServerRefusesSubMillisecondHeartbeat: the welcome advertises the
+// heartbeat in whole milliseconds, so 500µs would go out as 0 — "liveness
+// off" to the client — while the server pinged and enforced deadlines at
+// 2 000 a second. NewServer refuses it; 1ms, the default and off all pass.
+func TestNewServerRefusesSubMillisecondHeartbeat(t *testing.T) {
+	f := startService(t, svcOpts{})
+	for _, tc := range []struct {
+		hb time.Duration
+		ok bool
+	}{
+		{time.Nanosecond, false},
+		{500 * time.Microsecond, false},
+		{time.Millisecond, true},
+		{0, true},
+		{-1, true},
+	} {
+		srv, err := NewServer(Config{Cache: f.cache, Grid: f.g, Header: f.bf.Header(), HeartbeatInterval: tc.hb})
+		if err == nil {
+			srv.Close()
+		}
+		if tc.ok && err != nil {
+			t.Errorf("heartbeat %v refused: %v", tc.hb, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "heartbeat")) {
+			t.Errorf("heartbeat %v: NewServer = %v, want a refusal naming the heartbeat", tc.hb, err)
+		}
+	}
+}
+
 // TestEndToEndTwoSessionsSharedCache is the headline acceptance test: an
 // in-process server, two concurrent ooc.Runtime sessions reading through
 // RemoteReaders, and the backing store is hit at most once per cold block
@@ -882,6 +918,111 @@ func TestLoadShedDegradesFrames(t *testing.T) {
 	}
 	if st := r.Snapshot(); st.ShedRequests == 0 {
 		t.Errorf("client saw no sheds: %+v", st)
+	}
+}
+
+// TestByteSem pins the admission semaphore without a server, each case on
+// a budget of 10 units: a waiter queued behind a head-of-line request that
+// gave up is admitted as soon as it fits, not left asleep until some later
+// Release or its own deadline; admission is FIFO, so a small request does
+// not pass a large one at the head; and a waiter whose wait ends as it is
+// granted hands the units back.
+func TestByteSem(t *testing.T) {
+	ctx := context.Background()
+	// queued waits until s has n waiters.
+	queued := func(t *testing.T, s *byteSem, n int) {
+		t.Helper()
+		waitFor(t, 2*time.Second, "waiters to queue", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return len(s.waiters) == n
+		})
+	}
+	// acquire runs Acquire on its own goroutine; its error arrives on the
+	// returned channel.
+	acquire := func(s *byteSem, ctx context.Context, n int64, maxWait time.Duration) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- s.Acquire(ctx, n, maxWait) }()
+		return done
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, s *byteSem)
+	}{
+		{"shed head wakes the next", func(t *testing.T, s *byteSem) {
+			if err := s.Acquire(ctx, 3, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			head := acquire(s, ctx, 10, 20*time.Millisecond)
+			queued(t, s, 1)
+			start := time.Now()
+			next := acquire(s, ctx, 5, 2*time.Second)
+			if err := <-head; !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("head of line: %v, want its wait to expire", err)
+			}
+			if err := <-next; err != nil {
+				t.Fatalf("5 units with 7 free behind an expired head: %v after %v", err, time.Since(start))
+			}
+			if waited := time.Since(start); waited > time.Second {
+				t.Errorf("admitted after %v; the head gave up after 20ms", waited)
+			}
+			if got := s.InUse(); got != 8 {
+				t.Errorf("InUse = %d, want 8", got)
+			}
+		}},
+		{"FIFO", func(t *testing.T, s *byteSem) {
+			if err := s.Acquire(ctx, 10, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			var done []<-chan error
+			for _, n := range []int64{6, 2, 2} {
+				done = append(done, acquire(s, ctx, n, time.Minute))
+				queued(t, s, len(done))
+			}
+			s.Release(4) // 4 free: the 2s fit, but the 6 at the head does not
+			s.mu.Lock()
+			waiting := len(s.waiters)
+			s.mu.Unlock()
+			if waiting != 3 || s.InUse() != 6 {
+				t.Fatalf("after Release(4): %d waiting, %d in use; want 3 and 6", waiting, s.InUse())
+			}
+			s.Release(6)
+			for i, ch := range done {
+				if err := <-ch; err != nil {
+					t.Errorf("waiter %d: %v", i, err)
+				}
+			}
+			if got := s.InUse(); got != 10 {
+				t.Errorf("InUse = %d, want 10", got)
+			}
+		}},
+		{"cancel after grant", func(t *testing.T, s *byteSem) {
+			for i := 0; i < 20; i++ {
+				if err := s.Acquire(ctx, 10, time.Second); err != nil {
+					t.Fatal(err)
+				}
+				wctx, cancel := context.WithCancel(ctx)
+				done := acquire(s, wctx, 10, time.Minute)
+				queued(t, s, 1)
+				// Release's body under a lock held across the cancel: the
+				// waiter, woken by its context, is granted while it waits
+				// for the lock.
+				s.mu.Lock()
+				cancel()
+				time.Sleep(5 * time.Millisecond)
+				s.avail += 10
+				s.admitLocked()
+				s.mu.Unlock()
+				if err := <-done; err == nil {
+					s.Release(10) // it saw the grant first after all
+				}
+				if got := s.InUse(); got != 0 {
+					t.Fatalf("iteration %d: InUse = %d after every holder let go, want 0", i, got)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newByteSem(10)) })
 	}
 }
 

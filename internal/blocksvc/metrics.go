@@ -12,8 +12,6 @@ import (
 // no registry map lookup. Server.Snapshot reads the same handles back, so
 // the ServerStats view and a /debug/metrics scrape cannot disagree.
 type serverMetrics struct {
-	reg *obs.Registry // the caller's registry (nil = none)
-
 	sessions         *obs.Counter
 	activeSessions   *obs.Gauge
 	requests         *obs.Counter
@@ -48,7 +46,7 @@ type serverMetrics struct {
 // — goes to the caller's registry alone (nil handles are no-ops). Servers
 // handed the same registry share its counters, as ooc runtimes do.
 func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
-	m := &serverMetrics{reg: reg}
+	m := &serverMetrics{}
 	m.queueWait = reg.Histogram("svc.queue_wait_ns", obs.DurationBuckets())
 	m.shedWait = reg.Histogram("svc.shed_wait_ns", obs.DurationBuckets())
 	reg.GaugeFunc("svc.inflight_bytes", s.sem.InUse)
@@ -109,45 +107,6 @@ func (m *serverMetrics) snapshot() ServerStats {
 		Redirects:        m.redirects.Value(),
 		TopologyPushes:   m.topologyPushes.Value(),
 	}
-}
-
-// registerSession exposes one session's in-flight served bytes — and, when
-// prefetch is on, its trajectory-predictor counters — as dynamically named
-// metrics; unregisterSession retires every one of them at teardown so the
-// snapshot only lists live sessions.
-func (m *serverMetrics) registerSession(ss *session) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.GaugeFunc(sessionGaugeName(ss.id), ss.inflightBytes.Load)
-	if ss.prefetch != nil {
-		m.reg.CounterFunc(sessionPredictName(ss.id, "views"), ss.predViews.Load)
-		m.reg.CounterFunc(sessionPredictName(ss.id, "hits"), ss.predHits.Load)
-	}
-}
-
-func (m *serverMetrics) unregisterSession(ss *session) {
-	if m.reg == nil {
-		return
-	}
-	m.reg.Unregister(sessionGaugeName(ss.id))
-	if ss.prefetch != nil {
-		for _, suffix := range sessionPredictSuffixes {
-			m.reg.Unregister(sessionPredictName(ss.id, suffix))
-		}
-	}
-}
-
-func sessionGaugeName(id uint64) string {
-	return fmt.Sprintf("svc.session.%d.inflight_bytes", id)
-}
-
-// sessionPredictSuffixes are the per-session predictor metric names,
-// registered at session start and unregistered at teardown.
-var sessionPredictSuffixes = [...]string{"views", "hits"}
-
-func sessionPredictName(id uint64, suffix string) string {
-	return fmt.Sprintf("svc.predict.session.%d.%s", id, suffix)
 }
 
 // clientMetrics is the RemoteReader's counters — the one place they live

@@ -14,7 +14,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/radius"
 	"repro/internal/store"
 	"repro/internal/testutil"
 	"repro/internal/vec"
@@ -22,107 +21,114 @@ import (
 	"repro/internal/volume"
 )
 
-// driveOrbit replays an orbit trace against a fixture the way a real viewer
-// does: demand-read the frame's visible set first, then send the view
-// update, then wait for the server's prefetch queue to settle before the
-// next step — so every prefetch had the chance to land before the demand
-// that would profit from it, and the hit counts are deterministic.
-func driveOrbit(t *testing.T, f *svcFixture, r *RemoteReader, path camera.Path) {
+// orbitPrefetchHits replays one orbit lap the way a session serves it, with
+// no server: each step demands the frame's visible set, then hands the view
+// to the planner — at the predicted position when pred is non-nil, at the
+// view itself (the nearest-sample baseline) when it is nil — and queues the
+// head of its list as prefetched, the way handleView does. The cache holds
+// the whole volume and every prefetch lands before the next demand, so
+// resident is every block demanded or prefetched so far. Each prefetched
+// block is settled on its first demand as notePrefetchHits does: a hit if
+// resident then, either way cleared.
+func orbitPrefetchHits(t *testing.T, g *grid.Grid, plan *policy.Planner, pred *camera.Predictor,
+	path camera.Path) (demanded, hits int) {
 	t.Helper()
-	ctx := context.Background()
-	theta := vec.Radians(20)
-	views := int64(0)
-	for i, pos := range path.Steps {
-		visible := visibility.VisibleSet(f.g, camera.Camera{Pos: pos, ViewAngle: theta})
-		vals, errs := r.ReadBlocks(ctx, visible)
-		for j := range errs {
-			if errs[j] != nil {
-				t.Fatalf("step %d block %d: %v", i, visible[j], errs[j])
+	mem := &setMemory{g: g, resident: make(map[grid.BlockID]bool)}
+	prefetched := make(map[grid.BlockID]bool)
+	var planned []grid.BlockID
+	for _, pos := range path.Steps {
+		for _, id := range visibility.VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: vec.Radians(20)}) {
+			demanded++
+			if prefetched[id] {
+				delete(prefetched, id)
+				if mem.resident[id] {
+					hits++
+				}
 			}
-			r.RecycleBlockBuf(vals[j])
+			mem.resident[id] = true
 		}
-		if err := r.SendView(ctx, pos); err != nil {
-			t.Fatalf("step %d: SendView: %v", i, err)
+		target := pos
+		if pred != nil {
+			pred.Observe(pos)
+			target, _ = pred.Predict()
 		}
-		views++
-		waitFor(t, 2*time.Second, "prefetch queue to settle", func() bool {
-			st := f.srv.Snapshot()
-			return st.ViewUpdates >= views &&
-				st.PrefetchIssued == st.PrefetchExecuted+st.PrefetchFailed
-		})
+		planned = plan.Prefetch(planned[:0], target, nil, mem)
+		for _, id := range planned[:min(len(planned), prefetchQueue)] {
+			prefetched[id] = true
+			mem.resident[id] = true
+		}
 	}
+	return demanded, hits
 }
 
-// orbitPrefetchStats runs one orbit lap against a fresh service and returns
-// the server stats — predictive or nearest-sample depending on predictOff.
-func orbitPrefetchStats(t *testing.T, predictOff bool) ServerStats {
-	t.Helper()
-	// A 64³ dataset with a tight vicinal radius: blocks subtend a small
-	// enough angle that the set around the *current* key no longer covers
-	// what the next step reveals — the regime where extrapolation matters.
-	// 8 orbit steps of 45° keep each step well outside the dilation.
-	f := startService(t, svcOpts{prefetch: true, scale: 1.0 / 16, visRadius: 0.15,
-		mutate: func(c *Config) {
-			c.PredictOff = predictOff
-		}})
-	r := dialService(t, f, 1)
-	driveOrbit(t, f, r, camera.Orbit(3, 8))
-	return f.srv.Snapshot()
+// setMemory is a policy.Memory over a resident set, with room for the
+// whole volume.
+type setMemory struct {
+	g        *grid.Grid
+	resident map[grid.BlockID]bool
 }
+
+func (m *setMemory) Contains(id grid.BlockID) bool { return m.resident[id] }
+func (m *setMemory) SizeOf(id grid.BlockID) int64  { return m.g.VoxelCount(id) * 4 }
+func (m *setMemory) Capacity() int64               { return m.g.Res().Count() * 4 }
 
 // TestPredictivePrefetchBeatsNearestSample is the accuracy pin: on an orbit
 // trace, extrapolating the trajectory must warm strictly more of the blocks
 // the next frame demands than looking up the last-seen position does. Both
-// runs replay the identical trace against identical fresh services, so the
+// replays walk the identical trace through the same planner, so the
 // comparison isolates the predictor.
 func TestPredictivePrefetchBeatsNearestSample(t *testing.T) {
-	base := orbitPrefetchStats(t, true)
-	pred := orbitPrefetchStats(t, false)
-
-	if base.BlocksOK == 0 || pred.BlocksOK != base.BlocksOK {
-		t.Fatalf("runs served different demand: base %d blocks, pred %d", base.BlocksOK, pred.BlocksOK)
+	// A 64³ dataset with a tight vicinal radius: blocks subtend a small
+	// enough angle that the set around the *current* key no longer covers
+	// what the next step reveals — the regime where extrapolation matters.
+	// 8 orbit steps of 45° keep each step well outside the dilation.
+	ds := volume.Ball().Scale(1.0 / 16)
+	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pred.PredictAngular == 0 {
-		t.Errorf("orbit trace never classified as angular motion: %+v", pred)
+	imp, vis := prefetchTables(t, ds, g, 0.15)
+	plan, err := policy.NewPlanner(vis, imp, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if base.PredictDwell+base.PredictLinear+base.PredictAngular+base.PredictLast != 0 {
-		t.Errorf("PredictOff run still ran the predictor: %+v", base)
+	path := camera.Orbit(3, 8)
+	demanded, base := orbitPrefetchHits(t, g, plan, nil, path)
+	pred := camera.NewPredictor(camera.PredictorOptions{})
+	_, predicted := orbitPrefetchHits(t, g, plan, pred, path)
+	if _, kind := pred.Predict(); kind != camera.PredictAngular {
+		t.Errorf("orbit trace classified as %v, want angular motion", kind)
 	}
-	baseRatio := float64(base.PrefetchHits) / float64(base.BlocksOK)
-	predRatio := float64(pred.PrefetchHits) / float64(pred.BlocksOK)
-	if predRatio <= baseRatio {
-		t.Errorf("predictive hit ratio %.4f (hits %d) not strictly above nearest-sample %.4f (hits %d)",
-			predRatio, pred.PrefetchHits, baseRatio, base.PrefetchHits)
+	if predicted <= base {
+		t.Errorf("predictive prefetch hits %d of %d demanded blocks, not strictly above nearest-sample's %d",
+			predicted, demanded, base)
 	}
-	t.Logf("prefetch hit ratio: nearest-sample %.4f (%d/%d), predictive %.4f (%d/%d)",
-		baseRatio, base.PrefetchHits, base.BlocksOK, predRatio, pred.PrefetchHits, pred.BlocksOK)
+	t.Logf("prefetch hits over %d demanded blocks: nearest-sample %d, predictive %d", demanded, base, predicted)
 }
 
 // TestPredictSingleViewMatchesBaseline: a session that sends exactly one
-// view update must prefetch exactly what the nearest-sample baseline
-// prefetches — the predictor's single-sample degradation, end to end.
+// view update must prefetch exactly what the planner lists for that
+// position over an empty cache — the predictor's single-sample
+// degradation to the nearest-sample baseline, end to end.
 func TestPredictSingleViewMatchesBaseline(t *testing.T) {
-	issuedAfterOneView := func(predictOff bool) (int64, ServerStats) {
-		f := startService(t, svcOpts{prefetch: true, mutate: func(c *Config) {
-			c.PredictOff = predictOff
-		}})
-		r := dialService(t, f, 1)
-		pos := vec.New(3, 0, 0)
-		if err := r.SendView(context.Background(), pos); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, 2*time.Second, "view to be processed", func() bool {
-			st := f.srv.Snapshot()
-			return st.ViewUpdates >= 1 &&
-				st.PrefetchIssued == st.PrefetchExecuted+st.PrefetchFailed
-		})
-		st := f.srv.Snapshot()
-		return st.PrefetchIssued, st
+	f := startService(t, svcOpts{prefetch: true})
+	pos := vec.New(3, 0, 0)
+	want := len(f.srv.plan.Prefetch(nil, pos, nil, &shardMemory{s: f.srv})) // nothing read yet
+	if want == 0 || want > prefetchQueue {
+		t.Fatalf("planner lists %d blocks; the pin needs 1..%d", want, prefetchQueue)
 	}
-	baseIssued, _ := issuedAfterOneView(true)
-	predIssued, st := issuedAfterOneView(false)
-	if predIssued != baseIssued {
-		t.Errorf("single view issued %d prefetches with predictor, %d without", predIssued, baseIssued)
+	r := dialService(t, f, 1)
+	if err := r.SendView(context.Background(), pos); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "view to be processed", func() bool {
+		st := f.srv.Snapshot()
+		return st.ViewUpdates >= 1 &&
+			st.PrefetchIssued == st.PrefetchExecuted+st.PrefetchFailed
+	})
+	st := f.srv.Snapshot()
+	if st.PrefetchIssued != int64(want) {
+		t.Errorf("single view issued %d prefetches, the planner lists %d at the view", st.PrefetchIssued, want)
 	}
 	if st.PredictLast != 1 {
 		t.Errorf("single view classified as %+v, want one PredictLast", st)
@@ -234,19 +240,7 @@ func TestClusterPredictivePrefetchOwnedOnly(t *testing.T) {
 	var imp *entropy.Table
 	f := startCluster(t, []string{"a", "b", "c"}, func(c *Config) {
 		if vis == nil {
-			ds := volume.Ball().Scale(1.0 / 32)
-			imp = entropy.Build(ds, c.Grid, entropy.Options{})
-			var err error
-			vis, err = visibility.NewTable(c.Grid, visibility.Options{
-				NAzimuth: 16, NElevation: 8, NDistance: 2,
-				RMin: 2.5, RMax: 3.5,
-				ViewAngle: vec.Radians(20),
-				Radius:    radius.Fixed(0.3),
-				Lazy:      true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			imp, vis = prefetchTables(t, volume.Ball().Scale(1.0/32), c.Grid, 0)
 		}
 		c.Vis, c.Imp, c.Sigma = vis, imp, 0
 	})
@@ -309,51 +303,46 @@ func TestClusterPredictivePrefetchOwnedOnly(t *testing.T) {
 	assertShardReads(t, f, f.ring)
 }
 
-// TestPredictSessionMetricsUnregistered pins the per-session predictor
-// metrics lifecycle alongside the existing per-session gauge pins: while a
-// prefetching session lives, svc.predict.session.<id>.* are registered and
-// counting; after an orderly client close they are gone from the registry.
-func TestPredictSessionMetricsUnregistered(t *testing.T) {
+// TestRegistryBoundedInSessions: the server exports no name per session,
+// so its registry lists the same names with one prefetching session
+// connected, with three, and after they have all left.
+func TestRegistryBoundedInSessions(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	reg := obs.NewRegistry()
 	f := startService(t, svcOpts{prefetch: true, mutate: func(c *Config) {
 		c.Metrics = reg
 	}})
-	r := dialService(t, f, 1)
-	if err := r.SendView(context.Background(), vec.New(3, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 2*time.Second, "view to register", func() bool {
-		return f.srv.Snapshot().ViewUpdates >= 1
-	})
-
-	snap := reg.Snapshot()
-	var views, hits int
-	for name := range snap.Counters {
-		if !strings.HasPrefix(name, "svc.predict.session.") {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(name, ".views"):
-			views++
-			if snap.Counters[name] == 0 {
-				t.Errorf("%s = 0 after a view update", name)
+	var readers []*RemoteReader
+	connect := func(n int) []string {
+		t.Helper()
+		for len(readers) < n {
+			r := dialService(t, f, 1)
+			readers = append(readers, r)
+			if err := r.SendView(context.Background(), vec.New(3, 0, 0)); err != nil {
+				t.Fatal(err)
 			}
-		case strings.HasSuffix(name, ".hits"):
-			hits++
 		}
+		waitFor(t, 2*time.Second, "views to be handled", func() bool {
+			st := f.srv.Snapshot()
+			return st.ActiveSessions == int64(n) && st.ViewUpdates >= int64(n)
+		})
+		return reg.Names()
 	}
-	if views == 0 || hits == 0 {
-		t.Fatalf("per-session predictor metrics missing while session lives: %v", reg.Names())
+	one := connect(1)
+	three := connect(3)
+	for _, r := range readers {
+		r.Close()
 	}
-
-	r.Close()
 	waitFor(t, 2*time.Second, "session teardown", func() bool {
 		return f.srv.Snapshot().ActiveSessions == 0
 	})
-	for _, name := range reg.Names() {
-		if strings.HasPrefix(name, "svc.predict.session.") || strings.HasPrefix(name, "svc.session.") {
-			t.Errorf("per-session metric %q still registered after teardown", name)
+	after := reg.Names()
+	if !slices.Equal(one, three) || !slices.Equal(one, after) {
+		t.Errorf("registry names depend on the sessions connected:\n1: %v\n3: %v\n0: %v", one, three, after)
+	}
+	for _, name := range three {
+		if strings.HasPrefix(name, "svc.session.") || strings.HasPrefix(name, "svc.predict.session.") {
+			t.Errorf("per-session metric %q registered", name)
 		}
 	}
 }

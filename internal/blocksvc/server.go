@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,22 +45,15 @@ type Config struct {
 	// Header is advertised to clients in the welcome message.
 	Header store.Header
 
-	// Vis and Imp enable per-session predictive prefetch: a client's view
-	// updates are run through T_visible and the entropy threshold Sigma,
-	// and the predicted high-entropy blocks are pulled into the shared
-	// cache while the client renders. Nil disables prefetch.
+	// Vis and Imp enable per-session predictive prefetch: each session's
+	// trajectory predictor (camera.PredictorOptions defaults) extrapolates
+	// the client's view updates, the *predicted* camera position is run
+	// through T_visible and the entropy threshold Sigma, and the predicted
+	// high-entropy blocks are pulled into the shared cache while the client
+	// renders. Nil disables prefetch.
 	Vis   *visibility.Table
 	Imp   *entropy.Table
 	Sigma float64
-
-	// PredictOff disables the per-session trajectory predictor, which
-	// otherwise extrapolates recent view updates (camera.PredictorOptions
-	// defaults) and feeds the *predicted* camera position into T_visible, so
-	// prefetch warms the blocks of the position the camera is about to
-	// occupy. Off, prefetch looks up the last-seen camera position — the
-	// nearest-sample baseline — which is exactly the behavior of a
-	// one-sample predictor history.
-	PredictOff bool
 
 	// MaxInflightBytes caps the bytes of block data being served across all
 	// sessions at once; requests beyond it wait up to MaxQueueWait and are
@@ -77,11 +71,6 @@ type Config struct {
 	// response to a large read streams as a sequence of runs of roughly
 	// this size (default 2 MiB).
 	ResponseRunBytes int64
-	// HandshakeTimeout bounds how long a fresh connection may take to send
-	// its hello — and, symmetrically, how long the server will spend
-	// writing the welcome to a peer that never drains its receive buffer
-	// (default 10s).
-	HandshakeTimeout time.Duration
 	// ShardMap, when non-nil, runs the server in cluster mode: this node is
 	// one shard of a consistent-hash cluster, admits only the blocks it
 	// owns (answering others with a redirect carrying the current epoch),
@@ -96,14 +85,17 @@ type Config struct {
 	// HeartbeatInterval is the liveness cadence advertised in the welcome:
 	// each session pings the client at this interval and requires some
 	// inbound frame within twice of it, so a dead or wedged peer is torn
-	// down within 2×HeartbeatInterval instead of pinning its session and
-	// per-session gauges forever. 0 means the 5s default; negative
-	// disables liveness entirely.
+	// down within 2×HeartbeatInterval instead of pinning its session
+	// forever. The hello read and the welcome write are held to the same
+	// two intervals (two of the default's when liveness is off). 0 means
+	// the 5s default; negative disables liveness. The welcome advertises
+	// whole milliseconds, so NewServer refuses an interval under 1ms.
 	HeartbeatInterval time.Duration
 
 	// Metrics, when non-nil, exposes the server's counters, admission-wait
-	// histograms, and per-session in-flight gauges on the given registry
-	// (names under "svc.", documented in DESIGN.md §9). Nil disables the
+	// histograms and in-flight byte gauge on the given registry (names under
+	// "svc.", documented in DESIGN.md §9; none is per session, so the name
+	// set does not grow with the sessions connected). Nil disables the
 	// export; the ServerStats snapshot is unaffected either way.
 	Metrics *obs.Registry
 }
@@ -115,6 +107,9 @@ const maxBlocksPerRequest = 65536
 // prefetchQueue bounds each session's pending-prefetch queue; a full queue
 // drops the tail of the planner's list rather than block the read loop.
 const prefetchQueue = 128
+
+// defaultHeartbeat is HeartbeatInterval's default.
+const defaultHeartbeat = 5 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.MaxInflightBytes <= 0 {
@@ -129,11 +124,8 @@ func (c Config) withDefaults() Config {
 	if c.ResponseRunBytes <= 0 {
 		c.ResponseRunBytes = 2 << 20
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
 	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = 5 * time.Second
+		c.HeartbeatInterval = defaultHeartbeat
 	}
 	return c
 }
@@ -250,6 +242,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Grid == nil {
 		return nil, fmt.Errorf("blocksvc: nil grid")
 	}
+	if cfg.HeartbeatInterval > 0 && cfg.HeartbeatInterval < time.Millisecond {
+		return nil, fmt.Errorf("blocksvc: heartbeat %v is under the welcome's 1ms resolution", cfg.HeartbeatInterval)
+	}
 	if cfg.Cache.RecyclingEnabled() {
 		return nil, fmt.Errorf("blocksvc: the served cache recycles evicted buffers; " +
 			"responses are written from cache-owned slices, which must stay immutable")
@@ -269,6 +264,22 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("blocksvc: %w", err)
 		}
 	}
+	var topo *serverTopology
+	if cfg.ShardMap != nil {
+		if err := cfg.ShardMap.Validate(); err != nil {
+			return nil, fmt.Errorf("blocksvc: shard map: %w", err)
+		}
+		if cfg.ShardID == "" {
+			return nil, fmt.Errorf("blocksvc: cluster mode needs a shard id")
+		}
+		m := cfg.ShardMap.Clone()
+		topo = &serverTopology{m: m, ring: m.Ring(), self: m.ShardIndex(cfg.ShardID)}
+		if topo.self < 0 {
+			return nil, fmt.Errorf("blocksvc: shard id %q not in the shard map", cfg.ShardID)
+		}
+	} else if cfg.ShardID != "" {
+		return nil, fmt.Errorf("blocksvc: shard id without a shard map")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:       cfg,
@@ -280,26 +291,7 @@ func NewServer(cfg Config) (*Server, error) {
 		sessions:  make(map[*session]struct{}),
 		sums:      make([]atomic.Uint64, cfg.Grid.NumBlocks()),
 	}
-	if cfg.ShardMap != nil {
-		if err := cfg.ShardMap.Validate(); err != nil {
-			cancel()
-			return nil, fmt.Errorf("blocksvc: shard map: %w", err)
-		}
-		if cfg.ShardID == "" {
-			cancel()
-			return nil, fmt.Errorf("blocksvc: cluster mode needs a shard id")
-		}
-		m := cfg.ShardMap.Clone()
-		self := m.ShardIndex(cfg.ShardID)
-		if self < 0 {
-			cancel()
-			return nil, fmt.Errorf("blocksvc: shard id %q not in the shard map", cfg.ShardID)
-		}
-		s.topo.Store(&serverTopology{m: m, ring: m.Ring(), self: self})
-	} else if cfg.ShardID != "" {
-		cancel()
-		return nil, fmt.Errorf("blocksvc: shard id without a shard map")
-	}
+	s.topo.Store(topo)
 	s.m = newServerMetrics(s, cfg.Metrics)
 	return s, nil
 }
@@ -313,9 +305,10 @@ type serverTopology struct {
 	self int
 }
 
-// owns reports whether this node is the block's owner under t.
+// owns reports whether this node is the block's owner under t. A flat
+// server (t nil) owns every block.
 func (t *serverTopology) owns(id grid.BlockID) bool {
-	return t.self >= 0 && t.ring.OwnerBlock(id) == t.self
+	return t == nil || (t.self >= 0 && t.ring.OwnerBlock(id) == t.self)
 }
 
 // notOwnedError marks a block the addressed shard does not own under the
@@ -398,12 +391,12 @@ func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			if s.ctx.Err() != nil || s.stopping() {
+			if s.stopping() {
 				return nil
 			}
 			return err
 		}
-		s.StartSession(conn)
+		s.startSession(conn)
 	}
 }
 
@@ -415,16 +408,14 @@ func (s *Server) stopping() bool {
 	return s.closed || s.draining
 }
 
-// StartSession runs one session over an already established connection
-// (Serve calls it per accept; in-process transports call it directly). The
-// connection is owned by the server afterwards. Returns false if the
-// server is closed.
-func (s *Server) StartSession(conn net.Conn) bool {
+// startSession runs one session over an accepted connection, which the
+// server owns afterwards; a closed or draining server closes it at once.
+func (s *Server) startSession(conn net.Conn) {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
 		conn.Close()
-		return false
+		return
 	}
 	s.nextID++
 	ss := &session{
@@ -449,19 +440,15 @@ func (s *Server) StartSession(conn net.Conn) bool {
 			}
 		})
 		ss.prefetched = make(map[grid.BlockID]struct{})
-		if !s.cfg.PredictOff {
-			ss.pred = camera.NewPredictor(camera.PredictorOptions{})
-		}
+		ss.pred = camera.NewPredictor(camera.PredictorOptions{})
 	}
 	s.sessions[ss] = struct{}{}
 	s.mu.Unlock()
-	s.m.registerSession(ss)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		ss.run()
 	}()
-	return true
 }
 
 // Drain gracefully retires the server: it stops accepting new sessions,
@@ -595,10 +582,6 @@ type session struct {
 	inflightMu sync.Mutex
 	inflight   int
 
-	// inflightBytes tracks the admitted bytes this session is currently
-	// being served; exported as a per-session gauge while the session lives.
-	inflightBytes atomic.Int64
-
 	// prefetch is the session's bounded prefetch queue into the shared
 	// cache; nil when prefetch is disabled.
 	prefetch *store.Prefetcher
@@ -610,18 +593,12 @@ type session struct {
 	prefetched   map[grid.BlockID]struct{}
 
 	// pred extrapolates this session's camera trajectory for prefetch; nil
-	// when prefetch is disabled or Config.PredictOff is set. mem is what the
-	// planner sees of the shared cache from this shard, planned the scratch
-	// its list is built in. All three are touched only by the session's read
-	// loop (handleView).
+	// when prefetch is disabled. mem is what the planner sees of the shared
+	// cache from this shard, planned the scratch its list is built in. All
+	// three are touched only by the session's read loop (handleView).
 	pred    *camera.Predictor
 	mem     shardMemory
 	planned []grid.BlockID
-
-	// predViews / predHits back the per-session svc.predict.session.*
-	// metrics registered while the session lives.
-	predViews atomic.Int64
-	predHits  atomic.Int64
 }
 
 // run owns the session lifecycle: handshake, read loop, teardown. On exit —
@@ -640,7 +617,6 @@ func (ss *session) run() {
 		ss.s.mu.Lock()
 		delete(ss.s.sessions, ss)
 		ss.s.mu.Unlock()
-		ss.s.m.unregisterSession(ss)
 		ss.s.m.activeSessions.Add(-1)
 	}()
 	// The deferred decrement must balance even when the handshake fails,
@@ -722,13 +698,18 @@ func (ss *session) heartbeatLoop(interval time.Duration) {
 }
 
 // handshake validates the client hello and answers with the session id,
-// served geometry, and liveness cadence. Both directions are bounded by
-// HandshakeTimeout: the read deadline covers a client that never says
-// hello, the write deadline covers a slow-loris peer that connects and
-// never drains its receive buffer — without it the welcome write blocks
-// and pins this goroutine forever.
+// served geometry, and liveness cadence. Both directions are held to the
+// rule every later frame is: two heartbeats of silence (two of the
+// default's when liveness is off). The read deadline covers a client that
+// never says hello, the write deadline a slow-loris peer that connects and
+// never drains its receive buffer — without it the welcome write blocks and
+// pins this goroutine forever.
 func (ss *session) handshake() error {
-	deadline := time.Now().Add(ss.s.cfg.HandshakeTimeout)
+	silence := 2 * defaultHeartbeat
+	if hb := ss.s.cfg.heartbeat(); hb > 0 {
+		silence = 2 * hb
+	}
+	deadline := time.Now().Add(silence)
 	ss.conn.SetReadDeadline(deadline)
 	ss.conn.SetWriteDeadline(deadline)
 	typ, payload, err := readFrame(ss.br, nil)
@@ -811,10 +792,9 @@ func (ss *session) handleRead(payload []byte) bool {
 	topo := ss.s.topo.Load()
 	var bytes int64
 	for _, id := range msg.IDs {
-		if topo != nil && !topo.owns(id) {
-			continue
+		if topo.owns(id) {
+			bytes += ss.s.blockBytes(id)
 		}
-		bytes += ss.s.blockBytes(id)
 	}
 
 	// Per-session cap: shed rather than queue a greedy client's backlog.
@@ -870,12 +850,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 		return
 	}
 	admitStart := time.Now()
-	var err error
-	if !ss.s.sem.TryAcquire(bytes) {
-		admitCtx, admitCancel := context.WithTimeout(reqCtx, ss.s.cfg.MaxQueueWait)
-		err = ss.s.sem.Acquire(admitCtx, bytes)
-		admitCancel()
-	}
+	err := ss.s.sem.Acquire(reqCtx, bytes, ss.s.cfg.MaxQueueWait)
 	wait := time.Since(admitStart).Nanoseconds()
 	if err != nil {
 		if ss.ctx.Err() != nil {
@@ -886,11 +861,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 		return
 	}
 	ss.s.m.queueWait.Observe(wait)
-	ss.inflightBytes.Add(bytes)
-	defer func() {
-		ss.inflightBytes.Add(-bytes)
-		ss.s.sem.Release(bytes)
-	}()
+	defer ss.s.sem.Release(bytes)
 	ss.s.m.requests.Inc()
 
 	// Serve and stream in runs of roughly ResponseRunBytes: results reach
@@ -911,7 +882,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 		var runBytes int64
 		for runEnd < len(ids) && runEnd-idx < 65535 {
 			var b int64
-			if topo == nil || topo.owns(ids[runEnd]) {
+			if topo.owns(ids[runEnd]) {
 				b = ss.s.blockBytes(ids[runEnd])
 			}
 			entries := int64(runEnd-idx+1) * okEntryBytes
@@ -923,14 +894,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 			runEnd++
 		}
 		run := ids[idx:runEnd]
-		var vals [][]float32
-		var hit []bool
-		var errs []error
-		if topo == nil {
-			vals, hit, errs = ss.s.cfg.Cache.GetBatch(reqCtx, run)
-		} else {
-			vals, hit, errs = ss.serveRunSharded(reqCtx, run, topo)
-		}
+		vals, hit, errs := ss.serveRun(reqCtx, run, topo)
 		ss.notePrefetchHits(run, hit, errs)
 		if !ss.sendRun(rs, req, idx, run, vals, errs) {
 			return // the frame was not written: the session is torn or failed
@@ -942,12 +906,23 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	ss.send(msgDone, e.b)
 }
 
-// serveRunSharded answers one run on a cluster node: only owned blocks go
-// through the shared cache (preserving the per-shard singleflight
-// invariant — a non-owned request never triggers a backing read here), and
+// serveRun reads one run through the shared cache. A run this node owns
+// whole — every run on a flat server — goes to the cache as it is.
+// Otherwise only the owned blocks do (preserving the per-shard singleflight
+// invariant: a non-owned request never triggers a backing read here), and
 // the rest are answered in place with a redirect carrying the topology
 // epoch the decision was made under.
-func (ss *session) serveRunSharded(ctx context.Context, run []grid.BlockID, topo *serverTopology) ([][]float32, []bool, []error) {
+func (ss *session) serveRun(ctx context.Context, run []grid.BlockID, topo *serverTopology) ([][]float32, []bool, []error) {
+	whole := true
+	for _, id := range run {
+		if !topo.owns(id) {
+			whole = false
+			break
+		}
+	}
+	if whole {
+		return ss.s.cfg.Cache.GetBatch(ctx, run)
+	}
 	vals := make([][]float32, len(run))
 	hit := make([]bool, len(run))
 	errs := make([]error, len(run))
@@ -995,7 +970,6 @@ func (ss *session) notePrefetchHits(run []grid.BlockID, hit []bool, errs []error
 	}
 	ss.prefetchedMu.Unlock()
 	if hits > 0 {
-		ss.predHits.Add(hits)
 		ss.s.m.prefetchHits.Add(hits)
 	}
 }
@@ -1149,7 +1123,7 @@ type shardMemory struct {
 }
 
 func (m *shardMemory) Contains(id grid.BlockID) bool {
-	return (m.topo != nil && !m.topo.owns(id)) || m.s.cfg.Cache.Contains(id)
+	return !m.topo.owns(id) || m.s.cfg.Cache.Contains(id)
 }
 func (m *shardMemory) SizeOf(id grid.BlockID) int64 { return m.s.blockBytes(id) }
 func (m *shardMemory) Capacity() int64              { return m.s.cfg.Cache.Capacity() }
@@ -1159,9 +1133,9 @@ func (m *shardMemory) Capacity() int64              { return m.s.cfg.Cache.Capac
 // extrapolates where the camera is heading, and the planner turns the
 // *predicted* position into the prefetch list — T_visible's set there,
 // above the entropy threshold, not yet in the shared cache, most likely
-// first — which is queued in that order. With the predictor off (or under
-// one sample of history) the lookup position is the last-seen one, the
-// nearest-sample baseline. Returns false on a protocol error.
+// first — which is queued in that order. Under one sample of history the
+// predicted position is the last-seen one, the nearest-sample baseline.
+// Returns false on a protocol error.
 func (ss *session) handleView(payload []byte) bool {
 	pos, ok := decodeView(payload)
 	if !ok {
@@ -1174,22 +1148,17 @@ func (ss *session) handleView(payload []byte) bool {
 	if ss.prefetch == nil {
 		return true
 	}
-	target := pos
-	if ss.pred != nil {
-		ss.pred.Observe(pos)
-		var kind camera.PredictKind
-		target, kind = ss.pred.Predict()
-		ss.predViews.Add(1)
-		switch kind {
-		case camera.PredictDwell:
-			ss.s.m.predictDwell.Inc()
-		case camera.PredictLinear:
-			ss.s.m.predictLinear.Inc()
-		case camera.PredictAngular:
-			ss.s.m.predictAngular.Inc()
-		default:
-			ss.s.m.predictLast.Inc()
-		}
+	ss.pred.Observe(pos)
+	target, kind := ss.pred.Predict()
+	switch kind {
+	case camera.PredictDwell:
+		ss.s.m.predictDwell.Inc()
+	case camera.PredictLinear:
+		ss.s.m.predictLinear.Inc()
+	case camera.PredictAngular:
+		ss.s.m.predictAngular.Inc()
+	default:
+		ss.s.m.predictLast.Inc()
 	}
 	var issued, dropped int64
 	ss.mem.topo = ss.s.topo.Load()
@@ -1236,22 +1205,11 @@ func (s *byteSem) InUse() int64 {
 	return s.capacity - s.avail
 }
 
-// TryAcquire takes n units only if they are free right now (and no earlier
-// request is queued), so the uncontended hot path skips the deadline
-// machinery Acquire's ctx needs.
-func (s *byteSem) TryAcquire(n int64) bool {
-	s.mu.Lock()
-	ok := len(s.waiters) == 0 && s.avail >= n
-	if ok {
-		s.avail -= n
-	}
-	s.mu.Unlock()
-	return ok
-}
-
-// Acquire takes n units, waiting FIFO behind earlier requests, until ctx
-// ends. The caller must Release exactly n on success.
-func (s *byteSem) Acquire(ctx context.Context, n int64) error {
+// Acquire takes n units, waiting FIFO behind earlier requests until ctx ends
+// or maxWait passes. Units free on arrival, with nobody queued, are taken at
+// once; only a request that queues builds the timeout. The caller must
+// Release exactly n on success.
+func (s *byteSem) Acquire(ctx context.Context, n int64, maxWait time.Duration) error {
 	s.mu.Lock()
 	if len(s.waiters) == 0 && s.avail >= n {
 		s.avail -= n
@@ -1261,39 +1219,42 @@ func (s *byteSem) Acquire(ctx context.Context, n int64) error {
 	w := &semWaiter{need: n, ready: make(chan struct{})}
 	s.waiters = append(s.waiters, w)
 	s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(ctx, maxWait)
+	defer cancel()
 	select {
 	case <-w.ready:
 		return nil
 	case <-ctx.Done():
-		s.mu.Lock()
-		granted := true
-		for i, x := range s.waiters {
-			if x == w {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				granted = false
-				break
-			}
-		}
-		s.mu.Unlock()
-		if granted {
-			// Release raced the cancellation and already granted us the
-			// units; hand them back.
-			s.Release(n)
-		}
-		return ctx.Err()
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.waiters, w); i >= 0 {
+		s.waiters = slices.Delete(s.waiters, i, i+1)
+	} else {
+		// Granted while the wait was ending: hand the units back.
+		s.avail += n
+	}
+	// Either way the queue changed under its head: whoever now fits goes.
+	s.admitLocked()
+	return ctx.Err()
 }
 
-// Release returns n units and admits as many queued waiters as now fit, in
-// arrival order.
+// Release returns n units and admits as many queued waiters as now fit.
 func (s *byteSem) Release(n int64) {
 	s.mu.Lock()
 	s.avail += n
+	s.admitLocked()
+	s.mu.Unlock()
+}
+
+// admitLocked grants queued waiters in arrival order while the head fits.
+// It runs whenever units come back or a waiter leaves the queue, so a
+// request behind one that gave up is not left asleep with its units free.
+func (s *byteSem) admitLocked() {
 	for len(s.waiters) > 0 && s.waiters[0].need <= s.avail {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
 		s.avail -= w.need
 		close(w.ready)
 	}
-	s.mu.Unlock()
 }
