@@ -35,25 +35,18 @@ func (ss *session) handleRead(payload []byte) bool {
 	}
 
 	// Per-session cap: shed rather than queue a greedy client's backlog.
-	ss.inflightMu.Lock()
-	if ss.inflight >= ss.s.cfg.MaxSessionRequests {
-		ss.inflightMu.Unlock()
+	if ss.inflight.Add(1) > int64(ss.s.cfg.MaxSessionRequests) {
+		ss.inflight.Add(-1)
 		ss.shed(msg.Req)
 		return true
 	}
-	ss.inflight++
-	ss.inflightMu.Unlock()
 
 	ss.reqWG.Add(1)
 	ss.s.activeReqs.Add(1) // counted before the goroutine starts so Drain can't miss it
 	go func() {
 		defer ss.reqWG.Done()
 		defer ss.s.activeReqs.Add(-1)
-		defer func() {
-			ss.inflightMu.Lock()
-			ss.inflight--
-			ss.inflightMu.Unlock()
-		}()
+		defer ss.inflight.Add(-1)
 		ss.serveRead(msg.Req, msg.IDs, bytes, msg.DeadlineMillis, topo)
 	}()
 	return true
@@ -150,14 +143,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 // the rest are answered in place with a redirect carrying the topology
 // epoch the decision was made under.
 func (ss *session) serveRun(ctx context.Context, run []grid.BlockID, topo *serverTopology) ([][]float32, []bool, []error) {
-	whole := true
-	for _, id := range run {
-		if !topo.owns(id) {
-			whole = false
-			break
-		}
-	}
-	if whole {
+	if !slices.ContainsFunc(run, func(id grid.BlockID) bool { return !topo.owns(id) }) {
 		return ss.s.cfg.Cache.GetBatch(ctx, run)
 	}
 	vals := make([][]float32, len(run))

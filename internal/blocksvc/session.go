@@ -39,8 +39,9 @@ type session struct {
 
 	reqWG sync.WaitGroup
 
-	inflightMu sync.Mutex
-	inflight   int
+	// inflight counts the read requests this session is being served; only
+	// the read loop adds to it, so a check after the add is exact.
+	inflight atomic.Int64
 
 	// prefetch is the session's bounded prefetch queue into the shared
 	// cache; nil when prefetch is disabled.
