@@ -388,7 +388,7 @@ func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			if s.stopping() {
+			if s.ctx.Err() != nil || s.stopping() {
 				return nil
 			}
 			return err
