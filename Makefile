@@ -102,10 +102,11 @@ chaos-smoke:
 # spill-smoke runs the persistent-tier crash-recovery and disk-fault
 # degradation end-to-ends (plus the cross-stack policy parity pin) under
 # the race detector: kill-mid-spill recovery, quarantine, breaker trip and
-# heal must all survive every commit — and the read path's verdicts on a
-# damaged file, each with the block buffer handed back.
+# heal must all survive every commit — the read path's verdicts on a
+# damaged file, each with the block buffer handed back, and Put and Drain
+# racing Close on the spill queue.
 spill-smoke:
-	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker|TestDamagedSpill|TestSpillLengthCheckedIn64Bits' ./internal/tier/
+	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker|TestDamagedSpill|TestSpillLengthCheckedIn64Bits|TestDrain' ./internal/tier/
 
 # pipe-smoke runs the wire-path suite under the race detector: the
 # other-version hello refusal; the transport table — whole-block round trip,

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/entropy"
@@ -268,6 +269,13 @@ func fastRetry(attempts int) *faultio.Retrier {
 	}
 }
 
+// quickBreaker is ClientConfig.newBreaker for a test that must see an
+// endpoint breaker open after threshold failures and probe again after
+// backoff, not after the production constants.
+func quickBreaker(threshold int, backoff time.Duration) func() *breaker.Breaker {
+	return func() *breaker.Breaker { return breaker.New(threshold, backoff, breakerMaxBackoff) }
+}
+
 // dialService connects a RemoteReader to the fixture over its transport.
 func dialService(t testing.TB, f *svcFixture, conns int) *RemoteReader {
 	t.Helper()
@@ -345,7 +353,7 @@ func TestRemoteValuesMatchLocal(t *testing.T) {
 		t.Run(tr, func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			f := startService(t, svcOpts{transport: tr, mutate: func(c *Config) {
-				c.ResponseRunBytes = 4096 // force multi-frame responses
+				c.runBytes = 4096 // force multi-frame responses
 			}})
 			r := dialService(t, f, 2)
 			readAllMatchesFile(t, f, r)

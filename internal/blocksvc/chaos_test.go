@@ -53,10 +53,9 @@ func TestChaosReplicaFailoverAndDrain(t *testing.T) {
 			},
 			"replica-b": fb.lis.Dial,
 		})),
-		Conns:            2,
-		Retry:            fastRetry(2),
-		BreakerThreshold: 2,
-		BreakerBackoff:   20 * time.Millisecond,
+		Conns:      2,
+		Retry:      fastRetry(2),
+		newBreaker: quickBreaker(2, 20*time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)

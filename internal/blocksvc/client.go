@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -49,24 +50,27 @@ type ClientConfig struct {
 	// endpoint. Nil gets 4 attempts from 10ms doubling to 500ms.
 	Retry *faultio.Retrier
 
-	// BreakerThreshold is how many consecutive transport failures open an
-	// endpoint's circuit breaker (default 3). While open, the endpoint is
-	// skipped; after BreakerBackoff one probe per window is let through,
-	// and backoff doubles up to 8s until a probe succeeds.
-	BreakerThreshold int
-	BreakerBackoff   time.Duration // default 250ms
-
 	// Metrics, when non-nil, exposes the client's counters, request
 	// latency histogram, and per-endpoint health (names under "client.",
 	// documented in DESIGN.md §9). Nil disables the export; the ClientStats
 	// snapshot is unaffected either way.
 	Metrics *obs.Registry
+
+	// newBreaker, when set, builds each endpoint's breaker in place of one
+	// from the constants below; this package's tests use it to trip and
+	// recover in milliseconds.
+	newBreaker func() *breaker.Breaker
 }
 
 const (
 	// dialTimeout bounds one connect-plus-handshake.
 	dialTimeout = 5 * time.Second
-	// breakerMaxBackoff caps an open endpoint breaker's doubling backoff.
+	// An endpoint's circuit breaker opens after breakerThreshold
+	// consecutive transport failures. While open, the endpoint is skipped;
+	// after breakerBackoff one probe per window is let through, and the
+	// backoff doubles up to breakerMaxBackoff until a probe succeeds.
+	breakerThreshold  = 3
+	breakerBackoff    = 250 * time.Millisecond
 	breakerMaxBackoff = 8 * time.Second
 	// pipelineDepth caps how many tagged requests the client keeps in
 	// flight per connection, within the server's advertised limit.
@@ -96,11 +100,10 @@ func (c ClientConfig) withDefaults() ClientConfig {
 			MaxDelay:    500 * time.Millisecond,
 		}
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerBackoff <= 0 {
-		c.BreakerBackoff = 250 * time.Millisecond
+	if c.newBreaker == nil {
+		c.newBreaker = func() *breaker.Breaker {
+			return breaker.New(breakerThreshold, breakerBackoff, breakerMaxBackoff)
+		}
 	}
 	return c
 }

@@ -116,7 +116,7 @@ func (r *RemoteReader) newGroup(shardID string, addrs []string) *shardGroup {
 			addr:  addr,
 			name:  name,
 			shard: shardID,
-			br:    breaker.New(r.cfg.BreakerThreshold, r.cfg.BreakerBackoff, breakerMaxBackoff),
+			br:    r.cfg.newBreaker(),
 		})
 	}
 	return g

@@ -353,8 +353,7 @@ func TestFailoverOnServerKill(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	fa, _, r := twoReplicas(t,
 		func(c *Config) { c.HeartbeatInterval = -1 },
-		ClientConfig{Conns: 2, Retry: fastRetry(2), BreakerThreshold: 2,
-			BreakerBackoff: 20 * time.Millisecond})
+		ClientConfig{Conns: 2, Retry: fastRetry(2), newBreaker: quickBreaker(2, 20*time.Millisecond)})
 
 	ids := f64ids(r)
 	if _, errs := r.ReadBlocks(context.Background(), ids); anyErr(errs) != nil {
@@ -402,11 +401,10 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	dial := func(ctx context.Context, addr string) (net.Conn, error) { return lis.Load().Dial(ctx, addr) }
 
 	r, err := Dial(ClientConfig{
-		Dial:             dial,
-		Conns:            1,
-		Retry:            fastRetry(1),
-		BreakerThreshold: 2,
-		BreakerBackoff:   30 * time.Millisecond,
+		Dial:       dial,
+		Conns:      1,
+		Retry:      fastRetry(1),
+		newBreaker: quickBreaker(2, 30*time.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +475,7 @@ func TestChecksumFaultsDontFailover(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	fa := startService(t, svcOpts{mutate: func(c *Config) {
 		c.HeartbeatInterval = -1
-		c.ResponseRunBytes = 2048 // one 2KB block per frame
+		c.runBytes = 2048 // one 2KB block per frame
 	}})
 	fb := startService(t, svcOpts{mutate: func(c *Config) { c.HeartbeatInterval = -1 }})
 
@@ -491,11 +489,11 @@ func TestChecksumFaultsDontFailover(t *testing.T) {
 	go fa.srv.Serve(ch.Listener(lisA))
 
 	r, err := Dial(ClientConfig{
-		Endpoints:        []string{"corrupt-a", "clean-b"},
-		Dial:             dialRoutes(map[string]dialFunc{"corrupt-a": lisA.Dial, "clean-b": fb.lis.Dial}),
-		Conns:            1,
-		Retry:            fastRetry(1),
-		BreakerThreshold: 2,
+		Endpoints:  []string{"corrupt-a", "clean-b"},
+		Dial:       dialRoutes(map[string]dialFunc{"corrupt-a": lisA.Dial, "clean-b": fb.lis.Dial}),
+		Conns:      1,
+		Retry:      fastRetry(1),
+		newBreaker: quickBreaker(2, breakerBackoff),
 	})
 	if err != nil {
 		t.Fatal(err)

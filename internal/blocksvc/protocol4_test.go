@@ -40,7 +40,7 @@ func pipelinedConcurrentBatches(t *testing.T, transport string) {
 	testutil.VerifyNoLeaks(t)
 	f := startService(t, svcOpts{transport: transport, mutate: func(c *Config) {
 		c.HeartbeatInterval = -1
-		c.ResponseRunBytes = 4096 // multi-frame responses interleave across tags
+		c.runBytes = 4096 // multi-frame responses interleave across tags
 	}})
 	r, err := Dial(ClientConfig{Dial: f.dial, Conns: 1, Retry: fastRetry(3)})
 	if err != nil {
@@ -240,12 +240,12 @@ func TestLyingLengthRejected(t *testing.T) {
 	}
 }
 
-// TestOversizeRunNeverSilent: Config.ResponseRunBytes has no upper bound,
-// and a run it allows can be more than one frame may carry. Such a request
-// must be answered — the run split is bounded by the frame as well — and a
-// run that still cannot be framed (here a server whose Config.Grid
-// understates its blocks eightfold, so that its own split is wrong) must
-// fail the session out loud. Before, sendRun dropped the frame and
+// TestOversizeRunNeverSilent: with a run target past what one frame may
+// carry (Config.runBytes at 1 GiB), a run it allows can outgrow the frame.
+// Such a request must be answered — the run split is bounded by the frame as
+// well — and a run that still cannot be framed (here a server whose
+// Config.Grid understates its blocks eightfold, so that its own split is
+// wrong) must fail the session out loud. Before, sendRun dropped the frame and
 // serveRead took that for a torn connection: no blocks, no done, no error,
 // and a client waiting out its deadline.
 func TestOversizeRunNeverSilent(t *testing.T) {
@@ -306,7 +306,7 @@ func TestOversizeRunNeverSilent(t *testing.T) {
 	t.Run("answered in frames that fit", func(t *testing.T) {
 		f := startService(t, svcOpts{mutate: func(c *Config) {
 			c.HeartbeatInterval = -1
-			c.ResponseRunBytes = 1 << 30
+			c.runBytes = 1 << 30
 		}})
 		br := ask(t, f, blocks)
 		answered, frames := 0, 0
@@ -329,7 +329,7 @@ func TestOversizeRunNeverSilent(t *testing.T) {
 	t.Run("refused out loud", func(t *testing.T) {
 		f := startService(t, svcOpts{mutate: func(c *Config) {
 			c.HeartbeatInterval = -1
-			c.ResponseRunBytes = 1 << 30
+			c.runBytes = 1 << 30
 			lying, err := grid.New(c.Grid.Res(), grid.Dims{X: 4, Y: 4, Z: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -358,7 +358,7 @@ func TestStallMidResponseFailsOverScoped(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	fa := startService(t, svcOpts{mutate: func(c *Config) {
 		c.HeartbeatInterval = 40 * time.Millisecond
-		c.ResponseRunBytes = 2048 // one block per frame: fine-grained stall points
+		c.runBytes = 2048 // one block per frame: fine-grained stall points
 	}})
 	fb := startService(t, svcOpts{mutate: func(c *Config) { c.HeartbeatInterval = -1 }})
 

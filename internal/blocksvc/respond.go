@@ -94,7 +94,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	defer ss.s.sem.Release(bytes)
 	ss.s.m.requests.Inc()
 
-	// Serve and stream in runs of roughly ResponseRunBytes: results reach
+	// Serve and stream in runs of roughly responseRunBytes: results reach
 	// the client as they are produced and one request never stages the
 	// whole response in memory. Staging is pooled across requests and
 	// sessions, so the steady state regrows nothing. Each concurrently
@@ -104,7 +104,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 	e := &rs.e
 	idx := 0
 	for idx < len(ids) {
-		// A run ends at the ResponseRunBytes target or at what one frame can
+		// A run ends at the responseRunBytes target or at what one frame can
 		// carry (every entry costs at most okEntryBytes around its payload),
 		// whichever comes first, and never below one block: NewServer has
 		// checked that any one block fits a frame.
@@ -116,7 +116,7 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 				b = ss.s.blockBytes(ids[runEnd])
 			}
 			entries := int64(runEnd-idx+1) * okEntryBytes
-			if runEnd > idx && (runBytes+b > ss.s.cfg.ResponseRunBytes ||
+			if runEnd > idx && (runBytes+b > ss.s.cfg.runBytes ||
 				runPreludeBytes+entries+runBytes+b > maxFrameBytes) {
 				break
 			}

@@ -64,10 +64,6 @@ type Config struct {
 	// MaxQueueWait bounds how long a request may wait for admission before
 	// being shed. The client's deadline, when sooner, wins (default 100ms).
 	MaxQueueWait time.Duration
-	// ResponseRunBytes is the target payload size of one blocks frame; the
-	// response to a large read streams as a sequence of runs of roughly
-	// this size (default 2 MiB).
-	ResponseRunBytes int64
 	// ShardMap, when non-nil, runs the server in cluster mode: this node is
 	// one shard of a consistent-hash cluster, admits only the blocks it
 	// owns (answering others with a redirect carrying the current epoch),
@@ -95,7 +91,16 @@ type Config struct {
 	// set does not grow with the sessions connected). Nil disables the
 	// export; the ServerStats snapshot is unaffected either way.
 	Metrics *obs.Registry
+
+	// runBytes, when positive, replaces responseRunBytes; this package's
+	// tests use it to split a response into many small frames.
+	runBytes int64
 }
+
+// responseRunBytes is the target payload size of one blocks frame: the
+// response to a large read streams as a sequence of runs of roughly this
+// size.
+const responseRunBytes = 2 << 20
 
 // maxBlocksPerRequest bounds one read request; a larger one is a protocol
 // error.
@@ -118,8 +123,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 100 * time.Millisecond
 	}
-	if c.ResponseRunBytes <= 0 {
-		c.ResponseRunBytes = 2 << 20
+	if c.runBytes <= 0 {
+		c.runBytes = responseRunBytes
 	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = defaultHeartbeat

@@ -252,7 +252,7 @@ const readChunk = 1 << 20
 
 // readPayload reads exactly n declared bytes. Payloads up to readChunk get
 // one exact allocation — the hot path, since real frames are bounded by
-// ResponseRunBytes-sized runs. Larger declared lengths are read in chunks
+// responseRunBytes-sized runs. Larger declared lengths are read in chunks
 // with the buffer growing only as data arrives, so a corrupt or hostile
 // length prefix costs at most one chunk of memory, never the full declared
 // maxFrameBytes.
@@ -352,7 +352,7 @@ func (d *dec) ok() bool { return !d.bad && len(d.b) == 0 }
 // run encoder and the client's request writer both draw from it, so a
 // steady stream of frames reuses a few grown buffers instead of regrowing
 // staging per exchange. Capacity is naturally bounded by the largest run
-// (ResponseRunBytes plus per-block overhead).
+// (responseRunBytes plus per-block overhead).
 var encPool = sync.Pool{New: func() any { return new(enc) }}
 
 func getEnc() *enc  { e := encPool.Get().(*enc); e.reset(); return e }

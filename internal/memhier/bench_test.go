@@ -76,6 +76,8 @@ func BenchmarkGetWithEvictFilter(b *testing.B) {
 // viewer_sim_ball's scale: a DRAM level of 455 blocks, a strict filter
 // protecting the 40 at its LRU front — the blocks the last frames used — and
 // 180 prefetch installs, each of which evicts the first block past them.
+// Steps run untimed until every id has been installed once, so the levels'
+// one-time slice growth stays out of B/op whatever b.N is.
 func BenchmarkFilteredInstalls(b *testing.B) {
 	const resident, protected, installs = 455, 40, 180
 	h := benchHierarchy(b, resident, 4*resident)
@@ -84,13 +86,19 @@ func BenchmarkFilteredInstalls(b *testing.B) {
 	}
 	allowed := func(id grid.BlockID) bool { return id >= protected }
 	next := resident
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	step := func() {
 		h.SetEvictFilter(0, allowed, true)
 		for k := 0; k < installs; k++ {
 			h.Prefetch(grid.BlockID(protected + next%(benchBlocks-protected)))
 			next++
 		}
 		h.SetEvictFilter(0, nil, false)
+	}
+	for next < benchBlocks {
+		step()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }

@@ -72,14 +72,6 @@ type Hierarchy struct {
 	sizeOf  func(grid.BlockID) int64
 	sizes   []int64 // sizeOf's answers by block ID; 0: not asked yet
 
-	// onEvict, when non-nil, observes every eviction (level, id). It lets
-	// callers mirror the simulator's replacement decisions — the policy
-	// parity test replays one trace through a simulated level and a
-	// production tier and compares the streams — and models write-behind
-	// spill (a DRAM eviction feeding the SSD level) without touching the
-	// levels' accounting.
-	onEvict func(level int, id grid.BlockID)
-
 	// PrefetchTime accumulates the cost of Prefetch calls, kept separate
 	// from demand I/O because the paper overlaps it with rendering.
 	PrefetchTime time.Duration
@@ -114,13 +106,7 @@ func New(cfg Config, sizeOf func(grid.BlockID) int64) (*Hierarchy, error) {
 		if lc.Policy == nil {
 			return nil, fmt.Errorf("memhier: level %d has nil policy", i)
 		}
-		l := &Level{Level: cache.NewLevel(lc.Capacity, lc.Policy), Device: lc.Device}
-		l.OnEvict = func(id grid.BlockID, _ cache.Entry) {
-			if h.onEvict != nil {
-				h.onEvict(i, id)
-			}
-		}
-		h.levels = append(h.levels, l)
+		h.levels = append(h.levels, &Level{Level: cache.NewLevel(lc.Capacity, lc.Policy), Device: lc.Device})
 	}
 	return h, nil
 }
@@ -140,13 +126,6 @@ func (h *Hierarchy) NumLevels() int { return len(h.levels) }
 // victim; demand fetches should leave strict unset so they always progress.
 func (h *Hierarchy) SetEvictFilter(level int, allowed func(grid.BlockID) bool, strict bool) {
 	h.levels[level].SetEvictFilter(allowed, strict)
-}
-
-// SetEvictObserver registers fn to be called for every eviction with the
-// level it happened at and the departing block (nil clears it). Evictions
-// remain free in simulated time; the observer only watches.
-func (h *Hierarchy) SetEvictObserver(fn func(level int, id grid.BlockID)) {
-	h.onEvict = fn
 }
 
 // Get simulates a demand request for the block: probes levels fastest-first,

@@ -347,47 +347,3 @@ func TestDemandTimeMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestEvictObserver pins the eviction feed used by the tier parity test:
-// the observer must see every (level, id) eviction, and its sum must match
-// the per-level eviction counters.
-func TestEvictObserver(t *testing.T) {
-	h, _ := New(testConfig(2, 4, 100), uniform(100))
-	type ev struct {
-		level int
-		id    grid.BlockID
-	}
-	var seen []ev
-	h.SetEvictObserver(func(level int, id grid.BlockID) {
-		seen = append(seen, ev{level, id})
-	})
-	for i := 1; i <= 8; i++ {
-		h.Get(grid.BlockID(i))
-	}
-	counts := map[int]int{}
-	for _, e := range seen {
-		counts[e.level]++
-	}
-	l := h.Levels()
-	for lvl := range l {
-		if int64(counts[lvl]) != l[lvl].Evictions {
-			t.Errorf("level %d: observer saw %d evictions, counter says %d",
-				lvl, counts[lvl], l[lvl].Evictions)
-		}
-	}
-	if len(seen) == 0 {
-		t.Fatal("no evictions observed")
-	}
-	// DRAM (capacity 2) gets 1..8: evictions must come in LRU order.
-	var dram []grid.BlockID
-	for _, e := range seen {
-		if e.level == 0 {
-			dram = append(dram, e.id)
-		}
-	}
-	for i := 1; i < len(dram); i++ {
-		if dram[i] <= dram[i-1] {
-			t.Fatalf("DRAM eviction order not LRU: %v", dram)
-		}
-	}
-}

@@ -46,9 +46,6 @@ import (
 type Options struct {
 	// PrefetchWorkers bounds background prefetch goroutines (default 2).
 	PrefetchWorkers int
-	// QueueDepth bounds the pending-prefetch queue; when full, further
-	// predictions are dropped rather than blocking the frame (default 256).
-	QueueDepth int
 	// Sigma is the entropy threshold for prefetch candidates.
 	Sigma float64
 	// Retry is the policy for demand reads: a block's first attempt rides
@@ -69,14 +66,22 @@ type Options struct {
 	// frame — it is just not externally visible. Sharing one registry
 	// across runtimes aggregates their counters.
 	Metrics *obs.Registry
+
+	// queueDepth, when positive, replaces prefetchQueueDepth; this
+	// package's tests use it to fill the queue on purpose.
+	queueDepth int
 }
+
+// prefetchQueueDepth bounds the pending-prefetch queue; when it is full,
+// further predictions are dropped rather than blocking the frame.
+const prefetchQueueDepth = 256
 
 func (o Options) withDefaults() Options {
 	if o.PrefetchWorkers <= 0 {
 		o.PrefetchWorkers = 2
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 256
+	if o.queueDepth <= 0 {
+		o.queueDepth = prefetchQueueDepth
 	}
 	if o.Retry == nil {
 		o.Retry = &faultio.Retrier{
@@ -201,7 +206,7 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 			Seed:        opts.Retry.Seed,
 		}
 	}
-	r.prefetch = store.NewPrefetcher(context.Background(), cache, opts.PrefetchWorkers, opts.QueueDepth,
+	r.prefetch = store.NewPrefetcher(context.Background(), cache, opts.PrefetchWorkers, opts.queueDepth,
 		func(err error) {
 			var d Stats
 			if err == nil {

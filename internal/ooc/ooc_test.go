@@ -267,7 +267,7 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	f := newFixture(t, 512)
 	// Queue depth 1 with zero workers would deadlock if Frame blocked;
 	// with drops it must return promptly.
-	r, err := New(f.cache, f.vis, f.imp, Options{QueueDepth: 1, PrefetchWorkers: 1, Sigma: 0})
+	r, err := New(f.cache, f.vis, f.imp, Options{queueDepth: 1, PrefetchWorkers: 1, Sigma: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestFrameOffersPlannersOrder(t *testing.T) {
 	// corner blocks' score, the volume's lowest, cuts them alone.
 	sigma := f.imp.Score(0)
 	const depth = 3
-	r, err := New(mc, f.vis, f.imp, Options{Sigma: sigma, QueueDepth: depth, PrefetchWorkers: 1})
+	r, err := New(mc, f.vis, f.imp, Options{Sigma: sigma, queueDepth: depth, PrefetchWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +683,7 @@ func TestConcurrentFramesTinyCache(t *testing.T) {
 func TestPrefetchEnqueueDedup(t *testing.T) {
 	f := newFaultFixture(t, 128, &faultio.InjectorConfig{Latency: 2 * time.Millisecond})
 	r, err := New(f.cache, f.vis, f.imp, Options{
-		Sigma: 0, PrefetchWorkers: 1, QueueDepth: 1024,
+		Sigma: 0, PrefetchWorkers: 1, queueDepth: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

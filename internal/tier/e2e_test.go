@@ -258,18 +258,12 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 func TestDiskFaultDegradationEndToEnd(t *testing.T) {
 	f := startRemote(t)
 	ffs := faultio.NewFaultFS(nil, faultio.FileFaultConfig{Seed: 21, WriteFailRate: 1})
-	tr, err := Open(Config{
-		Dir:              t.TempDir(),
-		Capacity:         1 << 20,
-		FS:               ffs,
-		BreakerThreshold: 3,
-		BreakerBase:      5 * time.Millisecond,
-		BreakerMax:       10 * time.Millisecond,
-	})
+	tr, err := Open(Config{Dir: t.TempDir(), Capacity: 1 << 20, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
+	withBreaker(tr, 3, 5*time.Millisecond, 10*time.Millisecond)
 	rt := session(t, f, tr, 6)
 
 	// Every spill fails; the orbit must not notice.

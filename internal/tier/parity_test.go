@@ -71,26 +71,26 @@ func diffOutcome(t *testing.T, name string, got, want outcome) {
 }
 
 // runMemhier drives the trace through a single simulated level of capBlocks.
+// Hits are the hierarchy's own answer; evictions are what its level tells
+// the policy.
 func runMemhier(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 	t.Helper()
 	const blockSize = 100
+	var seen, out outcome
 	h, err := memhier.New(memhier.Config{
 		Levels: []memhier.LevelConfig{
-			{Device: storage.DRAM(), Capacity: capBlocks * blockSize, Policy: pol},
+			{Device: storage.DRAM(), Capacity: capBlocks * blockSize, Policy: recorded{pol, &seen}},
 		},
 		Backing: storage.HDD(),
 	}, func(grid.BlockID) int64 { return blockSize })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out outcome
-	h.SetEvictObserver(func(level int, id grid.BlockID) {
-		out.evicts = append(out.evicts, id)
-	})
 	for _, id := range parityTrace {
 		res := h.Get(id)
 		out.hits = append(out.hits, res.FoundLevel == 0)
 	}
+	out.evicts = seen.evicts
 	return out
 }
 
@@ -133,17 +133,16 @@ func runMemCache(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 
 // runTier drives the trace through the persistent spill tier: a Get miss
 // followed by Put mirrors the fetch-then-install path of the other stacks.
+// Hits are Get's answer; evictions are what the tier's level tells the
+// policy.
 func runTier(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 	t.Helper()
 	const n = 16
-	var out outcome
+	var seen, out outcome
 	tr, err := Open(Config{
 		Dir:      t.TempDir(),
 		Capacity: capBlocks * int64(spillHeaderSize+4*n),
-		Policy:   pol,
-		OnEvict: func(id grid.BlockID) {
-			out.evicts = append(out.evicts, id)
-		},
+		Policy:   recorded{pol, &seen},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,13 +155,15 @@ func runTier(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 			put(tr, id, block(id, n))
 		}
 	}
+	out.evicts = seen.evicts
 	return out
 }
 
 // recorded is a policy that writes down what its level tells it: a Touch is
 // a hit, an Insert a miss that was admitted, a Remove an eviction; Victim,
 // the incoming block with it, passes through. trace.Replay reports totals
-// only; this recovers the sequences.
+// only; this recovers the sequences. Every host's cache.Level calls Remove
+// on eviction, so it is also how the memhier and tier runs see theirs.
 type recorded struct {
 	cache.Policy
 	out *outcome

@@ -41,13 +41,16 @@ func spillName(id grid.BlockID) string {
 	return "b" + strconv.FormatInt(int64(id), 10) + spillSuffix
 }
 
-// parseSpillName extracts the block id from a committed filename.
+// parseSpillName extracts the block id from a committed filename. It accepts
+// only the name spillName writes: every file operation goes through that
+// name, so a "b05.sp" or "b+6.sp" indexed as a block could never be read,
+// evicted or quarantined.
 func parseSpillName(name string) (grid.BlockID, bool) {
 	if !strings.HasPrefix(name, "b") || !strings.HasSuffix(name, spillSuffix) {
 		return 0, false
 	}
 	n, err := strconv.ParseInt(name[1:len(name)-len(spillSuffix)], 10, 32)
-	if err != nil || n < 0 {
+	if err != nil || n < 0 || spillName(grid.BlockID(n)) != name {
 		return 0, false
 	}
 	return grid.BlockID(n), true

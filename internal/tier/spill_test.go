@@ -132,6 +132,27 @@ func FuzzCheckSpill(f *testing.F) {
 	})
 }
 
+// FuzzParseSpillName: a name rescan accepts is exactly the name spillName
+// writes for its id, so every file the tier indexes is one it can read,
+// evict and quarantine.
+func FuzzParseSpillName(f *testing.F) {
+	for _, name := range []string{
+		"b0.sp", "b7.sp", "b2147483647.sp", "b05.sp", "b+6.sp", "b007.sp",
+		"b-0.sp", "b-1.sp", "b.sp", "b2147483648.sp", "b7.sp.tmp", "README",
+	} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		id, ok := parseSpillName(name)
+		if !ok {
+			return
+		}
+		if id < 0 || spillName(id) != name {
+			t.Fatalf("parseSpillName(%q) = %d, whose name is %q", name, id, spillName(id))
+		}
+	})
+}
+
 // wrappingSpill is a 40-byte file whose header declares 0x40000005 voxels:
 // four times that is 20 more than 2³², so a length check done in a 32-bit
 // int sees the 20 payload bytes the file has.

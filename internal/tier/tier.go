@@ -46,17 +46,22 @@ import (
 	"repro/internal/store"
 )
 
-// Defaults for Config zero values.
 const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerBase      = 100 * time.Millisecond
-	DefaultBreakerMax       = 5 * time.Second
-	DefaultQueueDepth       = 64
+	// quarantineDir is the subdirectory (under Config.Dir) that torn and
+	// corrupt spill files are moved into for post-mortem inspection.
+	quarantineDir = "quarantine"
+	// queueDepth is the spill queue's length. Puts arriving on a full queue
+	// are dropped (and counted) rather than blocking the DRAM cache's
+	// eviction path. bench/'s warm fill drains every 32 Puts and fails on a
+	// drop, so this must stay at least 32.
+	queueDepth = 64
+	// The disk breaker trips after breakerThreshold consecutive faults and
+	// lets one probe through per window, from breakerBase doubling to
+	// breakerMax.
+	breakerThreshold = 5
+	breakerBase      = 100 * time.Millisecond
+	breakerMax       = 5 * time.Second
 )
-
-// quarantineDir is the subdirectory (under Config.Dir) that torn and
-// corrupt spill files are moved into for post-mortem inspection.
-const quarantineDir = "quarantine"
 
 // Config configures a Tier. Dir and Capacity are required.
 type Config struct {
@@ -71,21 +76,6 @@ type Config struct {
 	// FS is the filesystem the tier operates through; nil defaults to the
 	// real one (faultio.OSFS). Tests substitute a faultio.FaultFS.
 	FS faultio.FS
-	// BreakerThreshold is the number of consecutive disk faults that trips
-	// the breaker; 0 defaults to DefaultBreakerThreshold.
-	BreakerThreshold int
-	// BreakerBase and BreakerMax bound the breaker's backoff window; zero
-	// values take the defaults.
-	BreakerBase time.Duration
-	BreakerMax  time.Duration
-	// QueueDepth is the spill queue length; 0 defaults to
-	// DefaultQueueDepth. Puts arriving on a full queue are dropped (and
-	// counted) rather than blocking the DRAM cache's eviction path.
-	QueueDepth int
-	// OnEvict, when non-nil, observes every block the tier's own policy
-	// pushes out — the same feed MemCache.OnEvict and
-	// memhier.SetEvictObserver expose, used by the parity test.
-	OnEvict func(id grid.BlockID)
 }
 
 // spillReq is one encoded block queued for the spill worker; a request
@@ -102,10 +92,13 @@ type Tier struct {
 	fsys faultio.FS
 	br   *breaker.Breaker
 
-	onEvict func(id grid.BlockID)
+	mu  sync.Mutex
+	lvl *cache.Level // resident block -> spill file size, byte budget, replacement
 
-	mu     sync.Mutex
-	lvl    *cache.Level // resident block -> spill file size, byte budget, replacement
+	// qmu guards sends on queue against its close: senders hold it shared,
+	// Close exclusively while it sets closed and closes the channel. The
+	// worker never takes it, so a sender may block on a full queue.
+	qmu    sync.RWMutex
 	closed bool
 	queue  chan spillReq
 
@@ -173,28 +166,15 @@ func Open(cfg Config) (*Tier, error) {
 	if cfg.FS == nil {
 		cfg.FS = faultio.OSFS{}
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerBase <= 0 {
-		cfg.BreakerBase = DefaultBreakerBase
-	}
-	if cfg.BreakerMax <= 0 {
-		cfg.BreakerMax = DefaultBreakerMax
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = DefaultQueueDepth
-	}
 	if err := cfg.FS.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
 	t := &Tier{
-		dir:     cfg.Dir,
-		fsys:    cfg.FS,
-		br:      breaker.New(cfg.BreakerThreshold, cfg.BreakerBase, cfg.BreakerMax),
-		onEvict: cfg.OnEvict,
-		lvl:     cache.NewLevel(cfg.Capacity, cfg.Policy),
-		queue:   make(chan spillReq, cfg.QueueDepth),
+		dir:   cfg.Dir,
+		fsys:  cfg.FS,
+		br:    breaker.New(breakerThreshold, breakerBase, breakerMax),
+		lvl:   cache.NewLevel(cfg.Capacity, cfg.Policy),
+		queue: make(chan spillReq, queueDepth),
 	}
 	t.lvl.OnEvict = func(id grid.BlockID, _ cache.Entry) { t.victims = append(t.victims, id) }
 	if err := t.rescan(); err != nil {
@@ -205,13 +185,14 @@ func Open(cfg Config) (*Tier, error) {
 	return t, nil
 }
 
-// rescan rebuilds the index from the spill directory after a restart.
+// rescan rebuilds the index from the spill directory after a restart. Each
+// file is checked by the read Get would serve it with, and its voxels go
+// back to the buffer pool.
 func (t *Tier) rescan() error {
 	ents, err := t.fsys.ReadDir(t.dir)
 	if err != nil {
 		return err
 	}
-	var image []byte
 	for _, e := range ents {
 		if e.IsDir() {
 			continue // the quarantine subdir
@@ -231,9 +212,12 @@ func (t *Tier) rescan() error {
 		}
 		info, err := e.Info()
 		// A file over the whole budget can never have been resident (spill
-		// drops a block that size): it is set aside unread, not staged.
+		// drops a block that size): it is set aside unread.
 		if err == nil && info.Size() <= t.lvl.Capacity {
-			err = t.verify(name, id, info.Size(), &image)
+			var vals []float32
+			if vals, err = t.load(name, id, info.Size()); err == nil {
+				t.bufs.Put(vals)
+			}
 		}
 		if err != nil || info.Size() > t.lvl.Capacity {
 			// Torn mid-crash or rotten on disk — either way not servable.
@@ -245,28 +229,6 @@ func (t *Tier) rescan() error {
 	}
 	t.dropVictims()
 	return nil
-}
-
-// verify reads the spill file name whole — one read — and checks that it
-// holds block id, for rescan, which wants a verdict and no voxels. image is
-// rescan's one staging buffer, grown to the largest file it meets. A file
-// shorter than size fails the length check; a longer one is judged by its
-// prefix, which is safe because the prefix must still pass the checksum.
-func (t *Tier) verify(name string, id grid.BlockID, size int64, image *[]byte) error {
-	f, err := t.fsys.Open(filepath.Join(t.dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if int64(cap(*image)) < size {
-		*image = make([]byte, size)
-	}
-	n, err := io.ReadFull(f, (*image)[:size])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return err
-	}
-	_, err = checkSpill(id, (*image)[:n])
-	return err
 }
 
 // load reads block id from the spill file name, whose size the index knows.
@@ -284,8 +246,7 @@ func (t *Tier) load(name string, id grid.BlockID, size int64) ([]float32, error)
 // payload straight into a recycled block buffer, where its checksum is
 // verified — two reads and no copy. A buffer that fails goes back to the
 // pool. It accepts exactly the files checkSpill accepts (FuzzCheckSpill
-// holds the two together), short and long files judged as verify judges
-// them.
+// holds the two together).
 func (t *Tier) readSpill(f io.Reader, id grid.BlockID, size int64) ([]float32, error) {
 	hdr, _ := t.hdrs.Get().(*[spillHeaderSize]byte)
 	if hdr == nil {
@@ -394,18 +355,14 @@ func (t *Tier) Put(id grid.BlockID, vals []float32) {
 		return
 	}
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	if t.lvl.Contains(id) {
-		t.mu.Unlock()
+	resident := t.lvl.Contains(id)
+	t.mu.Unlock()
+	if resident {
 		return // already spilled; the on-disk copy is still valid
 	}
-	t.mu.Unlock()
 	req := spillReq{id: id, data: encodeSpill(id, vals)}
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.qmu.RLock()
+	defer t.qmu.RUnlock()
 	if t.closed {
 		return
 	}
@@ -490,15 +447,11 @@ func (t *Tier) writeSpill(req spillReq) error {
 	return nil
 }
 
-// dropVictims removes the files of the blocks the level just evicted and
-// notifies the observer. Called without t.mu held, by the goroutine that made
-// the room.
+// dropVictims removes the files of the blocks the level just evicted.
+// Called without t.mu held, by the goroutine that made the room.
 func (t *Tier) dropVictims() {
 	for _, id := range t.victims {
 		t.fsys.Remove(filepath.Join(t.dir, spillName(id)))
-		if t.onEvict != nil {
-			t.onEvict(id)
-		}
 	}
 	t.victims = t.victims[:0]
 }
@@ -574,38 +527,28 @@ func (t *Tier) Instrument(reg *obs.Registry) {
 // never wait on it.
 func (t *Tier) Drain() {
 	done := make(chan struct{})
-	for {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return
-		}
-		// The send must be non-blocking while mu is held: the worker takes
-		// mu inside spill, so parking on a full queue here would deadlock.
-		select {
-		case t.queue <- spillReq{done: done}:
-			t.mu.Unlock()
-			<-done
-			return
-		default:
-		}
-		t.mu.Unlock()
-		time.Sleep(time.Millisecond)
+	t.qmu.RLock()
+	if t.closed {
+		t.qmu.RUnlock()
+		return
 	}
+	t.queue <- spillReq{done: done}
+	t.qmu.RUnlock()
+	<-done
 }
 
 // Close stops the spill worker (draining queued spills first) and
 // invalidates further Puts. Resident entries stay on disk for the next
 // Open to rescan.
 func (t *Tier) Close() error {
-	t.mu.Lock()
+	t.qmu.Lock()
 	if t.closed {
-		t.mu.Unlock()
+		t.qmu.Unlock()
 		return nil
 	}
 	t.closed = true
-	t.mu.Unlock()
 	close(t.queue)
+	t.qmu.Unlock()
 	t.wg.Wait()
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
+	"repro/internal/cache"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -39,6 +41,13 @@ func openTier(t *testing.T, dir string, blocks, n int, mut func(*Config)) *Tier 
 	}
 	t.Cleanup(func() { tr.Close() })
 	return tr
+}
+
+// withBreaker gives tr a disk breaker that trips after threshold faults and
+// backs off from base to max, so a test reaches a trip and a heal in
+// milliseconds. Call it before the tier's first Put or Get.
+func withBreaker(tr *Tier, threshold int, base, max time.Duration) {
+	tr.br = breaker.New(threshold, base, max)
 }
 
 // put spills one block and waits for the worker to have processed it, so a
@@ -187,16 +196,53 @@ func TestRescanQuarantinesDamage(t *testing.T) {
 	}
 }
 
+// TestRescanIgnoresNonCanonicalNames: intact spill images under names that
+// parse to a block id but are not the name spillName writes — a leading
+// zero, a sign — are foreign files. Indexed, they could never be read,
+// evicted or quarantined under their own name: every Get would count a disk
+// fault, and the files would sit outside the budget for good.
+func TestRescanIgnoresNonCanonicalNames(t *testing.T) {
+	dir := t.TempDir()
+	names := map[string]grid.BlockID{
+		"b05.sp": 5, "b+6.sp": 6, "b007.sp": 7, "b-0.sp": 0, "b+09.sp": 9,
+	}
+	for name, id := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), encodeSpill(id, block(id, 16)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr := openTier(t, dir, 8, 16, nil)
+	if n := tr.Len(); n != 0 {
+		t.Fatalf("rescan indexed %d blocks from non-canonical names", n)
+	}
+	for _, id := range names {
+		if _, ok := tr.Get(id); ok {
+			t.Errorf("block %d served from a non-canonical name", id)
+		}
+	}
+	if c := tr.Counters(); c.DiskFaults != 0 || c.Quarantined != 0 {
+		t.Errorf("counters = %+v, want no fault and no quarantine", c)
+	}
+	if st := tr.BreakerState(); st != "closed" {
+		t.Errorf("breaker = %s, want closed", st)
+	}
+	for name := range names {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("foreign file %s disturbed: %v", name, err)
+		}
+	}
+}
+
 func TestEvictionRespectsCapacityAndPolicy(t *testing.T) {
-	var evicted []grid.BlockID
+	var seen outcome
 	tr := openTier(t, t.TempDir(), 2, 16, func(c *Config) {
-		c.OnEvict = func(id grid.BlockID) { evicted = append(evicted, id) }
+		c.Policy = recorded{cache.NewLRU(), &seen}
 	})
 	for id := grid.BlockID(0); id < 5; id++ {
 		put(tr, id, block(id, 16))
 	}
 	// LRU: 0, 1, 2 evicted in order; 3, 4 resident.
-	want := []grid.BlockID{0, 1, 2}
+	evicted, want := seen.evicts, []grid.BlockID{0, 1, 2}
 	if len(evicted) != len(want) {
 		t.Fatalf("evicted %v, want %v", evicted, want)
 	}
@@ -239,11 +285,8 @@ func TestOversizedBlockDropped(t *testing.T) {
 // backoff expiry must let a probe close it again.
 func TestBreakerTripsOnWriteFaults(t *testing.T) {
 	ffs := faultio.NewFaultFS(nil, faultio.FileFaultConfig{Seed: 11, WriteFailRate: 1})
-	tr := openTier(t, t.TempDir(), 8, 16, func(c *Config) {
-		c.FS = ffs
-		c.BreakerThreshold = 3
-		c.BreakerBase = 10 * time.Millisecond
-	})
+	tr := openTier(t, t.TempDir(), 8, 16, func(c *Config) { c.FS = ffs })
+	withBreaker(tr, 3, 10*time.Millisecond, breakerMax)
 	for id := grid.BlockID(0); id < 3; id++ {
 		put(tr, id, block(id, 16))
 	}
@@ -278,10 +321,8 @@ func TestENOSPCTripsBreaker(t *testing.T) {
 	// Budget of 1 byte: the first spill lands (the budget is checked before
 	// each write), every later one hits the full-disk model.
 	ffs := faultio.NewFaultFS(nil, faultio.FileFaultConfig{Seed: 1, ENOSPCAfterBytes: 1})
-	tr := openTier(t, t.TempDir(), 8, 16, func(c *Config) {
-		c.FS = ffs
-		c.BreakerThreshold = 2
-	})
+	tr := openTier(t, t.TempDir(), 8, 16, func(c *Config) { c.FS = ffs })
+	withBreaker(tr, 2, breakerBase, breakerMax)
 	put(tr, 1, block(1, 16))
 	put(tr, 2, block(2, 16))
 	put(tr, 3, block(3, 16))
@@ -462,6 +503,41 @@ func TestCloseIsIdempotentAndStopsPuts(t *testing.T) {
 	}
 	tr.Put(2, block(2, 16)) // must not panic on the closed queue
 	tr.Drain()              // must not hang after Close
+	testutil.VerifyNoLeaks(t)
+}
+
+// TestDrainCloseRace: Puts and Drains racing Close must neither send on the
+// closed queue nor hang, and Close must leave no worker behind.
+func TestDrainCloseRace(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		tr, err := Open(Config{Dir: t.TempDir(), Capacity: 8 * (spillHeaderSize + 4*16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started, done sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			started.Add(1)
+			done.Add(1)
+			go func(w int) {
+				defer done.Done()
+				for i := 0; i < 64; i++ {
+					id := grid.BlockID(w*64 + i)
+					tr.Put(id, block(id, 16))
+					if i == 0 {
+						started.Done()
+					}
+					if i%8 == 7 {
+						tr.Drain()
+					}
+				}
+			}(w)
+		}
+		started.Wait()
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		done.Wait()
+	}
 	testutil.VerifyNoLeaks(t)
 }
 
