@@ -9,10 +9,10 @@ GO ?= go
 RACE_PKGS := ./internal/policy/... ./internal/store/... ./internal/ooc/... ./internal/faultio/... ./internal/visibility/... ./internal/blocksvc/... ./internal/breaker/... ./internal/netchaos/... ./internal/obs/... ./internal/testutil/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./cmd/vizserver/... ./cmd/vizsim/...
 
 # The hot-path packages whose numbers are tracked in results/BENCH_ooc.json.
-BENCH_PKGS := ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/... ./internal/cache/... ./internal/memhier/...
+BENCH_PKGS := ./internal/policy/... ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/... ./internal/cache/... ./internal/memhier/...
 
 # Packages with fuzz targets; fuzz-smoke replays their seed corpora.
-FUZZ_PKGS := ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/...
+FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/...
 
 # The lifecycle/failure-model suite: failover, drain, heartbeats, breaker,
 # the two-replica network-chaos end-to-end run, and the admission
@@ -64,13 +64,13 @@ one-codec:
 # one-planner fails when Algorithm 1's prefetch-candidate test is spelled
 # anywhere but internal/policy/planner.go: a non-test file of the product,
 # outside internal/policy and internal/visibility, that reads a T_visible set
-# (PredictedSet(, or a table's Predict(pos)) or compares an entropy Score(
-# with σ. The test sat in ooc and blocksvc as a thinner twin of the
-# simulator's, unranked and unbudgeted, for twenty PRs. The two named
+# (PredictedSet(, AppendSet(, or a table's Predict(pos)) or compares an
+# entropy Score( with σ. The test sat in ooc and blocksvc as a thinner twin
+# of the simulator's, unranked and unbudgeted, for twenty PRs. The two named
 # exceptions are internal/experiments' ext-query and ext-time, whose preloads
 # are the extensions' own experiment, not the policy.
 one-planner:
-	@stray=$$(grep -rnE 'PredictedSet\(|\.Predict\([^)]|Score\([^)]*\) *[<>]=? *[^ ]*[sS]igma|[sS]igma *[<>]=? *[^ ]*Score\(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
+	@stray=$$(grep -rnE 'PredictedSet\(|AppendSet\(|\.Predict\([^)]|Score\([^)]*\) *[<>]=? *[^ ]*[sS]igma|[sS]igma *[<>]=? *[^ ]*Score\(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
 		| grep -vE '^internal/(policy|visibility)/' \
 		| grep -vE '^internal/experiments/ext(query|time)\.go:[0-9]*:.*Score\(id\) <= sigma'); \
 	if [ -n "$$stray" ]; then echo "prefetch candidates chosen outside internal/policy/planner.go:"; echo "$$stray"; exit 1; fi

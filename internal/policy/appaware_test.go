@@ -25,7 +25,7 @@ type fixture struct {
 
 // newFixture builds a small end-to-end setup: 64³ ball, 8³ blocks of 8³
 // voxels, DRAM holding 25% and SSD 50% of the data.
-func newFixture(t *testing.T, ratio float64) *fixture {
+func newFixture(t testing.TB, ratio float64) *fixture {
 	t.Helper()
 	ds := volume.Ball().Scale(1.0 / 16)
 	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})

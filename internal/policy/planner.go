@@ -3,8 +3,10 @@ package policy
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/entropy"
 	"repro/internal/grid"
@@ -38,9 +40,22 @@ type Planner struct {
 	// never used.
 	lastUse []int
 
-	// scratch holds the *[]candidate lists Prefetch ranks in, so no call
-	// allocates one and concurrent calls never share one.
+	// ranked holds, per T_visible key, the key's σ-qualified predicted
+	// blocks in prefetch order; nil until the key is first ranked. Every
+	// input of the order is fixed for a key, so it is ranked once and each
+	// frame that maps to the key only walks the list.
+	ranked []atomic.Pointer[[]grid.BlockID]
+	// scratch holds the *rankScratch a key is ranked in, so concurrent
+	// rankings never share one.
 	scratch sync.Pool
+}
+
+// rankScratch is the working space of one ranking: the key's set, its
+// candidates before and after ordering, and the order's bucket starts.
+type rankScratch struct {
+	set           []grid.BlockID
+	cands, sorted []candidate
+	starts        []int
 }
 
 // candidate is a block worth prefetching, its angle to the key's view axis
@@ -52,7 +67,9 @@ type candidate struct {
 }
 
 // NewPlanner binds the decisions to T_visible, T_important and σ; the tables
-// must refer to one block grid.
+// must refer to one block grid. Keys T_visible has already materialized (all
+// of them in an eager or a loaded table) are ranked here, in parallel; the
+// rest on their first Prefetch.
 func NewPlanner(vis *visibility.Table, imp *entropy.Table, sigma float64) (*Planner, error) {
 	if vis == nil || imp == nil {
 		return nil, fmt.Errorf("policy: the planner needs T_visible and T_important")
@@ -61,11 +78,29 @@ func NewPlanner(vis *visibility.Table, imp *entropy.Table, sigma float64) (*Plan
 	if imp.Len() != n {
 		return nil, fmt.Errorf("policy: importance table covers %d blocks, grid has %d", imp.Len(), n)
 	}
-	p := &Planner{vis: vis, imp: imp, sigma: sigma, lastUse: make([]int, n)}
-	p.scratch.New = func() any { return new([]candidate) }
+	p := &Planner{
+		vis: vis, imp: imp, sigma: sigma,
+		lastUse: make([]int, n),
+		ranked:  make([]atomic.Pointer[[]grid.BlockID], vis.NumKeys()),
+	}
+	p.scratch.New = func() any { return new(rankScratch) }
 	for i := range p.lastUse {
 		p.lastUse[i] = -1
 	}
+	var next atomic.Int64 // the next key nobody has claimed
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(p.ranked)); k = next.Add(1) - 1 {
+				if vis.Materialized(int(k)) {
+					p.rankedList(int(k))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	return p, nil
 }
 
@@ -103,8 +138,8 @@ func (p *Planner) BeginFrame(i int, visible []grid.BlockID) (demand, speculative
 // left beside the frame's visible set — §IV-B's "ideal case is that the
 // total size of the predicted and current visible blocks is equal to the
 // cache size". visible is nil when the caller does not know it (the server
-// sees positions, not frames). Nothing is allocated once dst and the pooled
-// scratch have grown to the longest list.
+// sees positions, not frames). Nothing is allocated once dst has grown to
+// the longest list and the key has been ranked.
 //
 // Within the σ-qualified candidates, the blocks nearest the *sampled key's*
 // view axis come first: the next view point is an angular perturbation of
@@ -115,44 +150,121 @@ func (p *Planner) BeginFrame(i int, visible []grid.BlockID) (demand, speculative
 // prediction quality degrades honestly when the sampling lattice is sparse
 // (Fig. 7). Ties break by entropy, then ID.
 func (p *Planner) Prefetch(dst []grid.BlockID, pos vec.V3, visible []grid.BlockID, mem Memory) []grid.BlockID {
-	key := p.vis.NearestKey(pos)
-	keyPos, g := p.vis.KeyPos(key), p.vis.Grid()
-	axis := keyPos.Neg().Unit()
-	scratch := p.scratch.Get().(*[]candidate)
-	cands := (*scratch)[:0]
-	for _, id := range p.vis.PredictedSet(key) {
-		score := p.imp.Score(id)
-		if score <= p.sigma || mem.Contains(id) {
+	// The budget is sized at the first candidate mem lacks, so the warm
+	// steady state, every candidate resident, never sizes the frame.
+	var budget int64
+	sized := false
+	for _, id := range p.rankedList(p.vis.NearestKey(pos)) {
+		if mem.Contains(id) {
 			continue
 		}
-		cands = append(cands, candidate{id, vec.AngleBetween(g.Center(id).Sub(keyPos), axis), score})
-	}
-	if len(cands) == 0 { // the warm steady state: skip sizing the frame
-		p.scratch.Put(scratch)
-		return dst
-	}
-	slices.SortFunc(cands, func(x, y candidate) int {
-		if c := cmp.Compare(x.angle, y.angle); c != 0 {
-			return c
+		if !sized {
+			budget, sized = mem.Capacity(), true
+			for _, v := range visible {
+				budget -= mem.SizeOf(v)
+			}
 		}
-		if c := cmp.Compare(y.score, x.score); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.id, y.id)
-	})
-	budget := mem.Capacity()
-	for _, id := range visible {
-		budget -= mem.SizeOf(id)
-	}
-	for _, c := range cands {
 		// A block larger than what is left is passed over, not the end of
 		// the list: a smaller one further down may still fit.
-		if size := mem.SizeOf(c.id); size <= budget {
+		if size := mem.SizeOf(id); size <= budget {
 			budget -= size
-			dst = append(dst, c.id)
+			dst = append(dst, id)
 		}
 	}
-	*scratch = cands
-	p.scratch.Put(scratch)
 	return dst
+}
+
+// rankedList returns key's σ-qualified predicted blocks in prefetch order,
+// ranking them on the key's first lookup. Two callers may rank one cold key
+// at once; both build the same list, and the first to publish it wins.
+func (p *Planner) rankedList(key int) []grid.BlockID {
+	if l := p.ranked[key].Load(); l != nil {
+		return *l
+	}
+	s := p.scratch.Get().(*rankScratch)
+	l := p.rank(key, s)
+	p.scratch.Put(s)
+	p.ranked[key].CompareAndSwap(nil, &l)
+	return *p.ranked[key].Load()
+}
+
+// rank returns key's σ-qualified predicted blocks in an exactly sized list,
+// nearest the key's view axis first, then by entropy descending, then by ID.
+// An unmaterialized key's set is computed into s and not kept by T_visible:
+// the list is all that remains of it.
+func (p *Planner) rank(key int, s *rankScratch) []grid.BlockID {
+	keyPos, g := p.vis.KeyPos(key), p.vis.Grid()
+	axis := keyPos.Neg().Unit()
+	s.set = p.vis.AppendSet(s.set[:0], key)
+	s.cands = s.cands[:0]
+	for _, id := range s.set {
+		if score := p.imp.Score(id); score > p.sigma {
+			s.cands = append(s.cands, candidate{id, vec.AngleBetween(g.Center(id).Sub(keyPos), axis), score})
+		}
+	}
+	sorted := s.order()
+	out := make([]grid.BlockID, len(sorted))
+	for i, c := range sorted {
+		out[i] = c.id
+	}
+	return out
+}
+
+// order returns s.cands in prefetch order, built in s.sorted. It equals
+// slices.SortFunc under compareCandidates, in O(n) for spread-out angles: a
+// counting sort by bucket int(angle·(n−1)/maxAngle), then an insertion sort
+// under the comparator. The order is exact because a correctly rounded
+// multiply or divide by a positive constant and the truncation are all
+// monotone: a lower bucket holds only strictly smaller angles and exactly
+// tied angles share a bucket, so the insertion sort moves an element only
+// within its bucket, where the full comparator decides. Angles are in
+// [0, π], never NaN (vec.AngleBetween clamps).
+func (s *rankScratch) order() []candidate {
+	n := len(s.cands)
+	maxAngle := 0.0
+	for _, c := range s.cands {
+		if c.angle > maxAngle {
+			maxAngle = c.angle
+		}
+	}
+	bucket := func(angle float64) int {
+		if maxAngle == 0 {
+			return 0
+		}
+		return min(int(angle*float64(n-1)/maxAngle), n-1)
+	}
+	// starts[b+1] counts bucket b, then starts[b] is where it begins.
+	starts := slices.Grow(s.starts[:0], n+1)[:n+1]
+	clear(starts)
+	for _, c := range s.cands {
+		starts[bucket(c.angle)+1]++
+	}
+	for b := 1; b <= n; b++ {
+		starts[b] += starts[b-1]
+	}
+	out := slices.Grow(s.sorted[:0], n)[:n]
+	for _, c := range s.cands {
+		b := bucket(c.angle)
+		out[starts[b]] = c
+		starts[b]++
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && compareCandidates(out[j], out[j-1]) < 0; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	s.starts, s.sorted = starts, out
+	return out
+}
+
+// compareCandidates is the prefetch order: angle ascending, then score
+// descending, then id ascending.
+func compareCandidates(x, y candidate) int {
+	if c := cmp.Compare(x.angle, y.angle); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(y.score, x.score); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.id, y.id)
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/camera"
 	"repro/internal/entropy"
 	"repro/internal/grid"
 	"repro/internal/radius"
@@ -75,65 +76,115 @@ func oraclePrefetch(vis *visibility.Table, imp *entropy.Table, sigma float64,
 	return out
 }
 
+// kindTable is T_visible in one of the forms the planner reads.
+type kindTable struct {
+	kind string
+	vis  *visibility.Table
+}
+
+// tableKinds returns T_visible over g with opts in every form the planner
+// reads, in a fixed order: lazy, eager (ranked when the planner is built),
+// lazy with exact vicinal samples, and lazy under an importance clamp (imp
+// ranks it).
+func tableKinds(t testing.TB, g *grid.Grid, opts visibility.Options, imp *entropy.Table) []kindTable {
+	t.Helper()
+	eager, vicinal, clamp := opts, opts, opts
+	eager.Lazy = false
+	vicinal.VicinalSamples = 6
+	clamp.Clamp = &visibility.Clamp{Importance: imp, MaxBlocks: 120}
+	tables := []kindTable{{kind: "lazy"}, {kind: "eager"}, {kind: "vicinal"}, {kind: "clamp"}}
+	for i, o := range []visibility.Options{opts, eager, vicinal, clamp} {
+		var err error
+		if tables[i].vis, err = visibility.NewTable(g, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tables
+}
+
+// residency draws which blocks of mem are resident, each with probability
+// 1/every.
+func residency(mem *fakeMemory, rng *rand.Rand, every int) {
+	mem.resident = make(map[grid.BlockID]bool)
+	for id := range mem.sizes {
+		if rng.Intn(every) == 0 {
+			mem.resident[grid.BlockID(id)] = true
+		}
+	}
+}
+
 // TestPlannerPrefetchMatchesInlineOracle is the refactor's property: for
 // random positions, residency sets, block sizes, budgets and σ the planner's
 // list is the list the inline filter-then-sort produced, budget skips
-// included.
+// included. Each position is asked twice, under two residencies: the first
+// call ranks the key, the second walks the ranked list. The planner is
+// asked before the oracle, whose PredictedSet would materialize a lazy key.
 func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 	f := newFixture(t, 0.5)
 	n := f.g.NumBlocks()
-	rng := rand.New(rand.NewSource(24))
 	sigmas := []float64{math.Inf(-1), 0, f.imp.ThresholdForQuantile(0.25),
 		f.imp.ThresholdForQuantile(0.75), f.imp.MaxScore()}
-	var nonEmpty, skipped int
-	for _, sigma := range sigmas {
-		plan, err := NewPlanner(f.vis, f.imp, sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dst []grid.BlockID
-		for trial := 0; trial < 60; trial++ {
-			// Positions inside and beyond Ω's distance range.
-			pos := vec.FromSpherical(vec.Spherical{
-				Azimuth:   rng.Float64() * 2 * math.Pi,
-				Elevation: (rng.Float64() - 0.5) * math.Pi / 4,
-				R:         1.5 + 3*rng.Float64(),
-			})
-			mem := &fakeMemory{resident: make(map[grid.BlockID]bool), sizes: make([]int64, n)}
-			var total int64
-			for id := range mem.sizes {
-				mem.sizes[id] = 1 + rng.Int63n(8)
-				total += mem.sizes[id]
-				if rng.Intn(3) == 0 {
-					mem.resident[grid.BlockID(id)] = true
-				}
-			}
-			mem.capacity = rng.Int63n(total / 8)
-			var visible []grid.BlockID // nil: the server's case
-			if trial%2 == 0 {
-				for k := rng.Intn(6); k > 0; k-- {
-					visible = append(visible, grid.BlockID(rng.Intn(n)))
-				}
-			}
-			want := oraclePrefetch(f.vis, f.imp, sigma, pos, visible, mem)
-			dst = plan.Prefetch(dst[:0], pos, visible, mem)
-			if !slices.Equal(dst, want) {
-				t.Fatalf("σ=%g trial %d pos %v: planner %v, inline oracle %v", sigma, trial, pos, dst, want)
-			}
-			if len(want) > 0 {
-				nonEmpty++
-				// A skip shows as a listed block ranked after an unlisted
-				// non-resident one.
-				unlimited := *mem
-				unlimited.capacity = math.MaxInt64
-				if all := oraclePrefetch(f.vis, f.imp, sigma, pos, nil, &unlimited); !slices.Equal(all[:len(want)], want) {
-					skipped++
-				}
-			}
-		}
+	opts := visibility.Options{
+		NAzimuth: 24, NElevation: 12, NDistance: 3,
+		RMin: 2, RMax: 4,
+		ViewAngle: vec.Radians(10),
+		Radius:    radius.Fixed(0.25),
+		Lazy:      true,
 	}
-	if nonEmpty < 50 || skipped < 10 {
-		t.Errorf("only %d non-empty lists, %d with a budget skip: the property has no teeth", nonEmpty, skipped)
+	for _, k := range tableKinds(t, f.g, opts, f.imp) {
+		name, vis := k.kind, k.vis
+		rng := rand.New(rand.NewSource(24))
+		var nonEmpty, skipped int
+		for _, sigma := range sigmas {
+			plan, err := NewPlanner(vis, f.imp, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dst []grid.BlockID
+			for trial := 0; trial < 60; trial++ {
+				// Positions inside and beyond Ω's distance range.
+				pos := vec.FromSpherical(vec.Spherical{
+					Azimuth:   rng.Float64() * 2 * math.Pi,
+					Elevation: (rng.Float64() - 0.5) * math.Pi / 4,
+					R:         1.5 + 3*rng.Float64(),
+				})
+				mem := &fakeMemory{sizes: make([]int64, n)}
+				var total int64
+				for id := range mem.sizes {
+					mem.sizes[id] = 1 + rng.Int63n(8)
+					total += mem.sizes[id]
+				}
+				mem.capacity = rng.Int63n(total / 8)
+				var visible []grid.BlockID // nil: the server's case
+				if trial%2 == 0 {
+					for k := rng.Intn(6); k > 0; k-- {
+						visible = append(visible, grid.BlockID(rng.Intn(n)))
+					}
+				}
+				for call := 0; call < 2; call++ {
+					residency(mem, rng, 3)
+					dst = plan.Prefetch(dst[:0], pos, visible, mem)
+					want := oraclePrefetch(vis, f.imp, sigma, pos, visible, mem)
+					if !slices.Equal(dst, want) {
+						t.Fatalf("%s table, σ=%g trial %d call %d pos %v: planner %v, inline oracle %v",
+							name, sigma, trial, call, pos, dst, want)
+					}
+					if len(want) > 0 {
+						nonEmpty++
+						// A skip shows as a listed block ranked after an
+						// unlisted non-resident one.
+						unlimited := *mem
+						unlimited.capacity = math.MaxInt64
+						if all := oraclePrefetch(vis, f.imp, sigma, pos, nil, &unlimited); !slices.Equal(all[:len(want)], want) {
+							skipped++
+						}
+					}
+				}
+			}
+		}
+		if nonEmpty < 100 || skipped < 20 {
+			t.Errorf("%s table: only %d non-empty lists, %d with a budget skip: the property has no teeth", name, nonEmpty, skipped)
+		}
 	}
 }
 
@@ -142,61 +193,71 @@ func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 // Y = 0 mid-plane (a one-azimuth, three-elevation lattice), so a block and its
 // mirror image in Y tie exactly on angle. Entropies drawn from four values
 // make many of those pairs differ in score and many tie there too, so both
-// the score and the ID step of the ranking decide places in the list.
+// the score and the ID step of the ranking decide places in the list. Each
+// planner is asked twice, under two residencies, the second time from its
+// ranked list.
 func TestPlannerPrefetchTieBreakMatchesOracle(t *testing.T) {
 	f := newFixture(t, 0.5)
-	vis, err := visibility.NewTable(f.g, visibility.Options{
-		NAzimuth: 1, NElevation: 3, NDistance: 1,
-		RMin: 2, RMax: 4,
-		ViewAngle: vec.Radians(10),
-		Radius:    radius.Fixed(0.5),
-		Lazy:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := vec.New(-3, 0, 0)
-	key := vis.NearestKey(pos)
-	keyPos := vis.KeyPos(key)
-	if keyPos.Y != 0 {
-		t.Fatalf("key %d at %v is off the mid-plane", key, keyPos)
-	}
-	axis := keyPos.Neg().Unit()
-	angle := func(id grid.BlockID) float64 { return vec.AngleBetween(f.g.Center(id).Sub(keyPos), axis) }
 	n := f.g.NumBlocks()
+	pos := vec.New(-3, 0, 0)
 	rng := rand.New(rand.NewSource(29))
-	var byScore, byID int
+	ties := make(map[string][2]int) // by table kind: neighbours ranked by score, by ID
 	for trial := 0; trial < 20; trial++ {
 		scores := make([]float64, n)
 		for i := range scores {
 			scores[i] = float64(rng.Intn(4))
 		}
 		imp := entropy.NewTable(scores)
-		plan, err := NewPlanner(vis, imp, 0)
-		if err != nil {
-			t.Fatal(err)
+		opts := visibility.Options{
+			NAzimuth: 1, NElevation: 3, NDistance: 1,
+			RMin: 2, RMax: 4,
+			ViewAngle: vec.Radians(10),
+			Radius:    radius.Fixed(0.5),
+			Lazy:      true,
 		}
-		mem := &fakeMemory{resident: make(map[grid.BlockID]bool), sizes: make([]int64, n), capacity: math.MaxInt64}
-		for id := range mem.sizes {
-			mem.sizes[id] = 1
-			mem.resident[grid.BlockID(id)] = rng.Intn(4) == 0
-		}
-		want := oraclePrefetch(vis, imp, 0, pos, nil, mem)
-		if got := plan.Prefetch(nil, pos, nil, mem); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: planner %v, inline oracle %v", trial, got, want)
-		}
-		for i := 1; i < len(want); i++ {
-			if a, b := want[i-1], want[i]; angle(a) == angle(b) {
-				if imp.Score(a) != imp.Score(b) {
-					byScore++
-				} else {
-					byID++
+		for _, k := range tableKinds(t, f.g, opts, imp) {
+			name, vis := k.kind, k.vis
+			key := vis.NearestKey(pos)
+			keyPos := vis.KeyPos(key)
+			if keyPos.Y != 0 {
+				t.Fatalf("key %d at %v is off the mid-plane", key, keyPos)
+			}
+			axis := keyPos.Neg().Unit()
+			angle := func(id grid.BlockID) float64 { return vec.AngleBetween(f.g.Center(id).Sub(keyPos), axis) }
+			plan, err := NewPlanner(vis, imp, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := &fakeMemory{sizes: make([]int64, n), capacity: math.MaxInt64}
+			for id := range mem.sizes {
+				mem.sizes[id] = 1
+			}
+			byScore, byID := 0, 0
+			for call := 0; call < 2; call++ {
+				residency(mem, rng, 4)
+				got := plan.Prefetch(nil, pos, nil, mem)
+				want := oraclePrefetch(vis, imp, 0, pos, nil, mem)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s table, trial %d call %d: planner %v, inline oracle %v", name, trial, call, got, want)
+				}
+				for i := 1; i < len(want); i++ {
+					if a, b := want[i-1], want[i]; angle(a) == angle(b) {
+						if imp.Score(a) != imp.Score(b) {
+							byScore++
+						} else {
+							byID++
+						}
+					}
 				}
 			}
+			c := ties[name]
+			ties[name] = [2]int{c[0] + byScore, c[1] + byID}
 		}
 	}
-	if byScore < 20 || byID < 20 {
-		t.Errorf("%d neighbours ranked by score and %d by ID on an exact angle tie: the pin has no teeth", byScore, byID)
+	for name, c := range ties {
+		if c[0] < 20 || c[1] < 20 {
+			t.Errorf("%s table: %d neighbours ranked by score and %d by ID on an exact angle tie: the pin has no teeth", name, c[0], c[1])
+		}
 	}
 }
 
@@ -216,7 +277,8 @@ func TestPlannerPreloadOrder(t *testing.T) {
 
 // TestPlannerConcurrentColdKey is the server's case: many sessions ask about
 // one sampling position T_visible has not materialized yet, each ranking
-// in its own pooled scratch. Under -race; every caller must get the same list.
+// in its own pooled scratch. Under -race; every caller must get the same list,
+// and the lazy table must not keep the set the planner ranked.
 func TestPlannerConcurrentColdKey(t *testing.T) {
 	f := newFixture(t, 0.5)
 	plan, err := NewPlanner(f.vis, f.imp, f.imp.ThresholdForQuantile(0.75))
@@ -242,9 +304,91 @@ func TestPlannerConcurrentColdKey(t *testing.T) {
 	if len(lists[0]) == 0 {
 		t.Fatal("empty prefetch list; the pin has no teeth")
 	}
+	if n := f.vis.MaterializedKeys(); n != 0 {
+		t.Errorf("T_visible kept %d sets beside the planner's ranked list", n)
+	}
 	for w, l := range lists {
 		if !slices.Equal(l, lists[0]) {
 			t.Errorf("session %d got %v, session 0 %v", w, l, lists[0])
 		}
+	}
+}
+
+// FuzzRankOrder holds the ranking's O(n) order to slices.SortFunc under the
+// same comparator. Each candidate is four bytes: a mode, a 16-bit value and
+// a score. Mode 0 spreads the value over [0, π], both ends included; mode 1
+// makes it a subnormal angle; mode 2 one of four angles, so exact ties are
+// common. Scores take four values, and ids are distinct but out of order.
+// The scratch is then reused for the first half of the list.
+func FuzzRankOrder(f *testing.F) {
+	f.Add([]byte{})                                         // no candidates
+	f.Add([]byte{0, 0x80, 0, 1})                            // one
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3})       // all angles zero
+	f.Add([]byte{0, 0xff, 0xff, 0, 2, 0, 1, 3, 0, 0, 0, 1}) // π, a tie at π/3, 0
+	f.Add([]byte{2, 0, 3, 1, 2, 0, 3, 1, 2, 0, 2, 1, 2, 0, 3, 1, 0, 0x40, 0, 1})
+	f.Add([]byte{1, 0, 1, 0, 1, 0xff, 0xff, 0, 1, 0, 1, 2, 0, 0, 7, 0}) // subnormal beside a normal angle
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cands []candidate
+		for i := 0; i+4 <= len(data); i += 4 {
+			u := float64(uint16(data[i+1])<<8 | uint16(data[i+2]))
+			var angle float64
+			switch data[i] % 3 {
+			case 0:
+				angle = math.Pi * u / math.MaxUint16
+			case 1:
+				angle = u * math.SmallestNonzeroFloat64
+			default:
+				angle = float64(int(u)%4) * math.Pi / 3
+			}
+			id := grid.BlockID(len(cands) * 7919 % 65536)
+			cands = append(cands, candidate{id: id, angle: angle, score: float64(data[i+3] % 4)})
+		}
+		var s rankScratch
+		for _, in := range [][]candidate{cands, cands[:len(cands)/2]} {
+			want := slices.Clone(in)
+			slices.SortFunc(want, compareCandidates)
+			s.cands = slices.Clone(in)
+			if got := s.order(); !slices.Equal(got, want) {
+				t.Fatalf("order %v, slices.SortFunc %v", got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkPlannerPrefetch is one frame's Prefetch on a warm key: ranked,
+// about three in five of its candidates resident, and a budget that takes
+// about seven in ten of the rest beside the frame's visible set.
+func BenchmarkPlannerPrefetch(b *testing.B) {
+	f := newFixture(b, 0.5)
+	plan, err := NewPlanner(f.vis, f.imp, f.imp.ThresholdForQuantile(0.75))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pos := vec.New(0.5, 0.4, 3)
+	visible := visibility.VisibleSet(f.g, camera.Camera{Pos: pos, ViewAngle: vec.Radians(10)})
+	mem := &fakeMemory{resident: make(map[grid.BlockID]bool), sizes: make([]int64, f.g.NumBlocks())}
+	for id := range mem.sizes {
+		mem.sizes[id] = 1
+	}
+	for _, id := range visible {
+		mem.resident[id] = true
+		mem.capacity++
+	}
+	rng := rand.New(rand.NewSource(36))
+	for _, id := range plan.rankedList(f.vis.NearestKey(pos)) {
+		if rng.Intn(5) < 3 {
+			mem.resident[id] = true
+		} else if rng.Intn(10) < 7 {
+			mem.capacity++
+		}
+	}
+	dst := plan.Prefetch(nil, pos, visible, mem)
+	if len(dst) == 0 {
+		b.Fatal("empty prefetch list")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = plan.Prefetch(dst[:0], pos, visible, mem)
 	}
 }

@@ -175,28 +175,32 @@ func containing(planes []float64, p, r float64) (from, to int) {
 	return from, to
 }
 
-// ids returns the flagged blocks in ascending order, in a slice sized by
-// counting them first.
-func (l *lattice) ids() []grid.BlockID {
+// appendIDs appends the flagged blocks to dst in ascending order. Where dst
+// lacks the room, it is copied once into a slice of exactly the length
+// needed, which is counted first.
+func (l *lattice) appendIDs(dst []grid.BlockID) []grid.BlockID {
 	n := 0
 	for _, f := range l.blocks {
 		n += int(f)
 	}
-	out := make([]grid.BlockID, 0, n)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]grid.BlockID, 0, len(dst)+n), dst...)
+	}
 	for id, f := range l.blocks {
 		if f != 0 {
-			out = append(out, grid.BlockID(id))
+			dst = append(dst, grid.BlockID(id))
 		}
 	}
-	return out
+	return dst
 }
 
-// visibleSet is the union over cones of the blocks each one sees.
-func visibleSet(g *grid.Grid, cones ...cone) []grid.BlockID {
+// appendVisibleSet appends to dst the union over cones of the blocks each
+// one sees.
+func appendVisibleSet(dst []grid.BlockID, g *grid.Grid, cones ...cone) []grid.BlockID {
 	l := newLattice(g)
 	defer l.release()
 	for _, c := range cones {
 		l.mark(c)
 	}
-	return l.ids()
+	return l.appendIDs(dst)
 }

@@ -167,7 +167,7 @@ func TestGuardBandDecidesByThePredicate(t *testing.T) {
 		for _, theta := range []float64{math.Nextafter(at, 0), at, math.Nextafter(at, 4)} {
 			c.theta = theta
 			l := newLattice(g)
-			fallbacks, got := l.mark(c), l.ids()
+			fallbacks, got := l.mark(c), l.appendIDs(nil)
 			l.release()
 			if fallbacks == 0 && theta < math.Pi {
 				t.Errorf("%+v: no point went to the predicate", c)

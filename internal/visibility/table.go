@@ -36,7 +36,9 @@ type Options struct {
 	// Lazy defers per-key visible-set computation until first lookup.
 	// Contents are identical either way; lazy mode keeps huge tables
 	// (Fig. 7 sweeps up to 108,000 keys) affordable when a path only
-	// visits a few hundred keys.
+	// visits a few hundred keys. PredictedSet memoizes what it computes;
+	// AppendSet does not, so a lazy table read only through a policy
+	// planner, which keeps its own ranked list per key, keeps no sets.
 	Lazy bool
 	// QueryCostPerKey models the per-entry cost of searching the lookup
 	// table; the total per-query charge is QueryCostPerKey × NumKeys. This
@@ -201,11 +203,26 @@ func (t *Table) QueryCost() time.Duration {
 // modify it.
 func (t *Table) PredictedSet(i int) []grid.BlockID {
 	t.once[i].Do(func() {
-		t.sets[i] = t.computeSet(i)
+		t.sets[i] = t.appendSet(nil, i)
 		t.done[i].Store(true)
 	})
 	return t.sets[i]
 }
+
+// AppendSet appends key i's set, PredictedSet(i)'s ids, to dst and returns
+// it. A materialized key's set is copied; an unmaterialized key's is
+// computed into dst and not kept by the table, so a caller that keeps what
+// it needs of a set (the policy planner's ranked list) is its only holder.
+func (t *Table) AppendSet(dst []grid.BlockID, i int) []grid.BlockID {
+	if t.Materialized(i) {
+		return append(dst, t.sets[i]...)
+	}
+	return t.appendSet(dst, i)
+}
+
+// Materialized reports whether key i's set is memoized: always after
+// MaterializeAll, and in lazy mode once PredictedSet has computed it.
+func (t *Table) Materialized(i int) bool { return t.done[i].Load() }
 
 // Predict returns the predicted visible set for an arbitrary camera
 // position: the set of its nearest sampling position.
@@ -213,28 +230,29 @@ func (t *Table) Predict(pos vec.V3) []grid.BlockID {
 	return t.PredictedSet(t.NearestKey(pos))
 }
 
-// computeSet builds the vicinal-union visible set of key i and applies the
-// importance clamp.
-func (t *Table) computeSet(i int) []grid.BlockID {
+// appendSet appends the vicinal-union visible set of key i to dst, with the
+// importance clamp applied.
+func (t *Table) appendSet(dst []grid.BlockID, i int) []grid.BlockID {
 	pos := t.KeyPos(i)
 	r := t.opts.Radius.Radius(t.opts.ViewAngle, pos.Norm())
-	var set []grid.BlockID
+	start := len(dst)
 	if t.opts.VicinalSamples > 0 {
-		set = VicinalUnion(t.g, pos, t.opts.ViewAngle, r, t.opts.VicinalSamples)
+		dst = appendVisibleSet(dst, t.g, vicinalCones(pos, t.opts.ViewAngle, r, t.opts.VicinalSamples)...)
 	} else {
-		set = DilatedVisibleSet(t.g, pos, t.opts.ViewAngle, r)
+		dst = appendVisibleSet(dst, t.g, cone{pos: pos, theta: t.opts.ViewAngle, r: r, dilated: true})
 	}
-	if c := t.opts.Clamp; c != nil && c.MaxBlocks > 0 && len(set) > c.MaxBlocks {
+	if c := t.opts.Clamp; c != nil && c.MaxBlocks > 0 && len(dst)-start > c.MaxBlocks {
+		set := dst[start:]
 		slices.SortStableFunc(set, func(a, b grid.BlockID) int {
 			if o := cmp.Compare(c.Importance.Score(b), c.Importance.Score(a)); o != 0 {
 				return o
 			}
 			return cmp.Compare(a, b)
 		})
-		set = set[:c.MaxBlocks]
-		slices.Sort(set)
+		slices.Sort(set[:c.MaxBlocks])
+		dst = dst[:start+c.MaxBlocks]
 	}
-	return set
+	return dst
 }
 
 // MaterializeAll computes every key's set in parallel. It is idempotent.
@@ -258,7 +276,7 @@ func (t *Table) MaterializeAll() {
 func (t *Table) MaterializedKeys() int {
 	n := 0
 	for i := range t.done {
-		if t.done[i].Load() {
+		if t.Materialized(i) {
 			n++
 		}
 	}

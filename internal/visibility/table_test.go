@@ -1,6 +1,7 @@
 package visibility
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +171,49 @@ func TestEagerMatchesLazy(t *testing.T) {
 	}
 	if eager.MaterializedKeys() != eager.NumKeys() {
 		t.Error("eager table not fully materialized")
+	}
+}
+
+// TestAppendSetEqualsPredictedSet: on a lazy, an eager, a VicinalSamples and
+// a Clamp table, AppendSet appends every key's PredictedSet after what dst
+// holds, and on an unmaterialized key it memoizes nothing.
+func TestAppendSetEqualsPredictedSet(t *testing.T) {
+	g, _ := newTestTable(t, tableOpts())
+	scores := make([]float64, g.NumBlocks())
+	for i := range scores {
+		scores[i] = float64(i % 7)
+	}
+	lazy := tableOpts()
+	lazy.Lazy = true
+	lazy.Radius = radius.Fixed(1.0) // sets the clamp cuts
+	eager, vicinal, clamp := lazy, lazy, lazy
+	eager.Lazy = false
+	vicinal.VicinalSamples = 4
+	clamp.Clamp = &Clamp{Importance: entropy.NewTable(scores), MaxBlocks: 5}
+	for name, o := range map[string]Options{"lazy": lazy, "eager": eager, "vicinal": vicinal, "clamp": clamp} {
+		tab, err := NewTable(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var clamped bool
+		for i := 0; i < tab.NumKeys(); i++ {
+			before := tab.MaterializedKeys()
+			got := tab.AppendSet([]grid.BlockID{9, 2}, i)
+			if after := tab.MaterializedKeys(); after != before {
+				t.Fatalf("%s table, key %d: AppendSet took materialized keys from %d to %d", name, i, before, after)
+			}
+			want := tab.PredictedSet(i)
+			if !slices.Equal(got[:2], []grid.BlockID{9, 2}) || !slices.Equal(got[2:], want) {
+				t.Fatalf("%s table, key %d: AppendSet %v, want [9 2] then PredictedSet %v", name, i, got, want)
+			}
+			if again := tab.AppendSet(nil, i); !slices.Equal(again, want) {
+				t.Fatalf("%s table, materialized key %d: AppendSet %v, PredictedSet %v", name, i, again, want)
+			}
+			clamped = clamped || len(want) == 5
+		}
+		if name == "clamp" && !clamped {
+			t.Error("no key reached the clamp: the clamp case has no teeth")
+		}
 	}
 }
 

@@ -46,7 +46,14 @@ func BlockVisible(pos vec.V3, theta float64, g *grid.Grid, id grid.BlockID) bool
 // BlockVisible over the grid. This is the exact per-frame ground truth the
 // simulator renders from.
 func VisibleSet(g *grid.Grid, cam camera.Camera) []grid.BlockID {
-	return visibleSet(g, cone{pos: cam.Pos, theta: cam.ViewAngle})
+	return AppendVisibleSet(nil, g, cam)
+}
+
+// AppendVisibleSet appends VisibleSet(g, cam) to dst and returns it, so a
+// caller that reuses dst from frame to frame allocates nothing once dst has
+// grown to the largest set.
+func AppendVisibleSet(dst []grid.BlockID, g *grid.Grid, cam camera.Camera) []grid.BlockID {
+	return appendVisibleSet(dst, g, cone{pos: cam.Pos, theta: cam.ViewAngle})
 }
 
 // DilatedVisible reports whether a block is visible from *some* point within
@@ -85,7 +92,7 @@ func dilatedCornerVisible(pos, corner vec.V3, theta, r float64) bool {
 // within radius r of pos (analytic union approximation): DilatedVisible over
 // the grid.
 func DilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockID {
-	return visibleSet(g, cone{pos: pos, theta: theta, r: r, dilated: true})
+	return appendVisibleSet(nil, g, cone{pos: pos, theta: theta, r: r, dilated: true})
 }
 
 // VicinalUnion returns the union of exact visible sets over sample points
@@ -93,13 +100,19 @@ func DilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockI
 // itself), the construction of §IV-B. samples is the number of jitter points
 // v'; they are placed deterministically on Fibonacci shells.
 func VicinalUnion(g *grid.Grid, pos vec.V3, theta, r float64, samples int) []grid.BlockID {
+	return appendVisibleSet(nil, g, vicinalCones(pos, theta, r, samples)...)
+}
+
+// vicinalCones returns VicinalUnion's cones: one at pos and one at each
+// jitter point.
+func vicinalCones(pos vec.V3, theta, r float64, samples int) []cone {
 	pts := fibonacciBall(pos, r, samples)
 	cones := make([]cone, 0, 1+len(pts))
 	cones = append(cones, cone{pos: pos, theta: theta})
 	for _, p := range pts {
 		cones = append(cones, cone{pos: p, theta: theta})
 	}
-	return visibleSet(g, cones...)
+	return cones
 }
 
 // fibonacciBall returns n deterministic points filling the ball of radius r

@@ -171,23 +171,23 @@ func (v *Viewer) Visibility() *VisibilityTable { return v.vis }
 // predicted blocks are prefetched.
 func (v *Viewer) Goto(pos V3) FrameStats {
 	cam := camera.Camera{Pos: pos, ViewAngle: vec.Radians(v.opts.ViewAngleDeg)}
-	visible := visibility.VisibleSet(v.g, cam)
-	res := v.ctrl.Step(v.step, pos, visible, 0)
+	v.visible = visibility.AppendVisibleSet(v.visible[:0], v.g, cam)
+	res := v.ctrl.Step(v.step, pos, v.visible, 0)
 	stats := FrameStats{
 		Step:          v.step,
-		VisibleBlocks: len(visible),
+		VisibleBlocks: len(v.visible),
 		IOTime:        res.IOTime + res.QueryCost,
 		PrefetchTime:  res.PrefetchTime,
 		Prefetches:    res.Prefetches,
 	}
 	v.pos = pos
-	v.visible = visible
 	v.step++
 	return stats
 }
 
 // Visible returns the current view point's visible blocks (nil before the
-// first Goto). The slice is owned by the viewer.
+// first Goto). The slice is owned by the viewer and valid until the next
+// Goto, which refills it in place.
 func (v *Viewer) Visible() []BlockID { return v.visible }
 
 // Metrics summarizes the session so far.
