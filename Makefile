@@ -19,9 +19,9 @@ FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... 
 # semaphore's cancel/grant race.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestIdleConnToMuteServerDropped|TestIdleConnSurvivesHeartbeats|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads|TestByteSem'
 
-.PHONY: check vet build max-lines unused-pkgs one-codec one-planner test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
 
-check: vet build max-lines unused-pkgs one-codec one-planner test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
+check: vet build max-lines unused-pkgs one-codec one-planner one-executor test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -66,14 +66,28 @@ one-codec:
 # outside internal/policy and internal/visibility, that reads a T_visible set
 # (PredictedSet(, AppendSet(, or a table's Predict(pos)) or compares an
 # entropy Score( with σ. The test sat in ooc and blocksvc as a thinner twin
-# of the simulator's, unranked and unbudgeted, for twenty PRs. The two named
-# exceptions are internal/experiments' ext-query and ext-time, whose preloads
-# are the extensions' own experiment, not the policy.
+# of the simulator's, unranked and unbudgeted, for twenty PRs. The one named
+# exception is internal/experiments' ext-time, whose next-timestep prefetch is
+# the extension's own experiment, not the policy.
 one-planner:
 	@stray=$$(grep -rnE 'PredictedSet\(|AppendSet\(|\.Predict\([^)]|Score\([^)]*\) *[<>]=? *[^ ]*[sS]igma|[sS]igma *[<>]=? *[^ ]*Score\(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
 		| grep -vE '^internal/(policy|visibility)/' \
-		| grep -vE '^internal/experiments/ext(query|time)\.go:[0-9]*:.*Score\(id\) <= sigma'); \
+		| grep -vE '^internal/experiments/exttime\.go:[0-9]*:.*Score\(id\) <= sigma'); \
 	if [ -n "$$stray" ]; then echo "prefetch candidates chosen outside internal/policy/planner.go:"; echo "$$stray"; exit 1; fi
+
+# one-executor fails when a simulated hierarchy is driven anywhere but
+# internal/sim: a non-test file of the product, outside internal/sim and
+# internal/memhier, that calls memhier.New(, or a non-test file of
+# internal/policy that imports memhier. Algorithm 1 was carried out on the
+# simulated side by three hand-written loops (policy.AppAware, RunBaseline's,
+# and the Viewer's rebuilt stack), and the Viewer's metrics drifted from its
+# own frames. The one named exception is internal/experiments' ext-time,
+# whose hierarchy is keyed by (timestep, block), its own experiment.
+one-executor:
+	@stray=$$( { grep -rn 'memhier\.New(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
+		| grep -vE '^internal/(sim|memhier)/|^internal/experiments/exttime\.go:'; \
+		grep -rn '"repro/internal/memhier"' --include='*.go' --exclude='*_test.go' internal/policy; } ); \
+	if [ -n "$$stray" ]; then echo "a simulated hierarchy driven outside internal/sim:"; echo "$$stray"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/policy"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -36,13 +35,13 @@ func AblationComponents(o Options) (*Result, error) {
 
 	variants := []struct {
 		name string
-		opts policy.Options
+		opts sim.Options
 	}{
-		{"full", policy.Options{Preload: true, PrefetchEnabled: true, StaleOnlyEviction: true}},
-		{"no-preload", policy.Options{PrefetchEnabled: true, StaleOnlyEviction: true}},
-		{"no-prefetch", policy.Options{Preload: true, StaleOnlyEviction: true}},
-		{"no-stale-eviction", policy.Options{Preload: true, PrefetchEnabled: true}},
-		{"none (plain LRU fetch)", policy.Options{}},
+		{"full", sim.Options{Preload: true, PrefetchEnabled: true, StaleOnlyEviction: true}},
+		{"no-preload", sim.Options{PrefetchEnabled: true, StaleOnlyEviction: true}},
+		{"no-prefetch", sim.Options{Preload: true, StaleOnlyEviction: true}},
+		{"no-stale-eviction", sim.Options{Preload: true, PrefetchEnabled: true}},
+		{"none (plain LRU fetch)", sim.Options{}},
 	}
 	tb := report.NewTable(
 		"Ablation: Algorithm 1 components (3d_ball, 2048 blocks, random 10-15°)",

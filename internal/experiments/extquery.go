@@ -13,18 +13,15 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/camera"
-	"repro/internal/grid"
-	"repro/internal/memhier"
-	"repro/internal/render"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/summary"
-	"repro/internal/vec"
 	"repro/internal/visibility"
 )
 
 // ExtQuery compares unconstrained vs query-constrained exploration under
-// LRU and the app-aware policy. Series "io_ms" and "missrate" have one
-// entry per (mode, policy) row in table order.
+// LRU and the app-aware policy's importance preload. Series "io_ms" and
+// "missrate" have one entry per (mode, policy) row in table order.
 func ExtQuery(o Options) (*Result, error) {
 	o = o.WithDefaults()
 	ds, err := scaledDataset("lifted_rr", o)
@@ -42,9 +39,8 @@ func ExtQuery(o Options) (*Result, error) {
 	}
 	// The flame-sheet query: values around the stoichiometric surface.
 	flame := summary.Query{{Variable: 0, Min: 0.35, Max: 0.55}}
-	path := randomPath(o, 10, 15)
-	theta := vec.Radians(o.ViewAngleDeg)
-	model := render.DefaultCostModel()
+	cfg := baseConfig(ds, g, randomPath(o, 10, 15), o)
+	cam := camera.Camera{ViewAngle: cfg.ViewAngle}
 
 	tb := report.NewTable(
 		"Extension: query-based visualization under caching (lifted_rr, flame-sheet query)",
@@ -57,47 +53,34 @@ func ExtQuery(o Options) (*Result, error) {
 	}
 	for _, md := range []mode{{"full volume", nil}, {"flame query", flame}} {
 		for _, pol := range []string{"LRU", "OPT"} {
-			h, err := memhier.New(
-				memhier.StandardConfig(ds.TotalBytes(), o.CacheRatio,
-					func() cache.Policy { return cache.NewLRU() }),
-				func(id grid.BlockID) int64 { return g.Bytes(id, ds.ValueSize, ds.Variables) },
-			)
+			var s *sim.Session
+			if pol == "OPT" {
+				// Algorithm 1's line-7 preload alone: the query, not the
+				// camera, decides what a frame needs.
+				s, err = sim.NewAppAware(cfg, sim.AppAwareConfig{
+					Importance: imp, SigmaQuantile: 0.75, Policy: &sim.Options{Preload: true},
+				})
+			} else {
+				s, err = sim.NewBaseline(cfg, func() cache.Policy { return cache.NewLRU() }, pol)
+			}
 			if err != nil {
 				return nil, err
 			}
-			// Preload for OPT only (Algorithm 1 line 7).
-			if pol == "OPT" {
-				sigma := imp.ThresholdForQuantile(0.75)
-				for _, id := range imp.Ranked() {
-					if imp.Score(id) <= sigma || !h.Fits(0, id) {
-						break
-					}
-					h.Preload(0, id)
-				}
-			}
-			var io time.Duration
-			var blockSum int
-			for _, pos := range path.Steps {
-				visible := visibility.VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta})
+			for _, pos := range cfg.Path.Steps {
+				cam.Pos = pos
+				visible := visibility.VisibleSet(g, cam)
 				if md.query != nil {
-					visible, err = sums.Filter(visible, md.query)
-					if err != nil {
+					if visible, err = sums.Filter(visible, md.query); err != nil {
 						return nil, err
 					}
 				}
-				blockSum += len(visible)
-				before := h.DemandTime
-				for _, id := range visible {
-					h.Get(id)
-				}
-				io += h.DemandTime - before
-				_ = model
+				s.Step(pos, visible)
 			}
-			mean := float64(blockSum) / float64(path.Len())
-			tb.AddRow(md.name, pol, mean, h.TotalMissRate(), io)
-			res.Series["io_ms"] = append(res.Series["io_ms"], float64(io)/float64(time.Millisecond))
-			res.Series["missrate"] = append(res.Series["missrate"], h.TotalMissRate())
-			res.Series["blocks"] = append(res.Series["blocks"], mean)
+			m := s.Metrics()
+			tb.AddRow(md.name, pol, m.MeanVisible, m.MissRate, m.IOTime)
+			res.Series["io_ms"] = append(res.Series["io_ms"], float64(m.IOTime)/float64(time.Millisecond))
+			res.Series["missrate"] = append(res.Series["missrate"], m.MissRate)
+			res.Series["blocks"] = append(res.Series["blocks"], m.MeanVisible)
 			res.XLabels = append(res.XLabels, md.name+"/"+pol)
 		}
 	}

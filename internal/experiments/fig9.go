@@ -48,9 +48,6 @@ func scaleAxis(n int, f float64) int {
 	return s
 }
 
-// Fig9Policies are the three compared policies, in paper order.
-func Fig9Policies() []string { return []string{"FIFO", "LRU", "OPT"} }
-
 // Fig9 runs the block-division sweep. Series are keyed
 // "<path>/<policy>" with one miss-rate value per block size; XLabels hold
 // the block-size strings.

@@ -72,7 +72,7 @@ func BenchmarkGetWithEvictFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkFilteredInstalls is the replacement work of one AppAware step at
+// BenchmarkFilteredInstalls is the replacement work of one sim.Session step at
 // viewer_sim_ball's scale: a DRAM level of 455 blocks, a strict filter
 // protecting the 40 at its LRU front — the blocks the last frames used — and
 // 180 prefetch installs, each of which evicts the first block past them.

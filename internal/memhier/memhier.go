@@ -241,16 +241,6 @@ func (h *Hierarchy) TotalMissRate() float64 {
 	return float64(misses) / float64(hits+misses)
 }
 
-// ResetStats zeroes all counters (residency is preserved) so measurements
-// can exclude warm-up.
-func (h *Hierarchy) ResetStats() {
-	for _, l := range h.levels {
-		l.Hits, l.Misses, l.Evictions = 0, 0, 0
-	}
-	h.DemandTime = 0
-	h.PrefetchTime = 0
-}
-
 // StandardConfig returns the paper's experimental hierarchy for a dataset of
 // totalBytes: DRAM and SSD cache levels in front of an HDD backing store,
 // with each level sized to ratio × the capacity of the level below (§V-A:

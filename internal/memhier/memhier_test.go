@@ -239,23 +239,6 @@ func TestOversizedBlockNotCached(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	h, _ := New(testConfig(2, 4, 100), uniform(100))
-	h.Get(1)
-	h.Prefetch(2)
-	h.ResetStats()
-	if h.DemandTime != 0 || h.PrefetchTime != 0 {
-		t.Error("times not reset")
-	}
-	if h.TotalMissRate() != 0 {
-		t.Error("miss stats not reset")
-	}
-	// Residency survives reset.
-	if !h.Contains(0, 1) || !h.Contains(0, 2) {
-		t.Error("residency lost on ResetStats")
-	}
-}
-
 func TestStandardConfigRatios(t *testing.T) {
 	cfg := StandardConfig(1000, 0.5, func() cache.Policy { return cache.NewLRU() })
 	if len(cfg.Levels) != 2 {

@@ -1,3 +1,24 @@
+// Package policy decides the paper's primary contribution: the
+// application-aware I/O optimization of Algorithm 1. It combines the
+// T_visible camera-sampling table (package visibility) and the T_important
+// entropy ranking (package entropy), and it decides without moving a block.
+//
+// Planner decides every line:
+//
+//  1. Lines 1–7, Preload: the blocks whose entropy exceeds the threshold σ,
+//     most important first, to fill fast memory before the first view point.
+//  2. Lines 8–19, BeginFrame: time[] and the replacement rules — a visible
+//     block fetched on demand may displace only a block whose last use
+//     predates the current view point, protecting the frame's working set.
+//  3. Lines 20–22, Prefetch: during rendering, the nearest sampling
+//     position's high-entropy predicted blocks, most likely to be used next
+//     first, as many as fit beside the frame's visible set (§IV-B, §IV-C).
+//
+// Executors carry the decisions out. sim.Session runs all three on the
+// simulated hierarchy and charges its simulated time; ooc.Runtime and a
+// blocksvc session run the third on a store.MemCache, offering the list to
+// their prefetch queue in the planner's order. ImportanceLRU (unified.go) is
+// the T_important rule as a replacement policy of its own.
 package policy
 
 import (
@@ -29,7 +50,7 @@ type Memory interface {
 // and each frame's prefetch list (lines 20–22 with §IV-B's budget and §IV-C's
 // order). Executors ask and obey. Preload and Prefetch are safe for
 // concurrent use — a server's sessions share one planner; the frame clock
-// (BeginFrame, LastUse) belongs to a single loop.
+// (BeginFrame) belongs to a single loop.
 type Planner struct {
 	vis   *visibility.Table
 	imp   *entropy.Table
@@ -39,6 +60,10 @@ type Planner struct {
 	// which each block was last part of the rendered visible set; -1 when
 	// never used.
 	lastUse []int
+	// frame is the view point of the last BeginFrame, which the two
+	// replacement rules, built once, compare time[] with.
+	frame               int
+	demand, speculative func(grid.BlockID) bool
 
 	// ranked holds, per T_visible key, the key's σ-qualified predicted
 	// blocks in prefetch order; nil until the key is first ranked. Every
@@ -84,6 +109,9 @@ func NewPlanner(vis *visibility.Table, imp *entropy.Table, sigma float64) (*Plan
 		ranked:  make([]atomic.Pointer[[]grid.BlockID], vis.NumKeys()),
 	}
 	p.scratch.New = func() any { return new(rankScratch) }
+	const horizon = 2
+	p.demand = func(id grid.BlockID) bool { return p.lastUse[id] < p.frame }
+	p.speculative = func(id grid.BlockID) bool { return p.lastUse[id] < p.frame-horizon }
 	for i := range p.lastUse {
 		p.lastUse[i] = -1
 	}
@@ -109,9 +137,6 @@ func NewPlanner(vis *visibility.Table, imp *entropy.Table, sigma float64) (*Plan
 // the highest-entropy blocks are the ones that stay resident.
 func (p *Planner) Preload() []grid.BlockID { return p.imp.Above(p.sigma) }
 
-// LastUse returns Algorithm 1's time[] entry for a block (-1 = never used).
-func (p *Planner) LastUse(id grid.BlockID) int { return p.lastUse[id] }
-
 // BeginFrame marks view point i's working set in time[] up front, so
 // installs for the frame cannot evict blocks fetched earlier in it, and
 // returns the frame's two replacement rules. A demand fetch may only claim a
@@ -121,14 +146,15 @@ func (p *Planner) LastUse(id grid.BlockID) int { return p.lastUse[id] }
 // interactive wobble revisits them with high probability, and a prefetch is
 // never worth a near-certain demand miss. That rule is strict — the install
 // is skipped instead of falling back (the block still lands in the slower
-// levels, where the next demand fetch finds it cheaply).
+// levels, where the next demand fetch finds it cheaply). The rules hold for
+// view point i until the next BeginFrame, and are the same two functions
+// every frame, so a frame allocates none.
 func (p *Planner) BeginFrame(i int, visible []grid.BlockID) (demand, speculative func(grid.BlockID) bool) {
 	for _, id := range visible {
 		p.lastUse[id] = i
 	}
-	const horizon = 2
-	return func(id grid.BlockID) bool { return p.lastUse[id] < i },
-		func(id grid.BlockID) bool { return p.lastUse[id] < i-horizon }
+	p.frame = i
+	return p.demand, p.speculative
 }
 
 // Prefetch appends to dst the blocks to prefetch while the frame at pos

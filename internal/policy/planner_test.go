@@ -14,6 +14,7 @@ import (
 	"repro/internal/radius"
 	"repro/internal/vec"
 	"repro/internal/visibility"
+	"repro/internal/volume"
 )
 
 // fakeMemory is a fast memory the test dictates: any residency set, any
@@ -28,7 +29,7 @@ func (m *fakeMemory) Contains(id grid.BlockID) bool { return m.resident[id] }
 func (m *fakeMemory) SizeOf(id grid.BlockID) int64  { return m.sizes[id] }
 func (m *fakeMemory) Capacity() int64               { return m.capacity }
 
-// oraclePrefetch is AppAware.Step's prefetch selection as it was written
+// oraclePrefetch is the simulator's prefetch selection as it was written
 // inline before the planner existed: filter T_visible[nearest] by σ and
 // residency, stable-sort by angle to the key's axis, then entropy, then id,
 // and walk the result under the budget, skipping — not stopping at — a block
@@ -113,6 +114,47 @@ func residency(mem *fakeMemory, rng *rand.Rand, every int) {
 	}
 }
 
+type fixture struct {
+	g   *grid.Grid
+	imp *entropy.Table
+	vis *visibility.Table
+}
+
+// newFixture builds a 64³ ball in 8³ blocks of 8³ voxels, its T_important
+// and a small lazy T_visible.
+func newFixture(t testing.TB) *fixture {
+	t.Helper()
+	ds := volume.Ball().Scale(1.0 / 16)
+	g, err := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vis, err := visibility.NewTable(g, visibility.Options{
+		NAzimuth: 24, NElevation: 12, NDistance: 3,
+		RMin: 2, RMax: 4,
+		ViewAngle: vec.Radians(10),
+		Radius:    radius.Fixed(0.25),
+		Lazy:      true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{g: g, imp: entropy.Build(ds, g, entropy.Options{}), vis: vis}
+}
+
+func TestNewValidation(t *testing.T) {
+	f := newFixture(t)
+	if _, err := NewPlanner(nil, f.imp, 0); err == nil {
+		t.Error("nil table accepted")
+	}
+	if _, err := NewPlanner(f.vis, nil, 0); err == nil {
+		t.Error("nil importance accepted")
+	}
+	if _, err := NewPlanner(f.vis, entropy.NewTable([]float64{1, 2}), 0); err == nil {
+		t.Error("mismatched importance table accepted")
+	}
+}
+
 // TestPlannerPrefetchMatchesInlineOracle is the refactor's property: for
 // random positions, residency sets, block sizes, budgets and σ the planner's
 // list is the list the inline filter-then-sort produced, budget skips
@@ -120,7 +162,7 @@ func residency(mem *fakeMemory, rng *rand.Rand, every int) {
 // call ranks the key, the second walks the ranked list. The planner is
 // asked before the oracle, whose PredictedSet would materialize a lazy key.
 func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
-	f := newFixture(t, 0.5)
+	f := newFixture(t)
 	n := f.g.NumBlocks()
 	sigmas := []float64{math.Inf(-1), 0, f.imp.ThresholdForQuantile(0.25),
 		f.imp.ThresholdForQuantile(0.75), f.imp.MaxScore()}
@@ -197,7 +239,7 @@ func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 // planner is asked twice, under two residencies, the second time from its
 // ranked list.
 func TestPlannerPrefetchTieBreakMatchesOracle(t *testing.T) {
-	f := newFixture(t, 0.5)
+	f := newFixture(t)
 	n := f.g.NumBlocks()
 	pos := vec.New(-3, 0, 0)
 	rng := rand.New(rand.NewSource(29))
@@ -263,7 +305,7 @@ func TestPlannerPrefetchTieBreakMatchesOracle(t *testing.T) {
 
 // TestPlannerPreloadOrder: line 7's list is T_important's ranking cut at σ.
 func TestPlannerPreloadOrder(t *testing.T) {
-	f := newFixture(t, 0.5)
+	f := newFixture(t)
 	for _, sigma := range []float64{math.Inf(-1), f.imp.ThresholdForQuantile(0.5), math.Inf(1)} {
 		plan, err := NewPlanner(f.vis, f.imp, sigma)
 		if err != nil {
@@ -280,7 +322,7 @@ func TestPlannerPreloadOrder(t *testing.T) {
 // in its own pooled scratch. Under -race; every caller must get the same list,
 // and the lazy table must not keep the set the planner ranked.
 func TestPlannerConcurrentColdKey(t *testing.T) {
-	f := newFixture(t, 0.5)
+	f := newFixture(t)
 	plan, err := NewPlanner(f.vis, f.imp, f.imp.ThresholdForQuantile(0.75))
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +401,7 @@ func FuzzRankOrder(f *testing.F) {
 // about three in five of its candidates resident, and a budget that takes
 // about seven in ten of the rest beside the frame's visible set.
 func BenchmarkPlannerPrefetch(b *testing.B) {
-	f := newFixture(b, 0.5)
+	f := newFixture(b)
 	plan, err := NewPlanner(f.vis, f.imp, f.imp.ThresholdForQuantile(0.75))
 	if err != nil {
 		b.Fatal(err)

@@ -1,12 +1,14 @@
 // Package sim drives a camera path through a simulated memory hierarchy
 // under a replacement policy and collects the paper's metrics: total miss
 // rate across the hierarchy, I/O time, prefetch time, render time, and
-// total time. Baseline policies (FIFO, LRU, …) pay I/O + render per step;
-// the application-aware policy overlaps prefetching with rendering, so its
-// step cost is I/O + max(render, prefetch + lookup) (§V-D).
+// total time. One executor, Session, carries out every policy: baseline
+// policies (FIFO, LRU, …) pay I/O + render per step; the application-aware
+// policy overlaps prefetching with rendering, so its step cost is
+// I/O + max(render, prefetch + lookup) (§V-D).
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,8 +16,6 @@ import (
 	"repro/internal/camera"
 	"repro/internal/entropy"
 	"repro/internal/grid"
-	"repro/internal/memhier"
-	"repro/internal/policy"
 	"repro/internal/radius"
 	"repro/internal/render"
 	"repro/internal/trace"
@@ -38,12 +38,12 @@ type Config struct {
 	Render render.CostModel
 }
 
+var errEmptyPath = errors.New("sim: empty camera path")
+
+// validate checks what a Session needs; the path is the Run functions'.
 func (c Config) validate() error {
 	if c.Dataset == nil || c.Grid == nil {
 		return fmt.Errorf("sim: nil dataset or grid")
-	}
-	if c.Path.Len() == 0 {
-		return fmt.Errorf("sim: empty camera path")
 	}
 	if c.ViewAngle <= 0 {
 		return fmt.Errorf("sim: view angle %g", c.ViewAngle)
@@ -59,12 +59,6 @@ func (c Config) renderModel() render.CostModel {
 		return render.DefaultCostModel()
 	}
 	return c.Render
-}
-
-func (c Config) sizeOf() func(grid.BlockID) int64 {
-	return func(id grid.BlockID) int64 {
-		return c.Grid.Bytes(id, c.Dataset.ValueSize, c.Dataset.Variables)
-	}
 }
 
 // Metrics is the outcome of one run.
@@ -102,40 +96,29 @@ type Metrics struct {
 // RunBaseline simulates the path under a conventional replacement policy
 // (the paper's FIFO and LRU comparators, or any other cache.Factory).
 func RunBaseline(cfg Config, factory cache.Factory, name string) (Metrics, error) {
-	if err := cfg.validate(); err != nil {
-		return Metrics{}, err
+	if cfg.Path.Len() == 0 {
+		return Metrics{}, errEmptyPath
 	}
-	h, err := memhier.New(
-		memhier.StandardConfig(cfg.Dataset.TotalBytes(), cfg.CacheRatio, factory),
-		cfg.sizeOf(),
-	)
+	s, err := NewBaseline(cfg, factory, name)
 	if err != nil {
 		return Metrics{}, err
 	}
-	model := cfg.renderModel()
-	m := Metrics{Policy: name, Steps: cfg.Path.Len(), Trace: &trace.Trace{}}
-	var visibleSum int
+	return run(cfg, s), nil
+}
+
+// run steps s along cfg's path and returns its Metrics with the visible-set
+// trace.
+func run(cfg Config, s *Session) Metrics {
+	tr := &trace.Trace{}
+	var visible []grid.BlockID
 	for _, pos := range cfg.Path.Steps {
-		visible := visibility.VisibleSet(cfg.Grid, camera.Camera{Pos: pos, ViewAngle: cfg.ViewAngle})
-		m.Trace.Append(visible)
-		visibleSum += len(visible)
-		before := h.DemandTime
-		for _, id := range visible {
-			r := h.Get(id)
-			if r.FoundLevel > 0 {
-				m.DemandFetches++
-			}
-		}
-		stepIO := h.DemandTime - before
-		renderT := model.FrameTime(len(visible))
-		m.IOTime += stepIO
-		m.RenderTime += renderT
-		m.TotalTime += stepIO + renderT
+		visible = visibility.AppendVisibleSet(visible[:0], cfg.Grid, camera.Camera{Pos: pos, ViewAngle: cfg.ViewAngle})
+		tr.Append(visible)
+		s.Step(pos, visible)
 	}
-	m.MissRate = h.TotalMissRate()
-	m.DRAMMissRate = h.Levels()[0].MissRate()
-	m.MeanVisible = float64(visibleSum) / float64(cfg.Path.Len())
-	return m, nil
+	m := s.Metrics()
+	m.Trace = tr
+	return m
 }
 
 // AppAwareConfig carries the application-aware policy's inputs. Zero-value
@@ -149,10 +132,10 @@ type AppAwareConfig struct {
 	// Importance is T_important; built with default options when nil.
 	Importance *entropy.Table
 	// SigmaQuantile selects σ as the entropy threshold keeping the top
-	// fraction of blocks (default 0.5).
+	// fraction of blocks (default 0.75).
 	SigmaQuantile float64
-	// Policy toggles Algorithm 1's phases; zero value = all enabled.
-	Policy *policy.Options
+	// Policy toggles Algorithm 1's phases; nil enables all three.
+	Policy *Options
 	// WindowedPrefetch bounds each step's prefetching to the frame's
 	// render time (a real system stops speculating when the frame is
 	// done). The paper's implementation is unbounded — that is what
@@ -217,84 +200,12 @@ func pathDistanceRange(p camera.Path) (rMin, rMax float64) {
 
 // RunAppAware simulates the path under the paper's Algorithm 1.
 func RunAppAware(cfg Config, ac AppAwareConfig) (Metrics, error) {
-	if err := cfg.validate(); err != nil {
-		return Metrics{}, err
+	if cfg.Path.Len() == 0 {
+		return Metrics{}, errEmptyPath
 	}
-	imp := ac.Importance
-	if imp == nil {
-		imp = entropy.Build(cfg.Dataset, cfg.Grid, entropy.Options{})
-	}
-	vis := ac.Visible
-	if vis == nil {
-		opts := ac.TableOpts
-		if opts == (visibility.Options{}) {
-			opts = DefaultTableOptions(cfg)
-		}
-		var err error
-		vis, err = visibility.NewTable(cfg.Grid, opts)
-		if err != nil {
-			return Metrics{}, err
-		}
-	}
-	q := ac.SigmaQuantile
-	if q == 0 {
-		// Keep the top 75% of blocks above σ by default: aggressive enough
-		// that prediction covers ambient corridor blocks, while still
-		// excluding the zero-information exterior (calibrated in the
-		// ablation sweep).
-		q = 0.75
-	}
-	sigma := imp.ThresholdForQuantile(q)
-	popts := policy.DefaultOptions(sigma)
-	if ac.Policy != nil {
-		popts = *ac.Policy
-		popts.Sigma = sigma
-	}
-	h, err := memhier.New(
-		memhier.StandardConfig(cfg.Dataset.TotalBytes(), cfg.CacheRatio,
-			func() cache.Policy { return cache.NewLRU() }),
-		cfg.sizeOf(),
-	)
+	s, err := NewAppAware(cfg, ac)
 	if err != nil {
 		return Metrics{}, err
 	}
-	if ac.PrefetchBatch > 0 {
-		h.PrefetchBatch = ac.PrefetchBatch
-	}
-	ctrl, err := policy.New(h, vis, imp, popts)
-	if err != nil {
-		return Metrics{}, err
-	}
-
-	model := cfg.renderModel()
-	m := Metrics{Policy: ctrl.Name(), Steps: cfg.Path.Len(), Trace: &trace.Trace{}}
-	var visibleSum int
-	for i, pos := range cfg.Path.Steps {
-		visible := visibility.VisibleSet(cfg.Grid, camera.Camera{Pos: pos, ViewAngle: cfg.ViewAngle})
-		m.Trace.Append(visible)
-		visibleSum += len(visible)
-		renderT := model.FrameTime(len(visible))
-		window := time.Duration(0)
-		if ac.WindowedPrefetch {
-			window = renderT
-		}
-		res := ctrl.Step(i, pos, visible, window)
-		m.IOTime += res.IOTime + res.QueryCost
-		m.QueryTime += res.QueryCost
-		m.PrefetchTime += res.PrefetchTime
-		m.RenderTime += renderT
-		m.DemandFetches += res.DemandFetches
-		m.Prefetches += res.Prefetches
-		// Prefetching (incl. the table lookup) overlaps rendering; demand
-		// I/O cannot (the frame needs its blocks before drawing).
-		overlapped := renderT
-		if pf := res.PrefetchTime + res.QueryCost; pf > overlapped {
-			overlapped = pf
-		}
-		m.TotalTime += res.IOTime + overlapped
-	}
-	m.MissRate = h.TotalMissRate()
-	m.DRAMMissRate = h.Levels()[0].MissRate()
-	m.MeanVisible = float64(visibleSum) / float64(cfg.Path.Len())
-	return m, nil
+	return run(cfg, s), nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/grid"
-	"repro/internal/policy"
 	"repro/internal/render"
 	"repro/internal/vec"
 	"repro/internal/volume"
@@ -189,8 +188,7 @@ func TestSmallerStepsLowerMissRate(t *testing.T) {
 
 func TestAppAwarePolicyAblationToggles(t *testing.T) {
 	cfg := testConfig(t, camera.Orbit(3, 30), 0.5)
-	off := policy.Options{Preload: false, PrefetchEnabled: false, StaleOnlyEviction: false}
-	stripped, err := RunAppAware(cfg, AppAwareConfig{Policy: &off})
+	stripped, err := RunAppAware(cfg, AppAwareConfig{Policy: &Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,14 +158,3 @@ func Replay(t *Trace, p cache.Policy, capacity int) ReplayResult {
 	}
 	return res
 }
-
-// ReplayAll replays the trace against a fresh cache per factory and returns
-// results in input order. The Belady lower bound can be included by passing
-// a factory that captures the trace.
-func ReplayAll(t *Trace, capacity int, factories ...cache.Factory) []ReplayResult {
-	out := make([]ReplayResult, 0, len(factories))
-	for _, mk := range factories {
-		out = append(out, Replay(t, mk(), capacity))
-	}
-	return out
-}

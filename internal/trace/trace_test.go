@@ -114,12 +114,9 @@ func TestReplayBeladyBeatsLRUOnCyclicTrace(t *testing.T) {
 		tr.Append([]grid.BlockID{1, 2, 3})
 	}
 	flat := tr.Flatten()
-	results := ReplayAll(tr, 2,
-		func() cache.Policy { return cache.NewLRU() },
-		func() cache.Policy { return cache.NewFIFO() },
-		func() cache.Policy { return cache.NewBelady(flat) },
-	)
-	lru, fifo, opt := results[0], results[1], results[2]
+	lru := Replay(tr, cache.NewLRU(), 2)
+	fifo := Replay(tr, cache.NewFIFO(), 2)
+	opt := Replay(tr, cache.NewBelady(flat), 2)
 	if opt.Misses >= lru.Misses || opt.Misses >= fifo.Misses {
 		t.Errorf("Belady %d misses not below LRU %d / FIFO %d",
 			opt.Misses, lru.Misses, fifo.Misses)
@@ -152,16 +149,5 @@ func TestReplayBeladyIsLowerBound(t *testing.T) {
 					cap, opt.Misses, online.Policy, online.Misses)
 			}
 		}
-	}
-}
-
-func TestReplayAllOrder(t *testing.T) {
-	tr := sampleTrace()
-	res := ReplayAll(tr, 2,
-		func() cache.Policy { return cache.NewFIFO() },
-		func() cache.Policy { return cache.NewLRU() },
-	)
-	if len(res) != 2 || res[0].Policy != "FIFO" || res[1].Policy != "LRU" {
-		t.Errorf("ReplayAll = %+v", res)
 	}
 }

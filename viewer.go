@@ -3,15 +3,11 @@ package vizcache
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/analytics"
-	"repro/internal/cache"
 	"repro/internal/camera"
 	"repro/internal/entropy"
 	"repro/internal/grid"
-	"repro/internal/memhier"
-	"repro/internal/policy"
 	"repro/internal/render"
 	"repro/internal/sim"
 	"repro/internal/vec"
@@ -71,33 +67,20 @@ func (o ViewerOptions) withDefaults(g *grid.Grid) ViewerOptions {
 }
 
 // FrameStats reports one Goto step.
-type FrameStats struct {
-	// Step is the 0-based view-point index.
-	Step int
-	// VisibleBlocks is the size of the exact visible set.
-	VisibleBlocks int
-	// IOTime is the demand I/O spent before the frame could render.
-	IOTime time.Duration
-	// PrefetchTime is the overlapped prefetch transfer time.
-	PrefetchTime time.Duration
-	// Prefetches counts blocks prefetched during this frame.
-	Prefetches int
-}
+type FrameStats = sim.FrameStats
 
 // Viewer is an interactive out-of-core visualization session: it owns the
-// block grid, the importance and visibility tables, a simulated memory
-// hierarchy driven by the application-aware policy, and a software
+// block grid, the importance and visibility tables, the simulator's
+// application-aware executor over its memory hierarchy, and a software
 // renderer. It is not safe for concurrent use.
 type Viewer struct {
 	ds   *Dataset
 	g    *grid.Grid
 	imp  *entropy.Table
 	vis  *visibility.Table
-	h    *memhier.Hierarchy
-	ctrl *policy.AppAware
+	s    *sim.Session
 	opts ViewerOptions
 
-	step    int
 	pos     vec.V3
 	visible []grid.BlockID
 }
@@ -141,20 +124,14 @@ func NewViewer(ds *Dataset, opts ViewerOptions) (*Viewer, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := memhier.New(
-		memhier.StandardConfig(ds.TotalBytes(), opts.CacheRatio,
-			func() cache.Policy { return cache.NewLRU() }),
-		func(id grid.BlockID) int64 { return g.Bytes(id, ds.ValueSize, ds.Variables) },
+	s, err := sim.NewAppAware(
+		sim.Config{Dataset: ds, Grid: g, ViewAngle: theta, CacheRatio: opts.CacheRatio},
+		sim.AppAwareConfig{Visible: vis, Importance: imp, SigmaQuantile: opts.SigmaQuantile},
 	)
 	if err != nil {
 		return nil, err
 	}
-	sigma := imp.ThresholdForQuantile(opts.SigmaQuantile)
-	ctrl, err := policy.New(h, vis, imp, policy.DefaultOptions(sigma))
-	if err != nil {
-		return nil, err
-	}
-	return &Viewer{ds: ds, g: g, imp: imp, vis: vis, h: h, ctrl: ctrl, opts: opts}, nil
+	return &Viewer{ds: ds, g: g, imp: imp, vis: vis, s: s, opts: opts}, nil
 }
 
 // Grid returns the viewer's block grid.
@@ -172,17 +149,8 @@ func (v *Viewer) Visibility() *VisibilityTable { return v.vis }
 func (v *Viewer) Goto(pos V3) FrameStats {
 	cam := camera.Camera{Pos: pos, ViewAngle: vec.Radians(v.opts.ViewAngleDeg)}
 	v.visible = visibility.AppendVisibleSet(v.visible[:0], v.g, cam)
-	res := v.ctrl.Step(v.step, pos, v.visible, 0)
-	stats := FrameStats{
-		Step:          v.step,
-		VisibleBlocks: len(v.visible),
-		IOTime:        res.IOTime + res.QueryCost,
-		PrefetchTime:  res.PrefetchTime,
-		Prefetches:    res.Prefetches,
-	}
 	v.pos = pos
-	v.step++
-	return stats
+	return v.s.Step(pos, v.visible)
 }
 
 // Visible returns the current view point's visible blocks (nil before the
@@ -190,18 +158,9 @@ func (v *Viewer) Goto(pos V3) FrameStats {
 // Goto, which refills it in place.
 func (v *Viewer) Visible() []BlockID { return v.visible }
 
-// Metrics summarizes the session so far.
-func (v *Viewer) Metrics() Metrics {
-	levels := v.h.Levels()
-	return Metrics{
-		Policy:       v.ctrl.Name(),
-		Steps:        v.step,
-		MissRate:     v.h.TotalMissRate(),
-		DRAMMissRate: levels[0].MissRate(),
-		IOTime:       v.h.DemandTime,
-		PrefetchTime: v.h.PrefetchTime,
-	}
-}
+// Metrics summarizes the session so far: what RunAppAware reports for the
+// same path and tables, without the trace.
+func (v *Viewer) Metrics() Metrics { return v.s.Metrics() }
 
 // analyticsSampling bounds per-block sampling for the Viewer's analytic
 // panels; live Fig. 3-style graphs trade exactness for refresh rate.
@@ -236,7 +195,7 @@ func (v *Viewer) Stats(variable int) (analytics.Stats, error) {
 
 // RenderPNG ray-casts the current view point into a width×height PNG.
 func (v *Viewer) RenderPNG(w io.Writer, width, height int) error {
-	if v.step == 0 {
+	if v.s.Metrics().Steps == 0 {
 		return fmt.Errorf("vizcache: RenderPNG before any Goto")
 	}
 	rd := &render.Renderer{

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"image/png"
 	"testing"
+	"time"
+
+	"repro/internal/vec"
 )
 
 func TestDatasetCatalogFacade(t *testing.T) {
@@ -132,6 +135,41 @@ func TestViewerSession(t *testing.T) {
 		// Revisit should not cost more than a fresh frame; tolerate only
 		// equality or less.
 		t.Errorf("revisit IOTime %v > cold %v", st.IOTime, lastIO.IOTime)
+	}
+}
+
+// TestViewerIsTheSimulator pins that a Viewer is the simulator: driven over
+// a path, it reports what RunAppAware reports for that path on its tables,
+// and its frames add up to its Metrics.
+func TestViewerIsTheSimulator(t *testing.T) {
+	ds := Ball().Scale(1.0 / 16)
+	v, err := NewViewer(ds, ViewerOptions{Blocks: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := RandomPath(2.8, 3.2, 10, 15, 40, 7)
+	var io, prefetch time.Duration
+	var prefetches int
+	for _, pos := range path.Steps {
+		st := v.Goto(pos)
+		io += st.IOTime
+		prefetch += st.PrefetchTime
+		prefetches += st.Prefetches
+	}
+	got := v.Metrics()
+	want, err := RunAppAware(SimConfig{
+		Dataset: ds, Grid: v.Grid(), Path: path, ViewAngle: vec.Radians(10), CacheRatio: 0.5,
+	}, AppAwareConfig{Visible: v.Visibility(), Importance: v.Importance()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Trace = nil
+	if got != want {
+		t.Errorf("Viewer.Metrics() = %+v\nRunAppAware     = %+v", got, want)
+	}
+	if io != got.IOTime || prefetch != got.PrefetchTime || prefetches != got.Prefetches {
+		t.Errorf("frames add up to I/O %v, prefetch %v in %d blocks; Metrics says %v, %v in %d",
+			io, prefetch, prefetches, got.IOTime, got.PrefetchTime, got.Prefetches)
 	}
 }
 
