@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/policy/... ./internal/store/... ./internal/ooc/... ./int
 BENCH_PKGS := ./internal/policy/... ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/... ./internal/cache/... ./internal/memhier/...
 
 # Packages with fuzz targets; fuzz-smoke replays their seed corpora.
-FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/...
+FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/... ./internal/f32le/...
 
 # The lifecycle/failure-model suite: failover, drain, heartbeats, breaker,
 # the two-replica network-chaos end-to-end run, and the admission
@@ -128,10 +128,11 @@ spill-smoke:
 # the payload-CRC reject and the server's remembered CRC, each over the pipe
 # and over loopback TCP; a view hint sent beside full tags; the mid-response
 # stall failover scope; the payload length checked against the geometry; the
-# streaming parser's entry shapes; and the run no frame can carry, answered or
-# refused but never dropped in silence.
+# streaming parser's entry shapes; the read buffer's fills kept out of large
+# payloads; and the run no frame can carry, answered or refused but never
+# dropped in silence.
 pipe-smoke:
-	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestSendViewNotBehindReads|TestWireCRCReject|TestServerChecksumIsRemembered|TestStallMidResponse|TestLyingLengthRejected|TestBlocksEntryShapes|TestOversizeRunNeverSilent' ./internal/blocksvc/
+	$(GO) test -race -count=1 -run='TestVersionMismatchRefused|TestRemoteValuesMatchLocal|TestMixedStatusRun|TestPipelined|TestSendViewNotBehindReads|TestWireCRCReject|TestServerChecksumIsRemembered|TestStallMidResponse|TestLyingLengthRejected|TestBlocksEntryShapes|TestLargePayloadSkipsReadBuffer|TestOversizeRunNeverSilent' ./internal/blocksvc/
 
 # cluster-smoke runs the sharded-cluster suite under the race detector: a
 # 3-node in-process cluster with client-side consistent-hash routing, one

@@ -158,7 +158,7 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 	rc := &rconn{
 		r:       r,
 		c:       raw,
-		in:      frameReader{br: bufio.NewReaderSize(raw, 256<<10), src: raw},
+		in:      newFrameReader(raw, 256<<10),
 		bw:      bufio.NewWriterSize(raw, 64<<10),
 		ep:      ep,
 		pending: make(map[uint64]*pendingReq),
@@ -204,6 +204,7 @@ func (r *RemoteReader) handshake(ep *endpoint, raw net.Conn) (*rconn, error) {
 		return nil, fmt.Errorf("blocksvc: server geometry changed across connections: %w",
 			faultio.ErrPermanent)
 	}
+	rc.in.large = r.g.BlockSize().Count()*4 >= largePayloadBytes
 	return rc, nil
 }
 
@@ -299,13 +300,18 @@ func (rc *rconn) readLoop() {
 // buffer it is delivered in. Every other frame is small and goes through
 // readFrame into buf, the loop's one receive buffer (a frame that exceeds it
 // is read under readPayload's hostile-length bound and dropped afterwards).
+// The header is peeked with fills that stop where a blocks frame's first
+// payload starts (its status and length are an OK entry's bytes less the
+// trailing sum); any other frame is read with the cap lifted.
 func (rc *rconn) readOne(buf []byte) error {
 	br := rc.in.br
+	rc.in.readAhead(frameHeaderSize + runPreludeBytes + okEntryBytes - 4)
 	hdr, err := br.Peek(frameHeaderSize)
 	if err != nil {
 		return err
 	}
 	if hdr[4] != msgBlocks {
+		rc.in.readAhead(0)
 		typ, payload, err := readFrame(br, buf)
 		if err != nil {
 			return err
@@ -492,6 +498,7 @@ func (rc *rconn) readBlocks(n int) (err error) {
 				return fmt.Errorf("blocks frame: block %d payload: %w", id, rerr)
 			}
 			tally = &served
+			in.readAhead(okEntryBytes) // the sum, then the next entry's status and length
 			if sum := uint32(in.uint(4)); in.err != nil || got != sum {
 				r.bufs.Put(vals)
 				vals, tally = nil, &cksum

@@ -135,8 +135,8 @@ var seedIDs = []grid.BlockID{5, 2}
 
 // seedBlocksFrames builds the blocks-frame seeds as streams, frame header
 // included: those the client's parser must take whole — two OK entries
-// first, then a redirect ahead of an OK entry — and those it must refuse
-// (TestBlocksEntryShapes holds it to both).
+// first, then a redirect ahead of an OK entry, then one behind it — and those
+// it must refuse (TestBlocksEntryShapes holds it to both).
 func seedBlocksFrames(t testing.TB) (valid, invalid [][]byte) {
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	ok := func(e *enc) {
@@ -163,6 +163,13 @@ func seedBlocksFrames(t testing.TB) (valid, invalid [][]byte) {
 	redir.u8(byte(statusRedirect))
 	redir.u64(4) // current epoch at the answering shard
 	ok(redir)
+
+	// An OK entry, then a redirect: with br's fills capped, the fill behind
+	// the payload stops inside the redirect's epoch.
+	okRedir := prelude(seedTag, 2)
+	ok(okRedir)
+	okRedir.u8(byte(statusRedirect))
+	okRedir.u64(4)
 
 	// One byte long: an entry with a byte between status and length, where a
 	// codec byte once rode, which shifts the length into nonsense.
@@ -199,7 +206,7 @@ func seedBlocksFrames(t testing.TB) (valid, invalid [][]byte) {
 	ok(crowd)
 
 	whole := frameBytes(t, msgBlocks, blocks.b)
-	valid = [][]byte{whole, frameBytes(t, msgBlocks, redir.b)}
+	valid = [][]byte{whole, frameBytes(t, msgBlocks, redir.b), frameBytes(t, msgBlocks, okRedir.b)}
 	invalid = [][]byte{
 		frameBytes(t, msgBlocks, blocks.b[:len(blocks.b)-1]), // one byte short: the last CRC cut
 		frameBytes(t, msgBlocks, long.b),
@@ -230,9 +237,9 @@ func FuzzWireDecode(f *testing.F) {
 			// blocksFeed.read holds the parser to its contract: a clean parse
 			// consumed exactly the declared length, and every block buffer
 			// taken was delivered or handed back — so none was taken for a
-			// length the geometry or the frame budget refutes.
-			feed := newBlocksFeed(t, g, seedTag, seedIDs)
-			err := feed.read(t, data)
+			// length the geometry or the frame budget refutes. readBoth holds
+			// the parse with br's fills capped to the one without.
+			feed, err := readBoth(t, g, data)
 			for k, vals := range feed.p.vals {
 				if vals != nil && int64(len(vals)) != g.VoxelCount(seedIDs[k]) {
 					t.Fatalf("block %d delivered with %d voxels", seedIDs[k], len(vals))

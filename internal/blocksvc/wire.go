@@ -388,6 +388,11 @@ func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
+// largePayloadBytes is the nominal block payload from which a connection's
+// reads stop br's fills where the next payload starts (frameReader.large):
+// below it, one fill covering many entries beats a header read per entry.
+const largePayloadBytes = 16 << 10
+
 // frameReader reads a blocks frame's payload as a stream, the frame's
 // declared length a hard budget: a field that would run past it fails before
 // it is read. It is the decoder that faces the network — the client's read
@@ -397,9 +402,49 @@ func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 // they are about to act on what they decoded.
 type frameReader struct {
 	br   *bufio.Reader
-	src  io.Reader // what br reads from
-	left int       // bytes of the frame not yet consumed
-	err  error
+	fill *fillCap // br's source; Read takes payloads from fill.r directly
+	// large makes readAhead cap br's fills, so a payload is not pulled into
+	// br by the fill that reads its header; the handshake sets it when the
+	// served geometry's blocks are at least largePayloadBytes.
+	large bool
+	left  int // bytes of the frame not yet consumed
+	err   error
+}
+
+// newFrameReader reads src through a bufio.Reader of size bytes whose fills
+// readAhead can cap.
+func newFrameReader(src io.Reader, size int) frameReader {
+	fill := &fillCap{r: src}
+	return frameReader{br: bufio.NewReaderSize(fill, size), fill: fill}
+}
+
+// fillCap is br's source: r, read at most max bytes at a time while max > 0.
+type fillCap struct {
+	r   io.Reader
+	max int
+}
+
+func (c *fillCap) Read(p []byte) (int, error) {
+	if c.max > 0 && len(p) > c.max {
+		p = p[:c.max]
+	}
+	return c.r.Read(p)
+}
+
+// readAhead lets br's fills reach n bytes past what the reader has consumed,
+// when large: the fixed fields up to where the next OK entry's payload starts.
+// A fill then leaves that payload in the socket for Read to take directly, at
+// the price of one more small read per entry. n = 0 lifts the cap, for a
+// frame read whole. A header the guess falls short of (a redirect, an error
+// status) costs further fills; one it overshoots, a copy of a few bytes.
+func (f *frameReader) readAhead(n int) {
+	if !f.large {
+		return
+	}
+	if n > 0 && n > f.br.Buffered() {
+		n -= f.br.Buffered()
+	}
+	f.fill.max = n
 }
 
 // uint consumes a little-endian unsigned field of n ≤ 8 bytes straight from
@@ -428,13 +473,14 @@ func (f *frameReader) uint(n int) uint64 {
 
 // Read is the payload path, for f32le.Read to fill a block buffer through:
 // first what br already holds, then the connection itself, so payload bytes
-// land where they stay without a pass through br's buffer. The caller has
-// checked the payload against the budget.
+// land where they stay without a pass through br's buffer — all of them when
+// readAhead has kept br's fills out of the payload. The caller has checked
+// the payload against the budget.
 func (f *frameReader) Read(p []byte) (n int, err error) {
 	if f.br.Buffered() > 0 {
 		n, err = f.br.Read(p) // hands over buffered bytes only
 	} else {
-		n, err = f.src.Read(p)
+		n, err = f.fill.r.Read(p)
 	}
 	f.left -= n
 	return n, err

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"testing"
 
 	"repro/internal/f32le"
@@ -176,9 +178,11 @@ func TestDecodeWelcomeStrict(t *testing.T) {
 // short or captured off a real server, and keeps the books on block buffers
 // through the reader's own pool.
 type blocksFeed struct {
-	rc      *rconn
-	p       *pendingReq
-	stocked int // buffers put in the pool before the first frame is read
+	rc       *rconn
+	p        *pendingReq
+	stocked  int  // buffers put in the pool before the first frame is read
+	large    bool // cap br's fills, as the handshake does for large blocks
+	consumed int  // bytes of the stream the last read's parse took
 }
 
 // newBlocksFeed registers one tag for ids and stocks the pool with a buffer
@@ -201,19 +205,21 @@ func newBlocksFeed(tb testing.TB, g *grid.Grid, req uint64, ids []grid.BlockID) 
 }
 
 // read runs the stream — whole frames, header included — through readOne
-// once and checks what must hold however the frame turned out: a frame that
-// parsed was consumed exactly to its declared end, and every buffer that
-// left the pool was either delivered or handed back.
+// once, on a reader the handshake's constructor builds with a 16-byte buffer
+// (payloads straddle br and src) and br's fills capped when f.large. It
+// checks what must hold however the frame turned out: a frame that parsed was
+// consumed exactly to its declared end, and every buffer that left the pool
+// was either delivered or handed back.
 func (f *blocksFeed) read(tb testing.TB, stream []byte) error {
 	tb.Helper()
 	src := bytes.NewReader(stream)
-	br := bufio.NewReaderSize(src, 16) // small: payloads straddle br and src
-	f.rc.in = frameReader{br: br, src: src}
+	f.rc.in = newFrameReader(src, 16)
+	f.rc.in.large = f.large
 	err := f.rc.readOne(nil)
+	f.consumed = len(stream) - src.Len() - f.rc.in.br.Buffered()
 	if err == nil {
-		declared := frameHeaderSize + int(binary.LittleEndian.Uint32(stream))
-		if consumed := len(stream) - src.Len() - br.Buffered(); consumed != declared {
-			tb.Fatalf("frame declares %d bytes, parsed cleanly consuming %d", declared, consumed)
+		if declared := frameHeaderSize + int(binary.LittleEndian.Uint32(stream)); f.consumed != declared {
+			tb.Fatalf("frame declares %d bytes, parsed cleanly consuming %d", declared, f.consumed)
 		}
 	}
 	delivered := 0
@@ -240,6 +246,32 @@ func (f *blocksFeed) read(tb testing.TB, stream []byte) error {
 	return err
 }
 
+// readBoth parses stream for the seed tag on two fresh feeds, br's fills
+// uncapped on one and capped on the other, holds the two parses to one
+// outcome — the same buffers delivered bit for bit, the same entry errors and
+// count answered, the same error-or-not, the same bytes consumed — and
+// returns the uncapped one.
+func readBoth(tb testing.TB, g *grid.Grid, stream []byte) (*blocksFeed, error) {
+	tb.Helper()
+	f := newBlocksFeed(tb, g, seedTag, seedIDs)
+	err := f.read(tb, stream)
+	c := newBlocksFeed(tb, g, seedTag, seedIDs)
+	c.large = true
+	cerr := c.read(tb, stream)
+	if (err == nil) != (cerr == nil) || f.consumed != c.consumed || f.p.answered != c.p.answered {
+		tb.Fatalf("uncapped fills: %d answered, %d bytes consumed, err %v; capped: %d, %d, %v",
+			f.p.answered, f.consumed, err, c.p.answered, c.consumed, cerr)
+	}
+	for k, vals := range f.p.vals {
+		if (vals == nil) != (c.p.vals[k] == nil) || !bytes.Equal(f32le.Append(nil, vals), f32le.Append(nil, c.p.vals[k])) ||
+			fmt.Sprint(f.p.errs[k]) != fmt.Sprint(c.p.errs[k]) {
+			tb.Fatalf("entry %d: uncapped fills delivered %v, %v; capped %v, %v",
+				k, vals, f.p.errs[k], c.p.vals[k], c.p.errs[k])
+		}
+	}
+	return f, err
+}
+
 // tinyGrid has eight blocks of two voxels: an 8-byte payload is a block.
 func tinyGrid(tb testing.TB) *grid.Grid {
 	tb.Helper()
@@ -263,10 +295,7 @@ func tinyGrid(tb testing.TB) *grid.Grid {
 func TestBlocksEntryShapes(t *testing.T) {
 	g := tinyGrid(t)
 	valid, invalid := seedBlocksFrames(t)
-	read := func(stream []byte) (*blocksFeed, error) {
-		f := newBlocksFeed(t, g, seedTag, seedIDs)
-		return f, f.read(t, stream)
-	}
+	read := func(stream []byte) (*blocksFeed, error) { return readBoth(t, g, stream) }
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 
 	whole := valid[0]
@@ -286,6 +315,10 @@ func TestBlocksEntryShapes(t *testing.T) {
 	f, err = read(valid[1])
 	if err != nil || !errors.As(f.p.errs[0], &re) || re.epoch != 4 || !bytes.Equal(f32le.Append(nil, f.p.vals[1]), raw) {
 		t.Errorf("redirect then OK: err=%v errs=%v vals=%v", err, f.p.errs, f.p.vals)
+	}
+	f, err = read(valid[2])
+	if err != nil || !bytes.Equal(f32le.Append(nil, f.p.vals[0]), raw) || !errors.As(f.p.errs[1], &re) || re.epoch != 4 {
+		t.Errorf("OK then redirect: err=%v errs=%v vals=%v", err, f.p.errs, f.p.vals)
 	}
 
 	for cut := frameHeaderSize; cut < len(whole); cut++ {
@@ -309,6 +342,152 @@ func TestBlocksEntryShapes(t *testing.T) {
 	f, err = read(bad)
 	if err != nil || f.p.vals[0] != nil || !errors.Is(f.p.errs[0], faultio.ErrChecksum) || f.p.vals[1] == nil {
 		t.Errorf("flipped payload bit: err=%v vals=%v errs=%v; want a checksum fault for entry 0 only", err, f.p.vals, f.p.errs)
+	}
+}
+
+// readTally passes reads through to r and records the size of each.
+type readTally struct {
+	r     io.Reader
+	sizes []int
+}
+
+func (t *readTally) Read(p []byte) (int, error) {
+	n, err := t.r.Read(p)
+	if n > 0 {
+		t.sizes = append(t.sizes, n)
+	}
+	return n, err
+}
+
+func (t *readTally) total() (n int) {
+	for _, s := range t.sizes {
+		n += s
+	}
+	return n
+}
+
+// TestLargePayloadSkipsReadBuffer: on a geometry of 128 KiB blocks, the read
+// buffer's fills stop where each payload starts, so they carry entry headers
+// alone — at most 24 bytes an entry, across a frame boundary too — and every
+// payload byte is read straight into its block buffer; on 2 KiB blocks one
+// fill covers a frame of many entries; a topology frame behind a blocks frame
+// is read with the fills uncapped; and the handshake tells the two
+// geometries apart.
+func TestLargePayloadSkipsReadBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		o     svcOpts
+		large bool
+	}{{svcOpts{}, false}, {svcOpts{scale: 1.0 / 8, block: 32}, true}} {
+		r := dialService(t, startService(t, tc.o), 1)
+		g := r.topo.Load().groups[0]
+		g.mu.Lock()
+		for rc := range g.conns {
+			if rc.in.large != tc.large {
+				t.Errorf("blocks of %v: conn large = %v, want %v", r.Grid().BlockSize(), rc.in.large, tc.large)
+			}
+		}
+		g.mu.Unlock()
+	}
+
+	// okFrame answers the indexes from first on, one OK entry per payload.
+	okFrame := func(first int, payloads [][]byte) []byte {
+		var e enc
+		e.u64(seedTag)
+		e.u32(uint32(first))
+		e.u16(uint16(len(payloads)))
+		for _, p := range payloads {
+			e.u8(byte(statusOK))
+			e.u32(uint32(len(p)))
+			e.raw(p)
+			e.u32(crc32.Checksum(p, castagnoli))
+		}
+		return frameBytes(t, msgBlocks, e.b)
+	}
+	// parse reads frames frames of stream for a tag asking every block of g in
+	// order, through a reader built as the handshake builds it, and returns
+	// br's fills and the bytes read around br. Every block answered must hold
+	// its payload.
+	parse := func(g *grid.Grid, stream []byte, frames int, payloads [][]byte) (fills *readTally, direct int) {
+		t.Helper()
+		ids := make([]grid.BlockID, g.NumBlocks())
+		for i := range ids {
+			ids[i] = grid.BlockID(i)
+		}
+		f := newBlocksFeed(t, g, seedTag, ids)
+		f.rc.r.topo.Store(&topology{m: &shard.Map{Epoch: 1 << 62}}) // newer than any pushed
+		// Every read of the stream passes all; a fill passes fills first.
+		src := bytes.NewReader(stream)
+		all := &readTally{r: src}
+		f.rc.in = newFrameReader(all, 256<<10)
+		fills = &readTally{r: f.rc.in.fill}
+		f.rc.in.br = bufio.NewReaderSize(fills, 256<<10)
+		f.rc.in.large = g.BlockSize().Count()*4 >= largePayloadBytes
+		for i := 0; i < frames; i++ {
+			if err := f.rc.readOne(nil); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		if src.Len() != 0 || f.rc.in.br.Buffered() != 0 {
+			t.Fatalf("%d bytes of the stream unread", src.Len()+f.rc.in.br.Buffered())
+		}
+		for k, p := range payloads {
+			if !bytes.Equal(f32le.Append(nil, f.p.vals[k]), p) || f.p.errs[k] != nil {
+				t.Fatalf("block %d delivered with error %v or bytes unlike its payload", k, f.p.errs[k])
+			}
+		}
+		return fills, all.total() - fills.total()
+	}
+	payloadsOf := func(g *grid.Grid) [][]byte {
+		out := make([][]byte, g.NumBlocks())
+		for k := range out {
+			out[k] = make([]byte, 4*g.VoxelCount(grid.BlockID(k)))
+			for i := range out[k] {
+				out[k][i] = byte(i*7 + k)
+			}
+		}
+		return out
+	}
+
+	big, err := grid.New(grid.Dims{X: 96, Y: 32, Z: 32}, grid.Dims{X: 32, Y: 32, Z: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigPays := payloadsOf(big)
+	payBytes := 3 * len(bigPays[0])
+	stream := append(okFrame(0, bigPays[:2]), okFrame(2, bigPays[2:])...)
+	fills, direct := parse(big, stream, 2, bigPays)
+	if fills.total() != len(stream)-payBytes || direct != payBytes {
+		t.Errorf("128 KiB entries: fills carried %d bytes and direct reads %d; want the %d header bytes and the %d payload bytes",
+			fills.total(), direct, len(stream)-payBytes, payBytes)
+	}
+	for _, n := range fills.sizes {
+		if n > frameHeaderSize+runPreludeBytes+okEntryBytes-4 {
+			t.Errorf("128 KiB entries: a fill of %d bytes (fills %v)", n, fills.sizes)
+		}
+	}
+
+	small, err := grid.New(grid.Dims{X: 32, Y: 32, Z: 16}, grid.Dims{X: 8, Y: 8, Z: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallPays := payloadsOf(small)
+	stream = okFrame(0, smallPays)
+	if fills, direct := parse(small, stream, 1, smallPays); len(fills.sizes) != 1 || direct != 0 {
+		t.Errorf("%d 2 KiB entries: fills %v and %d bytes read directly; want one fill of the frame",
+			len(smallPays), fills.sizes, direct)
+	}
+
+	m := shard.Map{Epoch: 5, VNodes: 8}
+	for i := 0; i < 100; i++ {
+		m.Shards = append(m.Shards, shard.Shard{ID: fmt.Sprintf("shard-%03d", i), Addrs: []string{fmt.Sprintf("10.0.0.%d:7001", i)}})
+	}
+	topo := frameBytes(t, msgTopology, m.AppendBinary(nil))
+	stream = append(okFrame(0, bigPays), topo...)
+	fills, _ = parse(big, stream, 2, bigPays)
+	// The last sum's fill took the topology frame's header; its payload, a
+	// few KiB, comes in one fill.
+	if last := fills.sizes[len(fills.sizes)-1]; len(topo) < 2<<10 || last != len(topo)-frameHeaderSize {
+		t.Errorf("a %d-byte topology frame behind a blocks frame: fills %v; want its payload in one", len(topo), fills.sizes)
 	}
 }
 

@@ -212,3 +212,68 @@ func TestReadEqualsDecode(t *testing.T) {
 		}
 	})
 }
+
+// scheduled hands r's bytes over at most sched[i]+1 at a time, cycling
+// through sched; with no schedule it hands over what is asked.
+type scheduled struct {
+	r     io.Reader
+	sched []byte
+	i     int
+}
+
+func (s *scheduled) Read(p []byte) (int, error) {
+	if len(s.sched) > 0 {
+		p = p[:min(len(p), int(s.sched[s.i%len(s.sched)])+1)]
+		s.i++
+	}
+	return s.r.Read(p)
+}
+
+// FuzzRead: Read of n values from arbitrary bytes, handed over in pieces of
+// an arbitrary schedule of sizes, on the host's path and the portable one. A
+// read that succeeds consumed exactly 4n bytes, left them in dst and returned
+// their CRC-32C; one the source cannot fill fails with io.EOF when no byte
+// arrived and io.ErrUnexpectedEOF otherwise.
+func FuzzRead(f *testing.F) {
+	vals := testVectors()
+	f.Add([]byte{}, []byte{}, uint16(0))
+	f.Add([]byte{}, []byte{}, uint16(1))
+	f.Add(refEncode(vals["nan payloads"]), []byte{0}, uint16(4))
+	f.Add(refEncode(vals["subnormals"]), []byte{2, 6}, uint16(3))
+	f.Add(refEncode(vals["ordinary"]), []byte{}, uint16(5))
+	f.Add(refEncode(vals["random"]), []byte{255, 3}, uint16(4099))      // past the portable path's 4 KiB chunk
+	f.Add(refEncode(vals["random"])[:4*1024+2], []byte{}, uint16(1025)) // short past a whole chunk
+	f.Fuzz(func(t *testing.T, data, sched []byte, n uint16) {
+		was := hostLE
+		defer func() { hostLE = was }()
+		for _, le := range []bool{was, false} {
+			hostLE = le
+			r := bytes.NewReader(data)
+			dst := make([]float32, n)
+			for i := range dst {
+				dst[i] = float32(math.NaN())
+			}
+			sum, err := Read(&scheduled{r: r, sched: sched}, dst)
+			want := 4 * int(n)
+			if len(data) < want {
+				wantErr := io.ErrUnexpectedEOF
+				if len(data) == 0 {
+					wantErr = io.EOF
+				}
+				if err != wantErr {
+					t.Fatalf("hostLE %v: Read of %d values from %d bytes = %v, want %v", le, n, len(data), err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("hostLE %v: Read of %d values from %d bytes: %v", le, n, len(data), err)
+			}
+			if consumed := len(data) - r.Len(); consumed != want {
+				t.Fatalf("hostLE %v: Read of %d values consumed %d bytes", le, n, consumed)
+			}
+			if sum != Checksum(data[:want]) || !bytes.Equal(refEncode(dst), data[:want]) {
+				t.Fatalf("hostLE %v: Read = %08x and values unlike the bytes; want sum %08x", le, sum, Checksum(data[:want]))
+			}
+		}
+	})
+}
