@@ -117,10 +117,13 @@ chaos-smoke:
 # degradation end-to-ends (plus the cross-stack policy parity pin) under
 # the race detector: kill-mid-spill recovery, quarantine, breaker trip and
 # heal must all survive every commit — the read path's verdicts on a
-# damaged file, each with the block buffer handed back, and Put and Drain
-# racing Close on the spill queue.
+# damaged file, each with the block buffer handed back, Put and Drain
+# racing Close on the spill queue, a warm hit's two positioned reads on a
+# held descriptor, the open set's bound and lifetime under eviction churn,
+# and a read that loses its descriptor — alone or amid concurrent churn —
+# counted as a race, never as a disk fault.
 spill-smoke:
-	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker|TestDamagedSpill|TestSpillLengthCheckedIn64Bits|TestDrain' ./internal/tier/
+	$(GO) test -race -count=1 -run='EndToEnd|TestPolicyParity|TestRescan|TestBreaker|TestDamagedSpill|TestSpillLengthCheckedIn64Bits|TestDrain|TestSpillHitIsTwoReads|TestOpenSetBounded|TestClosedDescriptorIsARace|TestConcurrentAccess' ./internal/tier/
 
 # pipe-smoke runs the wire-path suite under the race detector: the
 # other-version hello refusal; the transport table — whole-block round trip,

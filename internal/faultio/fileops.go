@@ -34,10 +34,12 @@ type FS interface {
 }
 
 // File is the per-file surface the cache needs: sequential writes for the
-// spill path, whole-file reads for the lookup path, plus Sync for the
-// write-ahead discipline.
+// spill path, positioned reads for the lookup path (a descriptor the cache
+// holds open serves many reads, each at its own offset, from several
+// goroutines at once), plus Sync for the write-ahead discipline.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	// Name returns the path the file was opened or created with.
 	Name() string
@@ -218,8 +220,10 @@ func (f *FaultFS) noteWritten(n int) {
 	f.mu.Unlock()
 }
 
-// faultFile injects write-side faults on one file. Reads (via the embedded
-// handle's Read) are never injected.
+// faultFile injects write-side faults on one file. Reads, sequential or
+// positioned, pass through to the handle unperturbed and draw nothing from
+// the fault stream, so the writer's (Seed, n) sequence does not depend on
+// how often anything reads.
 type faultFile struct {
 	f   File
 	fs  *FaultFS
@@ -229,6 +233,8 @@ type faultFile struct {
 func (ff *faultFile) Name() string               { return ff.f.Name() }
 func (ff *faultFile) Read(p []byte) (int, error) { return ff.f.Read(p) }
 func (ff *faultFile) Close() error               { return ff.f.Close() }
+
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) { return ff.f.ReadAt(p, off) }
 
 // Write applies, in order: the full-disk model, outright failure, silent
 // short write, then post-write corruption.
@@ -268,19 +274,15 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 }
 
 // corrupt flips one bit of the region just written, when the underlying
-// file supports random access (os.File does).
+// file supports positioned writes (os.File does).
 func (ff *faultFile) corrupt(r rng, start int64, n int) {
 	wa, ok := ff.f.(io.WriterAt)
 	if !ok {
 		return
 	}
-	ra, ok := ff.f.(io.ReaderAt)
-	if !ok {
-		return
-	}
 	off := start + int64(r.next()%uint64(n))
 	var b [1]byte
-	if _, err := ra.ReadAt(b[:], off); err != nil {
+	if _, err := ff.f.ReadAt(b[:], off); err != nil {
 		return
 	}
 	b[0] ^= 1 << (r.next() % 8)

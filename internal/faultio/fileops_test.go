@@ -223,3 +223,38 @@ func TestFaultFSSetConfigHeals(t *testing.T) {
 		t.Fatalf("healed FS must succeed: %v", err)
 	}
 }
+
+// TestFaultFSReadAtPassesThrough: a positioned read, on the file being
+// written or on one opened afresh, returns the bytes that landed, whatever
+// fault mix is in force, and draws nothing from the fault stream — a reader
+// holding descriptors open cannot shift the writer's (Seed, n) sequence.
+func TestFaultFSReadAtPassesThrough(t *testing.T) {
+	dir := t.TempDir()
+	fs := NewFaultFS(nil, FileFaultConfig{Seed: 9})
+	f, err := fs.CreateTemp(dir, "t-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data := []byte("header|payload bytes")
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetConfig(FileFaultConfig{Seed: 9, WriteFailRate: 1, ShortWriteRate: 1,
+		CorruptRate: 1, SyncFailRate: 1, RenameFailRate: 1})
+	opened, err := fs.Open(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	before := fs.Stats()
+	for name, r := range map[string]File{"written": f, "opened": opened} {
+		got := make([]byte, len(data)-7)
+		if n, err := r.ReadAt(got, 7); n != len(got) || err != nil || !bytes.Equal(got, data[7:]) {
+			t.Errorf("%s: ReadAt = %d, %v, %q; want %q", name, n, err, got[:n], data[7:])
+		}
+	}
+	if after := fs.Stats(); after != before {
+		t.Errorf("ReadAt moved the injector: %+v, then %+v", before, after)
+	}
+}

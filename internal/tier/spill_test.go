@@ -109,13 +109,14 @@ func FuzzCheckSpill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, want int32, raw []byte) {
 		id := grid.BlockID(want)
 		n, err := checkSpill(id, raw)
-		// The read path proper streams the same image: same verdict, and a
-		// buffer out of the pool only for a file it serves.
+		// The read a hit is served with takes the same image in two
+		// positioned reads: same verdict, and a buffer out of the pool only
+		// for a file it serves.
 		var tr Tier
 		tr.bufs.Put(make([]float32, len(raw)/4+1))
 		vals, rerr := tr.readSpill(bytes.NewReader(raw), id, int64(len(raw)))
 		if (err == nil) != (rerr == nil) {
-			t.Fatalf("checkSpill says %v, the streaming read %v", err, rerr)
+			t.Fatalf("checkSpill says %v, the served read %v", err, rerr)
 		}
 		if _, pooled := tr.bufs.Get(1); pooled != (rerr != nil) {
 			t.Fatalf("pool buffer still pooled = %v after a read that returned %v", pooled, rerr)
@@ -124,7 +125,7 @@ func FuzzCheckSpill(f *testing.F) {
 			return
 		}
 		if len(vals) != n {
-			t.Fatalf("checkSpill counts %d voxels, the streaming read returned %d", n, len(vals))
+			t.Fatalf("checkSpill counts %d voxels, the served read returned %d", n, len(vals))
 		}
 		if again := encodeSpill(id, vals); !bytes.Equal(again, raw) {
 			t.Fatalf("accepted %q, which re-encodes to %q", raw, again)

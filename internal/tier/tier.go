@@ -31,6 +31,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -61,6 +62,12 @@ const (
 	breakerThreshold = 5
 	breakerBase      = 100 * time.Millisecond
 	breakerMax       = 5 * time.Second
+	// maxOpenSpills bounds the open set: the read descriptors the tier keeps
+	// across hits, so that a hit is two positioned reads and no open or
+	// close. Past it the least recently read file loses its descriptor, and a
+	// hit on it opens and closes the file as every hit once did. bench/'s
+	// tier_orbit_128k keeps 512 entries resident, inside the bound.
+	maxOpenSpills = 1024
 )
 
 // Config configures a Tier. Dir and Capacity are required.
@@ -95,6 +102,19 @@ type Tier struct {
 	mu  sync.Mutex
 	lvl *cache.Level // resident block -> spill file size, byte budget, replacement
 
+	// The open set, under mu: open is a level of unit entries under LRU whose
+	// residents are exactly the blocks fds holds a read descriptor for, each
+	// of them resident in lvl too. A descriptor leaves the set — an eviction
+	// from either level, a failed read, Close — under mu and is closed once
+	// the lock is released; os.File's reference count lets a read already
+	// under way on it finish first, and a read begun after it gets
+	// os.ErrClosed. evicted carries the one descriptor a hold's MakeRoom
+	// pushes out (entries are unit-sized, and the bound falls only in Close,
+	// after every descriptor is gone) from open's OnEvict back to hold.
+	open    *cache.Level
+	fds     []faultio.File // by block id
+	evicted faultio.File
+
 	// qmu guards sends on queue against its close: senders hold it shared,
 	// Close exclusively while it sets closed and closes the channel. The
 	// worker never takes it, so a sender may block on a full queue.
@@ -102,10 +122,12 @@ type Tier struct {
 	closed bool
 	queue  chan spillReq
 
-	// victims collects the blocks lvl evicts (its OnEvict, under mu) until
-	// dropVictims removes their files outside the lock. Only rescan and the
-	// one spill worker make room, so it needs no lock of its own.
+	// victims collects the blocks lvl evicts (its OnEvict, under mu), and
+	// shut the descriptors the open set held for them, until dropVictims
+	// closes and removes their files outside the lock. Only rescan and the
+	// one spill worker make room, so neither needs a lock of its own.
 	victims []grid.BlockID
+	shut    []faultio.File
 
 	wg sync.WaitGroup
 
@@ -113,8 +135,8 @@ type Tier struct {
 	// allocates nothing: bufs holds the block slices the DRAM cache hands
 	// back (Reader.RecycleBlockBuf), which a spill file's payload is read
 	// straight into; hdrs the 20-byte scratch its header is read into
-	// (*[spillHeaderSize]byte — a local array would escape through the File
-	// interface and cost an allocation a hit).
+	// (*[spillHeaderSize]byte — a local array would escape through the
+	// io.ReaderAt interface and cost an allocation a hit).
 	bufs store.BufPool
 	hdrs sync.Pool
 
@@ -174,9 +196,18 @@ func Open(cfg Config) (*Tier, error) {
 		fsys:  cfg.FS,
 		br:    breaker.New(breakerThreshold, breakerBase, breakerMax),
 		lvl:   cache.NewLevel(cfg.Capacity, cfg.Policy),
+		open:  cache.NewLevel(maxOpenSpills, cache.NewLRU()),
 		queue: make(chan spillReq, queueDepth),
 	}
-	t.lvl.OnEvict = func(id grid.BlockID, _ cache.Entry) { t.victims = append(t.victims, id) }
+	t.lvl.OnEvict = func(id grid.BlockID, _ cache.Entry) {
+		t.victims = append(t.victims, id)
+		if f := t.drop(id); f != nil {
+			t.shut = append(t.shut, f)
+		}
+	}
+	t.open.OnEvict = func(id grid.BlockID, _ cache.Entry) {
+		t.evicted, t.fds[id] = t.fds[id], nil
+	}
 	if err := t.rescan(); err != nil {
 		return nil, err
 	}
@@ -231,7 +262,9 @@ func (t *Tier) rescan() error {
 	return nil
 }
 
-// load reads block id from the spill file name, whose size the index knows.
+// load reads block id from the spill file name, whose size the index knows,
+// through a descriptor of its own: rescan's check of a file, by the read a
+// hit is served with.
 func (t *Tier) load(name string, id grid.BlockID, size int64) ([]float32, error) {
 	f, err := t.fsys.Open(filepath.Join(t.dir, name))
 	if err != nil {
@@ -241,20 +274,23 @@ func (t *Tier) load(name string, id grid.BlockID, size int64) ([]float32, error)
 	return t.readSpill(f, id, size)
 }
 
-// readSpill reads block id from f, a spill file size bytes long: the header
-// first, checked against id and size before a buffer is taken, then the
-// payload straight into a recycled block buffer, where its checksum is
-// verified — two reads and no copy. A buffer that fails goes back to the
-// pool. It accepts exactly the files checkSpill accepts (FuzzCheckSpill
+// readSpill reads block id from f, a spill file size bytes long, in two
+// positioned reads: the header first, checked against id and size before a
+// buffer is taken, then the payload straight into a recycled block buffer,
+// where its checksum is verified — no copy, and no file offset, so
+// concurrent hits can share one descriptor. A buffer that fails goes back to
+// the pool. It accepts exactly the files checkSpill accepts (FuzzCheckSpill
 // holds the two together).
-func (t *Tier) readSpill(f io.Reader, id grid.BlockID, size int64) ([]float32, error) {
+func (t *Tier) readSpill(f io.ReaderAt, id grid.BlockID, size int64) ([]float32, error) {
 	hdr, _ := t.hdrs.Get().(*[spillHeaderSize]byte)
 	if hdr == nil {
 		hdr = new([spillHeaderSize]byte)
 	}
 	defer t.hdrs.Put(hdr)
-	k, err := io.ReadFull(f, hdr[:])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+	// A ReaderAt reports io.EOF beside a read cut short by the end of the
+	// file: a torn header, for checkSpillHeader to name.
+	k, err := f.ReadAt(hdr[:], 0)
+	if err != nil && err != io.EOF {
 		return nil, err
 	}
 	n, want, err := checkSpillHeader(id, hdr[:k], size)
@@ -262,7 +298,7 @@ func (t *Tier) readSpill(f io.Reader, id grid.BlockID, size int64) ([]float32, e
 		return nil, err
 	}
 	vals, _ := t.bufs.Get(n)
-	got, err := f32le.Read(f, vals)
+	got, err := f32le.ReadAt(f, spillHeaderSize, vals)
 	if err == nil && got != want {
 		err = errSpillChecksum(id)
 	}
@@ -293,6 +329,10 @@ func (t *Tier) quarantine(name string) {
 func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 	t.mu.Lock()
 	e, resident := t.lvl.Peek(id)
+	var f faultio.File
+	if uint(id) < uint(len(t.fds)) {
+		f = t.fds[id]
+	}
 	t.mu.Unlock()
 	if !resident {
 		t.spillMisses.Add(1)
@@ -304,17 +344,27 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 		t.spillMisses.Add(1)
 		return nil, false
 	}
-	name := spillName(id)
-	vals, err := t.load(name, id, e.Size)
+	vals, err := t.fetch(id, f, e.Size)
 	if err != nil {
-		// Not an eviction: the policy did not choose this entry to leave.
-		t.mu.Lock()
-		_, still := t.lvl.Remove(id)
-		t.mu.Unlock()
 		t.spillMisses.Add(1)
-		if !still && errors.Is(err, fs.ErrNotExist) {
-			// Benign race: the entry was evicted between the index check and
-			// the read. The device itself answered fine.
+		// Benign races: the entry was evicted between the index check and
+		// the open, or each try's descriptor was closed under its read — by
+		// an eviction, or the open set making room, so the entry may well be
+		// resident still. The device itself answered fine.
+		raced := errors.Is(err, os.ErrClosed)
+		still := false
+		if !raced {
+			// Not an eviction: the policy did not choose this entry to leave.
+			t.mu.Lock()
+			_, still = t.lvl.Remove(id)
+			f := t.drop(id)
+			t.mu.Unlock()
+			if f != nil {
+				f.Close()
+			}
+			raced = !still && errors.Is(err, fs.ErrNotExist)
+		}
+		if raced {
 			if t.br.Success() {
 				t.brRecoveries.Add(1)
 			}
@@ -330,7 +380,7 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 			t.brOpens.Add(1)
 		}
 		if still {
-			t.quarantine(name)
+			t.quarantine(spillName(id))
 		}
 		return nil, false
 	}
@@ -339,9 +389,71 @@ func (t *Tier) Get(id grid.BlockID) (vals []float32, ok bool) {
 	}
 	t.mu.Lock()
 	t.lvl.Touch(id) // if it is still resident
+	t.open.Touch(id)
 	t.mu.Unlock()
 	t.spillHits.Add(1)
 	return vals, true
+}
+
+// fetch reads resident block id, size bytes on disk, through f, the
+// descriptor the open set holds for it, or — when it holds none — through
+// one it opens and offers to the set. A read whose descriptor was closed
+// under it (os.ErrClosed) is tried once more through a fresh one.
+func (t *Tier) fetch(id grid.BlockID, f faultio.File, size int64) (vals []float32, err error) {
+	for try := 0; ; try++ {
+		var own faultio.File // a descriptor the set did not take
+		if f == nil {
+			if f, err = t.fsys.Open(filepath.Join(t.dir, spillName(id))); err != nil {
+				return nil, err
+			}
+			own = t.hold(id, f)
+		}
+		vals, err = t.readSpill(f, id, size)
+		if own != nil {
+			own.Close()
+		}
+		if try > 0 || !errors.Is(err, os.ErrClosed) {
+			return vals, err
+		}
+		f = nil
+	}
+}
+
+// hold offers f, just opened on block id's file, to the open set, and
+// returns f back for the caller to close after its read when the set does
+// not take it: the entry left lvl since the caller looked, another read
+// got a descriptor in first, or the tier is closed. A descriptor the set
+// pushes out to make room is closed here, once the lock is released.
+func (t *Tier) hold(id grid.BlockID, f faultio.File) faultio.File {
+	t.mu.Lock()
+	if !t.lvl.Contains(id) || t.open.Contains(id) || !t.open.MakeRoom(id, 1) {
+		t.mu.Unlock()
+		return f
+	}
+	t.open.Add(id, cache.Entry{Size: 1})
+	if n := int(id) + 1; n > len(t.fds) {
+		t.fds = append(t.fds, make([]faultio.File, n-len(t.fds))...)
+	}
+	t.fds[id] = f
+	out := t.evicted
+	t.evicted = nil
+	t.mu.Unlock()
+	if out != nil {
+		out.Close()
+	}
+	return nil
+}
+
+// drop takes block id's descriptor out of the open set, under t.mu, and
+// returns it (nil when the set held none) for the caller to close once the
+// lock is released.
+func (t *Tier) drop(id grid.BlockID) faultio.File {
+	if _, ok := t.open.Remove(id); !ok {
+		return nil
+	}
+	f := t.fds[id]
+	t.fds[id] = nil
+	return f
 }
 
 // Put offers a block for spilling. It is designed to run inside
@@ -447,9 +559,15 @@ func (t *Tier) writeSpill(req spillReq) error {
 	return nil
 }
 
-// dropVictims removes the files of the blocks the level just evicted.
-// Called without t.mu held, by the goroutine that made the room.
+// dropVictims closes the descriptors and removes the files of the blocks
+// the level just evicted. Called without t.mu held, by the goroutine that
+// made the room.
 func (t *Tier) dropVictims() {
+	for _, f := range t.shut {
+		f.Close()
+	}
+	clear(t.shut)
+	t.shut = t.shut[:0]
 	for _, id := range t.victims {
 		t.fsys.Remove(filepath.Join(t.dir, spillName(id)))
 	}
@@ -537,9 +655,10 @@ func (t *Tier) Drain() {
 	<-done
 }
 
-// Close stops the spill worker (draining queued spills first) and
-// invalidates further Puts. Resident entries stay on disk for the next
-// Open to rescan.
+// Close stops the spill worker (draining queued spills first), invalidates
+// further Puts and closes every descriptor the open set holds; a Get racing
+// or following it reads through a descriptor of its own. Resident entries
+// stay on disk for the next Open to rescan.
 func (t *Tier) Close() error {
 	t.qmu.Lock()
 	if t.closed {
@@ -550,5 +669,17 @@ func (t *Tier) Close() error {
 	close(t.queue)
 	t.qmu.Unlock()
 	t.wg.Wait()
+	var held []faultio.File
+	t.mu.Lock()
+	for id := range t.fds {
+		if f := t.drop(grid.BlockID(id)); f != nil {
+			held = append(held, f)
+		}
+	}
+	t.open.Capacity = 0 // hold takes nothing more
+	t.mu.Unlock()
+	for _, f := range held {
+		f.Close()
+	}
 	return nil
 }

@@ -460,7 +460,8 @@ func TestInstrumentRegistersTierMetrics(t *testing.T) {
 }
 
 // TestConcurrentAccess churns Get/Put from many goroutines under the race
-// detector: no panics, no lost index/occupancy consistency.
+// detector: no panics, no lost index/occupancy consistency, and no read that
+// loses its file or descriptor to an eviction counts as a disk fault.
 func TestConcurrentAccess(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 16, 32, nil)
 	var wg sync.WaitGroup
@@ -487,6 +488,9 @@ func TestConcurrentAccess(t *testing.T) {
 	tr.Drain()
 	if used, n := tr.Used(), tr.Len(); used > tr.lvl.Capacity || n > 16 {
 		t.Fatalf("over budget: %d bytes, %d blocks", used, n)
+	}
+	if c := tr.Counters(); c.DiskFaults != 0 || c.Quarantined != 0 {
+		t.Fatalf("churn counted %d disk faults and %d quarantines", c.DiskFaults, c.Quarantined)
 	}
 	tr.Close()
 	testutil.VerifyNoLeaks(t)
@@ -561,8 +565,9 @@ func (s *recycleSink) ReadBlock(grid.BlockID) ([]float32, error) { return nil, o
 func (s *recycleSink) RecycleBlockBuf(v []float32)               { s.got = append(s.got, v) }
 
 // A spill hit is read into the buffer the DRAM cache recycled instead of
-// allocating, the header scratch is reused too, and once the tier's pool is
-// full the overflow still reaches the inner reader.
+// allocating, the header scratch and the file's descriptor are reused too,
+// and once the tier's pool is full the overflow still reaches the inner
+// reader.
 func TestGetReusesRecycledBuffers(t *testing.T) {
 	tr := openTier(t, t.TempDir(), 4, 64, nil)
 	put(tr, 1, block(1, 64))
@@ -594,7 +599,7 @@ func TestGetReusesRecycledBuffers(t *testing.T) {
 			t.Fatal("spilled block not served")
 		}
 		r.RecycleBlockBuf(v)
-	}); allocs > 8 { // path join, open and close; neither the 256-byte buffer nor the header
+	}); allocs > 0 { // the file stays open: no path, no descriptor, no buffer, no header
 		t.Fatalf("%v allocations per warm Get", allocs)
 	}
 
