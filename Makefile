@@ -19,9 +19,9 @@ FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... 
 # semaphore's cancel/grant race.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestIdleConnToMuteServerDropped|TestIdleConnSurvivesHeartbeats|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads|TestByteSem'
 
-.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
 
-check: vet build max-lines unused-pkgs one-codec one-planner one-executor test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
+check: vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -88,6 +88,19 @@ one-executor:
 		| grep -vE '^internal/(sim|memhier)/|^internal/experiments/exttime\.go:'; \
 		grep -rn '"repro/internal/memhier"' --include='*.go' --exclude='*_test.go' internal/policy; } ); \
 	if [ -n "$$stray" ]; then echo "a simulated hierarchy driven outside internal/sim:"; echo "$$stray"; exit 1; fi
+
+# one-reader fails when a non-test file of the product, outside bench/,
+# type-asserts a block reader to one of store's single-method reader
+# interfaces (BatchBlockReader, ContextBlockReader, BlockBufRecycler) or to
+# an anonymous interface of those methods, or declares a ReadBlockContext
+# method. store.BlockReader is the one contract — a single read, a batch
+# under a context, a recycle — and every reader meets it whole; the reader
+# seam once held a hand-written fallback per wrapper (MemCache, tier.Reader,
+# faultio.Injector) that only test doubles reached.
+one-reader:
+	@stray=$$(grep -rnE '\.\((store\.)?(BatchBlockReader|ContextBlockReader|BlockBufRecycler)\)|\.\(interface *\{ *(ReadBlocks|ReadBlockContext|RecycleBlockBuf)\(|\) ReadBlockContext\(' \
+		--include='*.go' --exclude='*_test.go' cmd examples internal *.go); \
+	if [ -n "$$stray" ]; then echo "a block reader asserted past store.BlockReader:"; echo "$$stray"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -65,6 +65,8 @@ func (c *countingReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([]
 	return c.bf.ReadBlocks(ctx, ids)
 }
 
+func (c *countingReader) RecycleBlockBuf(vals []float32) { c.bf.RecycleBlockBuf(vals) }
+
 // maxReads returns the highest per-block read count and the total.
 func (c *countingReader) maxReads() (max, total int) {
 	c.mu.Lock()
@@ -451,6 +453,12 @@ func (s scriptedReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 	}
 	return s.bf.ReadBlock(id)
 }
+
+func (s scriptedReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, s.ReadBlock)
+}
+
+func (s scriptedReader) RecycleBlockBuf(vals []float32) { s.bf.RecycleBlockBuf(vals) }
 
 // TestMixedStatusRun pins the encoder's segment assembly where it is
 // easiest to get wrong: one blocks frame carrying payload entries
@@ -1034,6 +1042,12 @@ func TestByteSem(t *testing.T) {
 	}
 }
 
+// readOne reads one block through r's batch path under ctx.
+func readOne(ctx context.Context, r *RemoteReader, id grid.BlockID) ([]float32, error) {
+	vals, errs := r.ReadBlocks(ctx, []grid.BlockID{id})
+	return vals[0], errs[0]
+}
+
 // TestFaultClassesSurviveWire pins the satellite: the faultio classification
 // a local reader would produce is identical after a round trip through the
 // server — transient stays retryable, permanent stays permanent, and on-disk
@@ -1046,7 +1060,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 			cacheBytes: 4,
 		})
 		r := dialService(t, f, 1)
-		_, err := r.ReadBlockContext(ctx, 0)
+		_, err := readOne(ctx, r, 0)
 		if err == nil {
 			t.Fatal("injected fault not surfaced")
 		}
@@ -1060,14 +1074,14 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 			cacheBytes: 4,
 		})
 		r := dialService(t, f, 1)
-		_, err := r.ReadBlockContext(ctx, 3)
+		_, err := readOne(ctx, r, 3)
 		if err == nil {
 			t.Fatal("lost block not surfaced")
 		}
 		if !errors.Is(err, faultio.ErrPermanent) || faultio.Retryable(err) {
 			t.Errorf("permanent class lost over the wire: %v", err)
 		}
-		if vals, err := r.ReadBlockContext(ctx, 4); err != nil || vals == nil {
+		if vals, err := readOne(ctx, r, 4); err != nil || vals == nil {
 			t.Errorf("healthy neighbor failed: %v", err)
 		}
 	})
@@ -1075,7 +1089,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 		bad := grid.BlockID(5)
 		f := startService(t, svcOpts{corrupt: &bad, cacheBytes: 4})
 		r := dialService(t, f, 1)
-		_, err := r.ReadBlockContext(ctx, bad)
+		_, err := readOne(ctx, r, bad)
 		if err == nil {
 			t.Fatal("corrupted block not surfaced")
 		}
@@ -1085,7 +1099,7 @@ func TestFaultClassesSurviveWire(t *testing.T) {
 		if !errors.Is(err, faultio.ErrPermanent) || faultio.Retryable(err) {
 			t.Errorf("on-disk rot must arrive permanent: %v", err)
 		}
-		if vals, err := r.ReadBlockContext(ctx, bad+1); err != nil || vals == nil {
+		if vals, err := readOne(ctx, r, bad+1); err != nil || vals == nil {
 			t.Errorf("healthy neighbor failed: %v", err)
 		}
 	})
@@ -1123,8 +1137,8 @@ func TestInjectorWrapsRemoteReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mc.Get(context.Background(), 1); err != nil {
-		t.Errorf("cache over injected remote reader: %v", err)
+	if _, _, errs := mc.GetBatch(context.Background(), []grid.BlockID{1}); errs[0] != nil {
+		t.Errorf("cache over injected remote reader: %v", errs[0])
 	}
 }
 

@@ -134,13 +134,11 @@ type ClientStats struct {
 }
 
 // RemoteReader reads blocks from a block service: one server, a replica
-// set, or a sharded cluster. It implements store.BlockReader,
-// store.ContextBlockReader, store.BatchBlockReader, and
-// store.BlockBufRecycler, so it drops into a store.MemCache (and therefore
-// ooc.Runtime) exactly where a local BlockFile would: a whole miss batch
-// travels as tagged requests, returns per-block results, and — with cache
-// recycling on — decodes into buffers evicted earlier instead of
-// allocating.
+// set, or a sharded cluster. It implements store.BlockReader, so it drops
+// into a store.MemCache (and therefore ooc.Runtime) exactly where a local
+// BlockFile would: a whole miss batch travels as tagged requests, returns
+// per-block results, and — with cache recycling on — decodes into buffers
+// evicted earlier instead of allocating.
 //
 // In cluster mode (a ShardMap configured, or learned from a cluster node's
 // welcome) the reader is a router: a batch is partitioned by consistent-
@@ -189,10 +187,7 @@ type RemoteReader struct {
 	bufs store.BufPool // recycled decode buffers (fed via RecycleBlockBuf)
 }
 
-var (
-	_ store.BatchBlockReader = (*RemoteReader)(nil)
-	_ store.BlockBufRecycler = (*RemoteReader)(nil)
-)
+var _ store.BlockReader = (*RemoteReader)(nil)
 
 // topology is one immutable routing table: the adopted map (nil for a flat
 // replica config), its ring, and one connection group per shard. Swapped
@@ -294,10 +289,9 @@ func (r *RemoteReader) getBuf(n int) []float32 {
 }
 
 // RecycleBlockBuf hands a block buffer back for reuse by a later response
-// decode. It implements store.BlockBufRecycler: a MemCache with recycling
-// enabled feeds evicted blocks here, closing the loop so a steady miss
-// stream decodes into evicted memory instead of allocating. The caller
-// must no longer read the buffer.
+// decode: a MemCache with recycling enabled feeds evicted blocks here,
+// closing the loop so a steady miss stream decodes into evicted memory
+// instead of allocating. The caller must no longer read the buffer.
 func (r *RemoteReader) RecycleBlockBuf(vals []float32) { r.bufs.Put(vals) }
 
 // adoptMap installs a newer cluster topology: higher epochs win, equal or
@@ -388,18 +382,10 @@ func (r *RemoteReader) Close() error {
 // fields are not a consistent cut across each other.
 func (r *RemoteReader) Snapshot() ClientStats { return r.m.snapshot() }
 
-// ReadBlock implements store.BlockReader.
+// ReadBlock implements store.BlockReader: a batch of one.
 func (r *RemoteReader) ReadBlock(id grid.BlockID) ([]float32, error) {
-	return r.ReadBlockContext(context.Background(), id)
-}
-
-// ReadBlockContext implements store.ContextBlockReader.
-func (r *RemoteReader) ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error) {
-	vals, errs := r.ReadBlocks(ctx, []grid.BlockID{id})
-	if errs[0] != nil {
-		return nil, errs[0]
-	}
-	return vals[0], nil
+	vals, errs := r.ReadBlocks(context.Background(), []grid.BlockID{id})
+	return vals[0], errs[0]
 }
 
 // maxRoutePasses bounds how many times one batch may be re-routed across
@@ -416,7 +402,7 @@ func isRedirect(err error) bool {
 	return errors.As(err, &re)
 }
 
-// ReadBlocks implements store.BatchBlockReader: the batch is partitioned
+// ReadBlocks implements store.BlockReader: the batch is partitioned
 // by shard owner (one partition in flat mode), each partition travels as
 // tagged request frames on the owning shard's connections — shards issued
 // in parallel — and the servers stream back per-block results that each

@@ -2,8 +2,8 @@
 // length-prefixed binary wire protocol, a multi-session server that fronts
 // one shared store.MemCache (cross-session singleflight, per-session
 // view-driven prefetch, admission control with load shedding), and a
-// RemoteReader client implementing store.BlockReader and
-// store.BatchBlockReader so ooc.Runtime drives a remote store unmodified.
+// RemoteReader client implementing store.BlockReader so ooc.Runtime drives
+// a remote store unmodified.
 //
 // # Wire format
 //

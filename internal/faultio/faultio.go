@@ -76,11 +76,15 @@ func Retryable(err error) bool {
 	return true
 }
 
-// BlockReader is the read side of a block store. store.BlockFile satisfies
-// it; Injector wraps one. (Deliberately structural — package store defines
-// the same interface so neither package depends on the other's type.)
+// BlockReader is the read side of a block store, the same three methods as
+// store.BlockReader (store imports faultio, so faultio spells them out):
+// a single read, a batch that carries the caller's context, and the
+// hand-back of decoded buffers. store.BlockFile and blocksvc.RemoteReader
+// satisfy it; Injector wraps one.
 type BlockReader interface {
 	ReadBlock(id grid.BlockID) ([]float32, error)
+	ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error)
+	RecycleBlockBuf([]float32)
 }
 
 // Checksummer is optionally implemented by readers that store per-block

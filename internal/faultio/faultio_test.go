@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/testutil"
 )
 
 func TestRetryable(t *testing.T) {
@@ -157,6 +158,12 @@ func (m *memReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 	}
 	return vals, nil
 }
+
+func (m *memReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, m.ReadBlock)
+}
+
+func (m *memReader) RecycleBlockBuf([]float32) {}
 
 func (m *memReader) BlockChecksum(id grid.BlockID) (uint32, bool) {
 	if m.crcs == nil {
@@ -310,8 +317,8 @@ func TestInjectorLatencyRespectsDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := in.ReadBlockContext(ctx, 0)
-	if err == nil {
+	_, errs := in.ReadBlocks(ctx, []grid.BlockID{0})
+	if errs[0] == nil {
 		t.Fatal("deadline ignored")
 	}
 	if time.Since(start) > 5*time.Second {
@@ -319,44 +326,55 @@ func TestInjectorLatencyRespectsDeadline(t *testing.T) {
 	}
 }
 
-// stuckReader is a context-aware reader (as blocksvc.RemoteReader is) whose
-// reads end only when their context does, or at release.
+// stuckReader is a reader whose batches end only when their context does
+// (as a blocksvc.RemoteReader's do), or at release.
 type stuckReader struct{ release chan struct{} }
 
 func (s stuckReader) ReadBlock(id grid.BlockID) ([]float32, error) {
-	return s.ReadBlockContext(context.Background(), id)
+	_, errs := s.ReadBlocks(context.Background(), []grid.BlockID{id})
+	return nil, errs[0]
 }
 
-func (s stuckReader) ReadBlockContext(ctx context.Context, _ grid.BlockID) ([]float32, error) {
+func (s stuckReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	err := errors.New("released")
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		err = ctx.Err()
 	case <-s.release:
-		return nil, errors.New("released")
 	}
+	errs := make([]error, len(ids))
+	for i := range errs {
+		errs[i] = err
+	}
+	return make([][]float32, len(ids)), errs
 }
+
+func (s stuckReader) RecycleBlockBuf([]float32) {}
 
 // TestInjectorPassesContextDown: the caller's deadline must bound the inner
 // read as well as the injected latency — with an injector in the stack a
-// per-attempt deadline used to bound nothing once the inner read began.
+// per-attempt deadline used to bound nothing once the inner read began. An
+// inert injector forwards the batch; an active one reads each block alone.
 func TestInjectorPassesContextDown(t *testing.T) {
-	inner := stuckReader{release: make(chan struct{})}
-	defer close(inner.release)
-	in := NewInjector(inner, InjectorConfig{})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := in.ReadBlockContext(ctx, 0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("read under an expired deadline returned %v", err)
+	for _, cfg := range []InjectorConfig{{}, {Latency: time.Microsecond}} {
+		inner := stuckReader{release: make(chan struct{})}
+		in := NewInjector(inner, cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		done := make(chan error, 1)
+		go func() {
+			_, errs := in.ReadBlocks(ctx, []grid.BlockID{0})
+			done <- errs[0]
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%+v: read under an expired deadline returned %v", cfg, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%+v: the inner read ignored the caller's deadline", cfg)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the inner read ignored the caller's deadline")
+		cancel()
+		close(inner.release)
 	}
 }
 

@@ -51,17 +51,15 @@ type InjectorStats struct {
 }
 
 // Injector wraps a BlockReader with deterministic, seed-driven fault
-// injection. It satisfies both BlockReader and the context-aware read
-// interface the MemCache prefers, so injected latency can be cut short by
-// per-read deadlines. Safe for concurrent use.
+// injection. It is a BlockReader itself; the context of ReadBlocks bounds
+// each block's injected latency and the inner read under it, so per-read
+// deadlines cut both short. Safe for concurrent use.
 type Injector struct {
 	r     BlockReader
 	cfg   InjectorConfig
 	ck    Checksummer // non-nil when r stores checksums
 	fail  map[grid.BlockID]bool
-	batch batchBlockReader // non-nil when r supports batched reads
-	ctxr  ctxBlockReader   // non-nil when r's single reads take a context
-	inert bool             // config injects nothing: batches may pass through
+	inert bool // config injects nothing: batches may pass through
 
 	mu    sync.Mutex
 	seq   map[grid.BlockID]uint64 // per-block read counter
@@ -74,8 +72,6 @@ type Injector struct {
 func NewInjector(r BlockReader, cfg InjectorConfig) *Injector {
 	in := &Injector{r: r, cfg: cfg, seq: make(map[grid.BlockID]uint64)}
 	in.ck, _ = r.(Checksummer)
-	in.batch, _ = r.(batchBlockReader)
-	in.ctxr, _ = r.(ctxBlockReader)
 	in.inert = cfg.FailRate == 0 && cfg.CorruptRate == 0 &&
 		cfg.Latency == 0 && cfg.LatencyJitter == 0 && len(cfg.FailBlocks) == 0
 	if len(cfg.FailBlocks) > 0 {
@@ -87,20 +83,10 @@ func NewInjector(r BlockReader, cfg InjectorConfig) *Injector {
 	return in
 }
 
-// ReadBlock implements BlockReader.
+// ReadBlock implements BlockReader: one block under the fault mix, with no
+// deadline.
 func (in *Injector) ReadBlock(id grid.BlockID) ([]float32, error) {
-	return in.ReadBlockContext(context.Background(), id)
-}
-
-// batchBlockReader and ctxBlockReader mirror the store package's
-// BatchBlockReader and ContextBlockReader without importing it (store already
-// imports faultio).
-type batchBlockReader interface {
-	ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error)
-}
-
-type ctxBlockReader interface {
-	ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error)
+	return in.read(context.Background(), id)
 }
 
 // ReadBlocks serves a batch with per-block results. With any fault
@@ -111,34 +97,29 @@ type ctxBlockReader interface {
 // then; injection means testing, where per-block determinism matters more
 // than I/O merging.) A zero config injects nothing, so an injector left in
 // the stack permanently forwards batches intact and keeps the merged-I/O
-// fast path. It implements the store package's BatchBlockReader.
+// fast path.
 func (in *Injector) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
-	if in.inert && in.batch != nil {
+	if in.inert {
 		in.count(func(s *InjectorStats) { s.Reads += int64(len(ids)) })
-		return in.batch.ReadBlocks(ctx, ids)
+		return in.r.ReadBlocks(ctx, ids)
 	}
 	vals := make([][]float32, len(ids))
 	errs := make([]error, len(ids))
 	for i, id := range ids {
-		vals[i], errs[i] = in.ReadBlockContext(ctx, id)
+		vals[i], errs[i] = in.read(ctx, id)
 	}
 	return vals, errs
 }
 
-// RecycleBlockBuf forwards decode-buffer recycling to the underlying reader
-// when it supports it, so an injector in the stack does not defeat buffer
-// reuse. It implements the store package's BlockBufRecycler.
-func (in *Injector) RecycleBlockBuf(vals []float32) {
-	if rec, ok := in.r.(interface{ RecycleBlockBuf([]float32) }); ok {
-		rec.RecycleBlockBuf(vals)
-	}
-}
+// RecycleBlockBuf forwards decode-buffer recycling to the underlying reader,
+// so an injector in the stack does not defeat buffer reuse.
+func (in *Injector) RecycleBlockBuf(vals []float32) { in.r.RecycleBlockBuf(vals) }
 
-// ReadBlockContext reads the block, applying the configured fault mix. ctx
-// cuts short the injected latency and, when the inner reader takes a context
-// (a RemoteReader does), the read under it — so a per-attempt deadline bounds
-// the whole attempt with an injector in the stack.
-func (in *Injector) ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error) {
+// read reads one block, applying the configured fault mix. ctx cuts short
+// the injected latency and the inner read under it (a batch of one), so a
+// per-attempt deadline bounds the whole attempt with an injector in the
+// stack.
+func (in *Injector) read(ctx context.Context, id grid.BlockID) ([]float32, error) {
 	r := in.draw(id)
 	if d := in.cfg.Latency + time.Duration(r.float()*float64(in.cfg.LatencyJitter)); d > 0 {
 		if err := sleep(ctx, d); err != nil {
@@ -159,16 +140,11 @@ func (in *Injector) ReadBlockContext(ctx context.Context, id grid.BlockID) ([]fl
 		in.count(func(s *InjectorStats) { s.Transient++ })
 		return nil, fmt.Errorf("faultio: injected transient failure on block %d: %w", id, ErrTransient)
 	}
-	var vals []float32
-	var err error
-	if in.ctxr != nil {
-		vals, err = in.ctxr.ReadBlockContext(ctx, id)
-	} else {
-		vals, err = in.r.ReadBlock(id)
+	got, errs := in.r.ReadBlocks(ctx, []grid.BlockID{id})
+	if errs[0] != nil {
+		return nil, errs[0]
 	}
-	if err != nil {
-		return nil, err
-	}
+	vals := got[0]
 	if len(vals) > 0 && r.float() < in.cfg.CorruptRate {
 		return in.corrupt(r, id, vals)
 	}

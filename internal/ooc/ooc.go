@@ -254,15 +254,15 @@ func (r *Runtime) demand(ctx context.Context, visible []grid.BlockID, missIdx []
 		if r.retryAfter != nil && ctx.Err() == nil && faultio.Retryable(err) {
 			var attempts int
 			attempts, err = r.retryAfter.Do(ctx, func(c context.Context) error {
-				vals, hit, e := r.cache.Get(c, ids[k])
-				if e != nil {
+				got, hit, es := r.cache.GetBatch(c, ids[k:k+1])
+				if e := es[0]; e != nil {
 					if errors.Is(e, faultio.ErrChecksum) {
 						d.ChecksumErrors++
 					}
 					return e
 				}
-				out[i] = vals
-				if hit {
+				out[i] = got[0]
+				if hit[0] {
 					d.DemandHits++
 				} else {
 					d.DemandReads++

@@ -303,6 +303,10 @@ func (h *heldReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 	return h.BlockReader.ReadBlock(id)
 }
 
+func (h *heldReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, h.ReadBlock)
+}
+
 // TestFrameOffersPlannersOrder pins what Frame hands the prefetch queue:
 // the planner's list and nothing else — no resident block, none scoring
 // ≤ σ — most likely block first, so that a queue shorter than the list
@@ -586,8 +590,8 @@ func TestFrameConcurrentWithClose(t *testing.T) {
 func TestFrameMissesOneBatch(t *testing.T) {
 	f := newFixture(t, 64)
 	ctx := context.Background()
-	if _, _, err := f.cache.Get(ctx, 20); err != nil {
-		t.Fatal(err)
+	if _, _, errs := f.cache.GetBatch(ctx, []grid.BlockID{20}); errs[0] != nil {
+		t.Fatal(errs[0])
 	}
 	// σ above every score: nothing is prefetched, so the file sees the
 	// frame's reads alone.
@@ -778,6 +782,10 @@ func (r *joinReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 		close(r.start)
 	}
 	return r.bf.ReadBlock(id)
+}
+
+func (r *joinReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, r.ReadBlock)
 }
 
 func (r *joinReader) RecycleBlockBuf(vals []float32) { r.bf.RecycleBlockBuf(vals) }

@@ -6,10 +6,10 @@ package store
 // data and reads misses from the backing reader — a BlockFile directly, or
 // a faultio.Injector wrapping one.
 //
-// The miss path is duplicate-free: concurrent Get/Prefetch/GetBatch calls
-// for the same uncached block coalesce onto a single backing-store read
-// (singleflight), and GetBatch hands whole miss sets to a BatchBlockReader
-// so adjacent blocks merge into sequential I/O.
+// The miss path is duplicate-free: concurrent GetBatch/Prefetch calls for
+// the same uncached block coalesce onto a single backing-store read
+// (singleflight), and GetBatch hands whole miss sets to the reader's
+// ReadBlocks so adjacent blocks merge into sequential I/O.
 
 import (
 	"context"
@@ -25,11 +25,13 @@ import (
 // concurrent requesters for any of its blocks share it. done is closed
 // once vals/errs are set — a whole miss batch shares one call (and one
 // channel), so a fully-missing batch costs two allocations, not two per
-// block. Waiters find their block through an inflightRef.
+// block. Waiters find their block through an inflightRef. A prefetch's
+// call carries its one id, so its read needs no ids slice of its own.
 type call struct {
 	done chan struct{}
 	vals [][]float32
 	errs []error
+	one  [1]grid.BlockID
 }
 
 // inflightRef points a block at its position within a shared in-flight
@@ -42,17 +44,15 @@ type inflightRef struct {
 
 // MemCache caches decoded blocks in memory. Safe for concurrent use.
 type MemCache struct {
-	r        BlockReader
-	batch    BatchBlockReader // non-nil when r supports batched reads
-	recycler BlockBufRecycler // non-nil when r can reuse decode buffers
+	r BlockReader
 
 	mu       sync.Mutex
 	lvl      *cache.Level // resident voxels, byte budget, replacement
 	inflight map[grid.BlockID]inflightRef
 	onEvict  func(id grid.BlockID, vals []float32)
-	// retire keeps evicted buffers in retired for the recycler (Release or
-	// EnableRecycling seen, and a recycler to feed); recycle releases each
-	// at once (EnableRecycling).
+	// retire keeps evicted buffers in retired for the reader (Release or
+	// EnableRecycling seen); recycle releases each at once
+	// (EnableRecycling).
 	retire, recycle bool
 	retired         [][]float32 // evicted since the last release, at most maxFreeBufs
 
@@ -110,18 +110,12 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 			c.releaseLocked()
 		}
 	}
-	if br, ok := r.(BatchBlockReader); ok {
-		c.batch = br
-	}
-	if rec, ok := r.(BlockBufRecycler); ok {
-		c.recycler = rec
-	}
 	return c, nil
 }
 
 // Release declares that no slice this cache has handed out so far is read
 // any longer, by anyone: the buffers of the blocks evicted up to now go to
-// the reader's BlockBufRecycler, so later reads decode into them instead of
+// the reader's RecycleBlockBuf, so later reads decode into them instead of
 // allocating. From the first call on, an evicted block's buffer is retired —
 // kept, untouched, until the next Release — where before it was left to the
 // GC. At most 64 wait, BufPool's bound; past that an eviction leaves its
@@ -129,46 +123,46 @@ func NewMemCache(r BlockReader, capacity int64, p cache.Policy) (*MemCache, erro
 //
 // Release is for the cache's one consumer that knows when every slice it
 // was handed is done with: ooc.Runtime calls it at New and at the start of
-// every Frame. A no-op if the reader cannot recycle.
+// every Frame.
 func (c *MemCache) Release() {
 	c.mu.Lock()
-	c.retire = c.recycler != nil
+	c.retire = true
 	c.releaseLocked()
 	c.mu.Unlock()
 }
 
-// releaseLocked hands every retired buffer to the recycler. Called with c.mu
+// releaseLocked hands every retired buffer to the reader. Called with c.mu
 // held.
 func (c *MemCache) releaseLocked() {
 	for _, v := range c.retired {
 		c.recycled++
 		c.recycledBytes += int64(len(v)) * 4
-		c.recycler.RecycleBlockBuf(v)
+		c.r.RecycleBlockBuf(v)
 	}
 	clear(c.retired)
 	c.retired = c.retired[:0]
 }
 
 // EnableRecycling makes every eviction Release at once: the victim's slice
-// goes straight back to the reader (BlockBufRecycler). The rule it imposes:
-// nothing may admit into the cache — no Get, GetBatch or Prefetch from any
+// goes straight back to the reader (RecycleBlockBuf). The rule it imposes:
+// nothing may admit into the cache — no GetBatch or Prefetch from any
 // goroutine — while a caller still reads a slice it was handed, because any
 // admission can evict that slice's block and the next backing read then
 // decodes into the memory being read. A single caller that is done with one
 // frame's slices before asking for the next, with no prefetch workers behind
 // it, qualifies; a cache shared by sessions or fed by a Prefetcher does not
 // — a cache an ooc.Runtime drives reuses its buffers without it, at each
-// Frame (see Release). No-op if the reader cannot recycle.
+// Frame (see Release).
 func (c *MemCache) EnableRecycling() {
 	c.mu.Lock()
-	c.recycle = c.recycler != nil
-	c.retire = c.recycle
+	c.recycle = true
+	c.retire = true
 	c.mu.Unlock()
 }
 
 // RecyclingEnabled reports whether evicted buffers are being reused, at
 // eviction (EnableRecycling) or at the next Release. When false, a slice
-// handed out by Get/GetBatch is immutable for its lifetime — the property
+// handed out by GetBatch is immutable for its lifetime — the property
 // blocksvc.NewServer requires of the cache it serves, whose slices go to
 // the socket as they lie.
 func (c *MemCache) RecyclingEnabled() bool {
@@ -188,17 +182,6 @@ func (c *MemCache) OnEvict(fn func(id grid.BlockID, vals []float32)) {
 	c.mu.Lock()
 	c.onEvict = fn
 	c.mu.Unlock()
-}
-
-// read fetches from the backing reader, honoring ctx when the reader can.
-func (c *MemCache) read(ctx context.Context, id grid.BlockID) ([]float32, error) {
-	if cr, ok := c.r.(ContextBlockReader); ok {
-		return cr.ReadBlockContext(ctx, id)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.r.ReadBlock(id)
 }
 
 // wait blocks until the shared call completes or ctx is done, counting a
@@ -261,47 +244,14 @@ func (c *MemCache) GetCached(id grid.BlockID) ([]float32, bool) {
 	return e.Vals, ok
 }
 
-// Get returns the block's voxels, reading from the backing store on a miss;
-// hit reports whether the call was served from memory (cached, or coalesced
-// onto a concurrent read) — so callers can count true backing-store reads.
-// ctx bounds the read. The returned slice is shared with the cache; callers
-// must not modify it.
-func (c *MemCache) Get(ctx context.Context, id grid.BlockID) (vals []float32, hit bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	if e, ok := c.lvl.Get(id); ok {
-		c.hits++
-		c.mu.Unlock()
-		return e.Vals, true, nil
-	}
-	if ref, ok := c.inflight[id]; ok {
-		c.mu.Unlock()
-		vals, err := c.wait(ctx, ref)
-		return vals, err == nil, err
-	}
-	c.misses++
-	cl := &call{done: make(chan struct{})}
-	c.inflight[id] = inflightRef{cl: cl}
-	c.mu.Unlock()
-
-	// Read outside the lock so concurrent misses of different blocks
-	// overlap their disk I/O.
-	vals, err = c.read(ctx, id)
-	c.finish([]grid.BlockID{id}, cl, [][]float32{vals}, []error{err})
-	if err != nil {
-		return nil, false, err
-	}
-	return cl.vals[0], false, nil
-}
-
 // GetBatch serves many blocks at once with per-block results: vals[i],
-// hit[i], errs[i] correspond to ids[i], with Get's hit semantics. Cached
-// blocks are returned immediately; blocks already being read by a
-// concurrent request are waited on, not re-read; the remaining misses go to
-// the backing store as one batch (offset-sorted and merged when the reader
-// implements BatchBlockReader). Duplicate ids are served one read.
+// hit[i], errs[i] correspond to ids[i]. hit[i] reports whether the block was
+// served from memory (cached, or coalesced onto a concurrent read), so
+// callers can count true backing-store reads. Cached blocks are returned
+// immediately; blocks already being read by a concurrent request are waited
+// on, not re-read; the remaining misses go to the reader's ReadBlocks as one
+// batch, bounded by ctx. Duplicate ids are served one read. The returned
+// slices are shared with the cache; callers must not modify them.
 func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]float32, hit []bool, errs []error) {
 	vals = make([][]float32, len(ids))
 	hit = make([]bool, len(ids))
@@ -376,17 +326,7 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 		for k, i := range leadIdx {
 			leadIDs[k] = ids[i]
 		}
-		var rvals [][]float32
-		var rerrs []error
-		if c.batch != nil {
-			rvals, rerrs = c.batch.ReadBlocks(ctx, leadIDs)
-		} else {
-			rvals = make([][]float32, len(leadIDs))
-			rerrs = make([]error, len(leadIDs))
-			for k, id := range leadIDs {
-				rvals[k], rerrs[k] = c.read(ctx, id)
-			}
-		}
+		rvals, rerrs := c.r.ReadBlocks(ctx, leadIDs)
 		c.finish(leadIDs, lead, rvals, rerrs)
 		for k, i := range leadIdx {
 			if rerrs[k] != nil {
@@ -422,10 +362,10 @@ func (c *MemCache) Contains(id grid.BlockID) bool {
 	return c.lvl.Contains(id)
 }
 
-// Prefetch ensures the block is cached, reading it if needed; unlike Get it
-// does not return the data and never counts as a hit or miss. A prefetch
-// that finds the block already being read (by a demand Get or another
-// prefetch) waits on that read instead of issuing its own.
+// Prefetch ensures the block is cached, reading it if needed; unlike
+// GetBatch it does not return the data and never counts as a hit or miss. A
+// prefetch that finds the block already being read (by a demand GetBatch or
+// another prefetch) waits on that read instead of issuing its own.
 func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -444,12 +384,12 @@ func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 		}
 		return ref.cl.errs[ref.k]
 	}
-	cl := &call{done: make(chan struct{})}
+	cl := &call{done: make(chan struct{}), one: [1]grid.BlockID{id}}
 	c.inflight[id] = inflightRef{cl: cl}
 	c.mu.Unlock()
-	vals, err := c.read(ctx, id)
-	c.finish([]grid.BlockID{id}, cl, [][]float32{vals}, []error{err})
-	return err
+	vals, errs := c.r.ReadBlocks(ctx, cl.one[:])
+	c.finish(cl.one[:], cl, vals, errs)
+	return errs[0]
 }
 
 // EvictWhere evicts every resident block the predicate selects, in ascending

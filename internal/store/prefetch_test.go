@@ -89,6 +89,12 @@ func (r *countingReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 	return []float32{float32(id)}, nil
 }
 
+func (r *countingReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, r.ReadBlock)
+}
+
+func (r *countingReader) RecycleBlockBuf([]float32) {}
+
 func TestPrefetcherCoalescesWithDemand(t *testing.T) {
 	const blocks = 200
 	cr := &countingReader{reads: make(map[grid.BlockID]int)}
@@ -103,8 +109,8 @@ func TestPrefetcherCoalescesWithDemand(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if vals, _, err := c.Get(ctx, id); err != nil || vals[0] != float32(id) {
-				t.Errorf("Get(%d) = %v, %v", id, vals, err)
+			if vals, _, err := getOne(ctx, c, id); err != nil || vals[0] != float32(id) {
+				t.Errorf("GetBatch(%d) = %v, %v", id, vals, err)
 			}
 		}()
 		offer(t, p, id, Issued)

@@ -56,35 +56,42 @@ type Header struct {
 	Version  int32     // on-disk format version
 }
 
-// BlockReader is the read side of a block store: BlockFile implements it
-// directly, faultio.Injector wraps one, and MemCache fronts one.
+// BlockReader is the read side of a block store, the one contract every
+// level of the real hierarchy meets: BlockFile, faultio.Injector,
+// tier.Reader and blocksvc.RemoteReader implement it, and MemCache fronts
+// one. A single read, a batch that carries the caller's context, and the
+// hand-back of buffers no longer read: a wrapper forwards all three, so
+// batching and buffer reuse reach the bottom of any stack.
 type BlockReader interface {
 	ReadBlock(id grid.BlockID) ([]float32, error)
+	BatchBlockReader
+	BlockBufRecycler
 }
 
-// ContextBlockReader is optionally implemented by readers whose reads can
-// be cut short by context cancellation (e.g. injected latency or a remote
-// backend). MemCache prefers it when available.
+// ContextBlockReader is a single read that takes a context. No product
+// reader implements it: a context travels on ReadBlocks. It stays declared
+// because the benchmark's timing wrapper in bench/ names it.
 type ContextBlockReader interface {
 	ReadBlockContext(ctx context.Context, id grid.BlockID) ([]float32, error)
 }
 
-// BatchBlockReader is optionally implemented by readers that can serve many
-// blocks in one call with per-block results: vals[i]/errs[i] correspond to
-// ids[i], and one block's failure never poisons its neighbors. BlockFile
-// implements it with offset-sorted, merged sequential reads;
-// faultio.Injector implements it by splitting the batch so per-block fault
-// semantics are preserved; MemCache prefers it for miss batches.
+// BatchBlockReader serves many blocks in one call with per-block results:
+// vals[i]/errs[i] correspond to ids[i], and one block's failure never
+// poisons its neighbors. ctx bounds the whole batch; a canceled ctx fails
+// every block. BlockFile merges adjacent blocks into sequential reads;
+// faultio.Injector splits the batch when it injects, so per-block fault
+// semantics are preserved.
 type BatchBlockReader interface {
 	ReadBlocks(ctx context.Context, ids []grid.BlockID) (vals [][]float32, errs []error)
 }
 
-// BlockBufRecycler is optionally implemented by readers that can reuse
-// previously decoded block buffers for future reads. Callers must hand back
-// only slices no longer referenced anywhere — a recycled buffer's contents
-// are overwritten by a later read. MemCache feeds it the slices of evicted
-// blocks once their owner has released them: at each MemCache.Release (every
-// ooc.Runtime Frame), or at eviction under MemCache.EnableRecycling.
+// BlockBufRecycler takes back previously decoded block buffers for reuse by
+// future reads. Callers must hand back only slices no longer referenced
+// anywhere — a recycled buffer's contents are overwritten by a later read.
+// MemCache feeds it the slices of evicted blocks once their owner has
+// released them: at each MemCache.Release (every ooc.Runtime Frame), or at
+// eviction under MemCache.EnableRecycling. A reader that pools nothing may
+// drop the buffer.
 type BlockBufRecycler interface {
 	RecycleBlockBuf([]float32)
 }
@@ -115,8 +122,6 @@ type BlockFile struct {
 }
 
 var _ BlockReader = (*BlockFile)(nil)
-var _ BatchBlockReader = (*BlockFile)(nil)
-var _ BlockBufRecycler = (*BlockFile)(nil)
 var _ faultio.Checksummer = (*BlockFile)(nil)
 
 // IOStats counts a BlockFile's read-path activity: how many blocks were
@@ -369,6 +374,15 @@ func (bf *BlockFile) decode(id grid.BlockID, raw []byte) ([]float32, error) {
 	return vals, nil
 }
 
+// checkID is the permanent fault of an id outside the file, nil for one
+// inside it.
+func (bf *BlockFile) checkID(id grid.BlockID) error {
+	if int(id) < 0 || int(id) >= bf.g.NumBlocks() {
+		return fmt.Errorf("store: block %d out of range: %w", id, faultio.ErrPermanent)
+	}
+	return nil
+}
+
 // readInPlace reads one block with one ReadAt straight into the pooled
 // buffer it returns and verifies the checksum there; a buffer that fails
 // goes back to the pool.
@@ -393,8 +407,8 @@ func (bf *BlockFile) readInPlace(id grid.BlockID) ([]float32, error) {
 // by the caller (until the caller itself recycles it). Safe for concurrent
 // use (ReadAt).
 func (bf *BlockFile) ReadBlock(id grid.BlockID) ([]float32, error) {
-	if int(id) < 0 || int(id) >= bf.g.NumBlocks() {
-		return nil, fmt.Errorf("store: block %d out of range: %w", id, faultio.ErrPermanent)
+	if err := bf.checkID(id); err != nil {
+		return nil, err
 	}
 	bf.reads.Add(1)
 	return bf.readInPlace(id)
@@ -407,8 +421,9 @@ func (bf *BlockFile) ReadBlock(id grid.BlockID) ([]float32, error) {
 // read in place like ReadBlock; only a merged run is staged, because its
 // one ReadAt feeds several buffers. vals[i]/errs[i]
 // correspond to ids[i]; checksum verification stays per block, so one
-// rotten block fails alone. ctx is checked between runs. It implements
-// BatchBlockReader.
+// rotten block fails alone. ctx is checked between runs. A batch of one id
+// (every MemCache.Prefetch) skips the ordering and is read in place. It
+// implements BatchBlockReader.
 func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
 	vals := make([][]float32, len(ids))
 	errs := make([]error, len(ids))
@@ -416,11 +431,20 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 	bf.batchBlocks.Add(int64(len(ids)))
 	bf.reads.Add(int64(len(ids)))
 
+	if len(ids) == 1 {
+		if errs[0] = bf.checkID(ids[0]); errs[0] == nil {
+			if errs[0] = ctx.Err(); errs[0] == nil {
+				bf.mergedRuns.Add(1)
+				vals[0], errs[0] = bf.readInPlace(ids[0])
+			}
+		}
+		return vals, errs
+	}
+
 	// Order requests by file offset; invalid ids fail individually.
 	order := make([]int, 0, len(ids))
 	for i, id := range ids {
-		if int(id) < 0 || int(id) >= bf.g.NumBlocks() {
-			errs[i] = fmt.Errorf("store: block %d out of range: %w", id, faultio.ErrPermanent)
+		if errs[i] = bf.checkID(id); errs[i] != nil {
 			continue
 		}
 		order = append(order, i)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/faultio"
 	"repro/internal/grid"
+	"repro/internal/testutil"
 	"repro/internal/volume"
 )
 
@@ -296,6 +297,12 @@ func TestBlockBytesPartialBlocks(t *testing.T) {
 	}
 }
 
+// getOne is GetBatch of one id.
+func getOne(ctx context.Context, c *MemCache, id grid.BlockID) ([]float32, bool, error) {
+	vals, hit, errs := c.GetBatch(ctx, []grid.BlockID{id})
+	return vals[0], hit[0], errs[0]
+}
+
 func TestMemCacheHitMiss(t *testing.T) {
 	path, _, _ := writeTestFile(t)
 	bf, err := Open(path)
@@ -309,11 +316,11 @@ func TestMemCacheHitMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := c.Get(ctx, 1); err != nil || hit {
-		t.Fatalf("cold Get: hit=%v err=%v", hit, err)
+	if _, hit, err := getOne(ctx, c, 1); err != nil || hit {
+		t.Fatalf("cold GetBatch: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.Get(ctx, 1); err != nil || !hit {
-		t.Fatalf("warm Get: hit=%v err=%v", hit, err)
+	if _, hit, err := getOne(ctx, c, 1); err != nil || !hit {
+		t.Fatalf("warm GetBatch: hit=%v err=%v", hit, err)
 	}
 	if cc := c.Counters(); cc.Hits != 1 || cc.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d", cc.Hits, cc.Misses)
@@ -330,14 +337,61 @@ func TestMemCacheContextCanceled(t *testing.T) {
 	c, _ := NewMemCache(bf, 4*bf.BlockBytes(0), cache.NewLRU())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.Get(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("Get with canceled ctx: %v", err)
+	if _, _, err := getOne(ctx, c, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("GetBatch with canceled ctx: %v", err)
 	}
 	if err := c.Prefetch(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("Prefetch with canceled ctx: %v", err)
 	}
 	if c.Len() != 0 {
 		t.Error("canceled reads populated the cache")
+	}
+}
+
+// TestSingleReadAllocations pins what one block read costs on its way to
+// the file: a prefetch miss is its in-flight call, the call's channel and
+// the reader's two result slices, no more (the parent's figure, when
+// Prefetch still called ReadBlock), and a one-id ReadBlocks is its two
+// result slices, no ordering scratch. The block's buffer comes back from
+// the recycler in both.
+func TestSingleReadAllocations(t *testing.T) {
+	path, _, _ := writeTestFile(t)
+	bf, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	c, err := NewMemCache(bf, bf.BlockBytes(0), cache.NewLRU()) // room for one block
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableRecycling()
+	ctx := context.Background()
+	id := grid.BlockID(0)
+	prefetch := func() { // each evicts the other block, whose buffer the next read reuses
+		id ^= 1
+		if err := c.Prefetch(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefetch()
+	prefetch()
+	if allocs := testing.AllocsPerRun(100, prefetch); allocs > 4 {
+		t.Errorf("a prefetch miss makes %v allocations, want at most 4", allocs)
+	}
+	if cc := c.Counters(); cc.Evictions < 100 || cc.Recycled != cc.Evictions {
+		t.Fatalf("%d evictions, %d recycled: the prefetches did not all miss", cc.Evictions, cc.Recycled)
+	}
+
+	ids := []grid.BlockID{5}
+	if allocs := testing.AllocsPerRun(100, func() {
+		vals, errs := bf.ReadBlocks(ctx, ids)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		bf.RecycleBlockBuf(vals[0])
+	}); allocs > 2 {
+		t.Errorf("a one-id ReadBlocks makes %v allocations, want at most 2", allocs)
 	}
 }
 
@@ -349,7 +403,7 @@ func TestMemCacheEviction(t *testing.T) {
 	blockBytes := bf.BlockBytes(0)
 	c, _ := NewMemCache(bf, 3*blockBytes, cache.NewLRU())
 	for id := grid.BlockID(0); id < 6; id++ {
-		if _, _, err := c.Get(ctx, id); err != nil {
+		if _, _, err := getOne(ctx, c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,12 +436,12 @@ func TestMemCachePrefetch(t *testing.T) {
 	if cc := c.Counters(); cc.Hits != 0 || cc.Misses != 0 {
 		t.Error("prefetch perturbed stats")
 	}
-	// Subsequent Get hits.
-	if _, hit, err := c.Get(ctx, 2); err != nil || !hit {
-		t.Fatalf("post-prefetch Get: hit=%v err=%v", hit, err)
+	// A GetBatch after it hits.
+	if _, hit, err := getOne(ctx, c, 2); err != nil || !hit {
+		t.Fatalf("post-prefetch GetBatch: hit=%v err=%v", hit, err)
 	}
 	if c.Counters().Hits != 1 {
-		t.Error("post-prefetch Get not a hit")
+		t.Error("post-prefetch GetBatch not a hit")
 	}
 }
 
@@ -420,7 +474,7 @@ func TestMemCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				id := grid.BlockID((seed*7 + i*13) % g.NumBlocks())
-				if _, _, err := c.Get(ctx, id); err != nil {
+				if _, _, err := getOne(ctx, c, id); err != nil {
 					errs <- err
 					return
 				}
@@ -441,9 +495,9 @@ func TestMemCacheOversizedBlockUncached(t *testing.T) {
 	path, _, _ := writeTestFile(t)
 	bf, _ := Open(path)
 	defer bf.Close()
-	// Capacity below one block: every Get succeeds but nothing caches.
+	// Capacity below one block: every GetBatch succeeds but nothing caches.
 	c, _ := NewMemCache(bf, bf.BlockBytes(0)-1, cache.NewLRU())
-	if _, _, err := c.Get(context.Background(), 0); err != nil {
+	if _, _, err := getOne(context.Background(), c, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 0 {
@@ -452,7 +506,7 @@ func TestMemCacheOversizedBlockUncached(t *testing.T) {
 }
 
 // TestMemCacheOverInjector wires the full fault stack: cache over injector
-// over file. Transient injected failures surface from Get (the retry
+// over file. Transient injected failures surface from GetBatch (the retry
 // policy lives above, in ooc), and injected latency respects ctx deadlines.
 func TestMemCacheOverInjector(t *testing.T) {
 	path, _, _ := writeTestFile(t)
@@ -463,7 +517,7 @@ func TestMemCacheOverInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = c.Get(context.Background(), 0)
+	_, _, err = getOne(context.Background(), c, 0)
 	if err == nil {
 		t.Fatal("injected failure not surfaced")
 	}
@@ -487,8 +541,14 @@ func (g *gatedReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 	return []float32{float32(id), 1, 2, 3}, nil
 }
 
+func (g *gatedReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, g.ReadBlock)
+}
+
+func (g *gatedReader) RecycleBlockBuf([]float32) {}
+
 // TestCoalescingSingleBackingRead is the acceptance test for request
-// coalescing: N concurrent requests (Get, Prefetch, and GetBatch mixed) for
+// coalescing: N concurrent requests (Prefetch and GetBatch mixed) for
 // one uncached block must cause exactly one backing-store read.
 func TestCoalescingSingleBackingRead(t *testing.T) {
 	gr := &gatedReader{entered: make(chan struct{}, 16), release: make(chan struct{})}
@@ -503,7 +563,7 @@ func TestCoalescingSingleBackingRead(t *testing.T) {
 	wg.Add(1)
 	go func() { // leader: performs the one real read
 		defer wg.Done()
-		if _, _, err := c.Get(ctx, id); err != nil {
+		if _, _, err := getOne(ctx, c, id); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -520,9 +580,9 @@ func TestCoalescingSingleBackingRead(t *testing.T) {
 			defer wg.Done()
 			switch i % 3 {
 			case 0:
-				v, hit, err := c.Get(ctx, id)
+				v, hit, err := getOne(ctx, c, id)
 				if err != nil || !hit {
-					t.Errorf("follower Get: hit=%v err=%v", hit, err)
+					t.Errorf("follower GetBatch of one: hit=%v err=%v", hit, err)
 				}
 				results[i] = v
 			case 1:
@@ -755,7 +815,7 @@ func TestRecyclingReusesEvictedBuffers(t *testing.T) {
 	ctx := context.Background()
 	for round := 0; round < 3; round++ {
 		for id := 0; id < g.NumBlocks(); id += 7 {
-			vals, _, err := c.Get(ctx, grid.BlockID(id))
+			vals, _, err := getOne(ctx, c, grid.BlockID(id))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -906,7 +966,7 @@ func TestMemCacheEvictionCallback(t *testing.T) {
 	})
 	ctx := context.Background()
 	for id := grid.BlockID(0); id < 5; id++ {
-		if _, _, err := c.Get(ctx, id); err != nil {
+		if _, _, err := getOne(ctx, c, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -925,7 +985,7 @@ func TestMemCacheEvictionCallback(t *testing.T) {
 	}
 	// nil unregisters: further evictions are silent.
 	c.OnEvict(nil)
-	if _, _, err := c.Get(ctx, 7); err != nil {
+	if _, _, err := getOne(ctx, c, 7); err != nil {
 		t.Fatal(err)
 	}
 	if len(evicted) != len(want) {
@@ -939,6 +999,9 @@ type recyclingReader struct{ got [][]float32 }
 
 func (r *recyclingReader) ReadBlock(grid.BlockID) ([]float32, error) { return make([]float32, 4), nil }
 func (r *recyclingReader) RecycleBlockBuf(v []float32)               { r.got = append(r.got, v) }
+func (r *recyclingReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, r.ReadBlock)
+}
 
 // TestReleaseRetiresEvictedBuffers pins the owner's release: a buffer
 // evicted while its slice is handed out reaches the reader's pool only at
@@ -953,7 +1016,7 @@ func TestReleaseRetiresEvictedBuffers(t *testing.T) {
 	ctx := context.Background()
 	get := func(id grid.BlockID) []float32 {
 		t.Helper()
-		vals, _, err := c.Get(ctx, id)
+		vals, _, err := getOne(ctx, c, id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,8 +123,8 @@ func runMemCache(t *testing.T, pol cache.Policy, capBlocks int64) outcome {
 	ctx := context.Background()
 	for _, id := range parityTrace {
 		before := c.Counters().Hits
-		if _, _, err := c.Get(ctx, id); err != nil {
-			t.Fatal(err)
+		if _, _, errs := c.GetBatch(ctx, []grid.BlockID{id}); errs[0] != nil {
+			t.Fatal(errs[0])
 		}
 		out.hits = append(out.hits, c.Counters().Hits > before)
 	}

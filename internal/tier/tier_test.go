@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -563,6 +564,9 @@ type recycleSink struct{ got [][]float32 }
 
 func (s *recycleSink) ReadBlock(grid.BlockID) ([]float32, error) { return nil, os.ErrNotExist }
 func (s *recycleSink) RecycleBlockBuf(v []float32)               { s.got = append(s.got, v) }
+func (s *recycleSink) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	return testutil.ReadEach(ctx, ids, s.ReadBlock)
+}
 
 // A spill hit is read into the buffer the DRAM cache recycled instead of
 // allocating, the header scratch and the file's descriptor are reused too,

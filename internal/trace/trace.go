@@ -6,12 +6,6 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-
 	"repro/internal/cache"
 	"repro/internal/grid"
 )
@@ -59,58 +53,6 @@ func (t *Trace) UniqueBlocks() int {
 		}
 	}
 	return len(seen)
-}
-
-// Write serializes the trace as text: one line per view point with
-// space-separated block IDs (empty line for an empty view point).
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, group := range t.Requests {
-		for i, id := range group {
-			if i > 0 {
-				if _, err := bw.WriteString(" "); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.Itoa(int(id))); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read parses a trace written by Write.
-func Read(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			t.Requests = append(t.Requests, nil)
-			continue
-		}
-		fields := strings.Fields(text)
-		group := make([]grid.BlockID, 0, len(fields))
-		for _, f := range fields {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: %v", line, err)
-			}
-			group = append(group, grid.BlockID(v))
-		}
-		t.Requests = append(t.Requests, group)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // ReplayResult summarizes a trace replay against a single-level cache.

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -48,37 +46,6 @@ func TestAppendCopies(t *testing.T) {
 	ids[0] = 99
 	if tr.Requests[0][0] != 1 {
 		t.Error("Append aliased caller slice")
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := sampleTrace()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Steps() != tr.Steps() {
-		t.Fatalf("Steps = %d, want %d", back.Steps(), tr.Steps())
-	}
-	for i := range tr.Requests {
-		if len(back.Requests[i]) != len(tr.Requests[i]) {
-			t.Fatalf("step %d: %v vs %v", i, back.Requests[i], tr.Requests[i])
-		}
-		for j := range tr.Requests[i] {
-			if back.Requests[i][j] != tr.Requests[i][j] {
-				t.Fatalf("step %d mismatch", i)
-			}
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("1 2 x\n")); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 
