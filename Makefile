@@ -19,7 +19,7 @@ FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... 
 # semaphore's cancel/grant race.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestIdleConnToMuteServerDropped|TestIdleConnSurvivesHeartbeats|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads|TestByteSem'
 
-.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke fuzz-kernel repro-check bench bench-all bench-smoke bench-check
 
 check: vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
@@ -199,3 +199,12 @@ bench-check:
 # decoder change that panics on a known-interesting input fails the gate.
 fuzz-smoke:
 	$(GO) test -run='^Fuzz' $(FUZZ_PKGS)
+
+# fuzz-kernel fuzzes the visible-set kernel against its flat-scan oracle
+# (FuzzVisibleSetEqualsOracle) for FUZZTIME, and prints the exec count as the
+# fuzzer's last status line. It is not part of check. An input that fails is
+# written under internal/visibility/testdata/fuzz/, where fuzz-smoke replays
+# it from then on: commit it with the fix.
+FUZZTIME ?= 2m
+fuzz-kernel:
+	$(GO) test -run='^$$' -fuzz='^FuzzVisibleSetEqualsOracle$$' -fuzztime=$(FUZZTIME) ./internal/visibility/

@@ -88,6 +88,8 @@ type svcOpts struct {
 	cacheBytes int64
 	// count wraps the backing file in a countingReader.
 	count bool
+	// wrap wraps the backing reader (after count, before inject).
+	wrap func(store.BlockReader) store.BlockReader
 	// prefetch enables server-side view-driven prefetch.
 	prefetch bool
 	// corrupt flips one on-disk byte of this block before the file is opened.
@@ -185,6 +187,9 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	if o.count {
 		f.count = newCountingReader(bf)
 		reader = f.count
+	}
+	if o.wrap != nil {
+		reader = o.wrap(reader)
 	}
 	if o.inject != nil {
 		f.inj = faultio.NewInjector(reader, *o.inject)
@@ -828,6 +833,74 @@ func TestEndToEndTwoSessionsSharedCache(t *testing.T) {
 // TestRemoteTransientFaultsDegradeFrames: with the server's storage failing
 // transiently most of the time and retries too few to absorb it all, frames
 // must come back degraded — never as frame-level errors.
+// gateReader holds every batch read at a gate until release is closed, or
+// until the read's own ctx ends, which fails it with the ctx's error.
+type gateReader struct {
+	store.BlockReader
+	entered chan struct{} // one signal per batch read reaching the gate
+	release chan struct{}
+}
+
+func (g *gateReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+	}
+	return g.BlockReader.ReadBlocks(ctx, ids)
+}
+
+// TestCanceledSessionSparesSharedRead: two sessions read one block through
+// the server's shared cache, the second joining the first's read while it
+// waits at the gate. The first session ends mid-read — its client closes, so
+// the server cancels its requests. The second session's read must still
+// return the block's voxels, with no fault answered for it: the shared read
+// belongs to the cache, not to the session that started it.
+func TestCanceledSessionSparesSharedRead(t *testing.T) {
+	gate := &gateReader{entered: make(chan struct{}, 4), release: make(chan struct{})}
+	f := startService(t, svcOpts{wrap: func(r store.BlockReader) store.BlockReader {
+		gate.BlockReader = r
+		return gate
+	}})
+	a, b := dialService(t, f, 1), dialService(t, f, 1)
+	const id = grid.BlockID(5)
+
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := readOne(context.Background(), a, id)
+		aDone <- err
+	}()
+	<-gate.entered // session A's read holds the block in flight
+
+	type result struct {
+		vals []float32
+		err  error
+	}
+	bDone := make(chan result, 1)
+	go func() {
+		v, err := readOne(context.Background(), b, id)
+		bDone <- result{v, err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let session B's request join the read
+	a.Close()
+	<-aDone
+	var got result
+	select {
+	case <-gate.entered: // B's request reads the block again
+		close(gate.release)
+		got = <-bDone
+	case got = <-bDone:
+		close(gate.release)
+	}
+	if got.err != nil {
+		t.Fatalf("session B: %v", got.err)
+	}
+	assertBlock(t, f, id, got.vals)
+	if st := b.Snapshot(); st.RemoteFaults != 0 {
+		t.Errorf("session B was answered %d faults", st.RemoteFaults)
+	}
+}
+
 func TestRemoteTransientFaultsDegradeFrames(t *testing.T) {
 	f := startService(t, svcOpts{
 		inject:     &faultio.InjectorConfig{Seed: 7, FailRate: 0.6},

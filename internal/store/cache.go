@@ -13,6 +13,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -185,21 +186,63 @@ func (c *MemCache) OnEvict(fn func(id grid.BlockID, vals []float32)) {
 }
 
 // wait blocks until the shared call completes or ctx is done, counting a
-// successful shared result as a coalesced hit.
-func (c *MemCache) wait(ctx context.Context, ref inflightRef) ([]float32, error) {
+// successful shared result (demand) as a coalesced hit. again reports a
+// call that failed on its leader's ctx while ctx is live: that error is not
+// the caller's, and the caller takes the block up again (load).
+func (c *MemCache) wait(ctx context.Context, ref inflightRef, demand bool) (vals []float32, again bool, err error) {
 	select {
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, false, ctx.Err()
 	case <-ref.cl.done:
 	}
 	if err := ref.cl.errs[ref.k]; err != nil {
-		return nil, err
+		foreign := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+		return nil, foreign && ctx.Err() == nil, err
 	}
-	c.mu.Lock()
-	c.hits++
-	c.coalesced++
-	c.mu.Unlock()
-	return ref.cl.vals[ref.k], nil
+	if demand {
+		c.mu.Lock()
+		c.hits++
+		c.coalesced++
+		c.mu.Unlock()
+	}
+	return ref.cl.vals[ref.k], false, nil
+}
+
+// load serves one block: from memory, by joining the read in flight, or by
+// reading it as the leader. A demand load counts as a hit or a miss and
+// touches the policy; a prefetch (!demand) does neither and returns no
+// voxels. hit reports a block served from memory.
+func (c *MemCache) load(ctx context.Context, id grid.BlockID, demand bool) (vals []float32, hit bool, err error) {
+	for {
+		c.mu.Lock()
+		if demand {
+			if e, ok := c.lvl.Get(id); ok {
+				c.hits++
+				c.mu.Unlock()
+				return e.Vals, true, nil
+			}
+		} else if c.lvl.Contains(id) {
+			c.mu.Unlock()
+			return nil, true, nil
+		}
+		if ref, ok := c.inflight[id]; ok {
+			c.mu.Unlock()
+			vals, again, err := c.wait(ctx, ref, demand)
+			if !again {
+				return vals, err == nil, err
+			}
+			continue
+		}
+		if demand {
+			c.misses++
+		}
+		cl := &call{done: make(chan struct{}), one: [1]grid.BlockID{id}}
+		c.inflight[id] = inflightRef{cl: cl}
+		c.mu.Unlock()
+		rvals, rerrs := c.r.ReadBlocks(ctx, cl.one[:])
+		c.finish(cl.one[:], cl, rvals, rerrs)
+		return rvals[0], false, rerrs[0]
+	}
 }
 
 // finish resolves a leader's in-flight call for all its blocks under one
@@ -339,7 +382,11 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 
 	// Join reads initiated by concurrent callers.
 	for i, ref := range waiters {
-		v, err := c.wait(ctx, ref)
+		v, again, err := c.wait(ctx, ref, true)
+		if again {
+			vals[i], hit[i], errs[i] = c.load(ctx, ids[i], true)
+			continue
+		}
 		vals[i], errs[i] = v, err
 		hit[i] = err == nil
 	}
@@ -365,31 +412,15 @@ func (c *MemCache) Contains(id grid.BlockID) bool {
 // Prefetch ensures the block is cached, reading it if needed; unlike
 // GetBatch it does not return the data and never counts as a hit or miss. A
 // prefetch that finds the block already being read (by a demand GetBatch or
-// another prefetch) waits on that read instead of issuing its own.
+// another prefetch) waits on that read instead of issuing its own. A waiter,
+// here or in GetBatch, whose own ctx is live never returns the ctx error of
+// the read it joined: it takes the block up again.
 func (c *MemCache) Prefetch(ctx context.Context, id grid.BlockID) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	if c.lvl.Contains(id) {
-		c.mu.Unlock()
-		return nil
-	}
-	if ref, ok := c.inflight[id]; ok {
-		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ref.cl.done:
-		}
-		return ref.cl.errs[ref.k]
-	}
-	cl := &call{done: make(chan struct{}), one: [1]grid.BlockID{id}}
-	c.inflight[id] = inflightRef{cl: cl}
-	c.mu.Unlock()
-	vals, errs := c.r.ReadBlocks(ctx, cl.one[:])
-	c.finish(cl.one[:], cl, vals, errs)
-	return errs[0]
+	_, _, err := c.load(ctx, id, false)
+	return err
 }
 
 // EvictWhere evicts every resident block the predicate selects, in ascending

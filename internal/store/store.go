@@ -111,10 +111,10 @@ type BlockFile struct {
 	staging sync.Pool // *[]byte staging of merged runs, reused across reads
 	bufs    BufPool   // recycled decode buffers (fed via RecycleBlockBuf)
 
-	reads       atomic.Int64 // blocks served (single + batched)
+	reads       atomic.Int64 // blocks read (single + batched)
 	batches     atomic.Int64 // ReadBlocks calls
 	mergedRuns  atomic.Int64 // ReadAt calls issued by ReadBlocks
-	batchBlocks atomic.Int64 // blocks served through ReadBlocks
+	batchBlocks atomic.Int64 // blocks read through ReadBlocks
 	stagingGets atomic.Int64 // staging-buffer requests
 	stagingNews atomic.Int64 // staging requests that had to allocate
 	bufGets     atomic.Int64 // decode-buffer requests
@@ -128,10 +128,10 @@ var _ faultio.Checksummer = (*BlockFile)(nil)
 // served, how batching merged them into sequential runs, and how often the
 // staging and decode buffer pools avoided an allocation.
 type IOStats struct {
-	Reads       int64 // blocks served, single and batched
+	Reads       int64 // blocks read, single and batched: a ReadAt was issued for each
 	Batches     int64 // ReadBlocks calls
 	MergedRuns  int64 // physical ReadAt calls those batches issued
-	BatchBlocks int64 // blocks served through ReadBlocks
+	BatchBlocks int64 // blocks read through ReadBlocks; an id out of range or past a canceled ctx is not
 	StagingGets int64 // staging ([]byte) buffer requests: one per merged run of 2+ blocks
 	StagingNews int64 // staging requests that allocated fresh memory
 	BufGets     int64 // decode ([]float32) buffer requests
@@ -428,13 +428,11 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 	vals := make([][]float32, len(ids))
 	errs := make([]error, len(ids))
 	bf.batches.Add(1)
-	bf.batchBlocks.Add(int64(len(ids)))
-	bf.reads.Add(int64(len(ids)))
 
 	if len(ids) == 1 {
 		if errs[0] = bf.checkID(ids[0]); errs[0] == nil {
 			if errs[0] = ctx.Err(); errs[0] == nil {
-				bf.mergedRuns.Add(1)
+				bf.countRun(1)
 				vals[0], errs[0] = bf.readInPlace(ids[0])
 			}
 		}
@@ -477,7 +475,7 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 			runBytes = grown
 			runEnd++
 		}
-		bf.mergedRuns.Add(1)
+		bf.countRun(runEnd - runStart)
 		if runEnd == runStart+1 {
 			i := order[runStart]
 			vals[i], errs[i] = bf.readInPlace(ids[i])
@@ -501,6 +499,15 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 		runStart = runEnd
 	}
 	return vals, errs
+}
+
+// countRun counts one ReadAt issued by ReadBlocks for n blocks. Blocks a
+// batch never reads — out of range, or left when its ctx ends — are not
+// counted as read.
+func (bf *BlockFile) countRun(n int) {
+	bf.mergedRuns.Add(1)
+	bf.batchBlocks.Add(int64(n))
+	bf.reads.Add(int64(n))
 }
 
 // Close closes the underlying file.

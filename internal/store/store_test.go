@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -612,6 +613,136 @@ func TestCoalescingSingleBackingRead(t *testing.T) {
 	}
 	if co := c.Counters().Coalesced; co == 0 {
 		t.Error("no coalesced requests recorded")
+	}
+}
+
+// ctxGatedReader is a BlockFile whose batch reads wait at a gate: until
+// release is closed, or until the read's own ctx ends, which fails it with
+// the ctx's error as a reader does.
+type ctxGatedReader struct {
+	*BlockFile
+	entered chan struct{} // one signal per batch read reaching the gate
+	release chan struct{}
+}
+
+func (g *ctxGatedReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	g.entered <- struct{}{}
+	select {
+	case <-g.release:
+		return g.BlockFile.ReadBlocks(ctx, ids)
+	case <-ctx.Done():
+		return testutil.ReadEach(ctx, ids, g.BlockFile.ReadBlock)
+	}
+}
+
+// TestFollowerOutlivesLeaderCancel: a read shared through the cache belongs
+// to the cache, not to the caller that started it. The leader's GetBatch is
+// canceled while its read waits at the gate; a follower under
+// context.Background() — a demand GetBatch, or a Prefetch — must still get
+// the block's voxels, by reading it again, and not the leader's
+// context.Canceled, which faultio.Retryable would take as final.
+func TestFollowerOutlivesLeaderCancel(t *testing.T) {
+	path, _, _ := writeTestFile(t)
+	bf, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	const id = grid.BlockID(3)
+	want, err := bf.ReadBlock(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, follower := range []string{"GetBatch", "Prefetch"} {
+		t.Run(follower, func(t *testing.T) {
+			gr := &ctxGatedReader{BlockFile: bf, entered: make(chan struct{}, 4), release: make(chan struct{})}
+			c, err := NewMemCache(gr, 1<<20, cache.NewLRU())
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaderCtx, cancel := context.WithCancel(context.Background())
+			leader := make(chan error, 1)
+			go func() {
+				_, _, err := getOne(leaderCtx, c, id)
+				leader <- err
+			}()
+			<-gr.entered // the leader's read holds block 3 in flight
+
+			type result struct {
+				vals []float32
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				if follower == "GetBatch" {
+					v, _, err := getOne(context.Background(), c, id)
+					done <- result{v, err}
+					return
+				}
+				err := c.Prefetch(context.Background(), id)
+				v, _ := c.GetCached(id)
+				done <- result{v, err}
+			}()
+			// Let the follower join the read in flight. A follower that
+			// arrives late reads the block itself and passes without
+			// testing the rule, never failing a correct cache.
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			if err := <-leader; !errors.Is(err, context.Canceled) {
+				t.Fatalf("leader: %v, want context.Canceled", err)
+			}
+			var got result
+			select {
+			case <-gr.entered: // the follower reads the block again
+				close(gr.release)
+				got = <-done
+			case got = <-done:
+				close(gr.release)
+			}
+			if got.err != nil {
+				t.Fatalf("follower %s: %v", follower, got.err)
+			}
+			if !slices.Equal(got.vals, want) {
+				t.Fatalf("follower %s: voxels differ from the block's", follower)
+			}
+		})
+	}
+}
+
+// TestIOStatsCountOnlyBlocksRead: a batch that reads nothing — its ctx
+// canceled, or its ids out of range — adds nothing to the blocks read.
+func TestIOStatsCountOnlyBlocksRead(t *testing.T) {
+	path, _, g := writeTestFile(t)
+	bf, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bf.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n := grid.BlockID(g.NumBlocks())
+	for _, batch := range []struct {
+		ctx context.Context
+		ids []grid.BlockID
+	}{
+		{ctx, []grid.BlockID{0, 1, 2}},
+		{context.Background(), []grid.BlockID{n, n + 1}},
+	} {
+		before := bf.IOStats()
+		if _, errs := bf.ReadBlocks(batch.ctx, batch.ids); errs[0] == nil {
+			t.Fatalf("batch %v: read", batch.ids)
+		}
+		after := bf.IOStats()
+		if after.Reads != before.Reads || after.BatchBlocks != before.BatchBlocks {
+			t.Errorf("batch %v read nothing, counted Reads +%d, BatchBlocks +%d", batch.ids,
+				after.Reads-before.Reads, after.BatchBlocks-before.BatchBlocks)
+		}
+	}
+	if _, errs := bf.ReadBlocks(context.Background(), []grid.BlockID{0, 1, n}); errs[0] != nil || errs[2] == nil {
+		t.Fatalf("mixed batch: %v", errs)
+	}
+	if st := bf.IOStats(); st.Reads != 2 || st.BatchBlocks != 2 {
+		t.Errorf("after a batch of two blocks and a bad id: Reads %d, BatchBlocks %d, want 2 and 2", st.Reads, st.BatchBlocks)
 	}
 }
 

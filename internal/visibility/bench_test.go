@@ -14,18 +14,38 @@ import (
 // 16³- or 8³-voxel blocks (512, 4 096 or 32 768 of them), a 10° frustum,
 // and the 5° spherical orbit at distance 3 — one camera per iteration, so a
 // number is the mean over the views a session meets, not one fixed view.
+// The kernel benchmarks also run on the viewer's grid (benchViewer).
 const benchViewDeg = 10
 
 var benchOrbit = camera.Spherical(3, 5, 360).Steps
 
-func benchGrid(b *testing.B, blocks int) *grid.Grid {
+// benchViewer stands for the viewer's grid in benchGrid: 256³ voxels in
+// 24×24×16-voxel blocks, 11×11×16 of them, the last x and y blocks ragged.
+// Its x rows are 12 lattice points long, so a cost paid once per row weighs
+// more there than on the cubic grids.
+const benchViewer = -1
+
+func benchGrid(b testing.TB, blocks int) *grid.Grid {
 	b.Helper()
-	edge := map[int]int{512: 32, 4096: 16, 32768: 8}[blocks]
-	g, err := grid.New(grid.Dims{X: 256, Y: 256, Z: 256}, grid.Dims{X: edge, Y: edge, Z: edge})
+	block := grid.Dims{X: 24, Y: 24, Z: 16}
+	if blocks != benchViewer {
+		edge := map[int]int{512: 32, 4096: 16, 32768: 8}[blocks]
+		block = grid.Dims{X: edge, Y: edge, Z: edge}
+	}
+	g, err := grid.New(grid.Dims{X: 256, Y: 256, Z: 256}, block)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return g
+}
+
+// benchName names a sub-benchmark by its block count, the viewer's grid
+// as "viewer".
+func benchName(blocks int) string {
+	if blocks == benchViewer {
+		return "viewer"
+	}
+	return fmt.Sprint(blocks)
 }
 
 // benchTableOpts is bench/'s T_visible: 32 × 16 × 3 = 1 536 keys, r = 0.3.
@@ -51,8 +71,8 @@ func BenchmarkBlockVisible(b *testing.B) {
 }
 
 func BenchmarkVisibleSet(b *testing.B) {
-	for _, blocks := range []int{512, 4096, 32768} {
-		b.Run(fmt.Sprint(blocks), func(b *testing.B) {
+	for _, blocks := range []int{512, 4096, 32768, benchViewer} {
+		b.Run(benchName(blocks), func(b *testing.B) {
 			g := benchGrid(b, blocks)
 			theta := vec.Radians(benchViewDeg)
 			b.ReportAllocs()
@@ -65,8 +85,8 @@ func BenchmarkVisibleSet(b *testing.B) {
 }
 
 func BenchmarkDilatedVisibleSet(b *testing.B) {
-	for _, blocks := range []int{512, 32768} {
-		b.Run(fmt.Sprint(blocks), func(b *testing.B) {
+	for _, blocks := range []int{512, 32768, benchViewer} {
+		b.Run(benchName(blocks), func(b *testing.B) {
 			g := benchGrid(b, blocks)
 			theta := vec.Radians(benchViewDeg)
 			b.ReportAllocs()

@@ -95,6 +95,40 @@ func TestKernelEqualsFlatScan(t *testing.T) {
 	}
 }
 
+// TestWideRowsEqualFlatScan holds the kernel to the flat scans on rows
+// longer than one bitmap word: 64 blocks (65 lattice points, so the last
+// point spills into a second word that holds no block), 65, and 200. On the
+// widest, one camera sits just inside block 128, past the origin, so the
+// dilated camera-inside box runs from block 127 across a word boundary to
+// blocks behind the camera that no corner brings in.
+func TestWideRowsEqualFlatScan(t *testing.T) {
+	rng := field.NewRand(29)
+	for _, nx := range []int{64, 65, 200} {
+		g := mustGrid(t, grid.Dims{X: 2 * nx, Y: 6, Z: 5}, grid.Dims{X: 2, Y: 3, Z: 2})
+		if nx > 128 {
+			lo, hi := g.WorldBounds(g.ID(128, 1, 1))
+			mid := lo.Add(hi).Scale(0.5)
+			pos, r := vec.New(lo.X+(hi.X-lo.X)/4, mid.Y, mid.Z), hi.X-lo.X
+			if got, want := DilatedVisibleSet(g, pos, vec.Radians(10), r), flatDilatedVisibleSet(g, pos, vec.Radians(10), r); !slices.Equal(got, want) {
+				t.Fatalf("grid %v, inside block 128: DilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), got, want)
+			}
+		}
+		for _, pos := range kernelCameras(g, rng) {
+			for _, theta := range []float64{vec.Radians(1), vec.Radians(10), vec.Radians(120), math.Pi} {
+				if got, want := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta}), flatVisibleSet(g, pos, theta); !slices.Equal(got, want) {
+					t.Fatalf("grid %v pos %v θ=%g: VisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, got, want)
+				}
+				if got, want := DilatedVisibleSet(g, pos, theta, 0.3), flatDilatedVisibleSet(g, pos, theta, 0.3); !slices.Equal(got, want) {
+					t.Fatalf("grid %v pos %v θ=%g: DilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, got, want)
+				}
+			}
+			if got, want := VicinalUnion(g, pos, vec.Radians(10), 0.3, 5), flatVicinalUnion(g, pos, vec.Radians(10), 0.3, 5); !slices.Equal(got, want) {
+				t.Fatalf("grid %v pos %v: VicinalUnion %v, flat scan %v", g.BlocksPerAxis(), pos, got, want)
+			}
+		}
+	}
+}
+
 // TestOriginCameraSeesEverything pins the degenerate case by value, not only
 // against the oracle: AngleBetween defines the zero vector's angle as 0.
 func TestOriginCameraSeesEverything(t *testing.T) {
@@ -210,6 +244,85 @@ func TestGuardBandIsRarelyEntered(t *testing.T) {
 	}
 	if fallbacks*1000 >= points {
 		t.Errorf("%d of %d lattice points went to the predicate, want < 0.1%%", fallbacks, points)
+	}
+}
+
+// TestRowRangeHoldsEverySeenPoint is the row ranges' contract, checked
+// apart from the decisions inside them: on every lattice row, each point the
+// per-point predicate calls seen lies in the row's range — plain, dilated
+// and vicinal cones alike, over the grids, apexes, angles and radii the
+// kernel is held to the flat scan on. The scan out is checked from every
+// start on the row too, since where it starts must set only its cost.
+func TestRowRangeHoldsEverySeenPoint(t *testing.T) {
+	rng := field.NewRand(23)
+	check := func(g *grid.Grid, c cone) {
+		t.Helper()
+		l := newLattice(g)
+		defer l.release()
+		na := c.pos.Norm()
+		rc := newRowCone(c, na)
+		for _, z := range l.zs {
+			for _, y := range l.ys {
+				ranges := [][2]int{}
+				lo, hi := rc.span(l.xs, y, z)
+				ranges = append(ranges, [2]int{lo, hi})
+				if !rc.whole {
+					rho2, w := rc.row(y, z)
+					for seed := range l.xs {
+						lo, hi := rc.scan(l.xs, rho2, w, seed)
+						ranges = append(ranges, [2]int{lo, hi})
+					}
+				}
+				for i, x := range l.xs {
+					p := vec.V3{X: x, Y: y, Z: z}
+					seen := CornerVisible(c.pos, p, c.theta)
+					if c.dilated {
+						seen = dilatedCornerVisible(c.pos, p, c.theta, c.r)
+					}
+					for _, r := range ranges {
+						if seen && (i < r[0] || i >= r[1]) {
+							t.Fatalf("grid %v %+v: point %v seen, outside its row's range %v", g.BlocksPerAxis(), c, p, r)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, g := range kernelGrids(t) {
+		for _, pos := range kernelCameras(g, rng) {
+			for _, theta := range kernelThetas {
+				check(g, cone{pos: pos, theta: theta})
+				for _, r := range kernelRadii {
+					check(g, cone{pos: pos, theta: theta, r: r, dilated: true})
+					for _, c := range vicinalCones(pos, theta, r, 5) {
+						check(g, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowRangesDecideFewPoints pins the work, not only the answer: over the
+// 5° orbit the benchmarks fly, the plain kernel decides at most a quarter of
+// the lattice points, on the cubic grids and on the viewer's, so a slide
+// back toward deciding every point fails here.
+func TestRowRangesDecideFewPoints(t *testing.T) {
+	theta := vec.Radians(benchViewDeg)
+	for _, blocks := range []int{4096, 32768, benchViewer} {
+		g := benchGrid(t, blocks)
+		points, decided := 0, 0
+		for _, pos := range benchOrbit {
+			l := newLattice(g)
+			l.mark(cone{pos: pos, theta: theta})
+			points += len(l.xs) * len(l.ys) * len(l.zs)
+			decided += l.decided
+			l.release()
+		}
+		t.Logf("%s: %d of %d lattice points decided (%.1f%%)", benchName(blocks), decided, points, 100*float64(decided)/float64(points))
+		if decided*4 > points {
+			t.Errorf("%s: %d of %d lattice points decided, want at most a quarter", benchName(blocks), decided, points)
+		}
 	}
 }
 
