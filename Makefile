@@ -12,7 +12,7 @@ RACE_PKGS := ./internal/policy/... ./internal/store/... ./internal/ooc/... ./int
 BENCH_PKGS := ./internal/policy/... ./internal/ooc/... ./internal/store/... ./internal/blocksvc/... ./internal/tier/... ./internal/shard/... ./internal/camera/... ./internal/visibility/... ./internal/cache/... ./internal/memhier/...
 
 # Packages with fuzz targets; fuzz-smoke replays their seed corpora.
-FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/entropy/... ./internal/shard/... ./internal/camera/... ./internal/f32le/...
+FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... ./internal/tier/... ./internal/visibility/... ./internal/cache/... ./internal/shard/... ./internal/camera/... ./internal/f32le/...
 
 # The lifecycle/failure-model suite: failover, drain, heartbeats, breaker,
 # the two-replica network-chaos end-to-end run, and the admission

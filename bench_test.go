@@ -56,7 +56,7 @@ func BenchmarkEntropyBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkVisibilityTableKey measures one lazy T_visible key
+// BenchmarkVisibilityTableKey measures one T_visible key
 // materialization (vicinal dilated visible set).
 func BenchmarkVisibilityTableKey(b *testing.B) {
 	_, g := benchGrid(b)
@@ -65,7 +65,6 @@ func BenchmarkVisibilityTableKey(b *testing.B) {
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(10),
 		Radius:    radius.Fixed(0.2),
-		Lazy:      true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -84,7 +83,6 @@ func BenchmarkNearestKey(b *testing.B) {
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(10),
 		Radius:    radius.Fixed(0.2),
-		Lazy:      true,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -79,7 +79,6 @@ func TestDebugEndpointLiveMetrics(t *testing.T) {
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(20),
 		Radius:    radius.Fixed(0.3),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

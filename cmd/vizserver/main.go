@@ -251,7 +251,6 @@ func tableOptions(theta, cacheFrac float64) visibility.Options {
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: theta,
 		Radius:    radius.Dynamic{Ratio: cacheFrac, Min: 0.15},
-		Lazy:      true,
 	}
 }
 

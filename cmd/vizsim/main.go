@@ -329,7 +329,6 @@ func runRealIO(ds *volume.Dataset, g *grid.Grid, p camera.Path, theta float64,
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: theta,
 		Radius:    radius.Dynamic{Ratio: cacheFrac, Min: 0.15},
-		Lazy:      true,
 	})
 	if err != nil {
 		return err

@@ -72,5 +72,5 @@ func main() {
 		fmt.Printf("  %-6s miss rate %.4f (%d misses)\n", r.Policy, r.MissRate(), r.Misses)
 	}
 	fmt.Println("\nBelady needs the future; the app-aware policy approaches it using")
-	fmt.Println("only the precomputed T_visible and T_important tables.")
+	fmt.Println("only the T_visible and T_important tables.")
 }

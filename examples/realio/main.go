@@ -87,7 +87,6 @@ func main() {
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(10),
 		Radius:    radius.Dynamic{Ratio: cacheFrac, Min: 0.15},
-		Lazy:      true,
 	})
 	if err != nil {
 		log.Fatal(err)

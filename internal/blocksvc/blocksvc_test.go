@@ -222,7 +222,7 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	return f
 }
 
-// prefetchTables builds the entropy table and the lazy T_visible table
+// prefetchTables builds the entropy table and the T_visible table
 // (20° view, fixed vicinal radius visRadius, 0.3 when 0) that the fixtures'
 // prefetch planners read.
 func prefetchTables(t testing.TB, ds *volume.Dataset, g *grid.Grid, visRadius float64) (*entropy.Table, *visibility.Table) {
@@ -235,7 +235,6 @@ func prefetchTables(t testing.TB, ds *volume.Dataset, g *grid.Grid, visRadius fl
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(20),
 		Radius:    radius.Fixed(visRadius),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,6 @@ func startCluster(t testing.TB, ids []string, mutate func(*Config)) *clusterFixt
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(20),
 		Radius:    radius.Fixed(0.3),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

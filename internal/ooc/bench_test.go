@@ -44,7 +44,6 @@ func benchFixture(b *testing.B, cacheFrac float64) (*store.MemCache, *grid.Grid,
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(10),
 		Radius:    radius.Fixed(0.2),
-		Lazy:      true,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -72,7 +72,6 @@ func newFaultFixture(t *testing.T, cacheBlocks int64, cfg *faultio.InjectorConfi
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(20),
 		Radius:    radius.Fixed(0.3),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ package policy
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -92,9 +91,7 @@ type candidate struct {
 }
 
 // NewPlanner binds the decisions to T_visible, T_important and σ; the tables
-// must refer to one block grid. Keys T_visible has already materialized (all
-// of them in an eager or a loaded table) are ranked here, in parallel; the
-// rest on their first Prefetch.
+// must refer to one block grid. Each key is ranked on its first Prefetch.
 func NewPlanner(vis *visibility.Table, imp *entropy.Table, sigma float64) (*Planner, error) {
 	if vis == nil || imp == nil {
 		return nil, fmt.Errorf("policy: the planner needs T_visible and T_important")
@@ -115,20 +112,6 @@ func NewPlanner(vis *visibility.Table, imp *entropy.Table, sigma float64) (*Plan
 	for i := range p.lastUse {
 		p.lastUse[i] = -1
 	}
-	var next atomic.Int64 // the next key nobody has claimed
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := next.Add(1) - 1; k < int64(len(p.ranked)); k = next.Add(1) - 1 {
-				if vis.Materialized(int(k)) {
-					p.rankedList(int(k))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return p, nil
 }
 
@@ -216,7 +199,7 @@ func (p *Planner) rankedList(key int) []grid.BlockID {
 
 // rank returns key's σ-qualified predicted blocks in an exactly sized list,
 // nearest the key's view axis first, then by entropy descending, then by ID.
-// An unmaterialized key's set is computed into s and not kept by T_visible:
+// A key's set not memoized by T_visible is computed into s and not kept:
 // the list is all that remains of it.
 func (p *Planner) rank(key int, s *rankScratch) []grid.BlockID {
 	keyPos, g := p.vis.KeyPos(key), p.vis.Grid()

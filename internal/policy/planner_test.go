@@ -84,17 +84,15 @@ type kindTable struct {
 }
 
 // tableKinds returns T_visible over g with opts in every form the planner
-// reads, in a fixed order: lazy, eager (ranked when the planner is built),
-// lazy with exact vicinal samples, and lazy under an importance clamp (imp
-// ranks it).
+// reads, in a fixed order: plain, with exact vicinal samples, and under an
+// importance clamp (imp ranks it).
 func tableKinds(t testing.TB, g *grid.Grid, opts visibility.Options, imp *entropy.Table) []kindTable {
 	t.Helper()
-	eager, vicinal, clamp := opts, opts, opts
-	eager.Lazy = false
+	vicinal, clamp := opts, opts
 	vicinal.VicinalSamples = 6
 	clamp.Clamp = &visibility.Clamp{Importance: imp, MaxBlocks: 120}
-	tables := []kindTable{{kind: "lazy"}, {kind: "eager"}, {kind: "vicinal"}, {kind: "clamp"}}
-	for i, o := range []visibility.Options{opts, eager, vicinal, clamp} {
+	tables := []kindTable{{kind: "plain"}, {kind: "vicinal"}, {kind: "clamp"}}
+	for i, o := range []visibility.Options{opts, vicinal, clamp} {
 		var err error
 		if tables[i].vis, err = visibility.NewTable(g, o); err != nil {
 			t.Fatal(err)
@@ -121,7 +119,7 @@ type fixture struct {
 }
 
 // newFixture builds a 64³ ball in 8³ blocks of 8³ voxels, its T_important
-// and a small lazy T_visible.
+// and a small T_visible.
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	ds := volume.Ball().Scale(1.0 / 16)
@@ -134,7 +132,6 @@ func newFixture(t testing.TB) *fixture {
 		RMin: 2, RMax: 4,
 		ViewAngle: vec.Radians(10),
 		Radius:    radius.Fixed(0.25),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +157,7 @@ func TestNewValidation(t *testing.T) {
 // list is the list the inline filter-then-sort produced, budget skips
 // included. Each position is asked twice, under two residencies: the first
 // call ranks the key, the second walks the ranked list. The planner is
-// asked before the oracle, whose PredictedSet would materialize a lazy key.
+// asked before the oracle, whose PredictedSet would memoize the key's set.
 func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 	f := newFixture(t)
 	n := f.g.NumBlocks()
@@ -171,7 +168,6 @@ func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 		RMin: 2, RMax: 4,
 		ViewAngle: vec.Radians(10),
 		Radius:    radius.Fixed(0.25),
-		Lazy:      true,
 	}
 	for _, k := range tableKinds(t, f.g, opts, f.imp) {
 		name, vis := k.kind, k.vis
@@ -255,7 +251,6 @@ func TestPlannerPrefetchTieBreakMatchesOracle(t *testing.T) {
 			RMin: 2, RMax: 4,
 			ViewAngle: vec.Radians(10),
 			Radius:    radius.Fixed(0.5),
-			Lazy:      true,
 		}
 		for _, k := range tableKinds(t, f.g, opts, imp) {
 			name, vis := k.kind, k.vis
@@ -320,7 +315,7 @@ func TestPlannerPreloadOrder(t *testing.T) {
 // TestPlannerConcurrentColdKey is the server's case: many sessions ask about
 // one sampling position T_visible has not materialized yet, each ranking
 // in its own pooled scratch. Under -race; every caller must get the same list,
-// and the lazy table must not keep the set the planner ranked.
+// and the table must not keep the set the planner ranked.
 func TestPlannerConcurrentColdKey(t *testing.T) {
 	f := newFixture(t)
 	plan, err := NewPlanner(f.vis, f.imp, f.imp.ThresholdForQuantile(0.75))

@@ -16,7 +16,7 @@ import (
 // allPhases is Algorithm 1 as published.
 var allPhases = Options{Preload: true, PrefetchEnabled: true, StaleOnlyEviction: true}
 
-// fixture is testConfig's 512-block grid with a small lazy T_visible and the
+// fixture is testConfig's 512-block grid with a small T_visible and the
 // grid's T_important.
 type fixture struct {
 	cfg Config
@@ -32,7 +32,6 @@ func newFixture(t *testing.T) fixture {
 		RMin: 2, RMax: 4,
 		ViewAngle: cfg.ViewAngle,
 		Radius:    radius.Fixed(0.25),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -153,7 +153,7 @@ type AppAwareConfig struct {
 // DefaultTableOptions returns T_visible construction options sized for the
 // run: ~26k sampling positions (the paper's Fig. 7 sweet spot), distance
 // range covering the path, Eq. (6) dynamic radius with the path step as a
-// floor, lazy materialization.
+// floor.
 func DefaultTableOptions(cfg Config) visibility.Options {
 	nAz, nEl, nDist := visibility.LatticeForTotal(25920, 10)
 	rMin, rMax := pathDistanceRange(cfg.Path)
@@ -165,7 +165,6 @@ func DefaultTableOptions(cfg Config) visibility.Options {
 		RMax:       rMax,
 		ViewAngle:  cfg.ViewAngle,
 		Radius:     DefaultRadiusStrategy(cfg),
-		Lazy:       true,
 	}
 }
 

@@ -233,9 +233,6 @@ func TestDefaultTableOptionsCoverPath(t *testing.T) {
 	if total < 20000 || total > 32000 {
 		t.Errorf("default lattice size = %d, want ≈ 25920", total)
 	}
-	if !opts.Lazy {
-		t.Error("default table should be lazy")
-	}
 }
 
 func TestTraceReplayableAgainstBelady(t *testing.T) {

@@ -83,7 +83,6 @@ func startRemoteBlocks(t testing.TB, edge int) *remoteFixture {
 		RMin: 2.5, RMax: 3.5,
 		ViewAngle: vec.Radians(20),
 		Radius:    radius.Fixed(0.3),
-		Lazy:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

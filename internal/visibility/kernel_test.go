@@ -140,8 +140,8 @@ func TestOriginCameraSeesEverything(t *testing.T) {
 }
 
 // TestTableEqualsFlatScan checks a whole T_visible, key by key, against sets
-// built from the flat scans: eager and lazy, dilated and jittered, with and
-// without the importance clamp.
+// built from the flat scans: dilated and jittered, with and without the
+// importance clamp.
 func TestTableEqualsFlatScan(t *testing.T) {
 	g := kernelGrids(t)[1]
 	scores := make([]float64, g.NumBlocks())
@@ -149,26 +149,23 @@ func TestTableEqualsFlatScan(t *testing.T) {
 		scores[i] = float64(i * 7 % 5) // ties, so the clamp's stable order matters
 	}
 	clamp := &Clamp{Importance: entropy.NewTable(scores), MaxBlocks: 9}
-	for _, lazy := range []bool{false, true} {
-		for _, samples := range []int{0, 3} {
-			for _, c := range []*Clamp{nil, clamp} {
-				opts := Options{
-					NAzimuth: 8, NElevation: 4, NDistance: 2,
-					RMin: 1.2, RMax: 3, // the inner ring is inside the enclosing sphere
-					ViewAngle:      vec.Radians(120),
-					Radius:         radius.Dynamic{Ratio: 0.25},
-					VicinalSamples: samples,
-					Lazy:           lazy,
-					Clamp:          c,
-				}
-				tab, err := NewTable(g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < tab.NumKeys(); i++ {
-					if got, want := tab.PredictedSet(i), flatComputeSet(tab, i); !slices.Equal(got, want) {
-						t.Fatalf("lazy=%v samples=%d clamp=%v key %d: %v, flat scan %v", lazy, samples, c != nil, i, got, want)
-					}
+	for _, samples := range []int{0, 3} {
+		for _, c := range []*Clamp{nil, clamp} {
+			opts := Options{
+				NAzimuth: 8, NElevation: 4, NDistance: 2,
+				RMin: 1.2, RMax: 3, // the inner ring is inside the enclosing sphere
+				ViewAngle:      vec.Radians(120),
+				Radius:         radius.Dynamic{Ratio: 0.25},
+				VicinalSamples: samples,
+				Clamp:          c,
+			}
+			tab, err := NewTable(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tab.NumKeys(); i++ {
+				if got, want := tab.PredictedSet(i), flatComputeSet(tab, i); !slices.Equal(got, want) {
+					t.Fatalf("samples=%d clamp=%v key %d: %v, flat scan %v", samples, c != nil, i, got, want)
 				}
 			}
 		}

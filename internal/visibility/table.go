@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,17 +32,10 @@ type Options struct {
 	// jitter points (faithful to §IV-B but expensive); 0 uses the analytic
 	// cone-dilation approximation.
 	VicinalSamples int
-	// Lazy defers per-key visible-set computation until first lookup.
-	// Contents are identical either way; lazy mode keeps huge tables
-	// (Fig. 7 sweeps up to 108,000 keys) affordable when a path only
-	// visits a few hundred keys. PredictedSet memoizes what it computes;
-	// AppendSet does not, so a lazy table read only through a policy
-	// planner, which keeps its own ranked list per key, keeps no sets.
-	Lazy bool
 	// QueryCostPerKey models the per-entry cost of searching the lookup
 	// table; the total per-query charge is QueryCostPerKey × NumKeys. This
 	// is the overhead that makes over-dense sampling lose in Fig. 7(b).
-	// Default 25ns.
+	// Default 25ns; negative is refused.
 	QueryCostPerKey time.Duration
 	// Clamp, when set, keeps only the most important blocks of each key's
 	// set (§IV-C: over-predicted sets are reduced by entropy rank).
@@ -52,7 +44,8 @@ type Options struct {
 
 // Clamp bounds per-key set sizes by importance.
 type Clamp struct {
-	// Importance ranks blocks; must cover the table's grid.
+	// Importance ranks blocks; must cover the table's grid when MaxBlocks
+	// is positive.
 	Importance *entropy.Table
 	// MaxBlocks is the per-key cap (≤ 0 disables clamping).
 	MaxBlocks int
@@ -65,9 +58,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate checks the options and returns the number of keys they define.
-// The comparisons are written so that NaN fails them.
-func (o Options) validate() (numKeys int, err error) {
+// validate checks the options against the grid and returns the number of
+// keys they define. The comparisons are written so that NaN fails them.
+func (o Options) validate(g *grid.Grid) (numKeys int, err error) {
 	numKeys = 1
 	for _, d := range []int{o.NAzimuth, o.NElevation, o.NDistance} {
 		if d < 1 || numKeys > math.MaxInt/d {
@@ -85,6 +78,17 @@ func (o Options) validate() (numKeys int, err error) {
 	if o.Radius == nil {
 		return 0, fmt.Errorf("visibility: nil radius strategy")
 	}
+	if o.QueryCostPerKey < 0 {
+		return 0, fmt.Errorf("visibility: query cost %v per key", o.QueryCostPerKey)
+	}
+	if c := o.Clamp; c != nil && c.MaxBlocks > 0 {
+		if c.Importance == nil {
+			return 0, fmt.Errorf("visibility: clamp to %d blocks without an importance table", c.MaxBlocks)
+		}
+		if n := g.NumBlocks(); c.Importance.Len() != n {
+			return 0, fmt.Errorf("visibility: clamp importance covers %d blocks, grid has %d", c.Importance.Len(), n)
+		}
+	}
 	return numKeys, nil
 }
 
@@ -92,10 +96,12 @@ func (o Options) validate() (numKeys int, err error) {
 // <view direction l, distance d>, each mapped to the set of blocks visible
 // from its vicinal area φ. Lookup finds the nearest sampled position.
 //
-// Lazy materialization is sharded per key (one sync.Once each) rather than
-// serialized behind a table-wide lock, so concurrent frames looking up
-// different — or already-computed — keys never contend: the steady-state
-// lookup is a single atomic load.
+// The paper computes every key offline (§IV-B); here a key's set is computed
+// on its first lookup, with the same contents, because a path visits a few
+// hundred keys of tables up to 108,000 (Fig. 7). The computation is sharded
+// per key (one sync.Once each) rather than serialized behind a table-wide
+// lock, so concurrent frames looking up different — or already-computed —
+// keys never contend: the steady-state lookup is a single atomic load.
 type Table struct {
 	g    *grid.Grid
 	opts Options
@@ -105,11 +111,11 @@ type Table struct {
 	done []atomic.Bool
 }
 
-// NewTable validates options and returns a T_visible for the grid. With
-// Lazy unset, every key's visible set is materialized in parallel now.
+// NewTable validates options and returns a T_visible for the grid. It
+// computes no set: each key's is computed on its first lookup.
 func NewTable(g *grid.Grid, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
-	n, err := opts.validate()
+	n, err := opts.validate(g)
 	if err != nil {
 		return nil, err
 	}
@@ -119,9 +125,6 @@ func NewTable(g *grid.Grid, opts Options) (*Table, error) {
 		sets: make([][]grid.BlockID, n),
 		once: make([]sync.Once, n),
 		done: make([]atomic.Bool, n),
-	}
-	if !opts.Lazy {
-		t.MaterializeAll()
 	}
 	return t, nil
 }
@@ -197,10 +200,10 @@ func (t *Table) QueryCost() time.Duration {
 }
 
 // PredictedSet returns the visible-block set S_v of key i, computing and
-// memoizing it on first use in lazy mode. Concurrent lookups of distinct
-// keys proceed independently; concurrent lookups of one cold key compute it
-// once and share the result. The returned slice is shared; callers must not
-// modify it.
+// memoizing it on first use. Concurrent lookups of distinct keys proceed
+// independently; concurrent lookups of one cold key compute it once and
+// share the result. The returned slice is shared; callers must not modify
+// it.
 func (t *Table) PredictedSet(i int) []grid.BlockID {
 	t.once[i].Do(func() {
 		t.sets[i] = t.appendSet(nil, i)
@@ -210,19 +213,18 @@ func (t *Table) PredictedSet(i int) []grid.BlockID {
 }
 
 // AppendSet appends key i's set, PredictedSet(i)'s ids, to dst and returns
-// it. A materialized key's set is copied; an unmaterialized key's is
-// computed into dst and not kept by the table, so a caller that keeps what
-// it needs of a set (the policy planner's ranked list) is its only holder.
+// it. A memoized key's set is copied; any other key's is computed into dst
+// and not kept by the table, so a caller that keeps what it needs of a set
+// (the policy planner's ranked list) is its only holder.
 func (t *Table) AppendSet(dst []grid.BlockID, i int) []grid.BlockID {
-	if t.Materialized(i) {
+	if t.materialized(i) {
 		return append(dst, t.sets[i]...)
 	}
 	return t.appendSet(dst, i)
 }
 
-// Materialized reports whether key i's set is memoized: always after
-// MaterializeAll, and in lazy mode once PredictedSet has computed it.
-func (t *Table) Materialized(i int) bool { return t.done[i].Load() }
+// materialized reports whether PredictedSet has memoized key i's set.
+func (t *Table) materialized(i int) bool { return t.done[i].Load() }
 
 // Predict returns the predicted visible set for an arbitrary camera
 // position: the set of its nearest sampling position.
@@ -255,28 +257,11 @@ func (t *Table) appendSet(dst []grid.BlockID, i int) []grid.BlockID {
 	return dst
 }
 
-// MaterializeAll computes every key's set in parallel. It is idempotent.
-func (t *Table) MaterializeAll() {
-	var next atomic.Int64 // the next key nobody has claimed
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(t.sets)); i = next.Add(1) - 1 {
-				t.PredictedSet(int(i))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// MaterializedKeys reports how many keys have computed sets (all of them
-// after MaterializeAll; only the visited ones in lazy mode).
+// MaterializedKeys reports how many keys PredictedSet has memoized.
 func (t *Table) MaterializedKeys() int {
 	n := 0
 	for i := range t.done {
-		if t.Materialized(i) {
+		if t.materialized(i) {
 			n++
 		}
 	}

@@ -47,6 +47,13 @@ func TestNewTableValidation(t *testing.T) {
 		func() Options { o := tableOpts(); o.ViewAngle = 0; return o }(),
 		func() Options { o := tableOpts(); o.ViewAngle = 4; return o }(),
 		func() Options { o := tableOpts(); o.Radius = nil; return o }(),
+		func() Options { o := tableOpts(); o.QueryCostPerKey = -time.Nanosecond; return o }(),
+		func() Options { o := tableOpts(); o.Clamp = &Clamp{MaxBlocks: 3}; return o }(),
+		func() Options {
+			o := tableOpts()
+			o.Clamp = &Clamp{Importance: entropy.NewTable(make([]float64, 2)), MaxBlocks: 3}
+			return o
+		}(),
 	}
 	for i, o := range bad {
 		if _, err := NewTable(g, o); err == nil {
@@ -133,11 +140,9 @@ func TestPredictCoversActualVisibleSet(t *testing.T) {
 }
 
 func TestLazyMaterialization(t *testing.T) {
-	o := tableOpts()
-	o.Lazy = true
-	_, tab := newTestTable(t, o)
+	_, tab := newTestTable(t, tableOpts())
 	if got := tab.MaterializedKeys(); got != 0 {
-		t.Fatalf("lazy table materialized %d keys at build", got)
+		t.Fatalf("new table materialized %d keys at build", got)
 	}
 	s := tab.PredictedSet(5)
 	if len(s) == 0 {
@@ -153,44 +158,21 @@ func TestLazyMaterialization(t *testing.T) {
 	}
 }
 
-func TestEagerMatchesLazy(t *testing.T) {
-	o := tableOpts()
-	_, eager := newTestTable(t, o)
-	o.Lazy = true
-	_, lazy := newTestTable(t, o)
-	for i := 0; i < eager.NumKeys(); i++ {
-		a, b := eager.PredictedSet(i), lazy.PredictedSet(i)
-		if len(a) != len(b) {
-			t.Fatalf("key %d: eager %d blocks, lazy %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("key %d differs at %d", i, j)
-			}
-		}
-	}
-	if eager.MaterializedKeys() != eager.NumKeys() {
-		t.Error("eager table not fully materialized")
-	}
-}
-
-// TestAppendSetEqualsPredictedSet: on a lazy, an eager, a VicinalSamples and
-// a Clamp table, AppendSet appends every key's PredictedSet after what dst
-// holds, and on an unmaterialized key it memoizes nothing.
+// TestAppendSetEqualsPredictedSet: on a plain, a VicinalSamples and a Clamp
+// table, AppendSet appends every key's PredictedSet after what dst holds,
+// before and after PredictedSet memoizes it, and memoizes nothing itself.
 func TestAppendSetEqualsPredictedSet(t *testing.T) {
 	g, _ := newTestTable(t, tableOpts())
 	scores := make([]float64, g.NumBlocks())
 	for i := range scores {
 		scores[i] = float64(i % 7)
 	}
-	lazy := tableOpts()
-	lazy.Lazy = true
-	lazy.Radius = radius.Fixed(1.0) // sets the clamp cuts
-	eager, vicinal, clamp := lazy, lazy, lazy
-	eager.Lazy = false
+	plain := tableOpts()
+	plain.Radius = radius.Fixed(1.0) // sets the clamp cuts
+	vicinal, clamp := plain, plain
 	vicinal.VicinalSamples = 4
 	clamp.Clamp = &Clamp{Importance: entropy.NewTable(scores), MaxBlocks: 5}
-	for name, o := range map[string]Options{"lazy": lazy, "eager": eager, "vicinal": vicinal, "clamp": clamp} {
+	for name, o := range map[string]Options{"plain": plain, "vicinal": vicinal, "clamp": clamp} {
 		tab, err := NewTable(g, o)
 		if err != nil {
 			t.Fatal(err)
@@ -344,13 +326,12 @@ func TestPredictedSetsSharedNotCopied(t *testing.T) {
 	}
 }
 
-// TestPredictedSetConcurrent hammers lazy materialization from many
+// TestPredictedSetConcurrent hammers per-key materialization from many
 // goroutines: each key must be computed exactly once and every caller must
 // see the identical slice (the per-key sync.Once contract).
 func TestPredictedSetConcurrent(t *testing.T) {
 	opts := tableOpts()
 	opts.NAzimuth, opts.NElevation, opts.NDistance = 24, 12, 2
-	opts.Lazy = true
 	_, tab := newTestTable(t, opts)
 	n := tab.NumKeys()
 	first := make([][]grid.BlockID, n)

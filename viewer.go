@@ -86,8 +86,8 @@ type Viewer struct {
 }
 
 // NewViewer prepares an interactive session: partitions the dataset, builds
-// T_important and (lazily) T_visible, sizes the DRAM/SSD/HDD hierarchy, and
-// pre-loads important blocks per Algorithm 1.
+// T_important and T_visible, sizes the DRAM/SSD/HDD hierarchy, and pre-loads
+// important blocks per Algorithm 1.
 func NewViewer(ds *Dataset, opts ViewerOptions) (*Viewer, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("vizcache: nil dataset")
@@ -119,7 +119,6 @@ func NewViewer(ds *Dataset, opts ViewerOptions) (*Viewer, error) {
 		RMax:       opts.DistanceRange[1],
 		ViewAngle:  theta,
 		Radius:     sim.DefaultRadiusStrategy(sim.Config{CacheRatio: opts.CacheRatio}),
-		Lazy:       true,
 	})
 	if err != nil {
 		return nil, err

@@ -4,8 +4,8 @@
 // Interactive Large-Scale Scientific Visualization" (IPPS 2017).
 //
 // The library partitions volumetric datasets into blocks, predicts the
-// blocks a camera will need from a precomputed visibility table (T_visible,
-// §IV-B), ranks block importance by Shannon entropy (T_important, §IV-C),
+// blocks a camera will need from a visibility table (T_visible, §IV-B, each
+// key's set computed on its first lookup), ranks block importance by Shannon entropy (T_important, §IV-C),
 // and drives a multi-level memory hierarchy with Algorithm 1: demand
 // fetching with LRU-among-stale replacement plus entropy-filtered
 // prefetching overlapped with rendering.
@@ -156,17 +156,6 @@ func BuildImportance(ds *Dataset, g *Grid) *ImportanceTable {
 func NewVisibilityTable(g *Grid, opts VisibilityOptions) (*VisibilityTable, error) {
 	return visibility.NewTable(g, opts)
 }
-
-// Table persistence: both tables are one-time pre-processing products
-// (Fig. 5, Steps 1–2); cmd/tablegen builds and saves them, sessions reload
-// them with these functions.
-var (
-	// LoadImportance reads a T_important written by ImportanceTable.Save.
-	LoadImportance = entropy.Load
-	// LoadVisibility reads a T_visible written by VisibilityTable.Save;
-	// the grid must match the one the table was built over.
-	LoadVisibility = visibility.Load
-)
 
 // VisibleBlocks returns the exact set of blocks visible from a camera.
 func VisibleBlocks(g *Grid, cam Camera) []BlockID {

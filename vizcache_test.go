@@ -247,43 +247,6 @@ func TestViewerValidation(t *testing.T) {
 	}
 }
 
-func TestTablePersistenceFacade(t *testing.T) {
-	ds := Ball().Scale(1.0 / 32)
-	g, err := ds.GridWithBlockCount(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := BuildImportance(ds, g)
-	var buf bytes.Buffer
-	if err := imp.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadImportance(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != imp.Len() {
-		t.Errorf("reloaded len = %d", back.Len())
-	}
-	// A reloaded importance table drives a simulation unchanged.
-	cfg := SimConfig{
-		Dataset: ds, Grid: g,
-		Path:      OrbitPath(3, 10),
-		ViewAngle: 0.17, CacheRatio: 0.5,
-	}
-	a, err := RunAppAware(cfg, AppAwareConfig{Importance: imp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunAppAware(cfg, AppAwareConfig{Importance: back})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MissRate != b.MissRate {
-		t.Errorf("reloaded table changed results: %g vs %g", a.MissRate, b.MissRate)
-	}
-}
-
 func TestQueryFacade(t *testing.T) {
 	ds := LiftedRR().Scale(1.0 / 16)
 	g, err := ds.GridWithBlockCount(128)
