@@ -64,13 +64,13 @@ one-codec:
 # one-planner fails when Algorithm 1's prefetch-candidate test is spelled
 # anywhere but internal/policy/planner.go: a non-test file of the product,
 # outside internal/policy and internal/visibility, that reads a T_visible set
-# (PredictedSet(, AppendSet(, or a table's Predict(pos)) or compares an
-# entropy Score( with σ. The test sat in ooc and blocksvc as a thinner twin
-# of the simulator's, unranked and unbudgeted, for twenty PRs. The one named
-# exception is internal/experiments' ext-time, whose next-timestep prefetch is
-# the extension's own experiment, not the policy.
+# (AppendSet(, the table's one read) or compares an entropy Score( with σ.
+# The test sat in ooc and blocksvc as a thinner twin of the simulator's,
+# unranked and unbudgeted, for twenty PRs. The one named exception is
+# internal/experiments' ext-time, whose next-timestep prefetch is the
+# extension's own experiment, not the policy.
 one-planner:
-	@stray=$$(grep -rnE 'PredictedSet\(|AppendSet\(|\.Predict\([^)]|Score\([^)]*\) *[<>]=? *[^ ]*[sS]igma|[sS]igma *[<>]=? *[^ ]*Score\(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
+	@stray=$$(grep -rnE 'AppendSet\(|Score\([^)]*\) *[<>]=? *[^ ]*[sS]igma|[sS]igma *[<>]=? *[^ ]*Score\(' --include='*.go' --exclude='*_test.go' cmd internal *.go \
 		| grep -vE '^internal/(policy|visibility)/' \
 		| grep -vE '^internal/experiments/exttime\.go:[0-9]*:.*Score\(id\) <= sigma'); \
 	if [ -n "$$stray" ]; then echo "prefetch candidates chosen outside internal/policy/planner.go:"; echo "$$stray"; exit 1; fi

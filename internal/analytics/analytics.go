@@ -110,81 +110,6 @@ func CorrelationMatrix(ds *volume.Dataset, g *grid.Grid, blocks []grid.BlockID, 
 	return m, nil
 }
 
-// MutualInformation estimates I(A; B) in bits between two variables over
-// the region covered by blocks, from a bins×bins joint histogram — the
-// information-theoretic dependence measure of the paper's reference [17]
-// (Wang & Shen, "Information Theory in Scientific Visualization"), useful
-// for picking which variable pairs are worth a correlation drill-down.
-func MutualInformation(ds *volume.Dataset, g *grid.Grid, blocks []grid.BlockID, varA, varB, bins, maxPerAxis int) (float64, error) {
-	if bins < 2 {
-		return 0, fmt.Errorf("analytics: bins = %d", bins)
-	}
-	if len(blocks) == 0 {
-		return 0, fmt.Errorf("analytics: empty block set")
-	}
-	for _, v := range []int{varA, varB} {
-		if v < 0 || v >= ds.Variables {
-			return 0, fmt.Errorf("analytics: variable %d out of [0,%d)", v, ds.Variables)
-		}
-	}
-	var as, bs []float32
-	for _, id := range blocks {
-		as = append(as, ds.BlockSamples(g, id, varA, maxPerAxis)...)
-		bs = append(bs, ds.BlockSamples(g, id, varB, maxPerAxis)...)
-	}
-	binOf := func(vals []float32) []int {
-		min, max := vals[0], vals[0]
-		for _, v := range vals {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		out := make([]int, len(vals))
-		if max <= min {
-			return out // constant: everything in bin 0
-		}
-		scale := float64(bins) / float64(max-min)
-		for i, v := range vals {
-			b := int(float64(v-min) * scale)
-			if b >= bins {
-				b = bins - 1
-			}
-			out[i] = b
-		}
-		return out
-	}
-	ba, bb := binOf(as), binOf(bs)
-	joint := make([]int64, bins*bins)
-	margA := make([]int64, bins)
-	margB := make([]int64, bins)
-	for i := range ba {
-		joint[ba[i]*bins+bb[i]]++
-		margA[ba[i]]++
-		margB[bb[i]]++
-	}
-	n := float64(len(ba))
-	var mi float64
-	for a := 0; a < bins; a++ {
-		for b := 0; b < bins; b++ {
-			c := joint[a*bins+b]
-			if c == 0 {
-				continue
-			}
-			pab := float64(c) / n
-			pa := float64(margA[a]) / n
-			pb := float64(margB[b]) / n
-			mi += pab * math.Log2(pab/(pa*pb))
-		}
-	}
-	if mi < 0 {
-		mi = 0 // guard floating-point drift; MI is non-negative
-	}
-	return mi, nil
-}
-
 // Stats summarizes one variable over a region.
 type Stats struct {
 	Count    int

@@ -153,57 +153,6 @@ func TestRegionStats(t *testing.T) {
 	}
 }
 
-func TestMutualInformationSelfIsEntropy(t *testing.T) {
-	// I(A; A) equals H(A): maximal dependence.
-	ds, g := climateFixture(t)
-	blocks := []grid.BlockID{0, 5, 10}
-	self, err := MutualInformation(ds, g, blocks, 0, 0, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross, err := MutualInformation(ds, g, blocks, 0, 1, 16, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if self <= 0 {
-		t.Errorf("I(A;A) = %g, want > 0", self)
-	}
-	if cross >= self {
-		t.Errorf("I(smoke;wind) %g >= I(smoke;smoke) %g", cross, self)
-	}
-	if cross < 0 {
-		t.Errorf("negative MI %g", cross)
-	}
-}
-
-func TestMutualInformationConstantIsZero(t *testing.T) {
-	ds := &volume.Dataset{
-		Name: "const", Res: grid.Dims{X: 16, Y: 16, Z: 16},
-		Variables: 1, ValueSize: 4, Field: constantField{},
-	}
-	g, _ := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
-	mi, err := MutualInformation(ds, g, []grid.BlockID{0}, 0, 0, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mi != 0 {
-		t.Errorf("MI of constant = %g, want 0", mi)
-	}
-}
-
-func TestMutualInformationErrors(t *testing.T) {
-	ds, g := climateFixture(t)
-	if _, err := MutualInformation(ds, g, nil, 0, 1, 8, 4); err == nil {
-		t.Error("empty blocks accepted")
-	}
-	if _, err := MutualInformation(ds, g, []grid.BlockID{0}, 0, 1, 1, 4); err == nil {
-		t.Error("bins=1 accepted")
-	}
-	if _, err := MutualInformation(ds, g, []grid.BlockID{0}, 0, 99, 8, 4); err == nil {
-		t.Error("bad variable accepted")
-	}
-}
-
 func TestStatsOfConstantRegion(t *testing.T) {
 	ds := &volume.Dataset{
 		Name: "const", Res: grid.Dims{X: 16, Y: 16, Z: 16},

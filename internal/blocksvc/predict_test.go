@@ -94,7 +94,7 @@ func TestPredictivePrefetchBeatsNearestSample(t *testing.T) {
 	}
 	path := camera.Orbit(3, 8)
 	demanded, base := orbitPrefetchHits(t, g, plan, nil, path)
-	pred := camera.NewPredictor(camera.PredictorOptions{})
+	pred := camera.NewPredictor()
 	_, predicted := orbitPrefetchHits(t, g, plan, pred, path)
 	if _, kind := pred.Predict(); kind != camera.PredictAngular {
 		t.Errorf("orbit trace classified as %v, want angular motion", kind)

@@ -43,9 +43,9 @@ type Config struct {
 	Header store.Header
 
 	// Vis and Imp enable per-session predictive prefetch: each session's
-	// trajectory predictor (camera.PredictorOptions defaults) extrapolates
-	// the client's view updates, the *predicted* camera position is run
-	// through T_visible and the entropy threshold Sigma, and the predicted
+	// trajectory predictor (camera.Predictor) extrapolates the client's
+	// view updates, the *predicted* camera position is run through
+	// T_visible and the entropy threshold Sigma, and the predicted
 	// high-entropy blocks are pulled into the shared cache while the client
 	// renders. Nil disables prefetch.
 	Vis   *visibility.Table
@@ -442,7 +442,7 @@ func (s *Server) startSession(conn net.Conn) {
 			}
 		})
 		ss.prefetched = make(map[grid.BlockID]struct{})
-		ss.pred = camera.NewPredictor(camera.PredictorOptions{})
+		ss.pred = camera.NewPredictor()
 	}
 	s.sessions[ss] = struct{}{}
 	s.mu.Unlock()

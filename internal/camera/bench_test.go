@@ -25,7 +25,7 @@ func BenchmarkHeadMotionPath(b *testing.B) {
 // orbit trace.
 func BenchmarkPredict(b *testing.B) {
 	path := Orbit(3, 64)
-	p := NewPredictor(PredictorOptions{})
+	p := NewPredictor()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -43,52 +43,31 @@ func (k PredictKind) String() string {
 	}
 }
 
-// PredictorOptions tunes a Predictor. The zero value selects defaults.
-type PredictorOptions struct {
-	// History is the number of recent view positions retained (default 4,
-	// minimum 2). Short on purpose: navigation intent changes in a few
-	// frames, and stale samples drag the fit behind a turn.
-	History int
-	// Horizon is how many view-update intervals ahead to extrapolate
-	// (default 1: predict the next view position).
-	Horizon float64
-	// DwellFraction is the dwell detector's threshold: when every retained
-	// sample lies within DwellFraction×‖pos‖ of the current position the
+const (
+	// history is the number of recent view positions a Predictor retains.
+	// Short on purpose: navigation intent changes in a few frames, and stale
+	// samples drag the fit behind a turn.
+	history = 4
+	// horizon is how many view-update intervals ahead a prediction lies: the
+	// next view position.
+	horizon = 1
+	// dwellFraction is the dwell detector's threshold: when every retained
+	// sample lies within dwellFraction×‖pos‖ of the current position the
 	// camera is judged to be hovering and the prediction collapses to the
-	// current position (default 0.02).
-	DwellFraction float64
-}
-
-func (o PredictorOptions) withDefaults() PredictorOptions {
-	if o.History <= 0 {
-		o.History = 4
-	}
-	if o.History < 2 {
-		o.History = 2
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 1
-	}
-	if o.DwellFraction <= 0 {
-		o.DwellFraction = 0.02
-	}
-	return o
-}
+	// current position.
+	dwellFraction = 0.02
+)
 
 // Predictor extrapolates a camera trajectory from a short ring of recent
 // view positions. Not safe for concurrent use; each session owns one.
 type Predictor struct {
-	opts PredictorOptions
-	ring []vec.V3
+	ring [history]vec.V3
 	head int // index of the oldest sample
 	n    int // samples held, ≤ len(ring)
 }
 
 // NewPredictor returns a predictor with an empty history.
-func NewPredictor(opts PredictorOptions) *Predictor {
-	o := opts.withDefaults()
-	return &Predictor{opts: o, ring: make([]vec.V3, o.History)}
-}
+func NewPredictor() *Predictor { return &Predictor{} }
 
 // Observe appends a view position to the history, evicting the oldest
 // sample once the ring is full.
@@ -111,7 +90,7 @@ func (p *Predictor) Reset() { p.head, p.n = 0, 0 }
 // at returns the i-th retained sample, 0 = oldest.
 func (p *Predictor) at(i int) vec.V3 { return p.ring[(p.head+i)%len(p.ring)] }
 
-// Predict extrapolates the next view position Horizon steps ahead and
+// Predict extrapolates the view position horizon steps ahead and
 // reports which model produced it. With fewer than two samples it returns
 // the last observed position (the nearest-sample behavior); a hovering
 // camera collapses to the current position.
@@ -129,17 +108,17 @@ func (p *Predictor) Predict() (vec.V3, PredictKind) {
 	prev := p.at(p.n - 2)
 	angular := p.n == 2 || p.angularBacktestsBetter()
 	if angular {
-		if pos, ok := extrapolateAngular(prev, cur, p.opts.Horizon); ok {
+		if pos, ok := extrapolateAngular(prev, cur, horizon); ok {
 			return pos, PredictAngular
 		}
 	}
-	return extrapolateLinear(prev, cur, p.opts.Horizon), PredictLinear
+	return extrapolateLinear(prev, cur, horizon), PredictLinear
 }
 
 // dwelling reports whether every retained sample lies within the dwell
 // radius of the current position.
 func (p *Predictor) dwelling(cur vec.V3) bool {
-	r := p.opts.DwellFraction * cur.Norm()
+	r := dwellFraction * cur.Norm()
 	for i := 0; i < p.n-1; i++ {
 		if p.at(i).Dist(cur) > r {
 			return false

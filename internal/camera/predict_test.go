@@ -8,8 +8,8 @@ import (
 )
 
 // feed runs the trace through a fresh predictor and returns it.
-func feed(opts PredictorOptions, trace []vec.V3) *Predictor {
-	p := NewPredictor(opts)
+func feed(trace []vec.V3) *Predictor {
+	p := NewPredictor()
 	for _, pos := range trace {
 		p.Observe(pos)
 	}
@@ -37,7 +37,7 @@ func TestPredictOrbitWithinEpsilon(t *testing.T) {
 		stepLen := path.Steps[0].Dist(path.Steps[1])
 		eps := 1e-6 * stepLen
 		for i := 3; i < path.Len(); i++ {
-			p := feed(PredictorOptions{}, path.Steps[:i])
+			p := feed(path.Steps[:i])
 			got, kind := p.Predict()
 			if kind != PredictAngular {
 				t.Fatalf("%s step %d: kind = %v, want angular", name, i, kind)
@@ -55,7 +55,7 @@ func TestPredictOrbitWithinEpsilon(t *testing.T) {
 func TestPredictZoomExact(t *testing.T) {
 	path := Zoom(vec.New(1, 2, -1), 3.4, 2.6, 16)
 	for i := 3; i < path.Len(); i++ {
-		p := feed(PredictorOptions{}, path.Steps[:i])
+		p := feed(path.Steps[:i])
 		got, _ := p.Predict()
 		if d := got.Dist(path.Steps[i]); d > 1e-9 {
 			t.Errorf("step %d: predicted %v, true %v (off by %g)", i, got, path.Steps[i], d)
@@ -73,7 +73,7 @@ func TestPredictStraightLine(t *testing.T) {
 		trace = append(trace, start.Add(v.Scale(float64(i))))
 	}
 	for i := 3; i < len(trace); i++ {
-		p := feed(PredictorOptions{}, trace[:i])
+		p := feed(trace[:i])
 		got, kind := p.Predict()
 		if kind != PredictLinear {
 			t.Fatalf("step %d: kind = %v, want linear", i, kind)
@@ -90,7 +90,7 @@ func TestPredictStraightLine(t *testing.T) {
 func TestPredictDwellCollapses(t *testing.T) {
 	base := vec.New(0, 0, 3)
 	exact := []vec.V3{base, base, base, base}
-	p := feed(PredictorOptions{}, exact)
+	p := feed(exact)
 	got, kind := p.Predict()
 	if kind != PredictDwell || got != base {
 		t.Errorf("exact dwell: got %v kind %v, want %v dwell", got, kind, base)
@@ -104,7 +104,7 @@ func TestPredictDwellCollapses(t *testing.T) {
 		base.Add(vec.New(0, 0, jitter)),
 		base,
 	}
-	p = feed(PredictorOptions{}, tremor)
+	p = feed(tremor)
 	got, kind = p.Predict()
 	if kind != PredictDwell || got != base {
 		t.Errorf("tremor dwell: got %v kind %v, want %v dwell", got, kind, base)
@@ -116,41 +116,41 @@ func TestPredictDwellCollapses(t *testing.T) {
 // server has today — so sparse view updates cannot regress prefetch.
 func TestPredictSingleSampleDegrades(t *testing.T) {
 	pos := vec.New(1.5, -2, 0.5)
-	p := feed(PredictorOptions{}, []vec.V3{pos})
+	p := feed([]vec.V3{pos})
 	got, kind := p.Predict()
 	if kind != PredictLast || got != pos {
 		t.Errorf("single sample: got %v kind %v, want %v last", got, kind, pos)
 	}
 
 	// And an empty history predicts the origin without panicking.
-	empty := NewPredictor(PredictorOptions{})
+	empty := NewPredictor()
 	if got, kind := empty.Predict(); kind != PredictLast || got != (vec.V3{}) {
 		t.Errorf("empty history: got %v kind %v", got, kind)
 	}
 }
 
-// TestPredictRingEvicts: the ring holds History samples; older ones stop
-// influencing the fit. After a long dwell followed by History fresh moving
+// TestPredictRingEvicts: the ring holds history samples; older ones stop
+// influencing the fit. After a long dwell followed by history fresh moving
 // samples, the dwell must no longer pin the prediction.
 func TestPredictRingEvicts(t *testing.T) {
-	p := NewPredictor(PredictorOptions{History: 3})
+	p := NewPredictor()
 	still := vec.New(3, 0, 0)
 	for i := 0; i < 10; i++ {
 		p.Observe(still)
 	}
 	orbit := Orbit(3, 24)
-	for _, pos := range orbit.Steps[:3] {
+	for _, pos := range orbit.Steps[:history] {
 		p.Observe(pos)
 	}
 	got, kind := p.Predict()
 	if kind != PredictAngular {
 		t.Fatalf("kind = %v, want angular after the dwell samples rolled out", kind)
 	}
-	if d := got.Dist(orbit.Steps[3]); d > 1e-6 {
-		t.Errorf("predicted %v, true %v (off by %g)", got, orbit.Steps[3], d)
+	if d := got.Dist(orbit.Steps[history]); d > 1e-6 {
+		t.Errorf("predicted %v, true %v (off by %g)", got, orbit.Steps[history], d)
 	}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
+	if p.Len() != history {
+		t.Errorf("Len = %d, want %d", p.Len(), history)
 	}
 	p.Reset()
 	if p.Len() != 0 {
@@ -167,7 +167,7 @@ func TestPredictDegenerateGeometry(t *testing.T) {
 		"from-origin":    {vec.V3{}, vec.New(1, 1, 1)},
 	}
 	for name, trace := range cases {
-		got, kind := feed(PredictorOptions{}, trace).Predict()
+		got, kind := feed(trace).Predict()
 		for _, v := range []float64{got.X, got.Y, got.Z} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Errorf("%s: non-finite prediction %v (kind %v)", name, got, kind)

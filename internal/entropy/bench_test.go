@@ -63,17 +63,6 @@ func BenchmarkBuildTable(b *testing.B) {
 	}
 }
 
-func BenchmarkSelectWithinBudget(b *testing.B) {
-	ds, g := benchDataset(b)
-	tab := Build(ds, g, Options{})
-	ids := g.All()
-	budget := ds.TotalBytes() / 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.SelectWithinBudget(ids, g, ds.ValueSize, ds.Variables, budget)
-	}
-}
-
 func BenchmarkThresholdForQuantile(b *testing.B) {
 	ds, g := benchDataset(b)
 	tab := Build(ds, g, Options{})

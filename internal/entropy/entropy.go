@@ -131,33 +131,26 @@ func BlockEntropy(vals []float32, bins int) float64 {
 	return h.Entropy()
 }
 
+// histogramBins is the bin count of each block's histogram.
+const histogramBins = 64
+
 // Options configures Build.
 type Options struct {
-	// Bins is the histogram bin count per block (default 64).
-	Bins int
 	// MaxSamplesPerAxis bounds per-block sampling cost (default 8; 0 keeps
 	// the default, negative samples every voxel).
 	MaxSamplesPerAxis int
-	// Variable selects which variable to score. For multivariate data the
-	// paper's importance measure is per-dataset; we score the first variable
-	// by default and let callers aggregate with BuildAggregate.
+	// Variable selects which variable to score (default 0, the first). The
+	// paper's importance measure is one per dataset; a multivariate caller
+	// scores the variable it renders.
 	Variable int
-	// Parallelism bounds worker goroutines (default GOMAXPROCS).
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Bins == 0 {
-		o.Bins = 64
-	}
 	if o.MaxSamplesPerAxis == 0 {
 		o.MaxSamplesPerAxis = 8
 	}
 	if o.MaxSamplesPerAxis < 0 {
 		o.MaxSamplesPerAxis = 0 // volume: 0 means all voxels
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -169,56 +162,21 @@ type Table struct {
 	ranked []grid.BlockID // descending entropy, ties by ascending ID
 }
 
-// Build scores every block of the dataset and returns the importance table.
+// Build scores every block of the dataset, on GOMAXPROCS workers, and
+// returns the importance table.
 func Build(ds *volume.Dataset, g *grid.Grid, opts Options) *Table {
 	opts = opts.withDefaults()
 	n := g.NumBlocks()
 	scores := make([]float64, n)
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < opts.Parallelism; w++ {
+	for range runtime.GOMAXPROCS(0) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range work {
 				vals := ds.BlockSamples(g, grid.BlockID(i), opts.Variable, opts.MaxSamplesPerAxis)
-				scores[i] = BlockEntropy(vals, opts.Bins)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return NewTable(scores)
-}
-
-// BuildAggregate scores blocks of a multivariate dataset by the mean entropy
-// across the given variables (all variables when vars is nil).
-func BuildAggregate(ds *volume.Dataset, g *grid.Grid, vars []int, opts Options) *Table {
-	if len(vars) == 0 {
-		vars = make([]int, ds.Variables)
-		for i := range vars {
-			vars[i] = i
-		}
-	}
-	opts = opts.withDefaults()
-	n := g.NumBlocks()
-	scores := make([]float64, n)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < opts.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				var sum float64
-				for _, v := range vars {
-					vals := ds.BlockSamples(g, grid.BlockID(i), v, opts.MaxSamplesPerAxis)
-					sum += BlockEntropy(vals, opts.Bins)
-				}
-				scores[i] = sum / float64(len(vars))
+				scores[i] = BlockEntropy(vals, histogramBins)
 			}
 		}()
 	}
@@ -319,32 +277,6 @@ func (t *Table) Filter(ids []grid.BlockID, sigma float64) []grid.BlockID {
 		if t.scores[id] > sigma {
 			out = append(out, id)
 		}
-	}
-	return out
-}
-
-// SelectWithinBudget returns the most important blocks from ids whose total
-// size fits in budget bytes, in descending importance order. It implements
-// §IV-B's "only select the most important blocks in S_v" clamping for
-// over-predicted visible sets.
-func (t *Table) SelectWithinBudget(ids []grid.BlockID, g *grid.Grid, valueSize, variables int, budget int64) []grid.BlockID {
-	byImportance := append([]grid.BlockID(nil), ids...)
-	sort.SliceStable(byImportance, func(a, b int) bool {
-		sa, sb := t.scores[byImportance[a]], t.scores[byImportance[b]]
-		if sa != sb {
-			return sa > sb
-		}
-		return byImportance[a] < byImportance[b]
-	})
-	out := make([]grid.BlockID, 0, len(byImportance))
-	var used int64
-	for _, id := range byImportance {
-		sz := g.Bytes(id, valueSize, variables)
-		if used+sz > budget {
-			continue
-		}
-		used += sz
-		out = append(out, id)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package entropy
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -216,57 +217,6 @@ func TestAboveAndFilter(t *testing.T) {
 	}
 }
 
-func TestSelectWithinBudget(t *testing.T) {
-	ds := volume.Ball().Scale(1.0 / 16)
-	g, err := ds.Grid(grid.Dims{X: 16, Y: 16, Z: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := Build(ds, g, Options{})
-	blockBytes := g.Bytes(0, ds.ValueSize, ds.Variables) // uniform here
-	ids := g.All()
-	budget := 5 * blockBytes
-	sel := tab.SelectWithinBudget(ids, g, ds.ValueSize, ds.Variables, budget)
-	if len(sel) != 5 {
-		t.Fatalf("selected %d blocks, want 5", len(sel))
-	}
-	// Selected blocks are the 5 most important of ids.
-	want := tab.TopN(5)
-	for i := range sel {
-		if sel[i] != want[i] {
-			t.Errorf("selection[%d] = %d, want %d", i, sel[i], want[i])
-		}
-	}
-	// Zero budget selects nothing.
-	if got := tab.SelectWithinBudget(ids, g, ds.ValueSize, ds.Variables, 0); len(got) != 0 {
-		t.Errorf("zero budget selected %d", len(got))
-	}
-}
-
-func TestBuildAggregateMultivariate(t *testing.T) {
-	ds := volume.Climate().Scale(0.15).WithVariables(4)
-	g, err := ds.GridWithBlockCount(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := BuildAggregate(ds, g, nil, Options{MaxSamplesPerAxis: 4})
-	if tab.Len() != g.NumBlocks() {
-		t.Fatalf("len %d", tab.Len())
-	}
-	if tab.MaxScore() <= 0 {
-		t.Error("aggregate entropy all zero")
-	}
-	// Aggregating an explicit single variable matches Build for it.
-	single := BuildAggregate(ds, g, []int{0}, Options{MaxSamplesPerAxis: 4})
-	direct := Build(ds, g, Options{Variable: 0, MaxSamplesPerAxis: 4})
-	for i := 0; i < tab.Len(); i++ {
-		if math.Abs(single.Score(grid.BlockID(i))-direct.Score(grid.BlockID(i))) > 1e-12 {
-			t.Fatalf("block %d: aggregate single-var %g != direct %g",
-				i, single.Score(grid.BlockID(i)), direct.Score(grid.BlockID(i)))
-		}
-	}
-}
-
 func TestBuildDeterministic(t *testing.T) {
 	// Parallel Build must be deterministic: same dataset, same scores.
 	ds := volume.LiftedMixFrac().Scale(0.05)
@@ -274,8 +224,10 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Build(ds, g, Options{Parallelism: 8})
-	b := Build(ds, g, Options{Parallelism: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	a := Build(ds, g, Options{})
+	runtime.GOMAXPROCS(1)
+	b := Build(ds, g, Options{})
 	for i := 0; i < a.Len(); i++ {
 		if a.Score(grid.BlockID(i)) != b.Score(grid.BlockID(i)) {
 			t.Fatalf("block %d differs between parallel and serial build", i)

@@ -33,7 +33,7 @@ func ExtQuery(o Options) (*Result, error) {
 		return nil, err
 	}
 	imp := importanceFor(ds, g)
-	sums, err := summary.Build(ds, g, []int{0}, summary.Options{})
+	sums, err := summary.Build(ds, g, []int{0})
 	if err != nil {
 		return nil, err
 	}

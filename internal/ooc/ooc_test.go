@@ -340,7 +340,7 @@ func TestFrameOffersPlannersOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := plan.Prefetch(nil, cam.Pos, visible, &cacheMemory{mc, f.g})
-	if rim := len(f.vis.Predict(cam.Pos)) - len(visible); len(want) <= depth+1 || len(want) >= rim {
+	if rim := len(f.vis.AppendSet(nil, f.vis.NearestKey(cam.Pos))) - len(visible); len(want) <= depth+1 || len(want) >= rim {
 		t.Fatalf("planner lists %d of the %d predicted blocks outside the frame for a queue of %d; the pin has no teeth",
 			len(want), rim, depth)
 	}

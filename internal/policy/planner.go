@@ -199,8 +199,8 @@ func (p *Planner) rankedList(key int) []grid.BlockID {
 
 // rank returns key's σ-qualified predicted blocks in an exactly sized list,
 // nearest the key's view axis first, then by entropy descending, then by ID.
-// A key's set not memoized by T_visible is computed into s and not kept:
-// the list is all that remains of it.
+// The key's set is computed into s and not kept: the list is all that
+// remains of it.
 func (p *Planner) rank(key int, s *rankScratch) []grid.BlockID {
 	keyPos, g := p.vis.KeyPos(key), p.vis.Grid()
 	axis := keyPos.Neg().Unit()

@@ -43,7 +43,7 @@ func oraclePrefetch(vis *visibility.Table, imp *entropy.Table, sigma float64,
 		budget -= mem.SizeOf(id)
 	}
 	var candidates []grid.BlockID
-	for _, id := range vis.PredictedSet(key) {
+	for _, id := range vis.AppendSet(nil, key) {
 		if imp.Score(id) <= sigma || mem.Contains(id) {
 			continue
 		}
@@ -75,30 +75,6 @@ func oraclePrefetch(vis *visibility.Table, imp *entropy.Table, sigma float64,
 		out = append(out, id)
 	}
 	return out
-}
-
-// kindTable is T_visible in one of the forms the planner reads.
-type kindTable struct {
-	kind string
-	vis  *visibility.Table
-}
-
-// tableKinds returns T_visible over g with opts in every form the planner
-// reads, in a fixed order: plain, with exact vicinal samples, and under an
-// importance clamp (imp ranks it).
-func tableKinds(t testing.TB, g *grid.Grid, opts visibility.Options, imp *entropy.Table) []kindTable {
-	t.Helper()
-	vicinal, clamp := opts, opts
-	vicinal.VicinalSamples = 6
-	clamp.Clamp = &visibility.Clamp{Importance: imp, MaxBlocks: 120}
-	tables := []kindTable{{kind: "plain"}, {kind: "vicinal"}, {kind: "clamp"}}
-	for i, o := range []visibility.Options{opts, vicinal, clamp} {
-		var err error
-		if tables[i].vis, err = visibility.NewTable(g, o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tables
 }
 
 // residency draws which blocks of mem are resident, each with probability
@@ -156,73 +132,63 @@ func TestNewValidation(t *testing.T) {
 // random positions, residency sets, block sizes, budgets and σ the planner's
 // list is the list the inline filter-then-sort produced, budget skips
 // included. Each position is asked twice, under two residencies: the first
-// call ranks the key, the second walks the ranked list. The planner is
-// asked before the oracle, whose PredictedSet would memoize the key's set.
+// call ranks the key, the second walks the ranked list.
 func TestPlannerPrefetchMatchesInlineOracle(t *testing.T) {
 	f := newFixture(t)
 	n := f.g.NumBlocks()
 	sigmas := []float64{math.Inf(-1), 0, f.imp.ThresholdForQuantile(0.25),
 		f.imp.ThresholdForQuantile(0.75), f.imp.MaxScore()}
-	opts := visibility.Options{
-		NAzimuth: 24, NElevation: 12, NDistance: 3,
-		RMin: 2, RMax: 4,
-		ViewAngle: vec.Radians(10),
-		Radius:    radius.Fixed(0.25),
+	rng := rand.New(rand.NewSource(24))
+	var nonEmpty, skipped int
+	for _, sigma := range sigmas {
+		plan, err := NewPlanner(f.vis, f.imp, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst []grid.BlockID
+		for trial := 0; trial < 60; trial++ {
+			// Positions inside and beyond Ω's distance range.
+			pos := vec.FromSpherical(vec.Spherical{
+				Azimuth:   rng.Float64() * 2 * math.Pi,
+				Elevation: (rng.Float64() - 0.5) * math.Pi / 4,
+				R:         1.5 + 3*rng.Float64(),
+			})
+			mem := &fakeMemory{sizes: make([]int64, n)}
+			var total int64
+			for id := range mem.sizes {
+				mem.sizes[id] = 1 + rng.Int63n(8)
+				total += mem.sizes[id]
+			}
+			mem.capacity = rng.Int63n(total / 8)
+			var visible []grid.BlockID // nil: the server's case
+			if trial%2 == 0 {
+				for k := rng.Intn(6); k > 0; k-- {
+					visible = append(visible, grid.BlockID(rng.Intn(n)))
+				}
+			}
+			for call := 0; call < 2; call++ {
+				residency(mem, rng, 3)
+				dst = plan.Prefetch(dst[:0], pos, visible, mem)
+				want := oraclePrefetch(f.vis, f.imp, sigma, pos, visible, mem)
+				if !slices.Equal(dst, want) {
+					t.Fatalf("σ=%g trial %d call %d pos %v: planner %v, inline oracle %v",
+						sigma, trial, call, pos, dst, want)
+				}
+				if len(want) > 0 {
+					nonEmpty++
+					// A skip shows as a listed block ranked after an
+					// unlisted non-resident one.
+					unlimited := *mem
+					unlimited.capacity = math.MaxInt64
+					if all := oraclePrefetch(f.vis, f.imp, sigma, pos, nil, &unlimited); !slices.Equal(all[:len(want)], want) {
+						skipped++
+					}
+				}
+			}
+		}
 	}
-	for _, k := range tableKinds(t, f.g, opts, f.imp) {
-		name, vis := k.kind, k.vis
-		rng := rand.New(rand.NewSource(24))
-		var nonEmpty, skipped int
-		for _, sigma := range sigmas {
-			plan, err := NewPlanner(vis, f.imp, sigma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dst []grid.BlockID
-			for trial := 0; trial < 60; trial++ {
-				// Positions inside and beyond Ω's distance range.
-				pos := vec.FromSpherical(vec.Spherical{
-					Azimuth:   rng.Float64() * 2 * math.Pi,
-					Elevation: (rng.Float64() - 0.5) * math.Pi / 4,
-					R:         1.5 + 3*rng.Float64(),
-				})
-				mem := &fakeMemory{sizes: make([]int64, n)}
-				var total int64
-				for id := range mem.sizes {
-					mem.sizes[id] = 1 + rng.Int63n(8)
-					total += mem.sizes[id]
-				}
-				mem.capacity = rng.Int63n(total / 8)
-				var visible []grid.BlockID // nil: the server's case
-				if trial%2 == 0 {
-					for k := rng.Intn(6); k > 0; k-- {
-						visible = append(visible, grid.BlockID(rng.Intn(n)))
-					}
-				}
-				for call := 0; call < 2; call++ {
-					residency(mem, rng, 3)
-					dst = plan.Prefetch(dst[:0], pos, visible, mem)
-					want := oraclePrefetch(vis, f.imp, sigma, pos, visible, mem)
-					if !slices.Equal(dst, want) {
-						t.Fatalf("%s table, σ=%g trial %d call %d pos %v: planner %v, inline oracle %v",
-							name, sigma, trial, call, pos, dst, want)
-					}
-					if len(want) > 0 {
-						nonEmpty++
-						// A skip shows as a listed block ranked after an
-						// unlisted non-resident one.
-						unlimited := *mem
-						unlimited.capacity = math.MaxInt64
-						if all := oraclePrefetch(vis, f.imp, sigma, pos, nil, &unlimited); !slices.Equal(all[:len(want)], want) {
-							skipped++
-						}
-					}
-				}
-			}
-		}
-		if nonEmpty < 100 || skipped < 20 {
-			t.Errorf("%s table: only %d non-empty lists, %d with a budget skip: the property has no teeth", name, nonEmpty, skipped)
-		}
+	if nonEmpty < 100 || skipped < 20 {
+		t.Errorf("only %d non-empty lists, %d with a budget skip: the property has no teeth", nonEmpty, skipped)
 	}
 }
 
@@ -238,63 +204,58 @@ func TestPlannerPrefetchTieBreakMatchesOracle(t *testing.T) {
 	f := newFixture(t)
 	n := f.g.NumBlocks()
 	pos := vec.New(-3, 0, 0)
+	vis, err := visibility.NewTable(f.g, visibility.Options{
+		NAzimuth: 1, NElevation: 3, NDistance: 1,
+		RMin: 2, RMax: 4,
+		ViewAngle: vec.Radians(10),
+		Radius:    radius.Fixed(0.5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := vis.NearestKey(pos)
+	keyPos := vis.KeyPos(key)
+	if keyPos.Y != 0 {
+		t.Fatalf("key %d at %v is off the mid-plane", key, keyPos)
+	}
+	axis := keyPos.Neg().Unit()
+	angle := func(id grid.BlockID) float64 { return vec.AngleBetween(f.g.Center(id).Sub(keyPos), axis) }
 	rng := rand.New(rand.NewSource(29))
-	ties := make(map[string][2]int) // by table kind: neighbours ranked by score, by ID
+	byScore, byID := 0, 0 // neighbours ranked by score, by ID
 	for trial := 0; trial < 20; trial++ {
 		scores := make([]float64, n)
 		for i := range scores {
 			scores[i] = float64(rng.Intn(4))
 		}
 		imp := entropy.NewTable(scores)
-		opts := visibility.Options{
-			NAzimuth: 1, NElevation: 3, NDistance: 1,
-			RMin: 2, RMax: 4,
-			ViewAngle: vec.Radians(10),
-			Radius:    radius.Fixed(0.5),
+		plan, err := NewPlanner(vis, imp, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range tableKinds(t, f.g, opts, imp) {
-			name, vis := k.kind, k.vis
-			key := vis.NearestKey(pos)
-			keyPos := vis.KeyPos(key)
-			if keyPos.Y != 0 {
-				t.Fatalf("key %d at %v is off the mid-plane", key, keyPos)
+		mem := &fakeMemory{sizes: make([]int64, n), capacity: math.MaxInt64}
+		for id := range mem.sizes {
+			mem.sizes[id] = 1
+		}
+		for call := 0; call < 2; call++ {
+			residency(mem, rng, 4)
+			got := plan.Prefetch(nil, pos, nil, mem)
+			want := oraclePrefetch(vis, imp, 0, pos, nil, mem)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d call %d: planner %v, inline oracle %v", trial, call, got, want)
 			}
-			axis := keyPos.Neg().Unit()
-			angle := func(id grid.BlockID) float64 { return vec.AngleBetween(f.g.Center(id).Sub(keyPos), axis) }
-			plan, err := NewPlanner(vis, imp, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mem := &fakeMemory{sizes: make([]int64, n), capacity: math.MaxInt64}
-			for id := range mem.sizes {
-				mem.sizes[id] = 1
-			}
-			byScore, byID := 0, 0
-			for call := 0; call < 2; call++ {
-				residency(mem, rng, 4)
-				got := plan.Prefetch(nil, pos, nil, mem)
-				want := oraclePrefetch(vis, imp, 0, pos, nil, mem)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s table, trial %d call %d: planner %v, inline oracle %v", name, trial, call, got, want)
-				}
-				for i := 1; i < len(want); i++ {
-					if a, b := want[i-1], want[i]; angle(a) == angle(b) {
-						if imp.Score(a) != imp.Score(b) {
-							byScore++
-						} else {
-							byID++
-						}
+			for i := 1; i < len(want); i++ {
+				if a, b := want[i-1], want[i]; angle(a) == angle(b) {
+					if imp.Score(a) != imp.Score(b) {
+						byScore++
+					} else {
+						byID++
 					}
 				}
 			}
-			c := ties[name]
-			ties[name] = [2]int{c[0] + byScore, c[1] + byID}
 		}
 	}
-	for name, c := range ties {
-		if c[0] < 20 || c[1] < 20 {
-			t.Errorf("%s table: %d neighbours ranked by score and %d by ID on an exact angle tie: the pin has no teeth", name, c[0], c[1])
-		}
+	if byScore < 20 || byID < 20 {
+		t.Errorf("%d neighbours ranked by score and %d by ID on an exact angle tie: the pin has no teeth", byScore, byID)
 	}
 }
 
@@ -313,9 +274,8 @@ func TestPlannerPreloadOrder(t *testing.T) {
 }
 
 // TestPlannerConcurrentColdKey is the server's case: many sessions ask about
-// one sampling position T_visible has not materialized yet, each ranking
-// in its own pooled scratch. Under -race; every caller must get the same list,
-// and the table must not keep the set the planner ranked.
+// one sampling position no one has ranked yet, each ranking in its own
+// pooled scratch. Under -race; every caller must get the same list.
 func TestPlannerConcurrentColdKey(t *testing.T) {
 	f := newFixture(t)
 	plan, err := NewPlanner(f.vis, f.imp, f.imp.ThresholdForQuantile(0.75))
@@ -340,9 +300,6 @@ func TestPlannerConcurrentColdKey(t *testing.T) {
 	wg.Wait()
 	if len(lists[0]) == 0 {
 		t.Fatal("empty prefetch list; the pin has no teeth")
-	}
-	if n := f.vis.MaterializedKeys(); n != 0 {
-		t.Errorf("T_visible kept %d sets beside the planner's ranked list", n)
 	}
 	for w, l := range lists {
 		if !slices.Equal(l, lists[0]) {

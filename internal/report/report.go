@@ -117,40 +117,6 @@ func csvEscape(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// WriteMarkdown renders the table as a GitHub-flavored markdown table, the
-// format EXPERIMENTS.md embeds.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "**%s**\n\n", t.Title); err != nil {
-			return err
-		}
-	}
-	row := func(cells []string) error {
-		escaped := make([]string, len(cells))
-		for i, c := range cells {
-			escaped[i] = strings.ReplaceAll(c, "|", "\\|")
-		}
-		_, err := fmt.Fprintf(w, "| %s |\n", strings.Join(escaped, " | "))
-		return err
-	}
-	if err := row(t.Columns); err != nil {
-		return err
-	}
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if err := row(sep); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := row(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // String renders the table as text.
 func (t *Table) String() string {
 	var sb strings.Builder

@@ -54,25 +54,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("My Title", "a", "b")
-	tb.AddRow("x|y", 3)
-	var sb strings.Builder
-	if err := tb.WriteMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
-	if !strings.Contains(got, "**My Title**") {
-		t.Errorf("missing title:\n%s", got)
-	}
-	if !strings.Contains(got, "| a | b |") || !strings.Contains(got, "| --- | --- |") {
-		t.Errorf("markdown structure wrong:\n%s", got)
-	}
-	if !strings.Contains(got, `x\|y`) {
-		t.Errorf("pipe not escaped:\n%s", got)
-	}
-}
-
 func TestEmptyTable(t *testing.T) {
 	tb := NewTable("", "only")
 	s := tb.String()

@@ -13,6 +13,12 @@ import (
 	"repro/internal/visibility"
 )
 
+// lookupCostPerKey is the modelled price of searching one T_visible entry:
+// a lookup is charged lookupCostPerKey × the table's key count, the paper's
+// linear scan, the overhead that makes over-dense sampling lose in
+// Fig. 7(b).
+const lookupCostPerKey = 25 * time.Nanosecond
+
 // Options switches Algorithm 1's phases on and off for the ablation study;
 // RunAppAware enables all three unless told otherwise.
 type Options struct {
@@ -112,7 +118,7 @@ func NewAppAware(cfg Config, ac AppAwareConfig) (*Session, error) {
 		return nil, err
 	}
 	s.m.Policy = "OPT(app-aware)"
-	s.queryCost = vis.QueryCost()
+	s.queryCost = time.Duration(vis.NumKeys()) * lookupCostPerKey
 	s.opts = Options{Preload: true, PrefetchEnabled: true, StaleOnlyEviction: true}
 	if ac.Policy != nil {
 		s.opts = *ac.Policy

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/camera"
 	"repro/internal/entropy"
@@ -153,6 +154,35 @@ func TestPrefetchOverlapsAndFills(t *testing.T) {
 	// Demand and prefetch accounting are separate in the hierarchy.
 	if s.h.PrefetchTime != res.PrefetchTime {
 		t.Errorf("hierarchy prefetch %v != step %v", s.h.PrefetchTime, res.PrefetchTime)
+	}
+}
+
+// TestQueryCostScalesWithKeys pins the T_visible lookup charge: a linear
+// scan of the table at 25 ns a key, so a denser lattice costs more.
+func TestQueryCostScalesWithKeys(t *testing.T) {
+	small := newFixture(t)
+	large := small
+	var err error
+	large.vis, err = visibility.NewTable(small.cfg.Grid, visibility.Options{
+		NAzimuth: 4 * 24, NElevation: 12, NDistance: 3,
+		RMin: 2, RMax: 4,
+		ViewAngle: small.cfg.ViewAngle,
+		Radius:    radius.Fixed(0.25),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charge := func(f fixture) time.Duration {
+		s := f.session(t, 1, allPhases)
+		s.Step(f.view())
+		got := s.Metrics().QueryTime
+		if want := time.Duration(f.vis.NumKeys()) * 25 * time.Nanosecond; got != want {
+			t.Errorf("T_visible lookup charged %v, want %v for %d keys", got, want, f.vis.NumKeys())
+		}
+		return got
+	}
+	if cs, cl := charge(small), charge(large); !(cl > cs) {
+		t.Errorf("lookup charge %v over %d keys not above %v over %d", cl, large.vis.NumKeys(), cs, small.vis.NumKeys())
 	}
 }
 

@@ -30,30 +30,12 @@ type Table struct {
 	blocks    int
 }
 
-// Options configures Build.
-type Options struct {
-	// MaxSamplesPerAxis bounds per-block sampling (default 8; negative
-	// samples every voxel).
-	MaxSamplesPerAxis int
-	// Parallelism bounds worker goroutines (default GOMAXPROCS).
-	Parallelism int
-}
+// samplesPerAxis bounds each block's sampling: at most 8 values per axis.
+const samplesPerAxis = 8
 
-func (o Options) withDefaults() Options {
-	if o.MaxSamplesPerAxis == 0 {
-		o.MaxSamplesPerAxis = 8
-	}
-	if o.MaxSamplesPerAxis < 0 {
-		o.MaxSamplesPerAxis = 0
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
-
-// Build computes summaries for the given variables (all when vars is nil).
-func Build(ds *volume.Dataset, g *grid.Grid, vars []int, opts Options) (*Table, error) {
+// Build computes summaries for the given variables (all when vars is nil),
+// on GOMAXPROCS workers.
+func Build(ds *volume.Dataset, g *grid.Grid, vars []int) (*Table, error) {
 	if len(vars) == 0 {
 		vars = make([]int, ds.Variables)
 		for i := range vars {
@@ -65,7 +47,6 @@ func Build(ds *volume.Dataset, g *grid.Grid, vars []int, opts Options) (*Table, 
 			return nil, fmt.Errorf("summary: variable %d out of [0,%d)", v, ds.Variables)
 		}
 	}
-	opts = opts.withDefaults()
 	t := &Table{
 		variables: append([]int(nil), vars...),
 		index:     make(map[int]int, len(vars)),
@@ -78,13 +59,13 @@ func Build(ds *volume.Dataset, g *grid.Grid, vars []int, opts Options) (*Table, 
 	}
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < opts.Parallelism; w++ {
+	for range runtime.GOMAXPROCS(0) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for b := range work {
 				for i, v := range t.variables {
-					vals := ds.BlockSamples(g, grid.BlockID(b), v, opts.MaxSamplesPerAxis)
+					vals := ds.BlockSamples(g, grid.BlockID(b), v, samplesPerAxis)
 					t.rows[i][b] = summarize(vals)
 				}
 			}

@@ -15,7 +15,7 @@ func ballTable(t *testing.T) (*volume.Dataset, *grid.Grid, *Table) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Build(ds, g, nil, Options{})
+	tab, err := Build(ds, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func ballTable(t *testing.T) (*volume.Dataset, *grid.Grid, *Table) {
 func TestBuildValidation(t *testing.T) {
 	ds := volume.Ball().Scale(1.0 / 32)
 	g, _ := ds.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
-	if _, err := Build(ds, g, []int{3}, Options{}); err == nil {
+	if _, err := Build(ds, g, []int{3}); err == nil {
 		t.Error("bad variable accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestConjunctionNarrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Build(ds, g, nil, Options{MaxSamplesPerAxis: 4})
+	tab, err := Build(ds, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,11 @@ func BenchmarkVicinalUnionJitter(b *testing.B) {
 }
 
 // BenchmarkTableBuild is the full T_visible of bench/'s fixture: all 1 536
-// keys, each computed and memoized by PredictedSet. No path pays it whole —
-// a table computes only the keys a path visits — so it is the upper bound.
+// keys, each computed by AppendSet into one reused buffer. No path pays it
+// whole — a path computes only the keys it visits — so it is the upper bound.
 func BenchmarkTableBuild(b *testing.B) {
 	g := benchGrid(b, 512)
+	var buf []grid.BlockID
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,45 +122,24 @@ func BenchmarkTableBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		for k := range tab.NumKeys() {
-			tab.PredictedSet(k)
+			buf = tab.AppendSet(buf[:0], k)
 		}
 	}
+	benchSink = buf
 }
 
-func predictBenchTable(b *testing.B) *Table {
-	b.Helper()
+// BenchmarkTablePredict is one frame's lookup: the nearest key of a position
+// and its set, computed into a reused buffer.
+func BenchmarkTablePredict(b *testing.B) {
 	tab, err := NewTable(benchGrid(b, 4096), benchTableOpts())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tab
-}
-
-// BenchmarkTablePredictParallel measures contention on memoized lookups: many
-// goroutines hitting already-materialized keys, the steady state of
-// concurrent interactive frames sharing one table.
-func BenchmarkTablePredictParallel(b *testing.B) {
-	tab := predictBenchTable(b)
-	for _, pos := range benchOrbit {
-		tab.Predict(pos) // materialize
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			tab.Predict(benchOrbit[i%len(benchOrbit)])
-			i++
-		}
-	})
-}
-
-func BenchmarkTablePredict(b *testing.B) {
-	tab := predictBenchTable(b)
-	tab.Predict(benchOrbit[0]) // materialize once
+	buf := tab.AppendSet(nil, tab.NearestKey(benchOrbit[0]))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.Predict(benchOrbit[0])
+		buf = tab.AppendSet(buf[:0], tab.NearestKey(benchOrbit[0]))
 	}
+	benchSink = buf
 }

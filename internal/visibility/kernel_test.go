@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/camera"
-	"repro/internal/entropy"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/radius"
@@ -139,35 +138,21 @@ func TestOriginCameraSeesEverything(t *testing.T) {
 	}
 }
 
-// TestTableEqualsFlatScan checks a whole T_visible, key by key, against sets
-// built from the flat scans: dilated and jittered, with and without the
-// importance clamp.
+// TestTableEqualsFlatScan checks a whole T_visible, key by key, against
+// sets built from the flat scan.
 func TestTableEqualsFlatScan(t *testing.T) {
-	g := kernelGrids(t)[1]
-	scores := make([]float64, g.NumBlocks())
-	for i := range scores {
-		scores[i] = float64(i * 7 % 5) // ties, so the clamp's stable order matters
+	tab, err := NewTable(kernelGrids(t)[1], Options{
+		NAzimuth: 8, NElevation: 4, NDistance: 2,
+		RMin: 1.2, RMax: 3, // the inner ring is inside the enclosing sphere
+		ViewAngle: vec.Radians(120),
+		Radius:    radius.Dynamic{Ratio: 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	clamp := &Clamp{Importance: entropy.NewTable(scores), MaxBlocks: 9}
-	for _, samples := range []int{0, 3} {
-		for _, c := range []*Clamp{nil, clamp} {
-			opts := Options{
-				NAzimuth: 8, NElevation: 4, NDistance: 2,
-				RMin: 1.2, RMax: 3, // the inner ring is inside the enclosing sphere
-				ViewAngle:      vec.Radians(120),
-				Radius:         radius.Dynamic{Ratio: 0.25},
-				VicinalSamples: samples,
-				Clamp:          c,
-			}
-			tab, err := NewTable(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < tab.NumKeys(); i++ {
-				if got, want := tab.PredictedSet(i), flatComputeSet(tab, i); !slices.Equal(got, want) {
-					t.Fatalf("samples=%d clamp=%v key %d: %v, flat scan %v", samples, c != nil, i, got, want)
-				}
-			}
+	for i := 0; i < tab.NumKeys(); i++ {
+		if got, want := tab.AppendSet(nil, i), flatKeySet(tab, i); !slices.Equal(got, want) {
+			t.Fatalf("key %d: %v, flat scan %v", i, got, want)
 		}
 	}
 }

@@ -52,27 +52,9 @@ func flatVicinalUnion(g *grid.Grid, pos vec.V3, theta, r float64, samples int) [
 	return out
 }
 
-// flatComputeSet is Table.computeSet over the flat scans, with the clamp as
-// it was first written (reflective sorts over a copy).
-func flatComputeSet(t *Table, i int) []grid.BlockID {
+// flatKeySet is Table.AppendSet(nil, i) over the flat scan.
+func flatKeySet(t *Table, i int) []grid.BlockID {
 	pos := t.KeyPos(i)
 	r := t.opts.Radius.Radius(t.opts.ViewAngle, pos.Norm())
-	var set []grid.BlockID
-	if t.opts.VicinalSamples > 0 {
-		set = flatVicinalUnion(t.g, pos, t.opts.ViewAngle, r, t.opts.VicinalSamples)
-	} else {
-		set = flatDilatedVisibleSet(t.g, pos, t.opts.ViewAngle, r)
-	}
-	if c := t.opts.Clamp; c != nil && c.MaxBlocks > 0 && len(set) > c.MaxBlocks {
-		sort.SliceStable(set, func(a, b int) bool {
-			sa, sb := c.Importance.Score(set[a]), c.Importance.Score(set[b])
-			if sa != sb {
-				return sa > sb
-			}
-			return set[a] < set[b]
-		})
-		set = set[:c.MaxBlocks]
-		sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
-	}
-	return set
+	return flatDilatedVisibleSet(t.g, pos, t.opts.ViewAngle, r)
 }

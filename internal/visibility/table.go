@@ -1,15 +1,9 @@
 package visibility
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/entropy"
 	"repro/internal/grid"
 	"repro/internal/radius"
 	"repro/internal/vec"
@@ -28,39 +22,11 @@ type Options struct {
 	ViewAngle float64
 	// Radius picks the vicinal radius r per sampling position (§V-B2).
 	Radius radius.Strategy
-	// VicinalSamples > 0 computes the vicinal union exactly from that many
-	// jitter points (faithful to §IV-B but expensive); 0 uses the analytic
-	// cone-dilation approximation.
-	VicinalSamples int
-	// QueryCostPerKey models the per-entry cost of searching the lookup
-	// table; the total per-query charge is QueryCostPerKey × NumKeys. This
-	// is the overhead that makes over-dense sampling lose in Fig. 7(b).
-	// Default 25ns; negative is refused.
-	QueryCostPerKey time.Duration
-	// Clamp, when set, keeps only the most important blocks of each key's
-	// set (§IV-C: over-predicted sets are reduced by entropy rank).
-	Clamp *Clamp
 }
 
-// Clamp bounds per-key set sizes by importance.
-type Clamp struct {
-	// Importance ranks blocks; must cover the table's grid when MaxBlocks
-	// is positive.
-	Importance *entropy.Table
-	// MaxBlocks is the per-key cap (≤ 0 disables clamping).
-	MaxBlocks int
-}
-
-func (o Options) withDefaults() Options {
-	if o.QueryCostPerKey == 0 {
-		o.QueryCostPerKey = 25 * time.Nanosecond
-	}
-	return o
-}
-
-// validate checks the options against the grid and returns the number of
-// keys they define. The comparisons are written so that NaN fails them.
-func (o Options) validate(g *grid.Grid) (numKeys int, err error) {
+// validate checks the options and returns the number of keys they define.
+// The comparisons are written so that NaN fails them.
+func (o Options) validate() (numKeys int, err error) {
 	numKeys = 1
 	for _, d := range []int{o.NAzimuth, o.NElevation, o.NDistance} {
 		if d < 1 || numKeys > math.MaxInt/d {
@@ -78,17 +44,6 @@ func (o Options) validate(g *grid.Grid) (numKeys int, err error) {
 	if o.Radius == nil {
 		return 0, fmt.Errorf("visibility: nil radius strategy")
 	}
-	if o.QueryCostPerKey < 0 {
-		return 0, fmt.Errorf("visibility: query cost %v per key", o.QueryCostPerKey)
-	}
-	if c := o.Clamp; c != nil && c.MaxBlocks > 0 {
-		if c.Importance == nil {
-			return 0, fmt.Errorf("visibility: clamp to %d blocks without an importance table", c.MaxBlocks)
-		}
-		if n := g.NumBlocks(); c.Importance.Len() != n {
-			return 0, fmt.Errorf("visibility: clamp importance covers %d blocks, grid has %d", c.Importance.Len(), n)
-		}
-	}
 	return numKeys, nil
 }
 
@@ -96,41 +51,29 @@ func (o Options) validate(g *grid.Grid) (numKeys int, err error) {
 // <view direction l, distance d>, each mapped to the set of blocks visible
 // from its vicinal area φ. Lookup finds the nearest sampled position.
 //
-// The paper computes every key offline (§IV-B); here a key's set is computed
-// on its first lookup, with the same contents, because a path visits a few
-// hundred keys of tables up to 108,000 (Fig. 7). The computation is sharded
-// per key (one sync.Once each) rather than serialized behind a table-wide
-// lock, so concurrent frames looking up different — or already-computed —
-// keys never contend: the steady-state lookup is a single atomic load.
+// The paper computes every key offline (§IV-B); here a key's set is a pure
+// function of the grid, the lattice, θ, the radius and the key, computed on
+// each AppendSet and kept by no one but the caller, because a path visits a
+// few hundred keys of tables up to 108,000 (Fig. 7). The table holds no
+// per-key state, so it is safe for concurrent use and costs nothing per key.
 type Table struct {
-	g    *grid.Grid
-	opts Options
-
-	sets [][]grid.BlockID // indexed by key; written once inside once[i]
-	once []sync.Once
-	done []atomic.Bool
+	g       *grid.Grid
+	opts    Options
+	numKeys int
 }
 
 // NewTable validates options and returns a T_visible for the grid. It
-// computes no set: each key's is computed on its first lookup.
+// computes no set.
 func NewTable(g *grid.Grid, opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	n, err := opts.validate(g)
+	n, err := opts.validate()
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		g:    g,
-		opts: opts,
-		sets: make([][]grid.BlockID, n),
-		once: make([]sync.Once, n),
-		done: make([]atomic.Bool, n),
-	}
-	return t, nil
+	return &Table{g: g, opts: opts, numKeys: n}, nil
 }
 
 // NumKeys returns the total number of sampling positions.
-func (t *Table) NumKeys() int { return len(t.sets) }
+func (t *Table) NumKeys() int { return t.numKeys }
 
 // Grid returns the block grid the table was built over.
 func (t *Table) Grid() *grid.Grid { return t.g }
@@ -166,8 +109,8 @@ func (t *Table) keyIndex(az, el, dist int) int {
 
 // NearestKey returns the index of the sampling position closest to pos in
 // the <direction, distance> lattice. The lattice structure makes this O(1):
-// the paper's linear-scan lookup cost is *charged* via QueryCost instead of
-// being paid in wall-clock time.
+// the paper's linear-scan lookup cost is *charged* by the simulator
+// (internal/sim) instead of being paid in wall-clock time.
 func (t *Table) NearestKey(pos vec.V3) int {
 	s := vec.ToSpherical(pos)
 	az := int(s.Azimuth / (2 * math.Pi) * float64(t.opts.NAzimuth))
@@ -192,80 +135,15 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// QueryCost returns the simulated time of one table lookup under the linear
-// scan cost model: per-entry cost × table size. Fig. 7(b)'s I/O-time minimum
-// at an intermediate sampling density comes from this term.
-func (t *Table) QueryCost() time.Duration {
-	return time.Duration(len(t.sets)) * t.opts.QueryCostPerKey
-}
-
-// PredictedSet returns the visible-block set S_v of key i, computing and
-// memoizing it on first use. Concurrent lookups of distinct keys proceed
-// independently; concurrent lookups of one cold key compute it once and
-// share the result. The returned slice is shared; callers must not modify
-// it.
-func (t *Table) PredictedSet(i int) []grid.BlockID {
-	t.once[i].Do(func() {
-		t.sets[i] = t.appendSet(nil, i)
-		t.done[i].Store(true)
-	})
-	return t.sets[i]
-}
-
-// AppendSet appends key i's set, PredictedSet(i)'s ids, to dst and returns
-// it. A memoized key's set is copied; any other key's is computed into dst
-// and not kept by the table, so a caller that keeps what it needs of a set
-// (the policy planner's ranked list) is its only holder.
+// AppendSet appends key i's set S_v to dst and returns it: the sorted ids
+// of the blocks visible from anywhere within the vicinal radius of the key's
+// position (the analytic cone dilation, §IV-B). The paper's clamp of
+// over-predicted sets (§IV-C) is the planner's σ filter and budget, not
+// the table's.
 func (t *Table) AppendSet(dst []grid.BlockID, i int) []grid.BlockID {
-	if t.materialized(i) {
-		return append(dst, t.sets[i]...)
-	}
-	return t.appendSet(dst, i)
-}
-
-// materialized reports whether PredictedSet has memoized key i's set.
-func (t *Table) materialized(i int) bool { return t.done[i].Load() }
-
-// Predict returns the predicted visible set for an arbitrary camera
-// position: the set of its nearest sampling position.
-func (t *Table) Predict(pos vec.V3) []grid.BlockID {
-	return t.PredictedSet(t.NearestKey(pos))
-}
-
-// appendSet appends the vicinal-union visible set of key i to dst, with the
-// importance clamp applied.
-func (t *Table) appendSet(dst []grid.BlockID, i int) []grid.BlockID {
 	pos := t.KeyPos(i)
 	r := t.opts.Radius.Radius(t.opts.ViewAngle, pos.Norm())
-	start := len(dst)
-	if t.opts.VicinalSamples > 0 {
-		dst = appendVisibleSet(dst, t.g, vicinalCones(pos, t.opts.ViewAngle, r, t.opts.VicinalSamples)...)
-	} else {
-		dst = appendVisibleSet(dst, t.g, cone{pos: pos, theta: t.opts.ViewAngle, r: r, dilated: true})
-	}
-	if c := t.opts.Clamp; c != nil && c.MaxBlocks > 0 && len(dst)-start > c.MaxBlocks {
-		set := dst[start:]
-		slices.SortStableFunc(set, func(a, b grid.BlockID) int {
-			if o := cmp.Compare(c.Importance.Score(b), c.Importance.Score(a)); o != 0 {
-				return o
-			}
-			return cmp.Compare(a, b)
-		})
-		slices.Sort(set[:c.MaxBlocks])
-		dst = dst[:start+c.MaxBlocks]
-	}
-	return dst
-}
-
-// MaterializedKeys reports how many keys PredictedSet has memoized.
-func (t *Table) MaterializedKeys() int {
-	n := 0
-	for i := range t.done {
-		if t.materialized(i) {
-			n++
-		}
-	}
-	return n
+	return appendVisibleSet(dst, t.g, cone{pos: pos, theta: t.opts.ViewAngle, r: r, dilated: true})
 }
 
 // LatticeForTotal returns lattice dimensions (nAz, nEl, nDist) whose product

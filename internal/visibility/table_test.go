@@ -1,13 +1,12 @@
 package visibility
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/camera"
-	"repro/internal/entropy"
 	"repro/internal/grid"
 	"repro/internal/radius"
 	"repro/internal/vec"
@@ -47,13 +46,6 @@ func TestNewTableValidation(t *testing.T) {
 		func() Options { o := tableOpts(); o.ViewAngle = 0; return o }(),
 		func() Options { o := tableOpts(); o.ViewAngle = 4; return o }(),
 		func() Options { o := tableOpts(); o.Radius = nil; return o }(),
-		func() Options { o := tableOpts(); o.QueryCostPerKey = -time.Nanosecond; return o }(),
-		func() Options { o := tableOpts(); o.Clamp = &Clamp{MaxBlocks: 3}; return o }(),
-		func() Options {
-			o := tableOpts()
-			o.Clamp = &Clamp{Importance: entropy.NewTable(make([]float64, 2)), MaxBlocks: 3}
-			return o
-		}(),
 	}
 	for i, o := range bad {
 		if _, err := NewTable(g, o); err == nil {
@@ -132,161 +124,62 @@ func TestPredictCoversActualVisibleSet(t *testing.T) {
 	})
 	cam := camera.Camera{Pos: vec.New(0.4, 0.3, 2.9), ViewAngle: vec.Radians(30)}
 	exact := VisibleSet(g, cam)
-	pred := tab.Predict(cam.Pos)
+	pred := tab.AppendSet(nil, tab.NearestKey(cam.Pos))
 	covered := len(Intersect(exact, pred))
 	if float64(covered) < 0.7*float64(len(exact)) {
 		t.Errorf("prediction covers %d of %d visible blocks, want >= 70%%", covered, len(exact))
 	}
 }
 
-func TestLazyMaterialization(t *testing.T) {
-	_, tab := newTestTable(t, tableOpts())
-	if got := tab.MaterializedKeys(); got != 0 {
-		t.Fatalf("new table materialized %d keys at build", got)
-	}
-	s := tab.PredictedSet(5)
-	if len(s) == 0 {
-		t.Error("empty predicted set for an outside camera")
-	}
-	if got := tab.MaterializedKeys(); got != 1 {
-		t.Errorf("materialized %d, want 1", got)
-	}
-	// Second access reuses the memoized set (same backing array).
-	s2 := tab.PredictedSet(5)
-	if &s[0] != &s2[0] {
-		t.Error("predicted set recomputed instead of memoized")
-	}
-}
-
-// TestAppendSetEqualsPredictedSet: on a plain, a VicinalSamples and a Clamp
-// table, AppendSet appends every key's PredictedSet after what dst holds,
-// before and after PredictedSet memoizes it, and memoizes nothing itself.
-func TestAppendSetEqualsPredictedSet(t *testing.T) {
-	g, _ := newTestTable(t, tableOpts())
-	scores := make([]float64, g.NumBlocks())
-	for i := range scores {
-		scores[i] = float64(i % 7)
-	}
-	plain := tableOpts()
-	plain.Radius = radius.Fixed(1.0) // sets the clamp cuts
-	vicinal, clamp := plain, plain
-	vicinal.VicinalSamples = 4
-	clamp.Clamp = &Clamp{Importance: entropy.NewTable(scores), MaxBlocks: 5}
-	for name, o := range map[string]Options{"plain": plain, "vicinal": vicinal, "clamp": clamp} {
-		tab, err := NewTable(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var clamped bool
-		for i := 0; i < tab.NumKeys(); i++ {
-			before := tab.MaterializedKeys()
-			got := tab.AppendSet([]grid.BlockID{9, 2}, i)
-			if after := tab.MaterializedKeys(); after != before {
-				t.Fatalf("%s table, key %d: AppendSet took materialized keys from %d to %d", name, i, before, after)
-			}
-			want := tab.PredictedSet(i)
-			if !slices.Equal(got[:2], []grid.BlockID{9, 2}) || !slices.Equal(got[2:], want) {
-				t.Fatalf("%s table, key %d: AppendSet %v, want [9 2] then PredictedSet %v", name, i, got, want)
-			}
-			if again := tab.AppendSet(nil, i); !slices.Equal(again, want) {
-				t.Fatalf("%s table, materialized key %d: AppendSet %v, PredictedSet %v", name, i, again, want)
-			}
-			clamped = clamped || len(want) == 5
-		}
-		if name == "clamp" && !clamped {
-			t.Error("no key reached the clamp: the clamp case has no teeth")
-		}
-	}
-}
-
-func TestQueryCostScalesWithKeys(t *testing.T) {
-	small := tableOpts()
-	large := tableOpts()
-	large.NAzimuth *= 4
-	_, ts := newTestTable(t, small)
-	_, tl := newTestTable(t, large)
-	if !(tl.QueryCost() > ts.QueryCost()) {
-		t.Errorf("query cost %v not above smaller table's %v", tl.QueryCost(), ts.QueryCost())
-	}
-	// Default per-key cost applies.
-	if got := ts.QueryCost(); got != time.Duration(ts.NumKeys())*25*time.Nanosecond {
-		t.Errorf("QueryCost = %v", got)
-	}
-}
-
-func TestImportanceClampBoundsSetSize(t *testing.T) {
-	g, _ := grid.New(grid.Dims{X: 64, Y: 64, Z: 64}, grid.Dims{X: 16, Y: 16, Z: 16})
-	// Importance: higher ID = more important (synthetic scores).
-	scores := make([]float64, g.NumBlocks())
-	for i := range scores {
-		scores[i] = float64(i)
-	}
-	imp := entropy.NewTable(scores)
-	o := tableOpts()
-	o.Radius = radius.Fixed(1.0) // force over-prediction
-	o.Clamp = &Clamp{Importance: imp, MaxBlocks: 5}
-	tab, err := NewTable(g, o)
+// TestNewTableKeepsNoPerKeyState: a table is its options, so building one
+// over 108 000 keys allocates no more than building one over a single key.
+func TestNewTableKeepsNoPerKeyState(t *testing.T) {
+	g, err := grid.New(grid.Dims{X: 64, Y: 64, Z: 64}, grid.Dims{X: 16, Y: 16, Z: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < tab.NumKeys(); i++ {
-		set := tab.PredictedSet(i)
-		if len(set) > 5 {
-			t.Fatalf("key %d set size %d exceeds clamp", i, len(set))
-		}
-		// Sets remain sorted after clamping.
-		for j := 1; j < len(set); j++ {
-			if set[j] <= set[j-1] {
-				t.Fatalf("clamped set unsorted at key %d", i)
+	alloc := func(nAz, nEl, nDist int) uint64 {
+		o := tableOpts()
+		o.NAzimuth, o.NElevation, o.NDistance = nAz, nEl, nDist
+		least := ^uint64(0) // of three builds, so a stray allocation elsewhere cannot fail it
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tab, err := NewTable(g, o)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
 			}
+			runtime.KeepAlive(tab)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
+		return least
 	}
-	// Unclamped equivalent has bigger sets somewhere.
-	o2 := tableOpts()
-	o2.Radius = radius.Fixed(1.0)
-	tab2, _ := NewTable(g, o2)
-	bigger := false
-	for i := 0; i < tab2.NumKeys(); i++ {
-		if len(tab2.PredictedSet(i)) > 5 {
-			bigger = true
-			break
-		}
-	}
-	if !bigger {
-		t.Skip("radius too small to over-predict; clamp untestable")
+	one, many := alloc(1, 1, 1), alloc(120, 90, 10)
+	if many > one+4<<10 {
+		t.Errorf("NewTable allocated %d B over 108 000 keys, %d B over one: it keeps per-key state", many, one)
 	}
 }
 
-func TestClampKeepsMostImportant(t *testing.T) {
-	g, _ := grid.New(grid.Dims{X: 64, Y: 64, Z: 64}, grid.Dims{X: 16, Y: 16, Z: 16})
-	scores := make([]float64, g.NumBlocks())
-	for i := range scores {
-		scores[i] = float64(i)
-	}
-	imp := entropy.NewTable(scores)
+// TestAppendSetAppends: AppendSet leaves what dst holds in place and appends
+// the key's set after it, whether dst has room for the set or not.
+func TestAppendSetAppends(t *testing.T) {
 	o := tableOpts()
 	o.Radius = radius.Fixed(1.0)
-	clamped, _ := NewTable(g, Options{
-		NAzimuth: o.NAzimuth, NElevation: o.NElevation, NDistance: o.NDistance,
-		RMin: o.RMin, RMax: o.RMax, ViewAngle: o.ViewAngle,
-		Radius: o.Radius, Clamp: &Clamp{Importance: imp, MaxBlocks: 3},
-	})
-	full, _ := NewTable(g, Options{
-		NAzimuth: o.NAzimuth, NElevation: o.NElevation, NDistance: o.NDistance,
-		RMin: o.RMin, RMax: o.RMax, ViewAngle: o.ViewAngle,
-		Radius: o.Radius,
-	})
-	key := 0
-	fullSet := full.PredictedSet(key)
-	if len(fullSet) <= 3 {
-		t.Skip("set too small to clamp")
-	}
-	clampedSet := clamped.PredictedSet(key)
-	// With score = ID, the kept blocks are the 3 largest IDs of fullSet.
-	want := fullSet[len(fullSet)-3:]
-	for i := range want {
-		if clampedSet[i] != want[i] {
-			t.Fatalf("clamped = %v, want %v", clampedSet, want)
+	_, tab := newTestTable(t, o)
+	roomy := make([]grid.BlockID, 0, 4096)
+	for i := 0; i < tab.NumKeys(); i++ {
+		want := tab.AppendSet(nil, i)
+		if len(want) == 0 {
+			t.Fatalf("key %d: empty set for an outside camera", i)
+		}
+		got := tab.AppendSet([]grid.BlockID{9, 2}, i)
+		if !slices.Equal(got[:2], []grid.BlockID{9, 2}) || !slices.Equal(got[2:], want) {
+			t.Fatalf("key %d: AppendSet %v, want [9 2] then %v", i, got, want)
+		}
+		dst := append(roomy[:0], 9, 2)
+		if got := tab.AppendSet(dst, i); &got[0] != &dst[0] || !slices.Equal(got[:2], dst) || !slices.Equal(got[2:], want) {
+			t.Fatalf("key %d: AppendSet into a roomy dst %v, want [9 2] then %v in place", i, got, want)
 		}
 	}
 }
@@ -315,51 +208,32 @@ func abs(a int) int {
 	return a
 }
 
-func TestPredictedSetsSharedNotCopied(t *testing.T) {
-	// Documented contract: callers must not modify returned sets, and the
-	// table returns the same backing array each call.
-	_, tab := newTestTable(t, tableOpts())
-	a := tab.PredictedSet(3)
-	b := tab.PredictedSet(3)
-	if len(a) > 0 && &a[0] != &b[0] {
-		t.Error("PredictedSet returned different arrays")
-	}
-}
-
-// TestPredictedSetConcurrent hammers per-key materialization from many
-// goroutines: each key must be computed exactly once and every caller must
-// see the identical slice (the per-key sync.Once contract).
-func TestPredictedSetConcurrent(t *testing.T) {
+// TestAppendSetConcurrent computes every key from many goroutines at once,
+// each into its own buffer, under -race: each must see the set one
+// goroutine alone computes.
+func TestAppendSetConcurrent(t *testing.T) {
 	opts := tableOpts()
 	opts.NAzimuth, opts.NElevation, opts.NDistance = 24, 12, 2
 	_, tab := newTestTable(t, opts)
 	n := tab.NumKeys()
-	first := make([][]grid.BlockID, n)
-	var mu sync.Mutex
+	want := make([][]grid.BlockID, n)
+	for i := range want {
+		want[i] = tab.AppendSet(nil, i)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []grid.BlockID
 			for i := 0; i < n; i++ {
-				set := tab.PredictedSet(i)
-				if len(set) == 0 {
-					continue
-				}
-				mu.Lock()
-				if first[i] == nil {
-					first[i] = set
-				} else if &first[i][0] != &set[0] || len(first[i]) != len(set) {
-					t.Errorf("key %d: callers saw different slices", i)
-					mu.Unlock()
+				k := (i + w*n/8) % n // each worker starts at its own key
+				if buf = tab.AppendSet(buf[:0], k); !slices.Equal(buf, want[k]) {
+					t.Errorf("worker %d, key %d: %v, want %v", w, k, buf, want[k])
 					return
 				}
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := tab.MaterializedKeys(); got != n {
-		t.Errorf("materialized %d of %d keys", got, n)
-	}
 }

@@ -5,10 +5,10 @@
 //
 // The library partitions volumetric datasets into blocks, predicts the
 // blocks a camera will need from a visibility table (T_visible, §IV-B, each
-// key's set computed on its first lookup), ranks block importance by Shannon entropy (T_important, §IV-C),
-// and drives a multi-level memory hierarchy with Algorithm 1: demand
-// fetching with LRU-among-stale replacement plus entropy-filtered
-// prefetching overlapped with rendering.
+// key's set computed when asked for), ranks block importance by Shannon
+// entropy (T_important, §IV-C), and drives a multi-level memory hierarchy
+// with Algorithm 1: demand fetching with LRU-among-stale replacement plus
+// entropy-filtered prefetching overlapped with rendering.
 //
 // Quick start:
 //
@@ -234,7 +234,7 @@ type (
 // BuildSummaries computes per-block value summaries for the variables (all
 // when vars is nil).
 func BuildSummaries(ds *Dataset, g *Grid, vars []int) (*SummaryTable, error) {
-	return summary.Build(ds, g, vars, summary.Options{})
+	return summary.Build(ds, g, vars)
 }
 
 // AutoTransfer derives an opacity-equalized transfer function from
