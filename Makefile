@@ -188,7 +188,8 @@ bench-smoke:
 # bench-check is `bench` with -check: rerun every tracked benchmark and fail
 # if B/op or allocs/op grew more than 5% past results/BENCH_ooc.json — the
 # two dimensions a rerun reproduces (allocs/op exactly, so a baseline of up
-# to 20 fails on +1, and a recorded 0 on any allocation). ns/op is in the
+# to 20 fails on +1, and a recorded 0 on any allocation) — and fail on a
+# recorded row that no benchmark in the run produced. ns/op is in the
 # JSON for reading only; compare timing with `go run ./bench -compare` on
 # interleaved parent/change runs. Re-record with `make bench` (and commit
 # the JSON) when a deliberate change or a new toolchain moves the numbers.

@@ -9,7 +9,8 @@
 //
 // With -out, parsed results are recorded. With -check, they are compared
 // against the named baseline instead: any benchmark present in both whose
-// B/op or allocs/op grew by more than maxRegress percent fails the run.
+// B/op or allocs/op grew by more than maxRegress percent fails the run, and
+// so does a baseline row no benchmark in the run produced.
 // ns/op is recorded for reading only; timing verdicts come from `go run
 // ./bench -compare`. Names are matched with their -GOMAXPROCS suffix
 // stripped, so a baseline "BenchmarkFrame" gates a run's "BenchmarkFrame-8".
@@ -150,13 +151,16 @@ func normalizeName(name string) string {
 // 0 is a real 0 and any rise off it regresses, as does a current line
 // without those columns. allocs/op moves between Go versions, so when they
 // differ a last message says to re-record. Returns the number of benchmarks
-// compared and a message per regression. Benchmarks only in one document
-// are ignored — adding or retiring a benchmark must not break the gate.
+// compared and a message per regression. A benchmark only in the run is
+// ignored, so adding one does not break the gate; a baseline row the run did
+// not produce fails it, so a retired or renamed benchmark's row is
+// re-recorded rather than left to gate nothing.
 func compare(baseline, current File) (int, []string) {
 	base := make(map[string]Result, len(baseline.Results))
 	for _, r := range baseline.Results {
 		base[normalizeName(r.Name)] = r
 	}
+	seen := make(map[string]bool, len(base))
 	compared := 0
 	var regressions []string
 	for _, cur := range current.Results {
@@ -165,6 +169,7 @@ func compare(baseline, current File) (int, []string) {
 		if !ok {
 			continue
 		}
+		seen[name] = true
 		compared++
 		if !cur.benchmem {
 			regressions = append(regressions, name+": no B/op and allocs/op columns; run with -benchmem")
@@ -178,6 +183,11 @@ func compare(baseline, current File) (int, []string) {
 		}
 		gate("B/op", cur.BytesPerOp, b.BytesPerOp)
 		gate("allocs/op", cur.AllocsPerOp, b.AllocsPerOp)
+	}
+	for _, r := range baseline.Results {
+		if name := normalizeName(r.Name); !seen[name] {
+			regressions = append(regressions, name+": in the baseline, produced by no benchmark in this run; re-record with `make bench`")
+		}
 	}
 	if len(regressions) > 0 && baseline.GoVersion != current.GoVersion {
 		regressions = append(regressions, fmt.Sprintf("baseline is %q, this run is %q: re-record with `make bench` before hunting",

@@ -53,8 +53,10 @@ func TestNormalizeName(t *testing.T) {
 }
 
 // TestCompare pins the -check gate: only B/op and allocs/op are held, to
-// maxRegress percent, a zero baseline is a real zero, and benchmarks missing
-// from either side are ignored rather than failing the gate.
+// maxRegress percent, a zero baseline is a real zero, a benchmark only in the
+// run is ignored, and a baseline row the run did not produce fails the gate.
+// Each case's run holds its one result and every other baseline row at its
+// baseline numbers.
 func TestCompare(t *testing.T) {
 	baseline := File{GoVersion: "go1.24.0", Results: []Result{
 		{Name: "BenchmarkFrame", NsPerOp: 10000, BytesPerOp: 1840, AllocsPerOp: 2},
@@ -68,21 +70,29 @@ func TestCompare(t *testing.T) {
 		name      string
 		goVersion string
 		cur       Result
+		missing   string // a baseline row the run lacks
 		compared  int
 		want      []string // a substring per expected regression, in order
 	}{
-		{"ns/op x4, memory equal", "go1.24.0", mem("BenchmarkFrame-8", 40000, 1840, 2), 1, nil},
-		{"allocs/op 2 to 3", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840, 3), 1, []string{"3 allocs/op vs baseline 2"}},
-		{"allocs/op 0 to 1", "go1.24.0", mem("BenchmarkHit-8", 25, 0, 1), 1, []string{"1 allocs/op vs baseline 0"}},
-		{"B/op inside the bound", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840*(100+maxRegress)/100, 2), 1, nil},
-		{"B/op outside the bound", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840*(100+maxRegress)/100+1, 2), 1, []string{"B/op vs baseline 1840"}},
-		{"memory improved", "go1.24.0", mem("BenchmarkFrame-8", 10000, 900, 1), 1, nil},
-		{"no -benchmem columns", "go1.24.0", Result{Name: "BenchmarkHit-8", NsPerOp: 25}, 1, []string{"-benchmem"}},
-		{"only in current", "go1.24.0", mem("BenchmarkNew-8", 1, 1<<30, 1<<20), 0, nil},
-		{"version mismatch, regression", "go1.22.0", mem("BenchmarkFrame-8", 10000, 1840, 3), 1, []string{"3 allocs/op vs baseline 2", `baseline is "go1.24.0", this run is "go1.22.0"`}},
-		{"version mismatch, no regression", "go1.22.0", mem("BenchmarkFrame-8", 10000, 1840, 2), 1, nil},
+		{"ns/op x4, memory equal", "go1.24.0", mem("BenchmarkFrame-8", 40000, 1840, 2), "", 3, nil},
+		{"allocs/op 2 to 3", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840, 3), "", 3, []string{"3 allocs/op vs baseline 2"}},
+		{"allocs/op 0 to 1", "go1.24.0", mem("BenchmarkHit-8", 25, 0, 1), "", 3, []string{"1 allocs/op vs baseline 0"}},
+		{"B/op inside the bound", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840*(100+maxRegress)/100, 2), "", 3, nil},
+		{"B/op outside the bound", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840*(100+maxRegress)/100+1, 2), "", 3, []string{"B/op vs baseline 1840"}},
+		{"memory improved", "go1.24.0", mem("BenchmarkFrame-8", 10000, 900, 1), "", 3, nil},
+		{"no -benchmem columns", "go1.24.0", Result{Name: "BenchmarkHit-8", NsPerOp: 25}, "", 3, []string{"-benchmem"}},
+		{"only in current", "go1.24.0", mem("BenchmarkNew-8", 1, 1<<30, 1<<20), "", 3, nil},
+		{"baseline row not produced", "go1.24.0", mem("BenchmarkFrame-8", 10000, 1840, 2), "BenchmarkRetired", 2, []string{"BenchmarkRetired: in the baseline, produced by no benchmark"}},
+		{"version mismatch, regression", "go1.22.0", mem("BenchmarkFrame-8", 10000, 1840, 3), "", 3, []string{"3 allocs/op vs baseline 2", `baseline is "go1.24.0", this run is "go1.22.0"`}},
+		{"version mismatch, no regression", "go1.22.0", mem("BenchmarkFrame-8", 10000, 1840, 2), "", 3, nil},
 	} {
-		compared, regs := compare(baseline, File{GoVersion: tc.goVersion, Results: []Result{tc.cur}})
+		run := []Result{tc.cur}
+		for _, b := range baseline.Results {
+			if b.Name != normalizeName(tc.cur.Name) && b.Name != tc.missing {
+				run = append(run, mem(b.Name+"-8", b.NsPerOp, b.BytesPerOp, b.AllocsPerOp))
+			}
+		}
+		compared, regs := compare(baseline, File{GoVersion: tc.goVersion, Results: run})
 		if compared != tc.compared {
 			t.Errorf("%s: compared %d benchmarks, want %d", tc.name, compared, tc.compared)
 		}

@@ -420,10 +420,11 @@ func TestServerChecksumIsRemembered(t *testing.T) {
 				t.Fatalf("two sends of one block took %d checksums at the server, want 1", n)
 			}
 			// No send is in flight: both reads have returned.
-			cached, ok := f.cache.GetCached(id)
-			if !ok {
+			var vals [1][]float32
+			if miss := f.cache.GetResident(vals[:], []grid.BlockID{id}, nil); len(miss) != 0 {
 				t.Fatal("the block is not in the server's cache")
 			}
+			cached := vals[0]
 			cached[3] = math.Float32frombits(math.Float32bits(cached[3]) ^ 0x400)
 			got, err := r.ReadBlock(id)
 			if !errors.Is(err, faultio.ErrChecksum) {

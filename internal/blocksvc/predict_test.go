@@ -68,9 +68,16 @@ type setMemory struct {
 	resident map[grid.BlockID]bool
 }
 
-func (m *setMemory) Contains(id grid.BlockID) bool { return m.resident[id] }
-func (m *setMemory) SizeOf(id grid.BlockID) int64  { return m.g.VoxelCount(id) * 4 }
-func (m *setMemory) Capacity() int64               { return m.g.Res().Count() * 4 }
+func (m *setMemory) AppendMissing(dst, ids []grid.BlockID) []grid.BlockID {
+	for _, id := range ids {
+		if !m.resident[id] {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+func (m *setMemory) SizeOf(id grid.BlockID) int64 { return m.g.VoxelCount(id) * 4 }
+func (m *setMemory) Capacity() int64              { return m.g.Res().Count() * 4 }
 
 // TestPredictivePrefetchBeatsNearestSample is the accuracy pin: on an orbit
 // trace, extrapolating the trajectory must warm strictly more of the blocks

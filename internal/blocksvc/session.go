@@ -246,8 +246,16 @@ type shardMemory struct {
 	topo *serverTopology // snapshot taken for the view being handled; nil outside cluster mode
 }
 
-func (m *shardMemory) Contains(id grid.BlockID) bool {
-	return !m.topo.owns(id) || m.s.cfg.Cache.Contains(id)
+func (m *shardMemory) AppendMissing(dst, ids []grid.BlockID) []grid.BlockID {
+	start := len(dst)
+	dst = m.s.cfg.Cache.AppendMissing(dst, ids)
+	owned := dst[:start]
+	for _, id := range dst[start:] {
+		if m.topo.owns(id) {
+			owned = append(owned, id)
+		}
+	}
+	return owned
 }
 func (m *shardMemory) SizeOf(id grid.BlockID) int64 { return m.s.blockBytes(id) }
 func (m *shardMemory) Capacity() int64              { return m.s.cfg.Cache.Capacity() }
@@ -284,21 +292,15 @@ func (ss *session) handleView(payload []byte) bool {
 	default:
 		ss.s.m.predictLast.Inc()
 	}
-	var issued, dropped int64
 	ss.mem.topo = ss.s.topo.Load()
 	ss.planned = ss.s.plan.Prefetch(ss.planned[:0], target, nil, &ss.mem)
-	for _, id := range ss.planned {
-		switch ss.prefetch.Offer(id) {
-		case store.Issued:
-			issued++
-			ss.prefetchedMu.Lock()
-			ss.prefetched[id] = struct{}{}
-			ss.prefetchedMu.Unlock()
-		case store.Dropped:
-			dropped++
-		}
+	issued, _, dropped := ss.prefetch.Offer(ss.planned)
+	ss.prefetchedMu.Lock()
+	for _, id := range ss.planned[:issued] {
+		ss.prefetched[id] = struct{}{}
 	}
-	ss.s.m.prefetchIssued.Add(issued)
-	ss.s.m.prefetchDropped.Add(dropped)
+	ss.prefetchedMu.Unlock()
+	ss.s.m.prefetchIssued.Add(int64(issued))
+	ss.s.m.prefetchDropped.Add(int64(dropped))
 	return true
 }

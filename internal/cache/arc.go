@@ -19,10 +19,11 @@ import "repro/internal/grid"
 
 // ARC is an adaptive replacement policy over block IDs.
 type ARC struct {
-	c, p   int        // cache size in entries (a high-water mark), T1's target
-	t1, t2 *list      // resident: seen once, seen at least twice
-	b1, b2 *list      // ghosts: evicted from t1, t2
-	where  []arcEntry // by block ID; list nil when not in the directory
+	c, p           int      // cache size in entries (a high-water mark), T1's target
+	lists          [4]chain // t1, t2, b1, b2 in tag order 1–4
+	t1, t2, b1, b2 *chain   // resident: seen once, seen at least twice; ghosts: evicted from t1, t2
+	ln             []link   // by block ID
+	dir            []uint8  // by block ID: the tag of the list holding it, 0 when not in the directory
 
 	// incoming is the block a miss is being served for, once prepared (p
 	// adapted or the directory trimmed); victim is the last block Victim
@@ -33,29 +34,24 @@ type ARC struct {
 	ghost    bool
 }
 
-type arcEntry struct {
-	n    *node
-	list *list
-}
-
 // NewARC returns an empty ARC policy. It takes its cache size from the
 // level that drives it.
 func NewARC() *ARC {
-	return &ARC{
-		t1: newList(),
-		t2: newList(),
-		b1: newList(),
-		b2: newList(),
+	a := &ARC{}
+	for i := range a.lists {
+		a.lists[i] = newChain(uint8(i + 1))
 	}
+	a.t1, a.t2, a.b1, a.b2 = &a.lists[0], &a.lists[1], &a.lists[2], &a.lists[3]
+	return a
 }
 
 // Name implements Policy.
 func (*ARC) Name() string { return "ARC" }
 
-// entry returns the block's directory entry, nil when it has none.
-func (a *ARC) entry(id grid.BlockID) *arcEntry {
-	if uint(id) < uint(len(a.where)) && a.where[id].list != nil {
-		return &a.where[id]
+// on returns the directory list the block is on, nil when it has none.
+func (a *ARC) on(id grid.BlockID) *chain {
+	if uint(id) < uint(len(a.dir)) && a.dir[id] != 0 {
+		return &a.lists[a.dir[id]-1]
 	}
 	return nil
 }
@@ -68,9 +64,8 @@ func (a *ARC) prepare(id grid.BlockID) {
 		return
 	}
 	a.incoming, a.prepared = id, true
-	e := a.entry(id)
-	switch {
-	case e == nil:
+	switch a.on(id) {
+	case nil:
 		if l1 := a.t1.size + a.b1.size; l1 >= a.c {
 			if a.t1.size < a.c {
 				a.dropLRU(a.b1)
@@ -78,9 +73,9 @@ func (a *ARC) prepare(id grid.BlockID) {
 		} else if l1+a.t2.size+a.b2.size >= 2*a.c {
 			a.dropLRU(a.b2)
 		}
-	case e.list == a.b1:
+	case a.b1:
 		a.p = min(a.c, a.p+max(1, a.b2.size/a.b1.size))
-	case e.list == a.b2:
+	case a.b2:
 		a.p = max(0, a.p-max(1, a.b1.size/a.b2.size))
 	}
 }
@@ -88,18 +83,18 @@ func (a *ARC) prepare(id grid.BlockID) {
 // Victim implements Policy: Fig. 4's REPLACE for the incoming block.
 func (a *ARC) Victim(incoming grid.BlockID, allowed Filter) (grid.BlockID, bool) {
 	a.prepare(incoming)
-	e := a.entry(incoming)
-	if e == nil && a.t1.size >= a.c {
+	on := a.on(incoming)
+	if on == nil && a.t1.size >= a.c {
 		a.ghost = false
-		return a.t1.scan(allowed) // case IV(A): dropped, not ghosted
+		return a.t1.scan(a.ln, allowed) // case IV(A): dropped, not ghosted
 	}
 	first, second := a.t2, a.t1
-	if a.t1.size > 0 && (a.t1.size > a.p || (e != nil && e.list == a.b2 && a.t1.size == a.p)) {
+	if a.t1.size > 0 && (a.t1.size > a.p || (on == a.b2 && a.t1.size == a.p)) {
 		first, second = a.t1, a.t2
 	}
-	id, ok := first.scan(allowed)
+	id, ok := first.scan(a.ln, allowed)
 	if !ok {
-		id, ok = second.scan(allowed)
+		id, ok = second.scan(a.ln, allowed)
 	}
 	a.victim, a.ghost = id, ok
 	return id, ok
@@ -109,13 +104,11 @@ func (a *ARC) Victim(incoming grid.BlockID, allowed Filter) (grid.BlockID, bool)
 // block, moves to T2's MRU end.
 func (a *ARC) Insert(id grid.BlockID) {
 	a.prepare(id) // a no-op after Victim; needed when the level had room
-	if e := a.entry(id); e != nil {
-		a.moveTo(e, a.t2)
+	if on := a.on(id); on != nil {
+		a.move(id, on, a.t2)
 	} else {
-		n := &node{id: id}
-		a.where = grow(a.where, id)
-		a.where[id] = arcEntry{n: n, list: a.t1}
-		a.t1.pushBack(n)
+		a.ln, a.dir = growLinks(a.ln, id), grow(a.dir, id)
+		a.push(id, a.t1)
 	}
 	a.prepared = false
 	a.c = max(a.c, a.t1.size+a.t2.size)
@@ -123,8 +116,8 @@ func (a *ARC) Insert(id grid.BlockID) {
 
 // Touch implements Policy: a hit moves the block to T2's MRU end.
 func (a *ARC) Touch(id grid.BlockID) {
-	if e := a.entry(id); e != nil && (e.list == a.t1 || e.list == a.t2) {
-		a.moveTo(e, a.t2)
+	if on := a.on(id); on == a.t1 || on == a.t2 {
+		a.move(id, on, a.t2)
 	}
 }
 
@@ -132,34 +125,42 @@ func (a *ARC) Touch(id grid.BlockID) {
 // other block the level removes (invalidated, not replaced) leaves the
 // directory.
 func (a *ARC) Remove(id grid.BlockID) {
-	e := a.entry(id)
-	if e == nil || e.list == a.b1 || e.list == a.b2 {
+	on := a.on(id)
+	if on == nil || on == a.b1 || on == a.b2 {
 		return
 	}
 	switch {
 	case !a.ghost || id != a.victim:
-		e.list.remove(e.n)
-		*e = arcEntry{}
-	case e.list == a.t1:
-		a.moveTo(e, a.b1)
+		a.drop(id, on)
+	case on == a.t1:
+		a.move(id, on, a.b1)
 	default:
-		a.moveTo(e, a.b2)
+		a.move(id, on, a.b2)
 	}
 	a.ghost = false
 }
 
-func (a *ARC) moveTo(e *arcEntry, dst *list) {
-	e.list.remove(e.n)
-	dst.pushBack(e.n)
-	e.list = dst
+// push enters a block that is in no list at l's MRU end.
+func (a *ARC) push(id grid.BlockID, l *chain) {
+	l.pushBack(a.ln, id)
+	a.dir[id] = l.tag
+}
+
+// drop takes the block off l, the list it is on, and out of the directory.
+func (a *ARC) drop(id grid.BlockID, l *chain) {
+	l.remove(a.ln, id)
+	a.dir[id] = 0
+}
+
+// move takes the block from the list it is on to dst's MRU end.
+func (a *ARC) move(id grid.BlockID, from, dst *chain) {
+	a.drop(id, from)
+	a.push(id, dst)
 }
 
 // dropLRU forgets the ghost at the LRU end of l, if any.
-func (a *ARC) dropLRU(l *list) {
-	if l.size == 0 {
-		return
+func (a *ARC) dropLRU(l *chain) {
+	if l.size > 0 {
+		a.drop(l.front, l)
 	}
-	n := l.head.next
-	l.remove(n)
-	a.where[n.id] = arcEntry{}
 }

@@ -59,137 +59,137 @@ func grow[T any](s []T, id grid.BlockID) []T {
 	return s
 }
 
-// node is a doubly linked intrusive list node used by the queue-ordered
-// policies (FIFO, LRU, and ARC's internal lists).
-type node struct {
-	id         grid.BlockID
-	prev, next *node
-}
+// none ends a list: the block before the front and after the back.
+const none grid.BlockID = -1
 
-// list is a minimal doubly linked list with sentinel, front = eviction side.
-// Removed nodes go on a free chain so a steady churn of evict+insert (a
-// cache at capacity) reuses nodes instead of allocating one per insertion.
-//
-// cur is the filter cursor: the last node from the front that the filter of
-// generation gen has refused, every node before it refused too, or head.
-// Nodes only join at the back, after it, and remove steps it back when it
-// unlinks it, so it stays true for as long as that filter's verdicts hold.
-type list struct {
-	head, tail *node
-	size       int
-	free       *node
-	cur        *node
-	gen        uint64
-}
+// link is a block's place in its policy's order: its neighbours, none at the
+// ends and for a block on no list. A policy keeps one link per block ID in a
+// slice that every one of its lists threads through (FIFO and LRU's queue,
+// ARC's four lists), so an order is walked in one contiguous array and a
+// churn of evict+insert allocates nothing.
+type link struct{ next, prev grid.BlockID }
 
-// get returns a recycled node carrying id, allocating only when the free
-// chain is empty.
-func (l *list) get(id grid.BlockID) *node {
-	n := l.free
-	if n == nil {
-		return &node{id: id}
+// growLinks returns ln lengthened with unlinked blocks until id indexes it.
+func growLinks(ln []link, id grid.BlockID) []link {
+	n := len(ln)
+	ln = grow(ln, id)
+	for i := n; i < len(ln); i++ {
+		ln[i] = link{none, none}
 	}
-	l.free = n.next
-	n.id, n.prev, n.next = id, nil, nil
-	return n
+	return ln
 }
 
-// put pushes an unlinked node onto the free chain.
-func (l *list) put(n *node) {
-	n.prev, n.next = nil, l.free
-	l.free = n
+// chain is a doubly linked list of block IDs threaded through a links slice
+// by ID, front = eviction side. Its methods take that slice, grown by the
+// policy to cover every ID pushed. A block is on it when it is its front or
+// has a block before it.
+//
+// cur is the filter cursor: the last block from the front that the filter of
+// generation gen has refused, every block before it refused too, or none.
+// Blocks only join at the back, after it, and remove steps it back when it
+// unlinks it, so it stays true for as long as that filter's verdicts hold.
+type chain struct {
+	front, back grid.BlockID
+	size        int
+	cur         grid.BlockID
+	gen         uint64
+	tag         uint8 // ARC's name for the list in its directory
 }
 
-func newList() *list {
-	l := &list{head: &node{}, tail: &node{}}
-	l.head.next = l.tail
-	l.tail.prev = l.head
-	l.cur = l.head
-	return l
-}
+func newChain(tag uint8) chain { return chain{front: none, back: none, cur: none, tag: tag} }
 
-// pushBack appends n at the most-recently-used end.
-func (l *list) pushBack(n *node) {
-	n.prev = l.tail.prev
-	n.next = l.tail
-	l.tail.prev.next = n
-	l.tail.prev = n
+// pushBack appends a block that is on no list at the most-recently-used end.
+func (l *chain) pushBack(ln []link, id grid.BlockID) {
+	ln[id] = link{prev: l.back, next: none}
+	if l.back == none {
+		l.front = id
+	} else {
+		ln[l.back].next = id
+	}
+	l.back = id
 	l.size++
 }
 
-// remove unlinks n, stepping the filter cursor back off it.
-func (l *list) remove(n *node) {
-	if n == l.cur {
-		l.cur = n.prev
+// remove unlinks a block on l, stepping the filter cursor back off it.
+func (l *chain) remove(ln []link, id grid.BlockID) {
+	k := ln[id]
+	if id == l.cur {
+		l.cur = k.prev
 	}
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.prev, n.next = nil, nil
+	if k.prev == none {
+		l.front = k.next
+	} else {
+		ln[k.prev].next = k.next
+	}
+	if k.next == none {
+		l.back = k.prev
+	} else {
+		ln[k.next].prev = k.prev
+	}
+	ln[id] = link{none, none}
 	l.size--
 }
 
-// scan returns the first node's id from the eviction end that f accepts.
-// Under the generation the cursor was built in it starts past the nodes
+// scan returns the first block from the eviction end that f accepts.
+// Under the generation the cursor was built in it starts past the blocks
 // already refused; under another it restarts the cursor from the front.
-func (l *list) scan(f Filter) (grid.BlockID, bool) {
+func (l *chain) scan(ln []link, f Filter) (grid.BlockID, bool) {
 	if f.Allow == nil {
-		return l.head.next.id, l.size > 0
+		return l.front, l.size > 0
 	}
-	from := l.head
+	from := none
 	if f.gen != 0 {
 		if f.gen != l.gen {
-			l.cur, l.gen = l.head, f.gen
+			l.cur, l.gen = none, f.gen
 		}
 		from = l.cur
 	}
-	n := from.next
-	for n != l.tail && !f.Allow(n.id) {
-		n = n.next
+	n := l.front
+	if from != none {
+		n = ln[from].next
+	}
+	for n != none && !f.Allow(n) {
+		n = ln[n].next
 	}
 	if f.gen != 0 {
-		l.cur = n.prev
+		if n == none {
+			l.cur = l.back
+		} else {
+			l.cur = ln[n].prev
+		}
 	}
-	return n.id, n != l.tail
+	return n, n != none
 }
 
 // queue is what FIFO and LRU share: the resident blocks in eviction order.
 type queue struct {
-	order *list
-	nodes []*node // by block ID; nil when not queued
+	order chain
+	ln    []link // by block ID
 }
 
-func newQueue() queue { return queue{order: newList()} }
+func newQueue() queue { return queue{order: newChain(0)} }
 
-// node returns the block's node, nil when it is not queued.
-func (q *queue) node(id grid.BlockID) *node {
-	if uint(id) < uint(len(q.nodes)) {
-		return q.nodes[id]
-	}
-	return nil
+// queued reports whether the block is in the queue.
+func (q *queue) queued(id grid.BlockID) bool {
+	return uint(id) < uint(len(q.ln)) && (q.order.front == id || q.ln[id].prev != none)
 }
 
 // add appends a block that is not queued at the back.
 func (q *queue) add(id grid.BlockID) {
-	n := q.order.get(id)
-	q.nodes = grow(q.nodes, id)
-	q.nodes[id] = n
-	q.order.pushBack(n)
+	q.ln = growLinks(q.ln, id)
+	q.order.pushBack(q.ln, id)
 }
 
 // Remove implements Policy.
 func (q *queue) Remove(id grid.BlockID) {
-	n := q.node(id)
-	if n == nil {
-		return
+	if q.queued(id) {
+		q.order.remove(q.ln, id)
 	}
-	q.order.remove(n)
-	q.order.put(n)
-	q.nodes[id] = nil
 }
 
 // Victim implements Policy: the first allowed block from the front.
 func (q *queue) Victim(_ grid.BlockID, allowed Filter) (grid.BlockID, bool) {
-	return q.order.scan(allowed)
+	return q.order.scan(q.ln, allowed)
 }
 
 // FIFO evicts blocks in insertion order; hits do not change the order.
@@ -203,7 +203,7 @@ func (*FIFO) Name() string { return "FIFO" }
 
 // Insert implements Policy.
 func (f *FIFO) Insert(id grid.BlockID) {
-	if f.node(id) == nil { // FIFO position is fixed at first insertion
+	if !f.queued(id) { // FIFO position is fixed at first insertion
 		f.add(id)
 	}
 }
@@ -223,7 +223,7 @@ func (*LRU) Name() string { return "LRU" }
 
 // Insert implements Policy.
 func (l *LRU) Insert(id grid.BlockID) {
-	if l.node(id) != nil {
+	if l.queued(id) {
 		l.Touch(id)
 		return
 	}
@@ -232,8 +232,8 @@ func (l *LRU) Insert(id grid.BlockID) {
 
 // Touch implements Policy.
 func (l *LRU) Touch(id grid.BlockID) {
-	if n := l.node(id); n != nil {
-		l.order.remove(n)
-		l.order.pushBack(n)
+	if l.queued(id) {
+		l.order.remove(l.ln, id)
+		l.order.pushBack(l.ln, id)
 	}
 }

@@ -177,7 +177,7 @@ func TestARCGhostHitAdaptsP(t *testing.T) {
 	admit(2)
 	admit(2) // T1 = [1], T2 = [2]
 	admit(3) // REPLACE: T1 is over p = 0, so 1 becomes a B1 ghost
-	if e := a.entry(1); e == nil || e.list != a.b1 {
+	if a.on(1) != a.b1 {
 		t.Fatal("the T1 victim is not a B1 ghost")
 	}
 	p0 := a.p
@@ -185,7 +185,7 @@ func TestARCGhostHitAdaptsP(t *testing.T) {
 	if a.p <= p0 {
 		t.Errorf("p = %d, want > %d after a B1 ghost hit", a.p, p0)
 	}
-	if e := a.entry(1); e == nil || e.list != a.t2 {
+	if a.on(1) != a.t2 {
 		t.Error("re-admitted ghost is not in T2")
 	}
 }
@@ -197,7 +197,7 @@ func TestARCB2GhostHitDecreasesP(t *testing.T) {
 	admit(2) // T1 = [2]
 	admit(3) // 2 → B1
 	admit(2) // B1 hit: p 0 → 1, and REPLACE sends 1 to B2
-	if e := a.entry(1); e == nil || e.list != a.b2 {
+	if a.on(1) != a.b2 {
 		t.Fatal("the T2 victim is not a B2 ghost")
 	}
 	p0 := a.p
@@ -217,8 +217,8 @@ func TestARCGhostTrimming(t *testing.T) {
 			admit(grid.BlockID(x>>16) % grid.BlockID(4*c+3))
 			l1 := a.t1.size + a.b1.size
 			dir := 0
-			for b := range a.where {
-				if a.entry(grid.BlockID(b)) != nil {
+			for b := range a.dir {
+				if a.on(grid.BlockID(b)) != nil {
 					dir++
 				}
 			}
@@ -236,7 +236,7 @@ func TestARCRemoveOfANonVictimLeavesNoGhost(t *testing.T) {
 	a.Insert(id(1))
 	a.Insert(id(2))
 	a.Remove(id(1))
-	if a.entry(1) != nil {
+	if a.on(1) != nil {
 		t.Error("a removed block that was not the victim left a ghost")
 	}
 }

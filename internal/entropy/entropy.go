@@ -214,10 +214,6 @@ func (t *Table) Len() int { return len(t.scores) }
 // Score returns the entropy of the block.
 func (t *Table) Score(id grid.BlockID) float64 { return t.scores[id] }
 
-// Ranked returns all block IDs in descending entropy order. The returned
-// slice is shared; callers must not modify it.
-func (t *Table) Ranked() []grid.BlockID { return t.ranked }
-
 // TopN returns the n highest-entropy blocks (fewer if n exceeds the block
 // count). The returned slice is shared; callers must not modify it.
 func (t *Table) TopN(n int) []grid.BlockID {
@@ -265,18 +261,6 @@ func (t *Table) Above(sigma float64) []grid.BlockID {
 			continue
 		}
 		break // ranked is sorted descending
-	}
-	return out
-}
-
-// Filter returns the subset of ids whose entropy exceeds sigma, preserving
-// input order. It implements Algorithm 1's entropy-filtered prefetch.
-func (t *Table) Filter(ids []grid.BlockID, sigma float64) []grid.BlockID {
-	out := make([]grid.BlockID, 0, len(ids))
-	for _, id := range ids {
-		if t.scores[id] > sigma {
-			out = append(out, id)
-		}
 	}
 	return out
 }

@@ -152,7 +152,7 @@ func TestBuildBallImportanceStructure(t *testing.T) {
 
 func TestRankedIsSortedDescending(t *testing.T) {
 	_, _, tab := buildBallTable(t)
-	r := tab.Ranked()
+	r := tab.TopN(tab.Len())
 	for i := 1; i < len(r); i++ {
 		if tab.Score(r[i]) > tab.Score(r[i-1]) {
 			t.Fatalf("ranked not descending at %d: %g > %g", i, tab.Score(r[i]), tab.Score(r[i-1]))
@@ -194,26 +194,11 @@ func TestThresholdForQuantile(t *testing.T) {
 	}
 }
 
-func TestAboveAndFilter(t *testing.T) {
+func TestAbove(t *testing.T) {
 	tab := NewTable([]float64{0.1, 0.9, 0.5, 0.7})
 	above := tab.Above(0.4)
 	if len(above) != 3 {
 		t.Errorf("Above(0.4) = %v", above)
-	}
-	// Filter preserves the input order.
-	got := tab.Filter([]grid.BlockID{0, 1, 2, 3}, 0.4)
-	want := []grid.BlockID{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("Filter = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Filter = %v, want %v", got, want)
-		}
-	}
-	// σ above the max filters everything.
-	if got := tab.Filter([]grid.BlockID{0, 1, 2, 3}, 2); len(got) != 0 {
-		t.Errorf("Filter(σ=2) = %v", got)
 	}
 }
 
@@ -273,7 +258,7 @@ func TestRankingPermutationProperty(t *testing.T) {
 		}
 		tab := NewTable(scores)
 		seen := make(map[grid.BlockID]bool, len(scores))
-		for _, id := range tab.Ranked() {
+		for _, id := range tab.TopN(tab.Len()) {
 			if seen[id] {
 				return false
 			}

@@ -51,7 +51,7 @@ func benchFixture(b *testing.B, cacheFrac float64) (*store.MemCache, *grid.Grid,
 	return mc, g, vis, imp
 }
 
-// BenchmarkFrame measures one warm out-of-core frame (inline cache hits plus
+// BenchmarkFrame measures one warm out-of-core frame (the hit probe plus
 // prefetch scheduling) on a 512-block file.
 func BenchmarkFrame(b *testing.B) {
 	mc, g, vis, imp := benchFixture(b, 1)

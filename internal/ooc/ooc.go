@@ -137,13 +137,15 @@ type FrameReport struct {
 // asynchronous predictive prefetching. Safe for use by one interactive
 // loop; Close must be called to stop the prefetch workers.
 //
-// The runtime owns the cache's buffers: the slices a Frame returns are
-// valid until the next Frame, like bufio.Scanner.Bytes. Each Frame starts by
-// releasing the slices handed out before it (store.MemCache.Release), so the
-// blocks evicted since are decoded into again instead of allocating. Frames
-// from several goroutines at once are safe but give no longer guarantee:
-// any goroutine's next Frame ends every earlier Frame's slices. A caller
-// that must keep data past its next Frame copies it.
+// The runtime owns what a Frame returns, the outer slice and the cache's
+// buffers alike: both are valid until the next Frame, like
+// bufio.Scanner.Bytes. Each Frame builds its answer in the scratch the last
+// one returned, and starts by releasing the slices handed out before it
+// (store.MemCache.Release), so the blocks evicted since are decoded into
+// again instead of allocating. Frames from several goroutines at once are
+// safe but give no longer guarantee: any goroutine's next Frame ends every
+// earlier Frame's slices. A caller that must keep data past its next Frame
+// copies it.
 type Runtime struct {
 	cache *cacheMemory
 	// retryAfter re-reads a block whose batch attempt failed; it is
@@ -153,12 +155,12 @@ type Runtime struct {
 
 	// prefetch is the bounded queue the frame's predictions go through, so
 	// consecutive frames don't enqueue the same prediction twice. plan
-	// decides what is offered to it and in what order; planned is the
-	// scratch its list is built in, under planMu (frames may overlap).
+	// decides what is offered to it and in what order.
 	prefetch *store.Prefetcher
 	plan     *policy.Planner
-	planMu   sync.Mutex
-	planned  []grid.BlockID
+	// scratch is the last Frame's scratch, taken by the next; a Frame that
+	// overlaps another finds none and makes its own.
+	scratch atomic.Pointer[frameScratch]
 
 	// m holds the registry-backed counters the runtime's Stats live in.
 	// Hot paths accumulate into frame-local deltas and commit them under
@@ -167,6 +169,15 @@ type Runtime struct {
 	// through the registry skips the lock — near-consistent is fine there.
 	statsMu sync.Mutex
 	m       *runtimeMetrics
+}
+
+// frameScratch is what a Frame works in: the slice it returns, the indices
+// into visible that missed and their ids, and the planner's list.
+type frameScratch struct {
+	out     [][]float32
+	missIdx []int
+	missIDs []grid.BlockID
+	planned []grid.BlockID
 }
 
 // cacheMemory is a MemCache over g's blocks, one float32 a voxel, as the
@@ -219,7 +230,7 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 	return r, nil
 }
 
-// demand reads a frame's misses, the entries of visible that missIdx
+// demand reads a frame's misses, the entries of visible that s.missIdx
 // indexes, as one cache batch on the caller's goroutine. They are sorted by
 // block ID, which is file order: the store merges adjacent blocks into
 // sequential reads, a reader whose medium is parallel (a spill tier, a
@@ -227,17 +238,19 @@ func New(cache *store.MemCache, vis *visibility.Table, imp *entropy.Table, opts 
 // order, so rep.Missing comes out sorted. The batch is each block's first
 // attempt; a retryable failure is then re-read alone under retryAfter.
 // Counter updates go to the frame-local d.
-func (r *Runtime) demand(ctx context.Context, visible []grid.BlockID, missIdx []int, out [][]float32, rep *FrameReport, d *Stats) {
-	slices.SortFunc(missIdx, func(a, b int) int {
+func (r *Runtime) demand(ctx context.Context, visible []grid.BlockID, s *frameScratch, rep *FrameReport, d *Stats) {
+	slices.SortFunc(s.missIdx, func(a, b int) int {
 		return int(visible[a]) - int(visible[b])
 	})
-	ids := make([]grid.BlockID, len(missIdx))
-	for k, i := range missIdx {
-		ids[k] = visible[i]
+	ids := slices.Grow(s.missIDs[:0], len(s.missIdx))
+	for _, i := range s.missIdx {
+		ids = append(ids, visible[i])
 	}
+	s.missIDs = ids
+	out := s.out
 	d.DemandBatches++
 	vals, hits, errs := r.cache.GetBatch(ctx, ids)
-	for k, i := range missIdx {
+	for k, i := range s.missIdx {
 		err := errs[k]
 		if err == nil {
 			out[i] = vals[k]
@@ -290,19 +303,23 @@ func (r *Runtime) demand(ctx context.Context, visible []grid.BlockID, missIdx []
 }
 
 // Frame fetches every visible block and returns their voxel data indexed
-// like visible. Cache hits are served inline; misses are sorted by block ID
-// (file order) and read as one batch on the caller's goroutine — the store
-// merges adjacent blocks into sequential reads, and transient faults are
-// retried per block. Blocks whose reads fail permanently are returned as nil
-// entries and named in the FrameReport — the frame degrades rather than
-// fails. The error return is reserved for frame-level conditions: a closed
-// runtime or a done ctx. Before returning, Frame enqueues asynchronous
-// prefetches of the planner's list for the camera's vicinity (Algorithm 1
-// lines 20–22), which proceed while the caller renders the returned data.
+// like visible. The blocks in memory are served in one probe of the cache;
+// misses are sorted by block ID (file order) and read as one batch on the
+// caller's goroutine — the store merges adjacent blocks into sequential
+// reads, and transient faults are retried per block. Blocks whose reads fail
+// permanently are returned as nil entries and named in the FrameReport — the
+// frame degrades rather than fails. The error return is reserved for
+// frame-level conditions: a closed runtime or a done ctx. Before returning,
+// Frame enqueues asynchronous prefetches of the planner's list for the
+// camera's vicinity (Algorithm 1 lines 20–22), which proceed while the
+// caller renders the returned data.
 //
-// The returned slices are shared with the cache and must not be modified.
-// They stay valid until the next Frame: a Frame begins by releasing every
-// slice an earlier one returned, whose memory later reads may then reuse.
+// The returned slice and the block slices in it belong to the runtime and
+// must not be modified. They stay valid until the next Frame: a Frame builds
+// its answer in the slice the last one returned, and begins by releasing
+// every block slice an earlier one returned, whose memory later reads may
+// then reuse. A frame whose visible and predicted blocks are all resident
+// allocates nothing.
 func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID) ([][]float32, FrameReport, error) {
 	var rep FrameReport
 	if r.closed.Load() {
@@ -314,33 +331,25 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 	// Before anything is admitted: the buffers evicted since the last Frame
 	// may be read into from here on.
 	r.cache.Release()
+	s := r.scratch.Swap(nil)
+	if s == nil {
+		s = new(frameScratch)
+	}
+	defer r.scratch.Store(s)
 	var local Stats
 	local.Frames = 1
-	out := make([][]float32, len(visible))
+	out := slices.Grow(s.out[:0], len(visible))[:len(visible)]
+	clear(out)
+	s.out = out
 
-	// Demand-wait spans the whole blocking portion of the frame: the warm
-	// scan, the miss batch, and its retries.
+	// Demand-wait spans the whole blocking portion of the frame: the hit
+	// probe, the miss batch, and its retries.
 	frameStart := time.Now()
 	demandSpan := r.m.phases.Begin(obs.PhaseDemandWait)
-
-	// Inline fast path: serve every warm block without building a batch.
-	var missIdx []int
-	for i, id := range visible {
-		if vals, ok := r.cache.GetCached(id); ok {
-			out[i] = vals
-			local.DemandHits++
-		} else {
-			if missIdx == nil {
-				// Worst case every remaining block is a miss; one
-				// allocation instead of append's doubling ladder.
-				missIdx = make([]int, 0, len(visible)-i)
-			}
-			missIdx = append(missIdx, i)
-		}
-	}
-
-	if len(missIdx) > 0 {
-		r.demand(ctx, visible, missIdx, out, &rep, &local)
+	s.missIdx = r.cache.GetResident(out, visible, s.missIdx[:0])
+	local.DemandHits += int64(len(visible) - len(s.missIdx))
+	if len(s.missIdx) > 0 {
+		r.demand(ctx, visible, s, &rep, &local)
 	}
 	demandSpan.End()
 
@@ -357,19 +366,11 @@ func (r *Runtime) Frame(ctx context.Context, pos vec.V3, visible []grid.BlockID)
 	// full queue drops the least likely; never block the frame.
 	issueSpan := r.m.phases.Begin(obs.PhasePrefetchIssue)
 	if !r.closed.Load() {
-		r.planMu.Lock()
-		r.planned = r.plan.Prefetch(r.planned[:0], pos, visible, r.cache)
-		for _, id := range r.planned {
-			switch r.prefetch.Offer(id) {
-			case store.Issued:
-				local.PrefetchIssued++
-			case store.Duplicate:
-				local.PrefetchDeduped++
-			case store.Dropped:
-				local.PrefetchDropped++
-			}
-		}
-		r.planMu.Unlock()
+		s.planned = r.plan.Prefetch(s.planned[:0], pos, visible, r.cache)
+		issued, duplicate, dropped := r.prefetch.Offer(s.planned)
+		local.PrefetchIssued += int64(issued)
+		local.PrefetchDeduped += int64(duplicate)
+		local.PrefetchDropped += int64(dropped)
 	}
 	issueSpan.End()
 	r.m.frameNs.Observe(time.Since(frameStart).Nanoseconds())

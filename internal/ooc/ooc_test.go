@@ -90,6 +90,11 @@ func fastRetry(attempts int) *faultio.Retrier {
 	}
 }
 
+// resident reports whether the block is in mc's memory, without touching it.
+func resident(mc *store.MemCache, id grid.BlockID) bool {
+	return len(mc.AppendMissing(nil, []grid.BlockID{id})) == 0
+}
+
 func TestNewValidation(t *testing.T) {
 	f := newFixture(t, 16)
 	if _, err := New(nil, f.vis, f.imp, Options{}); err == nil {
@@ -367,7 +372,7 @@ func TestFrameOffersPlannersOrder(t *testing.T) {
 		t.Errorf("Frame offered %d blocks, the planner lists %d", got, len(want))
 	}
 	for k, id := range want {
-		if issued := int64(k) < st.PrefetchIssued; mc.Contains(id) != issued {
+		if issued := int64(k) < st.PrefetchIssued; resident(mc, id) != issued {
 			t.Errorf("block %d, number %d in the planner's order: resident %v with %d issued",
 				id, k, !issued, st.PrefetchIssued)
 		}
@@ -636,34 +641,44 @@ func TestConcurrentFramesTinyCache(t *testing.T) {
 	defer r.Close()
 	theta := vec.Radians(20)
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pos := vec.RotateAbout(vec.New(0, 0, 3), vec.New(0, 1, 0), vec.Radians(float64(10*w)))
-			for i := 0; i < 8; i++ {
-				visible := visibility.VisibleSet(f.g, camera.Camera{Pos: pos, ViewAngle: theta})
-				data, rep, err := r.Frame(ctx, pos, visible)
+	const workers = 4
+	var pos [workers]vec.V3
+	for w := range pos {
+		pos[w] = vec.RotateAbout(vec.New(0, 0, 3), vec.New(0, 1, 0), vec.Radians(float64(10*w)))
+	}
+	// Each round's frames run at once; their data is checked after the
+	// round, before any next Frame ends it.
+	for i := 0; i < 8; i++ {
+		var (
+			wg      sync.WaitGroup
+			visible [workers][]grid.BlockID
+			data    [workers][][]float32
+		)
+		for w := 0; w < workers; w++ {
+			visible[w] = visibility.VisibleSet(f.g, camera.Camera{Pos: pos[w], ViewAngle: theta})
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var rep FrameReport
+				var err error
+				data[w], rep, err = r.Frame(ctx, pos[w], visible[w])
 				if err != nil {
 					t.Errorf("frame: %v", err)
-					return
-				}
-				if rep.Degraded {
+				} else if rep.Degraded {
 					t.Errorf("healthy store degraded frame: %+v", rep)
-					return
 				}
-				for j, vals := range data {
-					if int64(len(vals)) != f.g.VoxelCount(visible[j]) {
-						t.Errorf("block %d: %d values", visible[j], len(vals))
-						return
-					}
+			}(w)
+		}
+		wg.Wait()
+		for w := range data {
+			for j, vals := range data[w] {
+				if int64(len(vals)) != f.g.VoxelCount(visible[w][j]) {
+					t.Fatalf("block %d: %d values", visible[w][j], len(vals))
 				}
-				pos = vec.RotateAbout(pos, vec.New(0, 1, 0), vec.Radians(3))
 			}
-		}(w)
+			pos[w] = vec.RotateAbout(pos[w], vec.New(0, 1, 0), vec.Radians(3))
+		}
 	}
-	wg.Wait()
 	st := r.Snapshot()
 	cc := f.cache.Counters()
 	if st.DemandReads != cc.Misses {
@@ -846,4 +861,88 @@ func TestCoalescedSliceIntactUntilNextFrame(t *testing.T) {
 	if cc := mc.Counters(); cc.Recycled == 0 {
 		t.Errorf("the next Frame recycled nothing: %+v", cc)
 	}
+}
+
+// TestWarmFrameAllocatesNothing pins the hit path: once every visible block
+// and every block the planner lists is resident, a Frame allocates nothing —
+// not its answer, not its scratch, not its prefetch offer.
+func TestWarmFrameAllocatesNothing(t *testing.T) {
+	f := newFixture(t, 64)
+	r, err := New(f.cache, f.vis, f.imp, Options{Sigma: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	cam := camera.Camera{Pos: vec.New(0, 0, 3), ViewAngle: vec.Radians(20)}
+	visible := visibility.VisibleSet(f.g, cam)
+	// Frames until one issues no prefetch and its prefetches have landed.
+	for settled, deadline := false, time.Now().Add(10*time.Second); !settled; {
+		if time.Now().After(deadline) {
+			t.Fatalf("prefetch never settled: %+v", r.Snapshot())
+		}
+		if _, _, err := r.Frame(ctx, cam.Pos, visible); err != nil {
+			t.Fatal(err)
+		}
+		st := r.Snapshot()
+		settled = st.PrefetchIssued == st.PrefetchExecuted+st.PrefetchFailed &&
+			len(r.plan.Prefetch(nil, cam.Pos, visible, r.cache)) == 0
+	}
+	before := r.Snapshot()
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, rep, err := r.Frame(ctx, cam.Pos, visible); err != nil || rep.Degraded {
+			t.Fatalf("frame: %v %+v", err, rep)
+		}
+	})
+	st := r.Snapshot()
+	if st.DemandReads != before.DemandReads || st.PrefetchIssued != before.PrefetchIssued {
+		t.Fatalf("the frame was not warm: %d reads, %d prefetches", st.DemandReads-before.DemandReads, st.PrefetchIssued-before.PrefetchIssued)
+	}
+	if allocs != 0 {
+		t.Errorf("a warm frame of %d blocks allocates %v times, want 0", len(visible), allocs)
+	}
+}
+
+// TestChurnFrameAllocationsFlat: a frame whose every block misses allocates
+// as often for 32 blocks as for 8 — the miss batch, not each block, costs an
+// allocation.
+func TestChurnFrameAllocationsFlat(t *testing.T) {
+	f := newFixture(t, 2)
+	// σ above every score: no prefetch, only the frame's own reads.
+	r, err := New(f.cache, f.vis, f.imp, Options{Sigma: f.imp.MaxScore() + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+	allocs := func(n int) float64 {
+		// Two disjoint sets in turn, each larger than the cache: every
+		// block of every frame misses.
+		var sets [2][]grid.BlockID
+		for i := 0; i < n; i++ {
+			sets[0] = append(sets[0], grid.BlockID(i))
+			sets[1] = append(sets[1], grid.BlockID(n+i))
+		}
+		k := 0
+		frame := func() {
+			k++
+			if _, rep, err := r.Frame(ctx, vec.New(0, 0, 3), sets[k%2]); err != nil || rep.Degraded {
+				t.Fatalf("frame: %v %+v", err, rep)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			frame()
+		}
+		before := r.Snapshot().DemandReads
+		a := testing.AllocsPerRun(20, frame)
+		if reads := r.Snapshot().DemandReads - before; reads != int64(21*n) {
+			t.Fatalf("%d-block frames read %d blocks over 21 frames, want every block", n, reads)
+		}
+		return a
+	}
+	small, large := allocs(8), allocs(32)
+	if large > small {
+		t.Errorf("a churn frame allocates %v times at 8 blocks and %v at 32", small, large)
+	}
+	t.Logf("churn frame: %v allocations at 8 blocks, %v at 32", small, large)
 }

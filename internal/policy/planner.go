@@ -37,9 +37,10 @@ import (
 // Memory is the planner's read-only view of fast memory: level 0 of the
 // simulated hierarchy, or the MemCache of the real path.
 type Memory interface {
-	// Contains reports that a block needs no prefetch: it is resident, or
-	// this memory will never hold it (another shard's block).
-	Contains(id grid.BlockID) bool
+	// AppendMissing appends to dst, in ids' order, the blocks that need a
+	// prefetch, and returns it: those neither resident nor ones this memory
+	// will never hold (another shard's). One call answers a frame's list.
+	AppendMissing(dst, ids []grid.BlockID) []grid.BlockID
 	SizeOf(id grid.BlockID) int64 // bytes once resident
 	Capacity() int64              // fast memory's byte budget
 }
@@ -159,28 +160,28 @@ func (p *Planner) BeginFrame(i int, visible []grid.BlockID) (demand, speculative
 // prediction quality degrades honestly when the sampling lattice is sparse
 // (Fig. 7). Ties break by entropy, then ID.
 func (p *Planner) Prefetch(dst []grid.BlockID, pos vec.V3, visible []grid.BlockID, mem Memory) []grid.BlockID {
-	// The budget is sized at the first candidate mem lacks, so the warm
-	// steady state, every candidate resident, never sizes the frame.
-	var budget int64
-	sized := false
-	for _, id := range p.rankedList(p.vis.NearestKey(pos)) {
-		if mem.Contains(id) {
-			continue
-		}
-		if !sized {
-			budget, sized = mem.Capacity(), true
-			for _, v := range visible {
-				budget -= mem.SizeOf(v)
-			}
-		}
+	// The candidates mem lacks go into dst and are clamped there in place.
+	// The budget is sized only when there is one, so the warm steady state,
+	// every candidate resident, never sizes the frame.
+	start := len(dst)
+	dst = mem.AppendMissing(dst, p.rankedList(p.vis.NearestKey(pos)))
+	if len(dst) == start {
+		return dst
+	}
+	budget := mem.Capacity()
+	for _, v := range visible {
+		budget -= mem.SizeOf(v)
+	}
+	kept := dst[:start]
+	for _, id := range dst[start:] {
 		// A block larger than what is left is passed over, not the end of
 		// the list: a smaller one further down may still fit.
 		if size := mem.SizeOf(id); size <= budget {
 			budget -= size
-			dst = append(dst, id)
+			kept = append(kept, id)
 		}
 	}
-	return dst
+	return kept
 }
 
 // rankedList returns key's σ-qualified predicted blocks in prefetch order,

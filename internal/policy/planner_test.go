@@ -25,17 +25,24 @@ type fakeMemory struct {
 	capacity int64
 }
 
-func (m *fakeMemory) Contains(id grid.BlockID) bool { return m.resident[id] }
-func (m *fakeMemory) SizeOf(id grid.BlockID) int64  { return m.sizes[id] }
-func (m *fakeMemory) Capacity() int64               { return m.capacity }
+func (m *fakeMemory) AppendMissing(dst, ids []grid.BlockID) []grid.BlockID {
+	for _, id := range ids {
+		if !m.resident[id] {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+func (m *fakeMemory) SizeOf(id grid.BlockID) int64 { return m.sizes[id] }
+func (m *fakeMemory) Capacity() int64              { return m.capacity }
 
 // oraclePrefetch is the simulator's prefetch selection as it was written
 // inline before the planner existed: filter T_visible[nearest] by σ and
 // residency, stable-sort by angle to the key's axis, then entropy, then id,
 // and walk the result under the budget, skipping — not stopping at — a block
-// that does not fit.
+// that does not fit. Residency is asked block by block, as it was then.
 func oraclePrefetch(vis *visibility.Table, imp *entropy.Table, sigma float64,
-	pos vec.V3, visible []grid.BlockID, mem Memory) []grid.BlockID {
+	pos vec.V3, visible []grid.BlockID, mem *fakeMemory) []grid.BlockID {
 	key := vis.NearestKey(pos)
 	keyPos := vis.KeyPos(key)
 	budget := mem.Capacity()
@@ -44,7 +51,7 @@ func oraclePrefetch(vis *visibility.Table, imp *entropy.Table, sigma float64,
 	}
 	var candidates []grid.BlockID
 	for _, id := range vis.AppendSet(nil, key) {
-		if imp.Score(id) <= sigma || mem.Contains(id) {
+		if imp.Score(id) <= sigma || mem.resident[id] {
 			continue
 		}
 		candidates = append(candidates, id)

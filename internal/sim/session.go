@@ -243,6 +243,13 @@ func (s *Session) restrictVictims(allowed func(grid.BlockID) bool, strict bool) 
 // fastLevel is the planner's view of the hierarchy: level 0.
 type fastLevel struct{ h *memhier.Hierarchy }
 
-func (m fastLevel) Contains(id grid.BlockID) bool { return m.h.Contains(0, id) }
-func (m fastLevel) SizeOf(id grid.BlockID) int64  { return m.h.SizeOf(id) }
-func (m fastLevel) Capacity() int64               { return m.h.LevelCapacity(0) }
+func (m fastLevel) AppendMissing(dst, ids []grid.BlockID) []grid.BlockID {
+	for _, id := range ids {
+		if !m.h.Contains(0, id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+func (m fastLevel) SizeOf(id grid.BlockID) int64 { return m.h.SizeOf(id) }
+func (m fastLevel) Capacity() int64              { return m.h.LevelCapacity(0) }

@@ -41,7 +41,7 @@ func BenchmarkReadBlock(b *testing.B) {
 }
 
 // BenchmarkMemCacheHit is a resident block's lookup, the hit path a frame
-// takes (ooc's inline GetCached scan).
+// takes (ooc's GetResident probe), for a probe of one block.
 func BenchmarkMemCacheHit(b *testing.B) {
 	bf, _ := benchFile(b)
 	c, err := NewMemCache(bf, 64*bf.BlockBytes(0), cache.NewLRU())
@@ -51,9 +51,12 @@ func BenchmarkMemCacheHit(b *testing.B) {
 	if err := c.Prefetch(context.Background(), 3); err != nil {
 		b.Fatal(err)
 	}
+	ids := []grid.BlockID{3}
+	vals := make([][]float32, 1)
+	var miss []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.GetCached(3); !ok {
+		if miss = c.GetResident(vals, ids, miss[:0]); len(miss) != 0 {
 			b.Fatal("block 3 not resident")
 		}
 	}

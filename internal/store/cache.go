@@ -272,19 +272,26 @@ func (c *MemCache) finish(ids []grid.BlockID, cl *call, rvals [][]float32, rerrs
 	c.mu.Unlock()
 }
 
-// GetCached returns the block's voxels only if they are already in memory,
-// counting a hit and touching the policy. It never reads the backing store
-// and never blocks on in-flight reads: the miss path is the caller's to
-// batch. The returned slice is shared with the cache; callers must not
-// modify it.
-func (c *MemCache) GetCached(id grid.BlockID) ([]float32, bool) {
+// GetResident is a frame's hit probe, under one lock: for each ids[i]
+// already in memory it sets vals[i] to the block's voxels, counts a hit and
+// touches the policy, in ids' order, duplicates included; every other index
+// i — a block not resident, or an id outside the grid — is appended to miss,
+// which it returns. vals must be at least as long as ids. It never reads the
+// backing store and never waits on a read in flight: the misses are the
+// caller's to batch (GetBatch). The slices set are shared with the cache;
+// callers must not modify them.
+func (c *MemCache) GetResident(vals [][]float32, ids []grid.BlockID, miss []int) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.lvl.Get(id)
-	if ok {
-		c.hits++
+	for i, id := range ids {
+		if e, ok := c.lvl.Get(id); ok {
+			c.hits++
+			vals[i] = e.Vals
+		} else {
+			miss = append(miss, i)
+		}
 	}
-	return e.Vals, ok
+	return miss
 }
 
 // GetBatch serves many blocks at once with per-block results: vals[i],
@@ -402,11 +409,17 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 	return vals, hit, errs
 }
 
-// Contains reports whether the block is cached (without touching it).
-func (c *MemCache) Contains(id grid.BlockID) bool {
+// AppendMissing appends to dst, in order, each of ids that is not in memory,
+// and returns it: one lock for the whole list, and no block touched.
+func (c *MemCache) AppendMissing(dst, ids []grid.BlockID) []grid.BlockID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lvl.Contains(id)
+	for _, id := range ids {
+		if !c.lvl.Contains(id) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // Prefetch ensures the block is cached, reading it if needed; unlike

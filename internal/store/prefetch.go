@@ -7,19 +7,6 @@ import (
 	"repro/internal/grid"
 )
 
-// Offered is what became of one block offered to a Prefetcher.
-type Offered int
-
-const (
-	// Issued: the block was queued and a worker will prefetch it.
-	Issued Offered = iota
-	// Duplicate: the block is already queued or being prefetched.
-	Duplicate
-	// Dropped: the queue was full (or the prefetcher closed); predictions
-	// are shed rather than allowed to block the frame that made them.
-	Dropped
-)
-
 // Prefetcher is the bounded, de-duplicating prefetch queue of Algorithm 1
 // (lines 20–22) in front of a MemCache: callers offer predicted blocks
 // without ever blocking, a fixed set of workers pulls them into the cache,
@@ -84,24 +71,36 @@ func (p *Prefetcher) work() {
 	}
 }
 
-// Offer queues the block for prefetch unless it is already pending or the
-// queue is full. It never blocks and starts no goroutine.
-func (p *Prefetcher) Offer(id grid.BlockID) Offered {
+// Offer queues a frame's planned blocks for prefetch in ids' order, under
+// one lock, and reports what became of them: issued (queued; a worker will
+// prefetch it), duplicate (already queued or being prefetched) and dropped
+// (the queue was full, or the prefetcher closed: predictions are shed rather
+// than allowed to block the frame that made them, so with the list in
+// priority order a full queue drops its tail). The issued blocks are moved to
+// the front of ids, in order: ids[:issued]. It never blocks and starts no
+// goroutine.
+func (p *Prefetcher) Offer(ids []grid.BlockID) (issued, duplicate, dropped int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.queued[id]; dup {
-		return Duplicate
+	for _, id := range ids {
+		if _, dup := p.queued[id]; dup {
+			duplicate++
+			continue
+		}
+		if p.closed {
+			dropped++
+			continue
+		}
+		select {
+		case p.prefetchCh <- id:
+			p.queued[id] = struct{}{}
+			ids[issued] = id
+			issued++
+		default:
+			dropped++
+		}
 	}
-	if p.closed {
-		return Dropped
-	}
-	select {
-	case p.prefetchCh <- id:
-		p.queued[id] = struct{}{}
-		return Issued
-	default:
-		return Dropped
-	}
+	return issued, duplicate, dropped
 }
 
 // Close stops the workers and waits for them: queued blocks are still

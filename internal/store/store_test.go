@@ -304,6 +304,73 @@ func getOne(ctx context.Context, c *MemCache, id grid.BlockID) ([]float32, bool,
 	return vals[0], hit[0], errs[0]
 }
 
+// resident reports whether the block is in c's memory, without touching it.
+func resident(c *MemCache, id grid.BlockID) bool {
+	return len(c.AppendMissing(nil, []grid.BlockID{id})) == 0
+}
+
+// cached is GetResident of one block: its voxels when resident, counted as
+// a hit.
+func cached(c *MemCache, id grid.BlockID) ([]float32, bool) {
+	var vals [1][]float32
+	miss := c.GetResident(vals[:], []grid.BlockID{id}, nil)
+	return vals[0], len(miss) == 0
+}
+
+// TestGetResidentEqualsPerBlockLoop: one GetResident over a list with
+// duplicates and ids outside the grid serves, counts and touches exactly what
+// a probe per block in the same order does, so the LRU victims that follow
+// are the same.
+func TestGetResidentEqualsPerBlockLoop(t *testing.T) {
+	ctx := context.Background()
+	mk := func() (*MemCache, *[]grid.BlockID) {
+		c, err := NewMemCache(&countingReader{reads: map[grid.BlockID]int{}}, 8*4, cache.NewLRU())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := new([]grid.BlockID)
+		c.OnEvict(func(id grid.BlockID, _ []float32) { *ev = append(*ev, id) })
+		for id := grid.BlockID(0); id < 8; id++ {
+			if err := c.Prefetch(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c, ev
+	}
+	batch, batchEv := mk()
+	loop, loopEv := mk()
+
+	ids := []grid.BlockID{5, 2, 9, 5, -1, 0, 1 << 20, 2, 7}
+	vals := make([][]float32, len(ids))
+	miss := batch.GetResident(vals, ids, nil)
+	var wantMiss []int
+	for i, id := range ids {
+		v, ok := cached(loop, id)
+		if !ok {
+			wantMiss = append(wantMiss, i)
+		}
+		if !slices.Equal(vals[i], v) {
+			t.Errorf("ids[%d] = %d: probe served %v, per-block %v", i, id, vals[i], v)
+		}
+	}
+	if !slices.Equal(miss, wantMiss) || !slices.Equal(miss, []int{2, 4, 6}) {
+		t.Errorf("misses at %v, per-block %v, want [2 4 6]", miss, wantMiss)
+	}
+	if b, l := batch.Counters().Hits, loop.Counters().Hits; b != l || b != 6 {
+		t.Errorf("%d hits counted, per-block %d, want 6", b, l)
+	}
+	for id := grid.BlockID(10); id < 18; id++ {
+		for _, c := range []*MemCache{batch, loop} {
+			if err := c.Prefetch(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !slices.Equal(*batchEv, *loopEv) || len(*batchEv) != 8 {
+		t.Errorf("evicted %v after the probe, %v after the per-block loop", *batchEv, *loopEv)
+	}
+}
+
 func TestMemCacheHitMiss(t *testing.T) {
 	path, _, _ := writeTestFile(t)
 	bf, err := Open(path)
@@ -326,7 +393,7 @@ func TestMemCacheHitMiss(t *testing.T) {
 	if cc := c.Counters(); cc.Hits != 1 || cc.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d", cc.Hits, cc.Misses)
 	}
-	if !c.Contains(1) {
+	if !resident(c, 1) {
 		t.Error("block 1 not cached")
 	}
 }
@@ -416,7 +483,7 @@ func TestMemCacheEviction(t *testing.T) {
 	}
 	// LRU order: 3, 4, 5 remain.
 	for id := grid.BlockID(3); id < 6; id++ {
-		if !c.Contains(id) {
+		if !resident(c, id) {
 			t.Errorf("recent block %d evicted", id)
 		}
 	}
@@ -431,7 +498,7 @@ func TestMemCachePrefetch(t *testing.T) {
 	if err := c.Prefetch(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Contains(2) {
+	if !resident(c, 2) {
 		t.Error("prefetched block absent")
 	}
 	if cc := c.Counters(); cc.Hits != 0 || cc.Misses != 0 {
@@ -533,10 +600,16 @@ type gatedReader struct {
 	reads   atomic.Int64
 	entered chan struct{} // one signal per read entering the backing store
 	release chan struct{} // closed to let all entered reads return
+
+	mu  sync.Mutex
+	ids []grid.BlockID // the blocks read, in the order they entered
 }
 
 func (g *gatedReader) ReadBlock(id grid.BlockID) ([]float32, error) {
 	g.reads.Add(1)
+	g.mu.Lock()
+	g.ids = append(g.ids, id)
+	g.mu.Unlock()
 	g.entered <- struct{}{}
 	<-g.release
 	return []float32{float32(id), 1, 2, 3}, nil
@@ -547,6 +620,13 @@ func (g *gatedReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]f
 }
 
 func (g *gatedReader) RecycleBlockBuf([]float32) {}
+
+// order returns the blocks read so far, in the order they entered.
+func (g *gatedReader) order() []grid.BlockID {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.ids)
+}
 
 // TestCoalescingSingleBackingRead is the acceptance test for request
 // coalescing: N concurrent requests (Prefetch and GetBatch mixed) for
@@ -680,7 +760,7 @@ func TestFollowerOutlivesLeaderCancel(t *testing.T) {
 					return
 				}
 				err := c.Prefetch(context.Background(), id)
-				v, _ := c.GetCached(id)
+				v, _ := cached(c, id)
 				done <- result{v, err}
 			}()
 			// Let the follower join the read in flight. A follower that
@@ -919,11 +999,11 @@ func TestGetBatchUnderInjectedFaults(t *testing.T) {
 		if hits[i] {
 			t.Errorf("cold block %d reported as hit", id)
 		}
-		if !c.Contains(id) {
+		if !resident(c, id) {
 			t.Errorf("block %d not cached after batch", id)
 		}
 	}
-	if c.Contains(lost) {
+	if resident(c, lost) {
 		t.Error("failed block cached")
 	}
 }

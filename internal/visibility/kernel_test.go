@@ -389,13 +389,6 @@ func TestSingleBlockGrid(t *testing.T) {
 	}
 }
 
-func TestUnionMergesAnyOrder(t *testing.T) {
-	got := Union([]grid.BlockID{9, 9, 2}, nil, []grid.BlockID{5, 2}, []grid.BlockID{0})
-	if want := []grid.BlockID{0, 2, 5, 9}; !slices.Equal(got, want) {
-		t.Errorf("Union = %v, want %v", got, want)
-	}
-}
-
 // FuzzVisibleSetEqualsOracle lets the fuzzer pick the grid, the apex, the
 // angle and the radius; the kernel must equal the flat scans on all of them.
 func FuzzVisibleSetEqualsOracle(f *testing.F) {

@@ -125,7 +125,7 @@ func TestPredictCoversActualVisibleSet(t *testing.T) {
 	cam := camera.Camera{Pos: vec.New(0.4, 0.3, 2.9), ViewAngle: vec.Radians(30)}
 	exact := VisibleSet(g, cam)
 	pred := tab.AppendSet(nil, tab.NearestKey(cam.Pos))
-	covered := len(Intersect(exact, pred))
+	covered := intersect(exact, pred)
 	if float64(covered) < 0.7*float64(len(exact)) {
 		t.Errorf("prediction covers %d of %d visible blocks, want >= 70%%", covered, len(exact))
 	}

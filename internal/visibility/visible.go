@@ -7,7 +7,6 @@ package visibility
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/camera"
 	"repro/internal/grid"
@@ -135,37 +134,4 @@ func fibonacciBall(c vec.V3, r float64, n int) []vec.V3 {
 		pts = append(pts, c.Add(dir.Scale(rr)))
 	}
 	return pts
-}
-
-// Union merges sorted block-ID slices into one sorted, deduplicated slice.
-func Union(sets ...[]grid.BlockID) []grid.BlockID {
-	out := slices.Concat(sets...)
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// Intersect returns the sorted intersection of two sorted ID slices.
-func Intersect(a, b []grid.BlockID) []grid.BlockID {
-	out := make([]grid.BlockID, 0, minLen(a, b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func minLen(a, b []grid.BlockID) int {
-	if len(a) < len(b) {
-		return len(a)
-	}
-	return len(b)
 }

@@ -77,7 +77,7 @@ func TestVisibleSetNarrowVsWideAngle(t *testing.T) {
 		t.Errorf("wide %d <= narrow %d", len(wide), len(narrow))
 	}
 	// Narrow set is a subset of the wide set.
-	if got := len(Intersect(narrow, wide)); got != len(narrow) {
+	if got := intersect(narrow, wide); got != len(narrow) {
 		t.Errorf("narrow ⊄ wide: |∩| = %d, |narrow| = %d", got, len(narrow))
 	}
 }
@@ -101,7 +101,7 @@ func TestVisibleSetOppositeCamerasDiffer(t *testing.T) {
 		t.Fatal("empty visible sets")
 	}
 	// Opposite views share the central corridor but must not be identical.
-	if len(Intersect(a, b)) == len(a) && len(a) == len(b) {
+	if intersect(a, b) == len(a) && len(a) == len(b) {
 		t.Error("opposite cameras see identical sets")
 	}
 }
@@ -115,7 +115,7 @@ func TestNearbyCamerasOverlapHeavily(t *testing.T) {
 	p2 := vec.RotateAbout(p1, vec.New(0, 1, 0), vec.Radians(2))
 	a := VisibleSet(g, camera.Camera{Pos: p1, ViewAngle: theta})
 	b := VisibleSet(g, camera.Camera{Pos: p2, ViewAngle: theta})
-	inter := len(Intersect(a, b))
+	inter := intersect(a, b)
 	if float64(inter) < 0.8*float64(len(a)) {
 		t.Errorf("2° overlap = %d of %d, want >= 80%%", inter, len(a))
 	}
@@ -127,7 +127,7 @@ func TestDilatedVisibleSupersetOfExact(t *testing.T) {
 	pos := vec.New(0.3, -0.2, 3)
 	exact := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta})
 	dilated := DilatedVisibleSet(g, pos, theta, 0.2)
-	if len(Intersect(exact, dilated)) != len(exact) {
+	if intersect(exact, dilated) != len(exact) {
 		t.Error("dilated set does not contain the exact set")
 	}
 	if len(dilated) <= len(exact) {
@@ -146,7 +146,7 @@ func TestVicinalUnionContainsCenterView(t *testing.T) {
 	pos := vec.New(0, 0, 3)
 	exact := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta})
 	union := VicinalUnion(g, pos, theta, 0.15, 8)
-	if len(Intersect(exact, union)) != len(exact) {
+	if intersect(exact, union) != len(exact) {
 		t.Error("vicinal union misses blocks visible from its center")
 	}
 	if len(union) < len(exact) {
@@ -174,34 +174,9 @@ func TestVicinalUnionApproximatesDilation(t *testing.T) {
 	r := 0.2
 	jitter := VicinalUnion(g, pos, theta, r, 32)
 	analytic := DilatedVisibleSet(g, pos, theta, r)
-	if len(Intersect(jitter, analytic)) != len(jitter) {
+	if intersect(jitter, analytic) != len(jitter) {
 		t.Errorf("analytic dilation (%d blocks) does not cover jitter union (%d blocks)",
 			len(analytic), len(jitter))
-	}
-}
-
-func TestUnionAndIntersect(t *testing.T) {
-	a := []grid.BlockID{1, 3, 5}
-	b := []grid.BlockID{2, 3, 6}
-	u := Union(a, b)
-	want := []grid.BlockID{1, 2, 3, 5, 6}
-	if len(u) != len(want) {
-		t.Fatalf("Union = %v", u)
-	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("Union = %v, want %v", u, want)
-		}
-	}
-	inter := Intersect(a, b)
-	if len(inter) != 1 || inter[0] != 3 {
-		t.Errorf("Intersect = %v, want [3]", inter)
-	}
-	if got := Union(); len(got) != 0 {
-		t.Errorf("empty Union = %v", got)
-	}
-	if got := Intersect(nil, a); len(got) != 0 {
-		t.Errorf("Intersect(nil) = %v", got)
 	}
 }
 
@@ -259,4 +234,22 @@ func TestCornerVisibleDegenerate(t *testing.T) {
 	if math.IsNaN(vec.AngleBetween(vec.V3{}, vec.New(1, 0, 0))) {
 		t.Error("NaN angle")
 	}
+}
+
+// intersect returns how many ids two sorted ID slices share.
+func intersect(a, b []grid.BlockID) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
