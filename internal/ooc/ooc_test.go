@@ -904,8 +904,10 @@ func TestWarmFrameAllocatesNothing(t *testing.T) {
 }
 
 // TestChurnFrameAllocationsFlat: a frame whose every block misses allocates
-// as often for 32 blocks as for 8 — the miss batch, not each block, costs an
-// allocation.
+// as often for 32 blocks as for 8, and exactly five times: GetBatch's three
+// results and the block file's two (ReadBlocks' vals and errs). The miss
+// batch's in-flight record and its index slices are reused, the file walks
+// the ascending batch with no order slice, and its staging is pooled.
 func TestChurnFrameAllocationsFlat(t *testing.T) {
 	f := newFixture(t, 2)
 	// σ above every score: no prefetch, only the frame's own reads.
@@ -940,9 +942,8 @@ func TestChurnFrameAllocationsFlat(t *testing.T) {
 		}
 		return a
 	}
-	small, large := allocs(8), allocs(32)
-	if large > small {
-		t.Errorf("a churn frame allocates %v times at 8 blocks and %v at 32", small, large)
+	const want = 5
+	if small, large := allocs(8), allocs(32); small != want || large != want {
+		t.Errorf("a churn frame allocates %v times at 8 blocks and %v at 32, want %d", small, large, want)
 	}
-	t.Logf("churn frame: %v allocations at 8 blocks, %v at 32", small, large)
 }

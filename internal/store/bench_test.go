@@ -78,3 +78,22 @@ func BenchmarkMemCacheMissWithEviction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMemCachePrefetch is a prefetch miss that evicts, with the owner's
+// Release each iteration so the evicted buffer is the next read's: what is
+// left is the in-flight record (reused) and the reader's two result slices.
+func BenchmarkMemCachePrefetch(b *testing.B) {
+	bf, g := benchFile(b)
+	c, err := NewMemCache(bf, 8*bf.BlockBytes(0), cache.NewLRU())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Release()
+		if err := c.Prefetch(ctx, grid.BlockID(i%g.NumBlocks())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

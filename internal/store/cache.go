@@ -23,17 +23,36 @@ import (
 )
 
 // call is one in-flight backing-store read covering one or more blocks;
-// concurrent requesters for any of its blocks share it. done is closed
-// once vals/errs are set — a whole miss batch shares one call (and one
-// channel), so a fully-missing batch costs two allocations, not two per
-// block. Waiters find their block through an inflightRef. A prefetch's
-// call carries its one id, so its read needs no ids slice of its own.
+// concurrent requesters for any of its blocks share it. A whole miss batch
+// shares one call, and calls are reused: MemCache keeps the spent ones on a
+// free list (at most maxFreeCalls), so a warm prefetch or miss batch
+// allocates no record, channel or index slice of its own.
+//
+// Its lifecycle, every step under c.mu but the read and the token's pass:
+// a leader takes the call from the free list holding it once (holds = 1),
+// fills ids (and, for GetBatch, idx) and registers each id in c.inflight. A
+// request that finds one of those ids in flight joins: holds++. The leader
+// reads, then finish installs the blocks, sets vals/errs, drops the ids
+// from c.inflight — no one joins after that — and puts the one token in
+// done. done is 1-buffered because a closed channel cannot be re-armed: a
+// waiter that receives the token puts it straight back for the next one.
+// Every holder drops its hold once it has read its result, or at once when
+// it leaves on its own ctx; the last one takes the token out, empties the
+// call (no block slice or error stays reachable from the free list) and
+// returns it.
 type call struct {
-	done chan struct{}
-	vals [][]float32
-	errs []error
-	one  [1]grid.BlockID
+	done  chan struct{} // holds the one token once vals/errs are set
+	vals  [][]float32
+	errs  []error
+	ids   []grid.BlockID // the blocks read, in the reader's order
+	idx   []int          // GetBatch's leader: ids[k] is its batch's ids[idx[k]]
+	holds int            // the leader and every joined waiter not yet done
 }
+
+// maxFreeCalls bounds the spent calls MemCache keeps for reuse, above the
+// reads a cache has in flight at once: a frame's batch, the prefetch
+// workers, the server's sessions.
+const maxFreeCalls = 64
 
 // inflightRef points a block at its position within a shared in-flight
 // call. Stored by value in the inflight map: registering a lead allocates
@@ -50,6 +69,7 @@ type MemCache struct {
 	mu       sync.Mutex
 	lvl      *cache.Level // resident voxels, byte budget, replacement
 	inflight map[grid.BlockID]inflightRef
+	free     []*call // spent calls for reuse, at most maxFreeCalls
 	onEvict  func(id grid.BlockID, vals []float32)
 	// retire keeps evicted buffers in retired for the reader (Release or
 	// EnableRecycling seen); recycle releases each at once
@@ -185,27 +205,69 @@ func (c *MemCache) OnEvict(fn func(id grid.BlockID, vals []float32)) {
 	c.mu.Unlock()
 }
 
+// takeCallLocked hands a leader a call it holds once: a spent one from the
+// free list, or a new one. Called with c.mu held.
+func (c *MemCache) takeCallLocked() *call {
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		cl = &call{done: make(chan struct{}, 1)}
+	}
+	cl.holds = 1
+	return cl
+}
+
+// dropLocked ends one hold on a finished call — or on one still in flight,
+// for a waiter leaving on its own ctx. The last holder re-arms the call and
+// returns it to the free list: by then the leader has put the token in done
+// and every waiter that took it has put it back. Called with c.mu held.
+func (c *MemCache) dropLocked(cl *call) {
+	if cl.holds--; cl.holds > 0 {
+		return
+	}
+	select {
+	case <-cl.done:
+	default:
+		panic("store: the last hold on a call found no token")
+	}
+	cl.vals, cl.errs = nil, nil
+	cl.ids, cl.idx = cl.ids[:0], cl.idx[:0]
+	if len(c.free) < maxFreeCalls {
+		c.free = append(c.free, cl)
+	}
+}
+
 // wait blocks until the shared call completes or ctx is done, counting a
-// successful shared result (demand) as a coalesced hit. again reports a
-// call that failed on its leader's ctx while ctx is live: that error is not
-// the caller's, and the caller takes the block up again (load).
+// successful shared result (demand) as a coalesced hit, and drops the
+// caller's hold on the call either way. again reports a call that failed on
+// its leader's ctx while ctx is live: that error is not the caller's, and
+// the caller takes the block up again (load).
 func (c *MemCache) wait(ctx context.Context, ref inflightRef, demand bool) (vals []float32, again bool, err error) {
 	select {
 	case <-ctx.Done():
+		c.mu.Lock()
+		c.dropLocked(ref.cl)
+		c.mu.Unlock()
 		return nil, false, ctx.Err()
 	case <-ref.cl.done:
+		ref.cl.done <- struct{}{} // the next waiter's; the buffer is empty
 	}
-	if err := ref.cl.errs[ref.k]; err != nil {
+	vals, err = ref.cl.vals[ref.k], ref.cl.errs[ref.k]
+	c.mu.Lock()
+	c.dropLocked(ref.cl)
+	if err == nil && demand {
+		c.hits++
+		c.coalesced++
+	}
+	c.mu.Unlock()
+	if err != nil {
 		foreign := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 		return nil, foreign && ctx.Err() == nil, err
 	}
-	if demand {
-		c.mu.Lock()
-		c.hits++
-		c.coalesced++
-		c.mu.Unlock()
-	}
-	return ref.cl.vals[ref.k], false, nil
+	return vals, false, nil
 }
 
 // load serves one block: from memory, by joining the read in flight, or by
@@ -226,6 +288,7 @@ func (c *MemCache) load(ctx context.Context, id grid.BlockID, demand bool) (vals
 			return nil, true, nil
 		}
 		if ref, ok := c.inflight[id]; ok {
+			ref.cl.holds++
 			c.mu.Unlock()
 			vals, again, err := c.wait(ctx, ref, demand)
 			if !again {
@@ -236,23 +299,25 @@ func (c *MemCache) load(ctx context.Context, id grid.BlockID, demand bool) (vals
 		if demand {
 			c.misses++
 		}
-		cl := &call{done: make(chan struct{}), one: [1]grid.BlockID{id}}
+		cl := c.takeCallLocked()
+		cl.ids = append(cl.ids, id)
 		c.inflight[id] = inflightRef{cl: cl}
 		c.mu.Unlock()
-		rvals, rerrs := c.r.ReadBlocks(ctx, cl.one[:])
-		c.finish(cl.one[:], cl, rvals, rerrs)
+		rvals, rerrs := c.r.ReadBlocks(ctx, cl.ids)
+		c.finish(cl, rvals, rerrs, nil, nil)
 		return rvals[0], false, rerrs[0]
 	}
 }
 
 // finish resolves a leader's in-flight call for all its blocks under one
 // lock: installs each read block (or adopts a concurrently installed
-// copy), publishes the results to waiters, and removes the in-flight
-// markers. rvals/rerrs become the call's published results and are
-// canonicalized in place.
-func (c *MemCache) finish(ids []grid.BlockID, cl *call, rvals [][]float32, rerrs []error) {
+// copy), publishes the results to waiters, removes the in-flight markers,
+// copies each result to the leader's vals[idx[k]]/errs[idx[k]] (GetBatch)
+// and drops the leader's hold. rvals/rerrs become the call's published
+// results and are canonicalized in place.
+func (c *MemCache) finish(cl *call, rvals [][]float32, rerrs []error, vals [][]float32, errs []error) {
 	c.mu.Lock()
-	for k, id := range ids {
+	for k, id := range cl.ids {
 		delete(c.inflight, id)
 		if rerrs[k] != nil {
 			continue
@@ -268,7 +333,19 @@ func (c *MemCache) finish(ids []grid.BlockID, cl *call, rvals [][]float32, rerrs
 		}
 	}
 	cl.vals, cl.errs = rvals, rerrs
-	close(cl.done)
+	select {
+	case cl.done <- struct{}{}:
+	default:
+		panic("store: a call in flight already held its token")
+	}
+	for k, i := range cl.idx {
+		if rerrs[k] != nil {
+			errs[i] = rerrs[k]
+		} else {
+			vals[i] = rvals[k]
+		}
+	}
+	c.dropLocked(cl)
 	c.mu.Unlock()
 }
 
@@ -314,21 +391,14 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 	}
 
 	var (
-		leadIdx []int                  // first occurrence of each missing id
-		lead    *call                  // one shared in-flight call for every lead
+		lead    *call                  // one shared in-flight call for every missing id
 		dups    map[grid.BlockID][]int // extra occurrences, resolved at the end
 		waiters map[int]inflightRef    // index -> concurrent read to join
 	)
 	// The hot callers (an ooc frame's misses, blocksvc response runs) pass
 	// sorted unique ids; one scan detects that and skips the dedup map —
 	// the only per-call allocation proportional to a fully-hit batch.
-	sorted := true
-	for i := 1; i < len(ids); i++ {
-		if ids[i] <= ids[i-1] {
-			sorted = false
-			break
-		}
-	}
+	sorted := ascending(ids)
 	var seen map[grid.BlockID]int
 	if !sorted {
 		seen = make(map[grid.BlockID]int, len(ids))
@@ -354,37 +424,31 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 			if waiters == nil {
 				waiters = make(map[int]inflightRef)
 			}
+			ref.cl.holds++
 			waiters[i] = ref
 			continue
 		}
 		c.misses++
 		if lead == nil {
-			lead = &call{done: make(chan struct{})}
-			// Worst case every remaining id is a miss; one allocation
-			// instead of append's doubling ladder.
-			leadIdx = make([]int, 0, len(ids)-i)
+			lead = c.takeCallLocked()
+			// Worst case every remaining id is a miss: a call too small for
+			// that grows once, not along append's doubling ladder.
+			if n := len(ids) - i; cap(lead.idx) < n {
+				lead.idx = make([]int, 0, n)
+				lead.ids = make([]grid.BlockID, 0, n)
+			}
 		}
-		c.inflight[id] = inflightRef{cl: lead, k: len(leadIdx)}
-		leadIdx = append(leadIdx, i)
+		c.inflight[id] = inflightRef{cl: lead, k: len(lead.ids)}
+		lead.idx = append(lead.idx, i)
+		lead.ids = append(lead.ids, id)
 	}
 	c.mu.Unlock()
 
 	// Issue this call's own misses as one batch, then resolve the shared
 	// call so coalesced waiters (here and in concurrent calls) unblock.
-	if len(leadIdx) > 0 {
-		leadIDs := make([]grid.BlockID, len(leadIdx))
-		for k, i := range leadIdx {
-			leadIDs[k] = ids[i]
-		}
-		rvals, rerrs := c.r.ReadBlocks(ctx, leadIDs)
-		c.finish(leadIDs, lead, rvals, rerrs)
-		for k, i := range leadIdx {
-			if rerrs[k] != nil {
-				errs[i] = rerrs[k]
-			} else {
-				vals[i] = rvals[k]
-			}
-		}
+	if lead != nil {
+		rvals, rerrs := c.r.ReadBlocks(ctx, lead.ids)
+		c.finish(lead, rvals, rerrs, vals, errs)
 	}
 
 	// Join reads initiated by concurrent callers.
@@ -407,6 +471,16 @@ func (c *MemCache) GetBatch(ctx context.Context, ids []grid.BlockID) (vals [][]f
 		}
 	}
 	return vals, hit, errs
+}
+
+// ascending reports whether ids strictly ascend: sorted, and no id twice.
+func ascending(ids []grid.BlockID) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // AppendMissing appends to dst, in order, each of ids that is not in memory,

@@ -20,6 +20,7 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -27,7 +28,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,7 +81,9 @@ type ContextBlockReader interface {
 // poisons its neighbors. ctx bounds the whole batch; a canceled ctx fails
 // every block. BlockFile merges adjacent blocks into sequential reads;
 // faultio.Injector splits the batch when it injects, so per-block fault
-// semantics are preserved.
+// semantics are preserved. ids stays the caller's: a reader keeps no
+// reference to it past its return (MemCache passes the ids of a reused
+// in-flight record).
 type BatchBlockReader interface {
 	ReadBlocks(ctx context.Context, ids []grid.BlockID) (vals [][]float32, errs []error)
 }
@@ -326,19 +329,23 @@ func (bf *BlockFile) BlockChecksum(id grid.BlockID) (uint32, bool) {
 	return bf.crcs[id], true
 }
 
-// getStaging returns a raw byte buffer of at least n bytes from the staging
-// pool, allocating only when the pool has nothing large enough.
-func (bf *BlockFile) getStaging(n int64) []byte {
+// getStaging returns a raw byte buffer of n bytes from the staging pool,
+// allocating only when the pool has nothing large enough. The buffer goes
+// back through the same pointer (putStaging), so a warm merged run
+// allocates not even the pool's slice header.
+func (bf *BlockFile) getStaging(n int64) *[]byte {
 	bf.stagingGets.Add(1)
 	if p, ok := bf.staging.Get().(*[]byte); ok && int64(cap(*p)) >= n {
-		return (*p)[:n]
+		*p = (*p)[:n]
+		return p
 	}
 	bf.stagingNews.Add(1)
-	return make([]byte, n)
+	b := make([]byte, n)
+	return &b
 }
 
-func (bf *BlockFile) putStaging(b []byte) {
-	bf.staging.Put(&b)
+func (bf *BlockFile) putStaging(p *[]byte) {
+	bf.staging.Put(p)
 }
 
 // getBuf returns a decode buffer of exactly n float32s, reusing a recycled
@@ -439,32 +446,44 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 		return vals, errs
 	}
 
-	// Order requests by file offset; invalid ids fail individually.
-	order := make([]int, 0, len(ids))
+	// Order requests by file offset; invalid ids fail individually. Open
+	// lays blocks out in id order, so a batch of valid ids that ascend
+	// (every MemCache batch) is in file order already and the runs walk it
+	// as it lies (order nil); any other batch walks order, its valid
+	// indices sorted by offset.
+	valid := 0
 	for i, id := range ids {
-		if errs[i] = bf.checkID(id); errs[i] != nil {
-			continue
+		if errs[i] = bf.checkID(id); errs[i] == nil {
+			valid++
 		}
-		order = append(order, i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return bf.offsets[ids[order[a]]] < bf.offsets[ids[order[b]]]
-	})
+	var order []int
+	if valid < len(ids) || !ascending(ids) {
+		order = make([]int, 0, valid)
+		for i := range ids {
+			if errs[i] == nil {
+				order = append(order, i)
+			}
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Compare(bf.offsets[ids[a]], bf.offsets[ids[b]])
+		})
+	}
 
-	for runStart := 0; runStart < len(order); {
+	for runStart := 0; runStart < valid; {
 		if err := ctx.Err(); err != nil {
-			for _, i := range order[runStart:] {
-				errs[i] = err
+			for p := runStart; p < valid; p++ {
+				errs[at(order, p)] = err
 			}
 			return vals, errs
 		}
 		// Grow the run while blocks are back-to-back in the file (duplicate
 		// ids collapse: a zero-length extension is still adjacent).
 		runEnd := runStart + 1
-		first := ids[order[runStart]]
+		first := ids[at(order, runStart)]
 		runBytes := bf.offsets[first+1] - bf.offsets[first]
-		for runEnd < len(order) {
-			prev, next := ids[order[runEnd-1]], ids[order[runEnd]]
+		for runEnd < valid {
+			prev, next := ids[at(order, runEnd-1)], ids[at(order, runEnd)]
 			if bf.offsets[next] != bf.offsets[prev+1] && next != prev {
 				break
 			}
@@ -477,28 +496,40 @@ func (bf *BlockFile) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]fl
 		}
 		bf.countRun(runEnd - runStart)
 		if runEnd == runStart+1 {
-			i := order[runStart]
+			i := at(order, runStart)
 			vals[i], errs[i] = bf.readInPlace(ids[i])
 			runStart = runEnd
 			continue
 		}
-		raw := bf.getStaging(runBytes)
+		staged := bf.getStaging(runBytes)
+		raw := *staged
 		if _, err := bf.f.ReadAt(raw, bf.offsets[first]); err != nil {
-			for _, i := range order[runStart:runEnd] {
+			for p := runStart; p < runEnd; p++ {
+				i := at(order, p)
 				errs[i] = fmt.Errorf("store: block %d: %v", ids[i], err)
 			}
 		} else {
-			for _, i := range order[runStart:runEnd] {
+			for p := runStart; p < runEnd; p++ {
+				i := at(order, p)
 				id := ids[i]
-				lo := bf.offsets[id] - bf.offsets[first]
-				hi := bf.offsets[id+1] - bf.offsets[first]
-				vals[i], errs[i] = bf.decode(id, raw[lo:hi])
+				from := bf.offsets[id] - bf.offsets[first]
+				to := bf.offsets[id+1] - bf.offsets[first]
+				vals[i], errs[i] = bf.decode(id, raw[from:to])
 			}
 		}
-		bf.putStaging(raw)
+		bf.putStaging(staged)
 		runStart = runEnd
 	}
 	return vals, errs
+}
+
+// at is the index into a batch's ids of its p-th block in file order:
+// order[p], or p itself where the ids ascend and ReadBlocks needs no order.
+func at(order []int, p int) int {
+	if order == nil {
+		return p
+	}
+	return order[p]
 }
 
 // countRun counts one ReadAt issued by ReadBlocks for n blocks. Blocks a
