@@ -19,9 +19,9 @@ FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... 
 # semaphore's cancel/grant race.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestIdleConnToMuteServerDropped|TestIdleConnSurvivesHeartbeats|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads|TestByteSem'
 
-.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke fuzz-kernel repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader exported-callers test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke fuzz-kernel repro-check bench bench-all bench-smoke bench-check
 
-check: vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
+check: vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader exported-callers test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -101,6 +101,16 @@ one-reader:
 	@stray=$$(grep -rnE '\.\((store\.)?(BatchBlockReader|ContextBlockReader|BlockBufRecycler)\)|\.\(interface *\{ *(ReadBlocks|ReadBlockContext|RecycleBlockBuf)\(|\) ReadBlockContext\(' \
 		--include='*.go' --exclude='*_test.go' cmd examples internal *.go); \
 	if [ -n "$$stray" ]; then echo "a block reader asserted past store.BlockReader:"; echo "$$stray"; exit 1; fi
+
+# exported-callers fails when an exported function, method, type or
+# package-level variable outside bench/, cmd/ and examples/ has no caller in
+# the module's non-test Go (TestEveryExportedNameHasACaller, a go/types pass
+# over `go list -deps`; a method that satisfies an interface counts as
+# called). Such names were twice found by hand in review and deleted, and a
+# type-accurate scan after that still found 83; tier-1 runs the same test,
+# this target runs it alone. Its allowlist gives one reason a line.
+exported-callers:
+	$(GO) test -count=1 -run '^(TestEveryExportedNameHasACaller|TestExportedCallerCheck)$$' .
 
 test:
 	$(GO) test ./...

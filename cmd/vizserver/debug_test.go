@@ -91,7 +91,7 @@ func TestDebugEndpointLiveMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis := blocksvc.NewPipeListener()
+	lis := testutil.NewPipeListener()
 	go srv.Serve(lis)
 	t.Cleanup(func() {
 		lis.Close()

@@ -17,7 +17,7 @@ func ExampleNewViewer() {
 	if err != nil {
 		panic(err)
 	}
-	for _, pos := range vizcache.OrbitPath(3, 10).Steps {
+	for _, pos := range vizcache.SphericalPath(3, 5, 10).Steps {
 		viewer.Goto(pos)
 	}
 	m := viewer.Metrics()
@@ -36,7 +36,7 @@ func ExampleRunBaseline() {
 	cfg := vizcache.SimConfig{
 		Dataset:    ds,
 		Grid:       g,
-		Path:       vizcache.OrbitPath(3, 20),
+		Path:       vizcache.SphericalPath(3, 10, 20),
 		ViewAngle:  0.17, // ~10°
 		CacheRatio: 0.5,
 	}
@@ -50,19 +50,6 @@ func ExampleRunBaseline() {
 	}
 	fmt.Println(opt.MissRate < lru.MissRate)
 	// Output: true
-}
-
-// ExampleBuildImportance ranks blocks by Shannon entropy (T_important).
-func ExampleBuildImportance() {
-	ds := vizcache.Ball().Scale(1.0 / 32)
-	g, err := ds.GridWithBlockCount(64)
-	if err != nil {
-		panic(err)
-	}
-	imp := vizcache.BuildImportance(ds, g)
-	top := imp.TopN(3)
-	fmt.Println(len(top), imp.Score(top[0]) >= imp.Score(top[2]))
-	// Output: 3 true
 }
 
 // ExampleVisibleBlocks computes the exact visible set for one view point.

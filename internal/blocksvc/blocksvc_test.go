@@ -117,7 +117,7 @@ type svcFixture struct {
 	imp   *entropy.Table
 	vis   *visibility.Table
 	srv   *Server
-	lis   *PipeListener // nil on the tcp transport
+	lis   *testutil.PipeListener // nil on the tcp transport
 	dial  dialFunc
 }
 
@@ -146,7 +146,7 @@ func listen(t testing.TB, srv *Server, transport string) (net.Listener, dialFunc
 			return d.DialContext(ctx, "tcp", l.Addr().String())
 		}
 	}
-	lis := NewPipeListener()
+	lis := testutil.NewPipeListener()
 	go srv.Serve(lis)
 	t.Cleanup(func() { lis.Close() })
 	return lis, lis.Dial
@@ -218,7 +218,7 @@ func startService(t testing.TB, o svcOpts) *svcFixture {
 	t.Cleanup(f.srv.Close) // runs after the listener's own cleanup, registered next
 	var l net.Listener
 	l, f.dial = listen(t, f.srv, o.transport)
-	f.lis, _ = l.(*PipeListener)
+	f.lis, _ = l.(*testutil.PipeListener)
 	return f
 }
 
@@ -299,8 +299,8 @@ func TestDialLearnsGeometry(t *testing.T) {
 	if r.Header() != f.bf.Header() {
 		t.Errorf("remote header = %+v, want %+v", r.Header(), f.bf.Header())
 	}
-	if r.Grid().NumBlocks() != f.g.NumBlocks() {
-		t.Errorf("remote grid has %d blocks, want %d", r.Grid().NumBlocks(), f.g.NumBlocks())
+	if r.g.NumBlocks() != f.g.NumBlocks() {
+		t.Errorf("remote grid has %d blocks, want %d", r.g.NumBlocks(), f.g.NumBlocks())
 	}
 }
 
@@ -1276,7 +1276,7 @@ func TestBadMagicRefused(t *testing.T) {
 // TestDialFailsWhenServerGone: a closed listener exhausts the reconnect
 // policy and Dial reports it, counting the retries.
 func TestDialFailsWhenServerGone(t *testing.T) {
-	lis := NewPipeListener()
+	lis := testutil.NewPipeListener()
 	lis.Close()
 	_, err := Dial(ClientConfig{
 		Dial: lis.Dial,

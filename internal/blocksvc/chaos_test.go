@@ -34,7 +34,7 @@ func TestChaosReplicaFailoverAndDrain(t *testing.T) {
 
 	// Replica A dies and comes back mid-run: its dials go through an
 	// atomically swappable listener so the restart reuses the same endpoint.
-	var lisA atomic.Pointer[PipeListener]
+	var lisA atomic.Pointer[testutil.PipeListener]
 	lisA.Store(fa.lis)
 
 	// A mildly hostile wire: per-write latency with jitter and chunked
@@ -95,7 +95,7 @@ func TestChaosReplicaFailoverAndDrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lis2 := NewPipeListener()
+			lis2 := testutil.NewPipeListener()
 			t.Cleanup(func() { lis2.Close(); srv2.Close() })
 			go srv2.Serve(lis2)
 			lisA.Store(lis2)

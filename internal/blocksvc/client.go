@@ -272,9 +272,6 @@ dial:
 // Header returns the served volume's header (from the welcome message).
 func (r *RemoteReader) Header() store.Header { return r.header }
 
-// Grid returns the served volume's block geometry.
-func (r *RemoteReader) Grid() *grid.Grid { return r.g }
-
 // Topology returns the currently adopted shard map, nil for a flat
 // replica configuration.
 func (r *RemoteReader) Topology() *shard.Map {

@@ -33,7 +33,7 @@ type clusterNode struct {
 	count *countingReader
 	cache *store.MemCache
 	srv   *Server
-	lis   *PipeListener
+	lis   *testutil.PipeListener
 }
 
 // clusterFixture is an N-shard in-process cluster over one dataset. Every
@@ -127,7 +127,7 @@ func startCluster(t testing.TB, ids []string, mutate func(*Config)) *clusterFixt
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.lis = NewPipeListener()
+		n.lis = testutil.NewPipeListener()
 		go n.srv.Serve(n.lis)
 		t.Cleanup(func() {
 			n.lis.Close()
@@ -503,7 +503,7 @@ func TestClusterEndToEndRebalance(t *testing.T) {
 	arrive.Wait()
 	handoff := f.m.WithoutShard("c")
 	for _, n := range f.order[:2] {
-		if err := n.srv.UpdateShardMap(handoff); err != nil {
+		if err := n.srv.updateShardMap(handoff); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,7 +47,7 @@ func TestHandshakeWriteDeadline(t *testing.T) {
 		c.HeartbeatInterval = 50 * time.Millisecond
 	}})
 	ch := netchaos.New(netchaos.Config{Seed: 1, StallRate: 1}) // StallFor=0: forever
-	lis := NewPipeListener()
+	lis := testutil.NewPipeListener()
 	t.Cleanup(func() { lis.Close() })
 	go f.srv.Serve(ch.Listener(lis))
 
@@ -117,9 +117,9 @@ func TestServerDetectsDeadPeer(t *testing.T) {
 // startMuteServer speaks just enough protocol to complete the handshake
 // (advertising hbMillis) and then swallows every subsequent frame without
 // ever answering — a wedged server from the client's point of view.
-func startMuteServer(t *testing.T, hbMillis uint32) *PipeListener {
+func startMuteServer(t *testing.T, hbMillis uint32) *testutil.PipeListener {
 	t.Helper()
-	lis := NewPipeListener()
+	lis := testutil.NewPipeListener()
 	t.Cleanup(func() { lis.Close() })
 	go func() {
 		for {
@@ -379,7 +379,7 @@ func TestFailoverOnServerKill(t *testing.T) {
 	}
 }
 
-func f64ids(r *RemoteReader) []grid.BlockID { return r.Grid().All() }
+func f64ids(r *RemoteReader) []grid.BlockID { return r.g.All() }
 
 func anyErr(errs []error) error {
 	for _, err := range errs {
@@ -396,7 +396,7 @@ func anyErr(errs []error) error {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	f := startService(t, svcOpts{mutate: func(c *Config) { c.HeartbeatInterval = -1 }})
-	var lis atomic.Pointer[PipeListener]
+	var lis atomic.Pointer[testutil.PipeListener]
 	lis.Store(f.lis)
 	dial := func(ctx context.Context, addr string) (net.Conn, error) { return lis.Load().Dial(ctx, addr) }
 
@@ -439,7 +439,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis2 := NewPipeListener()
+	lis2 := testutil.NewPipeListener()
 	t.Cleanup(func() { lis2.Close(); srv2.Close() })
 	go srv2.Serve(lis2)
 	lis.Store(lis2)
@@ -484,7 +484,7 @@ func TestChecksumFaultsDontFailover(t *testing.T) {
 	// flip lands in block payload or CRC bytes (a flip in the 24-byte frame
 	// prelude would desync the stream and read as a torn conn instead).
 	ch := netchaos.New(netchaos.Config{Seed: 12, CorruptRate: 1, CorruptMinBytes: 1024})
-	lisA := NewPipeListener()
+	lisA := testutil.NewPipeListener()
 	t.Cleanup(func() { lisA.Close() })
 	go fa.srv.Serve(ch.Listener(lisA))
 
@@ -500,7 +500,7 @@ func TestChecksumFaultsDontFailover(t *testing.T) {
 	}
 	defer r.Close()
 
-	ids := r.Grid().All()
+	ids := r.g.All()
 	vals, errs := r.ReadBlocks(context.Background(), ids)
 	for i := range ids {
 		if vals[i] != nil {

@@ -333,7 +333,7 @@ func TestRegistryBoundedInSessions(t *testing.T) {
 			st := f.srv.Snapshot()
 			return st.ActiveSessions == int64(n) && st.ViewUpdates >= int64(n)
 		})
-		return reg.Names()
+		return metricNames(reg)
 	}
 	one := connect(1)
 	three := connect(3)
@@ -343,7 +343,7 @@ func TestRegistryBoundedInSessions(t *testing.T) {
 	waitFor(t, 2*time.Second, "session teardown", func() bool {
 		return f.srv.Snapshot().ActiveSessions == 0
 	})
-	after := reg.Names()
+	after := metricNames(reg)
 	if !slices.Equal(one, three) || !slices.Equal(one, after) {
 		t.Errorf("registry names depend on the sessions connected:\n1: %v\n3: %v\n0: %v", one, three, after)
 	}

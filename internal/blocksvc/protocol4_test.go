@@ -136,9 +136,9 @@ func TestSendViewNotBehindReads(t *testing.T) {
 // (2 048-byte payloads) and then answers every read with one OK entry for
 // the request's first block whose payload is payloadBytes long — correctly
 // framed, correctly checksummed, and the wrong size for the block.
-func startLyingServer(t *testing.T, payloadBytes int) *PipeListener {
+func startLyingServer(t *testing.T, payloadBytes int) *testutil.PipeListener {
 	t.Helper()
-	lis := NewPipeListener()
+	lis := testutil.NewPipeListener()
 	t.Cleanup(func() { lis.Close() })
 	go func() {
 		for {
@@ -367,7 +367,7 @@ func TestStallMidResponseFailsOverScoped(t *testing.T) {
 	// shifts (new seed, frame-layout change), re-pin so the run still
 	// stalls after ≥1 block frame and before the done frame.
 	ch := netchaos.New(netchaos.Config{Seed: stallSeed, StallRate: 0.05})
-	lisA := NewPipeListener()
+	lisA := testutil.NewPipeListener()
 	t.Cleanup(func() { lisA.Close() })
 	go fa.srv.Serve(ch.Listener(lisA))
 
@@ -382,7 +382,7 @@ func TestStallMidResponseFailsOverScoped(t *testing.T) {
 	}
 	defer r.Close()
 
-	ids := r.Grid().All()
+	ids := r.g.All()
 	vals, errs := r.ReadBlocks(context.Background(), ids)
 	for i := range ids {
 		if errs[i] != nil {

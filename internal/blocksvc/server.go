@@ -69,7 +69,7 @@ type Config struct {
 	// owns (answering others with a redirect carrying the current epoch),
 	// and advertises the topology in every welcome. ShardID names this
 	// node's shard in the map. Topology changes arrive through
-	// UpdateShardMap and are pushed to connected clients.
+	// updateShardMap and are pushed to connected clients.
 	ShardMap *shard.Map
 	// ShardID is this node's shard identity within ShardMap. Required in
 	// cluster mode.
@@ -202,7 +202,7 @@ type Server struct {
 	activeReqs atomic.Int64
 
 	// topo is the adopted cluster topology, nil outside cluster mode.
-	// Swapped whole by UpdateShardMap; each request captures one snapshot
+	// Swapped whole by updateShardMap; each request captures one snapshot
 	// at admission so its byte accounting and ownership answers agree.
 	topo atomic.Pointer[serverTopology]
 
@@ -324,14 +324,14 @@ func (e *notOwnedError) Error() string {
 
 func (e *notOwnedError) Unwrap() error { return faultio.ErrTransient }
 
-// UpdateShardMap adopts a newer cluster topology: the map is validated,
+// updateShardMap adopts a newer cluster topology: the map is validated,
 // must carry a higher epoch than the current one, and takes effect for
 // every request admitted afterwards. Connected sessions get the map pushed
 // as a topology frame so their routers re-route live traffic,
 // and cache entries this node no longer owns are evicted immediately
 // instead of aging out. A node absent from the new map keeps serving
 // redirects until its clients leave.
-func (s *Server) UpdateShardMap(m *shard.Map) error {
+func (s *Server) updateShardMap(m *shard.Map) error {
 	if s.topo.Load() == nil {
 		return fmt.Errorf("blocksvc: not in cluster mode")
 	}

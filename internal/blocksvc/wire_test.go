@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/shard"
+	"repro/internal/testutil"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -153,7 +154,7 @@ func TestDecodeWelcomeStrict(t *testing.T) {
 		}
 	}
 
-	lis := NewPipeListener()
+	lis := testutil.NewPipeListener()
 	defer lis.Close()
 	go func() {
 		for {
@@ -383,7 +384,7 @@ func TestLargePayloadSkipsReadBuffer(t *testing.T) {
 		g.mu.Lock()
 		for rc := range g.conns {
 			if rc.in.large != tc.large {
-				t.Errorf("blocks of %v: conn large = %v, want %v", r.Grid().BlockSize(), rc.in.large, tc.large)
+				t.Errorf("blocks of %v: conn large = %v, want %v", r.g.BlockSize(), rc.in.large, tc.large)
 			}
 		}
 		g.mu.Unlock()

@@ -41,6 +41,6 @@ func BenchmarkMeanAngularStep(b *testing.B) {
 	p := Random(2.8, 3.2, 10, 15, 400, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.MeanAngularStep()
+		p.meanAngularStep()
 	}
 }

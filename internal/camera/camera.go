@@ -22,15 +22,15 @@ type Camera struct {
 	ViewAngle float64
 }
 
-// Direction returns the unit view direction l = vo (toward the origin).
-func (c Camera) Direction() vec.V3 { return c.Pos.Neg().Unit() }
+// direction returns the unit view direction l = vo (toward the origin).
+func (c Camera) direction() vec.V3 { return c.Pos.Neg().Unit() }
 
 // Distance returns d = ‖vo‖, the camera's distance from the center.
 func (c Camera) Distance() float64 { return c.Pos.Norm() }
 
-// Spherical returns the camera position in the <l, d> key space of
+// spherical returns the camera position in the <l, d> key space of
 // T_visible: direction angles plus distance.
-func (c Camera) Spherical() vec.Spherical { return vec.ToSpherical(c.Pos) }
+func (c Camera) spherical() vec.Spherical { return vec.ToSpherical(c.Pos) }
 
 // Path is a sequence of camera positions along an exploration trajectory.
 type Path struct {
@@ -206,9 +206,9 @@ func (p Path) AngularStep(i int) float64 {
 	return vec.Degrees(vec.AngleBetween(p.Steps[i-1], p.Steps[i]))
 }
 
-// MeanAngularStep returns the average per-step view-direction change in
+// meanAngularStep returns the average per-step view-direction change in
 // degrees over the whole path.
-func (p Path) MeanAngularStep() float64 {
+func (p Path) meanAngularStep() float64 {
 	if len(p.Steps) < 2 {
 		return 0
 	}

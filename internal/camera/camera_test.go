@@ -12,11 +12,11 @@ func TestCameraBasics(t *testing.T) {
 	if got := c.Distance(); got != 4 {
 		t.Errorf("Distance = %g", got)
 	}
-	dir := c.Direction()
+	dir := c.direction()
 	if dir.Dist(vec.New(0, 0, -1)) > 1e-12 {
 		t.Errorf("Direction = %v, want (0,0,-1)", dir)
 	}
-	s := c.Spherical()
+	s := c.spherical()
 	if math.Abs(s.R-4) > 1e-12 {
 		t.Errorf("Spherical R = %g", s.R)
 	}
@@ -36,7 +36,7 @@ func TestSphericalPathStepAngle(t *testing.T) {
 		}
 		// Mean angular step tracks the requested interval (within 50%:
 		// azimuth+elevation combination distorts individual steps).
-		mean := p.MeanAngularStep()
+		mean := p.meanAngularStep()
 		if mean < deg*0.4 || mean > deg*2.0 {
 			t.Errorf("deg=%g: mean angular step %g out of range", deg, mean)
 		}
@@ -44,8 +44,8 @@ func TestSphericalPathStepAngle(t *testing.T) {
 }
 
 func TestSphericalPathsDifferByInterval(t *testing.T) {
-	a := Spherical(3, 1, 200).MeanAngularStep()
-	b := Spherical(3, 20, 200).MeanAngularStep()
+	a := Spherical(3, 1, 200).meanAngularStep()
+	b := Spherical(3, 20, 200).meanAngularStep()
 	if b <= a {
 		t.Errorf("20° path mean step %g <= 1° path %g", b, a)
 	}
@@ -216,7 +216,7 @@ func TestAngularStepEdgeCases(t *testing.T) {
 	if p.AngularStep(100) != 0 {
 		t.Error("out-of-range step should be 0")
 	}
-	if (Path{}).MeanAngularStep() != 0 {
+	if (Path{}).meanAngularStep() != 0 {
 		t.Error("empty mean should be 0")
 	}
 }

@@ -81,11 +81,11 @@ func (p *Predictor) Observe(pos vec.V3) {
 	p.head = (p.head + 1) % len(p.ring)
 }
 
-// Len returns the number of samples currently held.
-func (p *Predictor) Len() int { return p.n }
+// len returns the number of samples currently held.
+func (p *Predictor) len() int { return p.n }
 
-// Reset drops the history (e.g. after a teleport the caller detected).
-func (p *Predictor) Reset() { p.head, p.n = 0, 0 }
+// reset drops the history (e.g. after a teleport the caller detected).
+func (p *Predictor) reset() { p.head, p.n = 0, 0 }
 
 // at returns the i-th retained sample, 0 = oldest.
 func (p *Predictor) at(i int) vec.V3 { return p.ring[(p.head+i)%len(p.ring)] }

@@ -149,12 +149,12 @@ func TestPredictRingEvicts(t *testing.T) {
 	if d := got.Dist(orbit.Steps[history]); d > 1e-6 {
 		t.Errorf("predicted %v, true %v (off by %g)", got, orbit.Steps[history], d)
 	}
-	if p.Len() != history {
-		t.Errorf("Len = %d, want %d", p.Len(), history)
+	if p.len() != history {
+		t.Errorf("Len = %d, want %d", p.len(), history)
 	}
-	p.Reset()
-	if p.Len() != 0 {
-		t.Errorf("Len = %d after Reset, want 0", p.Len())
+	p.reset()
+	if p.len() != 0 {
+		t.Errorf("Len = %d after Reset, want 0", p.len())
 	}
 }
 

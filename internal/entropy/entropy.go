@@ -57,8 +57,8 @@ func NewHistogram(bins int, min, max float64) *Histogram {
 	return &Histogram{Min: min, Max: max, Counts: make([]int64, bins)}
 }
 
-// Add records one value.
-func (h *Histogram) Add(v float64) {
+// add records one value.
+func (h *Histogram) add(v float64) {
 	bins := len(h.Counts)
 	i := int(float64(bins) * (v - h.Min) / (h.Max - h.Min))
 	if i < 0 {
@@ -93,8 +93,8 @@ func (h *Histogram) AddAll(vals []float32) {
 	}
 }
 
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int64 {
+// total returns the number of recorded values.
+func (h *Histogram) total() int64 {
 	var t int64
 	for _, c := range h.Counts {
 		t += c

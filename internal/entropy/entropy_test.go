@@ -42,21 +42,21 @@ func TestShannonBounds(t *testing.T) {
 
 func TestHistogramAdd(t *testing.T) {
 	h := NewHistogram(4, 0, 1)
-	h.Add(0.1) // bin 0
-	h.Add(0.3) // bin 1
-	h.Add(0.6) // bin 2
-	h.Add(0.9) // bin 3
-	h.Add(-5)  // clamped to bin 0
-	h.Add(5)   // clamped to bin 3
-	h.Add(1.0) // exactly max: clamped to last bin
+	h.add(0.1) // bin 0
+	h.add(0.3) // bin 1
+	h.add(0.6) // bin 2
+	h.add(0.9) // bin 3
+	h.add(-5)  // clamped to bin 0
+	h.add(5)   // clamped to bin 3
+	h.add(1.0) // exactly max: clamped to last bin
 	want := []int64{2, 1, 1, 3}
 	for i, w := range want {
 		if h.Counts[i] != w {
 			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
 		}
 	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d", h.Total())
+	if h.total() != 7 {
+		t.Errorf("Total = %d", h.total())
 	}
 }
 
@@ -285,10 +285,10 @@ func TestAddAllMatchesAdd(t *testing.T) {
 	hb := NewHistogram(64, 0, 1)
 	ha.AddAll(vals)
 	for _, v := range vals {
-		hb.Add(float64(v))
+		hb.add(float64(v))
 	}
-	if ha.Total() != hb.Total() {
-		t.Fatalf("totals differ: %d vs %d", ha.Total(), hb.Total())
+	if ha.total() != hb.total() {
+		t.Fatalf("totals differ: %d vs %d", ha.total(), hb.total())
 	}
 	for i := range ha.Counts {
 		if ha.Counts[i] != hb.Counts[i] {

@@ -156,9 +156,6 @@ func (g *Grid) Bytes(id BlockID, valueSize, variables int) int64 {
 	return g.VoxelCount(id) * int64(valueSize) * int64(variables)
 }
 
-// WorldMin returns the world coordinate of the low corner of the volume.
-func (g *Grid) WorldMin() vec.V3 { return g.half.Neg() }
-
 // VoxelToWorld maps a (possibly fractional) voxel coordinate to world space.
 func (g *Grid) VoxelToWorld(x, y, z float64) vec.V3 {
 	return vec.New(
@@ -203,12 +200,6 @@ func (g *Grid) Corners(id BlockID) [8]vec.V3 {
 		{X: lo.X, Y: hi.Y, Z: hi.Z},
 		{X: hi.X, Y: hi.Y, Z: hi.Z},
 	}
-}
-
-// BoundingRadius returns the radius of the block's circumscribed sphere.
-func (g *Grid) BoundingRadius(id BlockID) float64 {
-	lo, hi := g.WorldBounds(id)
-	return hi.Sub(lo).Norm() / 2
 }
 
 // All returns every BlockID in ascending order. The slice is freshly

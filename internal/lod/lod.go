@@ -71,17 +71,8 @@ func half(n int) int {
 	return h
 }
 
-// Levels returns the number of pyramid levels.
-func (p *Pyramid) Levels() int { return len(p.levels) }
-
-// Dataset returns the descriptor of level l.
-func (p *Pyramid) Dataset(l int) *volume.Dataset { return p.levels[l] }
-
 // Grid returns the block grid of level l.
 func (p *Pyramid) Grid(l int) *grid.Grid { return p.grids[l] }
-
-// TotalBytes returns the full storage footprint of level l.
-func (p *Pyramid) TotalBytes(l int) int64 { return p.levels[l].TotalBytes() }
 
 // Ref names one block of one pyramid level.
 type Ref struct {
@@ -89,9 +80,8 @@ type Ref struct {
 	Block grid.BlockID
 }
 
-// GlobalID maps a Ref to a dense unique id across the pyramid, usable as a
-// cache key in the block-granular policies.
-func (p *Pyramid) GlobalID(r Ref) grid.BlockID {
+// globalID maps a Ref to a dense unique id across the pyramid.
+func (p *Pyramid) globalID(r Ref) grid.BlockID {
 	off := 0
 	for l := 0; l < r.Level; l++ {
 		off += p.grids[l].NumBlocks()
@@ -99,8 +89,8 @@ func (p *Pyramid) GlobalID(r Ref) grid.BlockID {
 	return grid.BlockID(off + int(r.Block))
 }
 
-// NumGlobalBlocks returns the total block count across all levels.
-func (p *Pyramid) NumGlobalBlocks() int {
+// numGlobalBlocks returns the total block count across all levels.
+func (p *Pyramid) numGlobalBlocks() int {
 	n := 0
 	for _, g := range p.grids {
 		n += g.NumBlocks()

@@ -34,13 +34,13 @@ func TestNewPyramidValidation(t *testing.T) {
 
 func TestPyramidLevels(t *testing.T) {
 	p := testPyramid(t)
-	if p.Levels() != 4 {
-		t.Fatalf("levels = %d, want 4", p.Levels())
+	if len(p.levels) != 4 {
+		t.Fatalf("levels = %d, want 4", len(p.levels))
 	}
 	// Resolutions halve: 128, 64, 32, 16.
 	want := []int{128, 64, 32, 16}
 	for l, w := range want {
-		if got := p.Dataset(l).Res.X; got != w {
+		if got := p.levels[l].Res.X; got != w {
 			t.Errorf("level %d res = %d, want %d", l, got, w)
 		}
 	}
@@ -52,8 +52,8 @@ func TestPyramidLevels(t *testing.T) {
 		}
 	}
 	// Bytes shrink by 8× per level.
-	for l := 1; l < p.Levels(); l++ {
-		if got, prev := p.TotalBytes(l), p.TotalBytes(l-1); got*8 != prev {
+	for l := 1; l < len(p.levels); l++ {
+		if got, prev := p.levels[l].TotalBytes(), p.levels[l-1].TotalBytes(); got*8 != prev {
 			t.Errorf("level %d bytes %d not 1/8 of %d", l, got, prev)
 		}
 	}
@@ -66,28 +66,28 @@ func TestPyramidStopsEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 32 → 16 supports the block; 8 would not. So exactly 2 levels.
-	if p.Levels() != 2 {
-		t.Errorf("levels = %d, want 2", p.Levels())
+	if len(p.levels) != 2 {
+		t.Errorf("levels = %d, want 2", len(p.levels))
 	}
 }
 
 func TestGlobalIDsDense(t *testing.T) {
 	p := testPyramid(t)
 	seen := map[grid.BlockID]bool{}
-	for l := 0; l < p.Levels(); l++ {
+	for l := 0; l < len(p.levels); l++ {
 		for _, b := range p.Grid(l).All() {
-			id := p.GlobalID(Ref{Level: l, Block: b})
+			id := p.globalID(Ref{Level: l, Block: b})
 			if seen[id] {
 				t.Fatalf("duplicate global id %d", id)
 			}
 			seen[id] = true
 		}
 	}
-	if len(seen) != p.NumGlobalBlocks() {
-		t.Errorf("global ids = %d, want %d", len(seen), p.NumGlobalBlocks())
+	if len(seen) != p.numGlobalBlocks() {
+		t.Errorf("global ids = %d, want %d", len(seen), p.numGlobalBlocks())
 	}
-	// IDs are dense in [0, NumGlobalBlocks).
-	for i := 0; i < p.NumGlobalBlocks(); i++ {
+	// IDs are dense in [0, numGlobalBlocks).
+	for i := 0; i < p.numGlobalBlocks(); i++ {
 		if !seen[grid.BlockID(i)] {
 			t.Fatalf("global id %d missing", i)
 		}
@@ -141,7 +141,7 @@ func TestDownsampleErrorGrowsWithLevel(t *testing.T) {
 		t.Errorf("level 0 error = %g, want 0", got)
 	}
 	prev := 0.0
-	for l := 1; l < p.Levels(); l++ {
+	for l := 1; l < len(p.levels); l++ {
 		e := p.DownsampleError(l, 0, 8)
 		if e <= 0 {
 			t.Errorf("level %d error = %g, want > 0", l, e)

@@ -129,9 +129,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) of everything observed so
+// quantile estimates the q-quantile (0 < q <= 1) of everything observed so
 // far. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) int64 {
+func (h *Histogram) quantile(q float64) int64 {
 	if h == nil {
 		return 0
 	}

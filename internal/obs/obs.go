@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -48,8 +47,8 @@ func (c *Counter) Value() int64 {
 // The zero value is ready to use; a nil Gauge ignores updates and reads 0.
 type Gauge struct{ v atomic.Int64 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
+// set replaces the gauge value.
+func (g *Gauge) set(n int64) {
 	if g != nil {
 		g.v.Store(n)
 	}
@@ -223,29 +222,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns every registered metric name, sorted — handy for docs and
-// tests that assert instrumentation coverage.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	for n := range r.funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

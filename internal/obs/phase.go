@@ -78,16 +78,16 @@ func (s Span) End() {
 	}
 }
 
-// Observe records an externally measured duration for a phase.
-func (t *PhaseTimer) Observe(p Phase, d time.Duration) {
+// observe records an externally measured duration for a phase.
+func (t *PhaseTimer) observe(p Phase, d time.Duration) {
 	if t == nil || p < 0 || p >= numPhases {
 		return
 	}
 	t.h[p].Observe(d.Nanoseconds())
 }
 
-// Histogram returns the phase's underlying histogram (nil on a nil timer).
-func (t *PhaseTimer) Histogram(p Phase) *Histogram {
+// histogram returns the phase's underlying histogram (nil on a nil timer).
+func (t *PhaseTimer) histogram(p Phase) *Histogram {
 	if t == nil || p < 0 || p >= numPhases {
 		return nil
 	}

@@ -76,14 +76,14 @@ func Optimal(theta, d, ratio float64) float64 {
 	return r
 }
 
-// AggregateFrustumVolume returns the volume of the aggregated frustum ζ of
+// aggregateFrustumVolume returns the volume of the aggregated frustum ζ of
 // Fig. 10: the union of view frustums (full angle theta) of all positions
 // within radius r of a camera at distance d, truncated between the volume's
 // near plane (distance d−1) and far plane (distance d+1) with the edge
 // normalized to 2. Used to validate Eq. (6):
 //
 //	V = (π/3)·tan²(θ/2)·(h³ − h'³),  h = d+1+r/tan(θ/2),  h' = d−1+r/tan(θ/2)
-func AggregateFrustumVolume(theta, d, r float64) float64 {
+func aggregateFrustumVolume(theta, d, r float64) float64 {
 	t := math.Tan(theta / 2)
 	if t <= 0 {
 		return 0

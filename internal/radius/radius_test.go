@@ -30,7 +30,7 @@ func TestOptimalSatisfiesVolumeModel(t *testing.T) {
 			t.Errorf("θ=%g° d=%g ρ=%g: r = %g, want > 0", c.thetaDeg, c.d, c.ratio, r)
 			continue
 		}
-		v := AggregateFrustumVolume(theta, c.d, r)
+		v := aggregateFrustumVolume(theta, c.d, r)
 		if math.Abs(v-8*c.ratio) > 1e-9 {
 			t.Errorf("θ=%g° d=%g ρ=%g: V(ζ) = %g, want %g", c.thetaDeg, c.d, c.ratio, v, 8*c.ratio)
 		}
@@ -104,7 +104,7 @@ func TestAggregateFrustumVolumeMonotoneInR(t *testing.T) {
 	theta := vec.Radians(30)
 	prev := 0.0
 	for r := 0.0; r <= 0.5; r += 0.05 {
-		v := AggregateFrustumVolume(theta, 2.5, r)
+		v := aggregateFrustumVolume(theta, 2.5, r)
 		if v < prev {
 			t.Errorf("volume not monotone at r=%g: %g < %g", r, v, prev)
 		}
@@ -115,12 +115,12 @@ func TestAggregateFrustumVolumeMonotoneInR(t *testing.T) {
 func TestAggregateFrustumVolumeNearPlaneClamp(t *testing.T) {
 	// d < 1 puts the near plane behind the apex; h' clamps to 0 and the
 	// volume stays finite and positive.
-	v := AggregateFrustumVolume(vec.Radians(30), 0.5, 0.1)
+	v := aggregateFrustumVolume(vec.Radians(30), 0.5, 0.1)
 	if v <= 0 || math.IsNaN(v) {
 		t.Errorf("clamped volume = %g", v)
 	}
 	// Zero view angle has zero volume.
-	if v := AggregateFrustumVolume(0, 2, 0.1); v != 0 {
+	if v := aggregateFrustumVolume(0, 2, 0.1); v != 0 {
 		t.Errorf("zero-angle volume = %g", v)
 	}
 }
@@ -153,7 +153,7 @@ func TestOptimalVolumeProperty(t *testing.T) {
 		if r == 0 {
 			return true
 		}
-		v := AggregateFrustumVolume(theta, d, r)
+		v := aggregateFrustumVolume(theta, d, r)
 		return math.Abs(v-8*ratio) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

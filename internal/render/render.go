@@ -82,12 +82,12 @@ func CoolWarm(v float64) (r, g, b, a float64) {
 	return r, g, b, 0.5 * t * t
 }
 
-// AutoTransfer derives an opacity-equalized transfer function from a value
+// autoTransfer derives an opacity-equalized transfer function from a value
 // histogram: opacity is weighted by inverse bin frequency, so rare values
 // (thin features like flame sheets, fronts, iso-bands) stay visible against
 // dominant ambient values. Colors come from base; counts index the
 // normalized value range [0, 1].
-func AutoTransfer(counts []int64, base TransferFunc) TransferFunc {
+func autoTransfer(counts []int64, base TransferFunc) TransferFunc {
 	n := len(counts)
 	if n == 0 {
 		return base
@@ -321,9 +321,9 @@ func (rd *Renderer) recordBlock(p vec.V3, touched map[grid.BlockID]struct{}) {
 // WritePNG encodes the frame's image as PNG.
 func (f *Frame) WritePNG(w io.Writer) error { return png.Encode(w, f.Img) }
 
-// Luminance returns the mean luminance of the frame in [0, 255]; tests use
+// luminance returns the mean luminance of the frame in [0, 255]; tests use
 // it to check that a view of the data is not blank.
-func (f *Frame) Luminance() float64 {
+func (f *Frame) luminance() float64 {
 	b := f.Img.Bounds()
 	var sum float64
 	for y := b.Min.Y; y < b.Max.Y; y++ {

@@ -64,7 +64,7 @@ func TestAutoTransferEqualizesOpacity(t *testing.T) {
 	// transfer function must give the rare value higher opacity than the
 	// common one, relative to the base.
 	counts := []int64{1000, 100, 10, 1}
-	tf := AutoTransfer(counts, Grayscale)
+	tf := autoTransfer(counts, Grayscale)
 	_, _, _, aCommon := tf(0.05) // bin 0
 	_, _, _, aRare := tf(0.9)    // bin 3
 	_, _, _, baseCommon := Grayscale(0.05)
@@ -73,15 +73,15 @@ func TestAutoTransferEqualizesOpacity(t *testing.T) {
 		t.Errorf("rare weight %.3f not above common %.3f", aRare/baseRare, aCommon/baseCommon)
 	}
 	// Empty-bin values are fully transparent.
-	tf2 := AutoTransfer([]int64{5, 0}, Grayscale)
+	tf2 := autoTransfer([]int64{5, 0}, Grayscale)
 	if _, _, _, a := tf2(0.9); a != 0 {
 		t.Errorf("empty-bin opacity = %g", a)
 	}
 	// Degenerate histograms fall back to the base function.
-	if got := AutoTransfer(nil, Grayscale); got == nil {
+	if got := autoTransfer(nil, Grayscale); got == nil {
 		t.Error("nil counts returned nil")
 	}
-	_, _, _, aZero := AutoTransfer([]int64{0, 0}, Grayscale)(0.5)
+	_, _, _, aZero := autoTransfer([]int64{0, 0}, Grayscale)(0.5)
 	_, _, _, aBase := Grayscale(0.5)
 	if aZero != aBase {
 		t.Errorf("all-zero histogram altered base: %g vs %g", aZero, aBase)
@@ -114,8 +114,8 @@ func ballRenderer(t *testing.T) *Renderer {
 func TestRenderBallVisible(t *testing.T) {
 	rd := ballRenderer(t)
 	f := rd.Render(vec.New(0, 0, 3), vec.Radians(30), 64, 64)
-	if f.Luminance() < 1 {
-		t.Errorf("ball frame nearly black: luminance %g", f.Luminance())
+	if f.luminance() < 1 {
+		t.Errorf("ball frame nearly black: luminance %g", f.luminance())
 	}
 	// The center pixel looks through the ball's core and must be brighter
 	// than a far corner pixel.
@@ -182,8 +182,8 @@ func TestWritePNG(t *testing.T) {
 func TestRenderOffAxisStillSeesData(t *testing.T) {
 	rd := ballRenderer(t)
 	f := rd.Render(vec.New(2, 1.5, -1), vec.Radians(30), 32, 32)
-	if f.Luminance() < 0.5 {
-		t.Errorf("off-axis frame too dark: %g", f.Luminance())
+	if f.luminance() < 0.5 {
+		t.Errorf("off-axis frame too dark: %g", f.luminance())
 	}
 }
 
@@ -196,12 +196,12 @@ func TestShadedRenderDiffersFromUnshaded(t *testing.T) {
 		t.Error("shading had no effect")
 	}
 	// Shading only darkens (factor ≤ 1): mean luminance must not rise.
-	if lit.Luminance() > flat.Luminance()+1e-9 {
-		t.Errorf("shaded luminance %g above unshaded %g", lit.Luminance(), flat.Luminance())
+	if lit.luminance() > flat.luminance()+1e-9 {
+		t.Errorf("shaded luminance %g above unshaded %g", lit.luminance(), flat.luminance())
 	}
 	// Still renders actual content.
-	if lit.Luminance() < 1 {
-		t.Errorf("shaded frame nearly black: %g", lit.Luminance())
+	if lit.luminance() < 1 {
+		t.Errorf("shaded frame nearly black: %g", lit.luminance())
 	}
 }
 
@@ -223,8 +223,8 @@ func TestNarrowViewBrighterThanWide(t *testing.T) {
 	rd := ballRenderer(t)
 	narrow := rd.Render(vec.New(0, 0, 3), vec.Radians(5), 16, 16)
 	wide := rd.Render(vec.New(0, 0, 3), vec.Radians(60), 16, 16)
-	if narrow.Luminance() <= wide.Luminance() {
+	if narrow.luminance() <= wide.luminance() {
 		t.Errorf("narrow view %g not brighter than wide view %g",
-			narrow.Luminance(), wide.Luminance())
+			narrow.luminance(), wide.luminance())
 	}
 }

@@ -150,9 +150,9 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer bf.Close()
-		for _, id := range bf.Grid().All() {
+		for _, id := range bf.g.All() {
 			vals, err := bf.ReadBlock(id)
-			if err == nil && int64(len(vals)) == bf.Grid().VoxelCount(id) {
+			if err == nil && int64(len(vals)) == bf.g.VoxelCount(id) {
 				continue
 			}
 			if !errors.Is(err, faultio.ErrChecksum) || faultio.Retryable(err) {

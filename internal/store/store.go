@@ -312,9 +312,6 @@ func Open(path string) (*BlockFile, error) {
 // Header returns the file's header.
 func (bf *BlockFile) Header() Header { return bf.hdr }
 
-// Grid returns the block grid the file is laid out with.
-func (bf *BlockFile) Grid() *grid.Grid { return bf.g }
-
 // BlockBytes returns the byte size of a block's data.
 func (bf *BlockFile) BlockBytes(id grid.BlockID) int64 {
 	return bf.offsets[int(id)+1] - bf.offsets[id]

@@ -48,8 +48,8 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	if hdr.Version != 2 {
 		t.Errorf("Write produced version %d, want 2", hdr.Version)
 	}
-	if bf.Grid().NumBlocks() != g.NumBlocks() {
-		t.Errorf("blocks = %d", bf.Grid().NumBlocks())
+	if bf.g.NumBlocks() != g.NumBlocks() {
+		t.Errorf("blocks = %d", bf.g.NumBlocks())
 	}
 	// Every block's data must match the dataset's direct samples, and every
 	// block must carry a checksum.

@@ -27,7 +27,6 @@ type Table struct {
 	variables []int
 	index     map[int]int // variable -> row
 	rows      [][]BlockSummary
-	blocks    int
 }
 
 // samplesPerAxis bounds each block's sampling: at most 8 values per axis.
@@ -51,7 +50,6 @@ func Build(ds *volume.Dataset, g *grid.Grid, vars []int) (*Table, error) {
 		variables: append([]int(nil), vars...),
 		index:     make(map[int]int, len(vars)),
 		rows:      make([][]BlockSummary, len(vars)),
-		blocks:    g.NumBlocks(),
 	}
 	for i, v := range vars {
 		t.index[v] = i
@@ -98,15 +96,9 @@ func summarize(vals []float32) BlockSummary {
 	return s
 }
 
-// Blocks returns the number of summarized blocks.
-func (t *Table) Blocks() int { return t.blocks }
-
-// Variables returns the summarized variable indices.
-func (t *Table) Variables() []int { return t.variables }
-
-// Summary returns the summary of one block/variable. It panics when the
+// summary returns the summary of one block/variable. It panics when the
 // variable was not summarized (a programming error).
-func (t *Table) Summary(id grid.BlockID, variable int) BlockSummary {
+func (t *Table) summary(id grid.BlockID, variable int) BlockSummary {
 	row, ok := t.index[variable]
 	if !ok {
 		panic(fmt.Sprintf("summary: variable %d not summarized", variable))
@@ -140,21 +132,6 @@ func (t *Table) MayMatch(id grid.BlockID, q Query) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Select returns every block that may match the query, in ascending order.
-func (t *Table) Select(q Query) ([]grid.BlockID, error) {
-	out := make([]grid.BlockID, 0, t.blocks/4)
-	for b := 0; b < t.blocks; b++ {
-		ok, err := t.MayMatch(grid.BlockID(b), q)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, grid.BlockID(b))
-		}
-	}
-	return out, nil
 }
 
 // Filter returns the subset of ids that may match the query, preserving

@@ -32,11 +32,11 @@ func TestBuildValidation(t *testing.T) {
 
 func TestSummariesConsistent(t *testing.T) {
 	_, g, tab := ballTable(t)
-	if tab.Blocks() != g.NumBlocks() {
-		t.Fatalf("blocks = %d", tab.Blocks())
+	if len(tab.rows[0]) != g.NumBlocks() {
+		t.Fatalf("blocks = %d", len(tab.rows[0]))
 	}
 	for _, id := range g.All() {
-		s := tab.Summary(id, 0)
+		s := tab.summary(id, 0)
 		if s.Min > s.Mean || s.Mean > s.Max {
 			t.Fatalf("block %d: min %g mean %g max %g", id, s.Min, s.Mean, s.Max)
 		}
@@ -44,11 +44,11 @@ func TestSummariesConsistent(t *testing.T) {
 	// The center block contains the peak intensity ~1.
 	per := g.BlocksPerAxis()
 	center := g.ID(per.X/2, per.Y/2, per.Z/2)
-	if s := tab.Summary(center, 0); s.Max < 0.8 {
+	if s := tab.summary(center, 0); s.Max < 0.8 {
 		t.Errorf("center max = %g, want near 1", s.Max)
 	}
 	// Far corner blocks are entirely ambient 0.
-	if s := tab.Summary(g.ID(0, 0, 0), 0); s.Max != 0 {
+	if s := tab.summary(g.ID(0, 0, 0), 0); s.Max != 0 {
 		t.Errorf("corner max = %g, want 0", s.Max)
 	}
 }
@@ -60,13 +60,13 @@ func TestSummaryPanicsOnUnknownVariable(t *testing.T) {
 			t.Error("unknown variable did not panic")
 		}
 	}()
-	tab.Summary(0, 7)
+	tab.summary(0, 7)
 }
 
 func TestSelectHighValueQuery(t *testing.T) {
 	_, g, tab := ballTable(t)
 	// Blocks that may contain values above 0.5: the ball interior only.
-	sel, err := tab.Select(Query{{Variable: 0, Min: 0.5, Max: 2}})
+	sel, err := tab.Filter(g.All(), Query{{Variable: 0, Min: 0.5, Max: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestConjunctionNarrows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smoky, err := tab.Select(Query{{Variable: 0, Min: 0.3, Max: 10}})
+	smoky, err := tab.Filter(g.All(), Query{{Variable: 0, Min: 0.3, Max: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := tab.Select(Query{
+	both, err := tab.Filter(g.All(), Query{
 		{Variable: 0, Min: 0.3, Max: 10},
 		{Variable: 1, Min: 0.3, Max: 10},
 	})
@@ -124,7 +124,7 @@ func TestQueryIsConservative(t *testing.T) {
 	// be selected.
 	ds, g, tab := ballTable(t)
 	q := Query{{Variable: 0, Min: 0.7, Max: 1.1}}
-	sel, err := tab.Select(q)
+	sel, err := tab.Filter(g.All(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +169,20 @@ func TestFilterPreservesOrder(t *testing.T) {
 
 func TestUnknownVariableInQuery(t *testing.T) {
 	_, _, tab := ballTable(t)
-	if _, err := tab.Select(Query{{Variable: 9, Min: 0, Max: 1}}); err == nil {
-		t.Error("unknown variable accepted")
-	}
 	if _, err := tab.Filter([]grid.BlockID{0}, Query{{Variable: 9}}); err == nil {
 		t.Error("unknown variable accepted in Filter")
 	}
 }
 
-// Property: for random range queries, Select never misses a block whose
-// summary range intersects the query (conservativeness), and Filter(All)
-// equals Select.
+// Property: for random range queries, Filter keeps exactly the blocks whose
+// summary range intersects the query.
 func TestQueryConservativeProperty(t *testing.T) {
 	_, g, tab := ballTable(t)
 	f := func(a, b uint8) bool {
 		lo := float32(a) / 255
 		hi := lo + float32(b)/255
 		q := Query{{Variable: 0, Min: lo, Max: hi}}
-		sel, err := tab.Select(q)
+		sel, err := tab.Filter(g.All(), q)
 		if err != nil {
 			return false
 		}
@@ -195,7 +191,7 @@ func TestQueryConservativeProperty(t *testing.T) {
 			selected[id] = true
 		}
 		for _, id := range g.All() {
-			s := tab.Summary(id, 0)
+			s := tab.summary(id, 0)
 			intersects := !(s.Max < lo || s.Min > hi)
 			if intersects && !selected[id] {
 				return false
@@ -203,10 +199,6 @@ func TestQueryConservativeProperty(t *testing.T) {
 			if !intersects && selected[id] {
 				return false
 			}
-		}
-		flt, err := tab.Filter(g.All(), q)
-		if err != nil || len(flt) != len(sel) {
-			return false
 		}
 		return true
 	}
@@ -218,7 +210,7 @@ func TestQueryConservativeProperty(t *testing.T) {
 
 func TestEmptyQueryMatchesAll(t *testing.T) {
 	_, g, tab := ballTable(t)
-	sel, err := tab.Select(Query{})
+	sel, err := tab.Filter(g.All(), Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package blocksvc
+package testutil
 
 import (
 	"context"
@@ -19,7 +19,7 @@ type PipeListener struct {
 }
 
 // NewPipeListener returns a ready listener; pass it to Server.Serve and
-// its Dial to ClientConfig.Dial.
+// its Dial to blocksvc.ClientConfig.Dial.
 func NewPipeListener() *PipeListener {
 	return &PipeListener{ch: make(chan net.Conn), done: make(chan struct{})}
 }
@@ -30,7 +30,7 @@ func (l *PipeListener) Accept() (net.Conn, error) {
 	case c := <-l.ch:
 		return c, nil
 	case <-l.done:
-		return nil, fmt.Errorf("blocksvc: pipe listener closed")
+		return nil, fmt.Errorf("testutil: pipe listener closed")
 	}
 }
 
@@ -44,7 +44,7 @@ func (l *PipeListener) Close() error {
 func (l *PipeListener) Addr() net.Addr { return pipeAddr{} }
 
 // Dial connects a client to the listener: the returned conn's peer is
-// delivered to Accept. It has ClientConfig.Dial's signature; a pipe has one
+// delivered to Accept. It has blocksvc.ClientConfig.Dial's signature; a pipe has one
 // peer, so the address is ignored.
 func (l *PipeListener) Dial(ctx context.Context, _ string) (net.Conn, error) {
 	client, server := net.Pipe()
@@ -54,7 +54,7 @@ func (l *PipeListener) Dial(ctx context.Context, _ string) (net.Conn, error) {
 	case <-l.done:
 		client.Close()
 		server.Close()
-		return nil, fmt.Errorf("blocksvc: pipe listener closed")
+		return nil, fmt.Errorf("testutil: pipe listener closed")
 	case <-ctx.Done():
 		client.Close()
 		server.Close()

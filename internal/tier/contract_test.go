@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/store"
+	"repro/internal/testutil"
 	"repro/internal/volume"
 )
 
@@ -97,7 +98,7 @@ func TestReaderContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(srv.Close)
-			lis := blocksvc.NewPipeListener()
+			lis := testutil.NewPipeListener()
 			go srv.Serve(lis)
 			t.Cleanup(func() { lis.Close() })
 			rr, err := blocksvc.Dial(blocksvc.ClientConfig{Dial: lis.Dial, Conns: 1})

@@ -40,7 +40,7 @@ type remoteFixture struct {
 	bf  *store.BlockFile
 	imp *entropy.Table
 	vis *visibility.Table
-	lis *blocksvc.PipeListener
+	lis *testutil.PipeListener
 }
 
 func startRemote(t testing.TB) *remoteFixture { return startRemoteBlocks(t, 8) }
@@ -71,7 +71,7 @@ func startRemoteBlocks(t testing.TB, edge int) *remoteFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis := blocksvc.NewPipeListener()
+	lis := testutil.NewPipeListener()
 	go srv.Serve(lis)
 	t.Cleanup(func() {
 		lis.Close()
@@ -171,7 +171,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	var resident []grid.BlockID
 	for id := grid.BlockID(0); int(id) < f.g.NumBlocks(); id++ {
-		if tr.Contains(id) {
+		if tr.contains(id) {
 			resident = append(resident, id)
 		}
 	}
@@ -220,7 +220,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	for _, id := range resident {
 		if id == torn || id == rotten {
-			if tr2.Contains(id) {
+			if tr2.contains(id) {
 				t.Errorf("damaged block %d still indexed", id)
 			}
 			continue

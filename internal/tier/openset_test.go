@@ -231,8 +231,8 @@ func TestClosedDescriptorIsARace(t *testing.T) {
 	if c := tr.Counters(); c.DiskFaults != 0 || c.Quarantined != 0 || c.SpillMisses != 1 {
 		t.Errorf("counters = %+v, want one miss, no fault, no quarantine", c)
 	}
-	if !tr.Contains(5) || tr.BreakerState() != "closed" {
-		t.Errorf("resident %v, breaker %s: the race dropped a sound entry", tr.Contains(5), tr.BreakerState())
+	if !tr.contains(5) || tr.BreakerState() != "closed" {
+		t.Errorf("resident %v, breaker %s: the race dropped a sound entry", tr.contains(5), tr.BreakerState())
 	}
 	fsys.stale.Store(false)
 	if !getChecked(t, tr, 5, n) {

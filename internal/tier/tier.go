@@ -574,8 +574,8 @@ func (t *Tier) dropVictims() {
 	t.victims = t.victims[:0]
 }
 
-// Contains reports whether a block is resident (indexed) in the tier.
-func (t *Tier) Contains(id grid.BlockID) bool {
+// contains reports whether a block is resident (indexed) in the tier.
+func (t *Tier) contains(id grid.BlockID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.lvl.Contains(id)

@@ -22,8 +22,8 @@ func (t *Trace) Append(ids []grid.BlockID) {
 	t.Requests = append(t.Requests, cp)
 }
 
-// Steps returns the number of view points.
-func (t *Trace) Steps() int { return len(t.Requests) }
+// steps returns the number of view points.
+func (t *Trace) steps() int { return len(t.Requests) }
 
 // Flatten returns all requests in order as one sequence, the form Belady's
 // policy consumes.
@@ -44,8 +44,8 @@ func (t *Trace) TotalRequests() int {
 	return n
 }
 
-// UniqueBlocks returns the number of distinct blocks requested.
-func (t *Trace) UniqueBlocks() int {
+// uniqueBlocks returns the number of distinct blocks requested.
+func (t *Trace) uniqueBlocks() int {
 	seen := make(map[grid.BlockID]struct{})
 	for _, g := range t.Requests {
 		for _, id := range g {

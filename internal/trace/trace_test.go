@@ -18,14 +18,14 @@ func sampleTrace() *Trace {
 
 func TestTraceBasics(t *testing.T) {
 	tr := sampleTrace()
-	if tr.Steps() != 4 {
-		t.Errorf("Steps = %d", tr.Steps())
+	if tr.steps() != 4 {
+		t.Errorf("Steps = %d", tr.steps())
 	}
 	if tr.TotalRequests() != 7 {
 		t.Errorf("TotalRequests = %d", tr.TotalRequests())
 	}
-	if tr.UniqueBlocks() != 4 {
-		t.Errorf("UniqueBlocks = %d", tr.UniqueBlocks())
+	if tr.uniqueBlocks() != 4 {
+		t.Errorf("uniqueBlocks = %d", tr.uniqueBlocks())
 	}
 	flat := tr.Flatten()
 	want := []grid.BlockID{1, 2, 3, 2, 3, 4, 1}

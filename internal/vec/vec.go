@@ -45,8 +45,8 @@ func (v V3) Cross(w V3) V3 {
 // Norm returns the Euclidean (L2) length of v.
 func (v V3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Norm2 returns the squared Euclidean length of v.
-func (v V3) Norm2() float64 { return v.Dot(v) }
+// norm2 returns the squared Euclidean length of v.
+func (v V3) norm2() float64 { return v.Dot(v) }
 
 // Dist returns the Euclidean distance between points v and w.
 func (v V3) Dist(w V3) float64 { return v.Sub(w).Norm() }
@@ -61,8 +61,8 @@ func (v V3) Unit() V3 {
 	return v.Scale(1 / n)
 }
 
-// Lerp linearly interpolates between v (t=0) and w (t=1).
-func (v V3) Lerp(w V3, t float64) V3 {
+// lerp linearly interpolates between v (t=0) and w (t=1).
+func (v V3) lerp(w V3, t float64) V3 {
 	return V3{
 		v.X + t*(w.X-v.X),
 		v.Y + t*(w.Y-v.Y),
@@ -70,16 +70,16 @@ func (v V3) Lerp(w V3, t float64) V3 {
 	}
 }
 
-// Mul returns the component-wise product of v and w.
-func (v V3) Mul(w V3) V3 { return V3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
+// mul returns the component-wise product of v and w.
+func (v V3) mul(w V3) V3 { return V3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
 
-// Min returns the component-wise minimum of v and w.
-func (v V3) Min(w V3) V3 {
+// min returns the component-wise minimum of v and w.
+func (v V3) min(w V3) V3 {
 	return V3{math.Min(v.X, w.X), math.Min(v.Y, w.Y), math.Min(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
-func (v V3) Max(w V3) V3 {
+// max returns the component-wise maximum of v and w.
+func (v V3) max(w V3) V3 {
 	return V3{math.Max(v.X, w.X), math.Max(v.Y, w.Y), math.Max(v.Z, w.Z)}
 }
 

@@ -54,7 +54,7 @@ func TestNormUnit(t *testing.T) {
 	if got := v.Norm(); got != 5 {
 		t.Errorf("Norm = %g, want 5", got)
 	}
-	if got := v.Norm2(); got != 25 {
+	if got := v.norm2(); got != 25 {
 		t.Errorf("Norm2 = %g, want 25", got)
 	}
 	u := v.Unit()
@@ -72,13 +72,13 @@ func TestDistLerp(t *testing.T) {
 	if got := a.Dist(b); got != 2 {
 		t.Errorf("Dist = %g", got)
 	}
-	if got := a.Lerp(b, 0.5); got != (V3{1, 0, 0}) {
+	if got := a.lerp(b, 0.5); got != (V3{1, 0, 0}) {
 		t.Errorf("Lerp = %v", got)
 	}
-	if got := a.Lerp(b, 0); got != a {
+	if got := a.lerp(b, 0); got != a {
 		t.Errorf("Lerp(0) = %v", got)
 	}
-	if got := a.Lerp(b, 1); got != b {
+	if got := a.lerp(b, 1); got != b {
 		t.Errorf("Lerp(1) = %v", got)
 	}
 }
@@ -86,13 +86,13 @@ func TestDistLerp(t *testing.T) {
 func TestMinMaxMul(t *testing.T) {
 	a := New(1, 5, -2)
 	b := New(3, 2, -1)
-	if got := a.Min(b); got != (V3{1, 2, -2}) {
+	if got := a.min(b); got != (V3{1, 2, -2}) {
 		t.Errorf("Min = %v", got)
 	}
-	if got := a.Max(b); got != (V3{3, 5, -1}) {
+	if got := a.max(b); got != (V3{3, 5, -1}) {
 		t.Errorf("Max = %v", got)
 	}
-	if got := a.Mul(b); got != (V3{3, 10, 2}) {
+	if got := a.mul(b); got != (V3{3, 10, 2}) {
 		t.Errorf("Mul = %v", got)
 	}
 }

@@ -66,7 +66,7 @@ func BenchmarkBlockVisible(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BlockVisible(benchOrbit[0], theta, g, grid.BlockID(i%g.NumBlocks()))
+		blockVisible(benchOrbit[0], theta, g, grid.BlockID(i%g.NumBlocks()))
 	}
 }
 
@@ -92,7 +92,7 @@ func BenchmarkDilatedVisibleSet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = DilatedVisibleSet(g, benchOrbit[i%len(benchOrbit)], theta, 0.3)
+				benchSink = dilatedVisibleSet(g, benchOrbit[i%len(benchOrbit)], theta, 0.3)
 			}
 		})
 	}
@@ -104,7 +104,7 @@ func BenchmarkVicinalUnionJitter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = VicinalUnion(g, benchOrbit[i%len(benchOrbit)], theta, 0.3, 8)
+		benchSink = vicinalUnion(g, benchOrbit[i%len(benchOrbit)], theta, 0.3, 8)
 	}
 }
 
@@ -113,7 +113,16 @@ func BenchmarkVicinalUnionJitter(b *testing.B) {
 // whole — a path computes only the keys it visits — so it is the upper bound.
 func BenchmarkTableBuild(b *testing.B) {
 	g := benchGrid(b, 512)
-	var buf []grid.BlockID
+	// A warm pass over every key fills buf to its largest set and leaves a
+	// spent lattice, so the timed builds allocate only the tables.
+	buf := make([]grid.BlockID, 0, g.NumBlocks())
+	tab, err := NewTable(g, benchTableOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := range tab.NumKeys() {
+		buf = tab.AppendSet(buf[:0], k)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

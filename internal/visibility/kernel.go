@@ -1,6 +1,6 @@
 package visibility
 
-// The visible-set kernel under VisibleSet, DilatedVisibleSet and VicinalUnion.
+// The visible-set kernel under VisibleSet, dilatedVisibleSet and vicinalUnion.
 //
 // Blocks share corners: a grid of nx×ny×nz blocks has 8·nx·ny·nz block
 // corners but only (nx+1)(ny+1)(nz+1) distinct lattice points, so the kernel
@@ -106,13 +106,32 @@ type lattice struct {
 // box is the half-open block range, per axis, of a camera-inside test.
 type box struct{ x0, x1, y0, y1, z0, z1 int }
 
-var latticePool = sync.Pool{New: func() any { return new(lattice) }}
+// maxFreeLattices bounds the spent scratches kept for reuse, above the
+// visible sets computed at once: a frame's lookup, the prefetch planner's,
+// the server's sessions. A free list, not a sync.Pool: a Pool's Get on
+// another P misses the scratch the last Put left in the first P's private
+// slot, so how often a warm lookup allocated depended on the scheduler.
+const maxFreeLattices = 16
 
-// newLattice takes a scratch from the pool, sized for g, with no point seen.
-// The planes are the values WorldBounds returns, bit for bit: plane i sits
-// at voxel min(i·block, res), mapped by VoxelToWorld.
+var lattices struct {
+	mu   sync.Mutex
+	free []*lattice
+}
+
+// newLattice takes a spent scratch, or a new one, sized for g, with no point
+// seen. The planes are the values WorldBounds returns, bit for bit: plane i
+// sits at voxel min(i·block, res), mapped by VoxelToWorld.
 func newLattice(g *grid.Grid) *lattice {
-	l := latticePool.Get().(*lattice)
+	lattices.mu.Lock()
+	var l *lattice
+	if n := len(lattices.free); n > 0 {
+		l = lattices.free[n-1]
+		lattices.free = lattices.free[:n-1]
+	}
+	lattices.mu.Unlock()
+	if l == nil {
+		l = new(lattice)
+	}
 	nb, bs, res := g.BlocksPerAxis(), g.BlockSize(), g.Res()
 	l.xs, l.ys, l.zs = l.xs[:0], l.ys[:0], l.zs[:0]
 	for i := 0; i <= nb.X; i++ {
@@ -140,10 +159,16 @@ func resize(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-func (l *lattice) release() { latticePool.Put(l) }
+func (l *lattice) release() {
+	lattices.mu.Lock()
+	if len(lattices.free) < maxFreeLattices {
+		lattices.free = append(lattices.free, l)
+	}
+	lattices.mu.Unlock()
+}
 
 // mark records every lattice point the cone sees and the blocks its camera
-// is inside the r-padded box of: BlockVisible (DilatedVisible) over the
+// is inside the r-padded box of: blockVisible (dilatedVisible) over the
 // whole grid, once appendIDs combines them. It returns how many lattice
 // points went to the predicate.
 func (l *lattice) mark(c cone) (fallbacks int) {
@@ -330,7 +355,7 @@ func (rc *rowCone) bounds(x, rho2, w, dir float64) bool {
 }
 
 // containing returns the half-open range of blocks along one axis whose
-// r-padded extent holds p, by the comparisons BlockVisible makes. The planes
+// r-padded extent holds p, by the comparisons blockVisible makes. The planes
 // ascend, so the blocks that pass are contiguous.
 func containing(planes []float64, p, r float64) (from, to int) {
 	holds := func(b int) bool { return p >= planes[b]-r && p <= planes[b+1]+r }

@@ -56,8 +56,9 @@ func kernelCameras(g *grid.Grid, rng *field.Rand) []vec.V3 {
 	for i := 0; i < 6; i++ {
 		cams = append(cams, vec.New(rng.Range(-4, 4), rng.Range(-4, 4), rng.Range(-4, 4)))
 	}
+	h := g.HalfExtent()
 	for i := 0; i < 3; i++ {
-		cams = append(cams, vec.New(rng.Range(-1, 1), rng.Range(-1, 1), rng.Range(-1, 1)).Mul(g.HalfExtent()))
+		cams = append(cams, vec.New(rng.Range(-1, 1)*h.X, rng.Range(-1, 1)*h.Y, rng.Range(-1, 1)*h.Z))
 	}
 	return cams
 }
@@ -80,15 +81,15 @@ func TestKernelEqualsFlatScan(t *testing.T) {
 					t.Fatalf("grid %v pos %v θ=%g: VisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, got, want)
 				}
 				for _, r := range kernelRadii {
-					got := DilatedVisibleSet(g, pos, theta, r)
+					got := dilatedVisibleSet(g, pos, theta, r)
 					if want := flatDilatedVisibleSet(g, pos, theta, r); !slices.Equal(got, want) {
-						t.Fatalf("grid %v pos %v θ=%g r=%g: DilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, r, got, want)
+						t.Fatalf("grid %v pos %v θ=%g r=%g: dilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, r, got, want)
 					}
 				}
 			}
-			got := VicinalUnion(g, pos, vec.Radians(10), 0.3, 5)
+			got := vicinalUnion(g, pos, vec.Radians(10), 0.3, 5)
 			if want := flatVicinalUnion(g, pos, vec.Radians(10), 0.3, 5); !slices.Equal(got, want) {
-				t.Fatalf("grid %v pos %v: VicinalUnion %v, flat scan %v", g.BlocksPerAxis(), pos, got, want)
+				t.Fatalf("grid %v pos %v: vicinalUnion %v, flat scan %v", g.BlocksPerAxis(), pos, got, want)
 			}
 		}
 	}
@@ -108,8 +109,8 @@ func TestWideRowsEqualFlatScan(t *testing.T) {
 			lo, hi := g.WorldBounds(g.ID(128, 1, 1))
 			mid := lo.Add(hi).Scale(0.5)
 			pos, r := vec.New(lo.X+(hi.X-lo.X)/4, mid.Y, mid.Z), hi.X-lo.X
-			if got, want := DilatedVisibleSet(g, pos, vec.Radians(10), r), flatDilatedVisibleSet(g, pos, vec.Radians(10), r); !slices.Equal(got, want) {
-				t.Fatalf("grid %v, inside block 128: DilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), got, want)
+			if got, want := dilatedVisibleSet(g, pos, vec.Radians(10), r), flatDilatedVisibleSet(g, pos, vec.Radians(10), r); !slices.Equal(got, want) {
+				t.Fatalf("grid %v, inside block 128: dilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), got, want)
 			}
 		}
 		for _, pos := range kernelCameras(g, rng) {
@@ -117,12 +118,12 @@ func TestWideRowsEqualFlatScan(t *testing.T) {
 				if got, want := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta}), flatVisibleSet(g, pos, theta); !slices.Equal(got, want) {
 					t.Fatalf("grid %v pos %v θ=%g: VisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, got, want)
 				}
-				if got, want := DilatedVisibleSet(g, pos, theta, 0.3), flatDilatedVisibleSet(g, pos, theta, 0.3); !slices.Equal(got, want) {
-					t.Fatalf("grid %v pos %v θ=%g: DilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, got, want)
+				if got, want := dilatedVisibleSet(g, pos, theta, 0.3), flatDilatedVisibleSet(g, pos, theta, 0.3); !slices.Equal(got, want) {
+					t.Fatalf("grid %v pos %v θ=%g: dilatedVisibleSet %v, flat scan %v", g.BlocksPerAxis(), pos, theta, got, want)
 				}
 			}
-			if got, want := VicinalUnion(g, pos, vec.Radians(10), 0.3, 5), flatVicinalUnion(g, pos, vec.Radians(10), 0.3, 5); !slices.Equal(got, want) {
-				t.Fatalf("grid %v pos %v: VicinalUnion %v, flat scan %v", g.BlocksPerAxis(), pos, got, want)
+			if got, want := vicinalUnion(g, pos, vec.Radians(10), 0.3, 5), flatVicinalUnion(g, pos, vec.Radians(10), 0.3, 5); !slices.Equal(got, want) {
+				t.Fatalf("grid %v pos %v: vicinalUnion %v, flat scan %v", g.BlocksPerAxis(), pos, got, want)
 			}
 		}
 	}
@@ -348,7 +349,7 @@ func TestEquivalenceProperty(t *testing.T) {
 		theta := vec.Radians(rng.Range(2, 90))
 		r := rng.Range(0, 1)
 		return slices.Equal(VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta}), flatVisibleSet(g, pos, theta)) &&
-			slices.Equal(DilatedVisibleSet(g, pos, theta, r), flatDilatedVisibleSet(g, pos, theta, r))
+			slices.Equal(dilatedVisibleSet(g, pos, theta, r), flatDilatedVisibleSet(g, pos, theta, r))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -411,8 +412,8 @@ func FuzzVisibleSetEqualsOracle(f *testing.F) {
 		if got, want := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta}), flatVisibleSet(g, pos, theta); !slices.Equal(got, want) {
 			t.Fatalf("res %v block %v pos %v θ=%v: VisibleSet %v, flat scan %v", res, block, pos, theta, got, want)
 		}
-		if got, want := DilatedVisibleSet(g, pos, theta, r), flatDilatedVisibleSet(g, pos, theta, r); !slices.Equal(got, want) {
-			t.Fatalf("res %v block %v pos %v θ=%v r=%v: DilatedVisibleSet %v, flat scan %v", res, block, pos, theta, r, got, want)
+		if got, want := dilatedVisibleSet(g, pos, theta, r), flatDilatedVisibleSet(g, pos, theta, r); !slices.Equal(got, want) {
+			t.Fatalf("res %v block %v pos %v θ=%v r=%v: dilatedVisibleSet %v, flat scan %v", res, block, pos, theta, r, got, want)
 		}
 	})
 }

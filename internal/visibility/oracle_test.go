@@ -2,7 +2,7 @@ package visibility
 
 // The flat scans the kernel replaced, kept as its oracle: the per-block
 // predicates applied to every block in id order, as VisibleSet,
-// DilatedVisibleSet and VicinalUnion were written before the kernel.
+// dilatedVisibleSet and vicinalUnion were written before the kernel.
 
 import (
 	"sort"
@@ -14,7 +14,7 @@ import (
 func flatVisibleSet(g *grid.Grid, pos vec.V3, theta float64) []grid.BlockID {
 	out := []grid.BlockID{}
 	for i := 0; i < g.NumBlocks(); i++ {
-		if BlockVisible(pos, theta, g, grid.BlockID(i)) {
+		if blockVisible(pos, theta, g, grid.BlockID(i)) {
 			out = append(out, grid.BlockID(i))
 		}
 	}
@@ -24,7 +24,7 @@ func flatVisibleSet(g *grid.Grid, pos vec.V3, theta float64) []grid.BlockID {
 func flatDilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockID {
 	out := []grid.BlockID{}
 	for i := 0; i < g.NumBlocks(); i++ {
-		if DilatedVisible(pos, theta, r, g, grid.BlockID(i)) {
+		if dilatedVisible(pos, theta, r, g, grid.BlockID(i)) {
 			out = append(out, grid.BlockID(i))
 		}
 	}
@@ -35,7 +35,7 @@ func flatVicinalUnion(g *grid.Grid, pos vec.V3, theta, r float64, samples int) [
 	seen := make(map[grid.BlockID]struct{})
 	add := func(p vec.V3) {
 		for i := 0; i < g.NumBlocks(); i++ {
-			if BlockVisible(p, theta, g, grid.BlockID(i)) {
+			if blockVisible(p, theta, g, grid.BlockID(i)) {
 				seen[grid.BlockID(i)] = struct{}{}
 			}
 		}

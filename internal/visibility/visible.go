@@ -22,10 +22,10 @@ func CornerVisible(pos, corner vec.V3, theta float64) bool {
 	return vec.AngleBetween(toCorner, toCenter) < theta/2
 }
 
-// BlockVisible reports whether a block is visible from pos: true when any
+// blockVisible reports whether a block is visible from pos: true when any
 // of its eight corners passes the Eq. (1) test, or when the camera is inside
 // the block's bounds (a degenerate case Eq. (1) cannot classify).
-func BlockVisible(pos vec.V3, theta float64, g *grid.Grid, id grid.BlockID) bool {
+func blockVisible(pos vec.V3, theta float64, g *grid.Grid, id grid.BlockID) bool {
 	lo, hi := g.WorldBounds(id)
 	if pos.X >= lo.X && pos.X <= hi.X &&
 		pos.Y >= lo.Y && pos.Y <= hi.Y &&
@@ -42,7 +42,7 @@ func BlockVisible(pos vec.V3, theta float64, g *grid.Grid, id grid.BlockID) bool
 }
 
 // VisibleSet returns the sorted IDs of every block visible from the camera:
-// BlockVisible over the grid. This is the exact per-frame ground truth the
+// blockVisible over the grid. This is the exact per-frame ground truth the
 // simulator renders from.
 func VisibleSet(g *grid.Grid, cam camera.Camera) []grid.BlockID {
 	return AppendVisibleSet(nil, g, cam)
@@ -55,12 +55,12 @@ func AppendVisibleSet(dst []grid.BlockID, g *grid.Grid, cam camera.Camera) []gri
 	return appendVisibleSet(dst, g, cone{pos: cam.Pos, theta: cam.ViewAngle})
 }
 
-// DilatedVisible reports whether a block is visible from *some* point within
+// dilatedVisible reports whether a block is visible from *some* point within
 // radius r of pos. Moving the apex by at most r changes a corner's apparent
 // angle by at most asin(r/‖corner−pos‖), so the union of frustums over the
 // vicinal sphere φ is conservatively approximated by widening the cone test
 // per corner. It is the fast analytic alternative to jitter sampling.
-func DilatedVisible(pos vec.V3, theta, r float64, g *grid.Grid, id grid.BlockID) bool {
+func dilatedVisible(pos vec.V3, theta, r float64, g *grid.Grid, id grid.BlockID) bool {
 	lo, hi := g.WorldBounds(id)
 	if pos.X >= lo.X-r && pos.X <= hi.X+r &&
 		pos.Y >= lo.Y-r && pos.Y <= hi.Y+r &&
@@ -77,7 +77,7 @@ func DilatedVisible(pos vec.V3, theta, r float64, g *grid.Grid, id grid.BlockID)
 }
 
 // dilatedCornerVisible is Eq. (1) with the half angle widened by
-// asin(r/‖corner−pos‖): the per-corner test of DilatedVisible.
+// asin(r/‖corner−pos‖): the per-corner test of dilatedVisible.
 func dilatedCornerVisible(pos, corner vec.V3, theta, r float64) bool {
 	dist := corner.Dist(pos)
 	widen := math.Pi
@@ -87,22 +87,22 @@ func dilatedCornerVisible(pos, corner vec.V3, theta, r float64) bool {
 	return vec.AngleBetween(corner.Sub(pos), pos.Neg()) < theta/2+widen
 }
 
-// DilatedVisibleSet returns the sorted IDs of blocks visible from anywhere
-// within radius r of pos (analytic union approximation): DilatedVisible over
+// dilatedVisibleSet returns the sorted IDs of blocks visible from anywhere
+// within radius r of pos (analytic union approximation): dilatedVisible over
 // the grid.
-func DilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockID {
+func dilatedVisibleSet(g *grid.Grid, pos vec.V3, theta, r float64) []grid.BlockID {
 	return appendVisibleSet(nil, g, cone{pos: pos, theta: theta, r: r, dilated: true})
 }
 
-// VicinalUnion returns the union of exact visible sets over sample points
+// vicinalUnion returns the union of exact visible sets over sample points
 // inside the vicinal sphere φ of radius r centered at pos (including pos
 // itself), the construction of §IV-B. samples is the number of jitter points
 // v'; they are placed deterministically on Fibonacci shells.
-func VicinalUnion(g *grid.Grid, pos vec.V3, theta, r float64, samples int) []grid.BlockID {
+func vicinalUnion(g *grid.Grid, pos vec.V3, theta, r float64, samples int) []grid.BlockID {
 	return appendVisibleSet(nil, g, vicinalCones(pos, theta, r, samples)...)
 }
 
-// vicinalCones returns VicinalUnion's cones: one at pos and one at each
+// vicinalCones returns vicinalUnion's cones: one at pos and one at each
 // jitter point.
 func vicinalCones(pos vec.V3, theta, r float64, samples int) []cone {
 	pts := fibonacciBall(pos, r, samples)

@@ -49,7 +49,7 @@ func TestBlockVisibleCenterBlock(t *testing.T) {
 	pos := vec.New(0, 0, 3)
 	// The block containing the volume center is on-axis and visible.
 	centerID := g.ID(2, 2, 2)
-	if !BlockVisible(pos, theta, g, centerID) {
+	if !blockVisible(pos, theta, g, centerID) {
 		t.Error("center block not visible")
 	}
 }
@@ -60,7 +60,7 @@ func TestBlockVisibleCameraInside(t *testing.T) {
 	id := g.ID(0, 0, 0)
 	lo, hi := g.WorldBounds(id)
 	inside := lo.Add(hi).Scale(0.5)
-	if !BlockVisible(inside, vec.Radians(1), g, id) {
+	if !blockVisible(inside, vec.Radians(1), g, id) {
 		t.Error("camera-inside block not visible")
 	}
 }
@@ -126,7 +126,7 @@ func TestDilatedVisibleSupersetOfExact(t *testing.T) {
 	theta := vec.Radians(30)
 	pos := vec.New(0.3, -0.2, 3)
 	exact := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta})
-	dilated := DilatedVisibleSet(g, pos, theta, 0.2)
+	dilated := dilatedVisibleSet(g, pos, theta, 0.2)
 	if intersect(exact, dilated) != len(exact) {
 		t.Error("dilated set does not contain the exact set")
 	}
@@ -134,7 +134,7 @@ func TestDilatedVisibleSupersetOfExact(t *testing.T) {
 		t.Errorf("dilated %d <= exact %d; dilation had no effect", len(dilated), len(exact))
 	}
 	// Zero radius reduces to the exact test.
-	zero := DilatedVisibleSet(g, pos, theta, 0)
+	zero := dilatedVisibleSet(g, pos, theta, 0)
 	if len(zero) != len(exact) {
 		t.Errorf("r=0 dilated %d != exact %d", len(zero), len(exact))
 	}
@@ -145,7 +145,7 @@ func TestVicinalUnionContainsCenterView(t *testing.T) {
 	theta := vec.Radians(30)
 	pos := vec.New(0, 0, 3)
 	exact := VisibleSet(g, camera.Camera{Pos: pos, ViewAngle: theta})
-	union := VicinalUnion(g, pos, theta, 0.15, 8)
+	union := vicinalUnion(g, pos, theta, 0.15, 8)
 	if intersect(exact, union) != len(exact) {
 		t.Error("vicinal union misses blocks visible from its center")
 	}
@@ -158,8 +158,8 @@ func TestVicinalUnionGrowsWithRadius(t *testing.T) {
 	g := testGrid(t, 64, 8)
 	theta := vec.Radians(30)
 	pos := vec.New(0, 0, 3)
-	small := VicinalUnion(g, pos, theta, 0.05, 12)
-	large := VicinalUnion(g, pos, theta, 0.5, 12)
+	small := vicinalUnion(g, pos, theta, 0.05, 12)
+	large := vicinalUnion(g, pos, theta, 0.5, 12)
 	if len(large) <= len(small) {
 		t.Errorf("r=0.5 union %d <= r=0.05 union %d", len(large), len(small))
 	}
@@ -172,8 +172,8 @@ func TestVicinalUnionApproximatesDilation(t *testing.T) {
 	theta := vec.Radians(30)
 	pos := vec.New(0, 0, 3)
 	r := 0.2
-	jitter := VicinalUnion(g, pos, theta, r, 32)
-	analytic := DilatedVisibleSet(g, pos, theta, r)
+	jitter := vicinalUnion(g, pos, theta, r, 32)
+	analytic := dilatedVisibleSet(g, pos, theta, r)
 	if intersect(jitter, analytic) != len(jitter) {
 		t.Errorf("analytic dilation (%d blocks) does not cover jitter union (%d blocks)",
 			len(analytic), len(jitter))
@@ -203,12 +203,12 @@ func TestFibonacciBallSpreads(t *testing.T) {
 	// Points should not collapse to a line: their bounding box must extend
 	// in all three axes.
 	pts := fibonacciBall(vec.V3{}, 1, 50)
-	min, max := pts[0], pts[0]
+	lo, hi := pts[0], pts[0]
 	for _, p := range pts {
-		min = min.Min(p)
-		max = max.Max(p)
+		lo = vec.New(math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z))
+		hi = vec.New(math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z))
 	}
-	ext := max.Sub(min)
+	ext := hi.Sub(lo)
 	if ext.X < 0.5 || ext.Y < 0.5 || ext.Z < 0.5 {
 		t.Errorf("ball points poorly spread: extent %v", ext)
 	}

@@ -59,8 +59,8 @@ func (ts *TimeSeries) At(t int) *Dataset {
 	}
 }
 
-// TotalBytes returns the footprint of the whole series.
-func (ts *TimeSeries) TotalBytes() int64 {
+// totalBytes returns the footprint of the whole series.
+func (ts *TimeSeries) totalBytes() int64 {
 	return ts.Res.Count() * int64(ts.Variables) * int64(ts.ValueSize) * int64(ts.Timesteps)
 }
 

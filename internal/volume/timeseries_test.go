@@ -24,8 +24,8 @@ func TestTimeSeriesBasics(t *testing.T) {
 	if ts.Timesteps != 10 || ts.Res != base.Res {
 		t.Errorf("series = %+v", ts)
 	}
-	if ts.TotalBytes() != base.TotalBytes()*10 {
-		t.Errorf("TotalBytes = %d", ts.TotalBytes())
+	if ts.totalBytes() != base.TotalBytes()*10 {
+		t.Errorf("TotalBytes = %d", ts.totalBytes())
 	}
 	g, err := ts.Grid(grid.Dims{X: 8, Y: 8, Z: 8})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/analytics"
 	"repro/internal/camera"
 	"repro/internal/entropy"
 	"repro/internal/grid"
@@ -136,12 +135,6 @@ func NewViewer(ds *Dataset, opts ViewerOptions) (*Viewer, error) {
 // Grid returns the viewer's block grid.
 func (v *Viewer) Grid() *Grid { return v.g }
 
-// Importance returns the viewer's T_important.
-func (v *Viewer) Importance() *ImportanceTable { return v.imp }
-
-// Visibility returns the viewer's T_visible.
-func (v *Viewer) Visibility() *VisibilityTable { return v.vis }
-
 // Goto moves the camera to pos: the visible set is computed, missing blocks
 // are fetched under the application-aware policy, and the vicinity's
 // predicted blocks are prefetched.
@@ -160,37 +153,6 @@ func (v *Viewer) Visible() []BlockID { return v.visible }
 // Metrics summarizes the session so far: what RunAppAware reports for the
 // same path and tables, without the trace.
 func (v *Viewer) Metrics() Metrics { return v.s.Metrics() }
-
-// analyticsSampling bounds per-block sampling for the Viewer's analytic
-// panels; live Fig. 3-style graphs trade exactness for refresh rate.
-const analyticsSampling = 6
-
-// Histogram returns the distribution of a variable over the blocks visible
-// from the current view point (the paper's Fig. 3 per-view histograms).
-// It fails before the first Goto.
-func (v *Viewer) Histogram(variable, bins int) (*entropy.Histogram, error) {
-	if len(v.visible) == 0 {
-		return nil, fmt.Errorf("vizcache: Histogram before any Goto")
-	}
-	return analytics.RegionHistogram(v.ds, v.g, v.visible, variable, bins, analyticsSampling)
-}
-
-// Correlation returns the Pearson correlation matrix of the given variables
-// over the currently visible region (Fig. 3's correlation matrix).
-func (v *Viewer) Correlation(vars []int) ([][]float64, error) {
-	if len(v.visible) == 0 {
-		return nil, fmt.Errorf("vizcache: Correlation before any Goto")
-	}
-	return analytics.CorrelationMatrix(v.ds, v.g, v.visible, vars, analyticsSampling)
-}
-
-// Stats summarizes a variable over the currently visible region.
-func (v *Viewer) Stats(variable int) (analytics.Stats, error) {
-	if len(v.visible) == 0 {
-		return analytics.Stats{}, fmt.Errorf("vizcache: Stats before any Goto")
-	}
-	return analytics.RegionStats(v.ds, v.g, v.visible, variable, analyticsSampling)
-}
 
 // RenderPNG ray-casts the current view point into a width×height PNG.
 func (v *Viewer) RenderPNG(w io.Writer, width, height int) error {

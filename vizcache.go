@@ -30,14 +30,9 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/cache"
 	"repro/internal/camera"
-	"repro/internal/entropy"
 	"repro/internal/grid"
-	"repro/internal/lod"
-	"repro/internal/ooc"
 	"repro/internal/render"
 	"repro/internal/sim"
-	"repro/internal/store"
-	"repro/internal/summary"
 	"repro/internal/trace"
 	"repro/internal/vec"
 	"repro/internal/visibility"
@@ -77,21 +72,8 @@ type SimConfig = sim.Config
 // AppAwareConfig carries the app-aware policy's inputs for RunAppAware.
 type AppAwareConfig = sim.AppAwareConfig
 
-// ImportanceTable is the entropy ranking T_important.
-type ImportanceTable = entropy.Table
-
-// VisibilityTable is the camera-sampling lookup table T_visible.
-type VisibilityTable = visibility.Table
-
-// VisibilityOptions configures T_visible construction.
-type VisibilityOptions = visibility.Options
-
 // Policy is a replacement policy over blocks.
 type Policy = cache.Policy
-
-// VictimFilter restricts the blocks a Policy may name as victims; the zero
-// value accepts any.
-type VictimFilter = cache.Filter
 
 // TransferFunc maps normalized values to RGBA for rendering.
 type TransferFunc = render.TransferFunc
@@ -101,16 +83,10 @@ type TransferFunc = render.TransferFunc
 var (
 	// Ball returns the synthetic 3d_ball dataset (1024³).
 	Ball = volume.Ball
-	// LiftedMixFrac returns the combustion mixture-fraction dataset.
-	LiftedMixFrac = volume.LiftedMixFrac
 	// LiftedRR returns the combustion reaction-rate dataset.
 	LiftedRR = volume.LiftedRR
 	// Climate returns the 244-variable climate dataset.
 	Climate = volume.Climate
-	// Datasets returns all Table I datasets.
-	Datasets = volume.Catalog
-	// DatasetByName returns a Table I dataset by name, or nil.
-	DatasetByName = volume.ByName
 )
 
 // Replacement-policy constructors for baselines and ablations.
@@ -134,8 +110,6 @@ var (
 	RandomPath = camera.Random
 	// ZoomPath flies from far to near along a direction.
 	ZoomPath = camera.Zoom
-	// OrbitPath is a single great-circle orbit.
-	OrbitPath = camera.Orbit
 )
 
 // Simulation entry points.
@@ -146,17 +120,6 @@ var (
 	RunAppAware = sim.RunAppAware
 )
 
-// BuildImportance computes the T_important entropy ranking for a dataset's
-// blocks (§IV-C).
-func BuildImportance(ds *Dataset, g *Grid) *ImportanceTable {
-	return entropy.Build(ds, g, entropy.Options{})
-}
-
-// NewVisibilityTable builds T_visible over the grid (§IV-B).
-func NewVisibilityTable(g *Grid, opts VisibilityOptions) (*VisibilityTable, error) {
-	return visibility.NewTable(g, opts)
-}
-
 // VisibleBlocks returns the exact set of blocks visible from a camera.
 func VisibleBlocks(g *Grid, cam Camera) []BlockID {
 	return visibility.VisibleSet(g, cam)
@@ -164,9 +127,6 @@ func VisibleBlocks(g *Grid, cam Camera) []BlockID {
 
 // Trace is a recorded block-request stream (one group per view point).
 type Trace = trace.Trace
-
-// ReplayResult summarizes a trace replay against a single-level cache.
-type ReplayResult = trace.ReplayResult
 
 // ReplayTrace runs a recorded trace against a policy with the given block
 // capacity — the harness for comparing online policies with Belady's
@@ -196,59 +156,3 @@ var (
 	// Isosurface highlights a value band (iso, width) over a base map.
 	Isosurface = render.Isosurface
 )
-
-// Real-I/O out-of-core substrate (non-simulated; see examples/realio).
-type (
-	// BlockFile is a block-layout data file with random-access reads.
-	BlockFile = store.BlockFile
-	// MemCache is a byte-budgeted in-memory block cache over a BlockFile.
-	MemCache = store.MemCache
-	// OOCRuntime is the concurrent fetch+prefetch runtime (paper §VI).
-	OOCRuntime = ooc.Runtime
-	// OOCOptions configures OOCRuntime workers and queues.
-	OOCOptions = ooc.Options
-)
-
-var (
-	// WriteBlockFile materializes one dataset variable in block layout.
-	WriteBlockFile = store.Write
-	// OpenBlockFile opens a block-layout file.
-	OpenBlockFile = store.Open
-	// NewMemCache wraps a BlockFile with a policy-managed cache.
-	NewMemCache = store.NewMemCache
-	// NewOOCRuntime starts the concurrent out-of-core runtime.
-	NewOOCRuntime = ooc.New
-)
-
-// Query-based visualization (§III-A; per-block summaries answer range
-// queries without touching voxel data).
-type (
-	// SummaryTable holds per-block min/max/mean summaries.
-	SummaryTable = summary.Table
-	// Query is a conjunction of per-variable range predicates.
-	Query = summary.Query
-	// Predicate is one range condition on one variable.
-	Predicate = summary.Predicate
-)
-
-// BuildSummaries computes per-block value summaries for the variables (all
-// when vars is nil).
-func BuildSummaries(ds *Dataset, g *Grid, vars []int) (*SummaryTable, error) {
-	return summary.Build(ds, g, vars)
-}
-
-// AutoTransfer derives an opacity-equalized transfer function from
-// histogram counts (rare values stay visible).
-var AutoTransfer = render.AutoTransfer
-
-// Multi-resolution substrate (the §III-B related-work approach; quantified
-// against the app-aware policy by `cmd/repro -exp ext-lod`).
-type (
-	// Pyramid is a multi-resolution stack over a dataset.
-	Pyramid = lod.Pyramid
-	// LODRef names one block of one pyramid level.
-	LODRef = lod.Ref
-)
-
-// NewPyramid builds a level-of-detail pyramid.
-var NewPyramid = lod.NewPyramid

@@ -3,18 +3,20 @@ package vizcache
 import (
 	"bytes"
 	"image/png"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
+	"repro/internal/camera"
 	"repro/internal/vec"
 )
 
 func TestDatasetCatalogFacade(t *testing.T) {
-	if len(Datasets()) != 4 {
-		t.Fatalf("Datasets = %d", len(Datasets()))
-	}
-	if DatasetByName("3d_ball") == nil || DatasetByName("x") != nil {
-		t.Error("DatasetByName broken")
+	for _, ds := range []*Dataset{Ball(), LiftedRR(), Climate()} {
+		if ds == nil || ds.Name == "" {
+			t.Fatalf("unnamed dataset %v", ds)
+		}
 	}
 	ball := Ball()
 	if ball.Res.X != 1024 {
@@ -29,7 +31,7 @@ func TestPolicyConstructorsFacade(t *testing.T) {
 			t.Error("unnamed policy")
 		}
 		p.Insert(BlockID(1))
-		if v, ok := p.Victim(2, VictimFilter{}); !ok || v != 1 {
+		if v, ok := p.Victim(2, cache.Filter{}); !ok || v != 1 {
 			t.Errorf("%s: Insert/Victim broken", p.Name())
 		}
 	}
@@ -45,9 +47,6 @@ func TestPathGeneratorsFacade(t *testing.T) {
 	if ZoomPath(Vec(1, 0, 0), 4, 2, 10).Len() != 10 {
 		t.Error("ZoomPath")
 	}
-	if OrbitPath(3, 10).Len() != 10 {
-		t.Error("OrbitPath")
-	}
 }
 
 func TestRunnersFacade(t *testing.T) {
@@ -59,7 +58,7 @@ func TestRunnersFacade(t *testing.T) {
 	cfg := SimConfig{
 		Dataset:    ds,
 		Grid:       g,
-		Path:       OrbitPath(3, 20),
+		Path:       camera.Orbit(3, 20),
 		ViewAngle:  0.17,
 		CacheRatio: 0.5,
 	}
@@ -73,18 +72,6 @@ func TestRunnersFacade(t *testing.T) {
 	}
 	if opt.MissRate >= lru.MissRate {
 		t.Errorf("OPT %.3f >= LRU %.3f", opt.MissRate, lru.MissRate)
-	}
-}
-
-func TestBuildImportanceFacade(t *testing.T) {
-	ds := Ball().Scale(1.0 / 16)
-	g, _ := ds.GridWithBlockCount(512)
-	imp := BuildImportance(ds, g)
-	if imp.Len() != g.NumBlocks() {
-		t.Errorf("importance len = %d", imp.Len())
-	}
-	if imp.MaxScore() <= 0 {
-		t.Error("no entropy found")
 	}
 }
 
@@ -106,7 +93,7 @@ func TestViewerSession(t *testing.T) {
 	if v.Grid().NumBlocks() != 512 {
 		t.Errorf("blocks = %d", v.Grid().NumBlocks())
 	}
-	path := OrbitPath(3, 15)
+	path := camera.Orbit(3, 15)
 	var lastIO FrameStats
 	for i, pos := range path.Steps {
 		st := v.Goto(pos)
@@ -159,7 +146,7 @@ func TestViewerIsTheSimulator(t *testing.T) {
 	got := v.Metrics()
 	want, err := RunAppAware(SimConfig{
 		Dataset: ds, Grid: v.Grid(), Path: path, ViewAngle: vec.Radians(10), CacheRatio: 0.5,
-	}, AppAwareConfig{Visible: v.Visibility(), Importance: v.Importance()})
+	}, AppAwareConfig{Visible: v.vis, Importance: v.imp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,38 +179,31 @@ func TestViewerRenderPNG(t *testing.T) {
 	}
 }
 
+// TestViewerAnalytics runs the facade's Fig. 3 analytics over a Viewer's
+// visible region, as examples/climate does.
 func TestViewerAnalytics(t *testing.T) {
 	ds := Climate().Scale(0.2).WithVariables(4)
 	v, err := NewViewer(ds, ViewerOptions{Blocks: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All analytics fail before the first Goto.
-	if _, err := v.Histogram(0, 8); err == nil {
-		t.Error("Histogram before Goto succeeded")
-	}
-	if _, err := v.Correlation([]int{0, 1}); err == nil {
-		t.Error("Correlation before Goto succeeded")
-	}
-	if _, err := v.Stats(0); err == nil {
-		t.Error("Stats before Goto succeeded")
-	}
 	v.Goto(Vec(0, 0, 3))
-	h, err := v.Histogram(0, 8)
+	const sampling = 6
+	h, err := RegionHistogram(ds, v.Grid(), v.Visible(), 0, 8, sampling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() == 0 {
+	if slices.Max(h.Counts) == 0 {
 		t.Error("empty histogram")
 	}
-	m, err := v.Correlation([]int{0, 1, 2})
+	m, err := CorrelationMatrix(ds, v.Grid(), v.Visible(), []int{0, 1, 2}, sampling)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m) != 3 || m[0][0] != 1 {
 		t.Errorf("correlation = %v", m)
 	}
-	st, err := v.Stats(1)
+	st, err := RegionStats(ds, v.Grid(), v.Visible(), 1, sampling)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,30 +224,6 @@ func TestViewerValidation(t *testing.T) {
 	}
 	if v.Grid().BlockSize() != (Dims{X: 16, Y: 16, Z: 16}) {
 		t.Errorf("block size = %v", v.Grid().BlockSize())
-	}
-}
-
-func TestQueryFacade(t *testing.T) {
-	ds := LiftedRR().Scale(1.0 / 16)
-	g, err := ds.GridWithBlockCount(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums, err := BuildSummaries(ds, g, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := sums.Select(Query{{Variable: 0, Min: 0.4, Max: 0.6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel) == 0 || len(sel) >= g.NumBlocks() {
-		t.Errorf("flame query selected %d of %d", len(sel), g.NumBlocks())
-	}
-	// AutoTransfer composes with the facade transfer functions.
-	tf := AutoTransfer([]int64{100, 10, 1}, Hot)
-	if _, _, _, a := tf(0.5); a < 0 || a > 1 {
-		t.Errorf("auto opacity = %g", a)
 	}
 }
 
