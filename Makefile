@@ -19,9 +19,9 @@ FUZZ_PKGS := ./internal/policy/... ./internal/blocksvc/... ./internal/store/... 
 # semaphore's cancel/grant race.
 CHAOS_TESTS := 'TestChaos|TestBreaker|TestFailover|TestDrain|TestHandshakeWriteDeadline|TestServerDetectsDeadPeer|TestClientDetectsDeadServer|TestIdleConnToMuteServerDropped|TestIdleConnSurvivesHeartbeats|TestChecksumFaultsDontFailover|TestCloseConcurrentWithReads|TestByteSem'
 
-.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader exported-callers test race hist-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke fuzz-kernel repro-check bench bench-all bench-smoke bench-check
+.PHONY: check vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader exported-callers test race hist-pin reuse-pin chaos chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke fuzz-kernel repro-check bench bench-all bench-smoke bench-check
 
-check: vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader exported-callers test race hist-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
+check: vet build max-lines unused-pkgs one-codec one-planner one-executor one-reader exported-callers test race hist-pin reuse-pin chaos-smoke spill-smoke pipe-smoke cluster-smoke fuzz-smoke repro-check bench-smoke bench-check
 
 vet:
 	$(GO) vet ./...
@@ -123,6 +123,18 @@ race:
 # before Observe was reordered).
 hist-pin:
 	$(GO) test -race -count=200 -run TestHistogramConcurrent ./internal/obs/
+
+# reuse-pin repeats the record-reuse tests under the race detector. Two
+# reused records have a two-party release rule: MemCache's in-flight call
+# (its leader and every waiter) and the wire client's request record (its
+# batch and the connection's read loop). A record returned before both
+# parties have released it hands a later batch another batch's block only
+# under some interleaving, which one pass may not hit. The spill reader's
+# reused batch state rides along.
+reuse-pin:
+	$(GO) test -race -count=20 -run TestReusedCallsUnderCancels ./internal/store/
+	$(GO) test -race -count=20 -run TestRequestRecordLifecycle ./internal/blocksvc/
+	$(GO) test -race -count=20 -run TestReaderBatchReuse ./internal/tier/
 
 # chaos runs the failure-model suite under the race detector, repeated to
 # shake out interleavings: replica kill/restart, graceful drain, dead-peer

@@ -1,7 +1,9 @@
 package blocksvc
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/cache"
@@ -139,6 +141,87 @@ func BenchmarkShardedRemoteFrame(b *testing.B) {
 			}
 			if st := r.Snapshot(); st.Reroutes != 0 || st.Redirects != 0 {
 				b.Fatalf("benchmark frames rerouted: %+v", st)
+			}
+		})
+	}
+}
+
+// TestWarmRemoteBatchAllocations pins what a warm remote batch allocates on
+// each side of the wire, over both transports (neither allocates per
+// frame). Server side: a hand-written client that allocates nothing of its
+// own — one request frame, one receive buffer — asks a warm server for the
+// whole volume, and the session's request record, its run results and its
+// frame staging are all reused: 0. Both sides: RemoteReader.ReadBlocks of
+// the same batch allocates its two results, vals and errs, and nothing
+// more — the request record, its token channel and the batch's index slice
+// are reused.
+func TestWarmRemoteBatchAllocations(t *testing.T) {
+	for _, tr := range transports {
+		t.Run(tr, func(t *testing.T) {
+			f := startService(t, svcOpts{transport: tr,
+				mutate: func(c *Config) { c.HeartbeatInterval = -1 }})
+			ids := f.g.All()
+			ctx := context.Background()
+
+			conn, err := f.dial(ctx, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			bw, br := bufio.NewWriter(conn), bufio.NewReaderSize(conn, 64<<10)
+			var e enc
+			e.u32(protoMagic)
+			e.u16(ProtoVersion)
+			if err := writeFrame(bw, msgHello, e.b); err != nil || bw.Flush() != nil {
+				t.Fatal("hello not sent")
+			}
+			if typ, _, err := readFrame(br, nil); err != nil || typ != msgWelcome {
+				t.Fatalf("welcome: typ=%d err=%v", typ, err)
+			}
+			e.reset()
+			e.u64(1)
+			e.u32(0)
+			e.u32(uint32(len(ids)))
+			for _, id := range ids {
+				e.u32(uint32(id))
+			}
+			buf := make([]byte, 0, maxFrameBytes/16)
+			read := func() {
+				if err := writeFrame(bw, msgRead, e.b); err != nil || bw.Flush() != nil {
+					t.Fatal("read not sent")
+				}
+				for blocks := 0; ; {
+					typ, payload, err := readFrame(br, buf)
+					switch {
+					case err != nil:
+						t.Fatal(err)
+					case typ == msgBlocks:
+						blocks += int(binary.LittleEndian.Uint16(payload[12:]))
+						continue
+					case typ != msgDone || blocks != len(ids):
+						t.Fatalf("frame type %d after %d of %d blocks", typ, blocks, len(ids))
+					}
+					return
+				}
+			}
+			read() // the server's cache comes warm from the disk
+			if n := testing.AllocsPerRun(50, read); n != 0 {
+				t.Errorf("a warm server allocates %v times a batch, want 0", n)
+			}
+
+			r := dialService(t, f, 1)
+			batch := func() {
+				vals, errs := r.ReadBlocks(ctx, ids)
+				for i, v := range vals {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					r.RecycleBlockBuf(v)
+				}
+			}
+			batch()
+			if n := testing.AllocsPerRun(50, batch); n != 2 {
+				t.Errorf("a warm remote batch allocates %v times, want 2 (ReadBlocks' vals and errs)", n)
 			}
 		})
 	}

@@ -516,7 +516,7 @@ func TestMixedStatusRun(t *testing.T) {
 			var hello enc
 			hello.u32(protoMagic)
 			hello.u16(ProtoVersion)
-			if err := writeFrame(conn, msgHello, hello.b); err != nil {
+			if err := writeFrameTo(conn, msgHello, hello.b); err != nil {
 				t.Fatal(err)
 			}
 			br := bufio.NewReader(conn)
@@ -530,7 +530,7 @@ func TestMixedStatusRun(t *testing.T) {
 			for _, id := range ids {
 				req.u32(uint32(id))
 			}
-			if err := writeFrame(conn, msgRead, req.b); err != nil {
+			if err := writeFrameTo(conn, msgRead, req.b); err != nil {
 				t.Fatal(err)
 			}
 			typ, payload, err := readFrame(br, nil)
@@ -600,7 +600,7 @@ func flipPayloadBit(dial dialFunc) dialFunc {
 				if typ == msgBlocks {
 					payload[runPreludeBytes+1+4] ^= 0x10
 				}
-				if writeFrame(mid, typ, payload) != nil {
+				if writeFrameTo(mid, typ, payload) != nil {
 					return
 				}
 			}
@@ -1230,7 +1230,7 @@ func TestVersionMismatchRefused(t *testing.T) {
 		e.u32(protoMagic)
 		e.u16(ver)
 		errc := make(chan error, 1)
-		go func() { errc <- writeFrame(conn, msgHello, e.b) }()
+		go func() { errc <- writeFrameTo(conn, msgHello, e.b) }()
 		typ, payload, err := readFrame(conn, nil)
 		if err != nil {
 			t.Fatalf("version %d: no refusal frame: %v", ver, err)
@@ -1263,7 +1263,7 @@ func TestBadMagicRefused(t *testing.T) {
 	var e enc
 	e.u32(0xdeadbeef)
 	e.u16(ProtoVersion)
-	go writeFrame(conn, msgHello, e.b)
+	go writeFrameTo(conn, msgHello, e.b)
 	typ, _, err := readFrame(conn, nil)
 	if err != nil {
 		t.Fatalf("no refusal frame: %v", err)

@@ -185,6 +185,10 @@ type RemoteReader struct {
 	mu     sync.Mutex
 
 	bufs store.BufPool // recycled decode buffers (fed via RecycleBlockBuf)
+
+	reqMu    sync.Mutex
+	freeReqs []*pendingReq // spent request records, at most maxFreeReqs
+	freeIdx  [][]int       // spent ReadBlocks index slices, at most maxFreeReqs
 }
 
 var _ store.BlockReader = (*RemoteReader)(nil)
@@ -430,7 +434,8 @@ func (r *RemoteReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]
 	reqStart := time.Now()
 	defer func() { r.m.requestNs.Observe(time.Since(reqStart).Nanoseconds()) }()
 
-	pending := make([]int, len(ids))
+	pending := r.takeIdx(len(ids))
+	defer r.putIdx(pending)
 	for i := range pending {
 		pending[i] = i
 	}
@@ -488,6 +493,29 @@ func (r *RemoteReader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]
 		pending = retry
 		r.m.reroutes.Add(int64(len(retry)))
 	}
+}
+
+// takeIdx returns an index slice of n from the free list, or a new one.
+func (r *RemoteReader) takeIdx(n int) []int {
+	r.reqMu.Lock()
+	defer r.reqMu.Unlock()
+	if k := len(r.freeIdx); k > 0 {
+		idx := r.freeIdx[k-1]
+		r.freeIdx = r.freeIdx[:k-1]
+		if cap(idx) >= n {
+			return idx[:n]
+		}
+	}
+	return make([]int, n)
+}
+
+// putIdx returns a ReadBlocks index slice to the free list.
+func (r *RemoteReader) putIdx(idx []int) {
+	r.reqMu.Lock()
+	if len(r.freeIdx) < maxFreeReqs {
+		r.freeIdx = append(r.freeIdx, idx)
+	}
+	r.reqMu.Unlock()
 }
 
 // SendView tells the servers where this session's camera is, driving each

@@ -242,7 +242,7 @@ func TestClusterRedirectWire(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	if err := writeFrame(conn, msgHello, hello.b); err != nil {
+	if err := writeFrameTo(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
@@ -266,7 +266,7 @@ func TestClusterRedirectWire(t *testing.T) {
 	for _, id := range ids {
 		req.u32(uint32(id))
 	}
-	if err := writeFrame(conn, msgRead, req.b); err != nil {
+	if err := writeFrameTo(conn, msgRead, req.b); err != nil {
 		t.Fatal(err)
 	}
 	// Every blocks frame goes through the client's own parser, which holds
@@ -379,7 +379,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	if err := writeFrame(conn, msgHello, hello.b); err != nil {
+	if err := writeFrameTo(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
@@ -393,7 +393,7 @@ func TestClusterDrainHandoffWire(t *testing.T) {
 	read.u64(123)
 	read.u32(0) // no deadline
 	read.u32(0) // no ids
-	if err := writeFrame(conn, msgRead, read.b); err != nil {
+	if err := writeFrameTo(conn, msgRead, read.b); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := readFrame(br, nil); err != nil || typ != msgDone {

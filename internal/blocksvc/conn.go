@@ -20,8 +20,8 @@ import (
 	"repro/internal/vec"
 )
 
-// Outcomes of one tagged request, set once under pendingReq.mu before its
-// done channel closes.
+// Outcomes of one tagged request, set once under pendingReq.mu together
+// with the token put in its done channel.
 const (
 	reqOK   = 1 + iota // server answered every block and sent done
 	reqShed            // server refused the request (admission control)
@@ -29,9 +29,21 @@ const (
 )
 
 // pendingReq is one tagged in-flight request: the read loop fills vals and
-// errs as responses stream in, and the issuing batch harvests them after
-// done closes. Partial fills survive a tear, so failover re-issues only
-// the tag's unanswered blocks.
+// errs as responses stream in, and the issuing batch harvests them once
+// the token is in done. Partial fills survive a tear, so failover re-issues
+// only the tag's unanswered blocks.
+//
+// Records are reused. A batch takes one from the reader's free list
+// (takeReq) holding it twice: once for itself and once for the read loop,
+// the tag's registration in rc.pending. The batch's hold ends when it has
+// harvested the record, or at once when it leaves on its own ctx; the read
+// loop's when it retires the tag (done, shed) or, for the tags left
+// registered on a torn connection, when the loop exits. Only the last
+// release (release) empties the record and returns it, so a tag's late
+// answer can land only in the record registered under that tag. done is
+// 1-buffered because a closed channel cannot be re-armed: the outcome puts
+// the one token in it, and the last release takes it out if the batch left
+// without it.
 type pendingReq struct {
 	req uint64
 	ids []grid.BlockID
@@ -42,7 +54,85 @@ type pendingReq struct {
 	answered int
 	outcome  int
 	err      error
-	done     chan struct{}
+	holds    int           // the batch and the read loop, until each releases
+	done     chan struct{} // holds the one token once outcome is set
+}
+
+// errTaken stands in a record's errs for a block its batch has harvested:
+// the value has left the record, and a second answer for the index is
+// still a duplicate.
+var errTaken = errors.New("blocksvc: block taken by its batch")
+
+// maxFreeReqs bounds the spent request records a RemoteReader keeps for
+// reuse, above the tags it has in flight at once: each connection carries
+// at most pipelineDepth, a group at most Conns connections.
+const maxFreeReqs = 64
+
+// takeReq hands a batch a record for n blocks, held twice (see
+// pendingReq): a spent one from the free list, or a new one. ids, vals and
+// errs are n long, vals and errs all nil.
+func (r *RemoteReader) takeReq(n int) *pendingReq {
+	var p *pendingReq
+	r.reqMu.Lock()
+	if k := len(r.freeReqs); k > 0 {
+		p = r.freeReqs[k-1]
+		r.freeReqs[k-1] = nil
+		r.freeReqs = r.freeReqs[:k-1]
+	}
+	r.reqMu.Unlock()
+	if p == nil {
+		p = &pendingReq{done: make(chan struct{}, 1)}
+	}
+	if cap(p.ids) < n {
+		p.ids = make([]grid.BlockID, n)
+		p.vals = make([][]float32, n)
+		p.errs = make([]error, n)
+	}
+	p.ids, p.vals, p.errs = p.ids[:n], p.vals[:n], p.errs[:n]
+	p.holds = 2
+	return p
+}
+
+// release ends one hold on p. The last one finds nobody writing the record
+// any more: a block still in vals arrived after its batch left on its ctx
+// and is nobody's, so its buffer goes back to the pool; then the record is
+// emptied — no block slice or error stays reachable from the free list —
+// and returned.
+func (r *RemoteReader) release(p *pendingReq) {
+	p.mu.Lock()
+	p.holds--
+	last := p.holds == 0
+	p.mu.Unlock()
+	if !last {
+		return
+	}
+	for k, v := range p.vals {
+		if v != nil {
+			r.bufs.Put(v)
+			p.vals[k] = nil
+		}
+	}
+	clear(p.errs)
+	select {
+	case <-p.done:
+	default:
+	}
+	p.req, p.answered, p.outcome, p.err = 0, 0, 0, nil
+	p.ids, p.vals, p.errs = p.ids[:0], p.vals[:0], p.errs[:0]
+	r.reqMu.Lock()
+	if len(r.freeReqs) < maxFreeReqs {
+		r.freeReqs = append(r.freeReqs, p)
+	}
+	r.reqMu.Unlock()
+}
+
+// resolve sets p's outcome and puts its token, unless an outcome was set
+// first. Called with p.mu held.
+func (p *pendingReq) resolve(outcome int, err error) {
+	if p.outcome == 0 {
+		p.outcome, p.err = outcome, err
+		p.done <- struct{}{}
+	}
 }
 
 // rconn is one pooled connection multiplexing tagged requests: writers
@@ -67,6 +157,7 @@ type rconn struct {
 
 	writeMu      sync.Mutex
 	lastWriteArm time.Time // guarded by writeMu; see armWrite
+	we           enc       // frame staging, guarded by writeMu
 
 	mu      sync.Mutex
 	nextReq uint64
@@ -233,15 +324,25 @@ func (rc *rconn) armWrite() {
 // so their batches fail over. The endpoint is charged a failure unless the
 // client itself is closing or the conn was drained by GOAWAY; an idle conn
 // whose liveness deadline expired additionally counts a dead peer.
+//
+// The failed tags stay registered: each is the read loop's to release, and
+// the loop may still be reading a frame into one. They are failed under
+// rc.mu, so by the time the loop sees the connection dead and releases
+// them (releasePending), every one holds its outcome.
 func (rc *rconn) teardown(cause error) {
+	err := fmt.Errorf("blocksvc: connection lost: %v: %w", cause, faultio.ErrTransient)
 	rc.mu.Lock()
 	if rc.dead.Load() {
 		rc.mu.Unlock()
 		return
 	}
 	rc.dead.Store(true)
-	pend := rc.pending
-	rc.pending = make(map[uint64]*pendingReq)
+	npend := len(rc.pending)
+	for _, p := range rc.pending {
+		p.mu.Lock()
+		p.resolve(reqTorn, err)
+		p.mu.Unlock()
+	}
 	rc.mu.Unlock()
 	rc.c.Close()
 	r := rc.r
@@ -250,25 +351,26 @@ func (rc *rconn) teardown(cause error) {
 	delete(g.conns, rc)
 	g.nconns--
 	g.mu.Unlock()
-	closed := r.closed.Load()
-	err := fmt.Errorf("blocksvc: connection lost: %v: %w", cause, faultio.ErrTransient)
-	for _, p := range pend {
-		p.mu.Lock()
-		if p.outcome == 0 {
-			p.outcome = reqTorn
-			p.err = err
-			close(p.done)
-		}
-		p.mu.Unlock()
-	}
 	g.wake()
-	if closed || rc.goaway.Load() {
+	if r.closed.Load() || rc.goaway.Load() {
 		return
 	}
-	if len(pend) == 0 && errors.Is(cause, os.ErrDeadlineExceeded) {
+	if npend == 0 && errors.Is(cause, os.ErrDeadlineExceeded) {
 		r.m.deadPeers.Inc()
 	}
 	r.noteFailure(rc.ep)
+}
+
+// releasePending ends the read loop's hold on every tag still registered:
+// the loop has stopped and the connection is dead, so no tag registers or
+// is answered any more.
+func (rc *rconn) releasePending() {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for req, p := range rc.pending {
+		delete(rc.pending, req)
+		rc.r.release(p)
+	}
 }
 
 // readLoop is rc's dedicated receiver: it owns the conn's read side and
@@ -290,6 +392,7 @@ func (rc *rconn) readLoop() {
 		}
 		if err := rc.readOne(buf); err != nil {
 			rc.teardown(err)
+			rc.releasePending()
 			return
 		}
 	}
@@ -343,20 +446,15 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 		p.mu.Lock()
 		if p.answered != len(p.ids) {
 			short := len(p.ids) - p.answered
-			if p.outcome == 0 {
-				p.outcome = reqTorn
-				p.err = fmt.Errorf("blocksvc: done with %d of %d blocks unanswered: %w",
-					short, len(p.ids), faultio.ErrTransient)
-				close(p.done)
-			}
+			p.resolve(reqTorn, fmt.Errorf("blocksvc: done with %d of %d blocks unanswered: %w",
+				short, len(p.ids), faultio.ErrTransient))
 			p.mu.Unlock()
+			r.release(p)
 			return fmt.Errorf("done with %d blocks unanswered", short)
 		}
-		if p.outcome == 0 {
-			p.outcome = reqOK
-			close(p.done)
-		}
+		p.resolve(reqOK, nil)
 		p.mu.Unlock()
+		r.release(p)
 		rc.unreserve(1)
 		r.noteSuccess(rc.ep)
 		return nil
@@ -370,11 +468,9 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 			return fmt.Errorf("stray shed frame (req %d)", token)
 		}
 		p.mu.Lock()
-		if p.outcome == 0 {
-			p.outcome = reqShed
-			close(p.done)
-		}
+		p.resolve(reqShed, nil)
 		p.mu.Unlock()
+		r.release(p)
 		rc.unreserve(1)
 		r.m.shedRequests.Inc()
 		// Shed is proof of life: the endpoint answered, it is just over
@@ -388,16 +484,16 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 		if !ok {
 			return fmt.Errorf("bad ping")
 		}
-		e := getEnc()
-		e.u64(token)
 		rc.writeMu.Lock()
 		rc.armWrite()
+		e := &rc.we
+		e.reset()
+		e.u64(token)
 		err := writeFrame(rc.bw, msgPong, e.b)
 		if err == nil {
 			err = rc.bw.Flush()
 		}
 		rc.writeMu.Unlock()
-		putEnc(e)
 		return err
 	case msgGoaway:
 		if _, ok := decodeGoaway(payload); !ok {
@@ -425,7 +521,7 @@ func (rc *rconn) handleFrame(typ byte, payload []byte) error {
 }
 
 // takePending removes and returns the tag's pending request, nil when
-// unknown.
+// unknown. The read loop's hold on it is the caller's to release.
 func (rc *rconn) takePending(req uint64) *pendingReq {
 	rc.mu.Lock()
 	p := rc.pending[req]
@@ -544,18 +640,18 @@ func (rc *rconn) readBlocks(n int) (err error) {
 // sendView writes one view frame on rc, tearing the conn down on a write
 // failure.
 func (rc *rconn) sendView(pos vec.V3) error {
-	e := getEnc()
+	rc.writeMu.Lock()
+	rc.armWrite()
+	e := &rc.we
+	e.reset()
 	e.u64(math.Float64bits(pos.X))
 	e.u64(math.Float64bits(pos.Y))
 	e.u64(math.Float64bits(pos.Z))
-	rc.writeMu.Lock()
-	rc.armWrite()
 	werr := writeFrame(rc.bw, msgView, e.b)
 	if werr == nil {
 		werr = rc.bw.Flush()
 	}
 	rc.writeMu.Unlock()
-	putEnc(e)
 	if werr != nil {
 		rc.teardown(werr)
 	}

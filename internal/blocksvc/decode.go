@@ -121,16 +121,20 @@ type readMsg struct {
 }
 
 // decodeRead validates the declared id count against both maxBlocks and the
-// remaining payload length BEFORE allocating the id slice, so a hostile
-// count in a tiny payload costs nothing.
-func decodeRead(payload []byte, maxBlocks int) (readMsg, bool) {
+// remaining payload length BEFORE sizing the id slice, so a hostile count in
+// a tiny payload costs nothing. The ids are decoded into ids' array when it
+// is large enough.
+func decodeRead(payload []byte, maxBlocks int, ids []grid.BlockID) (readMsg, bool) {
 	d := dec{b: payload}
 	m := readMsg{Req: d.u64(), DeadlineMillis: d.u32()}
 	n := int(d.u32())
 	if d.bad || n < 0 || n > maxBlocks || n*4 != len(d.b) {
 		return readMsg{}, false
 	}
-	m.IDs = make([]grid.BlockID, n)
+	if cap(ids) < n {
+		ids = make([]grid.BlockID, n)
+	}
+	m.IDs = ids[:n]
 	for i := range m.IDs {
 		m.IDs[i] = grid.BlockID(d.u32())
 	}

@@ -17,7 +17,7 @@ import (
 func frameBytes(t testing.TB, typ byte, payload []byte) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	if err := writeFrame(&b, typ, payload); err != nil {
+	if err := writeFrameTo(&b, typ, payload); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()
@@ -264,7 +264,7 @@ func FuzzWireDecode(f *testing.F) {
 		case msgWelcome:
 			decodeWelcome(payload)
 		case msgRead:
-			if msg, ok := decodeRead(payload, maxBlocks); ok {
+			if msg, ok := decodeRead(payload, maxBlocks, nil); ok {
 				if len(msg.IDs) > maxBlocks {
 					t.Fatalf("decodeRead accepted %d ids, cap %d", len(msg.IDs), maxBlocks)
 				}
@@ -325,7 +325,7 @@ func TestReadFrameLargePayloadRoundTrip(t *testing.T) {
 		payload[i] = byte(i * 31)
 	}
 	var b bytes.Buffer
-	if err := writeFrame(&b, msgBlocks, payload); err != nil {
+	if err := writeFrameTo(&b, msgBlocks, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&b, nil)
@@ -355,7 +355,7 @@ func TestDecodeReadHostileCount(t *testing.T) {
 	e.u32(0)
 	e.u32(0xFFFFFFFF) // declares 4G ids, provides none
 	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := decodeRead(e.b, 1<<30); ok {
+		if _, ok := decodeRead(e.b, 1<<30, nil); ok {
 			t.Fatal("hostile count decoded")
 		}
 	}); n > 0 {

@@ -376,13 +376,8 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 			continue
 		}
 		rc.nextReq++
-		p := &pendingReq{
-			req:  rc.nextReq,
-			ids:  make([]grid.BlockID, hi-lo),
-			vals: make([][]float32, hi-lo),
-			errs: make([]error, hi-lo),
-			done: make(chan struct{}),
-		}
+		p := r.takeReq(hi - lo)
+		p.req = rc.nextReq
 		for k := range p.ids {
 			p.ids[k] = ids[pending[lo+k]]
 		}
@@ -393,9 +388,9 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 	rc.mu.Unlock()
 	rc.unreserve(tags - len(reqs))
 
-	e := getEnc()
 	rc.writeMu.Lock()
 	rc.armWrite()
+	e := &rc.we
 	var werr error
 	for _, p := range reqs {
 		e.reset()
@@ -413,7 +408,6 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 		werr = rc.bw.Flush()
 	}
 	rc.writeMu.Unlock()
-	putEnc(e)
 	if werr != nil {
 		// teardown fails every registered tag (including ours); fall
 		// through to the waits, which now resolve immediately.
@@ -429,9 +423,12 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 			// Abandon the exchange but keep whatever already arrived —
 			// for this tag and the ones not yet waited on. Their tags
 			// stay registered; the read loop retires them when the
-			// server answers (it was told our deadline and sheds).
+			// server answers (it was told our deadline and sheds), and
+			// what lands after this harvest goes back to the pool with
+			// the record's last release.
 			for j := ti; j < len(reqs); j++ {
 				r.harvest(reqs[j], starts[j], pending, vals, errs)
+				r.release(reqs[j])
 			}
 			return false, ctx.Err()
 		}
@@ -445,6 +442,7 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 			lastErr = p.err
 			torn = true
 		}
+		r.release(p)
 	}
 	if torn {
 		r.m.transportErrors.Inc()
@@ -459,9 +457,10 @@ func (r *RemoteReader) exchange(ctx context.Context, rc *rconn, granted int, ids
 	return done, lastErr
 }
 
-// harvest copies a tag's answered blocks into the batch's result arrays.
-// Taken under the tag's lock: the read loop may still be filling a torn or
-// abandoned tag's late arrivals.
+// harvest moves a tag's answered blocks into the batch's result arrays;
+// each value taken leaves errTaken in its place. Taken under the tag's
+// lock: the read loop may still be filling an abandoned tag's late
+// arrivals.
 func (r *RemoteReader) harvest(p *pendingReq, start int, pending []int,
 	vals [][]float32, errs []error) {
 	p.mu.Lock()
@@ -469,6 +468,7 @@ func (r *RemoteReader) harvest(p *pendingReq, start int, pending []int,
 		i := pending[start+k]
 		if p.vals[k] != nil {
 			vals[i] = p.vals[k]
+			p.vals[k], p.errs[k] = nil, errTaken
 		} else if p.errs[k] != nil {
 			errs[i] = p.errs[k]
 		}

@@ -59,7 +59,7 @@ func TestHandshakeWriteDeadline(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	if err := writeFrame(conn, msgHello, hello.b); err != nil {
+	if err := writeFrameTo(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	// Deliberately never read: on a pipe the welcome write can't complete.
@@ -92,7 +92,7 @@ func TestServerDetectsDeadPeer(t *testing.T) {
 	var hello enc
 	hello.u32(protoMagic)
 	hello.u16(ProtoVersion)
-	if err := writeFrame(conn, msgHello, hello.b); err != nil {
+	if err := writeFrameTo(conn, msgHello, hello.b); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(bufio.NewReader(conn), nil)
@@ -142,7 +142,7 @@ func startMuteServer(t *testing.T, hbMillis uint32) *testutil.PipeListener {
 				e.u32(hbMillis)
 				e.u32(1) // maxRequests
 				e.u32(0) // mapBytes: a flat server
-				if err := writeFrame(c, msgWelcome, e.b); err != nil {
+				if err := writeFrameTo(c, msgWelcome, e.b); err != nil {
 					return
 				}
 				for {
@@ -239,7 +239,7 @@ func TestClientPingRefused(t *testing.T) {
 	var e enc
 	e.u32(protoMagic)
 	e.u16(ProtoVersion)
-	if err := writeFrame(conn, msgHello, e.b); err != nil {
+	if err := writeFrameTo(conn, msgHello, e.b); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
@@ -248,7 +248,7 @@ func TestClientPingRefused(t *testing.T) {
 	}
 	e.reset()
 	e.u64(1)
-	if err := writeFrame(conn, msgPing, e.b); err != nil {
+	if err := writeFrameTo(conn, msgPing, e.b); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := readFrame(br, nil); err != nil || typ != msgError {

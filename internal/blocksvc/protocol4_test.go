@@ -161,7 +161,7 @@ func startLyingServer(t *testing.T, payloadBytes int) *testutil.PipeListener {
 				e.u32(0) // no heartbeat
 				e.u32(4) // maxRequests
 				e.u32(0) // mapBytes: a flat server
-				if err := writeFrame(c, msgWelcome, e.b); err != nil {
+				if err := writeFrameTo(c, msgWelcome, e.b); err != nil {
 					return
 				}
 				for {
@@ -172,7 +172,7 @@ func startLyingServer(t *testing.T, payloadBytes int) *testutil.PipeListener {
 					if typ != msgRead {
 						continue
 					}
-					msg, ok := decodeRead(payload, 1<<20)
+					msg, ok := decodeRead(payload, 1<<20, nil)
 					if !ok || len(msg.IDs) == 0 {
 						return
 					}
@@ -185,7 +185,7 @@ func startLyingServer(t *testing.T, payloadBytes int) *testutil.PipeListener {
 					b.u32(uint32(len(lie)))
 					b.raw(lie)
 					b.u32(crc32.Checksum(lie, castagnoli))
-					if err := writeFrame(c, msgBlocks, b.b); err != nil {
+					if err := writeFrameTo(c, msgBlocks, b.b); err != nil {
 						return
 					}
 				}
@@ -263,7 +263,7 @@ func TestOversizeRunNeverSilent(t *testing.T) {
 		var e enc
 		e.u32(protoMagic)
 		e.u16(ProtoVersion)
-		if err := writeFrame(conn, msgHello, e.b); err != nil {
+		if err := writeFrameTo(conn, msgHello, e.b); err != nil {
 			t.Fatal(err)
 		}
 		br = bufio.NewReader(conn)
@@ -277,7 +277,7 @@ func TestOversizeRunNeverSilent(t *testing.T) {
 		for range n {
 			e.u32(0)
 		}
-		go writeFrame(conn, msgRead, e.b) // the pipe transport blocks a write until it is read
+		go writeFrameTo(conn, msgRead, e.b) // the pipe transport blocks a write until it is read
 		return br
 	}
 	// next returns the coming frame's type and length, its payload discarded

@@ -16,40 +16,113 @@ import (
 // (requests pipeline; responses interleave at frame granularity, keyed by
 // request id). Returns false on a protocol error.
 func (ss *session) handleRead(payload []byte) bool {
-	msg, ok := decodeRead(payload, maxBlocksPerRequest)
+	q := ss.takeReq()
+	msg, ok := decodeRead(payload, maxBlocksPerRequest, q.ids)
 	if !ok {
+		ss.putReq(q)
 		ss.fail("bad read request")
 		return false
 	}
+	q.req, q.deadlineMillis, q.ids = msg.Req, msg.DeadlineMillis, msg.IDs
 	// One topology snapshot per request: byte accounting here and the
 	// ownership answers in serveRead must agree even if the map swaps
 	// mid-request. Blocks this shard does not own are answered with a
 	// 9-byte redirect and never touch the cache, so they cost the
 	// admission budget nothing.
-	topo := ss.s.topo.Load()
-	var bytes int64
-	for _, id := range msg.IDs {
-		if topo.owns(id) {
-			bytes += ss.s.blockBytes(id)
+	q.topo = ss.s.topo.Load()
+	q.bytes = 0
+	for _, id := range q.ids {
+		if q.topo.owns(id) {
+			q.bytes += ss.s.blockBytes(id)
 		}
 	}
 
 	// Per-session cap: shed rather than queue a greedy client's backlog.
 	if ss.inflight.Add(1) > int64(ss.s.cfg.MaxSessionRequests) {
 		ss.inflight.Add(-1)
-		ss.shed(msg.Req)
+		ss.shed(q.req)
+		ss.putReq(q)
 		return true
 	}
 
 	ss.reqWG.Add(1)
 	ss.s.activeReqs.Add(1) // counted before the goroutine starts so Drain can't miss it
-	go func() {
+	go q.serve()
+	return true
+}
+
+// readReq is one admitted read request and everything serving it takes:
+// the decoded ids, the current run's cache results and probe scratch, and
+// the frame staging and segment list of its writes. A session serves up to
+// MaxSessionRequests at once, so this state cannot live on the session;
+// records are reused instead — the session keeps the spent ones on a free
+// list of at most MaxSessionRequests — so a warm request allocates nothing
+// of its own.
+type readReq struct {
+	req            uint64
+	deadlineMillis uint32
+	ids            []grid.BlockID
+	bytes          int64           // admission cost of the owned blocks
+	topo           *serverTopology // the snapshot the request is answered under
+	// serve runs the request on its own goroutine and returns the record.
+	// Built with the record, so starting a request allocates no closure.
+	serve func()
+
+	// serveRun's results for the current run, and its probe scratch.
+	vals    [][]float32
+	hit     []bool
+	errs    []error
+	pos     []int          // the run index of each probed id
+	owned   []grid.BlockID // the probed ids, when the run is not owned whole
+	probed  [][]float32    // GetResident's results, parallel to pos
+	miss    []int          // indexes into pos of the probe's misses
+	missIDs []grid.BlockID // their ids, GetBatch's batch
+
+	e    enc
+	cuts []int       // staging offsets where payloads insert
+	pays [][]byte    // payload views, parallel to cuts
+	bufs net.Buffers // the frame's segments: staging pieces and payloads interleaved
+	out  net.Buffers // what WriteTo consumes: bufs' header, kept off the stack
+}
+
+// takeReq returns a spent record from the session's free list, or a new
+// one. Only the session's read loop takes records.
+func (ss *session) takeReq() *readReq {
+	ss.reqMu.Lock()
+	if n := len(ss.freeReqs); n > 0 {
+		q := ss.freeReqs[n-1]
+		ss.freeReqs[n-1] = nil
+		ss.freeReqs = ss.freeReqs[:n-1]
+		ss.reqMu.Unlock()
+		return q
+	}
+	ss.reqMu.Unlock()
+	q := &readReq{}
+	q.serve = func() {
 		defer ss.reqWG.Done()
 		defer ss.s.activeReqs.Add(-1)
 		defer ss.inflight.Add(-1)
-		ss.serveRead(msg.Req, msg.IDs, bytes, msg.DeadlineMillis, topo)
-	}()
-	return true
+		defer ss.putReq(q)
+		ss.serveRead(q)
+	}
+	return q
+}
+
+// putReq empties a spent record of its block and error references — an
+// evicted block must not stay reachable from the free list — and returns
+// it while the list holds fewer than MaxSessionRequests.
+func (ss *session) putReq(q *readReq) {
+	clear(q.vals[:cap(q.vals)])
+	clear(q.errs[:cap(q.errs)])
+	clear(q.probed[:cap(q.probed)])
+	clear(q.pays[:cap(q.pays)])
+	clear(q.bufs[:cap(q.bufs)])
+	q.topo = nil
+	ss.reqMu.Lock()
+	if len(ss.freeReqs) < ss.s.cfg.MaxSessionRequests {
+		ss.freeReqs = append(ss.freeReqs, q)
+	}
+	ss.reqMu.Unlock()
 }
 
 // shed refuses one request with a retryable status.
@@ -67,41 +140,37 @@ func (ss *session) shed(req uint64) {
 // refused with a retryable shed status instead of queueing unboundedly. A
 // request larger than the whole budget can never be admitted and is shed
 // immediately.
-func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadlineMillis uint32, topo *serverTopology) {
+func (ss *session) serveRead(q *readReq) {
 	reqCtx := ss.ctx
 	var cancel context.CancelFunc
-	if deadlineMillis > 0 {
-		reqCtx, cancel = context.WithTimeout(reqCtx, time.Duration(deadlineMillis)*time.Millisecond)
+	if q.deadlineMillis > 0 {
+		reqCtx, cancel = context.WithTimeout(reqCtx, time.Duration(q.deadlineMillis)*time.Millisecond)
 		defer cancel()
 	}
 
-	if bytes > ss.s.cfg.MaxInflightBytes {
-		ss.shed(req)
+	if q.bytes > ss.s.cfg.MaxInflightBytes {
+		ss.shed(q.req)
 		return
 	}
 	admitStart := time.Now()
-	err := ss.s.sem.Acquire(reqCtx, bytes, ss.s.cfg.MaxQueueWait)
+	err := ss.s.sem.Acquire(reqCtx, q.bytes, ss.s.cfg.MaxQueueWait)
 	wait := time.Since(admitStart).Nanoseconds()
 	if err != nil {
 		if ss.ctx.Err() != nil {
 			return // session is gone; nobody is listening
 		}
 		ss.s.m.shedWait.Observe(wait)
-		ss.shed(req)
+		ss.shed(q.req)
 		return
 	}
 	ss.s.m.queueWait.Observe(wait)
-	defer ss.s.sem.Release(bytes)
+	defer ss.s.sem.Release(q.bytes)
 	ss.s.m.requests.Inc()
 
 	// Serve and stream in runs of roughly responseRunBytes: results reach
 	// the client as they are produced and one request never stages the
-	// whole response in memory. Staging is pooled across requests and
-	// sessions, so the steady state regrows nothing. Each concurrently
-	// served request owns its own scratch — sessions pipeline.
-	rs := getRunScratch()
-	defer putRunScratch(rs)
-	e := &rs.e
+	// whole response in memory.
+	ids, topo := q.ids, q.topo
 	idx := 0
 	for idx < len(ids) {
 		// A run ends at the responseRunBytes target or at what one frame can
@@ -124,50 +193,82 @@ func (ss *session) serveRead(req uint64, ids []grid.BlockID, bytes int64, deadli
 			runEnd++
 		}
 		run := ids[idx:runEnd]
-		vals, hit, errs := ss.serveRun(reqCtx, run, topo)
+		vals, hit, errs := ss.serveRun(reqCtx, q, run)
 		ss.notePrefetchHits(run, hit, errs)
-		if !ss.sendRun(rs, req, idx, run, vals, errs) {
+		if !ss.sendRun(q, idx, run, vals, errs) {
 			return // the frame was not written: the session is torn or failed
 		}
 		idx = runEnd
 	}
-	e.reset()
-	e.u64(req)
-	ss.send(msgDone, e.b)
+	q.e.reset()
+	q.e.u64(q.req)
+	ss.send(msgDone, q.e.b)
 }
 
-// serveRun reads one run through the shared cache. A run this node owns
-// whole — every run on a flat server — goes to the cache as it is.
-// Otherwise only the owned blocks do (preserving the per-shard singleflight
-// invariant: a non-owned request never triggers a backing read here), and
-// the rest are answered in place with a redirect carrying the topology
-// epoch the decision was made under.
-func (ss *session) serveRun(ctx context.Context, run []grid.BlockID, topo *serverTopology) ([][]float32, []bool, []error) {
-	if !slices.ContainsFunc(run, func(id grid.BlockID) bool { return !topo.owns(id) }) {
-		return ss.s.cfg.Cache.GetBatch(ctx, run)
-	}
-	vals := make([][]float32, len(run))
-	hit := make([]bool, len(run))
-	errs := make([]error, len(run))
-	owned := make([]grid.BlockID, 0, len(run))
-	pos := make([]int, 0, len(run))
-	for i, id := range run {
-		if topo.owns(id) {
-			owned = append(owned, id)
+// serveRun reads one run through the shared cache into q's result slices.
+// The resident blocks are answered by one probe (GetResident, which counts
+// their hits and touches the policy in run order, as GetBatch does), and
+// only the rest go to GetBatch, as one batch that reads them or joins the
+// reads in flight. A run this node owns whole — every run on a flat server
+// — is probed as it is. Otherwise only the owned blocks are (preserving the
+// per-shard singleflight invariant: a non-owned request never triggers a
+// backing read here), and the rest are answered in place with a redirect
+// carrying the topology epoch the decision was made under.
+func (ss *session) serveRun(ctx context.Context, q *readReq, run []grid.BlockID) ([][]float32, []bool, []error) {
+	n, topo := len(run), q.topo
+	vals, hit, errs := resize(q.vals, n), resize(q.hit, n), resize(q.errs, n)
+	q.vals, q.hit, q.errs = vals, hit, errs
+	probe, pos := run, q.pos[:0]
+	if slices.ContainsFunc(run, func(id grid.BlockID) bool { return !topo.owns(id) }) {
+		probe = q.owned[:0]
+		for i, id := range run {
+			if topo.owns(id) {
+				probe = append(probe, id)
+				pos = append(pos, i)
+				continue
+			}
+			errs[i] = &notOwnedError{epoch: topo.m.Epoch}
+		}
+		q.owned = probe
+	} else {
+		for i := range run {
 			pos = append(pos, i)
-			continue
 		}
-		errs[i] = &notOwnedError{epoch: topo.m.Epoch}
 	}
-	if len(owned) > 0 {
-		ov, oh, oe := ss.s.cfg.Cache.GetBatch(ctx, owned)
-		for k, i := range pos {
-			vals[i] = ov[k]
-			hit[i] = oh[k]
-			errs[i] = oe[k]
-		}
+	q.pos = pos
+	probed := resize(q.probed, len(probe))
+	q.probed = probed
+	cache := ss.s.cfg.Cache
+	miss := cache.GetResident(probed, probe, q.miss[:0])
+	q.miss = miss
+	for k, i := range pos {
+		vals[i], hit[i] = probed[k], true
+	}
+	if len(miss) == 0 {
+		return vals, hit, errs
+	}
+	missIDs := q.missIDs[:0]
+	for _, k := range miss {
+		missIDs = append(missIDs, probe[k])
+	}
+	q.missIDs = missIDs
+	mv, mh, me := cache.GetBatch(ctx, missIDs)
+	for j, k := range miss {
+		i := pos[k]
+		vals[i], hit[i], errs[i] = mv[j], mh[j], me[j]
 	}
 	return vals, hit, errs
+}
+
+// resize returns s at length n, every element zero, reusing its array
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // notePrefetchHits resolves the prefetch attribution of one demand run:
@@ -197,27 +298,6 @@ func (ss *session) notePrefetchHits(run []grid.BlockID, hit []bool, errs []error
 	}
 }
 
-// runScratch is everything one in-flight request needs to encode its
-// response runs: frame staging and the segment list of the write. Pooled
-// per request — a session serves up to MaxSessionRequests concurrently, so
-// this state cannot live on the session.
-type runScratch struct {
-	e    enc
-	cuts []int       // staging offsets where payloads insert
-	pays [][]byte    // payload views, parallel to cuts
-	bufs net.Buffers // the frame's segments: staging pieces and payloads interleaved
-}
-
-var runScratchPool = sync.Pool{New: func() any { return new(runScratch) }}
-
-func getRunScratch() *runScratch {
-	rs := runScratchPool.Get().(*runScratch)
-	rs.e.reset()
-	return rs
-}
-
-func putRunScratch(rs *runScratch) { runScratchPool.Put(rs) }
-
 // Encoded sizes of a blocks frame's parts: the prelude (req, firstIdx, n),
 // and what an OK entry carries around its payload (status, length, crc).
 const (
@@ -239,9 +319,9 @@ var payloadView = f32le.Bytes
 // session's buffered writer. Returns false when the frame was not written:
 // a failed write, or a run no frame can carry, which fails the session out
 // loud — the client is never left waiting for a frame that will not come.
-func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.BlockID,
+func (ss *session) sendRun(q *readReq, firstIdx int, ids []grid.BlockID,
 	vals [][]float32, errs []error) bool {
-	e := &rs.e
+	e := &q.e
 	var okCount, failCount, redirects, sent int64
 	total := runPreludeBytes
 	for i := range ids {
@@ -266,11 +346,11 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 	e.reset()
 	e.u32(uint32(total))
 	e.u8(msgBlocks)
-	e.u64(req)
+	e.u64(q.req)
 	e.u32(uint32(firstIdx))
 	e.u16(uint16(len(ids)))
-	cuts := rs.cuts[:0]
-	pays := rs.pays[:0]
+	cuts := q.cuts[:0]
+	pays := q.pays[:0]
 	for i := range ids {
 		if errs[i] != nil {
 			if no, ok := errs[i].(*notOwnedError); ok {
@@ -299,7 +379,7 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		e.b = f32le.Append(e.b, vals[i])
 		e.u32(ss.s.payloadSum(ids[i], e.b[off:]))
 	}
-	bufs := rs.bufs[:0]
+	bufs := q.bufs[:0]
 	prev := 0
 	for k, cut := range cuts {
 		bufs = append(bufs, e.b[prev:cut], pays[k])
@@ -308,10 +388,7 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 	if prev < len(e.b) {
 		bufs = append(bufs, e.b[prev:])
 	}
-	rs.cuts, rs.pays = cuts, pays
-	// Keep the assembled array for the next run before WriteTo consumes the
-	// local header.
-	rs.bufs = bufs[:0]
+	q.cuts, q.pays, q.bufs = cuts, pays, bufs
 	m := ss.s.m
 	m.blocks.Add(int64(len(ids)))
 	m.blocksOK.Add(okCount)
@@ -324,7 +401,10 @@ func (ss *session) sendRun(rs *runScratch, req uint64, firstIdx int, ids []grid.
 		if err := ss.bw.Flush(); err != nil {
 			return false
 		}
-		_, err := bufs.WriteTo(ss.tcp)
+		// WriteTo consumes its receiver: q.out, so bufs keeps the array
+		// for the next run and no header escapes to the heap.
+		q.out = bufs
+		_, err := q.out.WriteTo(ss.tcp)
 		return err == nil
 	}
 	for _, seg := range bufs {

@@ -43,6 +43,9 @@ type session struct {
 	// the read loop adds to it, so a check after the add is exact.
 	inflight atomic.Int64
 
+	reqMu    sync.Mutex
+	freeReqs []*readReq // spent request records, at most MaxSessionRequests
+
 	// prefetch is the session's bounded prefetch queue into the shared
 	// cache; nil when prefetch is disabled.
 	prefetch *store.Prefetcher
@@ -92,6 +95,9 @@ func (ss *session) run() {
 		ss.reqWG.Add(1)
 		go ss.heartbeatLoop(hb)
 	}
+	// The loop's one receive buffer: every handler decodes what it keeps
+	// out of the payload before the next frame is read into it.
+	buf := make([]byte, 0, 64<<10)
 	var lastArm time.Time
 	for {
 		// Any inbound frame proves the peer is alive; requiring one within
@@ -105,7 +111,7 @@ func (ss *session) run() {
 				lastArm = now
 			}
 		}
-		typ, payload, err := readFrame(ss.br, nil)
+		typ, payload, err := readFrame(ss.br, buf)
 		if err != nil {
 			if hb > 0 && errors.Is(err, os.ErrDeadlineExceeded) && ss.ctx.Err() == nil {
 				ss.s.m.deadPeers.Inc()

@@ -100,7 +100,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/faultio"
 	"repro/internal/grid"
@@ -231,15 +230,15 @@ func blockErr(st blockStatus, id grid.BlockID) error {
 	}
 }
 
-// writeFrame emits one frame. The caller flushes any buffering.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// writeFrame emits one frame into w; the caller flushes it. The header is
+// appended to w's own free space (AvailableBuffer), so no header array
+// escapes into the Write.
+func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	if len(payload) > maxFrameBytes {
 		return fmt.Errorf("blocksvc: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -348,29 +347,25 @@ func (d *dec) u64() uint64 {
 // consumed (trailing garbage is a protocol error too).
 func (d *dec) ok() bool { return !d.bad && len(d.b) == 0 }
 
-// encPool recycles frame-staging encoders between requests: the server's
-// run encoder and the client's request writer both draw from it, so a
-// steady stream of frames reuses a few grown buffers instead of regrowing
-// staging per exchange. Capacity is naturally bounded by the largest run
-// (responseRunBytes plus per-block overhead).
-var encPool = sync.Pool{New: func() any { return new(enc) }}
-
-func getEnc() *enc  { e := encPool.Get().(*enc); e.reset(); return e }
-func putEnc(e *enc) { encPool.Put(e) }
-
 // readFrame reads one frame, rejecting oversized length prefixes. It
 // decodes into buf when its capacity suffices, so a long-lived reader loop
-// amortizes its receive buffer across frames; one-shot readers pass nil.
+// amortizes its receive buffer across frames — the header is read into buf
+// too, so nothing escapes per frame; one-shot readers pass nil.
 // Declared lengths beyond cap(buf) fall back to readPayload, preserving the
 // chunked-growth bound against hostile length prefixes. The returned
 // payload aliases buf (or the freshly grown buffer); the caller passes it
 // back in as the next call's buf once done with it.
 func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr []byte
+	if cap(buf) >= frameHeaderSize {
+		hdr = buf[:frameHeaderSize]
+	} else {
+		hdr = make([]byte, frameHeaderSize)
+	}
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n, typ := binary.LittleEndian.Uint32(hdr[:4]), hdr[4]
 	if n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("blocksvc: frame length %d exceeds limit", n)
 	}
@@ -379,13 +374,13 @@ func readFrame(r io.Reader, buf []byte) (byte, []byte, error) {
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return 0, nil, err
 		}
-		return hdr[4], payload, nil
+		return typ, payload, nil
 	}
 	payload, err := readPayload(r, int(n))
 	if err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }
 
 // largePayloadBytes is the nominal block payload from which a connection's

@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/f32le"
 	"repro/internal/faultio"
@@ -18,10 +21,20 @@ import (
 	"repro/internal/testutil"
 )
 
+// writeFrameTo writes one frame straight to w, as a peer that speaks the
+// wire by hand does.
+func writeFrameTo(w io.Writer, typ byte, payload []byte) error {
+	bw := bufio.NewWriter(w)
+	if err := writeFrame(bw, typ, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, msgRead, payload); err != nil {
+	if err := writeFrameTo(&buf, msgRead, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&buf, nil)
@@ -35,7 +48,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgDone, nil); err != nil {
+	if err := writeFrameTo(&buf, msgDone, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&buf, nil)
@@ -163,7 +176,7 @@ func TestDecodeWelcomeStrict(t *testing.T) {
 				return
 			}
 			readFrame(c, nil) // the hello
-			writeFrame(c, msgWelcome, flat[:len(flat)-8])
+			writeFrameTo(c, msgWelcome, flat[:len(flat)-8])
 			c.Close()
 		}
 	}()
@@ -200,7 +213,7 @@ func newBlocksFeed(tb testing.TB, g *grid.Grid, req uint64, ids []grid.BlockID) 
 		}
 	}
 	p := &pendingReq{req: req, ids: ids, vals: make([][]float32, len(ids)),
-		errs: make([]error, len(ids)), done: make(chan struct{})}
+		errs: make([]error, len(ids)), done: make(chan struct{}, 1)}
 	rc := &rconn{r: r, pending: map[uint64]*pendingReq{req: p}}
 	return &blocksFeed{rc: rc, p: p, stocked: len(ids)}
 }
@@ -571,5 +584,256 @@ func TestStatusOKIsNil(t *testing.T) {
 	}
 	if blockErr(statusOK, 0) != nil {
 		t.Error("OK status produced an error")
+	}
+}
+
+// scriptConn extends blocksFeed's serverless client to the whole tag
+// lifecycle: a connection whose client half runs the real read loop and
+// exchange over one end of a net.Pipe, while the test plays the server on
+// the other end by hand — it reads the client's read frames and writes the
+// answers, late, torn, stray or not at all.
+type scriptConn struct {
+	rc  *rconn
+	srv net.Conn
+	br  *bufio.Reader
+}
+
+// newScriptConn connects a fresh rconn of r to a scripted server and starts
+// its read loop.
+func newScriptConn(r *RemoteReader) *scriptConn {
+	c, s := net.Pipe()
+	g := r.newGroup("0", []string{"script"})
+	rc := &rconn{r: r, grp: g, c: c, in: newFrameReader(c, 16), bw: bufio.NewWriter(c),
+		ep: g.eps[0], maxReqs: pipelineDepth, pending: make(map[uint64]*pendingReq)}
+	g.conns[rc] = struct{}{}
+	g.nconns = 1
+	r.connWG.Add(1)
+	go rc.readLoop()
+	return &scriptConn{rc: rc, srv: s, br: bufio.NewReader(s)}
+}
+
+// request reads the client's next read frame: its tag and ids.
+func (sc *scriptConn) request(t *testing.T) (uint64, []grid.BlockID) {
+	t.Helper()
+	typ, payload, err := readFrame(sc.br, nil)
+	if err != nil || typ != msgRead {
+		t.Fatalf("reading a request: type %d, %v", typ, err)
+	}
+	msg, ok := decodeRead(payload, maxBlocksPerRequest, nil)
+	if !ok {
+		t.Fatal("undecodable request")
+	}
+	return msg.Req, msg.IDs
+}
+
+// voxel is every voxel of block id in a scripted answer: a block delivered
+// under another id's index shows.
+func voxel(id grid.BlockID) float32 { return float32(id) + 0.5 }
+
+// answer writes a blocks frame for tag carrying ids, the tag's blocks from
+// index first on, and reports whether the client took it whole.
+func (sc *scriptConn) answer(tag uint64, first int, ids []grid.BlockID) error {
+	var e enc
+	e.u64(tag)
+	e.u32(uint32(first))
+	e.u16(uint16(len(ids)))
+	for _, id := range ids {
+		pay := f32le.Append(nil, []float32{voxel(id), voxel(id)})
+		e.u8(byte(statusOK))
+		e.u32(uint32(len(pay)))
+		e.raw(pay)
+		e.u32(crc32.Checksum(pay, castagnoli))
+	}
+	return writeFrameTo(sc.srv, msgBlocks, e.b)
+}
+
+// done writes tag's done frame.
+func (sc *scriptConn) done(tag uint64) error {
+	var e enc
+	e.u64(tag)
+	return writeFrameTo(sc.srv, msgDone, e.b)
+}
+
+// scriptBatch is one exchange on a scripted connection, run on its own
+// goroutine as a batch runs beside the read loop.
+type scriptBatch struct {
+	ids  []grid.BlockID
+	vals [][]float32
+	errs []error
+	ok   bool
+	err  error
+	fin  chan struct{}
+}
+
+// exchange issues ids over sc as up to tags tagged requests under ctx.
+func (sc *scriptConn) exchange(ctx context.Context, tags int, ids ...grid.BlockID) *scriptBatch {
+	b := &scriptBatch{ids: ids, vals: make([][]float32, len(ids)), errs: make([]error, len(ids)),
+		fin: make(chan struct{})}
+	pending := make([]int, len(ids))
+	for i := range pending {
+		pending[i] = i
+	}
+	granted := sc.rc.tryReserve(tags)
+	go func() {
+		defer close(b.fin)
+		b.ok, b.err = sc.rc.r.exchange(ctx, sc.rc, granted, ids, b.vals, b.errs, pending)
+	}()
+	return b
+}
+
+// wait returns once the batch is over; every block it holds must be its
+// own, and goes back to the pool as a caller recycles it.
+func (b *scriptBatch) wait(t *testing.T, r *RemoteReader) int {
+	t.Helper()
+	select {
+	case <-b.fin:
+	case <-time.After(10 * time.Second):
+		t.Fatal("exchange never returned")
+	}
+	delivered := 0
+	for i, v := range b.vals {
+		if v == nil {
+			continue
+		}
+		delivered++
+		if len(v) != 2 || v[0] != voxel(b.ids[i]) || v[1] != voxel(b.ids[i]) {
+			t.Errorf("block %d delivered %v, want its own voxels %v", b.ids[i], v, voxel(b.ids[i]))
+		}
+		r.RecycleBlockBuf(v)
+	}
+	return delivered
+}
+
+// closeAndWait ends the scripted server side and waits for the read loop to
+// release what it holds.
+func (sc *scriptConn) closeAndWait(t *testing.T) {
+	t.Helper()
+	sc.srv.Close()
+	exited := make(chan struct{})
+	go func() { sc.rc.r.connWG.Wait(); close(exited) }()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("read loop never exited")
+	}
+}
+
+// TestRequestRecordLifecycle: a request record is released by its batch and
+// by the read loop, and only the second release returns it. Scripted with no
+// server, over one reader whose records are reused from stream to stream:
+// an answer that arrives after its batch left on ctx, while a later batch
+// runs; a tag torn mid-run; a teardown racing an abandoned batch's harvest;
+// a stray request id. Every block a batch is handed must be its own — a
+// record freed while its tag is still registered hands a later batch the
+// late answer — every late buffer must come back to the pool, counted
+// against the stock, and afterwards the free list holds only empty records,
+// within its bound.
+func TestRequestRecordLifecycle(t *testing.T) {
+	const stock = 16
+	r := &RemoteReader{cfg: ClientConfig{Addr: "script"}.withDefaults(), g: tinyGrid(t), m: newClientMetrics(nil)}
+	for range stock {
+		r.bufs.Put(make([]float32, 2))
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live := context.Background()
+
+	// Late: A leaves on its ctx before its answer; B runs while A's tag is
+	// still registered; C runs once A's record is spent.
+	sc := newScriptConn(r)
+	a := sc.exchange(canceled, 1, 0, 1)
+	tagA, _ := sc.request(t)
+	if a.wait(t, r) != 0 || a.ok || !errors.Is(a.err, context.Canceled) {
+		t.Fatalf("abandoned batch: ok %v, err %v", a.ok, a.err)
+	}
+	b := sc.exchange(live, 1, 4, 5)
+	tagB, idsB := sc.request(t)
+	werr := errors.Join(sc.answer(tagA, 0, []grid.BlockID{0, 1}), sc.done(tagA),
+		sc.answer(tagB, 0, idsB), sc.done(tagB))
+	if n := b.wait(t, r); n != 2 || !b.ok || werr != nil {
+		t.Fatalf("batch beside a late answer: %d of 2 delivered, ok %v, err %v; scripted answers: %v",
+			n, b.ok, b.err, werr)
+	}
+	c := sc.exchange(live, 2, 2, 3, 6, 7)
+	for range 2 {
+		tag, ids := sc.request(t)
+		if sc.answer(tag, 0, ids) != nil || sc.done(tag) != nil {
+			t.Fatal("scripted answer not taken")
+		}
+	}
+	if n := c.wait(t, r); n != 4 || !c.ok {
+		t.Fatalf("batch on reused records: %d of 4 delivered, ok %v, err %v", n, c.ok, c.err)
+	}
+	sc.closeAndWait(t)
+
+	// Torn mid-run: the first block of two tags lands, then the connection
+	// ends; the batch keeps what landed.
+	sc = newScriptConn(r)
+	d := sc.exchange(live, 2, 0, 1, 2, 3)
+	tag, ids := sc.request(t)
+	sc.request(t)
+	if err := sc.answer(tag, 0, ids[:1]); err != nil {
+		t.Fatal(err)
+	}
+	sc.closeAndWait(t)
+	if n := d.wait(t, r); n != 1 || d.ok || !faultio.Retryable(d.err) {
+		t.Fatalf("torn run: %d of 1 delivered, ok %v, err %v", n, d.ok, d.err)
+	}
+
+	// A teardown racing the harvest of a batch leaving on its ctx.
+	for range 8 {
+		sc = newScriptConn(r)
+		ctx, cancel := context.WithCancel(live)
+		e := sc.exchange(ctx, 2, 0, 1, 2, 3)
+		tag, ids := sc.request(t)
+		sc.request(t)
+		if err := sc.answer(tag, 0, ids); err != nil {
+			t.Fatal(err)
+		}
+		go cancel()
+		sc.closeAndWait(t)
+		if n := e.wait(t, r); n > 2 || e.ok {
+			t.Fatalf("teardown during a harvest: %d of at most 2 delivered, ok %v", n, e.ok)
+		}
+	}
+
+	// A stray request id tears the connection down and fails the tag in
+	// flight.
+	sc = newScriptConn(r)
+	f := sc.exchange(live, 1, 4, 5)
+	tag, _ = sc.request(t)
+	sc.answer(tag+1000, 0, []grid.BlockID{4, 5}) // the read loop drops the conn mid-frame
+	sc.closeAndWait(t)
+	if n := f.wait(t, r); n != 0 || f.ok || !faultio.Retryable(f.err) {
+		t.Fatalf("stray id: %d delivered, ok %v, err %v", n, f.ok, f.err)
+	}
+
+	seen := make(map[*float32]bool)
+	for {
+		buf, reused := r.bufs.Get(2)
+		if !reused {
+			break
+		}
+		if seen[&buf[0]] {
+			t.Fatal("a buffer came back to the pool twice")
+		}
+		seen[&buf[0]] = true
+	}
+	if len(seen) != stock {
+		t.Errorf("%d of %d stocked buffers back in the pool", len(seen), stock)
+	}
+	r.reqMu.Lock()
+	defer r.reqMu.Unlock()
+	if len(r.freeReqs) == 0 || len(r.freeReqs) > maxFreeReqs {
+		t.Errorf("%d records on the free list, want 1..%d", len(r.freeReqs), maxFreeReqs)
+	}
+	for _, p := range r.freeReqs {
+		if p.holds != 0 || len(p.done) != 0 || p.req != 0 || p.answered != 0 || p.outcome != 0 || p.err != nil ||
+			len(p.ids) != 0 || len(p.vals) != 0 || len(p.errs) != 0 ||
+			slices.ContainsFunc(p.vals[:cap(p.vals)], func(v []float32) bool { return v != nil }) ||
+			slices.ContainsFunc(p.errs[:cap(p.errs)], func(e error) bool { return e != nil }) {
+			t.Fatalf("a spent record kept state: holds %d, token %d, req %d, answered %d, outcome %d, err %v, vals %v, errs %v",
+				p.holds, len(p.done), p.req, p.answered, p.outcome, p.err, p.vals[:cap(p.vals)], p.errs[:cap(p.errs)])
+		}
 	}
 }

@@ -25,6 +25,74 @@ const batchReadParallelism = 8
 type Reader struct {
 	inner store.BlockReader
 	tier  *Tier
+
+	mu   sync.Mutex
+	free []*readBatch // spent batch states, at most maxFreeBatches
+}
+
+// readBatch is one ReadBlocks call's spill-read state: the hit flags, the
+// counter the caller and its helpers draw indexes from, the helpers'
+// WaitGroup and the misses' positions and ids. Reused: a Reader keeps the
+// spent ones on a free list, so a batch of hits allocates only the results
+// it returns.
+type readBatch struct {
+	r       *Reader
+	ids     []grid.BlockID
+	vals    [][]float32
+	hit     []bool
+	next    atomic.Int64
+	wg      sync.WaitGroup
+	help    func() // a helper's body, built once: starting a helper allocates no closure
+	missPos []int
+	missIDs []grid.BlockID
+}
+
+// maxFreeBatches bounds the spent batch states a Reader keeps, above the
+// batches it serves at once: a frame's demand read and the prefetch
+// workers'.
+const maxFreeBatches = 16
+
+// get reads the batch's blocks from the tier, drawing indexes from next
+// until none is left.
+func (b *readBatch) get() {
+	for i := b.next.Add(1) - 1; i < int64(len(b.ids)); i = b.next.Add(1) - 1 {
+		b.vals[i], b.hit[i] = b.r.tier.Get(b.ids[i])
+	}
+}
+
+// takeBatch returns a batch state for ids and their results, all unread.
+func (r *Reader) takeBatch(ids []grid.BlockID, vals [][]float32) *readBatch {
+	var b *readBatch
+	r.mu.Lock()
+	if n := len(r.free); n > 0 {
+		b = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	}
+	r.mu.Unlock()
+	if b == nil {
+		b = &readBatch{r: r}
+		b.help = func() { defer b.wg.Done(); b.get() }
+	}
+	b.ids, b.vals = ids, vals
+	if cap(b.hit) < len(ids) {
+		b.hit = make([]bool, len(ids))
+	}
+	b.hit = b.hit[:len(ids)]
+	clear(b.hit)
+	b.next.Store(0)
+	return b
+}
+
+// putBatch drops the caller's slices from a spent batch state and returns
+// it.
+func (r *Reader) putBatch(b *readBatch) {
+	b.ids, b.vals = nil, nil
+	r.mu.Lock()
+	if len(r.free) < maxFreeBatches {
+		r.free = append(r.free, b)
+	}
+	r.mu.Unlock()
 }
 
 // NewReader wraps inner with spill-tier interposition.
@@ -51,32 +119,26 @@ func (r *Reader) ReadBlocks(ctx context.Context, ids []grid.BlockID) ([][]float3
 		}
 		return vals, errs
 	}
-	hit := make([]bool, len(ids))
+	b := r.takeBatch(ids, vals)
+	defer r.putBatch(b)
 	// The caller reads too, beside helpers drawing from one counter (never
 	// more readers than Ps): a lone block or a single-P runtime spawns
 	// nothing, and with no core free for a helper the caller gets through
 	// the batch at serial speed instead of waiting on the scheduler.
-	var next atomic.Int64
-	get := func() {
-		for i := next.Add(1) - 1; i < int64(len(ids)); i = next.Add(1) - 1 {
-			vals[i], hit[i] = r.tier.Get(ids[i])
-		}
-	}
-	var wg sync.WaitGroup
 	for h := min(batchReadParallelism, runtime.GOMAXPROCS(0), len(ids)) - 1; h > 0; h-- {
-		wg.Add(1)
-		go func() { defer wg.Done(); get() }()
+		b.wg.Add(1)
+		go b.help()
 	}
-	get()
-	wg.Wait()
-	var missPos []int
-	var missIDs []grid.BlockID
+	b.get()
+	b.wg.Wait()
+	missPos, missIDs := b.missPos[:0], b.missIDs[:0]
 	for i, id := range ids {
-		if !hit[i] {
+		if !b.hit[i] {
 			missPos = append(missPos, i)
 			missIDs = append(missIDs, id)
 		}
 	}
+	b.missPos, b.missIDs = missPos, missIDs
 	if len(missIDs) == 0 {
 		return vals, errs
 	}

@@ -20,6 +20,7 @@ package tier
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -111,4 +112,61 @@ func checkSpill(want grid.BlockID, raw []byte) (int, error) {
 
 func errSpillChecksum(id grid.BlockID) error {
 	return fmt.Errorf("tier: spill checksum mismatch for block %d", id)
+}
+
+// readSpill reads block id from f, a spill file size bytes long, in two
+// positioned reads: the header first, checked against id and size before a
+// buffer is taken, then the payload straight into a recycled block buffer,
+// where its checksum is verified — no copy, and no file offset, so
+// concurrent hits can share one descriptor. A buffer that fails goes back to
+// the pool. It accepts exactly the files checkSpill accepts (FuzzCheckSpill
+// holds the two together).
+func (t *Tier) readSpill(f io.ReaderAt, id grid.BlockID, size int64) ([]float32, error) {
+	hdr := t.takeHdr()
+	defer t.putHdr(hdr)
+	// A ReaderAt reports io.EOF beside a read cut short by the end of the
+	// file: a torn header, for checkSpillHeader to name.
+	k, err := f.ReadAt(hdr[:], 0)
+	if err != nil && err != io.EOF {
+		return nil, err
+	}
+	n, want, err := checkSpillHeader(id, hdr[:k], size)
+	if err != nil {
+		return nil, err
+	}
+	vals, _ := t.bufs.Get(n)
+	got, err := f32le.ReadAt(f, spillHeaderSize, vals)
+	if err == nil && got != want {
+		err = errSpillChecksum(id)
+	}
+	if err != nil {
+		t.bufs.Put(vals)
+		return nil, err
+	}
+	return vals, nil
+}
+
+// maxFreeHdrs bounds the header scratches kept, above the spill reads in
+// flight at once: a few batches of batchReadParallelism readers.
+const maxFreeHdrs = 4 * batchReadParallelism
+
+// takeHdr returns a header scratch from the free list, or a new one.
+func (t *Tier) takeHdr() *[spillHeaderSize]byte {
+	t.hdrMu.Lock()
+	defer t.hdrMu.Unlock()
+	if n := len(t.hdrs); n > 0 {
+		hdr := t.hdrs[n-1]
+		t.hdrs = t.hdrs[:n-1]
+		return hdr
+	}
+	return new([spillHeaderSize]byte)
+}
+
+// putHdr returns a header scratch to the free list.
+func (t *Tier) putHdr(hdr *[spillHeaderSize]byte) {
+	t.hdrMu.Lock()
+	if len(t.hdrs) < maxFreeHdrs {
+		t.hdrs = append(t.hdrs, hdr)
+	}
+	t.hdrMu.Unlock()
 }

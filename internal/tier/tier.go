@@ -29,7 +29,6 @@ package tier
 
 import (
 	"errors"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -40,7 +39,6 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/cache"
-	"repro/internal/f32le"
 	"repro/internal/faultio"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -134,11 +132,13 @@ type Tier struct {
 	// The read path's buffers, reused so a steady stream of spill hits
 	// allocates nothing: bufs holds the block slices the DRAM cache hands
 	// back (Reader.RecycleBlockBuf), which a spill file's payload is read
-	// straight into; hdrs the 20-byte scratch its header is read into
-	// (*[spillHeaderSize]byte — a local array would escape through the
-	// io.ReaderAt interface and cost an allocation a hit).
-	bufs store.BufPool
-	hdrs sync.Pool
+	// straight into; hdrs the 20-byte scratches a header is read into (a
+	// local array would escape through the io.ReaderAt interface and cost
+	// an allocation a hit). A free list, not a sync.Pool, whose Get can miss
+	// on another P: a hit allocates nothing whatever the scheduler did.
+	bufs  store.BufPool
+	hdrMu sync.Mutex
+	hdrs  []*[spillHeaderSize]byte // at most maxFreeHdrs
 
 	spillWrites   atomic.Int64
 	spillHits     atomic.Int64
@@ -272,41 +272,6 @@ func (t *Tier) load(name string, id grid.BlockID, size int64) ([]float32, error)
 	}
 	defer f.Close()
 	return t.readSpill(f, id, size)
-}
-
-// readSpill reads block id from f, a spill file size bytes long, in two
-// positioned reads: the header first, checked against id and size before a
-// buffer is taken, then the payload straight into a recycled block buffer,
-// where its checksum is verified — no copy, and no file offset, so
-// concurrent hits can share one descriptor. A buffer that fails goes back to
-// the pool. It accepts exactly the files checkSpill accepts (FuzzCheckSpill
-// holds the two together).
-func (t *Tier) readSpill(f io.ReaderAt, id grid.BlockID, size int64) ([]float32, error) {
-	hdr, _ := t.hdrs.Get().(*[spillHeaderSize]byte)
-	if hdr == nil {
-		hdr = new([spillHeaderSize]byte)
-	}
-	defer t.hdrs.Put(hdr)
-	// A ReaderAt reports io.EOF beside a read cut short by the end of the
-	// file: a torn header, for checkSpillHeader to name.
-	k, err := f.ReadAt(hdr[:], 0)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	n, want, err := checkSpillHeader(id, hdr[:k], size)
-	if err != nil {
-		return nil, err
-	}
-	vals, _ := t.bufs.Get(n)
-	got, err := f32le.ReadAt(f, spillHeaderSize, vals)
-	if err == nil && got != want {
-		err = errSpillChecksum(id)
-	}
-	if err != nil {
-		t.bufs.Put(vals)
-		return nil, err
-	}
-	return vals, nil
 }
 
 // quarantine moves a damaged spill file into the quarantine subdirectory

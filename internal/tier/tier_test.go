@@ -2,6 +2,7 @@ package tier
 
 import (
 	"context"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -608,5 +609,89 @@ func TestGetReusesRecycledBuffers(t *testing.T) {
 	}
 	if len(sink.got) != 1 {
 		t.Fatal("a full tier pool never overflowed to the inner reader")
+	}
+}
+
+// isBlock reports whether vals is block(id, n), without building it.
+func isBlock(vals []float32, id grid.BlockID, n int) bool {
+	for i, v := range vals {
+		if v != float32(id)*1000+float32(i) {
+			return false
+		}
+	}
+	return len(vals) == n
+}
+
+// fillReader is a spill tier's inner reader that answers every block with
+// block(id, n).
+type fillReader struct{ n int }
+
+func (f fillReader) ReadBlock(id grid.BlockID) ([]float32, error) { return block(id, f.n), nil }
+func (fillReader) RecycleBlockBuf([]float32)                      {}
+func (f fillReader) ReadBlocks(_ context.Context, ids []grid.BlockID) ([][]float32, []error) {
+	vals := make([][]float32, len(ids))
+	for i, id := range ids {
+		vals[i] = block(id, f.n)
+	}
+	return vals, make([]error, len(ids))
+}
+
+// TestReaderBatchReuse runs overlapping Reader batches — all hits, all
+// misses, and both — from several goroutines, so batch states are reused
+// while other batches read beside them. Every block delivered must be its
+// own; afterwards every spent state is back on a bounded free list holding
+// none of its callers' slices; and a batch of hits allocates only the two
+// results it returns.
+func TestReaderBatchReuse(t *testing.T) {
+	const n = 16
+	tr := openTier(t, t.TempDir(), 8, n, nil)
+	for id := grid.BlockID(0); id < 8; id++ {
+		put(tr, id, block(id, n))
+	}
+	r := NewReader(fillReader{n}, tr) // blocks 8..15 are the inner reader's
+	ctx := context.Background()
+	read := func(ids []grid.BlockID) {
+		vals, errs := r.ReadBlocks(ctx, ids)
+		for i, id := range ids {
+			if errs[i] != nil || !isBlock(vals[i], id, n) {
+				t.Errorf("block %d: %v, err %v", id, vals[i], errs[i])
+				return
+			}
+		}
+		for _, v := range vals {
+			r.RecycleBlockBuf(v)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for it := 0; it < 100; it++ {
+				ids := make([]grid.BlockID, 1+rng.Intn(8))
+				for i := range ids {
+					ids[i] = grid.BlockID(rng.Intn(16))
+				}
+				read(ids)
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	r.mu.Lock()
+	if len(r.free) == 0 || len(r.free) > maxFreeBatches {
+		t.Errorf("%d batch states on the free list, want 1..%d", len(r.free), maxFreeBatches)
+	}
+	for _, b := range r.free {
+		if b.ids != nil || b.vals != nil {
+			t.Errorf("a spent batch state kept its caller's slices: ids %v, vals %v", b.ids, b.vals)
+		}
+	}
+	r.mu.Unlock()
+
+	hits := []grid.BlockID{0, 1, 2, 3, 4, 5, 6, 7}
+	read(hits)
+	if allocs := testing.AllocsPerRun(50, func() { read(hits) }); allocs != 2 {
+		t.Errorf("a batch of spill hits allocates %v times, want 2 (its vals and errs)", allocs)
 	}
 }
